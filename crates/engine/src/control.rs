@@ -138,11 +138,11 @@ pub(crate) struct Monitor<'t> {
     max_iters: Option<u64>,
     /// Set-op iterations published by all workers so far.
     spent_iters: AtomicU64,
-    /// Per-task elapsed times `(vid, duration)`, published in worker-sized
+    /// Per-task elapsed times `(vid, nanoseconds)`, published in worker-sized
     /// batches for straggler detection. `None` when tracking is disabled
     /// (`straggler_ratio == 0`), so untracked runs take no per-task
     /// timestamps and no lock.
-    task_times: Option<Mutex<Vec<(u32, Duration)>>>,
+    task_times: Option<Mutex<Vec<(u32, u64)>>>,
     /// Live progress reporting, off (`None`) by default. Like the stop
     /// conditions, progress is observed at start-vertex granularity.
     progress: Option<Progress>,
@@ -312,14 +312,14 @@ impl<'t> Monitor<'t> {
 
     /// Publishes one worker's batch of task times (one lock per worker,
     /// not per task).
-    pub(crate) fn record_times(&self, times: Vec<(u32, Duration)>) {
+    pub(crate) fn record_times(&self, times: Vec<(u32, u64)>) {
         if let Some(shared) = &self.task_times {
             shared.lock().expect("task-time lock poisoned").extend(times);
         }
     }
 
     /// Takes the accumulated task times (driver-side, after the join).
-    pub(crate) fn take_times(&mut self) -> Vec<(u32, Duration)> {
+    pub(crate) fn take_times(&mut self) -> Vec<(u32, u64)> {
         self.task_times
             .take()
             .map(|m| m.into_inner().expect("task-time lock poisoned"))

@@ -324,7 +324,7 @@ impl<'g> Executor<'g> {
     ///
     /// Panics if `v` is out of range for the graph.
     pub fn run_vertex(&mut self, v: VertexId) {
-        fail_point!("start_vertex", v.0 as u64);
+        fail_point!(self.cfg, "start_vertex", v.0 as u64);
         let aux = Aux {
             hubs: self.hubs.as_deref(),
             blocks: self.blocks.as_deref(),
@@ -546,7 +546,7 @@ fn enter(
     }
     let mut did_insert = false;
     if cfg.use_cmap && node.cmap_insert && !node.children.is_empty() {
-        fail_point!("cmap_insert", state.emb[0].0 as u64);
+        fail_point!(cfg, "cmap_insert", state.emb[0].0 as u64);
         did_insert = true;
         let bound = node.cmap_insert_bound.map(|l| state.emb[l]);
         state.inserted[d].clear();
@@ -606,8 +606,8 @@ fn step(
         && (bound.is_none() || node.bounded_build)
     {
         if let Some(pi) = node.pattern_index {
-            fail_point!("frontier_alloc", state.emb[0].0 as u64);
-            fail_point!("csr_read", state.emb[0].0 as u64);
+            fail_point!(cfg, "frontier_alloc", state.emb[0].0 as u64);
+            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
             let v = state.emb[d - 1];
             let adj = g.neighbors(v);
             let hub = aux.hubs.and_then(|h| h.row(v));
@@ -722,7 +722,7 @@ fn build_core(
     let d = node.depth;
     let has_constraints = !(node.connected.is_empty() && node.disconnected.is_empty());
     if node.frontier != FrontierHint::Reuse {
-        fail_point!("frontier_alloc", state.emb[0].0 as u64);
+        fail_point!(cfg, "frontier_alloc", state.emb[0].0 as u64);
     }
     match node.frontier {
         FrontierHint::Reuse => {
@@ -735,7 +735,7 @@ fn build_core(
         // strategy only where the probed levels' insertions amortize.
         _ if cfg.use_cmap && node.probe => {
             let ext = node.extender.expect("constrained ops always have an extender");
-            fail_point!("csr_read", state.emb[0].0 as u64);
+            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
             let src = g.neighbors(state.emb[ext]);
             let mut out = std::mem::take(&mut state.frontiers[d]);
             out.clear();
@@ -774,7 +774,7 @@ fn build_core(
             // is pushed into the merge when the lowering proved the
             // truncation invisible, and intersections may dispatch to
             // galloping.
-            fail_point!("csr_read", state.emb[0].0 as u64);
+            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
             let adj = g.neighbors(state.emb[d - 1]);
             let merge_bound = if cfg.paper_faithful || !node.bounded_build { None } else { bound };
             if cfg.paper_faithful {
@@ -838,7 +838,7 @@ fn build_core(
         }
         FrontierHint::None => {
             let ext = node.extender.expect("non-root ops always have an extender");
-            fail_point!("csr_read", state.emb[0].0 as u64);
+            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
             let src = g.neighbors(state.emb[ext]);
             let mut out = std::mem::take(&mut state.frontiers[d]);
             out.clear();

@@ -16,18 +16,17 @@
 //! | `cmap_insert`    | bulk c-map insertion on embedding push             |
 //! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline   |
 //!
-//! (IO-level fault injection for graph loading lives next to the reader,
-//! in `fm_graph::io`, behind the same feature name.)
-//!
-//! The registry is process-global; tests that arm sites must not assume
-//! exclusive ownership across threads of *other* tests, so each test
-//! should use [`guard`] (which disarms its site on drop) and target a
-//! site/context pair unique to its own run.
+//! Injection is scoped to a run, not to the process: [`guard`] hands out a
+//! fresh scope id, the test puts it in the run's
+//! [`EngineConfig::failpoint_scope`](crate::EngineConfig::failpoint_scope),
+//! and a site only fires for executors carrying that scope. Runs with the
+//! default scope `0` — every run that did not ask for faults, including
+//! other tests running concurrently in the same binary — are never armed.
 //!
 //! [`Executor::run_vertex`]: crate::executor::Executor::run_vertex
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// When an armed site actually fires.
@@ -48,72 +47,66 @@ struct Armed {
     hits: u64,
 }
 
-fn registry() -> &'static Mutex<HashMap<&'static str, Armed>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, Armed>>> = OnceLock::new();
+type Registry = Mutex<HashMap<(u64, &'static str), Armed>>;
+
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Fast-path gate: `hit` is a single relaxed load while nothing is armed,
-/// so instrumented builds pay nothing measurable when idle.
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Arms `site` to panic with `message` when `trigger` matches.
-///
-/// Re-arming a site replaces its previous configuration and resets its
-/// hit counter.
-pub fn arm(site: &'static str, trigger: Trigger, message: &str) {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    reg.insert(site, Armed { trigger, message: message.to_string(), hits: 0 });
-    ANY_ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms `site` (no-op if not armed).
-pub fn disarm(site: &'static str) {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    reg.remove(site);
-    if reg.is_empty() {
-        ANY_ARMED.store(false, Ordering::Release);
-    }
-}
-
-/// Arms `site` and returns a guard that disarms it when dropped, keeping
-/// tests hermetic even on failure paths.
+/// Arms `site` in a fresh scope to panic with `message` when `trigger`
+/// matches, and returns a guard that names the scope and disarms the site
+/// when dropped, keeping tests hermetic even on failure paths.
 #[must_use]
 pub fn guard(site: &'static str, trigger: Trigger, message: &str) -> FailpointGuard {
-    arm(site, trigger, message);
-    FailpointGuard { site }
+    static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+    let scope = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
+    let armed = Armed { trigger, message: message.to_string(), hits: 0 };
+    registry().lock().expect("failpoint registry poisoned").insert((scope, site), armed);
+    FailpointGuard { scope, site }
 }
 
 /// Disarms its site on drop. Created by [`guard`].
 pub struct FailpointGuard {
+    scope: u64,
     site: &'static str,
+}
+
+impl FailpointGuard {
+    /// The scope the site is armed in: a run sees the fault only if its
+    /// config carries this value.
+    pub fn scope(&self) -> u64 {
+        self.scope
+    }
 }
 
 impl Drop for FailpointGuard {
     fn drop(&mut self) {
-        disarm(self.site);
+        if let Ok(mut reg) = registry().lock() {
+            reg.remove(&(self.scope, self.site));
+        }
     }
 }
 
-/// Reports a hit of `site` with context `ctx` (the current start vertex),
-/// panicking if the site is armed and its trigger matches.
+/// Reports a hit of `site` by a run in `scope` with context `ctx` (the
+/// current start vertex), panicking if the site is armed in that scope and
+/// its trigger matches. Scope `0` is never armed and returns at once.
 ///
 /// # Panics
 ///
 /// Panics with the armed message — that is the point.
 #[inline]
-pub fn hit(site: &'static str, ctx: u64) {
-    if !ANY_ARMED.load(Ordering::Acquire) {
-        return;
+pub fn hit(scope: u64, site: &'static str, ctx: u64) {
+    if scope != 0 {
+        hit_slow(scope, site, ctx);
     }
-    hit_slow(site, ctx);
 }
 
 #[cold]
-fn hit_slow(site: &'static str, ctx: u64) {
+fn hit_slow(scope: u64, site: &'static str, ctx: u64) {
     let message = {
         let mut reg = registry().lock().expect("failpoint registry poisoned");
-        let Some(armed) = reg.get_mut(site) else { return };
+        let Some(armed) = reg.get_mut(&(scope, site)) else { return };
         armed.hits += 1;
         let fires = match armed.trigger {
             Trigger::Always => true,
@@ -136,35 +129,51 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn unarmed_sites_are_silent() {
-        hit("unit-silent", 0);
+    fn unarmed_scopes_are_silent() {
+        let g = guard("unit-silent", Trigger::Always, "boom");
+        hit(0, "unit-silent", 0);
+        hit(g.scope() + 1_000_000, "unit-silent", 0);
+        hit(g.scope(), "unit-other-site", 0);
     }
 
     #[test]
     fn always_trigger_fires_and_guard_disarms() {
-        {
-            let _g = guard("unit-always", Trigger::Always, "boom");
-            let err = catch_unwind(AssertUnwindSafe(|| hit("unit-always", 7))).unwrap_err();
+        let scope = {
+            let g = guard("unit-always", Trigger::Always, "boom");
+            let err = catch_unwind(AssertUnwindSafe(|| hit(g.scope(), "unit-always", 7)));
+            let err = err.unwrap_err();
             let msg = err.downcast_ref::<String>().expect("string payload");
             assert!(msg.contains("unit-always") && msg.contains("boom"), "{msg}");
-        }
-        hit("unit-always", 7); // disarmed by guard drop
+            g.scope()
+        };
+        hit(scope, "unit-always", 7); // disarmed by guard drop
+    }
+
+    #[test]
+    fn the_same_site_armed_twice_keeps_the_scopes_apart() {
+        let a = guard("unit-shared", Trigger::OnContext(1), "a");
+        let b = guard("unit-shared", Trigger::OnContext(2), "b");
+        assert_ne!(a.scope(), b.scope());
+        hit(a.scope(), "unit-shared", 2);
+        hit(b.scope(), "unit-shared", 1);
+        assert!(catch_unwind(AssertUnwindSafe(|| hit(a.scope(), "unit-shared", 1))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| hit(b.scope(), "unit-shared", 2))).is_err());
     }
 
     #[test]
     fn context_trigger_is_selective() {
-        let _g = guard("unit-ctx", Trigger::OnContext(3), "ctx");
-        hit("unit-ctx", 2);
-        assert!(catch_unwind(AssertUnwindSafe(|| hit("unit-ctx", 3))).is_err());
+        let g = guard("unit-ctx", Trigger::OnContext(3), "ctx");
+        hit(g.scope(), "unit-ctx", 2);
+        assert!(catch_unwind(AssertUnwindSafe(|| hit(g.scope(), "unit-ctx", 3))).is_err());
     }
 
     #[test]
     fn nth_hit_trigger_counts() {
-        let _g = guard("unit-nth", Trigger::OnNthHit(3), "nth");
-        hit("unit-nth", 0);
-        hit("unit-nth", 0);
-        assert!(catch_unwind(AssertUnwindSafe(|| hit("unit-nth", 0))).is_err());
+        let g = guard("unit-nth", Trigger::OnNthHit(3), "nth");
+        hit(g.scope(), "unit-nth", 0);
+        hit(g.scope(), "unit-nth", 0);
+        assert!(catch_unwind(AssertUnwindSafe(|| hit(g.scope(), "unit-nth", 0))).is_err());
         // Counter keeps advancing past n; only the exact nth hit fires.
-        hit("unit-nth", 0);
+        hit(g.scope(), "unit-nth", 0);
     }
 }

@@ -60,9 +60,9 @@ pub mod telemetry;
 /// the `failpoints` feature); expands to nothing otherwise, so release
 /// hot paths carry no trace of the harness.
 macro_rules! fail_point {
-    ($site:expr, $ctx:expr) => {
+    ($cfg:expr, $site:expr, $ctx:expr) => {
         #[cfg(any(test, feature = "failpoints"))]
-        crate::failpoint::hit($site, $ctx);
+        crate::failpoint::hit($cfg.failpoint_scope, $site, $ctx);
     };
 }
 pub(crate) use fail_point;
@@ -209,6 +209,12 @@ pub struct EngineConfig {
     /// never flagged, however small the median — microsecond-scale jitter
     /// on tiny inputs would otherwise flood the report.
     pub straggler_min_task: std::time::Duration,
+    /// Test plumbing, absent from default builds: the fault-injection
+    /// scope this run belongs to (see [`failpoint::guard`]). `0` — the
+    /// default — is never armed. Excluded from the checkpoint config
+    /// fingerprint, so a faulted run resumes under a healthy config.
+    #[cfg(any(test, feature = "failpoints"))]
+    pub failpoint_scope: u64,
 }
 
 impl Default for EngineConfig {
@@ -242,6 +248,8 @@ impl Default for EngineConfig {
             max_retries: 0,
             straggler_ratio: 8,
             straggler_min_task: std::time::Duration::from_millis(10),
+            #[cfg(any(test, feature = "failpoints"))]
+            failpoint_scope: 0,
         }
     }
 }

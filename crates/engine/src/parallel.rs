@@ -28,7 +28,7 @@ use fm_graph::{CsrGraph, VertexId};
 use fm_plan::ExecutionPlan;
 use fm_telemetry::Span;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Mines `plan` over `graph` with the configured number of worker threads,
 /// returning aggregated counts and work counters.
@@ -396,28 +396,34 @@ fn run_with_control(
 /// Runs `vids` through `ex` with per-task isolation and control polling,
 /// optionally timing each task and publishing its delta to the checkpoint
 /// sink. Returns the stop condition that ended the batch early, if any.
+///
+/// Timing reads the clock once per task boundary: inside a batch the end
+/// of one task is the start of the next, so a task's time includes the
+/// bookkeeping between it and its predecessor.
 fn drive(
     ex: &mut Executor<'_>,
     monitor: &Monitor<'_>,
     vids: impl Iterator<Item = VertexId>,
     sink: Option<&CheckpointSink>,
-    mut times: Option<&mut Vec<(u32, Duration)>>,
+    mut times: Option<&mut Vec<(u32, u64)>>,
 ) -> Option<StopKind> {
     let mut published = ex.setop_iterations_so_far();
     let telemetry_times = ex.telemetry_times_tasks();
     let telemetry_clock = ex.telemetry_clock();
+    let mut boundary = (times.is_some() || telemetry_times).then(Instant::now);
     for v in vids {
         if let Some(kind) = monitor.should_stop() {
             return Some(kind);
         }
-        let started = (times.is_some() || telemetry_times).then(Instant::now);
         let span_start = telemetry_clock.as_ref().map(|c| c.now_us());
         let snapshot = sink.map(|_| TaskSnapshot::of(ex));
         let ok = ex.run_vertex_isolated(v);
-        if let Some(started) = started {
-            let elapsed = started.elapsed();
+        if let Some(started) = boundary {
+            let now = Instant::now();
+            let elapsed = now - started;
+            boundary = Some(now);
             if let Some(times) = times.as_mut() {
-                times.push((v.0, elapsed));
+                times.push((v.0, elapsed.as_nanos() as u64));
             }
             if telemetry_times {
                 ex.telemetry_task_finished(v.0, span_start, elapsed);

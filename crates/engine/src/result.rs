@@ -253,30 +253,30 @@ pub struct Straggler {
     pub median: Duration,
 }
 
-/// Flags tasks whose elapsed time is at least `ratio`× the run's median
-/// task time (and at least `min_task`, filtering timer noise on
-/// microsecond-scale tasks). Returns the stragglers sorted slowest-first,
-/// capped at [`MAX_STRAGGLERS`] entries so the report stays bounded on
-/// pathological inputs.
+/// Flags tasks whose elapsed time (`(vid, nanoseconds)`) is at least
+/// `ratio`× the run's median task time (and at least `min_task`, filtering
+/// timer noise on microsecond-scale tasks). Returns the stragglers sorted
+/// slowest-first, capped at [`MAX_STRAGGLERS`] entries so the report stays
+/// bounded on pathological inputs. Reorders `times`.
 pub(crate) fn detect_stragglers(
-    times: &mut [(u32, Duration)],
+    times: &mut [(u32, u64)],
     ratio: u32,
     min_task: Duration,
 ) -> Vec<Straggler> {
     if ratio == 0 || times.is_empty() {
         return Vec::new();
     }
-    // Median by sorting a copy of the durations; ties on duration keep the
-    // report deterministic by falling back to vid order below.
-    let mut durs: Vec<Duration> = times.iter().map(|&(_, d)| d).collect();
-    durs.sort_unstable();
-    let median = durs[durs.len() / 2];
-    let threshold = median.saturating_mul(ratio).max(min_task);
+    let (_, &mut (_, median), _) =
+        times.select_nth_unstable_by_key(times.len() / 2, |&(_, nanos)| nanos);
+    let min_task = u64::try_from(min_task.as_nanos()).unwrap_or(u64::MAX);
+    let threshold = median.saturating_mul(u64::from(ratio)).max(min_task);
+    let median = Duration::from_nanos(median);
     let mut out: Vec<Straggler> = times
         .iter()
-        .filter(|&&(_, d)| d >= threshold && d > Duration::ZERO)
-        .map(|&(vid, elapsed)| Straggler { vid, elapsed, median })
+        .filter(|&&(_, nanos)| nanos >= threshold && nanos > 0)
+        .map(|&(vid, nanos)| Straggler { vid, elapsed: Duration::from_nanos(nanos), median })
         .collect();
+    // Ties on duration keep the report deterministic by vid order.
     out.sort_unstable_by(|a, b| b.elapsed.cmp(&a.elapsed).then(a.vid.cmp(&b.vid)));
     out.truncate(MAX_STRAGGLERS);
     out
@@ -529,7 +529,9 @@ mod tests {
     #[test]
     fn straggler_detection_flags_outliers_deterministically() {
         let ms = Duration::from_millis;
-        let mut times = vec![(0, ms(10)), (1, ms(11)), (2, ms(9)), (3, ms(200)), (4, ms(10))];
+        let nanos = |m: u64| m * 1_000_000;
+        let mut times =
+            vec![(0, nanos(10)), (1, nanos(11)), (2, nanos(9)), (3, nanos(200)), (4, nanos(10))];
         let out = detect_stragglers(&mut times, 8, Duration::ZERO);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].vid, 3);
@@ -539,11 +541,11 @@ mod tests {
         assert!(detect_stragglers(&mut times, 0, Duration::ZERO).is_empty());
         // The floor suppresses timer noise: everything below min_task is
         // ignored even when the ratio would flag it.
-        let mut tiny = vec![(0, ms(1)), (1, ms(1)), (2, ms(3))];
+        let mut tiny = vec![(0, nanos(1)), (1, nanos(1)), (2, nanos(3))];
         assert!(detect_stragglers(&mut tiny, 2, ms(50)).is_empty());
         // Slowest-first ordering with vid tiebreak, capped at MAX_STRAGGLERS.
-        let mut many: Vec<(u32, Duration)> = (0..190).map(|v| (v, ms(1))).collect();
-        many.extend((190..230).map(|v| (v, ms(100))));
+        let mut many: Vec<(u32, u64)> = (0..190).map(|v| (v, nanos(1))).collect();
+        many.extend((190..230).map(|v| (v, nanos(100))));
         let out = detect_stragglers(&mut many, 4, Duration::ZERO);
         assert_eq!(out.len(), MAX_STRAGGLERS);
         assert!(out.windows(2).all(|w| w[0].elapsed >= w[1].elapsed));

@@ -881,6 +881,5 @@ mod tests {
     }
 
     // The quarantine-reattempt-and-heal path needs a real injected fault;
-    // it lives in tests/failpoints.rs, whose process-global registry is
-    // serialized against the other fault-injection tests.
+    // it lives in tests/failpoints.rs with the other fault-injection tests.
 }

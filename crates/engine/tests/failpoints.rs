@@ -10,15 +10,7 @@ use fm_engine::{mine, EngineConfig, Executor, JobCore, MiningResult, RunStatus, 
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
-use std::sync::{Arc, Mutex};
-
-/// The failpoint registry is process-global, so tests that arm executor
-/// sites serialize through this lock to avoid poisoning each other's runs.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// Sequential reference counts over every start vertex except `skip`.
 fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: u32) -> Vec<u64> {
@@ -46,17 +38,16 @@ fn assert_degraded_exactly(r: &MiningResult, poisoned: u32, expected_counts: &[u
 
 #[test]
 fn poisoned_start_vertex_degrades_with_exact_remaining_counts() {
-    let _l = lock();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 7);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     let poisoned = 3u32;
     for threads in [1, 4, 7] {
-        let cfg = EngineConfig { threads, ..Default::default() };
-        let _fp = failpoint::guard(
+        let fp = failpoint::guard(
             "start_vertex",
             Trigger::OnContext(poisoned as u64),
             "injected task fault",
         );
+        let cfg = EngineConfig { threads, failpoint_scope: fp.scope(), ..Default::default() };
         let r = mine(&g, &plan, &cfg);
         assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
         assert!(r.faults[0].payload.contains("injected task fault"));
@@ -67,15 +58,14 @@ fn poisoned_start_vertex_degrades_with_exact_remaining_counts() {
 
 #[test]
 fn mid_subtree_faults_roll_back_partial_counts() {
-    let _l = lock();
     let g = generators::powerlaw_cluster(120, 4, 0.5, 11);
     // Sites deeper in the DFS fire after the task has already counted
     // some matches; isolation must roll those partial counts back.
     for site in ["frontier_alloc", "csr_read"] {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         let poisoned = 5u32;
-        let cfg = EngineConfig { threads: 4, ..Default::default() };
-        let _fp = failpoint::guard(site, Trigger::OnContext(poisoned as u64), "mid-subtree");
+        let fp = failpoint::guard(site, Trigger::OnContext(poisoned as u64), "mid-subtree");
+        let cfg = EngineConfig { threads: 4, failpoint_scope: fp.scope(), ..Default::default() };
         let r = mine(&g, &plan, &cfg);
         assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
     }
@@ -83,12 +73,16 @@ fn mid_subtree_faults_roll_back_partial_counts() {
 
 #[test]
 fn cmap_insert_fault_is_isolated_and_cmap_state_recovers() {
-    let _l = lock();
     let g = generators::powerlaw_cluster(120, 4, 0.5, 13);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     let poisoned = 2u32;
-    let cfg = EngineConfig { threads: 2, use_cmap: true, ..Default::default() };
-    let _fp = failpoint::guard("cmap_insert", Trigger::OnContext(poisoned as u64), "cmap fault");
+    let fp = failpoint::guard("cmap_insert", Trigger::OnContext(poisoned as u64), "cmap fault");
+    let cfg = EngineConfig {
+        threads: 2,
+        use_cmap: true,
+        failpoint_scope: fp.scope(),
+        ..Default::default()
+    };
     let r = mine(&g, &plan, &cfg);
     // The executor that caught the fault keeps mining later vertices with
     // a wiped c-map; counts must still be exact (self-cleaning invariant).
@@ -97,11 +91,10 @@ fn cmap_insert_fault_is_isolated_and_cmap_state_recovers() {
 
 #[test]
 fn nth_hit_trigger_poisons_exactly_one_task_per_run() {
-    let _l = lock();
     let g = generators::erdos_renyi(60, 0.15, 3);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
-    let cfg = EngineConfig { threads: 1, ..Default::default() };
-    let _fp = failpoint::guard("start_vertex", Trigger::OnNthHit(10), "nth fault");
+    let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(10), "nth fault");
+    let cfg = EngineConfig { threads: 1, failpoint_scope: fp.scope(), ..Default::default() };
     let r = mine(&g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::Degraded);
     assert_eq!(r.faults.len(), 1);
@@ -115,11 +108,12 @@ fn nth_hit_trigger_poisons_exactly_one_task_per_run() {
 /// with counts and work bit-identical to an unfaulted run.
 #[test]
 fn job_core_reattempts_quarantine_and_heals_bit_identically() {
-    let _l = lock();
     let g = Arc::new(generators::powerlaw_cluster(150, 4, 0.5, 29));
     let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
     let reference = mine(&g, &plan, &EngineConfig::default());
-    let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), EngineConfig::default());
+    let fp = failpoint::guard("start_vertex", Trigger::OnContext(3), "injected transient fault");
+    let cfg = EngineConfig { failpoint_scope: fp.scope(), ..Default::default() };
+    let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg);
     let drain = |core: &JobCore| loop {
         match core.run_stint(9) {
             Stint::Ran { drained: true, .. } => break,
@@ -127,16 +121,13 @@ fn job_core_reattempts_quarantine_and_heals_bit_identically() {
             other => panic!("unexpected stint outcome {other:?}"),
         }
     };
-    {
-        let _fp =
-            failpoint::guard("start_vertex", Trigger::OnContext(3), "injected transient fault");
-        drain(&core);
-        let r = core.result();
-        assert_eq!(r.status, RunStatus::Degraded);
-        assert_eq!(r.quarantined.len(), 1);
-        assert_eq!(r.quarantined[0].vid, 3);
-    }
-    // Fault cleared (guard dropped): one backoff-spaced reattempt heals.
+    drain(&core);
+    let r = core.result();
+    assert_eq!(r.status, RunStatus::Degraded);
+    assert_eq!(r.quarantined.len(), 1);
+    assert_eq!(r.quarantined[0].vid, 3);
+    // Fault cleared: one backoff-spaced reattempt heals.
+    drop(fp);
     assert_eq!(core.reattempt_quarantined(), 1);
     drain(&core);
     let healed = core.result();
@@ -149,11 +140,10 @@ fn job_core_reattempts_quarantine_and_heals_bit_identically() {
 
 #[test]
 fn every_start_vertex_faulting_still_terminates() {
-    let _l = lock();
     let g = generators::erdos_renyi(40, 0.2, 5);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
-    let cfg = EngineConfig { threads: 4, ..Default::default() };
-    let _fp = failpoint::guard("start_vertex", Trigger::Always, "total loss");
+    let fp = failpoint::guard("start_vertex", Trigger::Always, "total loss");
+    let cfg = EngineConfig { threads: 4, failpoint_scope: fp.scope(), ..Default::default() };
     let r = mine(&g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::Degraded);
     assert_eq!(r.faults.len(), g.num_vertices());

@@ -45,10 +45,15 @@ impl GraphBuilder {
     /// graph construction is typically a one-shot pipeline.
     #[must_use]
     pub fn edge(mut self, u: u32, v: u32) -> Self {
+        self.push(u, v);
+        self
+    }
+
+    /// [`edge`](Self::edge) for callers that hold the builder in place.
+    pub(crate) fn push(&mut self, u: u32, v: u32) {
         if u != v {
             self.edges.push((u, v));
         }
-        self
     }
 
     /// Adds an undirected edge, failing on self loops.
@@ -68,9 +73,7 @@ impl GraphBuilder {
     #[must_use]
     pub fn edges<I: IntoIterator<Item = (u32, u32)>>(mut self, iter: I) -> Self {
         for (u, v) in iter {
-            if u != v {
-                self.edges.push((u, v));
-            }
+            self.push(u, v);
         }
         self
     }
@@ -85,39 +88,68 @@ impl GraphBuilder {
 
     /// Finalizes the builder into a validated [`CsrGraph`].
     ///
+    /// A counting sort: every edge is scattered into both endpoints' rows,
+    /// then each row is sorted only if it did not arrive strictly
+    /// ascending. Edges supplied as `(u, v)`, `u < v`, in ascending order —
+    /// what the generators and [`write_edge_list`](crate::io::write_edge_list)
+    /// emit — fill every row in order, so the build is linear in the input.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::TooManyVertices`] if more than `u32::MAX`
     /// vertices would be required.
     pub fn build(self) -> Result<CsrGraph, GraphError> {
-        let n = self
-            .edges
-            .iter()
-            .map(|&(u, v)| u.max(v) as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.min_vertices);
+        let GraphBuilder { edges, min_vertices } = self;
+        let n =
+            edges.iter().map(|&(u, v)| u.max(v) as usize + 1).max().unwrap_or(0).max(min_vertices);
         if n > u32::MAX as usize {
             return Err(GraphError::TooManyVertices(n));
         }
 
-        // Symmetrize, then sort + dedup per adjacency list via a global sort.
-        let mut directed = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v) in &self.edges {
-            directed.push((u, v));
-            directed.push((v, u));
-        }
-        directed.sort_unstable();
-        directed.dedup();
-
         let mut offsets = vec![0usize; n + 1];
-        for &(u, _) in &directed {
+        for &(u, v) in &edges {
             offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let neighbors = directed.into_iter().map(|(_, v)| VertexId(v)).collect();
+        // `offsets[v]` is the write cursor of row `v` during the scatter and
+        // ends as the row's end; shifting right by one restores the starts.
+        let mut neighbors = vec![VertexId(0); edges.len() * 2];
+        for (u, v) in edges {
+            neighbors[offsets[u as usize]] = VertexId(v);
+            offsets[u as usize] += 1;
+            neighbors[offsets[v as usize]] = VertexId(u);
+            offsets[v as usize] += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+
+        let mut duplicates = false;
+        for row in offsets.windows(2) {
+            let row = &mut neighbors[row[0]..row[1]];
+            if !row.is_sorted_by(|a, b| a < b) {
+                row.sort_unstable();
+                duplicates |= row.windows(2).any(|w| w[0] == w[1]);
+            }
+        }
+        if duplicates {
+            let mut len = 0;
+            let mut start = 0;
+            for v in 0..n {
+                let end = offsets[v + 1];
+                for i in start..end {
+                    if i == start || neighbors[i] != neighbors[i - 1] {
+                        neighbors[len] = neighbors[i];
+                        len += 1;
+                    }
+                }
+                start = end;
+                offsets[v + 1] = len;
+            }
+            neighbors.truncate(len);
+        }
         CsrGraph::from_parts(offsets, neighbors)
     }
 }

@@ -52,6 +52,18 @@ impl CsrGraph {
     /// list is unsorted or contains duplicates, a neighbor id is out of
     /// range, or a self loop is present.
     pub fn from_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Result<Self, GraphError> {
+        Self::validate(&offsets, &neighbors)?;
+        Ok(CsrGraph { offsets, neighbors })
+    }
+
+    /// [`from_parts`](Self::from_parts) for arrays that are valid by
+    /// construction; the invariants are only re-checked in debug builds.
+    pub(crate) fn from_valid_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+        debug_assert!(Self::validate(&offsets, &neighbors).is_ok());
+        CsrGraph { offsets, neighbors }
+    }
+
+    fn validate(offsets: &[usize], neighbors: &[VertexId]) -> Result<(), GraphError> {
         if offsets.is_empty() {
             return Err(GraphError::MalformedOffsets("offsets array is empty".into()));
         }
@@ -86,7 +98,7 @@ impl CsrGraph {
                 }
             }
         }
-        Ok(CsrGraph { offsets, neighbors })
+        Ok(())
     }
 
     /// Number of vertices.

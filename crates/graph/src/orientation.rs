@@ -8,7 +8,6 @@
 //! degree. Vertex ID is used when there is a tie."
 
 use crate::csr::CsrGraph;
-use crate::vertex::VertexId;
 
 /// Converts a symmetric graph into a DAG by keeping, for each undirected
 /// edge `{u, v}`, only the direction from the "smaller" endpoint to the
@@ -34,22 +33,20 @@ use crate::vertex::VertexId;
 /// assert_eq!(dag.num_directed_edges(), 6);
 /// ```
 pub fn orient_by_degree(g: &CsrGraph) -> CsrGraph {
-    let rank = |v: VertexId| (g.degree(v), v);
-    let n = g.num_vertices();
-    let mut offsets = vec![0usize; n + 1];
+    // One compact array: ranking a neighbour is one load, not two offsets.
+    let degree: Vec<u32> = g.offsets().windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+    let mut offsets = Vec::with_capacity(degree.len() + 1);
+    offsets.push(0);
+    let mut neighbors = Vec::with_capacity(g.num_undirected_edges());
     for u in g.vertices() {
-        let d = g.neighbors(u).iter().filter(|&&v| rank(u) < rank(v)).count();
-        offsets[u.index() + 1] = d;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut neighbors = Vec::with_capacity(offsets[n]);
-    for u in g.vertices() {
+        let rank_u = (degree[u.index()], u);
         // Adjacency stays sorted by id; the filter preserves relative order.
-        neighbors.extend(g.neighbors(u).iter().copied().filter(|&v| rank(u) < rank(v)));
+        neighbors
+            .extend(g.neighbors(u).iter().copied().filter(|&v| rank_u < (degree[v.index()], v)));
+        offsets.push(neighbors.len());
     }
-    CsrGraph::from_parts(offsets, neighbors).expect("orientation of a valid graph is valid")
+    // A subsequence of each valid row is a valid row.
+    CsrGraph::from_valid_parts(offsets, neighbors)
 }
 
 #[cfg(test)]
@@ -57,6 +54,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::generators;
+    use crate::vertex::VertexId;
 
     /// Checks acyclicity by verifying all edges increase the (degree, id)
     /// rank — a topological order by construction.

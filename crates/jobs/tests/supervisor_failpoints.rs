@@ -1,8 +1,7 @@
 //! Fault-injection chaos for the supervisor: transient executor faults
 //! quarantine tasks, the supervisor re-queues them under capped backoff,
 //! and the healed result is bit-identical to an unfaulted run. Compiled
-//! only with `--features failpoints`; its own binary so the
-//! process-global failpoint registry cannot poison the main chaos suite.
+//! only with `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
 use fm_engine::failpoint::{self, Trigger};
@@ -11,17 +10,8 @@ use fm_graph::generators;
 use fm_jobs::{BackoffPolicy, JobOutcome, JobSpec, Supervisor, SupervisorConfig};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// The failpoint registry is process-global; tests arming sites
-/// serialize so concurrent supervisor runs don't consume each other's
-/// triggers.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn fast_backoff() -> BackoffPolicy {
     BackoffPolicy { base: Duration::from_millis(1), cap: Duration::from_millis(5) }
@@ -32,7 +22,6 @@ fn fast_backoff() -> BackoffPolicy {
 /// and the job heals to a result bit-identical with a clean run.
 #[test]
 fn transient_fault_heals_via_supervisor_backoff_retry() {
-    let _l = lock();
     let g = Arc::new(generators::powerlaw_cluster(150, 4, 0.5, 29));
     let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
     let cfg = EngineConfig { threads: 1, ..Default::default() };
@@ -47,8 +36,9 @@ fn transient_fault_heals_via_supervisor_backoff_retry() {
         backoff: fast_backoff(),
         ..Default::default()
     });
-    let _fp = failpoint::guard("start_vertex", Trigger::OnNthHit(3), "transient chaos");
-    let handle = sup.submit(JobSpec::new("healing", g, plan, cfg));
+    let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(3), "transient chaos");
+    let faulty = EngineConfig { failpoint_scope: fp.scope(), ..cfg };
+    let handle = sup.submit(JobSpec::new("healing", g, plan, faulty));
     let r = match handle.wait() {
         JobOutcome::Finished(r) => r,
         other => panic!("expected Finished, got {other:?}"),
@@ -66,13 +56,12 @@ fn transient_fault_heals_via_supervisor_backoff_retry() {
 /// and counts identical to an engine run under the same fault.
 #[test]
 fn persistent_fault_exhausts_attempts_and_resolves_degraded() {
-    let _l = lock();
     let g = Arc::new(generators::powerlaw_cluster(150, 4, 0.5, 31));
     let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
-    let cfg = EngineConfig { threads: 1, ..Default::default() };
     let poisoned = 4u32;
-    let _fp =
+    let fp =
         failpoint::guard("start_vertex", Trigger::OnContext(poisoned as u64), "persistent chaos");
+    let cfg = EngineConfig { threads: 1, failpoint_scope: fp.scope(), ..Default::default() };
     let reference = mine(&g, &plan, &cfg);
     assert_eq!(reference.status, RunStatus::Degraded);
 
@@ -105,7 +94,6 @@ fn persistent_fault_exhausts_attempts_and_resolves_degraded() {
 /// jobs match their clean references.
 #[test]
 fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
-    let _l = lock();
     let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
     let sup = Supervisor::new(SupervisorConfig {
         workers: 4,
@@ -115,9 +103,6 @@ fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
         backoff: fast_backoff(),
         ..Default::default()
     });
-    // Clean references are computed before the fault is armed — `mine`
-    // hits the same global registry and would otherwise consume (or
-    // trip) the trigger meant for the supervisor's interleaving.
     let cases: Vec<_> = [1usize, 2, 1, 2]
         .iter()
         .enumerate()
@@ -128,12 +113,14 @@ fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
             (g, cfg, reference, i)
         })
         .collect();
-    // One transient fault somewhere in the interleaving; whichever job's
-    // task eats it will quarantine, retry, and heal.
-    let _fp = failpoint::guard("start_vertex", Trigger::OnNthHit(17), "matrix chaos");
+    // One transient fault somewhere in the interleaving of the jobs, which
+    // share its scope; whichever job's task eats it will quarantine, retry,
+    // and heal.
+    let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(17), "matrix chaos");
     let mut waits = Vec::new();
     for (g, cfg, reference, i) in cases {
-        let handle = sup.submit(JobSpec::new(format!("chaos-{i}"), g, Arc::clone(&plan), cfg));
+        let faulty = EngineConfig { failpoint_scope: fp.scope(), ..cfg };
+        let handle = sup.submit(JobSpec::new(format!("chaos-{i}"), g, Arc::clone(&plan), faulty));
         waits.push((handle, reference, i));
     }
     for (handle, reference, i) in waits {

@@ -21,15 +21,6 @@ use fm_plan::{compile, CompileOptions, ExecutionPlan};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The failpoint registry is process-global; tests that arm sites
-/// serialize through this lock so they cannot poison each other.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn fp_lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A unique checkpoint path per call; tests clean up best-effort, and the
 /// pid+counter suffix keeps reruns from tripping over stale files.
@@ -95,7 +86,6 @@ fn budget_interrupt_then_resume_is_bit_identical_across_backends() {
 /// with the fault history carried forward. Same backend matrix.
 #[test]
 fn faulted_run_checkpoints_and_resume_heals_quarantine() {
-    let _l = fp_lock();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 23);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let poisoned = 11u32;
@@ -107,19 +97,20 @@ fn faulted_run_checkpoints_and_resume_heals_quarantine() {
                 let path = temp_ckpt("heal");
                 let ctx = format!("threads={threads} cmap={use_cmap} hub={hub_bitmap}");
                 {
-                    let _fp = failpoint::guard(
+                    let fp = failpoint::guard(
                         "start_vertex",
                         Trigger::OnContext(poisoned as u64),
                         "transient environmental fault",
                     );
+                    let faulty = EngineConfig { failpoint_scope: fp.scope(), ..base };
                     let recovery = Recovery { checkpoint: Some(every_task(&path)), resume: None };
-                    let cut = mine_with_recovery(&g, &plan, &base, None, recovery).unwrap();
+                    let cut = mine_with_recovery(&g, &plan, &faulty, None, recovery).unwrap();
                     assert_eq!(cut.status, RunStatus::Degraded, "{ctx}");
                     assert_eq!(cut.quarantined.len(), 1, "{ctx}");
                     assert_eq!(cut.quarantined[0].vid, poisoned, "{ctx}");
                 }
-                // Guard dropped: the environment is healthy again. The
-                // snapshot must carry the quarantine record.
+                // Resumed under the fault-free config, as after a process
+                // restart. The snapshot must carry the quarantine record.
                 let snap = Checkpoint::load(&path).unwrap();
                 assert_eq!(snap.quarantined.len(), 1, "{ctx}");
                 assert!(!snap.completed.contains(poisoned), "{ctx}");

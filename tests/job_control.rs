@@ -11,16 +11,7 @@ use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{mine, mine_with_cancel, EngineConfig, Executor};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// The failpoint registry is process-global; tests that arm sites
-/// serialize through this lock so they cannot poison each other.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn fp_lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Sequential reference: counts over every start vertex except `skip`.
 fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: u32) -> Vec<u64> {
@@ -40,13 +31,12 @@ fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: 
 /// join-and-drain path works).
 #[test]
 fn injected_panic_degrades_without_losing_other_counts() {
-    let _l = fp_lock();
     let g = generators::powerlaw_cluster(200, 4, 0.5, 9);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let poisoned = 7u32;
     for threads in [1, 4, 7] {
-        let cfg = EngineConfig { threads, ..Default::default() };
-        let _fp = failpoint::guard("start_vertex", Trigger::OnContext(poisoned as u64), "injected");
+        let fp = failpoint::guard("start_vertex", Trigger::OnContext(poisoned as u64), "injected");
+        let cfg = EngineConfig { threads, failpoint_scope: fp.scope(), ..Default::default() };
         let r = mine(&g, &plan, &cfg);
         assert_eq!(r.status, RunStatus::Degraded, "threads={threads}");
         assert_eq!(r.faults.len(), 1);
@@ -147,17 +137,17 @@ fn setop_budget_stops_with_exact_partial_counts() {
 /// the fault.
 #[test]
 fn fault_and_deadline_compose_by_severity() {
-    let _l = fp_lock();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 13);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
+    // Deadline zero stops before any task: no fault fires, severity is the
+    // deadline's.
+    let fp = failpoint::guard("start_vertex", Trigger::OnContext(0), "late fault");
     let cfg = EngineConfig {
         threads: 1,
         budget: Budget::with_timeout(Duration::ZERO),
+        failpoint_scope: fp.scope(),
         ..Default::default()
     };
-    // Deadline zero stops before any task: no fault fires, severity is the
-    // deadline's.
-    let _fp = failpoint::guard("start_vertex", Trigger::OnContext(0), "late fault");
     let r = mine(&g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::DeadlineExceeded);
     assert!(r.faults.is_empty());

@@ -11,16 +11,7 @@ use fm_engine::{mine, EngineConfig, Executor, RunStatus};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// The failpoint registry is process-global; tests that arm sites
-/// serialize through this lock so they cannot poison each other.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn fp_lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Sequential reference counts over every start vertex except `skip`.
 fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: u32) -> Vec<u64> {
@@ -40,12 +31,16 @@ fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: 
 /// failed attempt on record and an empty quarantine.
 #[test]
 fn transient_fault_is_retried_to_a_complete_run() {
-    let _l = fp_lock();
     let g = generators::erdos_renyi(60, 0.15, 3);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let clean = mine(&g, &plan, &EngineConfig::default());
-    let cfg = EngineConfig { threads: 1, max_retries: 1, ..Default::default() };
-    let _fp = failpoint::guard("start_vertex", Trigger::OnNthHit(10), "transient fault");
+    let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(10), "transient fault");
+    let cfg = EngineConfig {
+        threads: 1,
+        max_retries: 1,
+        failpoint_scope: fp.scope(),
+        ..Default::default()
+    };
     let r = mine(&g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::Complete);
     assert_eq!(r.counts, clean.counts);
@@ -69,17 +64,21 @@ fn transient_fault_is_retried_to_a_complete_run() {
 /// set.
 #[test]
 fn persistent_fault_exhausts_retries_into_quarantine() {
-    let _l = fp_lock();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 17);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     let poisoned = 6u32;
     for threads in [1usize, 4] {
-        let cfg = EngineConfig { threads, max_retries: 2, ..Default::default() };
-        let _fp = failpoint::guard(
+        let fp = failpoint::guard(
             "start_vertex",
             Trigger::OnContext(poisoned as u64),
             "persistent fault",
         );
+        let cfg = EngineConfig {
+            threads,
+            max_retries: 2,
+            failpoint_scope: fp.scope(),
+            ..Default::default()
+        };
         let r = mine(&g, &plan, &cfg);
         assert_eq!(r.status, RunStatus::Degraded, "threads={threads}");
         // Attempts 0, 1, 2 all recorded, in order, for the same vid.
@@ -109,11 +108,15 @@ fn persistent_fault_exhausts_retries_into_quarantine() {
 /// everything, and reports deterministically ordered fault lists.
 #[test]
 fn total_loss_with_retries_still_terminates_deterministically() {
-    let _l = fp_lock();
     let g = generators::erdos_renyi(40, 0.2, 5);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
-    let cfg = EngineConfig { threads: 4, max_retries: 1, ..Default::default() };
-    let _fp = failpoint::guard("start_vertex", Trigger::Always, "total loss");
+    let fp = failpoint::guard("start_vertex", Trigger::Always, "total loss");
+    let cfg = EngineConfig {
+        threads: 4,
+        max_retries: 1,
+        failpoint_scope: fp.scope(),
+        ..Default::default()
+    };
     let r = mine(&g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::Degraded);
     assert_eq!(r.counts, vec![0]);
@@ -132,16 +135,21 @@ fn total_loss_with_retries_still_terminates_deterministically() {
 /// when the fault fires mid-subtree, after partial matches were tallied.
 #[test]
 fn mid_subtree_retry_does_not_double_count() {
-    let _l = fp_lock();
     let g = generators::powerlaw_cluster(120, 4, 0.5, 11);
     for site in ["frontier_alloc", "csr_read", "cmap_insert"] {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         let clean_cfg = EngineConfig { use_cmap: true, ..Default::default() };
         let clean = mine(&g, &plan, &clean_cfg);
-        let cfg = EngineConfig { threads: 4, max_retries: 3, use_cmap: true, ..Default::default() };
         // OnNthHit(1): the first pass through the site faults, leaving
         // partial counts to roll back; every retry then succeeds.
-        let _fp = failpoint::guard(site, Trigger::OnNthHit(1), "mid-subtree transient");
+        let fp = failpoint::guard(site, Trigger::OnNthHit(1), "mid-subtree transient");
+        let cfg = EngineConfig {
+            threads: 4,
+            max_retries: 3,
+            use_cmap: true,
+            failpoint_scope: fp.scope(),
+            ..Default::default()
+        };
         let r = mine(&g, &plan, &cfg);
         assert_eq!(r.status, RunStatus::Complete, "site={site}");
         assert_eq!(r.counts, clean.counts, "site={site}");
