@@ -30,7 +30,8 @@ use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    // `flexminer count --help` asks for help; it is not a pattern.
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage("");
     }
     let result = match args[0].as_str() {
@@ -41,7 +42,7 @@ fn main() {
         "generate" => cmd_generate(&args[1..]),
         "stats" => cmd_stats(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "--help" | "-h" | "help" => usage(""),
+        "help" => usage(""),
         other => usage(&format!("unknown command {other}")),
     };
     match result {
@@ -171,11 +172,7 @@ impl TelemetryFlags {
 }
 
 fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}\n");
-    }
-    eprintln!(
-        "flexminer — pattern-aware graph pattern mining (FlexMiner, ISCA'21 reproduction)
+    let text = "flexminer — pattern-aware graph pattern mining (FlexMiner, ISCA'21 reproduction)
 
 commands:
   plan  <pattern>                           print the compiled execution plan (IR)
@@ -239,15 +236,15 @@ telemetry (off by default; defaults stay bit-identical):
                                warnings
 
 serve protocol (JSONL, one object per line, over stdio or --socket):
-  {{\"op\":\"submit\",\"pattern\":P,\"graph\":G[,\"name\":S,\"induced\":B,
+  {\"op\":\"submit\",\"pattern\":P,\"graph\":G[,\"name\":S,\"induced\":B,
    \"threads\":N,\"priority\":N,\"max_attempts\":K,
-   \"budget\":SETOP_ITERS,\"deadline\":SECS]}}          admit a job
+   \"budget\":SETOP_ITERS,\"deadline\":SECS]}          admit a job
    (per-job budget/deadline stop with exit codes 4/3 and exact partial
    counts; both survive a drain, the deadline re-anchors at resume)
-  {{\"op\":\"wait\",\"id\":N}}    block until the job's terminal outcome
-  {{\"op\":\"status\"}}          supervisor gauges   {{\"op\":\"cancel\",\"id\":N}}
-  {{\"op\":\"metrics\"[,\"format\":\"prometheus\"]}}    exporter document
-  {{\"op\":\"shutdown\"}}        drain to --spool checkpoints and exit
+  {\"op\":\"wait\",\"id\":N}    block until the job's terminal outcome
+  {\"op\":\"status\"}          supervisor gauges   {\"op\":\"cancel\",\"id\":N}
+  {\"op\":\"metrics\"[,\"format\":\"prometheus\"]}    exporter document
+  {\"op\":\"shutdown\"}        drain to --spool checkpoints and exit
   SIGTERM drains identically; restarting with the same --spool resumes
   every drained job bit-for-bit.
   --journal PATH appends every submission and outcome to a durable
@@ -259,11 +256,11 @@ serve protocol (JSONL, one object per line, over stdio or --socket):
   Request lines over --max-request-bytes (default 1 MiB) get a
   structured 'request too large' reply; socket connections idle out
   after --idle-timeout seconds (default 300, 0 disables)
-  {{\"op\":\"subscribe\"[,\"buffer\":N]}}  (socket only) turns the
+  {\"op\":\"subscribe\"[,\"buffer\":N]}  (socket only) turns the
   connection into a live JSONL stream of job lifecycle events
   (submitted/queued/running/preempted/parked/resumed/retry/progress/
   finished/drained); a slow consumer loses oldest events and sees a
-  {{\"event\":\"dropped\"}} notice instead of blocking the server.
+  {\"event\":\"dropped\"} notice instead of blocking the server.
   --trace-out writes one Chrome-trace JSON at exit with supervisor
   lifecycle spans and per-job engine spans on one shared timeline
   (open in Perfetto); --recorder-out dumps the last --recorder-cap
@@ -276,9 +273,14 @@ exit codes:
   quarantined after exhausting retries)   7 watchdog tripped;
   codes 3-6 still print exact counts for the completed start vertices.
   serve job outcomes reuse 0-6 and add 8 (rejected by admission control)
-  and 9 (drained to a checkpoint at shutdown)"
-    );
-    exit(if msg.is_empty() { 0 } else { 2 });
+  and 9 (drained to a checkpoint at shutdown)";
+    // Help that was asked for is output; help after a mistake is an error.
+    if msg.is_empty() {
+        println!("{text}");
+        exit(0);
+    }
+    eprintln!("error: {msg}\n\n{text}");
+    exit(2);
 }
 
 type CliResult = Result<i32, String>;

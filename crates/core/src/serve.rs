@@ -1463,6 +1463,20 @@ mod tests {
                 r#"{"op":"submit","pattern":"zzz-not-a-pattern","graph":"gen:complete,n=4"}"#,
                 "bad pattern",
             ),
+            // A pattern is something a client types: an id whose `+ 1`
+            // overflows, free text and a stray comma each name the token.
+            (
+                r#"{"op":"submit","pattern":"0-18446744073709551615","graph":"gen:complete,n=4"}"#,
+                "18446744073709551615 vertices exceeds the maximum",
+            ),
+            (
+                r#"{"op":"submit","pattern":"sdfs","graph":"gen:complete,n=4"}"#,
+                r#"cannot read \"sdfs\""#,
+            ),
+            (
+                r#"{"op":"submit","pattern":"0-1,","graph":"gen:complete,n=4"}"#,
+                r#"cannot read \"\""#,
+            ),
             (r#"{"op":"wait","id":99}"#, "unknown job id"),
             (r#"{"op":"cancel"}"#, "cancel needs an id"),
         ] {

@@ -65,11 +65,62 @@ fn generous_watchdog_sim_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// The five single-pattern workloads on a fixed generator spec print
+/// exactly the checked-in statistics (CI diffs the release binary against
+/// the same file): host-side speed-ups of the simulator must not move a
+/// simulated number.
+#[test]
+fn sim_stdout_matches_the_golden_file() {
+    let mut stdout = String::new();
+    for pattern in ["triangle", "4-clique", "5-clique", "4-cycle", "diamond"] {
+        let graph = "gen:powerlaw,n=2000,m=8,closure=0.6,seed=2";
+        let out = flexminer(&["sim", pattern, "--graph", graph, "--log-level", "error"]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        stdout.push_str(std::str::from_utf8(&out.stdout).unwrap());
+    }
+    assert_eq!(stdout, include_str!("golden/sim_stdout.txt"));
+}
+
 #[test]
 fn bad_flag_values_exit_one() {
     let out = flexminer(&["count", "triangle", "--graph", GRAPH, "--timeout", "soon"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --timeout"));
+}
+
+#[test]
+fn bad_patterns_exit_one_naming_the_token() {
+    for (pattern, needle) in [
+        ("0-18446744073709551615", "18446744073709551615 vertices exceeds the maximum"),
+        ("sdfs", "cannot read \"sdfs\""),
+        ("0-1,", "cannot read \"\""),
+        ("17-clique", "cannot read \"17-clique\""),
+    ] {
+        for command in ["plan", "count", "sim"] {
+            let out = flexminer(&[command, pattern, "--graph", GRAPH]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {pattern}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{command} {pattern}: {stderr}");
+            assert!(stderr.contains(needle), "{command} {pattern}: {stderr}");
+            assert!(out.stdout.is_empty());
+        }
+    }
+}
+
+#[test]
+fn help_after_a_command_prints_usage_and_exits_zero() {
+    for args in [&["count", "--help"][..], &["sim", "-h"], &["plan", "triangle", "--help"], &["-h"]]
+    {
+        let out = flexminer(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("flexminer —") && stdout.contains("exit codes:"), "{stdout}");
+        assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    // A mistake still gets the usage on stderr and exit code 2.
+    let out = flexminer(&["frobnicate"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: unknown command frobnicate"));
 }
 
 /// A unique checkpoint path per call, so parallel test binaries and reruns

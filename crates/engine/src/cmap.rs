@@ -7,15 +7,15 @@
 //!
 //! Two functional implementations are provided:
 //!
-//! * [`HashCmap`] — compact map keyed by vertex id (what the hardware's
-//!   linear-probing scratchpad implements in §VI-A);
+//! * [`HashCmap`] — compact open-addressing map keyed by vertex id (the
+//!   linear-probing scratchpad of §VI-A; also the store under `fm-sim`'s
+//!   timed `HwCmap`);
 //! * [`VectorCmap`] — the prior-work software layout ([15, 21]): a |V|-sized
 //!   array, O(1) access but O(|V|) memory per worker. The paper's critique
 //!   of this layout (§VI) motivates the hardware design; we keep it for
 //!   ablations and as a differential-testing oracle.
 
 use fm_graph::VertexId;
-use std::collections::HashMap;
 
 /// Common interface of the software connectivity maps.
 ///
@@ -53,43 +53,155 @@ pub trait ConnectivityMap {
     fn clear(&mut self);
 }
 
-/// Hash-backed c-map.
-#[derive(Clone, Debug, Default)]
+/// One slot of [`HashCmap`]'s table. A slot is live iff `bits != 0`: the
+/// map never stores an all-zero bitset, so no key value is reserved as an
+/// "empty" marker.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    key: u32,
+    bits: u32,
+}
+
+/// Slots in a new [`HashCmap`]; a power of two.
+const MIN_SLOTS: usize = 8;
+
+/// Hash-backed c-map: the layout of the hardware scratchpad (§VI-A) — one
+/// power-of-two table of key/bitset slots, a multiplicative hash for the
+/// home slot, linear probing, and backward-shift deletion so the table
+/// never carries tombstones. The table starts at 8 slots and doubles when
+/// an insert would pass 7/8 load, so it holds at most 16/7 of the peak
+/// number of live keys and never depends on the key universe.
+///
+/// Slots are 8 bytes — a 4 B key and a 32-bit bitset — so depths must stay
+/// below [`HashCmap::MAX_DEPTH`]; patterns have at most
+/// `MAX_PATTERN_VERTICES` = 16 levels.
+///
+/// `fm-sim`'s `HwCmap` wraps this same store and adds capacity, banks and
+/// timing on top.
+#[derive(Clone, Debug)]
 pub struct HashCmap {
-    map: HashMap<u32, u64>,
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the home slot is the top bits of the
+    /// multiplied key.
+    shift: u32,
+    live: usize,
+}
+
+impl Default for HashCmap {
+    fn default() -> Self {
+        HashCmap {
+            slots: vec![Slot::default(); MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            live: 0,
+        }
+    }
 }
 
 impl HashCmap {
+    /// Depths (bit positions) a slot's bitset can record: `0..MAX_DEPTH`.
+    pub const MAX_DEPTH: usize = u32::BITS as usize;
+
     /// Creates an empty map.
     pub fn new() -> Self {
         Self::default()
     }
+
+    #[inline]
+    fn home(&self, key: u32) -> usize {
+        // Fibonacci hashing: 2^64 / golden ratio, top bits taken.
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or the empty slot that ends its probe chain.
+    #[inline]
+    fn find(&self, key: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let slot = &self.slots[i];
+            if slot.bits == 0 || slot.key == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![Slot::default(); old.len() * 2];
+        self.shift -= 1;
+        for slot in old.into_iter().filter(|s| s.bits != 0) {
+            let i = self.find(slot.key);
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Empties slot `hole` and closes the gap: every later entry of the
+    /// same cluster whose home lies at or before the hole moves back into
+    /// it, so each surviving key stays reachable from its home slot.
+    fn delete(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let slot = self.slots[i];
+            if slot.bits == 0 {
+                break;
+            }
+            let from_home = i.wrapping_sub(self.home(slot.key)) & mask;
+            if from_home >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = i;
+            }
+        }
+        self.slots[hole].bits = 0;
+        self.live -= 1;
+    }
 }
 
 impl ConnectivityMap for HashCmap {
+    #[inline]
     fn insert(&mut self, w: VertexId, depth: usize) {
-        *self.map.entry(w.0).or_insert(0) |= 1 << depth;
+        debug_assert!(depth < Self::MAX_DEPTH, "depth {depth} does not fit a slot's bitset");
+        let mut i = self.find(w.0);
+        if self.slots[i].bits == 0 {
+            if (self.live + 1) * 8 > self.slots.len() * 7 {
+                self.grow();
+                i = self.find(w.0);
+            }
+            self.slots[i].key = w.0;
+            self.live += 1;
+        }
+        self.slots[i].bits |= 1 << depth;
     }
 
+    #[inline]
     fn remove(&mut self, w: VertexId, depth: usize) {
-        if let Some(bits) = self.map.get_mut(&w.0) {
-            *bits &= !(1 << depth);
-            if *bits == 0 {
-                self.map.remove(&w.0);
+        let i = self.find(w.0);
+        let slot = &mut self.slots[i];
+        if slot.bits != 0 {
+            slot.bits &= !(1 << depth);
+            if slot.bits == 0 {
+                self.delete(i);
             }
         }
     }
 
+    #[inline]
     fn query(&self, w: VertexId) -> u64 {
-        self.map.get(&w.0).copied().unwrap_or(0)
+        // An empty slot reads 0, which is also the answer for "absent".
+        self.slots[self.find(w.0)].bits as u64
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     fn clear(&mut self) {
-        self.map.clear();
+        if self.live > 0 {
+            self.slots.fill(Slot::default());
+            self.live = 0;
+        }
     }
 }
 
@@ -178,6 +290,131 @@ mod tests {
         exercise(VectorCmap::new(16));
     }
 
+    /// The live keys in table order, for asserting where entries sit.
+    fn layout(m: &HashCmap) -> Vec<Option<u32>> {
+        m.slots.iter().map(|s| (s.bits != 0).then_some(s.key)).collect()
+    }
+
+    /// The first `n` keys (ascending from `from`) whose home slot is `slot`.
+    fn keys_homed_at(m: &HashCmap, slot: usize, from: u32, n: usize) -> Vec<u32> {
+        (from..).filter(|&k| m.home(k) == slot).take(n).collect()
+    }
+
+    #[test]
+    fn table_doubles_past_seven_eighths_and_tracks_live_keys_only() {
+        let mut m = HashCmap::new();
+        let mut sizes = Vec::new();
+        for k in 0..1638u32 {
+            m.insert(VertexId(k.wrapping_mul(7919)), 0);
+            sizes.push(m.slots.len());
+        }
+        assert_eq!(sizes[..7], [8; 7], "seven keys fit the first table");
+        assert_eq!(sizes[7], 16, "the eighth would pass 7/8");
+        // The 8 kB hardware configuration filled to the brim: 2 048 slots.
+        assert_eq!((m.len(), m.slots.len()), (1638, 2048));
+        // Re-inserting present keys and setting further bits never grows.
+        for k in 0..1638u32 {
+            m.insert(VertexId(k.wrapping_mul(7919)), 1);
+        }
+        assert_eq!((m.len(), m.slots.len()), (1638, 2048));
+    }
+
+    #[test]
+    fn probe_chain_wraps_the_table_end_and_survives_head_deletion() {
+        let mut m = HashCmap::new();
+        let last = m.slots.len() - 1;
+        // Three keys that all want the last slot: the chain runs
+        // last → 0 → 1, wrapping the table end.
+        let chain = keys_homed_at(&m, last, 1, 3);
+        for &k in &chain {
+            m.insert(VertexId(k), 3);
+        }
+        let mut want = vec![None; m.slots.len()];
+        (want[last], want[0], want[1]) = (Some(chain[0]), Some(chain[1]), Some(chain[2]));
+        assert_eq!(layout(&m), want);
+        // A key homed at slot 0 queues behind the wrapped chain.
+        let zero = keys_homed_at(&m, 0, 1, 1)[0];
+        m.insert(VertexId(zero), 1);
+        assert_eq!(layout(&m)[2], Some(zero));
+        // Deleting the head shifts the chain back across the table end;
+        // `zero` may move to its home but never before it.
+        m.remove(VertexId(chain[0]), 3);
+        let mut want = vec![None; m.slots.len()];
+        (want[last], want[0], want[1]) = (Some(chain[1]), Some(chain[2]), Some(zero));
+        assert_eq!(layout(&m), want);
+        assert_eq!(m.query(VertexId(chain[0])), 0);
+        assert_eq!(m.query(VertexId(chain[1])), 1 << 3);
+        assert_eq!(m.query(VertexId(chain[2])), 1 << 3);
+        assert_eq!(m.query(VertexId(zero)), 1 << 1);
+        assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn clearing_one_of_two_bits_keeps_the_entry() {
+        let mut m = HashCmap::new();
+        for key in [0, u32::MAX - 1, u32::MAX] {
+            m.insert(VertexId(key), 0);
+            m.insert(VertexId(key), 5);
+            m.remove(VertexId(key), 0);
+            assert_eq!(m.query(VertexId(key)), 1 << 5);
+            m.remove(VertexId(key), 0); // already clear: no effect
+            m.remove(VertexId(key), 5);
+            assert_eq!(m.query(VertexId(key)), 0);
+        }
+        m.remove(VertexId(42), 1); // never inserted: no effect
+        assert!(m.is_empty());
+    }
+
+    proptest::proptest! {
+        /// Random insert / query / remove sequences against a `BTreeMap`
+        /// oracle. Keys come from a universe small enough to collide and
+        /// revisit (plus 0 and `u32::MAX - 1`), and there are enough of
+        /// them to double the 8-slot table three times, so chains wrap,
+        /// heads of chains are deleted, and entries move on growth.
+        #[test]
+        fn store_matches_a_map_oracle(
+            ops in proptest::prop::collection::vec((0u8..4, 0u32..56, 0usize..32), 0..400),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let key_of = |k: u32| match k {
+                54 => 0,
+                55 => u32::MAX - 1,
+                k => k.wrapping_mul(0x0101_0101) | 1,
+            };
+            let mut m = HashCmap::new();
+            let mut oracle = std::collections::BTreeMap::<u32, u64>::new();
+            for (op, k, depth) in ops {
+                let key = key_of(k);
+                match op {
+                    0 | 1 => {
+                        m.insert(VertexId(key), depth);
+                        *oracle.entry(key).or_insert(0) |= 1 << depth;
+                    }
+                    2 => {
+                        m.remove(VertexId(key), depth);
+                        if let Some(bits) = oracle.get_mut(&key) {
+                            *bits &= !(1 << depth);
+                            if *bits == 0 {
+                                oracle.remove(&key);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(m.query(VertexId(key)), oracle.get(&key).copied().unwrap_or(0));
+                prop_assert_eq!(m.len(), oracle.len());
+                prop_assert!(m.len() * 8 <= m.slots.len() * 7);
+            }
+            for k in 0..56 {
+                let key = key_of(k);
+                prop_assert_eq!(m.query(VertexId(key)), oracle.get(&key).copied().unwrap_or(0));
+            }
+            m.clear();
+            prop_assert!(m.is_empty());
+            prop_assert!(m.slots.iter().all(|s| s.bits == 0));
+        }
+    }
+
     #[test]
     fn implementations_agree_on_random_trace() {
         use rand::{Rng, SeedableRng};
@@ -187,7 +424,7 @@ mod tests {
         // Random stack-disciplined trace: push level-bulks, pop them.
         let mut stack: Vec<Vec<(VertexId, usize)>> = Vec::new();
         for _ in 0..200 {
-            if rng.gen_bool(0.6) || stack.is_empty() {
+            if (rng.gen_bool(0.6) && stack.len() < HashCmap::MAX_DEPTH) || stack.is_empty() {
                 let depth = stack.len();
                 let bulk: Vec<(VertexId, usize)> = (0..rng.gen_range(0..6))
                     .map(|_| (VertexId(rng.gen_range(0..64)), depth))

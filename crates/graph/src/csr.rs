@@ -34,10 +34,19 @@ use crate::vertex::VertexId;
 /// assert_eq!(g.neighbors(VertexId(2)), &[VertexId(0), VertexId(1), VertexId(3)]);
 /// assert!(g.is_symmetric());
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CsrGraph {
     offsets: Vec<usize>,
     neighbors: Vec<VertexId>,
+}
+
+impl Default for CsrGraph {
+    /// The empty graph (no vertices), equal to
+    /// `GraphBuilder::new().build()`: `offsets` always holds
+    /// `num_vertices() + 1` entries, so it starts as `[0]`, not empty.
+    fn default() -> Self {
+        CsrGraph { offsets: vec![0], neighbors: Vec::new() }
+    }
 }
 
 impl CsrGraph {
@@ -219,6 +228,16 @@ impl CsrGraph {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+
+    #[test]
+    fn default_is_the_valid_empty_graph() {
+        let g = CsrGraph::default();
+        assert_eq!((g.num_vertices(), g.num_directed_edges()), (0, 0));
+        assert_eq!(g, GraphBuilder::new().build().expect("empty graph builds"));
+        assert_eq!(g, CsrGraph::from_parts(vec![0], Vec::new()).expect("valid"));
+        assert!(g.is_symmetric());
+        assert_eq!(g.vertices().count(), 0);
+    }
 
     fn triangle_plus_tail() -> CsrGraph {
         GraphBuilder::new()

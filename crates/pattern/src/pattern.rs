@@ -25,6 +25,9 @@ pub enum PatternError {
     Disconnected,
     /// The pattern has no vertices.
     Empty,
+    /// Text that is neither a pattern name nor an edge `u-v`; carries the
+    /// offending comma-separated token.
+    Syntax(String),
 }
 
 impl fmt::Display for PatternError {
@@ -39,6 +42,12 @@ impl fmt::Display for PatternError {
             PatternError::SelfLoop(u) => write!(f, "pattern vertex {u} has a self loop"),
             PatternError::Disconnected => write!(f, "pattern is not connected"),
             PatternError::Empty => write!(f, "pattern has no vertices"),
+            PatternError::Syntax(token) => {
+                write!(
+                    f,
+                    "cannot read {token:?} as a pattern name or an edge \"u-v\" of vertex ids"
+                )
+            }
         }
     }
 }
@@ -394,21 +403,18 @@ impl std::str::FromStr for Pattern {
         let mut edges = Vec::new();
         let mut max_v = 0usize;
         for part in s.split(',') {
-            let (a, b) = part
-                .trim()
+            let part = part.trim();
+            let edge = part
                 .split_once('-')
-                .ok_or(PatternError::EdgeOutOfRange(usize::MAX, usize::MAX))?;
-            let u: usize =
-                a.trim().parse().map_err(|_| PatternError::EdgeOutOfRange(usize::MAX, 0))?;
-            let v: usize =
-                b.trim().parse().map_err(|_| PatternError::EdgeOutOfRange(0, usize::MAX))?;
+                .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)));
+            let (u, v): (usize, usize) =
+                edge.ok_or_else(|| PatternError::Syntax(part.to_string()))?;
             max_v = max_v.max(u).max(v);
             edges.push((u, v));
         }
-        if edges.is_empty() {
-            return Err(PatternError::Empty);
-        }
-        Pattern::from_edges(max_v + 1, &edges)
+        // `split` yields at least one part, so `edges` is non-empty here.
+        let n = max_v.checked_add(1).ok_or(PatternError::TooLarge(usize::MAX))?;
+        Pattern::from_edges(n, &edges)
     }
 }
 
@@ -547,6 +553,43 @@ mod tests {
         assert!("0-1,3-4".parse::<Pattern>().is_err()); // disconnected
         assert!("0-0".parse::<Pattern>().is_err()); // self loop
         assert!("zebra".parse::<Pattern>().is_err());
+    }
+
+    #[test]
+    fn unparseable_text_names_the_offending_token() {
+        let syntax = |token: &str| Err(PatternError::Syntax(token.to_string()));
+        for (text, token) in [
+            ("sdfs", "sdfs"),
+            ("", ""),
+            ("0-1,", ""),
+            ("0-1,,1-2", ""),
+            ("0-1, x-2 ,2-0", "x-2"),
+            ("0-", "0-"),
+            ("-1", "-1"),
+            ("0-1-2", "0-1-2"),
+            ("--help", "--help"),
+            ("17-clique", "17-clique"),
+            ("0-99999999999999999999", "0-99999999999999999999"),
+        ] {
+            assert_eq!(text.parse::<Pattern>(), syntax(token), "{text:?}");
+        }
+        let msg = "0-1,".parse::<Pattern>().unwrap_err().to_string();
+        assert_eq!(msg, "cannot read \"\" as a pattern name or an edge \"u-v\" of vertex ids");
+        assert!("sdfs".parse::<Pattern>().unwrap_err().to_string().contains("\"sdfs\""));
+    }
+
+    #[test]
+    fn huge_vertex_ids_are_too_large_not_an_overflow() {
+        // `max id + 1` used to be computed unchecked: a panic in debug
+        // builds, "pattern has no vertices" in release.
+        let max = usize::MAX.to_string();
+        for text in [format!("0-{max}"), format!("{max}-0"), format!("0-1,1-{max}")] {
+            let err = text.parse::<Pattern>().unwrap_err();
+            assert_eq!(err, PatternError::TooLarge(usize::MAX), "{text}");
+            assert!(err.to_string().contains(&max), "{err}");
+        }
+        assert_eq!("0-16".parse::<Pattern>(), Err(PatternError::TooLarge(17)));
+        assert_eq!("0-4294967296".parse::<Pattern>(), Err(PatternError::TooLarge(4_294_967_297)));
     }
 
     #[test]

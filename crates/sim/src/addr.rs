@@ -45,12 +45,51 @@ impl AddressMap {
     }
 }
 
-/// Splits a byte range into cache-line addresses.
-pub fn lines(base: u64, bytes: usize, line_bytes: usize) -> impl Iterator<Item = u64> {
-    let lb = line_bytes as u64;
-    let first = base / lb;
-    let last = if bytes == 0 { first } else { (base + bytes as u64 - 1) / lb + 1 };
-    (first..last.max(first)).map(move |l| l * lb)
+/// `log2(line_bytes)`: line numbers are taken with a shift, never a
+/// division.
+///
+/// # Panics
+///
+/// Panics unless `line_bytes` is a power of two.
+pub fn line_shift(line_bytes: usize) -> u32 {
+    assert!(line_bytes.is_power_of_two(), "line size {line_bytes} B is not a power of two");
+    line_bytes.trailing_zeros()
+}
+
+/// Splits a byte range into the addresses of the `1 << line_shift`-byte
+/// cache lines it touches.
+pub fn lines(base: u64, bytes: usize, line_shift: u32) -> impl Iterator<Item = u64> {
+    let first = base >> line_shift;
+    let last = if bytes == 0 { first } else { ((base + bytes as u64 - 1) >> line_shift) + 1 };
+    (first..last).map(move |l| l << line_shift)
+}
+
+/// Line-interleaved placement over `ways` equal targets (cache sets, L2
+/// banks): line `n` lands on target `n mod ways`. The modulus is a mask
+/// when `ways` is a power of two, which every shipped geometry is; other
+/// counts keep the division.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Interleave {
+    line_shift: u32,
+    ways: u64,
+}
+
+impl Interleave {
+    /// Placement of `line_bytes`-byte lines over `ways` targets.
+    pub fn new(line_bytes: usize, ways: usize) -> Interleave {
+        Interleave { line_shift: line_shift(line_bytes), ways: ways.max(1) as u64 }
+    }
+
+    /// The target holding the line at `addr`.
+    #[inline]
+    pub fn index(&self, addr: u64) -> usize {
+        let line = addr >> self.line_shift;
+        if self.ways.is_power_of_two() {
+            (line & (self.ways - 1)) as usize
+        } else {
+            (line % self.ways) as usize
+        }
+    }
 }
 
 #[cfg(test)]
@@ -73,14 +112,70 @@ mod tests {
 
     #[test]
     fn line_splitting() {
-        let ls: Vec<u64> = lines(0, 64, 64).collect();
+        let ls: Vec<u64> = lines(0, 64, 6).collect();
         assert_eq!(ls, vec![0]);
-        let ls: Vec<u64> = lines(60, 8, 64).collect();
+        let ls: Vec<u64> = lines(60, 8, 6).collect();
         assert_eq!(ls, vec![0, 64]);
-        let ls: Vec<u64> = lines(128, 0, 64).collect();
+        let ls: Vec<u64> = lines(128, 0, 6).collect();
         assert!(ls.is_empty());
-        let ls: Vec<u64> = lines(0, 129, 64).collect();
+        let ls: Vec<u64> = lines(0, 129, 6).collect();
         assert_eq!(ls, vec![0, 64, 128]);
+    }
+
+    /// Addresses from every region the simulator touches: low graph data,
+    /// line edges, and the per-PE frontier regions above 2^40.
+    fn sample_addresses() -> Vec<u64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let mut addrs = vec![0, 1, 63, 64, 65, 4095, 4096, u64::MAX >> 1];
+        for _ in 0..2_000 {
+            addrs.push(rng.gen_range(0..1u64 << 24));
+            let (base, _) =
+                AddressMap::frontier_range(rng.gen_range(0..64), rng.gen_range(0..16), 0);
+            addrs.push(base + rng.gen_range(0..1u64 << 20));
+        }
+        addrs
+    }
+
+    #[test]
+    fn interleave_equals_divide_and_modulo() {
+        // Set and bank counts of every geometry the suites build (1 set
+        // for the 256 B L1, 8 for 2 kB, 128 for 32 kB, 4096 L2 sets, 1 and
+        // 8 L2 banks), plus counts that are not powers of two.
+        for line_bytes in [32usize, 64, 128] {
+            for ways in [1usize, 2, 8, 16, 128, 4096, 3, 12, 192] {
+                let il = Interleave::new(line_bytes, ways);
+                for &addr in &sample_addresses() {
+                    let reference = ((addr / line_bytes as u64) % ways as u64) as usize;
+                    assert_eq!(il.index(addr), reference, "{line_bytes} B lines, {ways} ways");
+                }
+            }
+        }
+        assert_eq!(Interleave::new(64, 0), Interleave::new(64, 1));
+    }
+
+    #[test]
+    fn shifted_line_splitting_equals_the_dividing_form() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for line_bytes in [32usize, 64, 128] {
+            let lb = line_bytes as u64;
+            for &base in &sample_addresses()[..500] {
+                let bytes: usize =
+                    [0, 1, 4, 16, 64, rng.gen_range(0..5_000)][rng.gen_range(0..6usize)];
+                let first = base / lb;
+                let last = if bytes == 0 { first } else { (base + bytes as u64 - 1) / lb + 1 };
+                let reference: Vec<u64> = (first..last).map(|l| l * lb).collect();
+                let got: Vec<u64> = lines(base, bytes, line_shift(line_bytes)).collect();
+                assert_eq!(got, reference, "base {base} bytes {bytes} line {line_bytes}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn odd_line_size_is_refused() {
+        line_shift(48);
     }
 
     #[test]

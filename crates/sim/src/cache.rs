@@ -6,6 +6,8 @@
 //! because each task is independent and there is no updates to shared
 //! data" (§IV-A).
 
+use crate::addr::Interleave;
+
 /// Result of a cache access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AccessResult {
@@ -26,9 +28,8 @@ struct Way {
 /// A set-associative, write-allocate, write-back cache.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    sets: usize,
+    sets: Interleave,
     assoc: usize,
-    line_bytes: u64,
     ways: Vec<Way>,
     tick: u64,
 }
@@ -43,16 +44,15 @@ impl SetAssocCache {
         let lines = (capacity_bytes / line_bytes).max(assoc);
         let sets = (lines / assoc).max(1);
         SetAssocCache {
-            sets,
+            sets: Interleave::new(line_bytes, sets),
             assoc,
-            line_bytes: line_bytes as u64,
             ways: vec![Way::default(); sets * assoc],
             tick: 0,
         }
     }
 
     fn set_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.line_bytes) % self.sets as u64) as usize
+        self.sets.index(line_addr)
     }
 
     /// Accesses `line_addr` (a line-aligned address). On a miss the line is
@@ -95,7 +95,7 @@ impl SetAssocCache {
 
     /// Number of sets (for tests).
     pub fn num_sets(&self) -> usize {
-        self.sets
+        self.ways.len() / self.assoc
     }
 }
 
@@ -110,6 +110,23 @@ mod tests {
         // Degenerate tiny cache still works.
         let t = SetAssocCache::new(64, 4, 64);
         assert_eq!(t.num_sets(), 1);
+    }
+
+    #[test]
+    fn set_index_equals_divide_and_modulo() {
+        // (capacity, associativity) of every cache the suites build: the
+        // default L1 and L2, fig16's 2 kB L1, and the failure-injection
+        // sizes that collapse to one set.
+        for (bytes, assoc) in
+            [(32 << 10, 4), (4 << 20, 16), (2048, 4), (256, 4), (64, 4), (1024, 16), (128, 16)]
+        {
+            let c = SetAssocCache::new(bytes, assoc, 64);
+            let sets = ((bytes / 64).max(assoc) / assoc).max(1);
+            assert_eq!(c.num_sets(), sets);
+            for line in (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20 << 6) {
+                assert_eq!(c.set_of(line), ((line / 64) % sets as u64) as usize);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Shared memory system: banked L2 + DRAM behind the NoC.
 
+use crate::addr::Interleave;
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
 use crate::dram::Dram;
@@ -20,8 +21,8 @@ pub struct MemService {
 pub struct MemorySystem {
     l2: SetAssocCache,
     banks: Vec<ContendedQueue>,
+    bank_of: Interleave,
     l2_latency: u64,
-    line_bytes: u64,
     /// The DRAM device (public for row-hit statistics).
     pub dram: Dram,
     /// Total L2 accesses (reads + writebacks).
@@ -38,8 +39,8 @@ impl MemorySystem {
         MemorySystem {
             l2: SetAssocCache::new(cfg.l2_bytes, cfg.l2_assoc, cfg.line_bytes),
             banks: vec![ContendedQueue::new(cfg.l2_occupancy); cfg.l2_banks.max(1)],
+            bank_of: Interleave::new(cfg.line_bytes, cfg.l2_banks),
             l2_latency: cfg.l2_latency,
-            line_bytes: cfg.line_bytes as u64,
             dram: Dram::new(cfg.dram),
             l2_accesses: 0,
             l2_misses: 0,
@@ -47,14 +48,10 @@ impl MemorySystem {
         }
     }
 
-    fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.line_bytes) % self.banks.len() as u64) as usize
-    }
-
     /// Services a read miss for `line_addr`.
     pub fn read(&mut self, line_addr: u64) -> MemService {
         self.l2_accesses += 1;
-        let bank = self.bank_of(line_addr);
+        let bank = self.bank_of.index(line_addr);
         let queue_delay = self.banks[bank].book();
         let occupancy = self.banks[bank].occupancy();
         let result = self.l2.access(line_addr, false);
@@ -83,7 +80,7 @@ impl MemorySystem {
     /// when evicted from the private cache").
     pub fn writeback(&mut self, line_addr: u64) {
         self.l2_accesses += 1;
-        let bank = self.bank_of(line_addr);
+        let bank = self.bank_of.index(line_addr);
         let _ = self.banks[bank].book();
         let result = self.l2.access(line_addr, true);
         if result.writeback.is_some() {
@@ -116,6 +113,17 @@ mod tests {
         assert_eq!(m.l2_accesses, 2);
         assert_eq!(m.l2_misses, 1);
         assert_eq!(m.dram.accesses, 1);
+    }
+
+    #[test]
+    fn bank_index_equals_divide_and_modulo() {
+        for l2_banks in [1usize, 8, 6] {
+            let m = MemorySystem::new(&SimConfig { l2_banks, ..Default::default() });
+            assert_eq!(m.banks.len(), l2_banks);
+            for addr in (0..4_096u64).map(|i| i * 64 + (1 << 40) * (i % 3)) {
+                assert_eq!(m.bank_of.index(addr), ((addr / 64) % l2_banks as u64) as usize);
+            }
+        }
     }
 
     #[test]

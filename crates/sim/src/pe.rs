@@ -16,7 +16,7 @@
 //!   bandwidth backpressure for subsequent lines (a streaming prefetch
 //!   model), with all queueing resolved by the shared L2/DRAM models.
 
-use crate::addr::{lines, AddressMap};
+use crate::addr::{line_shift, lines, AddressMap};
 use crate::cache::SetAssocCache;
 use crate::cmap::HwCmap;
 use crate::config::SimConfig;
@@ -38,6 +38,15 @@ enum Frame {
     Step { node: usize, cand: usize, len: usize, bound: Option<VertexId>, built: bool },
 }
 
+/// The prefix of an ascending list that lies below `bound` (all of it when
+/// there is no bound).
+fn below(sorted: &[VertexId], bound: Option<VertexId>) -> &[VertexId] {
+    match bound {
+        Some(b) => &sorted[..sorted.partition_point(|&w| w < b)],
+        None => sorted,
+    }
+}
+
 /// One processing element.
 pub(crate) struct Pe {
     id: usize,
@@ -55,6 +64,9 @@ pub(crate) struct Pe {
     frontiers: Vec<Vec<VertexId>>,
     core_at: Vec<usize>,
     inserted: Vec<Vec<VertexId>>,
+    /// Ping-pong buffers for the intermediate lists of a multi-stage
+    /// SIU/SDU fallback merge, kept across calls like the frontiers.
+    siu_scratch: [Vec<VertexId>; 2],
     /// Lazy c-map state per level: a compiler-hinted level becomes
     /// *pending* when its vertex is pushed and is only inserted when a
     /// probe first needs it — subtrees that die before any probe never pay
@@ -66,6 +78,7 @@ pub(crate) struct Pe {
     overflowed: Vec<bool>,
     cmap: HwCmap,
     l1: SetAssocCache,
+    line_shift: u32,
     noc_rt: u64,
     /// Coarse FSM class currently charged by [`Pe::charge`] (an index
     /// into [`crate::stats::FSM_STATE_NAMES`]); updated at each FSM
@@ -89,6 +102,7 @@ impl Pe {
             frontiers: vec![Vec::new(); depth],
             core_at: vec![0; depth],
             inserted: vec![Vec::new(); depth],
+            siu_scratch: Default::default(),
             pending: vec![None; depth.max(1)],
             inserted_ok: vec![false; depth.max(1)],
             overflowed: vec![false; depth.max(1)],
@@ -97,6 +111,7 @@ impl Pe {
                 cfg.cmap_banks,
             ),
             l1: SetAssocCache::new(cfg.l1_bytes, cfg.l1_assoc, cfg.line_bytes),
+            line_shift: line_shift(cfg.line_bytes),
             noc_rt: cfg.noc_round_trip(id),
             fsm_class: FSM_IDLE,
             counts: vec![0; patterns],
@@ -188,13 +203,12 @@ impl Pe {
                         // level, pop the embedding vertex.
                         let d = prog.nodes[node].depth;
                         if did_insert && self.inserted_ok[d] {
-                            let ins = std::mem::take(&mut self.inserted[d]);
-                            for &nb in &ins {
-                                let cost = self.cmap.invalidate(nb.0, d);
-                                self.charge(cost);
-                                self.stats.cmap_invalidations += 1;
-                            }
-                            self.inserted[d] = ins;
+                            let cost: u64 = self.inserted[d]
+                                .iter()
+                                .map(|nb| self.cmap.invalidate(nb.0, d))
+                                .sum();
+                            self.charge(cost);
+                            self.stats.cmap_invalidations += self.inserted[d].len() as u64;
                         }
                         if did_insert {
                             self.pending[d] = None;
@@ -337,18 +351,13 @@ impl Pe {
         }
         let (base, bytes) = map.adjacency_range(g, w);
         self.read_range(base, bytes, shared, cfg);
+        // Sorted adjacency: the compiler's vid filter keeps a prefix.
+        let kept = below(g.neighbors(w), bound);
+        let cost: u64 = kept.iter().map(|nb| self.cmap.insert(nb.0, d)).sum();
+        self.charge(cost);
+        self.stats.cmap_writes += kept.len() as u64;
         self.inserted[d].clear();
-        for &nb in g.neighbors(w) {
-            if let Some(b) = bound {
-                if nb >= b {
-                    break; // sorted adjacency: the compiler's vid filter
-                }
-            }
-            let cost = self.cmap.insert(nb.0, d);
-            self.charge(cost);
-            self.stats.cmap_writes += 1;
-            self.inserted[d].push(nb);
-        }
+        self.inserted[d].extend_from_slice(kept);
         self.inserted_ok[d] = true;
         true
     }
@@ -395,32 +404,24 @@ impl Pe {
                 self.read_range(map.offset_addr(v), 16, shared, cfg);
                 let (abase, abytes) = map.adjacency_range(g, v);
                 self.read_range(abase, abytes, shared, cfg);
-                let src = g.neighbors(v);
-                let mut out = std::mem::take(&mut self.frontiers[d]);
+                let src = below(g.neighbors(v), bound.filter(|_| node.bounded_build));
+                // Probes never change occupancy, so one cost covers the
+                // stream; a candidate passes iff its bitset has every
+                // `connected` level set and every `disconnected` one clear.
+                let probes = src.len() as u64;
+                self.charge(self.cmap.access_cycles() * probes);
+                self.stats.cmap_reads += probes;
+                let level_mask = |levels: &[usize]| levels.iter().fold(0u16, |m, &l| m | 1 << l);
+                let want = level_mask(&node.connected);
+                let care = want | level_mask(&node.disconnected);
+                let out = &mut self.frontiers[d];
                 out.clear();
-                for &w in src {
-                    if node.bounded_build {
-                        if let Some(b) = bound {
-                            if w >= b {
-                                break;
-                            }
-                        }
-                    }
-                    let (bits, cost) = self.cmap.query(w.0);
-                    self.charge(cost);
-                    self.stats.cmap_reads += 1;
-                    let ok = node.connected.iter().all(|&l| (bits >> l) & 1 == 1)
-                        && node.disconnected.iter().all(|&l| (bits >> l) & 1 == 0);
-                    if ok {
-                        out.push(w);
-                    }
-                }
-                self.frontiers[d] = out;
+                out.extend(src.iter().filter(|w| self.cmap.bits(w.0) & care == want));
                 self.core_at[d] = d;
                 if persist {
                     let len = self.frontiers[d].len();
                     let (base, bytes) = AddressMap::frontier_range(self.id, d, len);
-                    self.write_range(base, bytes, shared, cfg);
+                    self.write_range(base, bytes, shared);
                 }
             }
             FrontierHint::Extend | FrontierHint::ExtendDiff => {
@@ -455,7 +456,7 @@ impl Pe {
                 if persist {
                     let len = self.frontiers[d].len();
                     let (base, bytes) = AddressMap::frontier_range(self.id, d, len);
-                    self.write_range(base, bytes, shared, cfg);
+                    self.write_range(base, bytes, shared);
                 }
             }
             FrontierHint::None => {
@@ -476,8 +477,7 @@ impl Pe {
                     // the value width): SIU/SDU merge pipeline over the
                     // constraint lists.
                     let mut wc = WorkCounters::default();
-                    let mut a = Vec::new();
-                    let mut b_buf = Vec::new();
+                    let [mut a, mut b_buf] = std::mem::take(&mut self.siu_scratch);
                     let total = node.connected.len() + node.disconnected.len();
                     let stages = node
                         .connected
@@ -505,6 +505,7 @@ impl Pe {
                             setops::difference_into(cur, adj, dst, &mut wc);
                         }
                     }
+                    self.siu_scratch = [a, b_buf];
                     self.stats.siu_invocations += wc.setop_invocations;
                     self.stats.siu_cycles += wc.setop_iterations;
                     self.charge(wc.setop_iterations + cfg.siu_setup_cycles * wc.setop_invocations);
@@ -514,7 +515,7 @@ impl Pe {
                 if persist {
                     let len = self.frontiers[d].len();
                     let (base, bytes) = AddressMap::frontier_range(self.id, d, len);
-                    self.write_range(base, bytes, shared, cfg);
+                    self.write_range(base, bytes, shared);
                 }
             }
         }
@@ -530,7 +531,7 @@ impl Pe {
         }
         let consume = (cfg.line_bytes / 4) as u64;
         let mut first_miss = true;
-        for line in lines(base, bytes, cfg.line_bytes) {
+        for line in lines(base, bytes, self.line_shift) {
             self.stats.l1_accesses += 1;
             let res = self.l1.access(line, false);
             if let Some(wb) = res.writeback {
@@ -555,8 +556,8 @@ impl Pe {
     }
 
     /// Writes `bytes` starting at `base` (frontier materialization).
-    fn write_range(&mut self, base: u64, bytes: usize, shared: &mut MemorySystem, cfg: &SimConfig) {
-        for line in lines(base, bytes, cfg.line_bytes) {
+    fn write_range(&mut self, base: u64, bytes: usize, shared: &mut MemorySystem) {
+        for line in lines(base, bytes, self.line_shift) {
             self.stats.l1_accesses += 1;
             let res = self.l1.access(line, true);
             if let Some(wb) = res.writeback {

@@ -22,19 +22,22 @@ pub struct ContendedQueue {
     util: f64,
     /// Utilization cap (keeps the delay law finite).
     cap: f64,
+    /// Queueing delay per request at `util`, in cycles: fixed for a whole
+    /// epoch, so [`end_epoch`](Self::end_epoch) computes it and
+    /// [`book`](Self::book) only reads it.
+    delay: u64,
 }
 
 impl ContendedQueue {
     /// Creates an idle queue with the given per-request occupancy.
     pub fn new(occupancy: u64) -> ContendedQueue {
-        ContendedQueue { occupancy: occupancy.max(1), booked: 0, util: 0.0, cap: 0.96 }
+        ContendedQueue { occupancy: occupancy.max(1), booked: 0, util: 0.0, cap: 0.96, delay: 0 }
     }
 
     /// Books one request and returns the modelled queueing delay in cycles.
     pub fn book(&mut self) -> u64 {
         self.booked += self.occupancy;
-        let u = self.util;
-        (self.occupancy as f64 * u / (1.0 - u)).round() as u64
+        self.delay
     }
 
     /// The per-request occupancy (service time excluding queueing).
@@ -52,6 +55,7 @@ impl ContendedQueue {
     pub fn end_epoch(&mut self, epoch_cycles: u64) {
         let raw = self.booked as f64 / epoch_cycles.max(1) as f64;
         self.util = 0.5 * self.util + 0.5 * raw.min(self.cap);
+        self.delay = (self.occupancy as f64 * self.util / (1.0 - self.util)).round() as u64;
         self.booked = 0;
     }
 }
@@ -78,6 +82,21 @@ mod tests {
         assert!(q.utilization() > 0.4);
         let delayed = q.book();
         assert!(delayed > 0, "saturated resource must queue");
+    }
+
+    #[test]
+    fn booked_delay_is_the_delay_law_at_the_epoch_utilization() {
+        let mut q = ContendedQueue::new(4);
+        for requests in [0u64, 100, 500, 230, 10_000, 0, 7] {
+            for _ in 0..requests {
+                q.book();
+            }
+            q.end_epoch(1000);
+            let u = q.utilization();
+            let law = (4.0 * u / (1.0 - u)).round() as u64;
+            assert_eq!(q.book(), law);
+            assert_eq!(q.book(), law, "constant within the epoch");
+        }
     }
 
     #[test]
