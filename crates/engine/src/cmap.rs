@@ -59,7 +59,7 @@ pub trait ConnectivityMap {
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     key: u32,
-    bits: u32,
+    bits: u64,
 }
 
 /// Slots in a new [`HashCmap`]; a power of two.
@@ -72,9 +72,8 @@ const MIN_SLOTS: usize = 8;
 /// an insert would pass 7/8 load, so it holds at most 16/7 of the peak
 /// number of live keys and never depends on the key universe.
 ///
-/// Slots are 8 bytes — a 4 B key and a 32-bit bitset — so depths must stay
-/// below [`HashCmap::MAX_DEPTH`]; patterns have at most
-/// `MAX_PATTERN_VERTICES` = 16 levels.
+/// A slot carries the full 64-bit bitset [`ConnectivityMap::query`] returns,
+/// so the store records the same depths as [`VectorCmap`], its oracle.
 ///
 /// `fm-sim`'s `HwCmap` wraps this same store and adds capacity, banks and
 /// timing on top.
@@ -98,9 +97,6 @@ impl Default for HashCmap {
 }
 
 impl HashCmap {
-    /// Depths (bit positions) a slot's bitset can record: `0..MAX_DEPTH`.
-    pub const MAX_DEPTH: usize = u32::BITS as usize;
-
     /// Creates an empty map.
     pub fn new() -> Self {
         Self::default()
@@ -162,7 +158,6 @@ impl HashCmap {
 impl ConnectivityMap for HashCmap {
     #[inline]
     fn insert(&mut self, w: VertexId, depth: usize) {
-        debug_assert!(depth < Self::MAX_DEPTH, "depth {depth} does not fit a slot's bitset");
         let mut i = self.find(w.0);
         if self.slots[i].bits == 0 {
             if (self.live + 1) * 8 > self.slots.len() * 7 {
@@ -190,7 +185,7 @@ impl ConnectivityMap for HashCmap {
     #[inline]
     fn query(&self, w: VertexId) -> u64 {
         // An empty slot reads 0, which is also the answer for "absent".
-        self.slots[self.find(w.0)].bits as u64
+        self.slots[self.find(w.0)].bits
     }
 
     fn len(&self) -> usize {
@@ -373,7 +368,7 @@ mod tests {
         /// heads of chains are deleted, and entries move on growth.
         #[test]
         fn store_matches_a_map_oracle(
-            ops in proptest::prop::collection::vec((0u8..4, 0u32..56, 0usize..32), 0..400),
+            ops in proptest::prop::collection::vec((0u8..4, 0u32..56, 0usize..64), 0..400),
         ) {
             use proptest::{prop_assert, prop_assert_eq};
             let key_of = |k: u32| match k {
@@ -424,7 +419,7 @@ mod tests {
         // Random stack-disciplined trace: push level-bulks, pop them.
         let mut stack: Vec<Vec<(VertexId, usize)>> = Vec::new();
         for _ in 0..200 {
-            if (rng.gen_bool(0.6) && stack.len() < HashCmap::MAX_DEPTH) || stack.is_empty() {
+            if rng.gen_bool(0.6) || stack.is_empty() {
                 let depth = stack.len();
                 let bulk: Vec<(VertexId, usize)> = (0..rng.gen_range(0..6))
                     .map(|_| (VertexId(rng.gen_range(0..64)), depth))

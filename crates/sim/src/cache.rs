@@ -39,16 +39,26 @@ impl SetAssocCache {
     /// line size. Capacity is rounded down to a whole number of sets; a
     /// capacity smaller than one way still provides a single direct-mapped
     /// set (failure-injection configurations rely on this).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size and the resulting set count are powers
+    /// of two (the set index is a shift and a mask).
     pub fn new(capacity_bytes: usize, assoc: usize, line_bytes: usize) -> SetAssocCache {
         let assoc = assoc.max(1);
-        let lines = (capacity_bytes / line_bytes).max(assoc);
-        let sets = (lines / assoc).max(1);
+        let sets = Self::sets_for(capacity_bytes, assoc, line_bytes);
         SetAssocCache {
             sets: Interleave::new(line_bytes, sets),
             assoc,
             ways: vec![Way::default(); sets * assoc],
             tick: 0,
         }
+    }
+
+    /// Sets of a `capacity_bytes` cache: whole sets only, at least one.
+    pub(crate) fn sets_for(capacity_bytes: usize, assoc: usize, line_bytes: usize) -> usize {
+        let assoc = assoc.max(1);
+        ((capacity_bytes / line_bytes).max(assoc) / assoc).max(1)
     }
 
     fn set_of(&self, line_addr: u64) -> usize {
@@ -121,8 +131,8 @@ mod tests {
             [(32 << 10, 4), (4 << 20, 16), (2048, 4), (256, 4), (64, 4), (1024, 16), (128, 16)]
         {
             let c = SetAssocCache::new(bytes, assoc, 64);
-            let sets = ((bytes / 64).max(assoc) / assoc).max(1);
-            assert_eq!(c.num_sets(), sets);
+            let sets = c.num_sets();
+            assert_eq!(sets, ((bytes / 64).max(assoc) / assoc).max(1));
             for line in (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20 << 6) {
                 assert_eq!(c.set_of(line), ((line / 64) % sets as u64) as usize);
             }

@@ -172,19 +172,11 @@ impl HwCmap {
         cost
     }
 
-    /// The connectivity bitset of `w` (0 when absent), with no cost
-    /// attached: for callers that charge a whole stream of probes at
-    /// [`access_cycles`](Self::access_cycles) each.
-    #[inline]
-    pub fn bits(&self, w: u32) -> u16 {
-        self.store.query(VertexId(w)) as u16
-    }
-
     /// Returns the connectivity bitset of `w` (0 when absent) and the
     /// access cost.
     #[inline]
     pub fn query(&self, w: u32) -> (u16, u64) {
-        (self.bits(w), self.access_cycles())
+        (self.store.query(VertexId(w)) as u16, self.access_cycles())
     }
 
     /// Clears bit `depth` of `w`, dropping the entry when it reaches zero

@@ -5,6 +5,8 @@
 //! 64 GB of DDR4-2666 DRAM over four channels. All latencies are expressed
 //! in PE clock cycles (1 cycle ≈ 0.77 ns at 1.3 GHz).
 
+use crate::cache::SetAssocCache;
+
 /// DRAM timing model parameters (DRAMsim3 substitute).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DramConfig {
@@ -63,7 +65,8 @@ pub struct SimConfig {
     pub l1_bytes: usize,
     /// Private cache associativity.
     pub l1_assoc: usize,
-    /// Cache line size in bytes.
+    /// Cache line size in bytes (a power of two, as the set counts and
+    /// `l2_banks` must be: see [`validate`](Self::validate)).
     pub line_bytes: usize,
     /// Shared (L2) cache capacity in bytes (paper: 4 MB).
     pub l2_bytes: usize,
@@ -167,6 +170,33 @@ impl SimConfig {
         }
     }
 
+    /// Checks the cache geometry: the simulator indexes lines, sets and L2
+    /// banks with shifts and masks, so the line size, the set count of
+    /// each cache and the L2 bank count must be powers of two. Every
+    /// geometry the paper evaluates is; [`simulate`](crate::simulate)
+    /// refuses the others here instead of deep inside construction.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!("line_bytes = {} is not a power of two", self.line_bytes));
+        }
+        for (name, bytes, assoc) in
+            [("l1", self.l1_bytes, self.l1_assoc), ("l2", self.l2_bytes, self.l2_assoc)]
+        {
+            let sets = SetAssocCache::sets_for(bytes, assoc, self.line_bytes);
+            if !sets.is_power_of_two() {
+                return Err(format!(
+                    "{name}_bytes = {bytes} with {name}_assoc = {assoc} and {} B lines gives \
+                     {sets} sets, not a power of two",
+                    self.line_bytes
+                ));
+            }
+        }
+        if !self.l2_banks.max(1).is_power_of_two() {
+            return Err(format!("l2_banks = {} is not a power of two", self.l2_banks));
+        }
+        Ok(())
+    }
+
     /// Converts a cycle count to seconds at the configured frequency.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.freq_ghz * 1e9)
@@ -210,6 +240,38 @@ mod tests {
     fn cmap_disable_and_unlimited() {
         assert!(!SimConfig::with_cmap_bytes(0).cmap_enabled());
         assert_eq!(SimConfig::with_cmap_bytes(usize::MAX).cmap_entries(), usize::MAX);
+    }
+
+    #[test]
+    fn only_power_of_two_geometry_validates() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+        // The suites' small caches: one set, eight sets, a single bank.
+        for (l1_bytes, l2_bytes, l2_banks) in [(64, 128, 8), (256, 1024, 8), (2048, 4 << 20, 1)] {
+            let cfg = SimConfig { l1_bytes, l2_bytes, l2_banks, ..Default::default() };
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+        let refused = |cfg: SimConfig| cfg.validate().expect_err("odd geometry");
+        assert_eq!(
+            refused(SimConfig { line_bytes: 48, ..Default::default() }),
+            "line_bytes = 48 is not a power of two"
+        );
+        assert_eq!(
+            refused(SimConfig { line_bytes: 0, ..Default::default() }),
+            "line_bytes = 0 is not a power of two"
+        );
+        assert_eq!(
+            refused(SimConfig { l1_bytes: 48 << 10, ..Default::default() }),
+            "l1_bytes = 49152 with l1_assoc = 4 and 64 B lines gives 192 sets, not a power of two"
+        );
+        assert_eq!(
+            refused(SimConfig { l2_assoc: 12, ..Default::default() }),
+            "l2_bytes = 4194304 with l2_assoc = 12 and 64 B lines gives 5461 sets, \
+             not a power of two"
+        );
+        assert_eq!(
+            refused(SimConfig { l2_banks: 6, ..Default::default() }),
+            "l2_banks = 6 is not a power of two"
+        );
     }
 
     #[test]

@@ -63,7 +63,15 @@ impl Scheduler {
 /// let report = simulate(&g, &plan, &SimConfig::with_pes(4));
 /// assert_eq!(report.counts, vec![9]); // C(3,2)² four-cycles
 /// ```
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`SimConfig::validate`] (a line size, cache set
+/// count or L2 bank count that is not a power of two).
 pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimReport {
+    if let Err(e) = cfg.validate() {
+        panic!("unsupported SimConfig: {e}");
+    }
     let prepared = prepare_graph(graph, plan);
     let g: &CsrGraph = &prepared;
     let map = AddressMap::for_graph(g);
@@ -159,6 +167,14 @@ mod tests {
         // twin of the simulated datapath (counts are mode-independent, but
         // faithful keeps the comparison apples-to-apples).
         mine_single_threaded(g, plan, &EngineConfig::paper_faithful()).counts
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported SimConfig: line_bytes = 48 is not a power of two")]
+    fn odd_geometry_is_refused_at_entry() {
+        let plan = compile(&Pattern::triangle(), CompileOptions::default());
+        let cfg = SimConfig { line_bytes: 48, ..Default::default() };
+        simulate(&generators::complete(4), &plan, &cfg);
     }
 
     #[test]

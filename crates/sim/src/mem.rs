@@ -36,10 +36,11 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates an idle memory system per `cfg`.
     pub fn new(cfg: &SimConfig) -> MemorySystem {
+        let l2_banks = cfg.l2_banks.max(1);
         MemorySystem {
             l2: SetAssocCache::new(cfg.l2_bytes, cfg.l2_assoc, cfg.line_bytes),
-            banks: vec![ContendedQueue::new(cfg.l2_occupancy); cfg.l2_banks.max(1)],
-            bank_of: Interleave::new(cfg.line_bytes, cfg.l2_banks),
+            banks: vec![ContendedQueue::new(cfg.l2_occupancy); l2_banks],
+            bank_of: Interleave::new(cfg.line_bytes, l2_banks),
             l2_latency: cfg.l2_latency,
             dram: Dram::new(cfg.dram),
             l2_accesses: 0,
@@ -117,11 +118,13 @@ mod tests {
 
     #[test]
     fn bank_index_equals_divide_and_modulo() {
-        for l2_banks in [1usize, 8, 6] {
+        for l2_banks in [1usize, 8, 0] {
             let m = MemorySystem::new(&SimConfig { l2_banks, ..Default::default() });
-            assert_eq!(m.banks.len(), l2_banks);
+            // No banks configured still means one service queue.
+            let banks = l2_banks.max(1);
+            assert_eq!(m.banks.len(), banks);
             for addr in (0..4_096u64).map(|i| i * 64 + (1 << 40) * (i % 3)) {
-                assert_eq!(m.bank_of.index(addr), ((addr / 64) % l2_banks as u64) as usize);
+                assert_eq!(m.bank_of.index(addr), ((addr / 64) % banks as u64) as usize);
             }
         }
     }

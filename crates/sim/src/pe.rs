@@ -416,7 +416,7 @@ impl Pe {
                 let care = want | level_mask(&node.disconnected);
                 let out = &mut self.frontiers[d];
                 out.clear();
-                out.extend(src.iter().filter(|w| self.cmap.bits(w.0) & care == want));
+                out.extend(src.iter().filter(|w| self.cmap.query(w.0).0 & care == want));
                 self.core_at[d] = d;
                 if persist {
                     let len = self.frontiers[d].len();
