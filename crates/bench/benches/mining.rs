@@ -2,7 +2,7 @@
 //! and modes, and the simulator's wall-clock cost per simulated cycle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fm_engine::{mine_single_threaded, EngineConfig};
+use fm_engine::{mine, EngineConfig};
 use fm_graph::generators;
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
@@ -26,11 +26,11 @@ fn bench_engine_patterns(c: &mut Criterion) {
         // config). The legacy groups pin `reuse: false` so their numbers
         // stay comparable across runs predating the reuse tier.
         group.bench_with_input(BenchmarkId::new("faithful", name), &plan, |b, plan| {
-            b.iter(|| mine_single_threaded(&g, plan, &EngineConfig::paper_faithful()).counts)
+            b.iter(|| mine(&g, plan, &EngineConfig::paper_faithful()).counts)
         });
         group.bench_with_input(BenchmarkId::new("bounded", name), &plan, |b, plan| {
             b.iter(|| {
-                mine_single_threaded(
+                mine(
                     &g,
                     plan,
                     &EngineConfig {
@@ -45,7 +45,7 @@ fn bench_engine_patterns(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bounded-gallop", name), &plan, |b, plan| {
             b.iter(|| {
-                mine_single_threaded(
+                mine(
                     &g,
                     plan,
                     &EngineConfig { hub_bitmap: false, reuse: false, ..Default::default() },
@@ -54,17 +54,14 @@ fn bench_engine_patterns(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("bitmap", name), &plan, |b, plan| {
-            b.iter(|| {
-                mine_single_threaded(&g, plan, &EngineConfig { reuse: false, ..Default::default() })
-                    .counts
-            })
+            b.iter(|| mine(&g, plan, &EngineConfig { reuse: false, ..Default::default() }).counts)
         });
         group.bench_with_input(BenchmarkId::new("reuse", name), &plan, |b, plan| {
-            b.iter(|| mine_single_threaded(&g, plan, &EngineConfig::default()).counts)
+            b.iter(|| mine(&g, plan, &EngineConfig::default()).counts)
         });
         group.bench_with_input(BenchmarkId::new("cmap", name), &plan, |b, plan| {
             b.iter(|| {
-                mine_single_threaded(
+                mine(
                     &g,
                     plan,
                     &EngineConfig {
@@ -81,7 +78,7 @@ fn bench_engine_patterns(c: &mut Criterion) {
     // AutoMine mode: the symmetry-breaking ablation.
     let auto = compile(&Pattern::triangle(), CompileOptions::automine());
     group.bench_function("automine/tc", |b| {
-        b.iter(|| mine_single_threaded(&g, &auto, &EngineConfig::default()).counts)
+        b.iter(|| mine(&g, &auto, &EngineConfig::default()).counts)
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! Compares the adaptive engine with the reuse tier disabled against the
 //! same engine serving plan-proven sibling-invariant prefixes from the
-//! per-worker [`ReuseArena`] bitmap cache, on the hub-heavy Mi stand-in.
+//! per-worker `ReuseArena` bitmap cache, on the hub-heavy Mi stand-in.
 //! Both configurations pin the gallop and hub-bitmap probe tiers off
 //! (`gallop_ratio == 0`, `hub_bitmap: false`) so every dispatch the
 //! reuse tier intercepts would otherwise land on a bounded merge — the

@@ -3,7 +3,7 @@
 use fm_engine::{mine_prepared, prepare, EngineConfig, MiningResult};
 use fm_graph::CsrGraph;
 use fm_plan::ExecutionPlan;
-use fm_telemetry::json::{json_str, json_str_array};
+use fm_telemetry::json::{json_key, json_str, json_str_array};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -138,20 +138,16 @@ impl Table {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push('{');
-        json_str(&mut out, "id");
-        out.push(':');
+        json_key(&mut out, "id");
         json_str(&mut out, &self.id);
         out.push(',');
-        json_str(&mut out, "title");
-        out.push(':');
+        json_key(&mut out, "title");
         json_str(&mut out, &self.title);
         out.push(',');
-        json_str(&mut out, "headers");
-        out.push(':');
+        json_key(&mut out, "headers");
         json_str_array(&mut out, &self.headers);
         out.push(',');
-        json_str(&mut out, "rows");
-        out.push(':');
+        json_key(&mut out, "rows");
         out.push('[');
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -159,10 +155,8 @@ impl Table {
             }
             json_str_array(&mut out, row);
         }
-        out.push(']');
-        out.push(',');
-        json_str(&mut out, "notes");
-        out.push(':');
+        out.push_str("],");
+        json_key(&mut out, "notes");
         json_str_array(&mut out, &self.notes);
         out.push('}');
         out

@@ -104,7 +104,7 @@ pub struct Workload {
 
 impl Workload {
     /// Compiles the execution plan (single-pattern workloads go through
-    /// [`fm_plan::compile`] so cliques get the orientation special case).
+    /// [`fm_plan::compile()`] so cliques get the orientation special case).
     pub fn plan(&self) -> ExecutionPlan {
         if self.patterns.len() == 1 {
             fm_plan::compile(&self.patterns[0], self.options)

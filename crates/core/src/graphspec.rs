@@ -34,7 +34,9 @@ pub fn load(input: &str) -> Result<CsrGraph, String> {
 ///
 /// # Errors
 ///
-/// Returns a message for unknown kinds or unparsable parameters.
+/// Returns a message for unknown kinds, unparsable parameters, and
+/// parameters outside a generator's documented preconditions
+/// (`bad gen spec: …`).
 pub fn generate(spec: &str) -> Result<CsrGraph, String> {
     let mut parts = spec.split(',');
     let kind = parts.next().ok_or("empty generator spec")?;
@@ -46,22 +48,28 @@ pub fn generate(spec: &str) -> Result<CsrGraph, String> {
         kv.get(k).map_or(Ok(default), |v| v.parse().map_err(|e| format!("bad {k}: {e}")))
     };
     let seed = get_u("seed", 1)? as u64;
+    // The generators assert their documented preconditions; a client's
+    // numbers are checked here so a miss is a message, not a panic.
+    let need = |ok: bool, what: &str| -> Result<(), String> {
+        ok.then_some(()).ok_or_else(|| format!("bad gen spec: {kind} needs {what}"))
+    };
     Ok(match kind {
-        "powerlaw" => generators::powerlaw_cluster(
-            get_u("n", 10_000)?,
-            get_u("m", 5)?,
-            get_f("closure", 0.5)?,
-            seed,
-        ),
-        "pa" => generators::preferential_attachment(get_u("n", 10_000)?, get_u("m", 5)?, seed),
+        "powerlaw" | "pa" => {
+            let (n, m) = (get_u("n", 10_000)?, get_u("m", 5)?);
+            need(m >= 1 && n > m, "m >= 1 and n > m")?;
+            if kind == "pa" {
+                generators::preferential_attachment(n, m, seed)
+            } else {
+                generators::powerlaw_cluster(n, m, get_f("closure", 0.5)?, seed)
+            }
+        }
         "er" => generators::erdos_renyi(get_u("n", 1_000)?, get_f("p", 0.01)?, seed),
         "complete" => generators::complete(get_u("n", 16)?),
-        "caveman" => generators::caveman(
-            get_u("communities", 50)?,
-            get_u("size", 10)?,
-            get_u("bridges", 100)?,
-            seed,
-        ),
+        "caveman" => {
+            let (communities, size) = (get_u("communities", 50)?, get_u("size", 10)?);
+            need(communities >= 1 && size >= 2, "communities >= 1 and size >= 2")?;
+            generators::caveman(communities, size, get_u("bridges", 100)?, seed)
+        }
         other => return Err(format!("unknown generator kind {other}")),
     })
 }
@@ -88,6 +96,20 @@ mod tests {
         assert!(generate("er,n=50,p=0.1,seed=3").is_ok());
         assert!(generate("warp,n=5").unwrap_err().contains("unknown generator kind"));
         assert!(load("/nonexistent/definitely-missing").unwrap_err().contains("open"));
+        // Precondition misses are messages, never the generators' asserts.
+        for spec in [
+            "powerlaw,n=5,m=10",
+            "powerlaw,n=5,m=0",
+            "pa,n=100,m=0",
+            "pa,n=4,m=4",
+            "caveman,communities=0,size=5",
+            "caveman,communities=3,size=1",
+        ] {
+            let err = generate(spec).unwrap_err();
+            assert!(err.starts_with("bad gen spec: "), "{spec}: {err}");
+        }
+        assert_eq!(generate("pa,n=5,m=4").unwrap().num_vertices(), 5);
+        assert_eq!(generate("caveman,communities=1,size=2,bridges=0").unwrap().num_vertices(), 2);
     }
 
     #[test]

@@ -107,6 +107,21 @@ fn bad_patterns_exit_one_naming_the_token() {
     }
 }
 
+/// A `gen:` spec outside its generator's preconditions is a one-line
+/// message, never the generator's own assert and backtrace.
+#[test]
+fn bad_gen_specs_exit_one_without_a_panic() {
+    for spec in ["gen:powerlaw,n=5,m=10", "gen:pa,n=3,m=0", "gen:caveman,communities=0,size=4"] {
+        let out = flexminer(&["count", "triangle", "--graph", spec]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{spec}: {stderr}");
+        assert!(stderr.contains("bad gen spec"), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{spec}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+}
+
 #[test]
 fn help_after_a_command_prints_usage_and_exits_zero() {
     for args in [&["count", "--help"][..], &["sim", "-h"], &["plan", "triangle", "--help"], &["-h"]]
@@ -300,6 +315,9 @@ fn progress_and_heartbeat_report_live_state() {
     let lines = std::fs::read_to_string(&heartbeat).unwrap();
     let last = lines.lines().last().expect("at least the final heartbeat");
     assert_json_object(last, &["\"done\"", "\"total\"", "\"status\":\"Complete\""]);
+    // A progress reporter turns iteration accounting on even with no
+    // budget to enforce, so reports can carry a throughput figure.
+    assert!(!last.contains("\"setop_iterations\":0,"), "{last}");
 
     let quiet = flexminer(&["count", "triangle", "--graph", GRAPH, "--log-level", "error"]);
     assert_eq!(quiet.status.code(), Some(0));

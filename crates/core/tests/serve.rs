@@ -259,6 +259,14 @@ fn socket_survives_malformed_truncated_and_oversized_frames() {
     let mut resp = String::new();
     reader.read_line(&mut resp).unwrap();
     assert!(resp.contains("request too large"), "{resp}");
+    // Well-formed JSON naming a generator spec outside the generator's
+    // preconditions is refused with the reason, not "internal error"
+    // from a caught assert.
+    let bad = request(
+        &mut conn,
+        r#"{"op":"submit","pattern":"triangle","graph":"gen:powerlaw,n=5,m=10"}"#,
+    );
+    assert!(bad.contains("\"ok\":false") && bad.contains("bad gen spec"), "{bad}");
     // The same connection still serves a valid request afterwards.
     let ok = request(&mut conn, r#"{"op":"status"}"#);
     assert!(ok.contains("\"ok\":true"), "{ok}");

@@ -36,10 +36,9 @@
 //!   is the classic cure for environmental faults. Their fault history is
 //!   carried forward in [`MiningResult::faults`](crate::MiningResult).
 //!
-//! Untrusted input discipline (same as `fm_graph::io::read_csr`): header
-//! fields are validated against plausibility bounds before use, list
-//! preallocation from declared lengths is capped, and trailing bytes
-//! after the checksum are rejected.
+//! Untrusted input discipline: header fields are validated against
+//! plausibility bounds before use, list preallocation from declared
+//! lengths is capped, and trailing bytes after the checksum are rejected.
 
 use crate::result::{Fault, WorkCounters};
 use crate::EngineConfig;
@@ -60,8 +59,8 @@ const CKPT_MAGIC: &[u8; 8] = b"FMCKPT\x01\x00";
 /// misparsing them.
 const CKPT_VERSION: u32 = 3;
 
-/// Elements preallocated up front when reading untrusted length headers
-/// (same discipline as `fm_graph::io`): larger lists grow on demand as
+/// Elements preallocated up front when reading untrusted length headers:
+/// larger lists grow on demand as
 /// real data arrives, so a tiny file declaring 2³² faults cannot request
 /// gigabytes.
 const PREALLOC_CAP: usize = 1 << 20;
@@ -292,11 +291,12 @@ impl CompletedSet {
 
 /// A versioned, integrity-checked snapshot of one mining job's progress.
 ///
-/// Produced by the recovery driver
-/// ([`mine_with_recovery`](crate::parallel::mine_with_recovery)) at
-/// configurable intervals and on exit; consumed by
-/// [`mine_resumed`](crate::parallel::mine_resumed) after fingerprint
-/// validation.
+/// The task loop's accumulator ([`JobCore`](crate::JobCore) publishes
+/// every finished task into one). [`mine_with`](crate::mine_with) writes
+/// it to disk at configurable intervals and on exit
+/// ([`MineOptions::checkpoint`](crate::MineOptions)) and continues from
+/// one after fingerprint validation
+/// ([`MineOptions::resume`](crate::MineOptions)).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Checkpoint {
     /// Fingerprint of the data graph the job ran on.
@@ -332,9 +332,21 @@ impl Checkpoint {
             graph: GraphFingerprint::of(graph),
             plan: plan_fingerprint(plan),
             config: config_fingerprint(cfg),
+            ..Checkpoint::unkeyed(graph.num_vertices(), patterns)
+        }
+    }
+
+    /// An empty snapshot for a run nothing will resume or write out: it
+    /// carries no fingerprints (the graph's is a pass over every vertex),
+    /// so it validates against no job.
+    pub(crate) fn unkeyed(vertices: usize, patterns: usize) -> Checkpoint {
+        Checkpoint {
+            graph: GraphFingerprint { n: 0, m: 0, degree_checksum: 0 },
+            plan: 0,
+            config: 0,
             counts: vec![0; patterns],
             work: WorkCounters::default(),
-            completed: CompletedSet::new(graph.num_vertices()),
+            completed: CompletedSet::new(vertices),
             faults: Vec::new(),
             quarantined: Vec::new(),
         }
@@ -366,6 +378,29 @@ impl Checkpoint {
             return Err(CheckpointError::ConfigMismatch { expected: self.config, found });
         }
         Ok(())
+    }
+
+    /// [`validate`](Self::validate)s this snapshot against the job about
+    /// to continue from it and returns it ready to seed that job:
+    /// completed start vertices will be skipped with their contribution
+    /// taken from here, so the final counts are bit-identical to an
+    /// uninterrupted run; the fault history (which already includes the
+    /// final attempt of every quarantined vertex) carries forward; the
+    /// quarantine list is dropped because those vertices are about to be
+    /// *re-attempted* — a process restart is the classic cure for
+    /// environmental faults.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate`](Self::validate).
+    pub fn resumable(
+        self,
+        graph: &CsrGraph,
+        plan: &ExecutionPlan,
+        cfg: &EngineConfig,
+    ) -> Result<Checkpoint, CheckpointError> {
+        self.validate(graph, plan, cfg)?;
+        Ok(Checkpoint { quarantined: Vec::new(), ..self })
     }
 
     /// Serializes the snapshot (magic, version, payload, CRC32). The
@@ -442,8 +477,7 @@ impl Checkpoint {
             m: r.u64("graph.m")?,
             degree_checksum: r.u64("graph.degree_checksum")?,
         };
-        // The same plausibility bounds read_csr enforces: 32-bit id space,
-        // simple-graph edge bound.
+        // Plausibility bounds: 32-bit id space, simple-graph edge bound.
         if graph.n > u64::from(u32::MAX) + 1 {
             return Err(bad("declared vertex count exceeds the 32-bit id space"));
         }
@@ -728,17 +762,17 @@ impl CheckpointConfig {
     }
 }
 
-/// Shared progress accumulator for a checkpointed run: workers publish
-/// per-task deltas, and the publisher that crosses the cadence threshold
-/// writes the snapshot (under the same lock, so a snapshot is always a
-/// consistent {bitmap, counts, work} triple).
+/// The durable half of a checkpointed run: when to write the job's
+/// snapshot, the atomic write itself, and retry/backoff when it fails.
+/// The snapshot is the task loop's own ([`JobCore`](crate::JobCore)
+/// publishes into it and calls here under the same lock), so what is
+/// written is always a consistent {bitmap, counts, work} triple.
 pub(crate) struct CheckpointSink {
     cfg: CheckpointConfig,
     state: Mutex<SinkState>,
 }
 
 struct SinkState {
-    snap: Checkpoint,
     tasks_since_write: u64,
     last_write: Instant,
     /// Fatal write failure: set only after [`MAX_WRITE_ATTEMPTS`]
@@ -778,18 +812,15 @@ pub(crate) fn write_backoff(consecutive_failures: u64) -> Duration {
 }
 
 impl CheckpointSink {
-    /// A sink seeded with `snap` (empty for a fresh job, the loaded
-    /// snapshot for a resumed one). Observed runs pass the run's trace
-    /// clock so snapshot writes appear in the trace.
+    /// A sink writing per `cfg`. Observed runs pass the run's trace clock
+    /// so snapshot writes appear in the trace.
     pub(crate) fn new(
         cfg: CheckpointConfig,
-        snap: Checkpoint,
         trace: Option<fm_telemetry::TraceClock>,
     ) -> CheckpointSink {
         CheckpointSink {
             cfg,
             state: Mutex::new(SinkState {
-                snap,
                 tasks_since_write: 0,
                 last_write: Instant::now(),
                 error: None,
@@ -802,33 +833,11 @@ impl CheckpointSink {
         }
     }
 
-    /// Publishes one finished task (successful or quarantined) and writes
-    /// a snapshot if the cadence says so.
-    pub(crate) fn publish_task(
-        &self,
-        vid: u32,
-        completed: bool,
-        counts_delta: &[u64],
-        work_delta: WorkCounters,
-        new_faults: &[Fault],
-        quarantined: Option<&Fault>,
-    ) {
+    /// `tasks` more finished tasks (successful or quarantined) are in
+    /// `snap`; writes it if the cadence says so.
+    pub(crate) fn published(&self, tasks: u64, snap: &Checkpoint) {
         let mut s = self.state.lock().expect("checkpoint sink poisoned");
-        if completed {
-            s.snap.completed.insert(vid);
-        }
-        if s.snap.counts.len() < counts_delta.len() {
-            s.snap.counts.resize(counts_delta.len(), 0);
-        }
-        for (c, d) in s.snap.counts.iter_mut().zip(counts_delta) {
-            *c += d;
-        }
-        s.snap.work += work_delta;
-        s.snap.faults.extend_from_slice(new_faults);
-        if let Some(q) = quarantined {
-            s.snap.quarantined.push(q.clone());
-        }
-        s.tasks_since_write += 1;
+        s.tasks_since_write += tasks;
         let due = (self.cfg.every_tasks > 0 && s.tasks_since_write >= self.cfg.every_tasks)
             || self.cfg.every_wall.is_some_and(|w| s.last_write.elapsed() >= w);
         // A failed write does not reset `tasks_since_write`, so once the
@@ -836,17 +845,18 @@ impl CheckpointSink {
         // retries until either a write succeeds or the attempts exhaust.
         let retry_ok = s.retry_at.is_none_or(|at| Instant::now() >= at);
         if due && s.error.is_none() && retry_ok {
-            Self::write(&self.cfg.path, &mut s);
+            Self::write(&self.cfg.path, snap, &mut s);
         }
     }
 
-    /// Writes a final snapshot regardless of cadence or backoff (run end,
-    /// any status), then returns the fatal write error (if retries
-    /// exhausted) and the total number of failed write attempts.
-    pub(crate) fn finish(&self) -> (Option<String>, u64) {
+    /// Writes `snap` as the final snapshot regardless of cadence or
+    /// backoff (run end, any status), then returns the fatal write error
+    /// (if retries exhausted) and the total number of failed write
+    /// attempts.
+    pub(crate) fn finish(&self, snap: &Checkpoint) -> (Option<String>, u64) {
         let mut s = self.state.lock().expect("checkpoint sink poisoned");
         if s.error.is_none() {
-            Self::write(&self.cfg.path, &mut s);
+            Self::write(&self.cfg.path, snap, &mut s);
         }
         (s.error.clone(), s.failed_attempts)
     }
@@ -858,10 +868,10 @@ impl CheckpointSink {
         s.trace.as_mut().map(|(_, spans)| std::mem::take(spans)).unwrap_or_default()
     }
 
-    fn write(path: &Path, s: &mut SinkState) {
+    fn write(path: &Path, snap: &Checkpoint, s: &mut SinkState) {
         let start_us = s.trace.as_ref().map(|(clock, _)| clock.now_us());
         let tasks_covered = s.tasks_since_write;
-        match s.snap.write_atomic(path) {
+        match snap.write_atomic(path) {
             Ok(()) => {
                 s.tasks_since_write = 0;
                 s.last_write = Instant::now();
@@ -1036,10 +1046,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fm-sink-retry-{}", std::process::id()));
         let path = dir.join("job.ckpt"); // parent does not exist yet
         let cfg = CheckpointConfig { path, every_tasks: 1, every_wall: None };
-        let sink = CheckpointSink::new(cfg.clone(), sample(), None);
-        let publish = |sink: &CheckpointSink| {
-            sink.publish_task(1, true, &[0], WorkCounters::default(), &[], None)
-        };
+        let sink = CheckpointSink::new(cfg.clone(), None);
+        let snap = sample();
+        let publish = |sink: &CheckpointSink| sink.published(1, &snap);
         publish(&sink); // first write fails: parent dir missing
         {
             let s = sink.state.lock().unwrap();
@@ -1060,7 +1069,7 @@ mod tests {
             assert_eq!(s.consecutive_failures, 0, "success resets the streak");
             assert!(s.retry_at.is_none());
         }
-        let (err, failures) = sink.finish();
+        let (err, failures) = sink.finish(&snap);
         assert_eq!(err, None);
         assert_eq!(failures, 1);
         assert!(Checkpoint::load(&cfg.path).is_ok());
@@ -1072,18 +1081,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fm-sink-fatal-{}", std::process::id()));
         // Never created: every attempt fails.
         let cfg = CheckpointConfig { path: dir.join("job.ckpt"), every_tasks: 1, every_wall: None };
-        let sink = CheckpointSink::new(cfg, sample(), None);
+        let sink = CheckpointSink::new(cfg, None);
+        let snap = sample();
         for _ in 0..MAX_WRITE_ATTEMPTS {
             // Expire the pacing so each publish is a real attempt.
             sink.state.lock().unwrap().retry_at = None;
-            sink.publish_task(1, true, &[0], WorkCounters::default(), &[], None);
+            sink.published(1, &snap);
         }
-        let (err, failures) = sink.finish();
+        let (err, failures) = sink.finish(&snap);
         assert_eq!(failures, MAX_WRITE_ATTEMPTS);
         assert!(err.is_some(), "exhausted retries surface the fatal error");
         // Once fatal, publishes stop attempting writes entirely.
-        sink.publish_task(2, true, &[0], WorkCounters::default(), &[], None);
-        assert_eq!(sink.finish().1, MAX_WRITE_ATTEMPTS);
+        sink.published(1, &snap);
+        assert_eq!(sink.finish(&snap).1, MAX_WRITE_ATTEMPTS);
     }
 
     #[test]

@@ -109,52 +109,12 @@ impl Budget {
     }
 }
 
-/// Why a run stopped before draining every start vertex.
-///
-/// Ordered by severity so concurrent workers' observations merge with
-/// `max` (explicit cancellation wins over a deadline, which wins over an
-/// exhausted budget).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub(crate) enum StopKind {
-    BudgetExhausted,
-    DeadlineExceeded,
-    Cancelled,
-}
-
-impl From<StopKind> for crate::result::RunStatus {
-    fn from(kind: StopKind) -> Self {
-        match kind {
-            StopKind::BudgetExhausted => crate::result::RunStatus::BudgetExhausted,
-            StopKind::DeadlineExceeded => crate::result::RunStatus::DeadlineExceeded,
-            StopKind::Cancelled => crate::result::RunStatus::Cancelled,
-        }
-    }
-}
-
-/// Shared per-job stop state, polled by every worker at task boundaries.
-pub(crate) struct Monitor<'t> {
-    cancel: Option<&'t CancelToken>,
-    deadline: Option<Instant>,
-    max_iters: Option<u64>,
-    /// Set-op iterations published by all workers so far.
-    spent_iters: AtomicU64,
-    /// Per-task elapsed times `(vid, nanoseconds)`, published in worker-sized
-    /// batches for straggler detection. `None` when tracking is disabled
-    /// (`straggler_ratio == 0`), so untracked runs take no per-task
-    /// timestamps and no lock.
-    task_times: Option<Mutex<Vec<(u32, u64)>>>,
-    /// Live progress reporting, off (`None`) by default. Like the stop
-    /// conditions, progress is observed at start-vertex granularity.
-    progress: Option<Progress>,
-    /// Whether `spend` must accumulate iteration counts (a budget cap is
-    /// set, or progress wants a throughput figure).
-    track_iters: bool,
-}
-
-/// Shared live-progress state. Workers touch two relaxed atomics per task;
-/// the report itself is emitted under a `try_lock` that is simply skipped
-/// on contention, so no worker ever blocks on reporting.
-struct Progress {
+/// Shared live-progress state, off by default; like the stop conditions,
+/// progress is observed at start-vertex granularity. Workers touch two
+/// relaxed atomics per task; the report itself is emitted under a
+/// `try_lock` that is simply skipped on contention, so no worker ever
+/// blocks on reporting.
+pub(crate) struct Progress {
     total: u64,
     done: AtomicU64,
     quarantined: AtomicU64,
@@ -178,7 +138,8 @@ struct Emitter {
 }
 
 impl Progress {
-    fn new(total: u64, opts: &ProgressOptions) -> Progress {
+    /// A reporter over `total` pending tasks.
+    pub(crate) fn new(total: u64, opts: &ProgressOptions) -> Progress {
         let mut open_errors = 0;
         let heartbeat = opts.heartbeat.as_ref().and_then(|path| {
             match std::fs::OpenOptions::new().create(true).append(true).open(path) {
@@ -203,7 +164,10 @@ impl Progress {
         }
     }
 
-    fn task_done(&self, ok: bool, iters: u64) {
+    /// Reports one finished task (`ok = false` means quarantined);
+    /// `iters` is the run's set-op iteration total so far, for the
+    /// throughput figure.
+    pub(crate) fn task_done(&self, ok: bool, iters: u64) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if !ok {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -223,8 +187,9 @@ impl Progress {
 
     /// Emits one report if the emitter lock is free; otherwise another
     /// worker is mid-report and this occurrence is dropped — and counted,
-    /// so the skip is observable after the run.
-    fn emit(&self, iters: u64, stragglers: Option<u64>, status: Option<&'static str>) {
+    /// so the skip is observable after the run. The end-of-run report
+    /// carries the straggler count and status, unknowable mid-run.
+    pub(crate) fn emit(&self, iters: u64, stragglers: Option<u64>, status: Option<&'static str>) {
         let Ok(mut em) = self.emitter.try_lock() else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -249,105 +214,17 @@ impl Progress {
     }
 }
 
-impl<'t> Monitor<'t> {
-    pub(crate) fn new(cancel: Option<&'t CancelToken>, budget: Budget) -> Monitor<'t> {
-        Monitor {
-            cancel,
-            deadline: budget.deadline,
-            max_iters: budget.max_setop_iterations,
-            spent_iters: AtomicU64::new(0),
-            task_times: None,
-            progress: None,
-            track_iters: budget.max_setop_iterations.is_some(),
-        }
+impl Progress {
+    /// How many reports were skipped on emitter-lock contention. Read
+    /// after the workers have joined.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Turns on live progress reporting over `total` pending tasks (before
-    /// the monitor is shared with workers). Iteration tracking is enabled
-    /// as a side effect so reports can carry a set-op throughput figure.
-    pub(crate) fn enable_progress(&mut self, total: u64, opts: &ProgressOptions) {
-        self.progress = Some(Progress::new(total, opts));
-        self.track_iters = true;
-    }
-
-    /// Reports one finished task (`ok = false` means quarantined) to the
-    /// progress reporter, if one is on.
-    pub(crate) fn task_finished(&self, ok: bool) {
-        if let Some(p) = &self.progress {
-            p.task_done(ok, self.spent_iters.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Emits the final progress report (with the end-of-run straggler
-    /// count and status, which are unknowable mid-run).
-    pub(crate) fn finish_progress(&self, stragglers: u64, status: &'static str) {
-        if let Some(p) = &self.progress {
-            p.emit(self.spent_iters.load(Ordering::Relaxed), Some(stragglers), Some(status));
-        }
-    }
-
-    /// How many progress reports were skipped on emitter-lock contention
-    /// (0 when progress is off). Read after the workers have joined.
-    pub(crate) fn progress_dropped(&self) -> u64 {
-        self.progress.as_ref().map_or(0, |p| p.dropped.load(Ordering::Relaxed))
-    }
-
-    /// How many heartbeat opens/writes failed (0 when progress is off or
-    /// no heartbeat sink was requested). Read after the workers have
-    /// joined.
+    /// How many heartbeat opens/writes failed (0 when no heartbeat sink
+    /// was requested). Read after the workers have joined.
     pub(crate) fn heartbeat_errors(&self) -> u64 {
-        self.progress.as_ref().map_or(0, |p| p.heartbeat_errors.load(Ordering::Relaxed))
-    }
-
-    /// Turns on per-task elapsed-time tracking (before the monitor is
-    /// shared with workers).
-    pub(crate) fn enable_timing(&mut self) {
-        self.task_times = Some(Mutex::new(Vec::new()));
-    }
-
-    /// Whether workers should time their tasks.
-    pub(crate) fn timing_enabled(&self) -> bool {
-        self.task_times.is_some()
-    }
-
-    /// Publishes one worker's batch of task times (one lock per worker,
-    /// not per task).
-    pub(crate) fn record_times(&self, times: Vec<(u32, u64)>) {
-        if let Some(shared) = &self.task_times {
-            shared.lock().expect("task-time lock poisoned").extend(times);
-        }
-    }
-
-    /// Takes the accumulated task times (driver-side, after the join).
-    pub(crate) fn take_times(&mut self) -> Vec<(u32, u64)> {
-        self.task_times
-            .take()
-            .map(|m| m.into_inner().expect("task-time lock poisoned"))
-            .unwrap_or_default()
-    }
-
-    /// Publishes `iters` newly consumed set-op iterations. Accumulated
-    /// only when someone consumes the figure (a budget cap or a progress
-    /// reporter), so unobserved runs skip the atomic entirely.
-    pub(crate) fn spend(&self, iters: u64) {
-        if self.track_iters && iters > 0 {
-            self.spent_iters.fetch_add(iters, Ordering::Relaxed);
-        }
-    }
-
-    /// Returns the stop condition in effect, if any. The deadline clock is
-    /// read only when a deadline is set.
-    pub(crate) fn should_stop(&self) -> Option<StopKind> {
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return Some(StopKind::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(StopKind::DeadlineExceeded);
-        }
-        if self.max_iters.is_some_and(|m| self.spent_iters.load(Ordering::Relaxed) >= m) {
-            return Some(StopKind::BudgetExhausted);
-        }
-        None
+        self.heartbeat_errors.load(Ordering::Relaxed)
     }
 }
 
@@ -373,50 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn monitor_fires_in_severity_order() {
-        let token = CancelToken::new();
-        let budget = Budget {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            max_setop_iterations: Some(0),
-        };
-        let m = Monitor::new(Some(&token), budget);
-        // Deadline outranks budget; cancellation outranks both.
-        assert_eq!(m.should_stop(), Some(StopKind::DeadlineExceeded));
-        token.cancel();
-        assert_eq!(m.should_stop(), Some(StopKind::Cancelled));
-    }
-
-    #[test]
-    fn monitor_budget_accounting() {
-        let m = Monitor::new(None, Budget::with_max_setop_iterations(10));
-        assert_eq!(m.should_stop(), None);
-        m.spend(9);
-        assert_eq!(m.should_stop(), None);
-        m.spend(1);
-        assert_eq!(m.should_stop(), Some(StopKind::BudgetExhausted));
-    }
-
-    #[test]
-    fn unlimited_monitor_never_stops() {
-        let m = Monitor::new(None, Budget::unlimited());
-        m.spend(u64::MAX / 2);
-        assert_eq!(m.should_stop(), None);
-    }
-
-    #[test]
-    fn progress_tracking_enables_iteration_accounting() {
-        let mut m = Monitor::new(None, Budget::unlimited());
-        // No budget cap: iterations are normally not accumulated...
-        m.spend(5);
-        assert_eq!(m.spent_iters.load(Ordering::Relaxed), 0);
-        // ...but enabling progress turns the accounting on (cadence far
-        // enough out that no report is emitted from this test).
-        m.enable_progress(4, &ProgressOptions::every_tasks(1 << 30));
-        m.spend(7);
-        assert_eq!(m.spent_iters.load(Ordering::Relaxed), 7);
-        m.task_finished(true);
-        m.task_finished(false);
-        let p = m.progress.as_ref().expect("progress enabled");
+    fn progress_counts_tasks_and_quarantines() {
+        // Cadence far enough out that no report is emitted from this test.
+        let p = Progress::new(4, &ProgressOptions::every_tasks(1 << 30));
+        p.task_done(true, 7);
+        p.task_done(false, 7);
         assert_eq!(p.total, 4);
         assert_eq!(p.done.load(Ordering::Relaxed), 2);
         assert_eq!(p.quarantined.load(Ordering::Relaxed), 1);
@@ -426,38 +264,29 @@ mod tests {
     /// silently — each skip is counted and surfaced after the run.
     #[test]
     fn contended_progress_emits_are_counted_not_silent() {
-        let mut m = Monitor::new(None, Budget::unlimited());
-        m.enable_progress(4, &ProgressOptions::every_tasks(1 << 30));
-        let p = m.progress.as_ref().expect("progress enabled");
+        let p = Progress::new(4, &ProgressOptions::every_tasks(1 << 30));
         // Holding the emitter lock makes every emit contend, exactly as a
         // concurrent worker mid-report would.
         let _held = p.emitter.lock().expect("emitter lock");
         p.emit(0, None, None);
         p.emit(0, None, None);
-        assert_eq!(m.progress_dropped(), 2);
+        assert_eq!(p.dropped(), 2);
     }
 
     /// ISSUE 10 satellite: heartbeat-sink failures are counted, not
     /// swallowed — a heartbeat path that cannot be opened surfaces as one
-    /// error on the monitor (and from there as `fm_heartbeat_errors_total`).
+    /// error on the reporter (and from there as `fm_heartbeat_errors_total`).
     #[test]
     fn unopenable_heartbeat_counts_an_error() {
-        let mut m = Monitor::new(None, Budget::unlimited());
         let opts = ProgressOptions {
             cadence: ProgressCadence::Tasks(1 << 30),
             // A directory is never openable as an append-mode file.
             heartbeat: Some(std::env::temp_dir()),
         };
-        m.enable_progress(4, &opts);
-        assert_eq!(m.heartbeat_errors(), 1);
+        let p = Progress::new(4, &opts);
+        assert_eq!(p.heartbeat_errors(), 1);
         // The run proceeds; emits simply skip the dead sink.
-        m.progress.as_ref().unwrap().emit(0, None, None);
-        assert_eq!(m.heartbeat_errors(), 1);
-    }
-
-    #[test]
-    fn stop_kind_severity_ordering() {
-        assert!(StopKind::Cancelled > StopKind::DeadlineExceeded);
-        assert!(StopKind::DeadlineExceeded > StopKind::BudgetExhausted);
+        p.emit(0, None, None);
+        assert_eq!(p.heartbeat_errors(), 1);
     }
 }

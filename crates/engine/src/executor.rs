@@ -7,6 +7,7 @@
 //! implemented cycle-by-cycle in the hardware simulator; the two are
 //! cross-checked for identical counts in the integration tests.
 
+use crate::checkpoint::Checkpoint;
 use crate::cmap::{ConnectivityMap, HashCmap};
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
@@ -17,7 +18,6 @@ use crate::EngineConfig;
 use fm_graph::{orient_by_degree, BlockSummaries, CsrGraph, HubBitmaps, VertexId};
 use fm_plan::lowering::{lower, LowerOptions, Program, ReuseKind};
 use fm_plan::{ExecutionPlan, FrontierHint};
-use fm_telemetry::TraceClock;
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -36,21 +36,40 @@ pub fn prepare_graph<'g>(graph: &'g CsrGraph, plan: &ExecutionPlan) -> Cow<'g, C
     }
 }
 
+/// A `T` its holder either borrows from the caller or co-owns. This is
+/// what lets one [`JobCore`](crate::JobCore) run over a caller's stack
+/// (the `mine*` entry points) or outlive it (`serve`), without a copy in
+/// the first case or a borrow in the second.
+pub(crate) enum Held<'a, T> {
+    Ref(&'a T),
+    Arc(Arc<T>),
+}
+
+impl<T> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Held::Ref(t) => t,
+            Held::Arc(t) => t,
+        }
+    }
+}
+
 /// A data graph fully preprocessed for mining: the (possibly oriented)
 /// graph plus the optional auxiliary indexes built over it — the
 /// hub-bitmap index for the probe tier and the per-block adjacency
 /// summaries for the SIMD tier's block skipping.
 ///
-/// The indexes are built once here — not per executor — and handed to
-/// worker [`Executor`]s behind [`Arc`]s, so parallel drivers share one
-/// copy. Construction is governed by the config:
-/// [`EngineConfig::hub_bitmap_active`] / [`EngineConfig::simd_active`]
-/// decide whether each index is built at all, and an index that comes
-/// back empty (no vertex reaches the degree threshold, the memory budget
-/// is too tight, or the graph has no edges) is dropped so the dispatcher
-/// never consults it.
+/// [`prepare`] is the one place the indexes are built; every
+/// [`Executor`] — each worker of a parallel run, every stint of a
+/// [`JobCore`](crate::JobCore) — borrows them from here. Construction is
+/// governed by the config: [`EngineConfig::hub_bitmap_active`] /
+/// [`EngineConfig::simd_active`] decide whether each index is built at
+/// all, and an index that comes back empty (no vertex reaches the degree
+/// threshold, the memory budget is too tight, or the graph has no edges)
+/// is dropped so the dispatcher never consults it.
 pub struct PreparedGraph<'g> {
-    graph: Cow<'g, CsrGraph>,
+    graph: Held<'g, CsrGraph>,
     hubs: Option<Arc<HubBitmaps>>,
     blocks: Option<Arc<BlockSummaries>>,
 }
@@ -61,14 +80,36 @@ impl<'g> PreparedGraph<'g> {
         &self.graph
     }
 
-    /// A shared handle to the hub index, if one was built and is non-empty.
-    pub fn hubs_arc(&self) -> Option<Arc<HubBitmaps>> {
-        self.hubs.clone()
+    pub(crate) fn build(
+        input: Held<'g, CsrGraph>,
+        plan: &ExecutionPlan,
+        cfg: &EngineConfig,
+    ) -> PreparedGraph<'g> {
+        let graph =
+            if plan.orientation { Held::Arc(Arc::new(orient_by_degree(&input))) } else { input };
+        let hubs = if cfg.hub_bitmap_active() {
+            let idx = HubBitmaps::build(&graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
+            (!idx.is_empty()).then(|| Arc::new(idx))
+        } else {
+            None
+        };
+        let blocks = if cfg.simd_active() {
+            let bl = BlockSummaries::build(&graph);
+            (!bl.is_empty()).then(|| Arc::new(bl))
+        } else {
+            None
+        };
+        PreparedGraph { graph, hubs, blocks }
     }
 
-    /// A shared handle to the block summaries, if built and non-empty.
-    pub fn blocks_arc(&self) -> Option<Arc<BlockSummaries>> {
-        self.blocks.clone()
+    /// A second handle on the same prepared data: the graph by reference,
+    /// the indexes by the `Arc`s this one already holds.
+    pub(crate) fn reborrow(&self) -> PreparedGraph<'_> {
+        PreparedGraph {
+            graph: Held::Ref(&self.graph),
+            hubs: self.hubs.clone(),
+            blocks: self.blocks.clone(),
+        }
     }
 }
 
@@ -81,60 +122,15 @@ impl std::ops::Deref for PreparedGraph<'_> {
 
 /// [`prepare_graph`] plus auxiliary-index construction (hub bitmaps,
 /// block summaries): the preprocessing step shared by every mining entry
-/// point, so single-threaded, parallel, and re-run-the-completed-set
-/// executions all see the same indexes and charge identical work.
+/// point, so single-threaded, parallel, stinted and
+/// re-run-the-completed-set executions all see the same indexes and
+/// charge identical work.
 pub fn prepare<'g>(
     graph: &'g CsrGraph,
     plan: &ExecutionPlan,
     cfg: &EngineConfig,
 ) -> PreparedGraph<'g> {
-    let graph = prepare_graph(graph, plan);
-    let hubs = if cfg.hub_bitmap_active() {
-        let idx = HubBitmaps::build(&graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-        (!idx.is_empty()).then(|| Arc::new(idx))
-    } else {
-        None
-    };
-    let blocks = if cfg.simd_active() {
-        let bl = BlockSummaries::build(&graph);
-        (!bl.is_empty()).then(|| Arc::new(bl))
-    } else {
-        None
-    };
-    PreparedGraph { graph, hubs, blocks }
-}
-
-/// Convenience entry point: prepares the graph and mines every start vertex
-/// on the calling thread.
-///
-/// # Examples
-///
-/// ```
-/// use fm_engine::{mine_single_threaded, EngineConfig};
-/// use fm_graph::generators;
-/// use fm_pattern::Pattern;
-/// use fm_plan::{compile, CompileOptions};
-///
-/// let g = generators::cycle(6);
-/// let plan = compile(&Pattern::cycle(6), CompileOptions::default());
-/// let result = mine_single_threaded(&g, &plan, &EngineConfig::default());
-/// assert_eq!(result.counts, vec![1]); // C6 contains itself once
-/// ```
-pub fn mine_single_threaded(
-    graph: &CsrGraph,
-    plan: &ExecutionPlan,
-    cfg: &EngineConfig,
-) -> MiningResult {
-    let prepared = prepare(graph, plan, cfg);
-    let mut ex = Executor::with_shared(
-        prepared.graph(),
-        plan,
-        cfg,
-        prepared.hubs_arc(),
-        prepared.blocks_arc(),
-    );
-    ex.run_range(0, prepared.num_vertices() as u32);
-    ex.finish()
+    PreparedGraph::build(Held::Ref(graph), plan, cfg)
 }
 
 /// Mutable per-worker state.
@@ -184,6 +180,13 @@ struct State {
 }
 
 impl State {
+    /// Whether candidate generation must snapshot `work` around each step
+    /// for the depth series: a collector that only takes task spans (as
+    /// `serve`'s tracing does) keeps the hot path as it is with none.
+    fn charges_depths(&self) -> bool {
+        self.telemetry.as_ref().is_some_and(|t| t.metrics)
+    }
+
     fn new(
         depth: usize,
         patterns: usize,
@@ -227,70 +230,29 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// A single-threaded, plan-driven mining executor over a prepared graph.
 ///
 /// Most callers want [`crate::mine`] (which handles graph preparation and
-/// threading); `Executor` is the building block exposed for the parallel
-/// driver, the benchmarks and differential tests.
+/// threading); `Executor` is the building block exposed for the task loop,
+/// the benchmarks and differential tests.
 pub struct Executor<'g> {
     graph: &'g CsrGraph,
-    hubs: Option<Arc<HubBitmaps>>,
-    blocks: Option<Arc<BlockSummaries>>,
+    hubs: Option<&'g HubBitmaps>,
+    blocks: Option<&'g BlockSummaries>,
     program: Program,
     cfg: EngineConfig,
     state: State,
 }
 
 impl<'g> Executor<'g> {
-    /// Creates an executor over `graph`, which must already be prepared via
-    /// [`prepare_graph`] (oriented for k-clique plans). Builds its own hub
-    /// index and block summaries when the config calls for them; parallel
-    /// drivers share prebuilt indexes across workers via
-    /// [`Executor::with_shared`] instead.
-    pub fn new(graph: &'g CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
-        let hubs = if cfg.hub_bitmap_active() {
-            let idx = HubBitmaps::build(graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-            (!idx.is_empty()).then(|| Arc::new(idx))
-        } else {
-            None
-        };
-        let blocks = if cfg.simd_active() {
-            let bl = BlockSummaries::build(graph);
-            (!bl.is_empty()).then(|| Arc::new(bl))
-        } else {
-            None
-        };
-        Self::with_shared(graph, plan, cfg, hubs, blocks)
-    }
-
-    /// Creates an executor sharing a prebuilt hub index (or none). The
-    /// index must have been built over this same prepared `graph` — see
-    /// [`prepare`]. Block summaries are not supplied on this path, so the
-    /// SIMD tier (if active) runs without block skipping — outputs and
-    /// charged work are unaffected either way.
-    pub fn with_hubs(
-        graph: &'g CsrGraph,
-        plan: &ExecutionPlan,
-        cfg: &EngineConfig,
-        hubs: Option<Arc<HubBitmaps>>,
-    ) -> Executor<'g> {
-        Self::with_shared(graph, plan, cfg, hubs, None)
-    }
-
-    /// Creates an executor sharing every prebuilt auxiliary index (either
-    /// may be `None`). The indexes must have been built over this same
-    /// prepared `graph` — see [`prepare`].
-    pub fn with_shared(
-        graph: &'g CsrGraph,
-        plan: &ExecutionPlan,
-        cfg: &EngineConfig,
-        hubs: Option<Arc<HubBitmaps>>,
-        blocks: Option<Arc<BlockSummaries>>,
-    ) -> Executor<'g> {
+    /// Creates an executor over `g`, borrowing its graph and whatever
+    /// auxiliary indexes [`prepare`] built — `cfg` must be the config `g`
+    /// was prepared under (or one that activates the same indexes).
+    pub fn new(g: &'g PreparedGraph<'_>, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
         cfg.debug_validate();
         debug_assert!(
-            hubs.is_none() || cfg.hub_bitmap_active(),
+            g.hubs.is_none() || cfg.hub_bitmap_active(),
             "a hub index must not reach a config that excludes probes (paper_faithful)"
         );
         debug_assert!(
-            blocks.is_none() || cfg.simd_active(),
+            g.blocks.is_none() || cfg.simd_active(),
             "block summaries must not reach a config that excludes the SIMD tier"
         );
         let program = lower(
@@ -306,9 +268,16 @@ impl<'g> Executor<'g> {
             plan.patterns.len(),
             prefix_slots,
             cfg.reuse_memory_budget,
-            graph.num_vertices(),
+            g.num_vertices(),
         );
-        Executor { graph, hubs, blocks, program, cfg: *cfg, state }
+        Executor {
+            graph: g.graph(),
+            hubs: g.hubs.as_deref(),
+            blocks: g.blocks.as_deref(),
+            program,
+            cfg: *cfg,
+            state,
+        }
     }
 
     /// Enables recording of complete matches (pattern index + embedding).
@@ -326,8 +295,8 @@ impl<'g> Executor<'g> {
     pub fn run_vertex(&mut self, v: VertexId) {
         fail_point!(self.cfg, "start_vertex", v.0 as u64);
         let aux = Aux {
-            hubs: self.hubs.as_deref(),
-            blocks: self.blocks.as_deref(),
+            hubs: self.hubs,
+            blocks: self.blocks,
             simd: self.cfg.simd_active(),
             reuse: self.cfg.reuse_active() && !self.program.prefixes.is_empty(),
         };
@@ -411,36 +380,32 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// Runs start vertices `lo..hi`.
-    pub fn run_range(&mut self, lo: u32, hi: u32) {
-        for v in lo..hi {
-            self.run_vertex(VertexId(v));
-        }
-    }
-
-    /// Set-operation iterations consumed so far (budget accounting).
-    pub fn setop_iterations_so_far(&self) -> u64 {
+    /// Set-operation iterations consumed since the last
+    /// [`drain_into`](Self::drain_into) (budget accounting).
+    pub(crate) fn setop_iterations(&self) -> u64 {
         self.state.work.setop_iterations
     }
 
-    /// Per-pattern counts accumulated so far (checkpoint delta snapshots).
-    pub fn counts_so_far(&self) -> &[u64] {
-        &self.state.counts
-    }
-
-    /// Work counters accumulated so far.
-    pub fn work_so_far(&self) -> WorkCounters {
-        self.state.work
-    }
-
-    /// Fault attempts recorded so far, in occurrence order.
-    pub fn faults_so_far(&self) -> &[Fault] {
-        &self.state.faults
-    }
-
-    /// Quarantined start vertices so far, in occurrence order.
-    pub fn quarantined_so_far(&self) -> &[Fault] {
-        &self.state.quarantined
+    /// Moves everything accumulated since the last call — counts, work,
+    /// completed start vertices, fault and quarantine records — into
+    /// `snap` and leaves this executor's totals at zero, so the two never
+    /// hold the same task's contribution at once. Returns how many tasks
+    /// (completed or quarantined) moved. This is the one per-task delta
+    /// the task loop publishes; a high-water counter moves by `max`, which
+    /// is what `WorkCounters`' `+=` does.
+    pub(crate) fn drain_into(&mut self, snap: &mut Checkpoint) -> u64 {
+        let s = &mut self.state;
+        for (slot, count) in snap.counts.iter_mut().zip(&mut s.counts) {
+            *slot += std::mem::take(count);
+        }
+        snap.work += std::mem::take(&mut s.work);
+        let tasks = (s.completed.len() + s.quarantined.len()) as u64;
+        for v in s.completed.drain(..) {
+            snap.completed.insert(v);
+        }
+        snap.faults.append(&mut s.faults);
+        snap.quarantined.append(&mut s.quarantined);
+        tasks
     }
 
     /// Installs this worker's telemetry collector (observed runs only).
@@ -448,26 +413,14 @@ impl<'g> Executor<'g> {
         self.state.telemetry = Some(collector);
     }
 
-    /// The run's trace clock, when span collection is on.
-    pub(crate) fn telemetry_clock(&self) -> Option<TraceClock> {
-        self.state.telemetry.as_ref().and_then(|t| t.clock)
+    /// This worker's collector, when the run is observed.
+    pub(crate) fn telemetry(&mut self) -> Option<&mut Collector> {
+        self.state.telemetry.as_deref_mut()
     }
 
-    /// Whether telemetry wants task boundaries timed (histogram or spans).
-    pub(crate) fn telemetry_times_tasks(&self) -> bool {
-        self.state.telemetry.is_some()
-    }
-
-    /// Records one finished start-vertex task into the collector.
-    pub(crate) fn telemetry_task_finished(
-        &mut self,
-        vid: u32,
-        span_start_us: Option<u64>,
-        elapsed: std::time::Duration,
-    ) {
-        if let Some(t) = self.state.telemetry.as_deref_mut() {
-            t.record_task(vid, span_start_us, elapsed);
-        }
+    /// Removes and returns the collector (end of a stint).
+    pub(crate) fn take_telemetry(&mut self) -> Option<Box<Collector>> {
+        self.state.telemetry.take()
     }
 
     /// Consumes the executor and returns counts and work counters. The
@@ -488,7 +441,6 @@ impl<'g> Executor<'g> {
             completed: self.state.completed,
             faults: self.state.faults,
             quarantined: self.state.quarantined,
-            telemetry: self.state.telemetry.map(|c| Box::new(c.into_shard())),
             ..MiningResult::default()
         }
     }
@@ -613,7 +565,7 @@ fn step(
             let hub = aux.hubs.and_then(|h| h.row(v));
             let src = state.core_at[d - 1];
             let merge_bound = if node.bounded_build { bound } else { None };
-            let work_before = state.telemetry.is_some().then_some(state.work);
+            let work_before = state.charges_depths().then_some(state.work);
             let mut served = None;
             if aux.reuse {
                 if let Some(p) = node.consume_prefix {
@@ -650,7 +602,7 @@ fn step(
         }
     }
 
-    let work_before = state.telemetry.is_some().then_some(state.work);
+    let work_before = state.charges_depths().then_some(state.work);
     build_core(g, aux, cfg, prog, state, node_idx, bound);
 
     let core = state.core_at[d];
@@ -1074,12 +1026,13 @@ fn reuse_serve_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mine;
     use fm_graph::generators;
     use fm_pattern::Pattern;
     use fm_plan::{compile, compile_multi, CompileOptions};
 
     fn count(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig) -> Vec<u64> {
-        mine_single_threaded(g, plan, cfg).unique_counts(plan)
+        mine(g, plan, cfg).unique_counts(plan)
     }
 
     #[test]
@@ -1135,8 +1088,8 @@ mod tests {
         let g = generators::erdos_renyi(40, 0.25, 3);
         let sym = compile(&Pattern::triangle(), CompileOptions::default());
         let auto = compile(&Pattern::triangle(), CompileOptions::automine());
-        let s = mine_single_threaded(&g, &sym, &EngineConfig::default());
-        let a = mine_single_threaded(&g, &auto, &EngineConfig::default());
+        let s = mine(&g, &sym, &EngineConfig::default());
+        let a = mine(&g, &auto, &EngineConfig::default());
         assert_eq!(a.counts[0], 6 * s.counts[0]);
         assert_eq!(a.unique_counts(&auto), s.unique_counts(&sym));
         // The larger search space costs more work.
@@ -1154,13 +1107,9 @@ mod tests {
             Pattern::k_clique(4),
         ] {
             let plan = compile(&pattern, CompileOptions::default());
-            let faithful = mine_single_threaded(&g, &plan, &EngineConfig::paper_faithful());
-            let bounded = mine_single_threaded(
-                &g,
-                &plan,
-                &EngineConfig { gallop_ratio: 0, ..Default::default() },
-            );
-            let adaptive = mine_single_threaded(&g, &plan, &EngineConfig::default());
+            let faithful = mine(&g, &plan, &EngineConfig::paper_faithful());
+            let bounded = mine(&g, &plan, &EngineConfig { gallop_ratio: 0, ..Default::default() });
+            let adaptive = mine(&g, &plan, &EngineConfig::default());
             assert_eq!(faithful.counts, bounded.counts, "pattern {pattern}");
             assert_eq!(faithful.counts, adaptive.counts, "pattern {pattern}");
             // Pushing the bound into the merges can only remove set-op
@@ -1172,12 +1121,8 @@ mod tests {
         }
         // On a bounded-heavy pattern the reduction is strict.
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
-        let faithful = mine_single_threaded(&g, &plan, &EngineConfig::paper_faithful());
-        let bounded = mine_single_threaded(
-            &g,
-            &plan,
-            &EngineConfig { gallop_ratio: 0, ..Default::default() },
-        );
+        let faithful = mine(&g, &plan, &EngineConfig::paper_faithful());
+        let bounded = mine(&g, &plan, &EngineConfig { gallop_ratio: 0, ..Default::default() });
         assert!(bounded.work.setop_iterations < faithful.work.setop_iterations);
     }
 
@@ -1252,10 +1197,12 @@ mod tests {
     fn collected_matches_are_valid_embeddings() {
         let g = generators::erdos_renyi(30, 0.3, 5);
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
-        let prepared = prepare_graph(&g, &plan);
+        let prepared = prepare(&g, &plan, &EngineConfig::default());
         let mut ex = Executor::new(&prepared, &plan, &EngineConfig::default());
         ex.collect_matches();
-        ex.run_range(0, prepared.num_vertices() as u32);
+        for v in prepared.vertices() {
+            ex.run_vertex(v);
+        }
         let matches: Vec<_> = ex.matches().to_vec();
         let result = ex.finish();
         assert_eq!(matches.len() as u64, result.counts[0]);

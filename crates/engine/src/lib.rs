@@ -8,16 +8,17 @@
 //!
 //! * **GraphZero model** — plan with symmetry breaking + frontier-list
 //!   memoization, merge-based set intersection/difference
-//!   ([`setops`]), recursive DFS ([`executor`]), optionally multithreaded
-//!   with one task per start vertex ([`parallel`]). This is the paper's CPU
-//!   baseline (§VII-A).
+//!   ([`setops`]), recursive DFS ([`executor`]), one task per start
+//!   vertex handed to whichever worker is idle ([`stream`], driven by a
+//!   thread pool in [`parallel`]). This is the paper's CPU baseline
+//!   (§VII-A).
 //! * **AutoMine model** — the same executor on a plan compiled without
 //!   symmetry bounds ([`fm_plan::CompileOptions::automine`]); each
 //!   embedding is found |Aut(P)| times, modelling AutoMine's larger search
 //!   space.
 //! * **Pattern-oblivious model** ([`oblivious`]) — ESU-style enumeration of
 //!   all connected k-subgraphs plus explicit isomorphism tests, the search
-//!   strategy of Gramer [90] (§III).
+//!   strategy of Gramer \[90\] (§III).
 //! * **Software c-map** ([`cmap`]) — hash- and vector-backed connectivity
 //!   maps implementing the bulk, stack-disciplined insert/delete semantics
 //!   of §VI, used for memoization ablations and as the functional model the
@@ -72,11 +73,8 @@ pub use checkpoint::{
     CompletedSet, GraphFingerprint,
 };
 pub use control::{Budget, CancelToken};
-pub use executor::{mine_single_threaded, prepare, Executor, PreparedGraph};
-pub use parallel::{
-    mine, mine_observed, mine_prepared, mine_prepared_observed, mine_prepared_with_cancel,
-    mine_resumed, mine_with_cancel, mine_with_recovery, Recovery,
-};
+pub use executor::{prepare, Executor, PreparedGraph};
+pub use parallel::{mine, mine_prepared, mine_prepared_observed, mine_with, MineOptions};
 pub use result::{Fault, MiningResult, RunStatus, Straggler, WorkCounters};
 pub use stream::{JobCore, Stint, TaskCursor};
 pub use telemetry::{ProgressOptions, TelemetryOptions};

@@ -184,7 +184,7 @@ impl<'a> EsuWorker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::mine_single_threaded;
+    use crate::mine;
     use crate::EngineConfig;
     use fm_graph::generators;
     use fm_plan::{compile, compile_multi, CompileOptions};
@@ -193,7 +193,7 @@ mod tests {
     fn triangles_match_pattern_aware_engine() {
         let g = generators::powerlaw_cluster(120, 4, 0.5, 3);
         let plan = compile(&Pattern::triangle(), CompileOptions::default());
-        let aware = mine_single_threaded(&g, &plan, &EngineConfig::default());
+        let aware = mine(&g, &plan, &EngineConfig::default());
         let oblivious = count_induced(&g, &[Pattern::triangle()], 1);
         assert_eq!(oblivious.counts, aware.counts);
         // The oblivious engine pays isomorphism tests the aware engine
@@ -206,7 +206,7 @@ mod tests {
         let g = generators::erdos_renyi(40, 0.25, 17);
         let motifs = fm_pattern::motifs::motifs(4);
         let plan = compile_multi(&motifs, CompileOptions::induced());
-        let aware = mine_single_threaded(&g, &plan, &EngineConfig::default());
+        let aware = mine(&g, &plan, &EngineConfig::default());
         let oblivious = count_induced(&g, &motifs, 1);
         assert_eq!(oblivious.counts, aware.counts);
     }
@@ -235,7 +235,7 @@ mod tests {
     fn cliques_match_oriented_engine() {
         let g = generators::powerlaw_cluster(100, 5, 0.6, 31);
         let plan = compile(&Pattern::k_clique(4), CompileOptions::default());
-        let aware = mine_single_threaded(&g, &plan, &EngineConfig::default());
+        let aware = mine(&g, &plan, &EngineConfig::default());
         let oblivious = count_induced(&g, &[Pattern::k_clique(4)], 1);
         assert_eq!(oblivious.counts, aware.counts);
     }

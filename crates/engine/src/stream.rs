@@ -1,52 +1,61 @@
-//! Preemptible task-stream mining: one job sliced into supervisor-sized
-//! stints.
+//! The task loop: one mining job as a queue of start-vertex tasks that
+//! any thread can advance a stint at a time.
 //!
-//! The thread-per-job driver in [`parallel`](crate::parallel) owns its
-//! workers for the whole run. A multi-job supervisor needs the opposite
-//! shape: the *job* is passive state ([`JobCore`]) and any worker thread
-//! can advance it by running a bounded stint of start-vertex tasks. Because
-//! start-vertex tasks are mutually independent and counts/aggregate
-//! [`WorkCounters`] are schedule-independent (the property the parallel
-//! driver and the checkpoint/resume layer are already built on), a job
-//! interleaved with others, paused, resumed, or moved across processes
-//! through a [`Checkpoint`] produces results bit-identical to an
-//! uninterrupted run.
+//! "The searches starting from different vertices of G are mutually
+//! independent tasks" (§I), handed to whichever PE is idle (§V). Here the
+//! *job* is passive state ([`JobCore`]) and a worker advances it by
+//! running a bounded stint of start-vertex tasks. There is one loop and
+//! two ways to drive it: the `mine*` entry points
+//! ([`parallel`](crate::parallel)) run `threads` scoped workers over a
+//! core that borrows the caller's prepared graph, one unbounded stint
+//! each; a multi-job supervisor (`fm-jobs`) owns cores that co-own their
+//! graph and interleaves short stints of many jobs on one worker pool.
+//! Because start-vertex tasks are mutually independent and
+//! counts/aggregate [`WorkCounters`](crate::WorkCounters) are
+//! schedule-independent, a job run either way — interleaved with others,
+//! paused, resumed, or moved across processes through a [`Checkpoint`] —
+//! produces results bit-identical to an uninterrupted run.
 //!
 //! Building blocks:
 //!
-//! * [`TaskCursor`] — the lock-free chunk claimer shared with the parallel
-//!   driver: check-then-advance CAS, so the cursor never overshoots and a
-//!   drained queue reads exactly `len`.
+//! * [`TaskCursor`] — the lock-free chunk claimer: check-then-advance
+//!   CAS, so the cursor never overshoots and a drained queue reads
+//!   exactly `len`.
 //! * [`JobCore`] — one mining job as shareable state: the prepared graph
-//!   (owned, so the core is `'static` and `Arc`-shareable), the pending
-//!   queue, the accumulated [`Checkpoint`] snapshot, and the pause/cancel
-//!   flags. [`run_stint`](JobCore::run_stint) is re-entrant: several
-//!   supervisor workers may advance the same job concurrently, claiming
-//!   disjoint chunks.
+//!   (borrowed or co-owned), the pending queue, the accumulated
+//!   [`Checkpoint`] snapshot, the stop state and the pause flag.
+//!   [`run_stint`](JobCore::run_stint) is re-entrant: several workers may
+//!   advance the same job concurrently, claiming disjoint chunks.
 //!
-//! # Preemption invariants
+//! # Invariants
 //!
-//! * Every claimed task either runs to its boundary (and its delta is in
-//!   the snapshot) or is returned to the scheduler untouched — a pause can
-//!   never strand or double-run a start vertex.
-//! * The snapshot is updated under one lock per finished task, so it is
-//!   always a consistent {bitmap, counts, work, faults} tuple: pausing at
-//!   any instant and resuming (in-process or from the serialized bytes)
-//!   loses nothing and repeats nothing.
-//! * Stop conditions (cancel, deadline, iteration budget) are terminal;
-//!   pause is not. A paused job resumes with
+//! * Every claimed task either runs to its boundary — and its delta is in
+//!   the snapshot when the stint that ran it returns (at once, while a
+//!   durable checkpoint sink is attached) — or is returned to the
+//!   scheduler untouched: a pause can never strand or double-run a start
+//!   vertex.
+//! * The snapshot only ever changes by whole tasks under one lock, so it
+//!   is always a consistent {bitmap, counts, work, faults} tuple: taking
+//!   it at any instant and resuming (in-process or from the serialized
+//!   bytes) loses nothing and repeats nothing it records.
+//! * Stop conditions (cancel, deadline, iteration budget — in that order
+//!   of severity) are terminal; pause is not. A paused job resumes with
 //!   [`resume_paused`](JobCore::resume_paused) once its active stints have
 //!   yielded.
+//! * A run nobody observes takes no lock and makes no allocation per
+//!   task beyond the task's own rollback copy: deltas accumulate in the
+//!   stint's executor, and timing, spans, progress and per-task
+//!   publication are each paid only by the run that asked for them.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::control::CancelToken;
-use crate::executor::{prepare_graph, Executor};
-use crate::result::{MiningResult, RunStatus, WorkCounters};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointSink};
+use crate::control::{CancelToken, Progress};
+use crate::executor::{Executor, Held, PreparedGraph};
+use crate::result::{Fault, MiningResult, RunStatus};
+use crate::telemetry::Collector;
 use crate::EngineConfig;
-use fm_graph::{BlockSummaries, CsrGraph, HubBitmaps, VertexId};
+use fm_graph::{CsrGraph, VertexId};
 use fm_plan::ExecutionPlan;
-use fm_telemetry::{Span, SpanRing, TraceClock};
-use std::borrow::Cow;
+use fm_telemetry::{Span, SpanRing, TelemetryShard, TraceClock};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -139,77 +148,95 @@ struct Sched {
     leftover: Vec<u32>,
 }
 
-/// Optional stint tracing, enabled with [`JobCore::set_trace`]. The clock
-/// is shared with the supervisor's own spans (ISSUE 10 satellite: one
-/// `TraceClock` origin per serve session, so all jobs' spans merge onto
-/// one Perfetto timeline). Spans are buffered per stint and flushed into
-/// the shared ring under one lock per stint, keeping the per-task hot
-/// path lock-free.
-struct JobTrace {
-    clock: TraceClock,
-    ring: Mutex<SpanRing>,
-    /// Emit one `start-vertex-task` span per task (in addition to the
-    /// per-stint span).
+/// Metrics and span collection for one job, off unless a driver asks:
+/// `serve` through [`JobCore::set_trace`] (one `TraceClock` origin per
+/// session, so all jobs' spans merge onto one Perfetto timeline), the
+/// `mine*` entry points through their
+/// [`TelemetryOptions`](crate::TelemetryOptions). Each stint
+/// collects into a private buffer and merges it here under one lock when
+/// it ends, keeping the per-task path lock-free.
+pub(crate) struct Observer {
+    /// Collect depth/tier metrics and the task-time histogram.
+    metrics: bool,
+    /// Collect one span per stint on this clock.
+    clock: Option<TraceClock>,
+    /// Also collect one `start-vertex-task` span per task.
     task_spans: bool,
+    /// Task spans one stint may buffer; the job retains this many per
+    /// configured thread between harvests and counts the rest dropped.
+    span_capacity: usize,
+    collected: Mutex<Collected>,
 }
 
-/// One mining job as preemptible, `Arc`-shareable state.
+#[derive(Default)]
+struct Collected {
+    shard: TelemetryShard,
+    spans: Vec<Span>,
+    dropped: u64,
+}
+
+impl Observer {
+    pub(crate) fn new(
+        metrics: bool,
+        clock: Option<TraceClock>,
+        task_spans: bool,
+        span_capacity: usize,
+    ) -> Observer {
+        let task_spans = task_spans && clock.is_some();
+        Observer { metrics, clock, task_spans, span_capacity, collected: Mutex::default() }
+    }
+}
+
+/// One mining job as preemptible, shareable state.
 ///
-/// Construction ([`new`](Self::new) / [`resume`](Self::resume)) does the
-/// one-time preparation — orientation for k-clique plans, hub-bitmap and
-/// block-summary indexes — exactly as [`prepare`](crate::executor::prepare)
-/// would, but owned, so the core has no borrow tying it to a caller's
-/// stack. Any number of worker threads then advance the job with
-/// [`run_stint`](Self::run_stint); progress accumulates in an in-memory
-/// [`Checkpoint`] that [`snapshot`](Self::snapshot) can serialize at any
-/// task boundary.
-pub struct JobCore {
-    /// The input graph as supplied (fingerprinted by the snapshot).
-    input: Arc<CsrGraph>,
-    /// The degree-oriented DAG when the plan requires one; mining runs on
-    /// this, while checkpoints fingerprint `input` (resume re-runs the
-    /// same preparation).
-    oriented: Option<Arc<CsrGraph>>,
-    hubs: Option<Arc<HubBitmaps>>,
-    blocks: Option<Arc<BlockSummaries>>,
-    plan: Arc<ExecutionPlan>,
+/// A core holds a [prepared](crate::prepare) graph — [`new`](Self::new) /
+/// [`resume`](Self::resume) prepare one they co-own, so the core is
+/// `'static` and `Arc`-shareable; the `mine*` entry points hand in the
+/// caller's by reference. Any number of worker threads then advance the
+/// job with [`run_stint`](Self::run_stint); progress accumulates in an
+/// in-memory [`Checkpoint`] that [`snapshot`](Self::snapshot) can
+/// serialize at any task boundary.
+pub struct JobCore<'g> {
+    graph: PreparedGraph<'g>,
+    plan: Held<'g, ExecutionPlan>,
     cfg: EngineConfig,
     sched: Mutex<Sched>,
     /// Accumulated progress: the same snapshot type the durable layer
-    /// writes, kept consistent under one lock per finished task.
+    /// writes, changed only by whole tasks under this lock.
     snap: Mutex<Checkpoint>,
     /// Preemption request; observed at start-vertex boundaries.
     pause: AtomicBool,
-    cancel: CancelToken,
+    pub(crate) cancel: CancelToken,
     /// Set-op iterations published at task boundaries, for the iteration
-    /// budget (same one-task slack as the thread-pool driver's monitor).
-    spent_iters: AtomicU64,
+    /// budget (enforced with one task of slack) and progress reports.
+    pub(crate) spent_iters: AtomicU64,
     /// Terminal stop, once a stop condition has fired (max severity wins).
     stopped: Mutex<Option<RunStatus>>,
     /// Stints currently inside `run_stint`.
     active: AtomicUsize,
-    /// Stint/task span tracing, off (`None`) by default so untraced jobs
-    /// pay one null check per stint.
-    trace: Option<JobTrace>,
+    /// Metrics and spans, off (`None`) by default so unobserved jobs pay
+    /// one null check per stint.
+    pub(crate) observer: Option<Observer>,
+    /// Per-task elapsed times `(vid, nanoseconds)` for straggler
+    /// detection, published one batch per stint. `None` — no per-task
+    /// clock read, no lock — unless a driver reports stragglers.
+    pub(crate) task_times: Option<Mutex<Vec<(u32, u64)>>>,
+    /// Live progress reporting, off by default.
+    pub(crate) progress: Option<Progress>,
+    /// Durable checkpointing: while attached, every finished task is
+    /// published at its own boundary and offered to the sink's cadence.
+    pub(crate) sink: Option<CheckpointSink>,
 }
 
-/// Estimated resident bytes of one CSR graph (offsets plus adjacency).
-fn csr_bytes(g: &CsrGraph) -> u64 {
-    (g.num_vertices() as u64 + 1) * 8 + g.num_directed_edges() as u64 * 4
-}
-
-impl JobCore {
+impl JobCore<'static> {
     /// A fresh job mining `plan` over `graph` under `cfg`.
-    pub fn new(graph: Arc<CsrGraph>, plan: Arc<ExecutionPlan>, cfg: EngineConfig) -> JobCore {
+    pub fn new(graph: Arc<CsrGraph>, plan: Arc<ExecutionPlan>, cfg: EngineConfig) -> Self {
         let snap = Checkpoint::empty(&graph, &plan, &cfg, plan.patterns.len());
-        JobCore::build(graph, plan, cfg, snap)
+        let prepared = PreparedGraph::build(Held::Arc(graph), &plan, &cfg);
+        JobCore::over(prepared, Held::Arc(plan), cfg, snap)
     }
 
-    /// A job continuing from `snapshot`: completed start vertices are
-    /// skipped with their contribution seeded from the snapshot, and
-    /// previously quarantined vertices are re-attempted with their fault
-    /// history carried forward — the same semantics as
-    /// [`Recovery::resume`](crate::parallel::Recovery).
+    /// A job continuing from `snapshot` (see [`Checkpoint::resumable`]).
     ///
     /// # Errors
     ///
@@ -220,46 +247,37 @@ impl JobCore {
         plan: Arc<ExecutionPlan>,
         cfg: EngineConfig,
         snapshot: Checkpoint,
-    ) -> Result<JobCore, CheckpointError> {
-        snapshot.validate(&graph, &plan, &cfg)?;
-        let snap = Checkpoint { quarantined: Vec::new(), ..snapshot };
-        Ok(JobCore::build(graph, plan, cfg, snap))
+    ) -> Result<Self, CheckpointError> {
+        let snap = snapshot.resumable(&graph, &plan, &cfg)?;
+        let prepared = PreparedGraph::build(Held::Arc(graph), &plan, &cfg);
+        Ok(JobCore::over(prepared, Held::Arc(plan), cfg, snap))
     }
+}
 
-    fn build(
-        input: Arc<CsrGraph>,
-        plan: Arc<ExecutionPlan>,
+impl<'g> JobCore<'g> {
+    /// A job over an already prepared graph, continuing from `snap` (empty
+    /// for a fresh job): every start vertex `snap` does not record as
+    /// completed is pending.
+    pub(crate) fn over(
+        graph: PreparedGraph<'g>,
+        plan: Held<'g, ExecutionPlan>,
         cfg: EngineConfig,
         snap: Checkpoint,
-    ) -> JobCore {
-        let oriented = match prepare_graph(&input, &plan) {
-            Cow::Owned(g) => Some(Arc::new(g)),
-            Cow::Borrowed(_) => None,
-        };
-        let mining = oriented.as_deref().unwrap_or(&input);
-        let hubs = if cfg.hub_bitmap_active() {
-            let idx = HubBitmaps::build(mining, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-            (!idx.is_empty()).then(|| Arc::new(idx))
-        } else {
-            None
-        };
-        let blocks = if cfg.simd_active() {
-            let bl = BlockSummaries::build(mining);
-            (!bl.is_empty()).then(|| Arc::new(bl))
-        } else {
-            None
-        };
+    ) -> JobCore<'g> {
         let mut pending: Vec<u32> =
-            (0..mining.num_vertices() as u32).filter(|&v| !snap.completed.contains(v)).collect();
-        if cfg.degree_sched {
-            pending.sort_by_key(|&v| std::cmp::Reverse(mining.degree(VertexId(v))));
+            (0..graph.num_vertices() as u32).filter(|&v| !snap.completed.contains(v)).collect();
+        // Degree-descending: the hub subtrees dominate the critical path
+        // on power-law inputs, so scheduling them first keeps them off the
+        // tail of the dynamic schedule. Counts and aggregate work counters
+        // are order-independent. Ties break by ascending vid (stable
+        // sort), keeping the schedule deterministic; a single lane has no
+        // tail to protect and keeps the ascending order.
+        if cfg.degree_sched && cfg.threads > 1 {
+            pending.sort_by_key(|&v| std::cmp::Reverse(graph.degree(VertexId(v))));
         }
         let cursor = Arc::new(TaskCursor::new(pending.len(), cfg.chunk_size));
         JobCore {
-            input,
-            oriented,
-            hubs,
-            blocks,
+            graph,
             plan,
             cfg,
             sched: Mutex::new(Sched { pending: Arc::new(pending), cursor, leftover: Vec::new() }),
@@ -269,59 +287,43 @@ impl JobCore {
             spent_iters: AtomicU64::new(0),
             stopped: Mutex::new(None),
             active: AtomicUsize::new(0),
-            trace: None,
+            observer: None,
+            task_times: None,
+            progress: None,
+            sink: None,
         }
     }
 
     /// Turns on stint (and optionally per-task) span tracing on `clock`,
     /// before the core is shared. Pass the serve session's clock so this
-    /// job's spans land on the same timeline as the supervisor's.
+    /// job's spans land on the same timeline as the supervisor's. The job
+    /// retains at most `span_capacity` spans per configured thread between
+    /// [`take_spans`](Self::take_spans) calls and counts the rest dropped.
     pub fn set_trace(&mut self, clock: TraceClock, span_capacity: usize, task_spans: bool) {
-        self.trace =
-            Some(JobTrace { clock, ring: Mutex::new(SpanRing::new(span_capacity)), task_spans });
-    }
-
-    /// The trace clock this job records on, when tracing is enabled.
-    pub fn trace_clock(&self) -> Option<TraceClock> {
-        self.trace.as_ref().map(|t| t.clock)
+        self.observer = Some(Observer::new(false, Some(clock), task_spans, span_capacity));
     }
 
     /// Drains the collected spans: `(spans, dropped)`. Both reset, so the
     /// supervisor can harvest incrementally (per settle) or once at exit.
     pub fn take_spans(&self) -> (Vec<Span>, u64) {
-        let Some(t) = &self.trace else { return (Vec::new(), 0) };
-        let mut ring = t.ring.lock().unwrap_or_else(|e| e.into_inner());
-        let spans = ring.drain();
-        let dropped = std::mem::take(&mut ring.dropped);
-        (spans, dropped)
+        let Some(o) = &self.observer else { return (Vec::new(), 0) };
+        let mut c = o.collected.lock().unwrap_or_else(|e| e.into_inner());
+        (std::mem::take(&mut c.spans), std::mem::take(&mut c.dropped))
     }
 
-    fn mining_graph(&self) -> &CsrGraph {
-        self.oriented.as_deref().unwrap_or(&self.input)
-    }
-
-    /// The input graph this job mines (as supplied, before orientation).
-    pub fn input_graph(&self) -> &Arc<CsrGraph> {
-        &self.input
-    }
-
-    /// The plan this job executes.
-    pub fn plan(&self) -> &Arc<ExecutionPlan> {
-        &self.plan
+    /// Takes everything collected so far as one shard (metrics, spans in
+    /// canonical order, drop count); `None` when nothing is observed.
+    pub(crate) fn take_telemetry(&self) -> Option<TelemetryShard> {
+        let o = self.observer.as_ref()?;
+        let mut c = o.collected.lock().unwrap_or_else(|e| e.into_inner());
+        let Collected { mut shard, spans, dropped } = std::mem::take(&mut *c);
+        shard.absorb_spans(spans, dropped);
+        Some(shard)
     }
 
     /// The engine configuration this job runs under.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// Estimated resident bytes of this job's graph data: the input CSR
-    /// plus the oriented copy when the plan required one. Auxiliary
-    /// indexes are bounded by [`EngineConfig::hub_memory_budget`] and the
-    /// block-summary overhead (a few bits per adjacency block) and are not
-    /// itemized here.
-    pub fn memory_bytes(&self) -> u64 {
-        csr_bytes(&self.input) + self.oriented.as_deref().map_or(0, csr_bytes)
     }
 
     /// A clone of this job's cancellation token; cancelling it stops the
@@ -362,7 +364,7 @@ impl JobCore {
         self.remaining_tasks() == 0
     }
 
-    /// Completed start vertices so far.
+    /// Completed start vertices published so far.
     pub fn completed_tasks(&self) -> usize {
         self.snap.lock().expect("job snapshot lock poisoned").completed.len()
     }
@@ -414,16 +416,8 @@ impl JobCore {
         s.pending = Arc::new(pending);
     }
 
-    /// Returns claimed-but-unrun vids to the scheduler (pause or stop hit
-    /// mid-chunk), so no task is stranded.
-    fn stash(&self, vids: &[u32]) {
-        if !vids.is_empty() {
-            self.sched.lock().expect("job sched lock poisoned").leftover.extend_from_slice(vids);
-        }
-    }
-
-    /// The stop condition in effect, if any (severity order matches the
-    /// thread-pool monitor: cancellation over deadline over budget).
+    /// The stop condition in effect, if any: cancellation over deadline
+    /// over budget. The deadline clock is read only when a deadline is set.
     fn should_stop(&self) -> Option<RunStatus> {
         if self.cancel.is_cancelled() {
             return Some(RunStatus::Cancelled);
@@ -449,6 +443,27 @@ impl JobCore {
         merged
     }
 
+    /// Records a panic that escaped a stint's per-task isolation and took
+    /// its worker down. No start vertex is attributable, so the fault goes
+    /// against the sentinel vid `u32::MAX` — and into quarantine, since
+    /// nothing retried it, which is what degrades the job.
+    pub(crate) fn record_escaped(&self, payload: String) {
+        let fault = Fault { vid: u32::MAX, attempt: 0, payload };
+        let mut snap = self.snap.lock().expect("job snapshot lock poisoned");
+        snap.faults.push(fault.clone());
+        snap.quarantined.push(fault);
+    }
+
+    /// Moves `ex`'s accumulated delta into the snapshot under its lock
+    /// and, when a sink is attached, offers the result to its cadence.
+    fn publish(&self, ex: &mut Executor<'_>) {
+        let mut snap = self.snap.lock().expect("job snapshot lock poisoned");
+        let tasks = ex.drain_into(&mut snap);
+        if let Some(sink) = &self.sink {
+            sink.published(tasks, &snap);
+        }
+    }
+
     /// Runs up to `max_tasks` start-vertex tasks (rounded up to the chunk
     /// grain) on the calling thread. Re-entrant: concurrent stints claim
     /// disjoint chunks of the same queue. Pause and stop conditions are
@@ -460,35 +475,13 @@ impl JobCore {
 
     /// [`run_stint`](Self::run_stint) on an explicit trace lane: when
     /// tracing is on, the stint span (and per-task spans, if enabled)
-    /// carry `lane` as their Chrome `tid`, so a supervisor can give each
+    /// carry `lane` as their Chrome `tid`, so a driver can give each
     /// worker thread its own timeline row.
     pub fn run_stint_as(&self, max_tasks: u64, lane: u32) -> Stint {
-        let stint_start = self.trace.as_ref().map(|t| t.clock.now_us());
-        let mut spans: Vec<Span> = Vec::new();
-        let stint = self.stint_body(max_tasks, lane, &mut spans);
-        if let (Some(t), Some(start)) = (&self.trace, stint_start) {
-            let (name, tasks) = match stint {
-                Stint::Ran { tasks, .. } => ("stint", tasks),
-                Stint::Paused { tasks } => ("stint-paused", tasks),
-                Stint::Stopped(_) => ("stint-stopped", 0),
-            };
-            spans.push(Span::close(&t.clock, name, "job", start, lane, Some(("tasks", tasks))));
-            let mut ring = t.ring.lock().unwrap_or_else(|e| e.into_inner());
-            for s in spans {
-                ring.push(s);
-            }
-        }
-        stint
-    }
-
-    /// The stint loop proper. Task spans (when enabled) are buffered in
-    /// `spans` and flushed by the caller, so the per-task path takes no
-    /// lock beyond the snapshot update it already does.
-    fn stint_body(&self, max_tasks: u64, lane: u32, spans: &mut Vec<Span>) -> Stint {
         if let Some(status) = self.stop_status() {
             return Stint::Stopped(status);
         }
-        if self.pause.load(Ordering::Acquire) {
+        if self.is_paused() {
             return Stint::Paused { tasks: 0 };
         }
         let (pending, cursor) = {
@@ -496,67 +489,119 @@ impl JobCore {
             (Arc::clone(&s.pending), Arc::clone(&s.cursor))
         };
         let _active = ActiveGuard::enter(&self.active);
-        let mut ex = Executor::with_shared(
-            self.mining_graph(),
-            &self.plan,
-            &self.cfg,
-            self.hubs.clone(),
-            self.blocks.clone(),
-        );
-        let track_iters = self.cfg.budget.max_setop_iterations.is_some();
-        let task_trace = self.trace.as_ref().filter(|t| t.task_spans);
-        let mut published = ex.setop_iterations_so_far();
+        let observer = self.observer.as_ref();
+        let clock = observer.and_then(|o| o.clock);
+        let task_clock = observer.filter(|o| o.task_spans).and_then(|o| o.clock);
+        let stint_start = clock.map(|c| c.now_us());
+        let mut ex = Executor::new(&self.graph, &self.plan, &self.cfg);
+        if let Some(o) = observer.filter(|o| o.metrics || o.task_spans) {
+            // A stint can run its limit rounded up to the chunk grain.
+            let most = max_tasks.saturating_add(self.cfg.chunk_size as u64);
+            let ring = o.span_capacity.min(usize::try_from(most).unwrap_or(usize::MAX));
+            ex.set_telemetry(Collector::new(o.metrics, task_clock, lane, ring));
+        }
+        let mut times = self.task_times.is_some().then(Vec::new);
+        // One clock read per task boundary: inside a stint the end of one
+        // task is the start of the next, so a task's time includes the
+        // bookkeeping between it and its predecessor.
+        let mut boundary = (times.is_some() || ex.telemetry().is_some()).then(Instant::now);
+        let track_iters = self.cfg.budget.max_setop_iterations.is_some() || self.progress.is_some();
         let mut ran = 0u64;
-        while ran < max_tasks {
+        let mut preempted = None;
+        'stint: while ran < max_tasks {
             let Some(range) = cursor.claim() else { break };
             for idx in range.clone() {
-                if self.pause.load(Ordering::Acquire) {
-                    self.stash(&pending[idx..range.end]);
-                    return Stint::Paused { tasks: ran };
-                }
-                if let Some(status) = self.should_stop() {
-                    self.stash(&pending[idx..range.end]);
-                    return Stint::Stopped(self.record_stop(status));
+                preempted = if self.is_paused() {
+                    Some(Stint::Paused { tasks: ran })
+                } else {
+                    self.should_stop().map(|status| Stint::Stopped(self.record_stop(status)))
+                };
+                if preempted.is_some() {
+                    // Claimed but unrun: back to the scheduler, untouched.
+                    let unrun = &pending[idx..range.end];
+                    self.sched.lock().expect("job sched lock poisoned").leftover.extend(unrun);
+                    break 'stint;
                 }
                 let v = pending[idx];
-                let task_start = task_trace.map(|t| t.clock.now_us());
-                let before = TaskDelta::of(&ex);
+                let span_start = task_clock.map(|c| c.now_us());
+                let iters_before = ex.setop_iterations();
                 let ok = ex.run_vertex_isolated(VertexId(v));
-                before.apply(self, &ex, v, ok);
-                if let (Some(t), Some(start)) = (task_trace, task_start) {
-                    spans.push(Span::close(
-                        &t.clock,
-                        "start-vertex-task",
-                        "engine",
-                        start,
-                        lane,
-                        Some(("vid", v as u64)),
-                    ));
+                if let Some(started) = boundary {
+                    let now = Instant::now();
+                    let elapsed = now - started;
+                    boundary = Some(now);
+                    if let Some(times) = times.as_mut() {
+                        times.push((v, elapsed.as_nanos() as u64));
+                    }
+                    if let Some(t) = ex.telemetry() {
+                        t.record_task(v, span_start, elapsed);
+                    }
                 }
                 if track_iters {
-                    let spent = ex.setop_iterations_so_far();
-                    self.spent_iters.fetch_add(spent - published, Ordering::Relaxed);
-                    published = spent;
+                    let spent = ex.setop_iterations() - iters_before;
+                    self.spent_iters.fetch_add(spent, Ordering::Relaxed);
+                }
+                if self.sink.is_some() {
+                    self.publish(&mut ex);
+                }
+                if let Some(p) = &self.progress {
+                    p.task_done(ok, self.spent_iters.load(Ordering::Relaxed));
                 }
                 ran += 1;
             }
         }
-        Stint::Ran { tasks: ran, drained: self.is_drained() }
+        self.publish(&mut ex);
+        if let (Some(shared), Some(times)) = (&self.task_times, times) {
+            shared.lock().expect("task-time lock poisoned").extend(times);
+        }
+        let stint =
+            preempted.unwrap_or_else(|| Stint::Ran { tasks: ran, drained: self.is_drained() });
+        if let Some(o) = observer {
+            let stint_span = clock.zip(stint_start).map(|(clock, start)| {
+                let (name, tasks) = match stint {
+                    Stint::Ran { tasks, .. } => ("stint", tasks),
+                    Stint::Paused { tasks } => ("stint-paused", tasks),
+                    Stint::Stopped(_) => ("stint-stopped", 0),
+                };
+                Span::close(&clock, name, "job", start, lane, Some(("tasks", tasks)))
+            });
+            let mut c = o.collected.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ring = ex.take_telemetry().map(|t| t.finish_into(&mut c.shard));
+            c.dropped += ring.as_ref().map_or(0, |r| r.dropped);
+            let task_spans = ring.as_mut().map(SpanRing::drain).unwrap_or_default();
+            let cap = o.span_capacity.saturating_mul(self.cfg.threads.max(1));
+            for span in task_spans.into_iter().chain(stint_span) {
+                if c.spans.len() < cap {
+                    c.spans.push(span);
+                } else {
+                    c.dropped += 1;
+                }
+            }
+        }
+        stint
     }
 
     /// A serializable snapshot of the job's progress, valid at any task
-    /// boundary. Feeding it to [`resume`](Self::resume) — in this process
-    /// or after a restart — continues the job bit-identically.
+    /// boundary. Feeding it to [`resume`](JobCore::resume) — in this
+    /// process or after a restart — continues the job bit-identically.
     pub fn snapshot(&self) -> Checkpoint {
         self.snap.lock().expect("job snapshot lock poisoned").clone()
     }
 
-    /// The job's result over everything run so far, in the same shape the
-    /// thread-pool driver reports: a drained, quarantine-free job is
-    /// [`Complete`](RunStatus::Complete) with counts and [`WorkCounters`]
-    /// bit-identical to an uninterrupted [`mine`](crate::mine); partial
-    /// and degraded jobs carry their exact completed set and sorted fault
-    /// rosters.
+    /// Writes the final durable snapshot through the attached sink (a
+    /// no-op without one): `(fatal write error, failed write attempts)`.
+    pub(crate) fn finish_sink(&self) -> (Option<String>, u64) {
+        let snap = self.snap.lock().expect("job snapshot lock poisoned");
+        self.sink.as_ref().map_or((None, 0), |sink| sink.finish(&snap))
+    }
+
+    /// The job's result over everything published so far: a drained,
+    /// quarantine-free job is [`Complete`](RunStatus::Complete) with
+    /// counts and [`WorkCounters`](crate::WorkCounters) bit-identical to
+    /// an uninterrupted [`mine`](crate::mine) and an empty (redundant,
+    /// possibly large) completed list; partial and degraded jobs carry
+    /// their exact completed set. Fault rosters are sorted, so the report
+    /// is deterministic regardless of worker interleaving.
     pub fn result(&self) -> MiningResult {
         let snap = self.snap.lock().expect("job snapshot lock poisoned");
         let mut r = MiningResult::empty(self.plan.patterns.len());
@@ -564,18 +609,16 @@ impl JobCore {
         r.work = snap.work;
         r.faults = snap.faults.clone();
         r.quarantined = snap.quarantined.clone();
+        r.faults.sort_unstable_by_key(|f| (f.vid, f.attempt));
+        r.quarantined.sort_unstable_by_key(|f| (f.vid, f.attempt));
         if !r.quarantined.is_empty() {
             r.status = RunStatus::Degraded;
         }
         if let Some(stop) = self.stop_status() {
             r.status = r.status.max(stop);
         }
-        if r.status == RunStatus::Complete {
-            r.completed = Vec::new();
-        } else {
+        if r.status != RunStatus::Complete {
             r.completed = snap.completed.to_vids();
-            r.faults.sort_unstable_by_key(|f| (f.vid, f.attempt));
-            r.quarantined.sort_unstable_by_key(|f| (f.vid, f.attempt));
         }
         r
     }
@@ -598,66 +641,23 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Pre-task executor counters; diffed after the task to publish exactly
-/// one task's contribution into the job snapshot.
-struct TaskDelta {
-    counts: Vec<u64>,
-    work: WorkCounters,
-    faults: usize,
-    quarantined: usize,
-}
-
-impl TaskDelta {
-    fn of(ex: &Executor<'_>) -> TaskDelta {
-        TaskDelta {
-            counts: ex.counts_so_far().to_vec(),
-            work: ex.work_so_far(),
-            faults: ex.faults_so_far().len(),
-            quarantined: ex.quarantined_so_far().len(),
-        }
-    }
-
-    fn apply(self, core: &JobCore, ex: &Executor<'_>, vid: u32, completed: bool) {
-        let mut snap = core.snap.lock().expect("job snapshot lock poisoned");
-        if completed {
-            snap.completed.insert(vid);
-        }
-        for (slot, (after, before)) in
-            snap.counts.iter_mut().zip(ex.counts_so_far().iter().zip(&self.counts))
-        {
-            *slot += after - before;
-        }
-        snap.work += ex.work_so_far() - self.work;
-        snap.faults.extend_from_slice(&ex.faults_so_far()[self.faults..]);
-        if let Some(q) = ex.quarantined_so_far()[self.quarantined..].first() {
-            snap.quarantined.push(q.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::control::Budget;
-    use crate::executor::{prepare_graph, Executor};
     use crate::parallel::mine;
     use fm_graph::generators;
     use fm_pattern::Pattern;
     use fm_plan::{compile, CompileOptions};
 
-    fn job(seed: u64, cfg: EngineConfig) -> (JobCore, MiningResult) {
-        let g = Arc::new(generators::powerlaw_cluster(160, 4, 0.5, seed));
-        let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
-        let reference = mine(&g, &plan, &EngineConfig::default());
-        (JobCore::new(g, plan, cfg), reference)
-    }
+    // Stint sizes and thread counts, pause/resume, snapshot → resume and
+    // every stop condition against one reference:
+    // `every_driver_agrees_with_the_reference` in tests/job_control.rs.
 
-    fn drain(core: &JobCore, stint: u64) -> u64 {
-        let mut stints = 0;
+    fn drain(core: &JobCore<'_>, stint: u64, lane: u32) {
         loop {
-            stints += 1;
-            match core.run_stint(stint) {
-                Stint::Ran { drained: true, .. } => return stints,
+            match core.run_stint_as(stint, lane) {
+                Stint::Ran { drained: true, .. } => return,
                 Stint::Ran { .. } => continue,
                 other => panic!("unexpected stint outcome {other:?}"),
             }
@@ -693,139 +693,34 @@ mod tests {
         assert_eq!(cursor.remaining(), 0);
     }
 
+    /// One stop evaluator: cancellation outranks an expired deadline,
+    /// which outranks an exhausted budget, and whichever fires is terminal.
     #[test]
-    fn stinted_job_matches_uninterrupted_mine() {
-        let (core, reference) = job(11, EngineConfig::default());
-        let stints = drain(&core, 7);
-        assert!(stints > 1, "test must actually slice the job");
-        let r = core.result();
-        assert_eq!(r.status, RunStatus::Complete);
-        assert_eq!(r.counts, reference.counts);
-        assert_eq!(r.work, reference.work);
-        assert!(r.completed.is_empty());
-    }
-
-    #[test]
-    fn concurrent_stints_share_one_job_bit_identically() {
-        let (core, reference) = job(23, EngineConfig::default());
-        let core = Arc::new(core);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let core = Arc::clone(&core);
-                s.spawn(move || loop {
-                    match core.run_stint(3) {
-                        Stint::Ran { drained: true, .. } => break,
-                        Stint::Ran { .. } => continue,
-                        other => panic!("unexpected stint outcome {other:?}"),
-                    }
-                });
-            }
-        });
-        let r = core.result();
-        assert_eq!(r.status, RunStatus::Complete);
-        assert_eq!(r.counts, reference.counts);
-        assert_eq!(r.work, reference.work);
-    }
-
-    #[test]
-    fn pause_snapshot_resume_is_bit_identical() {
-        let (core, reference) = job(37, EngineConfig::default());
-        match core.run_stint(20) {
-            Stint::Ran { tasks: 20, drained: false } => {}
-            other => panic!("unexpected stint outcome {other:?}"),
-        }
-        core.pause();
-        assert_eq!(core.run_stint(20), Stint::Paused { tasks: 0 });
-        // Path 1: in-process resume after the pause.
-        assert!(core.resume_paused());
-        // Path 2: serialize the snapshot and continue in a fresh core, as
-        // a drained-and-restarted process would.
-        let snapshot = Checkpoint::decode(&core.snapshot().encode()).unwrap();
-        let resumed = JobCore::resume(
-            Arc::clone(core.input_graph()),
-            Arc::clone(core.plan()),
-            *core.config(),
-            snapshot,
-        )
-        .unwrap();
-        drain(&core, 16);
-        drain(&resumed, 16);
-        for r in [core.result(), resumed.result()] {
-            assert_eq!(r.status, RunStatus::Complete);
-            assert_eq!(r.counts, reference.counts);
-            assert_eq!(r.work, reference.work);
-        }
-    }
-
-    #[test]
-    fn pause_mid_chunk_strands_nothing() {
-        let (core, reference) = job(41, EngineConfig { chunk_size: 32, ..Default::default() });
-        // Pause before the stint starts a fresh claim: the stint claims a
-        // 32-task chunk but must yield at the first boundary, returning
-        // the untouched remainder.
-        core.pause();
-        assert_eq!(core.run_stint(100), Stint::Paused { tasks: 0 });
-        assert!(core.resume_paused());
-        let n = core.input_graph().num_vertices();
-        assert_eq!(core.remaining_tasks() + core.completed_tasks(), n);
-        drain(&core, 100);
-        assert_eq!(core.result().counts, reference.counts);
-    }
-
-    #[test]
-    fn budget_stop_is_terminal_with_exact_partial_counts() {
-        let (_, reference) = job(17, EngineConfig::default());
-        let budget = Budget::with_max_setop_iterations(reference.work.setop_iterations / 3);
-        let (core, _) = job(17, EngineConfig { budget, ..Default::default() });
-        let status = loop {
-            match core.run_stint(5) {
-                Stint::Ran { .. } => continue,
-                Stint::Stopped(status) => break status,
-                other => panic!("unexpected stint outcome {other:?}"),
-            }
-        };
-        assert_eq!(status, RunStatus::BudgetExhausted);
-        assert_eq!(core.run_stint(5), Stint::Stopped(RunStatus::BudgetExhausted));
-        let r = core.result();
-        assert_eq!(r.status, RunStatus::BudgetExhausted);
-        assert!(!r.completed.is_empty());
-        // Exactness: a sequential run over the reported completed set
-        // reproduces the partial counts bit-for-bit.
-        let g = core.input_graph();
-        let prepared = prepare_graph(g, core.plan());
-        let mut ex = Executor::new(&prepared, core.plan(), &EngineConfig::default());
-        for &v in &r.completed {
-            ex.run_vertex(VertexId(v));
-        }
-        assert_eq!(r.counts, ex.finish().counts);
-    }
-
-    #[test]
-    fn cancel_token_stops_the_job() {
-        let (core, _) = job(5, EngineConfig::default());
-        core.run_stint(10);
+    fn stop_conditions_fire_in_severity_order_and_are_terminal() {
+        let g = Arc::new(generators::erdos_renyi(40, 0.2, 5));
+        let plan = Arc::new(compile(&Pattern::triangle(), CompileOptions::default()));
+        let budget = Budget { deadline: Some(Instant::now()), max_setop_iterations: Some(0) };
+        let cfg = EngineConfig { budget, ..Default::default() };
+        let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg);
+        assert_eq!(core.run_stint(5), Stint::Stopped(RunStatus::DeadlineExceeded));
+        let core = JobCore::new(g, plan, cfg);
         core.cancel_token().cancel();
-        assert_eq!(core.run_stint(10), Stint::Stopped(RunStatus::Cancelled));
+        assert_eq!(core.run_stint(5), Stint::Stopped(RunStatus::Cancelled));
+        assert_eq!(core.run_stint(5), Stint::Stopped(RunStatus::Cancelled));
         assert_eq!(core.result().status, RunStatus::Cancelled);
+        assert_eq!(core.completed_tasks() + core.remaining_tasks(), 40);
     }
 
     /// ISSUE 10 tentpole: traced stints record stint and per-task spans
     /// on the caller's lane without perturbing counts or work.
     #[test]
     fn traced_stints_emit_spans_and_stay_bit_identical() {
-        let (plain, reference) = job(53, EngineConfig::default());
-        drain(&plain, 16);
-        let g = Arc::clone(plain.input_graph());
-        let plan = Arc::clone(plain.plan());
+        let g = Arc::new(generators::powerlaw_cluster(160, 4, 0.5, 53));
+        let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
+        let reference = mine(&g, &plan, &EngineConfig::default());
         let mut traced = JobCore::new(g, plan, EngineConfig::default());
         traced.set_trace(TraceClock::start(), 4096, true);
-        loop {
-            match traced.run_stint_as(16, 7) {
-                Stint::Ran { drained: true, .. } => break,
-                Stint::Ran { .. } => continue,
-                other => panic!("unexpected stint outcome {other:?}"),
-            }
-        }
+        drain(&traced, 16, 7);
         let r = traced.result();
         assert_eq!(r.counts, reference.counts);
         assert_eq!(r.work, reference.work);
@@ -836,8 +731,23 @@ mod tests {
         // Per-task spans count every completed task exactly once.
         let tasks = spans.iter().filter(|s| s.name == "start-vertex-task").count();
         assert_eq!(tasks, traced.completed_tasks());
-        // The ring is drained, not cloned.
+        // The buffer is drained, not cloned.
         assert!(traced.take_spans().0.is_empty());
+    }
+
+    /// What a job retains between harvests is bounded, and the rest is
+    /// counted, not silently lost.
+    #[test]
+    fn spans_beyond_the_job_capacity_are_counted_as_dropped() {
+        let g = Arc::new(generators::powerlaw_cluster(160, 4, 0.5, 53));
+        let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
+        let mut traced = JobCore::new(g, plan, EngineConfig::default());
+        traced.set_trace(TraceClock::start(), 50, true);
+        drain(&traced, 16, 0);
+        let (spans, dropped) = traced.take_spans();
+        assert_eq!(spans.len(), 50);
+        // 160 task spans plus one span per stint were offered.
+        assert_eq!(dropped, 160 + 160 / 16 - 50);
     }
 
     /// ISSUE 10 satellite: two jobs sharing one `TraceClock` origin merge

@@ -49,7 +49,7 @@ impl ProgressOptions {
 }
 
 /// Observability options for one mining run, threaded through
-/// [`mine_observed`](crate::mine_observed) /
+/// [`mine_with`](crate::mine_with) /
 /// [`mine_prepared_observed`](crate::mine_prepared_observed). The default
 /// disables everything.
 #[derive(Clone, Debug, Default)]
@@ -74,25 +74,9 @@ impl TelemetryOptions {
     pub fn enabled(&self) -> bool {
         self.metrics || self.trace.is_some() || self.progress.is_some()
     }
-
-    /// Builds the per-worker collector for worker `tid`, or `None` when no
-    /// per-worker collection (metrics or tracing) is on.
-    pub(crate) fn collector(&self, tid: u32) -> Option<Box<Collector>> {
-        if !self.metrics && self.trace.is_none() {
-            return None;
-        }
-        let cap = self.span_capacity.unwrap_or(fm_telemetry::trace::DEFAULT_SPAN_CAPACITY);
-        Some(Box::new(Collector {
-            shard: TelemetryShard::new(),
-            ring: SpanRing::new(if self.trace.is_some() { cap } else { 0 }),
-            clock: self.trace,
-            metrics: self.metrics,
-            tid,
-        }))
-    }
 }
 
-/// One worker's private telemetry state, boxed behind an `Option` in the
+/// One stint's private telemetry state, boxed behind an `Option` in the
 /// executor so disabled runs pay one pointer-null check.
 pub(crate) struct Collector {
     pub(crate) shard: TelemetryShard,
@@ -103,6 +87,23 @@ pub(crate) struct Collector {
 }
 
 impl Collector {
+    /// One stint's collector: metrics if asked, task spans on `clock` if
+    /// given (at most `ring` of them), reporting as trace lane `tid`.
+    pub(crate) fn new(
+        metrics: bool,
+        clock: Option<TraceClock>,
+        tid: u32,
+        ring: usize,
+    ) -> Box<Collector> {
+        Box::new(Collector {
+            shard: TelemetryShard::new(),
+            ring: SpanRing::new(if clock.is_some() { ring } else { 0 }),
+            clock,
+            metrics,
+            tid,
+        })
+    }
+
     /// Charges the work-counter delta of one candidate-generation step to
     /// the depth-resolved shard (set-op iterations/invocations, dispatch
     /// tiers, c-map queries/hits).
@@ -155,12 +156,11 @@ impl Collector {
         }
     }
 
-    /// Finalizes the collector into its shard (drains the span ring).
-    pub(crate) fn into_shard(mut self) -> TelemetryShard {
-        let spans = self.ring.drain();
-        let dropped = self.ring.dropped;
-        self.shard.absorb_spans(spans, dropped);
-        self.shard
+    /// Ends the stint: merges its metrics into the job's shard and hands
+    /// back the span ring for the job to retain or count as dropped.
+    pub(crate) fn finish_into(self, job: &mut TelemetryShard) -> SpanRing {
+        job.merge(&self.shard);
+        self.ring
     }
 }
 
@@ -170,26 +170,21 @@ mod tests {
 
     #[test]
     fn default_options_disable_everything() {
-        let opts = TelemetryOptions::default();
-        assert!(!opts.enabled());
-        assert!(opts.collector(0).is_none());
+        assert!(!TelemetryOptions::default().enabled());
     }
 
     #[test]
     fn metrics_only_collector_skips_span_buffer() {
-        let opts = TelemetryOptions { metrics: true, ..Default::default() };
-        assert!(opts.enabled());
-        let mut c = opts.collector(1).expect("metrics request a collector");
+        let mut c = Collector::new(true, None, 1, 16);
         c.record_task(7, None, Duration::from_micros(300));
-        let shard = c.into_shard();
+        let mut shard = TelemetryShard::new();
+        assert!(c.finish_into(&mut shard).is_empty());
         assert_eq!(shard.task_micros.count, 1);
-        assert!(shard.spans.is_empty());
     }
 
     #[test]
     fn charge_setops_buckets_the_delta_by_depth() {
-        let opts = TelemetryOptions { metrics: true, ..Default::default() };
-        let mut c = opts.collector(0).unwrap();
+        let mut c = Collector::new(true, None, 0, 16);
         let before = WorkCounters::default();
         let after = WorkCounters {
             setop_iterations: 10,
@@ -203,7 +198,8 @@ mod tests {
             ..Default::default()
         };
         c.charge_setops(2, before, after);
-        let shard = c.into_shard();
+        let mut shard = TelemetryShard::new();
+        c.finish_into(&mut shard);
         assert_eq!(shard.depth_setop_iterations, vec![0, 0, 10]);
         assert_eq!(shard.depth_gallop, vec![0, 0, 2]);
         assert_eq!(shard.depth_simd, vec![0, 0, 1]);
@@ -216,14 +212,14 @@ mod tests {
     #[test]
     fn tracing_collector_records_task_spans() {
         let clock = TraceClock::start();
-        let opts = TelemetryOptions { trace: Some(clock), ..Default::default() };
-        let mut c = opts.collector(3).unwrap();
+        let mut c = Collector::new(false, Some(clock), 3, 16);
         c.record_task(9, Some(clock.now_us()), Duration::from_micros(5));
-        let shard = c.into_shard();
-        assert_eq!(shard.spans.len(), 1);
-        assert_eq!(shard.spans[0].name, "start-vertex-task");
-        assert_eq!(shard.spans[0].tid, 3);
-        assert_eq!(shard.spans[0].arg, Some(("vid", 9)));
+        let mut shard = TelemetryShard::new();
+        let spans = c.finish_into(&mut shard).drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "start-vertex-task");
+        assert_eq!(spans[0].tid, 3);
+        assert_eq!(spans[0].arg, Some(("vid", 9)));
         // Metrics were off: no histogram samples.
         assert_eq!(shard.task_micros.count, 0);
     }

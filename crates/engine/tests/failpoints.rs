@@ -4,9 +4,8 @@
 //! job); the default test run skips this binary entirely.
 #![cfg(feature = "failpoints")]
 
-use fm_engine::executor::prepare_graph;
 use fm_engine::failpoint::{self, Trigger};
-use fm_engine::{mine, EngineConfig, Executor, JobCore, MiningResult, RunStatus, Stint};
+use fm_engine::{mine, prepare, EngineConfig, Executor, JobCore, MiningResult, RunStatus, Stint};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
@@ -14,7 +13,7 @@ use std::sync::Arc;
 
 /// Sequential reference counts over every start vertex except `skip`.
 fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: u32) -> Vec<u64> {
-    let prepared = prepare_graph(g, plan);
+    let prepared = prepare(g, plan, cfg);
     let mut ex = Executor::new(&prepared, plan, cfg);
     for v in 0..prepared.num_vertices() as u32 {
         if v != skip {

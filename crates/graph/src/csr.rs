@@ -52,8 +52,8 @@ impl Default for CsrGraph {
 impl CsrGraph {
     /// Builds a graph directly from CSR arrays, validating all invariants.
     ///
-    /// Prefer [`GraphBuilder`](crate::GraphBuilder) unless the arrays come
-    /// from a trusted source such as [`crate::io::read_csr`].
+    /// Prefer [`GraphBuilder`](crate::GraphBuilder) unless the arrays are
+    /// already in CSR form (an orientation pass, a counting-sort ingest).
     ///
     /// # Errors
     ///

@@ -30,10 +30,6 @@ pub enum GraphError {
         /// Explanation of the failure.
         message: String,
     },
-    /// A malformed binary graph file (bad magic, implausible header
-    /// fields). Distinct from [`Parse`](GraphError::Parse), which is
-    /// line-oriented and text-only.
-    BadFormat(String),
 }
 
 impl fmt::Display for GraphError {
@@ -54,7 +50,6 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
-            GraphError::BadFormat(message) => write!(f, "bad binary graph format: {message}"),
         }
     }
 }
@@ -85,12 +80,6 @@ mod tests {
         assert_eq!(e.to_string(), "vertex 3 has a self loop");
         let e = GraphError::NeighborOutOfRange { vertex: 1, neighbor: 9 };
         assert!(e.to_string().contains("out-of-range neighbor 9"));
-    }
-
-    #[test]
-    fn bad_format_display() {
-        let e = GraphError::BadFormat("bad csr magic".into());
-        assert_eq!(e.to_string(), "bad binary graph format: bad csr magic");
     }
 
     #[test]

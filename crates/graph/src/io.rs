@@ -1,25 +1,18 @@
-//! Graph serialization: text edge lists and a compact binary CSR format.
+//! Graph serialization: text edge lists.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::vertex::VertexId;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 
-/// Magic bytes identifying the binary CSR format.
-const CSR_MAGIC: &[u8; 8] = b"FMCSR\x01\x00\x00";
-
-/// Elements preallocated up front when reading untrusted length headers.
-/// Anything larger grows on demand as real data actually arrives, so a
-/// 16-byte file declaring 2⁶⁴ vertices cannot request terabytes.
-///
-/// [`read_edge_list`] takes the same stance on vertex counts, which size
-/// the CSR offsets array: a count up to `PREALLOC_CAP` is always accepted
-/// (8 MiB of offsets at most), and beyond that the count — whether it comes
-/// from the largest id or from a `# vertices N` header — may not exceed the
-/// number of bytes read. An edge line names two ids in at least four
-/// bytes, so real files with gaps in their id space stay well inside the
-/// bound, while `0 4000000000` is a parse error instead of a 32 GB request.
+/// The vertex count [`read_edge_list`] accepts without evidence. Vertex
+/// counts size the CSR offsets array: a count up to `PREALLOC_CAP` is
+/// always accepted (8 MiB of offsets at most), and beyond that the count —
+/// whether it comes from the largest id or from a `# vertices N` header —
+/// may not exceed the number of bytes read. An edge line names two ids in
+/// at least four bytes, so real files with gaps in their id space stay
+/// well inside the bound, while `0 4000000000` is a parse error instead
+/// of a 32 GB request.
 const PREALLOC_CAP: usize = 1 << 20;
 
 /// Bytes requested from the reader at a time, and so also the longest
@@ -233,79 +226,6 @@ fn put_decimal(buf: &mut [u8], mut end: usize, mut x: u32) -> usize {
     }
 }
 
-/// Writes the graph in the compact binary CSR format (little-endian):
-/// magic, `u64` vertex count, `u64` adjacency length, `u64` offsets,
-/// `u32` neighbor ids.
-///
-/// # Errors
-///
-/// Propagates IO failures from `writer`.
-pub fn write_csr<W: Write>(g: &CsrGraph, writer: W) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(CSR_MAGIC)?;
-    w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(g.num_directed_edges() as u64).to_le_bytes())?;
-    for &off in g.offsets() {
-        w.write_all(&(off as u64).to_le_bytes())?;
-    }
-    for &v in g.neighbor_array() {
-        w.write_all(&v.0.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a graph previously written by [`write_csr`], re-validating all CSR
-/// invariants.
-///
-/// The header's length fields are untrusted: implausible values are
-/// rejected up front, and buffer preallocation is capped, so a tiny
-/// malformed file cannot trigger a huge allocation.
-///
-/// # Errors
-///
-/// Returns [`GraphError::BadFormat`] on a bad magic or implausible header,
-/// [`GraphError::Io`] on a truncated stream, and any validation error from
-/// [`CsrGraph::from_parts`].
-pub fn read_csr<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != CSR_MAGIC {
-        return Err(GraphError::BadFormat("bad csr magic".into()));
-    }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let n64 = u64::from_le_bytes(buf8);
-    r.read_exact(&mut buf8)?;
-    let m64 = u64::from_le_bytes(buf8);
-    // Vertex ids are 32-bit, and a simple graph has < n² directed edges;
-    // headers beyond either bound cannot describe a valid graph.
-    if n64 > u32::MAX as u64 + 1 {
-        return Err(GraphError::BadFormat(format!(
-            "declared vertex count {n64} exceeds the 32-bit id space"
-        )));
-    }
-    if u128::from(m64) > u128::from(n64) * u128::from(n64.saturating_sub(1)) {
-        return Err(GraphError::BadFormat(format!(
-            "declared edge count {m64} is impossible for {n64} vertices"
-        )));
-    }
-    let (n, m) = (n64 as usize, m64 as usize);
-    let mut offsets = Vec::with_capacity((n + 1).min(PREALLOC_CAP));
-    for _ in 0..=n {
-        r.read_exact(&mut buf8)?;
-        offsets.push(u64::from_le_bytes(buf8) as usize);
-    }
-    let mut neighbors = Vec::with_capacity(m.min(PREALLOC_CAP));
-    let mut buf4 = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut buf4)?;
-        neighbors.push(VertexId(u32::from_le_bytes(buf4)));
-    }
-    CsrGraph::from_parts(offsets, neighbors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,60 +261,5 @@ mod tests {
     fn edge_list_cleans_self_loops_and_duplicates() {
         let g = read_edge_list("0 0\n0 1\n1 0\n0 1\n".as_bytes()).unwrap();
         assert_eq!(g.num_undirected_edges(), 1);
-    }
-
-    #[test]
-    fn binary_csr_round_trip() {
-        let g = generators::preferential_attachment(120, 3, 77);
-        let mut buf = Vec::new();
-        write_csr(&g, &mut buf).unwrap();
-        let back = read_csr(buf.as_slice()).unwrap();
-        assert_eq!(g, back);
-    }
-
-    #[test]
-    fn binary_csr_rejects_bad_magic() {
-        let err = read_csr(&b"NOTACSR!rest"[..]).unwrap_err();
-        assert!(matches!(err, GraphError::BadFormat(_)));
-        assert!(err.to_string().contains("bad csr magic"));
-    }
-
-    #[test]
-    fn binary_csr_rejects_truncation() {
-        let g = generators::complete(4);
-        let mut buf = Vec::new();
-        write_csr(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(matches!(read_csr(buf.as_slice()), Err(GraphError::Io(_))));
-    }
-
-    /// Regression: a 24-byte file declaring absurd lengths must fail fast
-    /// with a format error — not attempt a multi-terabyte preallocation.
-    #[test]
-    fn binary_csr_huge_declared_counts_do_not_preallocate() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CSR_MAGIC);
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        buf.extend_from_slice(&0u64.to_le_bytes()); // m
-        let err = read_csr(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, GraphError::BadFormat(_)), "{err}");
-        assert!(err.to_string().contains("vertex count"));
-
-        // Plausible n, impossible m for a simple graph.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CSR_MAGIC);
-        buf.extend_from_slice(&4u64.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_csr(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, GraphError::BadFormat(_)), "{err}");
-        assert!(err.to_string().contains("edge count"));
-
-        // In-bounds header lengths with no data behind them: preallocation
-        // is capped, so this hits EOF instead of exhausting memory.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CSR_MAGIC);
-        buf.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(read_csr(buf.as_slice()), Err(GraphError::Io(_))));
     }
 }

@@ -23,7 +23,7 @@
 //!   ([`BlockSummaries`]), the skip index consumed by the engine's SIMD
 //!   set-op kernel tier.
 //! * [`stats`] — degree statistics used to reproduce Table I.
-//! * [`io`] — plain-text edge-list and binary CSR serialization.
+//! * [`io`] — plain-text edge-list serialization.
 //!
 //! # Examples
 //!

@@ -6,7 +6,7 @@
 //! protocol needs. Numbers are held as `f64` — protocol fields are small
 //! integers and counts, all exactly representable.
 
-use fm_telemetry::json::{json_key, json_str};
+use fm_telemetry::json::{json_f64, json_key, json_str};
 use std::collections::BTreeMap;
 
 /// A parsed JSON value. Objects keep sorted key order (`BTreeMap`) so that
@@ -83,15 +83,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    out.push_str("null");
-                } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
+            // The exporters' six decimals would not parse back equal, and
+            // this text is fingerprinted: a fraction keeps every digit.
+            Json::Num(n) if n.is_finite() && n.fract() != 0.0 => out.push_str(&format!("{n}")),
+            Json::Num(n) => json_f64(out, *n),
             Json::Str(s) => json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');

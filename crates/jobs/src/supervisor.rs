@@ -256,7 +256,7 @@ struct Job {
     priority: i32,
     graph_key: u64,
     max_attempts: u32,
-    core: JobCore,
+    core: JobCore<'static>,
     cell: Arc<OutcomeCell>,
 }
 
@@ -711,7 +711,7 @@ impl Supervisor {
             (id, key, obs.map(|o| o.clock().now_us()))
         };
         let JobSpec { name, priority, graph, plan, config, max_attempts, resume, .. } = spec;
-        let built: Result<JobCore, CheckpointError> = match resume {
+        let built: Result<JobCore<'static>, CheckpointError> = match resume {
             None => Ok(JobCore::new(graph, plan, config)),
             Some(snapshot) => JobCore::resume(graph, plan, config, snapshot),
         };

@@ -2,7 +2,7 @@
 //!
 //! §II-B of the paper: "To generate a matching order, the pattern analyzer
 //! first enumerates all the possible matching orders of P, and uses a set of
-//! rules to pick one that is likely to perform well in practice [49]." The
+//! rules to pick one that is likely to perform well in practice \[49\]." The
 //! key rule, illustrated with the diamond in Fig. 5, is to *match dense
 //! substructures first*: an order that finds a triangle before extending is
 //! better than one that finds a wedge first, because far fewer triangles

@@ -1,12 +1,12 @@
 //! Symmetry-order generation (symmetry breaking).
 //!
 //! §II-B of the paper: "To avoid repetitive enumeration, only one
-//! [automorphism], known as the canonical one, is kept [...]. A well
+//! \[automorphism\], known as the canonical one, is kept \[...\]. A well
 //! established approach for symmetry breaking is to define a partial order,
 //! known as a symmetry order, for candidate vertices and add only those
 //! subgraphs that satisfy the symmetry order."
 //!
-//! We implement the Grochow–Kellis construction used by GraphZero [57]:
+//! We implement the Grochow–Kellis construction used by GraphZero \[57\]:
 //! repeatedly pick the first pattern position moved by the remaining
 //! automorphism group, constrain it against its orbit, and descend into the
 //! stabilizer. The result is a set of `v_later < v_earlier` data-vertex-id

@@ -13,7 +13,7 @@ pub struct CompileOptions {
     /// Vertex-induced matching (k-MC) vs edge-induced (SL). For cliques the
     /// two coincide.
     pub induced: bool,
-    /// Emit symmetry-order vid bounds. Disabling models AutoMine [58],
+    /// Emit symmetry-order vid bounds. Disabling models AutoMine \[58\],
     /// which lacks symmetry breaking: every embedding is then found
     /// |Aut(P)| times (see [`PatternMeta::automorphisms`]).
     pub symmetry: bool,

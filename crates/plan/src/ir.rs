@@ -69,7 +69,7 @@ pub struct VertexOp {
     pub depth: usize,
     /// Candidate source.
     pub extender: Extender,
-    /// Symmetry-order upper bounds: candidate < emb[l] for each l.
+    /// Symmetry-order upper bounds: candidate < `emb[l]` for each l.
     pub upper_bounds: DepthSet,
     /// Connectivity constraints beyond the extender.
     pub connected: DepthSet,
@@ -136,7 +136,7 @@ pub struct PlanNode {
     /// into the c-map (true iff some descendant queries connectivity to
     /// this depth).
     pub cmap_insert: bool,
-    /// §VI-B hint: only neighbors with id < emb[l] can ever be queried, so
+    /// §VI-B hint: only neighbors with id < `emb[l]` can ever be queried, so
     /// skip inserting the rest ("our compiler prevents any v1's neighbor
     /// with VID larger than v0 from being inserted").
     pub cmap_insert_bound: Option<usize>,

@@ -4,7 +4,7 @@
 //! (IR) — the software/hardware interface of §V of the paper.
 //!
 //! A user specifies only the pattern(s) of interest. The compiler
-//! ([`compile`]/[`compile_multi`]) runs the pattern analysis from
+//! ([`compile()`]/[`compile_multi`]) runs the pattern analysis from
 //! [`fm_pattern`] and emits an [`ExecutionPlan`]:
 //!
 //! * a **vertex section**: per DFS depth, which embedding vertex to extend

@@ -157,7 +157,7 @@ pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fm_engine::{mine_single_threaded, EngineConfig};
+    use fm_engine::{mine, EngineConfig};
     use fm_graph::generators;
     use fm_pattern::Pattern;
     use fm_plan::{compile, compile_multi, CompileOptions};
@@ -166,7 +166,7 @@ mod tests {
         // Cross-checks run the engine in paper-faithful mode, the software
         // twin of the simulated datapath (counts are mode-independent, but
         // faithful keeps the comparison apples-to-apples).
-        mine_single_threaded(g, plan, &EngineConfig::paper_faithful()).counts
+        mine(g, plan, &EngineConfig::paper_faithful()).counts
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! hardware simulator (across c-map configurations, including forced
 //! overflow) all count the same embeddings.
 
-use fm_engine::{mine, mine_single_threaded, oblivious, EngineConfig};
+use fm_engine::{mine, oblivious, EngineConfig};
 use fm_graph::{generators, CsrGraph};
 use fm_pattern::{motifs, Pattern};
 use fm_plan::{compile, compile_multi, CompileOptions, ExecutionPlan};
@@ -48,25 +48,16 @@ fn patterns() -> Vec<Pattern> {
 
 fn all_executor_counts(g: &CsrGraph, plan: &ExecutionPlan) -> Vec<(String, Vec<u64>)> {
     let mut out = vec![
-        ("engine-1t".into(), mine_single_threaded(g, plan, &EngineConfig::default()).counts),
+        ("engine-1t".into(), mine(g, plan, &EngineConfig::default()).counts),
         ("engine-4t".into(), mine(g, plan, &EngineConfig::with_threads(4)).counts),
-        (
-            "engine-faithful".into(),
-            mine_single_threaded(g, plan, &EngineConfig::paper_faithful()).counts,
-        ),
+        ("engine-faithful".into(), mine(g, plan, &EngineConfig::paper_faithful()).counts),
         (
             "engine-cmap".into(),
-            mine_single_threaded(g, plan, &EngineConfig { use_cmap: true, ..Default::default() })
-                .counts,
+            mine(g, plan, &EngineConfig { use_cmap: true, ..Default::default() }).counts,
         ),
         (
             "engine-nomemo".into(),
-            mine_single_threaded(
-                g,
-                plan,
-                &EngineConfig { frontier_memo: false, ..Default::default() },
-            )
-            .counts,
+            mine(g, plan, &EngineConfig { frontier_memo: false, ..Default::default() }).counts,
         ),
     ];
     for (name, cfg) in [
@@ -120,8 +111,8 @@ fn automine_mode_agrees_after_normalization() {
         for p in [Pattern::triangle(), Pattern::cycle(4), Pattern::diamond()] {
             let sym = compile(&p, CompileOptions::default());
             let auto = compile(&p, CompileOptions::automine());
-            let a = mine_single_threaded(&g, &sym, &EngineConfig::default());
-            let b = mine_single_threaded(&g, &auto, &EngineConfig::default());
+            let a = mine(&g, &sym, &EngineConfig::default());
+            let b = mine(&g, &auto, &EngineConfig::default());
             assert_eq!(
                 a.unique_counts(&sym),
                 b.unique_counts(&auto),
@@ -138,12 +129,12 @@ fn multi_pattern_plans_agree_with_individual_plans() {
     let g = generators::powerlaw_cluster(150, 4, 0.5, 21);
     let set = [Pattern::diamond(), Pattern::tailed_triangle(), Pattern::cycle(4)];
     let multi = compile_multi(&set, CompileOptions::default());
-    let merged = mine_single_threaded(&g, &multi, &EngineConfig::default()).counts;
+    let merged = mine(&g, &multi, &EngineConfig::default()).counts;
     let sim_merged = simulate(&g, &multi, &SimConfig::with_pes(3)).counts;
     assert_eq!(merged, sim_merged);
     for (i, p) in set.iter().enumerate() {
         let single = compile(p, CompileOptions::default());
-        let alone = mine_single_threaded(&g, &single, &EngineConfig::default()).counts[0];
+        let alone = mine(&g, &single, &EngineConfig::default()).counts[0];
         assert_eq!(merged[i], alone, "pattern {p} diverges in the merged plan");
     }
 }

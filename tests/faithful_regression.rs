@@ -4,7 +4,7 @@
 //! recorded before the probe tier landed, and flipping every hub knob
 //! under `paper_faithful` must change nothing — bit for bit.
 
-use fm_engine::{mine, mine_single_threaded, EngineConfig, MiningResult};
+use fm_engine::{mine, EngineConfig, MiningResult};
 use fm_graph::{generators, CsrGraph};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
@@ -17,7 +17,7 @@ fn fixture() -> CsrGraph {
 }
 
 fn faithful(g: &CsrGraph, p: &Pattern, cfg: &EngineConfig) -> MiningResult {
-    mine_single_threaded(g, &compile(p, CompileOptions::default()), cfg)
+    mine(g, &compile(p, CompileOptions::default()), cfg)
 }
 
 /// Golden (count, setop_iterations, setop_invocations, comparisons,

@@ -4,7 +4,7 @@
 //! Erdős–Rényi and power-law graphs, across all stock patterns, with and
 //! without the software c-map.
 
-use fm_engine::{mine_single_threaded, EngineConfig, MiningResult};
+use fm_engine::{mine, EngineConfig, MiningResult};
 use fm_graph::CsrGraph;
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
@@ -41,7 +41,7 @@ fn stock_patterns() -> Vec<Pattern> {
 }
 
 fn run(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig) -> (Vec<u64>, MiningResult) {
-    let result = mine_single_threaded(g, plan, cfg);
+    let result = mine(g, plan, cfg);
     (result.unique_counts(plan), result)
 }
 

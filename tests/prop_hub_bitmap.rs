@@ -59,7 +59,7 @@ fn cfg_pair(threads: usize, use_cmap: bool, hub_memory_budget: usize) -> [Engine
 /// the bit-for-bit exactness oracle for partial results.
 fn replay(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, completed: &[u32]) -> Vec<u64> {
     let prepared = prepare(g, plan, cfg);
-    let mut ex = Executor::with_hubs(prepared.graph(), plan, cfg, prepared.hubs_arc());
+    let mut ex = Executor::new(&prepared, plan, cfg);
     for &v in completed {
         ex.run_vertex(VertexId(v));
     }

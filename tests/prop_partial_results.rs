@@ -8,8 +8,7 @@
 //! through the schedule, and the thread count varies which vids happen to
 //! complete before the stop is observed.
 
-use fm_engine::executor::prepare_graph;
-use fm_engine::{mine, Budget, EngineConfig, RunStatus};
+use fm_engine::{mine, prepare, Budget, EngineConfig, RunStatus};
 use fm_graph::{GraphBuilder, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
@@ -69,7 +68,7 @@ proptest! {
             prop_assert!(r.completed.iter().all(|&v| (v as usize) < g.num_vertices()));
             // Exactness: replay only the completed vids sequentially on the
             // same prepared graph.
-            let prepared = prepare_graph(&g, &plan);
+            let prepared = prepare(&g, &plan, &cfg);
             let mut ex = fm_engine::Executor::new(&prepared, &plan, &cfg);
             for &v in &r.completed {
                 ex.run_vertex(VertexId(v));
@@ -102,7 +101,7 @@ proptest! {
             // The budget is polled before every task, so at most the very
             // first claimed chunk per worker runs; the result must still
             // be exact over whatever completed.
-            let prepared = prepare_graph(&g, &plan);
+            let prepared = prepare(&g, &plan, &cfg);
             let mut ex = fm_engine::Executor::new(&prepared, &plan, &cfg);
             for &v in &r.completed {
                 ex.run_vertex(VertexId(v));

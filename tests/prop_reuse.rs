@@ -117,7 +117,7 @@ fn assert_invisible(
 /// parallel or stinted schedule exactly.
 fn replay(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, completed: &[u32]) -> Vec<u64> {
     let prepared = prepare(g, plan, cfg);
-    let mut ex = Executor::with_hubs(prepared.graph(), plan, cfg, prepared.hubs_arc());
+    let mut ex = Executor::new(&prepared, plan, cfg);
     for &v in completed {
         ex.run_vertex(VertexId(v));
     }

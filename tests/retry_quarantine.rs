@@ -5,9 +5,8 @@
 //! the completed start-vertex set. Plus a smoke test of the straggler
 //! surfacing that rides on the same per-task monitor.
 
-use fm_engine::executor::prepare_graph;
 use fm_engine::failpoint::{self, Trigger};
-use fm_engine::{mine, EngineConfig, Executor, RunStatus};
+use fm_engine::{mine, prepare, EngineConfig, Executor, RunStatus};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
@@ -15,7 +14,7 @@ use std::time::Duration;
 
 /// Sequential reference counts over every start vertex except `skip`.
 fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: u32) -> Vec<u64> {
-    let prepared = prepare_graph(g, plan);
+    let prepared = prepare(g, plan, cfg);
     let mut ex = Executor::new(&prepared, plan, cfg);
     for v in 0..prepared.num_vertices() as u32 {
         if v != skip {
@@ -93,7 +92,7 @@ fn persistent_fault_exhausts_retries_into_quarantine() {
         assert_eq!(r.counts, counts_without(&g, &plan, &cfg, poisoned), "threads={threads}");
         // Reproducibility over the completed set, the partial-result
         // contract quarantine inherits from job control.
-        let prepared = prepare_graph(&g, &plan);
+        let prepared = prepare(&g, &plan, &cfg);
         let mut ex = Executor::new(&prepared, &plan, &cfg);
         for &v in &r.completed {
             ex.run_vertex(VertexId(v));
