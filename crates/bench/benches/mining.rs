@@ -22,9 +22,7 @@ fn bench_engine_patterns(c: &mut Criterion) {
         // Faithful = the paper's GraphZero-equivalent datapath; the other
         // groups ablate the software-only candidate-generation
         // optimizations against it one tier at a time: bound pushdown,
-        // +galloping, +hub-bitmap probes, +prefix reuse (the full default
-        // config). The legacy groups pin `reuse: false` so their numbers
-        // stay comparable across runs predating the reuse tier.
+        // +galloping, +hub-bitmap probes (the full default config).
         group.bench_with_input(BenchmarkId::new("faithful", name), &plan, |b, plan| {
             b.iter(|| mine(&g, plan, &EngineConfig::paper_faithful()).counts)
         });
@@ -33,30 +31,17 @@ fn bench_engine_patterns(c: &mut Criterion) {
                 mine(
                     &g,
                     plan,
-                    &EngineConfig {
-                        gallop_ratio: 0,
-                        hub_bitmap: false,
-                        reuse: false,
-                        ..Default::default()
-                    },
+                    &EngineConfig { gallop_ratio: 0, hub_bitmap: false, ..Default::default() },
                 )
                 .counts
             })
         });
         group.bench_with_input(BenchmarkId::new("bounded-gallop", name), &plan, |b, plan| {
             b.iter(|| {
-                mine(
-                    &g,
-                    plan,
-                    &EngineConfig { hub_bitmap: false, reuse: false, ..Default::default() },
-                )
-                .counts
+                mine(&g, plan, &EngineConfig { hub_bitmap: false, ..Default::default() }).counts
             })
         });
         group.bench_with_input(BenchmarkId::new("bitmap", name), &plan, |b, plan| {
-            b.iter(|| mine(&g, plan, &EngineConfig { reuse: false, ..Default::default() }).counts)
-        });
-        group.bench_with_input(BenchmarkId::new("reuse", name), &plan, |b, plan| {
             b.iter(|| mine(&g, plan, &EngineConfig::default()).counts)
         });
         group.bench_with_input(BenchmarkId::new("cmap", name), &plan, |b, plan| {
@@ -64,12 +49,7 @@ fn bench_engine_patterns(c: &mut Criterion) {
                 mine(
                     &g,
                     plan,
-                    &EngineConfig {
-                        use_cmap: true,
-                        hub_bitmap: false,
-                        reuse: false,
-                        ..Default::default()
-                    },
+                    &EngineConfig { use_cmap: true, hub_bitmap: false, ..Default::default() },
                 )
                 .counts
             })

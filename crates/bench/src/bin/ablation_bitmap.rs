@@ -24,21 +24,8 @@ fn main() {
     let args = BenchArgs::parse();
     let d = dataset(DatasetKey::Mi, args.quick);
 
-    // The reuse tier is pinned off in both modes: it would serve the same
-    // frontier∩hub-adjacency dispatches the probe tier targets and dilute
-    // the measured reduction (its own ablation is `ablation_reuse`).
-    let off = EngineConfig {
-        threads: args.threads,
-        hub_bitmap: false,
-        reuse: false,
-        ..EngineConfig::default()
-    };
-    let on = EngineConfig {
-        threads: args.threads,
-        hub_bitmap: true,
-        reuse: false,
-        ..EngineConfig::default()
-    };
+    let off = EngineConfig { threads: args.threads, hub_bitmap: false, ..EngineConfig::default() };
+    let on = EngineConfig { threads: args.threads, hub_bitmap: true, ..EngineConfig::default() };
 
     let mut table = Table::new(
         "BENCH_bitmap",

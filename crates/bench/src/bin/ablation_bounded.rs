@@ -22,22 +22,17 @@ fn main() {
     let d = dataset(DatasetKey::Mi, args.quick);
 
     let faithful = EngineConfig { threads: args.threads, ..EngineConfig::paper_faithful() };
-    // Hub-bitmap probes and the reuse tier are pinned off in every mode
-    // here so the columns isolate the pushdown and gallop tiers; each of
-    // those has its own ablation (`ablation_bitmap` / `ablation_reuse`).
+    // Hub-bitmap probes are pinned off in every mode here so the columns
+    // isolate the pushdown and gallop tiers; the probe tier has its own
+    // ablation (`ablation_bitmap`).
     let bounded = EngineConfig {
         threads: args.threads,
         gallop_ratio: 0,
         hub_bitmap: false,
-        reuse: false,
         ..EngineConfig::default()
     };
-    let adaptive = EngineConfig {
-        threads: args.threads,
-        hub_bitmap: false,
-        reuse: false,
-        ..EngineConfig::default()
-    };
+    let adaptive =
+        EngineConfig { threads: args.threads, hub_bitmap: false, ..EngineConfig::default() };
 
     let mut table = Table::new(
         "ablation_bounded",

@@ -26,15 +26,11 @@ fn main() {
     let args = BenchArgs::parse();
     let d = dataset(DatasetKey::Mi, args.quick);
 
-    // The reuse tier is pinned off too: it would intercept the very
-    // frontier∩adjacency dispatches under test (it has its own ablation,
-    // `ablation_reuse`, table `BENCH_reuse`).
     let scalar = EngineConfig {
         threads: args.threads,
         hub_bitmap: false,
         gallop_ratio: 0,
         simd: false,
-        reuse: false,
         ..EngineConfig::default()
     };
     let vector = EngineConfig { simd: true, ..scalar };

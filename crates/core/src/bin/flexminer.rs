@@ -34,18 +34,22 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage("");
     }
-    let result = match args[0].as_str() {
-        "plan" => cmd_plan(&args[1..]),
-        "count" => cmd_count(&args[1..], false),
-        "sim" => cmd_sim(&args[1..]),
-        "motifs" => cmd_motifs(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
+    let (run, operands, flags): (Command, usize, Flags) = match args[0].as_str() {
+        "plan" => (cmd_plan, 1, PLAN_FLAGS),
+        "count" => (cmd_count, 1, COUNT_FLAGS),
+        "sim" => (cmd_sim, 1, SIM_FLAGS),
+        "motifs" => (cmd_motifs, 1, MOTIFS_FLAGS),
+        "generate" => (cmd_generate, 1, GENERATE_FLAGS),
+        "stats" => (cmd_stats, 0, STATS_FLAGS),
+        "serve" => (cmd_serve, 0, SERVE_FLAGS),
         "help" => usage(""),
         other => usage(&format!("unknown command {other}")),
     };
-    match result {
+    // A typo must not run the job it was meant to modify.
+    if let Err(msg) = check_flags(&args[1..], operands, flags) {
+        usage(&msg);
+    }
+    match run(&args[1..]) {
         Ok(code) => exit(code),
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -180,7 +184,7 @@ commands:
         [--induced] [--threads N] [--no-symmetry]
         [--timeout SECS] [--budget SETOP_ITERS]
         [--no-hub-bitmap] [--hub-threshold DEGREE] [--hub-budget BYTES]
-        [--no-simd] [--no-reuse] [--reuse-budget BYTES]
+        [--no-simd]
         [--checkpoint PATH] [--checkpoint-interval N|SECSs] [--resume PATH]
         [--max-retries K]
         [--metrics-out PATH] [--trace-out PATH] [--progress N|Ns]
@@ -285,6 +289,83 @@ exit codes:
 
 type CliResult = Result<i32, String>;
 
+/// A subcommand, given its argv after the subcommand's name.
+type Command = fn(&[String]) -> CliResult;
+
+/// Every flag one subcommand takes, as `(name, takes a value)`.
+type Flags = &'static [(&'static str, bool)];
+
+const PLAN_FLAGS: Flags = &[("--induced", false), ("--no-symmetry", false)];
+const COUNT_FLAGS: Flags = &[
+    ("--graph", true),
+    ("--induced", false),
+    ("--threads", true),
+    ("--no-symmetry", false),
+    ("--timeout", true),
+    ("--budget", true),
+    ("--no-hub-bitmap", false),
+    ("--hub-threshold", true),
+    ("--hub-budget", true),
+    ("--no-simd", false),
+    ("--checkpoint", true),
+    ("--checkpoint-interval", true),
+    ("--resume", true),
+    ("--max-retries", true),
+    ("--metrics-out", true),
+    ("--trace-out", true),
+    ("--progress", true),
+    ("--heartbeat", true),
+    ("--log-level", true),
+];
+const SIM_FLAGS: Flags = &[
+    ("--graph", true),
+    ("--pes", true),
+    ("--cmap", true),
+    ("--energy", false),
+    ("--induced", false),
+    ("--watchdog", true),
+    ("--metrics-out", true),
+    ("--trace-out", true),
+    ("--log-level", true),
+];
+const MOTIFS_FLAGS: Flags = &[("--graph", true), ("--threads", true)];
+const GENERATE_FLAGS: Flags = &[("--out", true)];
+const STATS_FLAGS: Flags = &[("--graph", true)];
+const SERVE_FLAGS: Flags = &[
+    ("--socket", true),
+    ("--spool", true),
+    ("--journal", true),
+    ("--exit-when-idle", false),
+    ("--workers", true),
+    ("--max-running", true),
+    ("--queue-capacity", true),
+    ("--memory-budget", true),
+    ("--stint-tasks", true),
+    ("--max-attempts", true),
+    ("--max-request-bytes", true),
+    ("--idle-timeout", true),
+    ("--trace-out", true),
+    ("--recorder-out", true),
+    ("--recorder-cap", true),
+];
+
+/// Checks a subcommand's argv against its flag table: after the leading
+/// `operands` (`<pattern>`, `<k>`, `<spec>`), every token must be a listed
+/// flag, followed by its value if it takes one.
+fn check_flags(args: &[String], operands: usize, flags: Flags) -> Result<(), String> {
+    let mut rest = args.iter().skip(operands);
+    while let Some(arg) = rest.next() {
+        let Some(&(name, takes_value)) = flags.iter().find(|(name, _)| name == arg) else {
+            let what = if arg.starts_with('-') { "unknown flag" } else { "unexpected argument" };
+            return Err(format!("{what} {arg}"));
+        };
+        if takes_value && rest.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{name} needs a value"));
+        }
+    }
+    Ok(())
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
@@ -296,6 +377,16 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 fn parse_pattern(args: &[String]) -> Result<Pattern, String> {
     let spec = args.first().ok_or("missing <pattern> argument")?;
     spec.parse::<Pattern>().map_err(|e| format!("bad pattern {spec:?}: {e}"))
+}
+
+/// `--threads N` (default 1). Zero workers is a usage mistake, not a run.
+fn parse_threads(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--threads").map(str::parse::<usize>) {
+        None => Ok(1),
+        Some(Ok(0)) => usage("--threads must be at least 1"),
+        Some(Ok(n)) => Ok(n),
+        Some(Err(e)) => Err(format!("bad --threads: {e}")),
+    }
 }
 
 fn load_graph(args: &[String]) -> Result<CsrGraph, String> {
@@ -319,23 +410,16 @@ fn cmd_plan(args: &[String]) -> CliResult {
     Ok(0)
 }
 
-fn cmd_count(args: &[String], _induced_default: bool) -> CliResult {
+fn cmd_count(args: &[String]) -> CliResult {
     let pattern = parse_pattern(args)?;
+    let threads = parse_threads(args)?;
     let g = load_graph(args)?;
-    let threads = flag_value(args, "--threads")
-        .map_or(Ok(1), |v| v.parse::<usize>().map_err(|e| e.to_string()))?;
     let mut cfg = EngineConfig::with_threads(threads);
     if has_flag(args, "--no-hub-bitmap") {
         cfg.hub_bitmap = false;
     }
     if has_flag(args, "--no-simd") {
         cfg.simd = false;
-    }
-    if has_flag(args, "--no-reuse") {
-        cfg.reuse = false;
-    }
-    if let Some(v) = flag_value(args, "--reuse-budget") {
-        cfg.reuse_memory_budget = v.parse().map_err(|e| format!("bad --reuse-budget: {e}"))?;
     }
     if let Some(v) = flag_value(args, "--hub-threshold") {
         cfg.hub_degree_threshold = v.parse().map_err(|e| format!("bad --hub-threshold: {e}"))?;
@@ -504,9 +588,8 @@ fn cmd_sim(args: &[String]) -> CliResult {
 
 fn cmd_motifs(args: &[String]) -> CliResult {
     let k: usize = args.first().ok_or("missing <k>")?.parse().map_err(|e| format!("bad k: {e}"))?;
+    let threads = parse_threads(args)?;
     let g = load_graph(args)?;
-    let threads = flag_value(args, "--threads")
-        .map_or(Ok(1), |v| v.parse::<usize>().map_err(|e| e.to_string()))?;
     let census =
         apps::motif_census(&g, k, Backend::software(threads)).map_err(|e| e.to_string())?;
     for (name, count) in census {

@@ -363,31 +363,6 @@ impl<'g> Miner<'g> {
         self
     }
 
-    /// Toggles the intersection-reuse tier on the software backend (see
-    /// [`EngineConfig::reuse`]): plan-proven sibling-invariant prefixes
-    /// are cached per worker and deep extensions probe them instead of
-    /// re-deriving the intersection. Counts and status are identical
-    /// either way; served dispatches are relabeled from their adaptive
-    /// tier to `reuse_hits`. No-op for the accelerator backend.
-    #[must_use]
-    pub fn reuse(mut self, enabled: bool) -> Self {
-        if let Backend::Software(cfg) = &mut self.backend {
-            cfg.reuse = enabled;
-        }
-        self
-    }
-
-    /// Sets the per-worker reuse-arena byte budget (software backend
-    /// only; see [`EngineConfig::reuse_memory_budget`]). A budget of 0
-    /// disables the tier exactly like [`reuse(false)`](Self::reuse).
-    #[must_use]
-    pub fn reuse_budget(mut self, bytes: usize) -> Self {
-        if let Backend::Software(cfg) = &mut self.backend {
-            cfg.reuse_memory_budget = bytes;
-        }
-        self
-    }
-
     /// Sets the hub selection degree threshold and memory budget in bytes
     /// (software backend only; see [`EngineConfig::hub_degree_threshold`]
     /// and [`EngineConfig::hub_memory_budget`]).
@@ -710,28 +685,6 @@ mod tests {
         // The accelerator backend cycle-models its merges; the toggle is a
         // no-op there.
         let hw = job.backend(Backend::accelerator()).simd(true).run().unwrap();
-        assert_eq!(hw.counts(), on.counts());
-    }
-
-    #[test]
-    fn reuse_toggle_preserves_counts_and_relabels_dispatches() {
-        let g = generators::powerlaw_cluster(150, 4, 0.5, 8);
-        let job = Miner::new(&g).pattern(Pattern::cycle(4));
-        let on = job.clone().reuse(true).run().unwrap();
-        let off = job.clone().reuse(false).run().unwrap();
-        assert_eq!(on.counts(), off.counts());
-        let (won, woff) = (on.work().unwrap(), off.work().unwrap());
-        assert!(won.reuse_hits > 0, "4-cycle hoists a sibling-invariant prefix");
-        assert_eq!(woff.reuse_hits, 0);
-        assert_eq!(woff.prefix_builds, 0);
-        assert_eq!(won.extensions, woff.extensions);
-        // A zero-byte budget disables the tier bit-for-bit.
-        let zero = job.clone().reuse_budget(0).run().unwrap();
-        assert_eq!(zero.counts(), off.counts());
-        assert_eq!(*zero.work().unwrap(), *woff);
-        // The accelerator backend cycle-models its merges; the toggle is
-        // a no-op there.
-        let hw = job.backend(Backend::accelerator()).reuse(true).run().unwrap();
         assert_eq!(hw.counts(), on.counts());
     }
 

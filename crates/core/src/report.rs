@@ -107,23 +107,7 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
                 (&[("tier", "gallop")], w.gallop_dispatches),
                 (&[("tier", "probe")], w.probe_dispatches),
                 (&[("tier", "simd")], w.simd_dispatches),
-                (&[("tier", "reuse")], w.reuse_hits),
             ],
-        );
-        doc.counter(
-            "fm_reuse_misses",
-            "Consume-prefix dispatches the reuse tier declined",
-            w.reuse_misses,
-        );
-        doc.counter(
-            "fm_prefix_builds",
-            "Reuse-prefix materializations (bitmap builds)",
-            w.prefix_builds,
-        );
-        doc.gauge(
-            "fm_reuse_bytes_hwm",
-            "Peak reuse-arena bytes over any single start-vertex task",
-            w.reuse_bytes_hwm as f64,
         );
         doc.counter("fm_cmap_queries", "Software c-map probes", w.cmap_queries);
         doc.counter("fm_cmap_hits", "Software c-map probe hits", w.cmap_hits);
@@ -167,18 +151,6 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
             "fm_depth_simd_dispatches",
             "SIMD-tier dispatches by DFS depth",
             &shard.depth_simd,
-        );
-        depth_counter(
-            &mut doc,
-            "fm_depth_reuse_dispatches",
-            "Reuse-tier dispatches (cached-prefix probes) by DFS depth",
-            &shard.depth_reuse,
-        );
-        depth_counter(
-            &mut doc,
-            "fm_depth_prefix_builds",
-            "Reuse-prefix materializations by DFS depth",
-            &shard.depth_prefix_builds,
         );
         depth_counter(
             &mut doc,
@@ -394,10 +366,6 @@ mod tests {
         assert!(prom.contains("fm_depth_setop_iterations{depth=\"1\"}"), "{prom}");
         assert!(prom.contains("fm_dispatches{tier=\"merge\"}"), "{prom}");
         assert!(prom.contains("fm_dispatches{tier=\"simd\"}"), "{prom}");
-        assert!(prom.contains("fm_dispatches{tier=\"reuse\"}"), "{prom}");
-        assert!(prom.contains("fm_reuse_misses"), "{prom}");
-        assert!(prom.contains("fm_prefix_builds"), "{prom}");
-        assert!(prom.contains("fm_reuse_bytes_hwm"), "{prom}");
         assert!(prom.contains("fm_task_wall_time_us_count"), "{prom}");
         assert!(prom.contains("fm_checkpoint_write_failures 0"), "{prom}");
         assert!(prom.contains("fm_progress_dropped 0"), "{prom}");
@@ -407,11 +375,7 @@ mod tests {
         // dispatch-tier invariant).
         let w = outcome.work().unwrap();
         assert_eq!(
-            w.merge_dispatches
-                + w.gallop_dispatches
-                + w.probe_dispatches
-                + w.simd_dispatches
-                + w.reuse_hits,
+            w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches + w.simd_dispatches,
             w.setop_invocations
         );
         // JSON encoding parses under the same document.

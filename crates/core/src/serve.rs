@@ -926,33 +926,11 @@ fn canonical_req(meta: &JobMeta) -> Json {
     Json::Obj(map)
 }
 
-/// FNV digest over every [`fm_engine::WorkCounters`] word, in declaration
-/// order — journaled with `Finished` records so post-hoc tooling can
-/// detect work-profile drift between a recovered run and its reference.
+/// FNV digest over [`fm_engine::WorkCounters::words`] — journaled with
+/// `Finished` records so post-hoc tooling can detect work-profile drift
+/// between a recovered run and its reference.
 fn work_digest(w: &fm_engine::WorkCounters) -> u64 {
-    let words = [
-        w.setop_iterations,
-        w.setop_invocations,
-        w.comparisons,
-        w.candidates_checked,
-        w.extensions,
-        w.cmap_inserts,
-        w.cmap_queries,
-        w.cmap_hits,
-        w.cmap_removes,
-        w.merge_dispatches,
-        w.gallop_dispatches,
-        w.probe_dispatches,
-        w.simd_dispatches,
-        w.reuse_hits,
-        w.reuse_misses,
-        w.reuse_bytes_hwm,
-        w.prefix_builds,
-    ];
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for word in words {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
+    let bytes: Vec<u8> = w.words().iter().flat_map(|word| word.to_le_bytes()).collect();
     journal::fnv64(&bytes)
 }
 

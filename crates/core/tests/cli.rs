@@ -97,7 +97,9 @@ fn bad_patterns_exit_one_naming_the_token() {
         ("17-clique", "cannot read \"17-clique\""),
     ] {
         for command in ["plan", "count", "sim"] {
-            let out = flexminer(&[command, pattern, "--graph", GRAPH]);
+            // `plan` takes no graph, and says so (exit 2) if given one.
+            let graph: &[&str] = if command == "plan" { &[] } else { &["--graph", GRAPH] };
+            let out = flexminer(&[&[command, pattern], graph].concat());
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{command} {pattern}: {stderr}");
             assert_eq!(stderr.lines().count(), 1, "{command} {pattern}: {stderr}");
@@ -136,6 +138,43 @@ fn help_after_a_command_prints_usage_and_exits_zero() {
     let out = flexminer(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: unknown command frobnicate"));
+}
+
+/// Every subcommand checks its argv against its own flag table before it
+/// does any work: a flag it does not list (a typo, another subcommand's
+/// flag, the reuse tier's retired `--no-reuse` / `--reuse-budget`), a
+/// flag missing its value, a stray operand and `--threads 0` all print
+/// `error: …` plus the usage and exit 2 — none of them runs the job.
+#[test]
+fn unknown_flags_missing_values_and_zero_threads_exit_two() {
+    let count = ["count", "triangle", "--graph", GRAPH];
+    let cases: [(&[&str], &[&str], &str); 12] = [
+        (&count, &["--no-resue", "--bogus", "7"], "unknown flag --no-resue"),
+        (&count, &["--bogus", "7"], "unknown flag --bogus"),
+        (&count, &["--no-reuse"], "unknown flag --no-reuse"),
+        (&count, &["--reuse-budget", "1"], "unknown flag --reuse-budget"),
+        (&count, &["--threads"], "--threads needs a value"),
+        (&count, &["--threads", "--induced"], "--threads needs a value"),
+        (&count, &["--threads", "0"], "--threads must be at least 1"),
+        (&count, &["extra"], "unexpected argument extra"),
+        (&["motifs", "3", "--graph", GRAPH], &["--threads", "0"], "--threads must be at least 1"),
+        (&["sim", "triangle", "--graph", GRAPH], &["--threads", "2"], "unknown flag --threads"),
+        (&["plan", "triangle"], &["--graph", GRAPH], "unknown flag --graph"),
+        (&["serve"], &["--exit-when-idel"], "unknown flag --exit-when-idel"),
+    ];
+    for (head, tail, needle) in cases {
+        let args = [head, tail].concat();
+        let out = flexminer(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: {needle}\n")), "{args:?}: {stderr}");
+        assert!(stderr.contains("commands:") && stderr.contains("exit codes:"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a count");
+    }
+    // A value that does not parse is still a bad value (exit 1), not usage.
+    let out = flexminer(&[&count[..], &["--threads", "two"]].concat());
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --threads"));
 }
 
 /// A unique checkpoint path per call, so parallel test binaries and reruns

@@ -57,7 +57,7 @@ const CKPT_MAGIC: &[u8; 8] = b"FMCKPT\x01\x00";
 /// Current format version. Bump on any layout change; old readers reject
 /// newer files with [`CheckpointError::UnsupportedVersion`] instead of
 /// misparsing them.
-const CKPT_VERSION: u32 = 3;
+const CKPT_VERSION: u32 = 4;
 
 /// Elements preallocated up front when reading untrusted length headers:
 /// larger lists grow on demand as
@@ -211,13 +211,6 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
         h.u64(cfg.hub_memory_budget as u64);
     }
     h.u64(u64::from(cfg.simd_active()));
-    h.u64(u64::from(cfg.reuse_active()));
-    if cfg.reuse_active() {
-        // The byte budget steers which prefixes are cached and therefore
-        // the reuse/fallback dispatch split, `reuse_bytes_hwm`, and the
-        // miss counters — a resume must not change it.
-        h.u64(cfg.reuse_memory_budget as u64);
-    }
     h.finish()
 }
 
@@ -418,7 +411,7 @@ impl Checkpoint {
         for &c in &self.counts {
             payload.extend_from_slice(&c.to_le_bytes());
         }
-        for w in work_words(&self.work) {
+        for w in self.work.words() {
             payload.extend_from_slice(&w.to_le_bytes());
         }
         payload.extend_from_slice(&(self.completed.nbits as u64).to_le_bytes());
@@ -495,7 +488,7 @@ impl Checkpoint {
             counts.push(r.u64("count")?);
         }
         let mut work = WorkCounters::default();
-        for slot in work_words_mut(&mut work) {
+        for slot in work.words_mut() {
             *slot = r.u64("work counter")?;
         }
         let nbits64 = r.u64("completed bitmap size")?;
@@ -598,52 +591,6 @@ impl Checkpoint {
             .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
         Checkpoint::decode(&bytes)
     }
-}
-
-/// The `WorkCounters` fields in their persisted order. New counters append
-/// (with a version bump); the count is pinned by `decode`.
-fn work_words(w: &WorkCounters) -> [u64; 17] {
-    [
-        w.setop_iterations,
-        w.setop_invocations,
-        w.comparisons,
-        w.candidates_checked,
-        w.extensions,
-        w.cmap_inserts,
-        w.cmap_queries,
-        w.cmap_hits,
-        w.cmap_removes,
-        w.merge_dispatches,
-        w.gallop_dispatches,
-        w.probe_dispatches,
-        w.simd_dispatches,
-        w.reuse_hits,
-        w.reuse_misses,
-        w.reuse_bytes_hwm,
-        w.prefix_builds,
-    ]
-}
-
-fn work_words_mut(w: &mut WorkCounters) -> [&mut u64; 17] {
-    [
-        &mut w.setop_iterations,
-        &mut w.setop_invocations,
-        &mut w.comparisons,
-        &mut w.candidates_checked,
-        &mut w.extensions,
-        &mut w.cmap_inserts,
-        &mut w.cmap_queries,
-        &mut w.cmap_hits,
-        &mut w.cmap_removes,
-        &mut w.merge_dispatches,
-        &mut w.gallop_dispatches,
-        &mut w.probe_dispatches,
-        &mut w.simd_dispatches,
-        &mut w.reuse_hits,
-        &mut w.reuse_misses,
-        &mut w.reuse_bytes_hwm,
-        &mut w.prefix_builds,
-    ]
 }
 
 /// Bounded little-endian reader over an untrusted byte slice.
@@ -974,6 +921,10 @@ mod tests {
             Checkpoint::decode(&bytes).unwrap_err(),
             CheckpointError::UnsupportedVersion(99)
         );
+        // Version 3 bodies carried 17 work words; this build's 13-word
+        // reader must refuse them by number, not misparse them.
+        bytes[8] = 3;
+        assert_eq!(Checkpoint::decode(&bytes).unwrap_err(), CheckpointError::UnsupportedVersion(3));
     }
 
     /// ISSUE satellite: corruption, truncation, and huge declared headers

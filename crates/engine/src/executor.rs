@@ -11,12 +11,11 @@ use crate::checkpoint::Checkpoint;
 use crate::cmap::{ConnectivityMap, HashCmap};
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
-use crate::reuse::{ReuseArena, SlotTag, REUSE_MIN_PREFIX};
 use crate::setops;
 use crate::telemetry::Collector;
 use crate::EngineConfig;
 use fm_graph::{orient_by_degree, BlockSummaries, CsrGraph, HubBitmaps, VertexId};
-use fm_plan::lowering::{lower, LowerOptions, Program, ReuseKind};
+use fm_plan::lowering::{lower, LowerOptions, Program};
 use fm_plan::{ExecutionPlan, FrontierHint};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,17 +144,6 @@ struct State {
     inserted: Vec<Vec<VertexId>>,
     scratch_a: Vec<VertexId>,
     scratch_b: Vec<VertexId>,
-    /// Cached sibling-invariant prefixes (one slot per plan
-    /// `ReusePrefix`); empty when the reuse path is inactive.
-    arena: ReuseArena,
-    /// Per-buffer materialization generation: bumped whenever
-    /// `frontiers[i]` is rewritten, so a cached frontier-shaped prefix
-    /// can tell whether its source buffer still holds what it captured.
-    frontier_gen: Vec<u64>,
-    /// Per-level enter epoch: bumped whenever the DFS binds a vertex at
-    /// that depth, so a level-shaped prefix can tell whether any
-    /// embedding level it reads has been re-bound since it was built.
-    level_epoch: Vec<u64>,
     cmap: HashCmap,
     counts: Vec<u64>,
     work: WorkCounters,
@@ -187,13 +175,7 @@ impl State {
         self.telemetry.as_ref().is_some_and(|t| t.metrics)
     }
 
-    fn new(
-        depth: usize,
-        patterns: usize,
-        prefix_slots: usize,
-        budget: usize,
-        verts: usize,
-    ) -> State {
+    fn new(depth: usize, patterns: usize) -> State {
         State {
             emb: Vec::with_capacity(depth),
             frontiers: vec![Vec::new(); depth],
@@ -201,9 +183,6 @@ impl State {
             inserted: vec![Vec::new(); depth],
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
-            arena: ReuseArena::new(prefix_slots, budget, verts),
-            frontier_gen: vec![0; depth],
-            level_epoch: vec![0; depth],
             cmap: HashCmap::new(),
             counts: vec![0; patterns],
             work: WorkCounters::default(),
@@ -262,14 +241,7 @@ impl<'g> Executor<'g> {
                 bounded_pushdown: !cfg.paper_faithful,
             },
         );
-        let prefix_slots = if cfg.reuse_active() { program.prefixes.len() } else { 0 };
-        let state = State::new(
-            program.depth,
-            plan.patterns.len(),
-            prefix_slots,
-            cfg.reuse_memory_budget,
-            g.num_vertices(),
-        );
+        let state = State::new(program.depth, plan.patterns.len());
         Executor {
             graph: g.graph(),
             hubs: g.hubs.as_deref(),
@@ -294,21 +266,7 @@ impl<'g> Executor<'g> {
     /// Panics if `v` is out of range for the graph.
     pub fn run_vertex(&mut self, v: VertexId) {
         fail_point!(self.cfg, "start_vertex", v.0 as u64);
-        let aux = Aux {
-            hubs: self.hubs,
-            blocks: self.blocks,
-            simd: self.cfg.simd_active(),
-            reuse: self.cfg.reuse_active() && !self.program.prefixes.is_empty(),
-        };
-        if aux.reuse {
-            // Task boundary: invalidate every cached prefix, zero the byte
-            // gauge (its per-task peak is what `reuse_bytes_hwm` records),
-            // and restart the validity clocks — also clears any stray bits
-            // a panicked, rolled-back attempt left mid-build.
-            self.state.arena.reset_task();
-            self.state.frontier_gen.fill(0);
-            self.state.level_epoch.fill(0);
-        }
+        let aux = Aux { hubs: self.hubs, blocks: self.blocks, simd: self.cfg.simd_active() };
         enter(self.graph, aux, &self.cfg, &self.program, &mut self.state, 0, v);
         debug_assert!(self.state.emb.is_empty());
         debug_assert!(
@@ -391,8 +349,7 @@ impl<'g> Executor<'g> {
     /// `snap` and leaves this executor's totals at zero, so the two never
     /// hold the same task's contribution at once. Returns how many tasks
     /// (completed or quarantined) moved. This is the one per-task delta
-    /// the task loop publishes; a high-water counter moves by `max`, which
-    /// is what `WorkCounters`' `+=` does.
+    /// the task loop publishes.
     pub(crate) fn drain_into(&mut self, snap: &mut Checkpoint) -> u64 {
         let s = &mut self.state;
         for (slot, count) in snap.counts.iter_mut().zip(&mut s.counts) {
@@ -460,9 +417,6 @@ struct Aux<'a> {
     hubs: Option<&'a HubBitmaps>,
     blocks: Option<&'a BlockSummaries>,
     simd: bool,
-    /// Whether the reuse path is live for this run: the config activates
-    /// it *and* the lowering proved at least one hoistable prefix.
-    reuse: bool,
 }
 
 impl<'a> Aux<'a> {
@@ -488,7 +442,6 @@ fn enter(
     let d = node.depth;
     debug_assert_eq!(state.emb.len(), d);
     state.emb.push(w);
-    state.level_epoch[d] += 1;
     state.work.extensions += 1;
     if let Some(pi) = node.pattern_index {
         state.counts[pi] += 1;
@@ -566,32 +519,15 @@ fn step(
             let src = state.core_at[d - 1];
             let merge_bound = if node.bounded_build { bound } else { None };
             let work_before = state.charges_depths().then_some(state.work);
-            let mut served = None;
-            if aux.reuse {
-                if let Some(p) = node.consume_prefix {
-                    // Hub-probe precedence is unchanged: when the probe
-                    // tier would win the dispatch, let it.
-                    let probe_wins = hub.is_some() && adj.len() >= state.frontiers[src].len();
-                    if !probe_wins {
-                        served = reuse_serve_frontier(state, p, src, adj, merge_bound, None);
-                    }
-                    if served.is_none() {
-                        state.work.reuse_misses += 1;
-                    }
-                }
-            }
-            let found = match served {
-                Some(n) => n,
-                None => setops::intersect_adaptive_count(
-                    &state.frontiers[src],
-                    adj,
-                    merge_bound,
-                    cfg.gallop_ratio,
-                    hub,
-                    aux.simd_for(v),
-                    &mut state.work,
-                ),
-            };
+            let found = setops::intersect_adaptive_count(
+                &state.frontiers[src],
+                adj,
+                merge_bound,
+                cfg.gallop_ratio,
+                hub,
+                aux.simd_for(v),
+                &mut state.work,
+            );
             if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {
                 t.charge_setops(d, before, state.work);
             }
@@ -712,7 +648,6 @@ fn build_core(
             }
             state.frontiers[d] = out;
             state.core_at[d] = d;
-            state.frontier_gen[d] += 1;
         }
         FrontierHint::Extend | FrontierHint::ExtendDiff => {
             let want_connected = node.frontier == FrontierHint::Extend;
@@ -738,55 +673,31 @@ fn build_core(
             } else {
                 let v = state.emb[d - 1];
                 let hub = aux.hubs.and_then(|h| h.row(v));
-                let mut served = false;
-                if want_connected && aux.reuse {
-                    if let Some(p) = node.consume_prefix {
-                        // Hub-probe precedence is unchanged: when the
-                        // probe tier would win the dispatch, let it.
-                        let probe_wins = hub.is_some() && adj.len() >= state.frontiers[src].len();
-                        served = !probe_wins
-                            && reuse_serve_frontier(
-                                state,
-                                p,
-                                src,
-                                adj,
-                                merge_bound,
-                                Some(&mut out),
-                            )
-                            .is_some();
-                        if !served {
-                            state.work.reuse_misses += 1;
-                        }
-                    }
-                }
-                if !served {
-                    if want_connected {
-                        setops::intersect_adaptive_into(
-                            &state.frontiers[src],
-                            adj,
-                            merge_bound,
-                            cfg.gallop_ratio,
-                            hub,
-                            aux.simd_for(v),
-                            &mut out,
-                            &mut state.work,
-                        )
-                    } else {
-                        setops::difference_adaptive_into(
-                            &state.frontiers[src],
-                            adj,
-                            merge_bound,
-                            hub,
-                            aux.simd_for(v),
-                            &mut out,
-                            &mut state.work,
-                        )
-                    }
+                if want_connected {
+                    setops::intersect_adaptive_into(
+                        &state.frontiers[src],
+                        adj,
+                        merge_bound,
+                        cfg.gallop_ratio,
+                        hub,
+                        aux.simd_for(v),
+                        &mut out,
+                        &mut state.work,
+                    )
+                } else {
+                    setops::difference_adaptive_into(
+                        &state.frontiers[src],
+                        adj,
+                        merge_bound,
+                        hub,
+                        aux.simd_for(v),
+                        &mut out,
+                        &mut state.work,
+                    )
                 }
             }
             state.frontiers[d] = out;
             state.core_at[d] = d;
-            state.frontier_gen[d] += 1;
         }
         FrontierHint::None => {
             let ext = node.extender.expect("non-root ops always have an extender");
@@ -802,225 +713,67 @@ fn build_core(
                 };
                 out.extend_from_slice(src);
             } else {
-                let mut served = false;
-                if aux.reuse {
-                    if let Some(p) = node.consume_prefix {
-                        served = reuse_serve_levels(
-                            g,
-                            prog,
-                            state,
-                            node_idx,
-                            p,
-                            bound,
-                            merge_bound,
-                            &mut out,
-                        );
-                        if !served {
-                            state.work.reuse_misses += 1;
+                // Merge pipeline: src ∩ adj(connected…) \ adj(disconnected…),
+                // ping-ponging between two scratch buffers and landing the
+                // final stage in `out`.
+                let mut a = std::mem::take(&mut state.scratch_a);
+                let mut b = std::mem::take(&mut state.scratch_b);
+                let total = node.connected.len() + node.disconnected.len();
+                let stages = node
+                    .connected
+                    .iter()
+                    .map(|&l| (l, true))
+                    .chain(node.disconnected.iter().map(|&l| (l, false)));
+                for (i, (l, is_conn)) in stages.enumerate() {
+                    let adj = g.neighbors(state.emb[l]);
+                    let last = i + 1 == total;
+                    let (cur, dst): (&[VertexId], &mut Vec<VertexId>) = if i == 0 {
+                        (src, if last { &mut out } else { &mut a })
+                    } else if i % 2 == 1 {
+                        (&a, if last { &mut out } else { &mut b })
+                    } else {
+                        (&b, if last { &mut out } else { &mut a })
+                    };
+                    dst.clear();
+                    if cfg.paper_faithful {
+                        if is_conn {
+                            setops::intersect_into(cur, adj, dst, &mut state.work);
+                        } else {
+                            setops::difference_into(cur, adj, dst, &mut state.work);
+                        }
+                    } else {
+                        let hub = aux.hubs.and_then(|h| h.row(state.emb[l]));
+                        if is_conn {
+                            setops::intersect_adaptive_into(
+                                cur,
+                                adj,
+                                merge_bound,
+                                cfg.gallop_ratio,
+                                hub,
+                                aux.simd_for(state.emb[l]),
+                                dst,
+                                &mut state.work,
+                            );
+                        } else {
+                            setops::difference_adaptive_into(
+                                cur,
+                                adj,
+                                merge_bound,
+                                hub,
+                                aux.simd_for(state.emb[l]),
+                                dst,
+                                &mut state.work,
+                            );
                         }
                     }
                 }
-                if served {
-                    // Served from the cached prefix — skip the pipeline.
-                } else {
-                    // Merge pipeline: src ∩ adj(connected…) \ adj(disconnected…),
-                    // ping-ponging between two scratch buffers and landing the
-                    // final stage in `out`.
-                    let mut a = std::mem::take(&mut state.scratch_a);
-                    let mut b = std::mem::take(&mut state.scratch_b);
-                    let total = node.connected.len() + node.disconnected.len();
-                    let stages = node
-                        .connected
-                        .iter()
-                        .map(|&l| (l, true))
-                        .chain(node.disconnected.iter().map(|&l| (l, false)));
-                    for (i, (l, is_conn)) in stages.enumerate() {
-                        let adj = g.neighbors(state.emb[l]);
-                        let last = i + 1 == total;
-                        let (cur, dst): (&[VertexId], &mut Vec<VertexId>) = if i == 0 {
-                            (src, if last { &mut out } else { &mut a })
-                        } else if i % 2 == 1 {
-                            (&a, if last { &mut out } else { &mut b })
-                        } else {
-                            (&b, if last { &mut out } else { &mut a })
-                        };
-                        dst.clear();
-                        if cfg.paper_faithful {
-                            if is_conn {
-                                setops::intersect_into(cur, adj, dst, &mut state.work);
-                            } else {
-                                setops::difference_into(cur, adj, dst, &mut state.work);
-                            }
-                        } else {
-                            let hub = aux.hubs.and_then(|h| h.row(state.emb[l]));
-                            if is_conn {
-                                setops::intersect_adaptive_into(
-                                    cur,
-                                    adj,
-                                    merge_bound,
-                                    cfg.gallop_ratio,
-                                    hub,
-                                    aux.simd_for(state.emb[l]),
-                                    dst,
-                                    &mut state.work,
-                                );
-                            } else {
-                                setops::difference_adaptive_into(
-                                    cur,
-                                    adj,
-                                    merge_bound,
-                                    hub,
-                                    aux.simd_for(state.emb[l]),
-                                    dst,
-                                    &mut state.work,
-                                );
-                            }
-                        }
-                    }
-                    state.scratch_a = a;
-                    state.scratch_b = b;
-                }
+                state.scratch_a = a;
+                state.scratch_b = b;
             }
             state.frontiers[d] = out;
             state.core_at[d] = d;
-            state.frontier_gen[d] += 1;
         }
     }
-}
-
-/// Serves a frontier-shaped (`ReuseKind::Frontier`) prefix consumer: the
-/// op `frontiers[src] ∩ N(v)` probes a bitmap of the frontier — built
-/// once per materialization of that buffer — with `v`'s adjacency list
-/// as the stream. With `out`, materializes into it and returns
-/// `Some(0)`; without, returns the count (the fused leaf path). `None`
-/// means the reuse tier declined (stale slot failing
-/// profitability/budget, or the size gate) and the caller must fall back
-/// to the adaptive dispatcher.
-fn reuse_serve_frontier(
-    state: &mut State,
-    p: usize,
-    src: usize,
-    adj: &[VertexId],
-    merge_bound: Option<VertexId>,
-    out: Option<&mut Vec<VertexId>>,
-) -> Option<u64> {
-    let tag = SlotTag::Frontier(src, state.frontier_gen[src]);
-    if !state.arena.valid(p, tag) {
-        let f_len = state.frontiers[src].len();
-        if f_len < REUSE_MIN_PREFIX {
-            return None;
-        }
-        let mut elems = state.arena.begin_build(p, f_len)?;
-        elems.extend_from_slice(&state.frontiers[src]);
-        state.arena.commit(p, elems, tag, &mut state.work);
-    }
-    // Apply the vid bound to the streamed side up front (charged exactly
-    // like the gallop path's truncation), so the probe runs unbounded —
-    // the cached side needs no bound: absent elements simply never probe
-    // true.
-    let b = match merge_bound {
-        Some(bd) => setops::bounded_prefix(adj, bd, &mut state.work),
-        None => adj,
-    };
-    // Size gate on the *bounded* lengths of both operands: the merge
-    // this probe replaces would advance at least
-    // `min(|prefix ∩ [0,bound)|, |b|)` cursors before a side exhausts,
-    // so requiring the truncated prefix to be at least as long as the
-    // stream guarantees the probe never charges more iterations than
-    // the kernel it replaces.
-    let p_eff = match merge_bound {
-        Some(bd) => setops::bounded_prefix(state.arena.elems(p), bd, &mut state.work).len(),
-        None => state.arena.len(p),
-    };
-    if p_eff < b.len() {
-        return None;
-    }
-    Some(match out {
-        Some(out) => {
-            setops::intersect_reuse_into(b, state.arena.words(p), None, out, &mut state.work);
-            0
-        }
-        None => setops::intersect_reuse_count(b, state.arena.words(p), None, &mut state.work),
-    })
-}
-
-/// Serves a level-shaped (`ReuseKind::Levels`) prefix consumer: the
-/// hoisted sub-expression — a single shallower level's adjacency list —
-/// is cached once per parent embedding, and each sibling then probes the
-/// cached bitmap with its single remaining adjacency list `N(emb[d-1])`.
-/// Returns whether the op was served; on `false` the caller runs the
-/// full per-sibling pipeline.
-///
-/// Only the `pos == [l], neg == []` shape is served. Its build is a
-/// (bounded) copy — charged exactly like the unconstrained copy arm of
-/// `build_core`, i.e. no `setop_iterations` — so every probe is
-/// individually covered by the size gate against the one merge it
-/// replaces, for any sibling count. Richer hoisted shapes are *not*
-/// stage-wise comparable to the faithful pipeline: hoisting a second
-/// positive level re-associates the intersection chain, and hoisting a
-/// difference runs it on un-intersected operands; for a parent with few
-/// siblings the build then has nothing to amortize against and the
-/// engine would charge more iterations than the paper-faithful one,
-/// breaking the bounded-≤-faithful invariant. Those prefixes stay in
-/// the advisory IR but the executor declines them (a `reuse_misses`
-/// charge, like any profitability refusal).
-#[allow(clippy::too_many_arguments)]
-fn reuse_serve_levels(
-    g: &CsrGraph,
-    prog: &Program,
-    state: &mut State,
-    node_idx: usize,
-    p: usize,
-    bound: Option<VertexId>,
-    merge_bound: Option<VertexId>,
-    out: &mut Vec<VertexId>,
-) -> bool {
-    let node = &prog.nodes[node_idx];
-    let d = node.depth;
-    let ReuseKind::Levels { ref pos, ref neg, bounded, newest } = prog.prefixes[p].kind else {
-        debug_assert!(false, "a None-hint consumer always has a Levels prefix");
-        return false;
-    };
-    if pos.len() != 1 || !neg.is_empty() {
-        return false;
-    }
-    let tag = SlotTag::Epoch(state.level_epoch[newest]);
-    if !state.arena.valid(p, tag) {
-        let src0 = g.neighbors(state.emb[pos[0]]);
-        if src0.len() < REUSE_MIN_PREFIX {
-            return false;
-        }
-        let Some(mut elems) = state.arena.begin_build(p, src0.len()) else {
-            return false;
-        };
-        // The prefix may only be truncated by a bound that is
-        // sibling-invariant (all levels ≤ d-2) — otherwise it is copied
-        // in full and the varying bound is applied to the stream below.
-        let src0 = match if bounded { bound } else { None } {
-            Some(bd) => setops::bounded_prefix(src0, bd, &mut state.work),
-            None => src0,
-        };
-        elems.extend_from_slice(src0);
-        state.arena.commit(p, elems, tag, &mut state.work);
-    }
-    let adj = g.neighbors(state.emb[d - 1]);
-    let b = match merge_bound {
-        Some(bd) => setops::bounded_prefix(adj, bd, &mut state.work),
-        None => adj,
-    };
-    // Same bounded-length size gate as the frontier shape (see
-    // `reuse_serve_frontier`); for a prefix built under a
-    // sibling-invariant bound the truncation is a no-op, but a prefix
-    // built in full must be compared at its effective length.
-    let p_eff = match merge_bound {
-        Some(bd) => setops::bounded_prefix(state.arena.elems(p), bd, &mut state.work).len(),
-        None => state.arena.len(p),
-    };
-    if p_eff < b.len() {
-        return false;
-    }
-    setops::intersect_reuse_into(b, state.arena.words(p), None, out, &mut state.work);
-    true
 }
 
 #[cfg(test)]

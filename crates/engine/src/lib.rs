@@ -51,7 +51,6 @@ pub mod failpoint;
 pub mod oblivious;
 pub mod parallel;
 pub mod result;
-pub(crate) mod reuse;
 pub mod setops;
 pub mod simd;
 pub mod stream;
@@ -94,7 +93,6 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 /// | `gallop_ratio`  | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge/simd) — tests rely on it to force specific tiers |
 /// | `hub_bitmap`    | on      | ignored (no probes)| composes with every other knob; inert when no vertex reaches `hub_degree_threshold` or `hub_memory_budget` is too tight |
 /// | `simd`          | on      | ignored (scalar merges) | replaces the merge tier with vectorized kernels when compiled in (`simd` cargo feature) and runnable on the host CPU; counts, `setop_iterations`, and `comparisons` are bit-identical to the scalar path — only the dispatch split shifts merge → `simd_dispatches`. With `gallop_ratio == 0` the gallop tier is disabled, so *every* non-probe dispatch lands on the SIMD tier — the split is merge+gallop → simd, not merge → simd |
-/// | `reuse`         | on      | ignored (no arena) | consume the plan's `ReusePrefix` IR: cache sibling-invariant prefix intersections in a per-worker `ReuseArena` and probe them instead of re-deriving; counts, `RunStatus`, and non-dispatch counters are identical — merge/gallop/simd dispatches relabel to `reuse_hits`, and `setop_iterations` can only shrink. Inert when `reuse_memory_budget == 0` (the four-tier dispatcher runs bit-identically) or per-op when the prefix misses profitability/budget (`reuse_misses`) |
 /// | `degree_sched`  | on      | on                 | only effective with `threads > 1`; counts and aggregate work are order-independent |
 /// | `max_retries`   | 0       | same               | count-irrelevant (a retried task contributes exactly once); excluded from the checkpoint config fingerprint, so a resume may change it |
 /// | `straggler_*`   | 8 / 10ms| same               | observability only; never perturbs counts, work, or scheduling |
@@ -161,24 +159,6 @@ pub struct EngineConfig {
     /// either way; only wall-clock and the merge/simd dispatch split
     /// change.
     pub simd: bool,
-    /// Consume the plan's `ReusePrefix` IR: materialize each proven
-    /// sibling-invariant prefix intersection once per parent embedding
-    /// into a per-worker `ReuseArena`, and let deep extensions probe the
-    /// cached bitmap instead of re-deriving the set for every sibling
-    /// (GraphMini-style pre-shrunk operands). Counts and `RunStatus` are
-    /// identical either way; merge/gallop/simd dispatches relabel to
-    /// `reuse_hits` and `setop_iterations` can only shrink. Ignored under
-    /// [`paper_faithful`](Self::paper_faithful) — the Fig. 9 merge FSM
-    /// recomputes every operand — and inert when
-    /// [`reuse_memory_budget`](Self::reuse_memory_budget) is `0`.
-    pub reuse: bool,
-    /// Hard cap, in bytes, on each worker's `ReuseArena` footprint
-    /// (cached prefix elements plus their probe bitmaps), accounted per
-    /// start-vertex task. An over-budget prefix build is skipped
-    /// (`reuse_misses`) and the op falls back to the four-tier adaptive
-    /// dispatch; `0` disables the reuse path entirely, degrading
-    /// bit-for-bit to the dispatcher-only engine.
-    pub reuse_memory_budget: usize,
     /// Hand start vertices to parallel workers in degree-descending order,
     /// so the heavy hub subtrees start first and cannot land at the tail
     /// of the schedule. Counts and aggregate work are order-independent;
@@ -231,16 +211,15 @@ impl Default for EngineConfig {
             // streamed side, so the threshold bounds index size rather
             // than gating profitability: 32 ≈ the smallest row whose
             // merge savings outweigh its bitset's cache residency on our
-            // generated inputs; 64 MiB comfortably holds every such row
-            // of the bundled datasets.
+            // generated inputs. Rows are admitted in descending degree,
+            // so a small index keeps the rows probes hit: measured on
+            // the benchmark's 100 k-vertex power-law graph 8 MiB is as
+            // fast as any smaller index and 51 MB of resident memory
+            // lighter than 64 MiB, and it holds every row of the
+            // 6 k-vertex Mi stand-in (EXPERIMENTS.md "ISSUE 19").
             hub_degree_threshold: 32,
-            hub_memory_budget: 64 << 20,
+            hub_memory_budget: 8 << 20,
             simd: true,
-            reuse: true,
-            // 16 MiB holds every profitable prefix of the bundled
-            // datasets with room to spare; the arena accounts per task,
-            // so deep power-law subtrees cannot accumulate past it.
-            reuse_memory_budget: 16 << 20,
             degree_sched: true,
             budget: Budget::unlimited(),
             max_retries: 0,
@@ -280,14 +259,6 @@ impl EngineConfig {
         self.simd && !self.paper_faithful && simd::runtime_available()
     }
 
-    /// Whether this configuration caches and probes sibling-invariant
-    /// prefixes: [`reuse`](Self::reuse) requested, a nonzero
-    /// [`reuse_memory_budget`](Self::reuse_memory_budget), and not
-    /// overridden by [`paper_faithful`](Self::paper_faithful).
-    pub fn reuse_active(&self) -> bool {
-        self.reuse && self.reuse_memory_budget > 0 && !self.paper_faithful
-    }
-
     /// Debug-asserts the structural invariants of the supported knob
     /// matrix (see the type docs) — the full matrix, one assertion per
     /// faithful-exclusion row, so a future knob that forgets its
@@ -304,10 +275,6 @@ impl EngineConfig {
         debug_assert!(
             !(self.paper_faithful && self.simd_active()),
             "paper_faithful excludes the SIMD kernel tier"
-        );
-        debug_assert!(
-            !(self.paper_faithful && self.reuse_active()),
-            "paper_faithful excludes the reuse tier"
         );
     }
 }

@@ -12,18 +12,16 @@ use std::time::Duration;
 ///
 /// # Dispatch-tier invariant
 ///
-/// The five dispatch counters — [`merge_dispatches`], [`gallop_dispatches`],
-/// [`probe_dispatches`], [`simd_dispatches`], and [`reuse_hits`] — are
-/// charged *only* by the adaptive dispatchers in [`setops`](crate::setops)
-/// (or, for `reuse_hits`, by the executor's reuse-slot probe, which stands
-/// in for exactly one dispatcher call), exactly one per dispatched op, and
-/// every dispatched op runs exactly one kernel (which charges
-/// [`setop_invocations`] exactly once). So for any span of work routed
-/// through the dispatchers:
+/// The four dispatch counters — [`merge_dispatches`], [`gallop_dispatches`],
+/// [`probe_dispatches`] and [`simd_dispatches`] — are charged *only* by the
+/// adaptive dispatchers in [`setops`](crate::setops), exactly one per
+/// dispatched op, and every dispatched op runs exactly one kernel (which
+/// charges [`setop_invocations`] exactly once). So for any span of work
+/// routed through the dispatchers:
 ///
 /// ```text
 /// merge_dispatches + gallop_dispatches + probe_dispatches
-///     + simd_dispatches + reuse_hits == setop_invocations
+///     + simd_dispatches == setop_invocations
 /// ```
 ///
 /// This holds globally for the default (adaptive) plan-driven executor,
@@ -34,20 +32,10 @@ use std::time::Duration;
 /// invariant is debug-asserted inside each dispatcher and pinned by a unit
 /// test in `setops`.
 ///
-/// [`reuse_misses`], [`prefix_builds`], and [`reuse_bytes_hwm`] sit
-/// *outside* the partition: a miss falls through to a regular dispatcher
-/// (which charges its own tier), a prefix build runs its set ops through
-/// the regular dispatchers too (charging normally), and the high-water
-/// mark is a byte gauge, not an op count.
-///
 /// [`merge_dispatches`]: WorkCounters::merge_dispatches
 /// [`gallop_dispatches`]: WorkCounters::gallop_dispatches
 /// [`probe_dispatches`]: WorkCounters::probe_dispatches
 /// [`simd_dispatches`]: WorkCounters::simd_dispatches
-/// [`reuse_hits`]: WorkCounters::reuse_hits
-/// [`reuse_misses`]: WorkCounters::reuse_misses
-/// [`prefix_builds`]: WorkCounters::prefix_builds
-/// [`reuse_bytes_hwm`]: WorkCounters::reuse_bytes_hwm
 /// [`setop_invocations`]: WorkCounters::setop_invocations
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkCounters {
@@ -88,84 +76,68 @@ pub struct WorkCounters {
     /// `simd_dispatches` under SIMD, with every other counter
     /// bit-identical.
     pub simd_dispatches: u64,
-    /// Candidate-generation ops served from a cached sibling-invariant
-    /// prefix (the fifth dispatch tier; see the dispatch-tier invariant in
-    /// the type docs). Each hit streams the single sibling-varying
-    /// adjacency list against the prefix bitmap instead of re-running the
-    /// full merge/gallop pipeline.
+    /// Always 0, outside [`words`](Self::words). Read only by `benchmark/`
+    /// (`engine.reuse_hits`); goes when that line is retired.
     pub reuse_hits: u64,
-    /// Reuse-slot probes that could not be served (arena over its byte
-    /// budget, or the prefix below the profitability threshold) and fell
-    /// through to a regular dispatcher. Outside the dispatch partition —
-    /// the fallback tier charges itself.
+    /// Always 0, outside [`words`](Self::words). Read only by `benchmark/`
+    /// (`engine.reuse_misses`); goes when that line is retired.
     pub reuse_misses: u64,
-    /// High-water mark of `ReuseArena` bytes (element buffers plus bitmap
-    /// words) accounted by any single start-vertex task. Accounting resets
-    /// per task, so each task's peak depends only on its own subtree;
-    /// aggregation takes the max (never the sum) across tasks, workers,
-    /// stints, and checkpoint resumes, making the merged value
-    /// schedule-independent.
+    /// Always 0, outside [`words`](Self::words). Read only by `benchmark/`
+    /// (`engine.reuse_bytes_hwm`); goes when that line is retired.
     pub reuse_bytes_hwm: u64,
-    /// Sibling-invariant prefixes materialized into the arena (once per
-    /// parent embedding per consuming op, when profitable and in budget).
-    /// The set ops a build runs charge the ordinary dispatchers/kernels.
-    pub prefix_builds: u64,
+}
+
+impl WorkCounters {
+    /// How many words [`words`](Self::words) has.
+    pub const WORDS: usize = 13;
+
+    /// Every counter, in the order a checkpoint body and `serve`'s work
+    /// digest store them (so a change here is a `CKPT_VERSION` bump): the
+    /// one statement of the word list, which `-`, `+=` and both
+    /// serializers walk. All thirteen are flows — none is a high-water
+    /// mark — so both operators are component-wise.
+    pub fn words_mut(&mut self) -> [&mut u64; Self::WORDS] {
+        [
+            &mut self.setop_iterations,
+            &mut self.setop_invocations,
+            &mut self.comparisons,
+            &mut self.candidates_checked,
+            &mut self.extensions,
+            &mut self.cmap_inserts,
+            &mut self.cmap_queries,
+            &mut self.cmap_hits,
+            &mut self.cmap_removes,
+            &mut self.merge_dispatches,
+            &mut self.gallop_dispatches,
+            &mut self.probe_dispatches,
+            &mut self.simd_dispatches,
+        ]
+    }
+
+    /// The values of [`words_mut`](Self::words_mut), in the same order.
+    pub fn words(mut self) -> [u64; Self::WORDS] {
+        self.words_mut().map(|w| *w)
+    }
 }
 
 impl std::ops::Sub for WorkCounters {
     type Output = WorkCounters;
-    /// Component-wise difference; used for per-task delta snapshots when
-    /// publishing checkpoint progress. Counters are monotonic within a
-    /// worker, so `after - before` never underflows.
-    fn sub(self, o: WorkCounters) -> WorkCounters {
-        WorkCounters {
-            setop_iterations: self.setop_iterations - o.setop_iterations,
-            setop_invocations: self.setop_invocations - o.setop_invocations,
-            comparisons: self.comparisons - o.comparisons,
-            candidates_checked: self.candidates_checked - o.candidates_checked,
-            extensions: self.extensions - o.extensions,
-            cmap_inserts: self.cmap_inserts - o.cmap_inserts,
-            cmap_queries: self.cmap_queries - o.cmap_queries,
-            cmap_hits: self.cmap_hits - o.cmap_hits,
-            cmap_removes: self.cmap_removes - o.cmap_removes,
-            merge_dispatches: self.merge_dispatches - o.merge_dispatches,
-            gallop_dispatches: self.gallop_dispatches - o.gallop_dispatches,
-            probe_dispatches: self.probe_dispatches - o.probe_dispatches,
-            simd_dispatches: self.simd_dispatches - o.simd_dispatches,
-            reuse_hits: self.reuse_hits - o.reuse_hits,
-            reuse_misses: self.reuse_misses - o.reuse_misses,
-            // A gauge, not a flow: the "delta" of a high-water mark over
-            // any span is the mark itself, so that accumulating deltas
-            // (max-merge in `AddAssign`) reconstructs the true global max
-            // — bit-identical across stint slicing and checkpoint resume.
-            reuse_bytes_hwm: self.reuse_bytes_hwm,
-            prefix_builds: self.prefix_builds - o.prefix_builds,
+    /// Component-wise difference; used for per-depth telemetry deltas.
+    /// Counters are monotonic within a worker, so `after - before` never
+    /// underflows.
+    fn sub(mut self, o: WorkCounters) -> WorkCounters {
+        for (a, b) in self.words_mut().into_iter().zip(o.words()) {
+            *a -= b;
         }
+        self
     }
 }
 
 impl AddAssign for WorkCounters {
     fn add_assign(&mut self, o: WorkCounters) {
-        self.setop_iterations += o.setop_iterations;
-        self.setop_invocations += o.setop_invocations;
-        self.comparisons += o.comparisons;
-        self.candidates_checked += o.candidates_checked;
-        self.extensions += o.extensions;
-        self.cmap_inserts += o.cmap_inserts;
-        self.cmap_queries += o.cmap_queries;
-        self.cmap_hits += o.cmap_hits;
-        self.cmap_removes += o.cmap_removes;
-        self.merge_dispatches += o.merge_dispatches;
-        self.gallop_dispatches += o.gallop_dispatches;
-        self.probe_dispatches += o.probe_dispatches;
-        self.simd_dispatches += o.simd_dispatches;
-        self.reuse_hits += o.reuse_hits;
-        self.reuse_misses += o.reuse_misses;
-        // A high-water mark aggregates by max: each worker owns one arena,
-        // so the merged run's peak is the largest per-worker peak, not the
-        // sum of them.
-        self.reuse_bytes_hwm = self.reuse_bytes_hwm.max(o.reuse_bytes_hwm);
-        self.prefix_builds += o.prefix_builds;
+        for (a, b) in self.words_mut().into_iter().zip(o.words()) {
+            *a += b;
+        }
     }
 }
 

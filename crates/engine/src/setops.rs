@@ -25,11 +25,6 @@
 //! few binary searches. The tier is therefore bit-parity with the scalar
 //! path on every counter; only `simd_dispatches` (instead of
 //! `merge_dispatches`) and wall-clock differ.
-//!
-//! The reuse tier ([`intersect_reuse_into`]/[`intersect_reuse_count`])
-//! probes a cached sibling-invariant prefix bitmap built by the executor's
-//! `ReuseArena`; it charges like the hub-probe tier and records
-//! `reuse_hits` as the fifth dispatch-tier counter.
 
 use crate::result::WorkCounters;
 use fm_graph::{HubRow, VertexId};
@@ -191,10 +186,11 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId], work: &mut WorkCounters) 
 }
 
 /// Galloping (binary-search) intersection: preferable when `|a| ≪ |b|`.
-/// Provided for the set-operation ablation benchmarks; the engines and the
-/// hardware model use the merge algorithm to match GraphZero and the SIU
-/// ("we use the same merge-based algorithm as that is used in GraphZero to
-/// make fair comparison", §VII-B).
+/// The default engine's gallop tier (`choose_tier` routes here once one
+/// side is `gallop_ratio` times the other). The `paper_faithful` engine
+/// and the hardware model never call it: they keep the merge algorithm to
+/// match GraphZero and the SIU ("we use the same merge-based algorithm as
+/// that is used in GraphZero to make fair comparison", §VII-B).
 pub fn intersect_galloping_into(
     a: &[VertexId],
     b: &[VertexId],
@@ -420,114 +416,6 @@ pub fn difference_probe_bounded_into(
             out.push(x);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Reuse tier: bitmap probes against a cached sibling-invariant prefix.
-//
-// The executor materializes a prefix set once per parent embedding into a
-// `ReuseArena` slot (sorted elements plus a vertex-id bitmap); each
-// sibling then streams its single varying adjacency list through these
-// kernels. Charging mirrors the hub-probe tier exactly — one iteration
-// and one comparison (the word test) per streamed element, plus one
-// executed comparison per bound check — so ablation columns stay
-// comparable across tiers. `reuse_hits` is the fifth dispatch-tier
-// counter (see `WorkCounters`); each call here charges it once, standing
-// in for the adaptive dispatcher the op would otherwise have taken.
-// ---------------------------------------------------------------------
-
-/// Whether vertex `x`'s bit is set in a packed vid bitmap (one bit per
-/// vertex id, little-endian within each word).
-#[inline]
-pub fn reuse_bit(words: &[u64], x: VertexId) -> bool {
-    let i = (x.0 as usize) >> 6;
-    words.get(i).is_some_and(|w| (w >> (x.0 as usize & 63)) & 1 == 1)
-}
-
-/// Intersection of the streamed list `a` with a cached prefix bitmap,
-/// appended to `out` (in `a`'s order — sorted, since `a` is a sorted
-/// adjacency list). With `bound`, stops once streamed elements reach it
-/// (exclusive), charging the bound check as an executed comparison like
-/// [`intersect_probe_bounded_into`].
-pub fn intersect_reuse_into(
-    a: &[VertexId],
-    words: &[u64],
-    bound: Option<VertexId>,
-    out: &mut Vec<VertexId>,
-    work: &mut WorkCounters,
-) {
-    #[cfg(debug_assertions)]
-    let snap = dispatch_snapshot(work);
-    work.reuse_hits += 1;
-    work.setop_invocations += 1;
-    match bound {
-        None => {
-            for &x in a {
-                work.setop_iterations += 1;
-                work.comparisons += 1;
-                if reuse_bit(words, x) {
-                    out.push(x);
-                }
-            }
-        }
-        Some(bd) => {
-            for &x in a {
-                work.setop_iterations += 1;
-                work.comparisons += 1;
-                if x >= bd {
-                    break;
-                }
-                work.comparisons += 1;
-                if reuse_bit(words, x) {
-                    out.push(x);
-                }
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    assert_dispatched_once(snap, work);
-}
-
-/// Counting twin of [`intersect_reuse_into`]: identical charging, no
-/// materialization — the count-only leaf hot path.
-pub fn intersect_reuse_count(
-    a: &[VertexId],
-    words: &[u64],
-    bound: Option<VertexId>,
-    work: &mut WorkCounters,
-) -> u64 {
-    #[cfg(debug_assertions)]
-    let snap = dispatch_snapshot(work);
-    work.reuse_hits += 1;
-    work.setop_invocations += 1;
-    let mut n = 0;
-    match bound {
-        None => {
-            for &x in a {
-                work.setop_iterations += 1;
-                work.comparisons += 1;
-                if reuse_bit(words, x) {
-                    n += 1;
-                }
-            }
-        }
-        Some(bd) => {
-            for &x in a {
-                work.setop_iterations += 1;
-                work.comparisons += 1;
-                if x >= bd {
-                    break;
-                }
-                work.comparisons += 1;
-                if reuse_bit(words, x) {
-                    n += 1;
-                }
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    assert_dispatched_once(snap, work);
-    n
 }
 
 // ---------------------------------------------------------------------
@@ -818,20 +706,15 @@ fn dispatch_snapshot(work: &WorkCounters) -> (u64, u64) {
         work.merge_dispatches
             + work.gallop_dispatches
             + work.probe_dispatches
-            + work.simd_dispatches
-            + work.reuse_hits,
+            + work.simd_dispatches,
         work.setop_invocations,
     )
 }
 
 /// Debug-checks the dispatch-tier invariant around one dispatcher call:
 /// exactly one tier counter moved, and exactly one kernel invocation was
-/// charged — so `merge + gallop + probe + simd + reuse_hits ==
-/// setop_invocations` over any span of dispatcher-routed work. (The reuse
-/// kernels are not routed through `choose_tier` — the executor consults
-/// its `ReuseArena` before the adaptive dispatchers — but they charge
-/// `reuse_hits` exactly where a dispatcher would charge a tier counter,
-/// so the same partition covers them.)
+/// charged — so `merge + gallop + probe + simd == setop_invocations` over
+/// any span of dispatcher-routed work.
 #[cfg(debug_assertions)]
 fn assert_dispatched_once(before: (u64, u64), work: &WorkCounters) {
     let (dispatches, invocations) = dispatch_snapshot(work);
@@ -1007,10 +890,9 @@ mod tests {
         ids.iter().map(|&i| VertexId(i)).collect()
     }
 
-    /// The five dispatch-tier counters partition `setop_invocations`
-    /// across any mix of adaptive dispatches and executor-routed reuse
-    /// kernels — the invariant documented on [`WorkCounters`] and
-    /// debug-asserted inside each dispatcher and reuse kernel.
+    /// The four dispatch-tier counters partition `setop_invocations`
+    /// across any mix of adaptive dispatches — the invariant documented
+    /// on [`WorkCounters`] and debug-asserted inside each dispatcher.
     #[test]
     fn dispatch_tiers_partition_setop_invocations() {
         let small = v(&[3, 5]);
@@ -1056,64 +938,16 @@ mod tests {
         difference_adaptive_into(&small, &small, None, None, SimdOpt::ON, &mut out, &mut w);
         intersect_adaptive_into(&small, &large, None, 16, Some(row), SimdOpt::ON, &mut out, &mut w);
         intersect_adaptive_into(&small, &large, None, 16, None, SimdOpt::ON, &mut out, &mut w);
-        // Reuse tier: executor-routed bitmap probes against a cached
-        // prefix (bit 3 and bit 5 set) charge `reuse_hits` in place of a
-        // dispatcher tier counter.
-        let mut words = vec![0u64; 1];
-        words[0] |= (1 << 3) | (1 << 5);
-        intersect_reuse_into(&small, &words, None, &mut out, &mut w);
-        intersect_reuse_count(&small, &words, Some(VertexId(5)), &mut w);
 
-        assert_eq!(w.setop_invocations, 12);
+        assert_eq!(w.setop_invocations, 10);
         assert_eq!(
-            w.merge_dispatches
-                + w.gallop_dispatches
-                + w.probe_dispatches
-                + w.simd_dispatches
-                + w.reuse_hits,
+            w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches + w.simd_dispatches,
             w.setop_invocations
         );
         assert_eq!(w.probe_dispatches, 3, "probe outranks simd");
         assert_eq!(w.gallop_dispatches, 3, "gallop outranks simd");
         assert_eq!(w.merge_dispatches, 2);
         assert_eq!(w.simd_dispatches, 2);
-        assert_eq!(w.reuse_hits, 2);
-    }
-
-    /// The reuse kernels mirror the hub-probe tier's charging exactly:
-    /// one iteration and one comparison per streamed element, plus one
-    /// executed comparison per bound check, and produce the intersection
-    /// with the prefix bitmap in stream order.
-    #[test]
-    fn reuse_kernels_charge_probe_parity() {
-        let a = v(&[1, 3, 5, 7, 9]);
-        let mut words = vec![0u64; 1];
-        for bit in [3u32, 7, 9] {
-            words[0] |= 1 << bit;
-        }
-
-        let mut w = WorkCounters::default();
-        let mut out = Vec::new();
-        intersect_reuse_into(&a, &words, None, &mut out, &mut w);
-        assert_eq!(out, v(&[3, 7, 9]));
-        assert_eq!(w.setop_iterations, 5);
-        assert_eq!(w.comparisons, 5);
-        assert_eq!((w.setop_invocations, w.reuse_hits), (1, 1));
-
-        // Bounded: stops at the bound (exclusive), charging the bound
-        // check plus the probe for each surviving element.
-        let mut w = WorkCounters::default();
-        let n = intersect_reuse_count(&a, &words, Some(VertexId(7)), &mut w);
-        assert_eq!(n, 1); // only 3 < 7 and present
-        assert_eq!(w.setop_iterations, 4); // 1, 3, 5, then 7 breaks
-        assert_eq!(w.comparisons, 4 + 3); // 4 bound checks + 3 probes
-        assert_eq!((w.setop_invocations, w.reuse_hits), (1, 1));
-
-        // Out-of-range vids probe false rather than indexing past the
-        // bitmap.
-        let mut w = WorkCounters::default();
-        let n = intersect_reuse_count(&v(&[100]), &words, None, &mut w);
-        assert_eq!(n, 0);
     }
 
     #[test]

@@ -124,8 +124,6 @@ impl Collector {
         charge_depth(&mut self.shard.depth_gallop, depth, w.gallop_dispatches);
         charge_depth(&mut self.shard.depth_probe, depth, w.probe_dispatches);
         charge_depth(&mut self.shard.depth_simd, depth, w.simd_dispatches);
-        charge_depth(&mut self.shard.depth_reuse, depth, w.reuse_hits);
-        charge_depth(&mut self.shard.depth_prefix_builds, depth, w.prefix_builds);
         charge_depth(&mut self.shard.depth_cmap_queries, depth, w.cmap_queries);
         charge_depth(&mut self.shard.depth_cmap_hits, depth, w.cmap_hits);
     }
@@ -191,8 +189,6 @@ mod tests {
             setop_invocations: 3,
             gallop_dispatches: 2,
             simd_dispatches: 1,
-            reuse_hits: 5,
-            prefix_builds: 1,
             cmap_queries: 4,
             cmap_hits: 3,
             ..Default::default()
@@ -203,8 +199,6 @@ mod tests {
         assert_eq!(shard.depth_setop_iterations, vec![0, 0, 10]);
         assert_eq!(shard.depth_gallop, vec![0, 0, 2]);
         assert_eq!(shard.depth_simd, vec![0, 0, 1]);
-        assert_eq!(shard.depth_reuse, vec![0, 0, 5]);
-        assert_eq!(shard.depth_prefix_builds, vec![0, 0, 1]);
         assert_eq!(shard.depth_cmap_hits, vec![0, 0, 3]);
         assert!(shard.depth_merge.is_empty());
     }

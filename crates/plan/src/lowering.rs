@@ -42,63 +42,9 @@ pub struct Program {
     pub nodes: Vec<ProgNode>,
     /// Number of DFS levels.
     pub depth: usize,
-    /// Sibling-invariant prefixes proven by [`analyze_reuse`]; a node's
-    /// [`consume_prefix`](ProgNode::consume_prefix) indexes into this
-    /// arena. Empty when no op qualifies.
-    pub prefixes: Vec<ReusePrefix>,
-}
-
-/// A hoistable, sibling-invariant sub-intersection of one
-/// candidate-generation op, proven by the static [`analyze_reuse`] pass.
-///
-/// An op at depth `d` runs once per value of `emb[d-1]` — its *siblings*
-/// under a fixed parent embedding `emb[0..d-1]`. A prefix collects every
-/// operand of the op that depends only on levels `< d-1`, so the executor
-/// may materialize it **once per parent embedding** and serve all siblings
-/// from the cached result (`ReusePrefix` = build it, `consume_prefix` on
-/// the op = probe it). Falling back to recomputing the full op per sibling
-/// is always semantically valid; the IR is a proof of *invariance*, not an
-/// obligation.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ReusePrefix {
-    /// Depth of the consuming op (the suffix streams `adj(emb[depth-1])`).
-    pub depth: usize,
-    /// How the invariant operand set is formed.
-    pub kind: ReuseKind,
-}
-
-/// The shape of a [`ReusePrefix`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ReuseKind {
-    /// The op's memoized frontier (the parent core buffer) *is* the
-    /// invariant operand: a `FrontierHint::Extend` op at depth `d` whose
-    /// extender is level `d-1` computes `frontier ∩ adj(emb[d-1])`, and
-    /// the frontier was materialized from levels `≤ d-2` only. The
-    /// executor indexes the prefix over the live frontier buffer; nothing
-    /// further is stored here.
-    Frontier,
-    /// An explicit merge-pipeline prefix over whole adjacency lists:
-    /// `(∩_{l ∈ pos} adj(emb[l])) ∖ (∪_{l ∈ neg} adj(emb[l]))`, every
-    /// listed level `≤ depth-2`. The consuming op's full candidate set is
-    /// this prefix intersected with `adj(emb[depth-1])` (set identity:
-    /// `(A ∖ N) ∩ B = (A ∩ B) ∖ N`).
-    Levels {
-        /// Connectivity levels hoisted out of the per-sibling op.
-        pos: Vec<usize>,
-        /// Disconnection levels hoisted out of the per-sibling op.
-        neg: Vec<usize>,
-        /// Build the prefix truncated at the op's vid bound: valid only
-        /// when the op is [`bounded_build`](ProgNode::bounded_build) *and*
-        /// every bound level is `≤ depth-2`, making the bound value itself
-        /// sibling-invariant. Otherwise the bound (if any) is applied
-        /// while streaming the suffix.
-        bounded: bool,
-        /// The deepest level the prefix reads (over `pos`, `neg` and — when
-        /// `bounded` — the op's bound levels). Rebinding any level `≤`
-        /// this index invalidates a cached build; rebinding deeper levels
-        /// leaves it valid.
-        newest: usize,
-    },
+    /// Always empty. Read only by `benchmark/` (`plan.reuse_prefixes`
+    /// prints its `.len()`); goes when that line is retired.
+    pub prefixes: [(); 0],
 }
 
 /// One lowered plan node. See [`crate::VertexOp`] for the constraint
@@ -132,11 +78,6 @@ pub struct ProgNode {
     /// consumer's own symmetry bounds provably discard the truncated
     /// suffix anyway.
     pub bounded_build: bool,
-    /// Index into [`Program::prefixes`] when [`analyze_reuse`] proved a
-    /// sibling-invariant prefix for this op. Purely advisory: an executor
-    /// may consume it (build once per parent embedding, probe per
-    /// sibling), or ignore it and recompute the full op.
-    pub consume_prefix: Option<usize>,
     /// Whether this op resolves its constraints by *stream-and-probe*
     /// when the c-map is available: stream the extender's adjacency and
     /// answer all constraints with one c-map probe per candidate (§II-C).
@@ -189,8 +130,7 @@ pub fn lower(plan: &ExecutionPlan, options: LowerOptions) -> Program {
     let mut nodes = Vec::with_capacity(plan.node_count());
     flatten(&plan.root, options, true, &mut nodes);
     annotate(&mut nodes, options);
-    let prefixes = analyze_reuse(&mut nodes);
-    Program { nodes, depth: plan.depth(), prefixes }
+    Program { nodes, depth: plan.depth(), prefixes: [] }
 }
 
 fn flatten(
@@ -229,7 +169,6 @@ fn flatten(
         cmap_insert: false,
         cmap_insert_bound: None,
         bounded_build: false,
-        consume_prefix: None,
         probe,
         children: Vec::new(),
     });
@@ -345,82 +284,6 @@ fn bound_is_covered(nodes: &[ProgNode], parents: &[Option<usize>], c: usize, l: 
         stack.extend(lt[x].iter().copied());
     }
     false
-}
-
-/// Proves which ops own a sibling-invariant prefix and records it in the
-/// prefix arena, linking each qualifying op through
-/// [`consume_prefix`](ProgNode::consume_prefix).
-///
-/// An op at depth `d` qualifies when its operand set splits into a part
-/// reading only levels `≤ d-2` (invariant while the DFS iterates
-/// `emb[d-1]`) and exactly the single remaining list `adj(emb[d-1])`:
-///
-/// * **`Frontier`** — a `FrontierHint::Extend` op whose extender is level
-///   `d-1`: the memoized frontier came from the parent core (levels
-///   `≤ d-2`), so it is the invariant operand verbatim. `ExtendDiff` is
-///   excluded — a difference streams the *invariant* side against the
-///   varying one, so caching it shrinks nothing.
-/// * **`Levels`** — a merge-pipeline (`FrontierHint::None`) op whose
-///   positive levels include `d-1` plus at least one shallower level, and
-///   whose disconnections avoid `d-1`. All other positive levels and
-///   every negative level hoist into the prefix. A lone positive level
-///   (`pos = {d-1}`) leaves nothing to hoist, and `d-1 ∈ disconnected`
-///   would put the varying list on the streamed side of the difference.
-///
-/// Root and depth-1 ops have no levels `≤ d-2` to hoist; `Reuse` ops copy
-/// a buffer without set ops of their own.
-fn analyze_reuse(nodes: &mut [ProgNode]) -> Vec<ReusePrefix> {
-    let mut prefixes = Vec::new();
-    for n in nodes.iter_mut() {
-        let d = n.depth;
-        if d < 2 {
-            continue;
-        }
-        let kind = match n.frontier {
-            // `connected` may be nonempty here: for an `Extend` op those
-            // levels are already folded into the memoized frontier, so
-            // they stay invariant with it.
-            FrontierHint::Extend if n.extender == Some(d - 1) && n.disconnected.is_empty() => {
-                Some(ReuseKind::Frontier)
-            }
-            FrontierHint::None => {
-                let mut pos: Vec<usize> = n.connected.clone();
-                if let Some(e) = n.extender {
-                    pos.push(e);
-                }
-                pos.sort_unstable();
-                pos.dedup();
-                let hoisted: Vec<usize> = pos.iter().copied().filter(|&l| l != d - 1).collect();
-                if !pos.contains(&(d - 1))
-                    || hoisted.is_empty()
-                    || n.disconnected.contains(&(d - 1))
-                {
-                    None
-                } else {
-                    let bounded = n.bounded_build && n.upper_bounds.iter().all(|&l| l + 2 <= d);
-                    let newest = hoisted
-                        .iter()
-                        .chain(n.disconnected.iter())
-                        .chain(if bounded { n.upper_bounds.iter() } else { [].iter() })
-                        .copied()
-                        .max()
-                        .expect("hoisted is nonempty");
-                    Some(ReuseKind::Levels {
-                        pos: hoisted,
-                        neg: n.disconnected.clone(),
-                        bounded,
-                        newest,
-                    })
-                }
-            }
-            _ => None,
-        };
-        if let Some(kind) = kind {
-            n.consume_prefix = Some(prefixes.len());
-            prefixes.push(ReusePrefix { depth: d, kind });
-        }
-    }
-    prefixes
 }
 
 #[cfg(test)]
@@ -545,106 +408,5 @@ mod tests {
         let plan = compile(&Pattern::k_clique(5), CompileOptions::default());
         let prog = lower(&plan, LowerOptions::default());
         assert!(prog.nodes.iter().all(|n| !n.bounded_build));
-    }
-
-    #[test]
-    fn reuse_pass_hoists_the_cycle_pipeline_prefix() {
-        let plan = compile(&Pattern::cycle(4), CompileOptions::default());
-        let prog = lower(&plan, LowerOptions::default());
-        // v3 = adj(v1) ∩ adj(v2) under w < v0: adj(v1) and the bound value
-        // are invariant while v2 iterates, so they hoist; the suffix
-        // streams adj(v2) alone.
-        assert_eq!(prog.nodes[3].consume_prefix, Some(0));
-        assert_eq!(
-            prog.prefixes,
-            vec![ReusePrefix {
-                depth: 3,
-                kind: ReuseKind::Levels { pos: vec![1], neg: vec![], bounded: true, newest: 1 },
-            }]
-        );
-        // Nothing shallower qualifies: levels < 2 have no invariant part.
-        assert!(prog.nodes[..3].iter().all(|n| n.consume_prefix.is_none()));
-        // The faithful lowering emits the same (advisory) proof — the
-        // paper_faithful *executor* is what never consumes it.
-        let faithful = lower(&plan, LowerOptions { bounded_pushdown: false, ..Default::default() });
-        assert_eq!(faithful.prefixes, prog.prefixes);
-    }
-
-    #[test]
-    fn reuse_pass_marks_deep_frontier_extends() {
-        // Every deep clique level re-intersects the memoized frontier
-        // (levels ≤ d-2) with adj(emb[d-1]): the frontier is the invariant
-        // operand verbatim.
-        let plan = compile(&Pattern::k_clique(5), CompileOptions::default());
-        let prog = lower(&plan, LowerOptions::default());
-        assert_eq!(
-            prog.prefixes,
-            vec![
-                ReusePrefix { depth: 2, kind: ReuseKind::Frontier },
-                ReusePrefix { depth: 3, kind: ReuseKind::Frontier },
-                ReusePrefix { depth: 4, kind: ReuseKind::Frontier },
-            ]
-        );
-        assert_eq!(prog.nodes[2].consume_prefix, Some(0));
-        assert_eq!(prog.nodes[3].consume_prefix, Some(1));
-        assert_eq!(prog.nodes[4].consume_prefix, Some(2));
-        // A `Reuse` op copies a buffer without set ops of its own: the
-        // diamond leaf stays bare while its Extend parent qualifies.
-        let diamond = lower(
-            &compile(&Pattern::diamond(), CompileOptions::default()),
-            LowerOptions::default(),
-        );
-        assert_eq!(diamond.prefixes, vec![ReusePrefix { depth: 2, kind: ReuseKind::Frontier }]);
-        assert_eq!(diamond.nodes[2].consume_prefix, Some(0));
-        assert_eq!(diamond.nodes[3].consume_prefix, None);
-    }
-
-    #[test]
-    fn reuse_pass_without_memo_degrades_to_level_prefixes() {
-        // With frontier memoization off the clique levels become full
-        // merge pipelines; the pass hoists every level but the newest.
-        let plan = compile(&Pattern::k_clique(4), CompileOptions::default());
-        let prog = lower(&plan, LowerOptions { frontier_memo: false, ..Default::default() });
-        assert_eq!(
-            prog.prefixes,
-            vec![
-                ReusePrefix {
-                    depth: 2,
-                    kind: ReuseKind::Levels {
-                        pos: vec![0],
-                        neg: vec![],
-                        bounded: false,
-                        newest: 0
-                    },
-                },
-                ReusePrefix {
-                    depth: 3,
-                    kind: ReuseKind::Levels {
-                        pos: vec![0, 1],
-                        neg: vec![],
-                        bounded: false,
-                        newest: 1
-                    },
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn reuse_pass_skips_extend_diff_and_shallow_ops() {
-        use crate::compile::compile_multi;
-        // 3-motif counting: the wedge branch closes with an ExtendDiff
-        // (differences stream the invariant side — nothing to cache) and
-        // only the triangle leaf (Extend from level 1) qualifies.
-        let pats = fm_pattern::motifs::motifs(3);
-        let plan = compile_multi(&pats, CompileOptions::induced());
-        let prog = lower(&plan, LowerOptions::default());
-        assert_eq!(prog.prefixes, vec![ReusePrefix { depth: 2, kind: ReuseKind::Frontier }]);
-        let consumers: Vec<usize> =
-            (0..prog.nodes.len()).filter(|&i| prog.nodes[i].consume_prefix.is_some()).collect();
-        assert_eq!(consumers.len(), 1);
-        let c = &prog.nodes[consumers[0]];
-        assert_eq!((c.depth, c.frontier, c.extender), (2, FrontierHint::Extend, Some(1)));
-        assert!(prog.nodes.iter().all(|n| n.depth >= 2 || n.consume_prefix.is_none()));
     }
 }

@@ -31,10 +31,6 @@ pub struct TelemetryShard {
     pub depth_probe: Vec<u64>,
     /// Adaptive dispatches resolved to the SIMD tier, per depth.
     pub depth_simd: Vec<u64>,
-    /// Set-op dispatches served from a cached reuse prefix, per depth.
-    pub depth_reuse: Vec<u64>,
-    /// Reuse-prefix materializations (bitmap builds), per depth.
-    pub depth_prefix_builds: Vec<u64>,
     /// c-map membership queries charged per depth.
     pub depth_cmap_queries: Vec<u64>,
     /// c-map query hits per depth.
@@ -105,8 +101,6 @@ impl TelemetryShard {
         add_resized(&mut self.depth_gallop, &other.depth_gallop);
         add_resized(&mut self.depth_probe, &other.depth_probe);
         add_resized(&mut self.depth_simd, &other.depth_simd);
-        add_resized(&mut self.depth_reuse, &other.depth_reuse);
-        add_resized(&mut self.depth_prefix_builds, &other.depth_prefix_builds);
         add_resized(&mut self.depth_cmap_queries, &other.depth_cmap_queries);
         add_resized(&mut self.depth_cmap_hits, &other.depth_cmap_hits);
         self.frontier_sizes.merge(&other.frontier_sizes);
@@ -127,8 +121,6 @@ impl TelemetryShard {
             self.depth_gallop.len(),
             self.depth_probe.len(),
             self.depth_simd.len(),
-            self.depth_reuse.len(),
-            self.depth_prefix_builds.len(),
             self.depth_cmap_queries.len(),
             self.depth_cmap_hits.len(),
         ]
