@@ -22,7 +22,10 @@ fn bench_engine_patterns(c: &mut Criterion) {
         // Faithful = the paper's GraphZero-equivalent datapath; the other
         // groups ablate the software-only candidate-generation
         // optimizations against it one tier at a time: bound pushdown,
-        // +galloping, +hub-bitmap probes (the full default config).
+        // +galloping, +hub-bitmap probes (the full default config). Every
+        // non-faithful group counts the 4-cycle by the same pair join —
+        // no set op is dispatched for a tier to change — so
+        // `faithful/4cycle` is the one group that still enumerates it.
         group.bench_with_input(BenchmarkId::new("faithful", name), &plan, |b, plan| {
             b.iter(|| mine(&g, plan, &EngineConfig::paper_faithful()).counts)
         });

@@ -7,10 +7,13 @@
 //! (`bounded+gallop`). Counts are asserted identical in every mode; only
 //! the work counters and wall-clock move.
 //!
-//! Expected shape: bound-constrained patterns (4-cycle, diamond) shed
-//! set-op iterations from the pushdown itself; oriented clique plans have
-//! no runtime bounds (the degree DAG subsumes them), so their iteration
-//! savings come from galloping skewed intersections instead.
+//! Expected shape: bound-constrained patterns (diamond, the 3-motifs)
+//! shed set-op iterations from the pushdown itself; oriented clique plans
+//! have no runtime bounds (the degree DAG subsumes them), so their
+//! iteration savings come from galloping skewed intersections instead.
+//! The 4-cycle's row is neither: outside `paper_faithful` a count-only
+//! run mines it by the pair join (DESIGN.md §6f), and its `bounded` and
+//! `gallop` cells are that sweep's streamed elements.
 
 use fm_bench::datasets::{dataset, DatasetKey};
 use fm_bench::harness::{fmt_secs, fmt_x, time_engine_with, BenchArgs, Table};
@@ -78,5 +81,6 @@ fn main() {
         d.graph.num_vertices()
     ));
     table.note("cliques run on the oriented DAG (no runtime bounds), so their reduction comes from galloping alone");
+    table.note("SL-4cycle's non-faithful cells are the pair join's sweep, not a pushed-down merge");
     table.emit(&args.out).expect("write ablation_bounded");
 }

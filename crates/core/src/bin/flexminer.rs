@@ -180,6 +180,8 @@ fn usage(msg: &str) -> ! {
 
 commands:
   plan  <pattern>                           print the compiled execution plan (IR)
+        [--induced] [--no-symmetry]         and, per leaf that `count` does not
+                                            walk, the closed form it counts by
   count <pattern> --graph <input> [flags]   mine with the software engine
         [--induced] [--threads N] [--no-symmetry]
         [--timeout SECS] [--budget SETOP_ITERS]
@@ -407,6 +409,9 @@ fn cmd_plan(args: &[String]) -> CliResult {
     }
     let plan = job.plan().map_err(|e| e.to_string())?;
     print!("{plan}");
+    // Below the listing: how `count` counts the leaves it does not walk.
+    let program = flexminer::engine::count_program(&plan, &EngineConfig::default());
+    print!("{}", flexminer::plan::display::count_listing(&program));
     Ok(0)
 }
 

@@ -656,7 +656,9 @@ mod tests {
     #[test]
     fn hub_bitmap_toggle_preserves_counts_and_is_inert_on_accelerator() {
         let g = generators::attach_hubs(&generators::powerlaw_cluster(150, 4, 0.5, 8), 3, 90, 5);
-        let job = Miner::new(&g).pattern(Pattern::cycle(4)).hub_limits(32, 1 << 22);
+        // The diamond intersects against v1's adjacency at every (v0, v1);
+        // the joined 4-cycle dispatches no set op for a hub to serve.
+        let job = Miner::new(&g).pattern(Pattern::diamond()).hub_limits(32, 1 << 22);
         let on = job.clone().hub_bitmap(true).run().unwrap();
         let off = job.clone().hub_bitmap(false).run().unwrap();
         assert_eq!(on.counts(), off.counts());
@@ -670,7 +672,7 @@ mod tests {
     #[test]
     fn simd_toggle_relabels_merge_dispatches_only() {
         let g = generators::powerlaw_cluster(150, 4, 0.5, 8);
-        let job = Miner::new(&g).pattern(Pattern::cycle(4));
+        let job = Miner::new(&g).pattern(Pattern::diamond());
         let on = job.clone().simd(true).run().unwrap();
         let off = job.clone().simd(false).run().unwrap();
         assert_eq!(on.counts(), off.counts());
@@ -679,6 +681,7 @@ mod tests {
             assert_eq!(won.simd_dispatches, woff.merge_dispatches);
             assert_eq!(won.merge_dispatches, 0);
         }
+        assert!(woff.merge_dispatches > 0, "the diamond must reach the merge tier");
         assert_eq!(woff.simd_dispatches, 0);
         assert_eq!(won.setop_iterations, woff.setop_iterations);
         assert_eq!(won.comparisons, woff.comparisons);

@@ -1848,7 +1848,7 @@ mod tests {
         // Reference: the same job, run clean to completion.
         let clean = mk();
         let resp = clean.handle_line(
-            r#"{"op":"submit","name":"ref","pattern":"4-cycle","graph":"gen:powerlaw,n=2500,m=4,closure=0.5,seed=7"}"#,
+            r#"{"op":"submit","name":"ref","pattern":"house","graph":"gen:powerlaw,n=400,m=4,closure=0.5,seed=7"}"#,
         );
         let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).unwrap();
         let reference = clean.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
@@ -1862,7 +1862,7 @@ mod tests {
         // Interrupted: submit, drain almost immediately, then restart.
         let first = mk();
         first.handle_line(
-            r#"{"op":"submit","name":"ref","pattern":"4-cycle","graph":"gen:powerlaw,n=2500,m=4,closure=0.5,seed=7"}"#,
+            r#"{"op":"submit","name":"ref","pattern":"house","graph":"gen:powerlaw,n=400,m=4,closure=0.5,seed=7"}"#,
         );
         let code = first.finish();
         assert_eq!(code, 0);

@@ -81,6 +81,33 @@ fn sim_stdout_matches_the_golden_file() {
     assert_eq!(stdout, include_str!("golden/sim_stdout.txt"));
 }
 
+/// `plan` says what `count` will run: below the Listing-1 text, one
+/// `count:` line per leaf that is counted without being walked, nothing
+/// for a plan that enumerates.
+#[test]
+fn plan_prints_the_count_only_decision_per_leaf() {
+    let plan = |args: &[&str]| {
+        let out = flexminer(&[&["plan"], args].concat());
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let listing = "    → matches pattern 0 (4-cycle)\n";
+    assert_eq!(
+        plan(&["4-cycle"]).split_once(listing).expect("the IR comes first").1,
+        "count: pair-join v1,v2 → v3 (count map)\n"
+    );
+    assert!(plan(&["diamond"]).ends_with("\ncount: choose(|prefix ∩ v1.N|, 2) → v3\n"));
+    assert!(plan(&["3-star"]).ends_with("\ncount: choose(|core(v1)|, 3) → v3\n"));
+    assert!(plan(&["wedge", "--induced"]).ends_with("\ncount: |prefix| − |prefix ∩ v1.N| → v2\n"));
+    for args in
+        [&["5-cycle"][..], &["house"], &["4-cycle", "--induced"], &["4-cycle", "--no-symmetry"]]
+    {
+        let text = plan(args);
+        assert!(text.contains("pruneBy") && !text.contains("count:"), "{args:?}: {text}");
+    }
+    assert!(plan(&["5-cycle"]).contains("(5-cycle)") && plan(&["house"]).contains("(house)"));
+}
+
 #[test]
 fn bad_flag_values_exit_one() {
     let out = flexminer(&["count", "triangle", "--graph", GRAPH, "--timeout", "soon"]);
@@ -191,14 +218,18 @@ fn temp_ckpt(tag: &str) -> std::path::PathBuf {
 /// exact same stdout as an uninterrupted run (exit 0).
 #[test]
 fn interrupted_count_resumes_to_the_exact_full_total() {
+    // The house enumerates every level: the job that is still running
+    // when its budget goes, at a size that costs what the 4-cycle did.
+    const GRAPH: &str = "gen:powerlaw,n=80,m=5,closure=0.5,seed=3";
     let path = temp_ckpt("resume");
     let ckpt = path.to_str().unwrap();
-    let full = flexminer(&["count", "4-cycle", "--graph", GRAPH]);
+    let full = flexminer(&["count", "house", "--graph", GRAPH]);
     assert_eq!(full.status.code(), Some(0));
+    assert!(full.stdout.starts_with(b"house: "), "{}", String::from_utf8_lossy(&full.stdout));
 
     let cut = flexminer(&[
         "count",
-        "4-cycle",
+        "house",
         "--graph",
         GRAPH,
         "--budget",
@@ -211,7 +242,7 @@ fn interrupted_count_resumes_to_the_exact_full_total() {
     assert_eq!(cut.status.code(), Some(4), "stderr: {}", String::from_utf8_lossy(&cut.stderr));
     assert!(path.exists(), "budget-cut run must leave a snapshot behind");
 
-    let resumed = flexminer(&["count", "4-cycle", "--graph", GRAPH, "--resume", ckpt]);
+    let resumed = flexminer(&["count", "house", "--graph", GRAPH, "--resume", ckpt]);
     assert_eq!(
         resumed.status.code(),
         Some(0),

@@ -154,14 +154,16 @@ fn request(stream: &mut UnixStream, line: &str) -> String {
 /// spool, and final counts bit-identical to an uninterrupted run.
 #[test]
 fn socket_sigterm_drain_restart_is_bit_identical() {
-    const GRAPH: &str = "gen:powerlaw,n=6000,m=4,closure=0.5,seed=11";
+    // The house enumerates every level, so it is still mid-run when the
+    // signal lands; a 4-cycle this size is counted before it does.
+    const GRAPH: &str = "gen:powerlaw,n=1000,m=4,closure=0.5,seed=11";
     let dir = temp_dir("sigterm");
     let sock = dir.join("serve.sock");
     let spool = dir.join("spool");
 
     // In-process reference for the same job.
     let g = flexminer::graphspec::load(GRAPH).unwrap();
-    let reference = Miner::new(&g).pattern(Pattern::cycle(4)).run().unwrap().counts();
+    let reference = Miner::new(&g).pattern(Pattern::house()).run().unwrap().counts();
 
     let child = bin()
         .args(["serve", "--socket", sock.to_str().unwrap(), "--spool", spool.to_str().unwrap()])
@@ -174,7 +176,7 @@ fn socket_sigterm_drain_restart_is_bit_identical() {
     let mut conn = connect(&sock, 30);
     let resp = request(
         &mut conn,
-        &format!(r#"{{"op":"submit","name":"big","pattern":"4-cycle","graph":"{GRAPH}"}}"#),
+        &format!(r#"{{"op":"submit","name":"big","pattern":"house","graph":"{GRAPH}"}}"#),
     );
     assert!(resp.contains("\"ok\":true"), "{resp}");
     // SIGTERM while the job is mid-run: the process must drain, not die.
@@ -383,7 +385,7 @@ fn socket_rejects_jobs_beyond_admission_limits() {
     let mut conn = connect(&sock, 30);
     let a = request(
         &mut conn,
-        r#"{"op":"submit","name":"a","pattern":"4-cycle","graph":"gen:powerlaw,n=4000,m=4,closure=0.5,seed=3"}"#,
+        r#"{"op":"submit","name":"a","pattern":"house","graph":"gen:powerlaw,n=700,m=4,closure=0.5,seed=3"}"#,
     );
     assert!(a.contains("\"ok\":true"), "{a}");
     let b = request(

@@ -95,9 +95,11 @@ fn wait_for_status(conn: &mut UnixStream, needle: &str, secs: u64) {
 /// Submitted record, so replay is idempotent under repeated crashes.
 #[test]
 fn sigkill_mid_job_double_crash_recovery_is_bit_identical() {
-    // Big enough that the 4-cycle run takes many seconds even in debug
-    // builds — both kills land while the job is genuinely mid-flight.
-    const GRAPH: &str = "gen:powerlaw,n=60000,m=8,closure=0.5,seed=11";
+    // Big enough that the house — which enumerates every level; the
+    // 4-cycle is counted by a pair join several times faster — takes many
+    // seconds even in debug builds: both kills land while the job is
+    // genuinely mid-flight.
+    const GRAPH: &str = "gen:powerlaw,n=10000,m=8,closure=0.5,seed=11";
     let dir = temp_dir("kill9");
     let sock = dir.join("serve.sock");
     let spool = dir.join("spool");
@@ -105,7 +107,7 @@ fn sigkill_mid_job_double_crash_recovery_is_bit_identical() {
 
     // In-process reference for the same job, uninterrupted.
     let g = flexminer::graphspec::load(GRAPH).unwrap();
-    let reference = Miner::new(&g).pattern(Pattern::cycle(4)).run().unwrap().counts();
+    let reference = Miner::new(&g).pattern(Pattern::house()).run().unwrap().counts();
 
     let serve_args = |extra: &[&str]| {
         let mut v = vec![
@@ -132,7 +134,7 @@ fn sigkill_mid_job_double_crash_recovery_is_bit_identical() {
     let mut conn = connect(&sock, 30);
     let resp = request(
         &mut conn,
-        &format!(r#"{{"op":"submit","name":"big","pattern":"4-cycle","graph":"{GRAPH}"}}"#),
+        &format!(r#"{{"op":"submit","name":"big","pattern":"house","graph":"{GRAPH}"}}"#),
     );
     assert!(resp.contains("\"ok\":true"), "{resp}");
     std::thread::sleep(Duration::from_millis(300));

@@ -336,7 +336,7 @@ fn trace_out_captures_two_concurrent_jobs_on_one_timeline() {
         let resp = request(
             &mut ctl,
             &format!(
-                r#"{{"op":"submit","name":"{name}","pattern":"4-cycle","graph":"gen:powerlaw,n=2000,m=4,closure=0.5,seed={i}"}}"#
+                r#"{{"op":"submit","name":"{name}","pattern":"house","graph":"gen:powerlaw,n=300,m=4,closure=0.5,seed={i}"}}"#
             ),
         );
         assert!(resp.contains("\"ok\":true"), "{resp}");

@@ -54,10 +54,13 @@ use std::time::{Duration, Instant};
 /// Magic bytes identifying the binary checkpoint format.
 const CKPT_MAGIC: &[u8; 8] = b"FMCKPT\x01\x00";
 
-/// Current format version. Bump on any layout change; old readers reject
-/// newer files with [`CheckpointError::UnsupportedVersion`] instead of
-/// misparsing them.
-const CKPT_VERSION: u32 = 4;
+/// Current format version. Bump on any layout change, and on any change
+/// to what the stored work words *mean* (version 5: closed-form leaves
+/// charge differently from the enumeration a version-4 file's words
+/// recorded, so the two may not be added); readers reject every other
+/// version with [`CheckpointError::UnsupportedVersion`] instead of
+/// misparsing or miscounting it.
+const CKPT_VERSION: u32 = 5;
 
 /// Elements preallocated up front when reading untrusted length headers:
 /// larger lists grow on demand as
@@ -921,10 +924,16 @@ mod tests {
             Checkpoint::decode(&bytes).unwrap_err(),
             CheckpointError::UnsupportedVersion(99)
         );
-        // Version 3 bodies carried 17 work words; this build's 13-word
-        // reader must refuse them by number, not misparse them.
-        bytes[8] = 3;
-        assert_eq!(Checkpoint::decode(&bytes).unwrap_err(), CheckpointError::UnsupportedVersion(3));
+        // Version 3 bodies carried 17 work words, and version 4's 13 were
+        // charged by plans that enumerated every leaf: this build must
+        // refuse both by number, not misparse one or add up the other.
+        for old in [3, 4] {
+            bytes[8] = old;
+            assert_eq!(
+                Checkpoint::decode(&bytes).unwrap_err(),
+                CheckpointError::UnsupportedVersion(u32::from(old))
+            );
+        }
     }
 
     /// ISSUE satellite: corruption, truncation, and huge declared headers

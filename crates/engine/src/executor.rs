@@ -15,8 +15,8 @@ use crate::setops;
 use crate::telemetry::Collector;
 use crate::EngineConfig;
 use fm_graph::{orient_by_degree, BlockSummaries, CsrGraph, HubBitmaps, VertexId};
-use fm_plan::lowering::{lower, LowerOptions, Program};
-use fm_plan::{ExecutionPlan, FrontierHint};
+use fm_plan::lowering::{lower, LowerOptions, ProgNode, Program};
+use fm_plan::{count_leaves, CountOptions, CountRule, ExecutionPlan, FrontierHint, Survivors};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -132,6 +132,22 @@ pub fn prepare<'g>(
     PreparedGraph::build(Held::Ref(graph), plan, cfg)
 }
 
+/// The program a count-only run of `plan` executes under `cfg`: the plan
+/// lowered for the engine's candidate generation, then every leaf's
+/// counting rule decided ([`count_leaves`]). `paper_faithful` keeps the
+/// scan — the one rule that charges exactly what enumeration does.
+pub fn count_program(plan: &ExecutionPlan, cfg: &EngineConfig) -> Program {
+    let mut program = lower(
+        plan,
+        LowerOptions { frontier_memo: cfg.frontier_memo, bounded_pushdown: !cfg.paper_faithful },
+    );
+    count_leaves(
+        &mut program,
+        CountOptions { closed_forms: !cfg.paper_faithful, use_cmap: cfg.use_cmap },
+    );
+    program
+}
+
 /// Mutable per-worker state.
 struct State {
     emb: Vec<VertexId>,
@@ -145,6 +161,13 @@ struct State {
     scratch_a: Vec<VertexId>,
     scratch_b: Vec<VertexId>,
     cmap: HashCmap,
+    /// The pair join's count map: one counter per data vertex, all zero
+    /// between joins. Empty until this worker's first join, so a plan
+    /// without one never pays for it.
+    pair_counts: Vec<u32>,
+    /// The vertices whose counter the running join has bumped — what it
+    /// replays to zero the map again.
+    touched: Vec<VertexId>,
     counts: Vec<u64>,
     work: WorkCounters,
     matches: Option<Vec<(usize, Vec<VertexId>)>>,
@@ -184,6 +207,8 @@ impl State {
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
             cmap: HashCmap::new(),
+            pair_counts: Vec::new(),
+            touched: Vec::new(),
             counts: vec![0; patterns],
             work: WorkCounters::default(),
             matches: None,
@@ -194,6 +219,9 @@ impl State {
         }
     }
 }
+
+/// What a count that would wrap panics with instead.
+pub(crate) const COUNT_OVERFLOW: &str = "pattern count overflows 64 bits";
 
 /// Renders a panic payload for [`Fault::payload`].
 pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
@@ -234,13 +262,7 @@ impl<'g> Executor<'g> {
             g.blocks.is_none() || cfg.simd_active(),
             "block summaries must not reach a config that excludes the SIMD tier"
         );
-        let program = lower(
-            plan,
-            LowerOptions {
-                frontier_memo: cfg.frontier_memo,
-                bounded_pushdown: !cfg.paper_faithful,
-            },
-        );
+        let program = count_program(plan, cfg);
         let state = State::new(program.depth, plan.patterns.len());
         Executor {
             graph: g.graph(),
@@ -254,9 +276,13 @@ impl<'g> Executor<'g> {
 
     /// Enables recording of complete matches (pattern index + embedding).
     /// Intended for tests and small listings; counting stays exact either
-    /// way.
+    /// way. A match has to be entered to be recorded, so this puts every
+    /// node back on [`CountRule::Enumerate`].
     pub fn collect_matches(&mut self) {
         self.state.matches = Some(Vec::new());
+        for node in &mut self.program.nodes {
+            node.count = CountRule::Enumerate;
+        }
     }
 
     /// Runs the full search subtree rooted at start vertex `v`.
@@ -325,6 +351,9 @@ impl<'g> Executor<'g> {
                 // the next task reads before writing.
                 self.state.emb.clear();
                 self.state.cmap.clear();
+                for w in self.state.touched.drain(..) {
+                    self.state.pair_counts[w.index()] = 0;
+                }
                 for ins in &mut self.state.inserted {
                     ins.clear();
                 }
@@ -353,7 +382,8 @@ impl<'g> Executor<'g> {
     pub(crate) fn drain_into(&mut self, snap: &mut Checkpoint) -> u64 {
         let s = &mut self.state;
         for (slot, count) in snap.counts.iter_mut().zip(&mut s.counts) {
-            *slot += std::mem::take(count);
+            // Closed-form leaves reach totals enumeration never could.
+            *slot = slot.checked_add(std::mem::take(count)).expect(COUNT_OVERFLOW);
         }
         snap.work += std::mem::take(&mut s.work);
         let tasks = (s.completed.len() + s.quarantined.len()) as u64;
@@ -363,6 +393,21 @@ impl<'g> Executor<'g> {
         snap.faults.append(&mut s.faults);
         snap.quarantined.append(&mut s.quarantined);
         tasks
+    }
+
+    /// Hands this executor the (all-zero) count map an earlier stint of
+    /// the same job gave back, sparing its first pair join the O(|V|)
+    /// allocation — a job's stints are many and short.
+    pub(crate) fn adopt_pair_counts(&mut self, map: Vec<u32>) {
+        self.state.pair_counts = map;
+    }
+
+    /// The count map for the job's next stint: empty if this executor
+    /// never joined, otherwise all zero, because no join is in flight
+    /// between tasks.
+    pub(crate) fn release_pair_counts(&mut self) -> Vec<u32> {
+        debug_assert!(self.state.touched.is_empty(), "a join undoes its bumps before it returns");
+        std::mem::take(&mut self.state.pair_counts)
     }
 
     /// Installs this worker's telemetry collector (observed runs only).
@@ -480,7 +525,10 @@ fn enter(
     state.emb.pop();
 }
 
-/// Generates the candidates of `node` and recurses into each survivor.
+/// Generates the candidates of `node` and counts the subtree below them
+/// the way the program decided ([`CountRule`]): entering each survivor, or
+/// — in a count-only run, where the lowering proved it equivalent — by one
+/// of the closed forms of DESIGN.md §6f.
 fn step(
     g: &CsrGraph,
     aux: Aux<'_>,
@@ -490,39 +538,62 @@ fn step(
     node_idx: usize,
 ) {
     let node = &prog.nodes[node_idx];
-    let d = node.depth;
     let bound: Option<VertexId> = node.upper_bounds.iter().map(|&l| state.emb[l]).min();
-
-    // Count-only leaf fusion: a terminal `Extend` level with no
-    // injectivity filter only needs |core ∩ N(v)| — dispatch the counting
-    // twin of the adaptive kernel instead of materializing the frontier.
-    // Every counter (iterations, comparisons, dispatches,
-    // candidates_checked, extensions) is charged exactly as the
-    // materialize-then-count path would, so fusion is invisible to work
-    // accounting; it only skips the frontier write. Restricted to cases
-    // where the materialized core would contain precisely the counted
-    // elements: bound pushed down (or absent) and no c-map probe arm.
-    if !cfg.paper_faithful
-        && state.matches.is_none()
-        && node.children.is_empty()
-        && node.injectivity.is_empty()
-        && node.frontier == FrontierHint::Extend
-        && !(cfg.use_cmap && node.probe)
-        && (bound.is_none() || node.bounded_build)
-    {
-        if let Some(pi) = node.pattern_index {
+    let (leaf, k, survivors) = match node.count {
+        CountRule::Enumerate => {
+            let (core, len) = materialize(g, aux, cfg, prog, state, node_idx, bound);
+            walk(state, node, core, len, bound, |state, w| {
+                enter(g, aux, cfg, prog, state, node_idx, w)
+            });
+            return;
+        }
+        CountRule::PairJoin { leaf } => {
+            materialize(g, aux, cfg, prog, state, node_idx, bound);
+            pair_join(g, cfg, state, node, &prog.nodes[leaf], bound);
+            return;
+        }
+        CountRule::Tail { leaf, k, survivors } => (leaf, k, survivors),
+    };
+    // `m`: how many candidates survive this node's bound and injectivity.
+    let m = match survivors {
+        // GraphZero's generated code ends in exactly such count loops, and
+        // the FlexMiner reducer does the same in hardware: every counter is
+        // charged as entering each survivor would.
+        Survivors::Scan => {
+            let (core, len) = materialize(g, aux, cfg, prog, state, node_idx, bound);
+            let mut found = 0u64;
+            walk(state, node, core, len, bound, |_, _| found += 1);
+            found
+        }
+        Survivors::Search => {
+            let (core, _) = materialize(g, aux, cfg, prog, state, node_idx, bound);
+            let (_, m) =
+                surviving(&state.frontiers[core], bound, node, &state.emb, &mut state.work);
+            state.work.candidates_checked += m;
+            m
+        }
+        // The counting twin of the adaptive kernel, same tier rule and same
+        // charges as the merge it replaces; only the frontier write is
+        // skipped. An `ExtendDiff` counts what the difference would keep as
+        // what the intersection would drop.
+        Survivors::Intersect | Survivors::Difference => {
+            let d = node.depth;
             fail_point!(cfg, "frontier_alloc", state.emb[0].0 as u64);
             fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
             let v = state.emb[d - 1];
-            let adj = g.neighbors(v);
             let hub = aux.hubs.and_then(|h| h.row(v));
-            let src = state.core_at[d - 1];
-            let merge_bound = if node.bounded_build { bound } else { None };
             let work_before = state.charges_depths().then_some(state.work);
-            let found = setops::intersect_adaptive_count(
-                &state.frontiers[src],
-                adj,
-                merge_bound,
+            let prefix = &state.frontiers[state.core_at[d - 1]];
+            let prefix = match (survivors, bound) {
+                (Survivors::Difference, Some(b)) => {
+                    setops::bounded_prefix(prefix, b, &mut state.work)
+                }
+                _ => prefix,
+            };
+            let common = setops::intersect_adaptive_count(
+                prefix,
+                g.neighbors(v),
+                bound,
                 cfg.gallop_ratio,
                 hub,
                 aux.simd_for(v),
@@ -531,19 +602,36 @@ fn step(
             if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {
                 t.charge_setops(d, before, state.work);
             }
-            state.counts[pi] += found;
-            state.work.candidates_checked += found;
-            state.work.extensions += found;
-            return;
+            let m = if survivors == Survivors::Intersect {
+                common
+            } else {
+                prefix.len() as u64 - common
+            };
+            state.work.candidates_checked += m;
+            m
         }
-    }
+    };
+    let pi = prog.nodes[leaf].pattern_index.expect("a tail ends in a pattern leaf");
+    credit(state, pi, choose(m, k));
+}
 
+/// [`build_core`] for `node`, with the telemetry an observed run keeps of
+/// it. Returns the buffer index of the core and its length.
+fn materialize(
+    g: &CsrGraph,
+    aux: Aux<'_>,
+    cfg: &EngineConfig,
+    prog: &Program,
+    state: &mut State,
+    node_idx: usize,
+    bound: Option<VertexId>,
+) -> (usize, usize) {
+    let node = &prog.nodes[node_idx];
+    let d = node.depth;
     let work_before = state.charges_depths().then_some(state.work);
     build_core(g, aux, cfg, prog, state, node_idx, bound);
-
     let core = state.core_at[d];
     let len = state.frontiers[core].len();
-
     // Observed runs: charge this level's candidate-generation delta (all
     // build_core arms — merges, gallops, probes, and c-map traffic) to
     // depth `d`, and sample the size of any newly materialized frontier.
@@ -553,33 +641,21 @@ fn step(
             t.record_frontier(len);
         }
     }
+    (core, len)
+}
 
-    // Leaf fast path: a terminal pattern level only needs its qualifying
-    // candidates *counted* — GraphZero's generated code ends in exactly
-    // such count loops, and the FlexMiner reducer does the same in
-    // hardware. (Disabled while collecting full matches.)
-    if let (Some(pi), true, true) =
-        (node.pattern_index, node.children.is_empty(), state.matches.is_none())
-    {
-        let mut found = 0u64;
-        for i in 0..len {
-            let w = state.frontiers[core][i];
-            state.work.candidates_checked += 1;
-            if let Some(b) = bound {
-                if w >= b {
-                    break;
-                }
-            }
-            if node.injectivity.iter().any(|&l| state.emb[l] == w) {
-                continue;
-            }
-            found += 1;
-        }
-        state.counts[pi] += found;
-        state.work.extensions += found;
-        return;
-    }
-
+/// Walks `node`'s materialized core the way enumeration does — one
+/// `candidates_checked` per element, up to and including the one that
+/// trips the bound — handing each survivor to `visit`.
+#[inline]
+fn walk(
+    state: &mut State,
+    node: &ProgNode,
+    core: usize,
+    len: usize,
+    bound: Option<VertexId>,
+    mut visit: impl FnMut(&mut State, VertexId),
+) {
     for i in 0..len {
         let w = state.frontiers[core][i];
         state.work.candidates_checked += 1;
@@ -591,8 +667,126 @@ fn step(
         if node.injectivity.iter().any(|&l| state.emb[l] == w) {
             continue;
         }
-        enter(g, aux, cfg, prog, state, node_idx, w);
+        visit(state, w);
     }
+}
+
+/// Where `node`'s bound cuts its sorted `core`, and how many candidates
+/// before the cut also pass its injectivity filter.
+fn surviving(
+    core: &[VertexId],
+    bound: Option<VertexId>,
+    node: &ProgNode,
+    emb: &[VertexId],
+    work: &mut WorkCounters,
+) -> (usize, u64) {
+    let below = match bound {
+        Some(b) => setops::bounded_prefix(core, b, work),
+        None => core,
+    };
+    let taken = node.injectivity.iter().filter(|&&l| below.binary_search(&emb[l]).is_ok()).count();
+    (below.len(), (below.len() - taken) as u64)
+}
+
+/// `C(m, k)`.
+///
+/// # Panics
+///
+/// Panics when the value does not fit a `u64`: a closed form reaches
+/// counts no enumeration ever could, and a wrapped count must never be
+/// printed. Inside a task the panic is isolated like any other fault.
+fn choose(m: u64, k: usize) -> u64 {
+    let k = k as u64;
+    if k == 1 {
+        return m; // the plain leaf, millions of times a run
+    }
+    if m < k {
+        return 0;
+    }
+    // Over the shorter side every prefix product is itself a binomial no
+    // larger than the result, so a prefix that overflows means the result
+    // does; the wide path is for a product that overflows before its
+    // division brings it back.
+    let mut acc: u64 = 1;
+    for i in 0..k.min(m - k) {
+        acc = match acc.checked_mul(m - i) {
+            Some(product) => product / (i + 1),
+            None => u64::try_from(u128::from(acc) * u128::from(m - i) / u128::from(i + 1))
+                .unwrap_or_else(|_| panic!("C({m}, {k}) overflows a 64-bit count")),
+        };
+    }
+    acc
+}
+
+/// Adds `found` matches of pattern `pi`, each charged as the one search
+/// leaf it stands for.
+fn credit(state: &mut State, pi: usize, found: u64) {
+    state.counts[pi] = state.counts[pi].checked_add(found).expect(COUNT_OVERFLOW);
+    state.work.extensions = state.work.extensions.checked_add(found).expect(COUNT_OVERFLOW);
+}
+
+/// The pair join at `x` (DESIGN.md §6f): every unordered pair of `x`'s
+/// surviving candidates stands for an (X, Y) the enumerating plan would
+/// enter, and `z`'s candidates below such a pair are the common neighbours
+/// that pass `z`'s own filters — which mention only levels above `x`, so
+/// one sweep serves all pairs. Streams each survivor's adjacency up to
+/// `z`'s bound bumping the worker's count map, credits `Σ C(cnt, 2)`, and
+/// undoes the map by replaying the touched keys. One `setop_iterations`
+/// per streamed element (the probe tier's price), no invocation and no
+/// tier: nothing was dispatched.
+fn pair_join(
+    g: &CsrGraph,
+    cfg: &EngineConfig,
+    state: &mut State,
+    x: &ProgNode,
+    z: &ProgNode,
+    bound: Option<VertexId>,
+) {
+    let core = state.core_at[x.depth];
+    let (end, survivors) = surviving(&state.frontiers[core], bound, x, &state.emb, &mut state.work);
+    state.work.candidates_checked += end as u64;
+    if survivors < 2 {
+        return;
+    }
+    if state.pair_counts.is_empty() {
+        state.pair_counts = vec![0; g.num_vertices()];
+    }
+    let z_bound = z.upper_bounds.iter().map(|&l| state.emb[l]).min();
+    let work_before = state.charges_depths().then_some(state.work);
+    for i in 0..end {
+        let xv = state.frontiers[core][i];
+        if x.injectivity.iter().any(|&l| state.emb[l] == xv) {
+            continue;
+        }
+        fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
+        let adj = match z_bound {
+            Some(b) => setops::bounded_prefix(g.neighbors(xv), b, &mut state.work),
+            None => g.neighbors(xv),
+        };
+        state.work.setop_iterations += adj.len() as u64;
+        for &w in adj {
+            let cnt = &mut state.pair_counts[w.index()];
+            if *cnt == 0 {
+                state.touched.push(w);
+            }
+            *cnt += 1;
+        }
+    }
+    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {
+        t.charge_setops(z.depth, before, state.work);
+    }
+    // An embedding vertex `z` may not repeat closes no pair; those its
+    // bound excludes were never streamed.
+    for &l in z.injectivity.iter().filter(|&&l| !z.upper_bounds.contains(&l)) {
+        state.pair_counts[state.emb[l].index()] = 0;
+    }
+    let mut found: u128 = 0;
+    for w in state.touched.drain(..) {
+        let cnt = u128::from(std::mem::take(&mut state.pair_counts[w.index()]));
+        found += cnt * cnt.saturating_sub(1) / 2;
+    }
+    let pi = z.pattern_index.expect("a pair join ends in a pattern leaf");
+    credit(state, pi, u64::try_from(found).expect(COUNT_OVERFLOW));
 }
 
 /// Materializes (or locates) the core candidate list for `node`, leaving
@@ -970,6 +1164,47 @@ mod tests {
             // Symmetry order: v1 < v0, v2 < v1, v3 < v0.
             assert!(emb[1] < emb[0] && emb[2] < emb[1] && emb[3] < emb[0]);
         }
+    }
+
+    #[test]
+    fn choose_is_exact_until_it_cannot_be() {
+        assert_eq!(choose(0, 2), 0);
+        assert_eq!(choose(1, 2), 0);
+        assert_eq!(choose(5, 1), 5);
+        assert_eq!(choose(5, 2), 10);
+        assert_eq!(choose(10, 7), 120);
+        assert_eq!(choose(7, 7), 1);
+        // A product that overflows before its division brings it back.
+        assert_eq!(choose(6_074_001_000, 2), 18_446_744_070_963_499_500);
+        // C(67, 33) is the largest central-ish binomial under 2^64.
+        assert_eq!(choose(67, 33), 14_226_520_737_620_288_370);
+        for (m, k) in [(6_074_001_001, 2), (68, 34), (200_000, 7)] {
+            let wrapped = catch_unwind(|| choose(m, k));
+            assert!(wrapped.is_err(), "C({m}, {k}) does not fit and must not wrap");
+        }
+    }
+
+    /// A closed form reaches counts no enumeration could: the 7-stars at a
+    /// degree-200 000 hub number C(200 000, 7) ≈ 2.5·10³³. The overflow is
+    /// a fault of that one task — isolated, quarantined, `Degraded` — and
+    /// never a wrapped count.
+    #[test]
+    fn a_count_past_64_bits_degrades_the_run_instead_of_wrapping() {
+        let g = generators::star(200_000);
+        let plan = compile(&Pattern::star(7), CompileOptions::default());
+        let r = mine(&g, &plan, &EngineConfig::default());
+        assert_eq!(r.status, RunStatus::Degraded);
+        let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+        assert_eq!(r.quarantined.len(), 1, "{:?}", r.quarantined);
+        assert_eq!(r.quarantined[0].vid, hub.0);
+        assert!(r.quarantined[0].payload.contains("overflows"), "{:?}", r.quarantined[0]);
+        // Every leaf of the data star has one neighbour: no 7-star there.
+        assert_eq!(r.counts, vec![0]);
+        assert_eq!(r.completed.len(), g.num_vertices() - 1);
+        // The same hub with a count that fits: C(200 000, 3).
+        let plan = compile(&Pattern::star(3), CompileOptions::default());
+        let r = mine(&g, &plan, &EngineConfig::default());
+        assert_eq!((r.status, r.counts), (RunStatus::Complete, vec![1_333_313_333_400_000]));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! | `start_vertex`   | [`Executor::run_vertex`] entry                     |
 //! | `frontier_alloc` | candidate-core materialization in `build_core`     |
 //! | `cmap_insert`    | bulk c-map insertion on embedding push             |
-//! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline   |
+//! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline,  |
+//! |                  | and each survivor's stream in a pair join's sweep  |
 //!
 //! Injection is scoped to a run, not to the process: [`guard`] hands out a
 //! fresh scope id, the test puts it in the run's

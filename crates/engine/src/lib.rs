@@ -57,12 +57,15 @@ pub mod stream;
 pub mod telemetry;
 
 /// Reports a named failpoint hit in instrumented builds (`cfg(test)` or
-/// the `failpoints` feature); expands to nothing otherwise, so release
-/// hot paths carry no trace of the harness.
+/// the `failpoints` feature); expands to nothing that runs otherwise, so
+/// release hot paths carry no trace of the harness.
 macro_rules! fail_point {
     ($cfg:expr, $site:expr, $ctx:expr) => {
         #[cfg(any(test, feature = "failpoints"))]
         crate::failpoint::hit($cfg.failpoint_scope, $site, $ctx);
+        // A function that takes the config for its sites alone still uses it.
+        #[cfg(not(any(test, feature = "failpoints")))]
+        let _ = &$cfg;
     };
 }
 pub(crate) use fail_point;
@@ -72,7 +75,7 @@ pub use checkpoint::{
     CompletedSet, GraphFingerprint,
 };
 pub use control::{Budget, CancelToken};
-pub use executor::{prepare, Executor, PreparedGraph};
+pub use executor::{count_program, prepare, Executor, PreparedGraph};
 pub use parallel::{mine, mine_prepared, mine_prepared_observed, mine_with, MineOptions};
 pub use result::{Fault, MiningResult, RunStatus, Straggler, WorkCounters};
 pub use stream::{JobCore, Stint, TaskCursor};

@@ -330,7 +330,7 @@ impl MiningResult {
             self.counts.resize(other.counts.len(), 0);
         }
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
+            *c = c.checked_add(*o).expect(crate::executor::COUNT_OVERFLOW);
         }
         self.work += other.work;
         self.status = self.status.max(other.status);

@@ -214,6 +214,10 @@ pub struct JobCore<'g> {
     stopped: Mutex<Option<RunStatus>>,
     /// Stints currently inside `run_stint`.
     active: AtomicUsize,
+    /// Pair-join count maps (one `u32` per vertex, all zero) that finished
+    /// stints left for later ones: at most one per concurrent stint, none
+    /// for a plan without a join, none once the queue has drained.
+    pair_maps: Mutex<Vec<Vec<u32>>>,
     /// Metrics and spans, off (`None`) by default so unobserved jobs pay
     /// one null check per stint.
     pub(crate) observer: Option<Observer>,
@@ -287,6 +291,7 @@ impl<'g> JobCore<'g> {
             spent_iters: AtomicU64::new(0),
             stopped: Mutex::new(None),
             active: AtomicUsize::new(0),
+            pair_maps: Mutex::new(Vec::new()),
             observer: None,
             task_times: None,
             progress: None,
@@ -494,6 +499,9 @@ impl<'g> JobCore<'g> {
         let task_clock = observer.filter(|o| o.task_spans).and_then(|o| o.clock);
         let stint_start = clock.map(|c| c.now_us());
         let mut ex = Executor::new(&self.graph, &self.plan, &self.cfg);
+        if let Some(map) = self.pair_maps.lock().expect("pair-map lock poisoned").pop() {
+            ex.adopt_pair_counts(map);
+        }
         if let Some(o) = observer.filter(|o| o.metrics || o.task_spans) {
             // A stint can run its limit rounded up to the chunk grain.
             let most = max_tasks.saturating_add(self.cfg.chunk_size as u64);
@@ -551,6 +559,15 @@ impl<'g> JobCore<'g> {
             }
         }
         self.publish(&mut ex);
+        let (map, drained) = (ex.release_pair_counts(), self.is_drained());
+        {
+            let mut maps = self.pair_maps.lock().expect("pair-map lock poisoned");
+            if drained {
+                maps.clear(); // no stint will follow: a finished job holds no scratch
+            } else if !map.is_empty() {
+                maps.push(map);
+            }
+        }
         if let (Some(shared), Some(times)) = (&self.task_times, times) {
             shared.lock().expect("task-time lock poisoned").extend(times);
         }
@@ -661,6 +678,29 @@ mod tests {
                 Stint::Ran { .. } => continue,
                 other => panic!("unexpected stint outcome {other:?}"),
             }
+        }
+    }
+
+    /// A job's stints are many and short, and a pair join's count map is
+    /// one `u32` per vertex: the stints of one job pass a single zeroed
+    /// map along instead of allocating one each; a plan without a join
+    /// never has one, and a finished job keeps none.
+    #[test]
+    fn stints_of_one_job_share_the_pair_joins_count_map() {
+        let g = Arc::new(generators::powerlaw_cluster(200, 4, 0.5, 5));
+        let cfg = EngineConfig::default();
+        for (pattern, maps) in [(Pattern::cycle(4), 1), (Pattern::house(), 0)] {
+            let plan = Arc::new(compile(&pattern, CompileOptions::default()));
+            let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg);
+            for _ in 0..3 {
+                assert!(matches!(core.run_stint(3), Stint::Ran { drained: false, .. }));
+                let left = core.pair_maps.lock().unwrap();
+                assert_eq!(left.len(), maps, "{pattern}");
+                assert!(left.iter().all(|m| m.len() == 200 && m.iter().all(|&c| c == 0)));
+            }
+            drain(&core, 3, 0);
+            assert_eq!(core.result().counts, mine(&g, &plan, &cfg).counts);
+            assert!(core.pair_maps.lock().unwrap().is_empty(), "a finished job keeps none");
         }
     }
 

@@ -59,21 +59,28 @@ fn poisoned_start_vertex_degrades_with_exact_remaining_counts() {
 fn mid_subtree_faults_roll_back_partial_counts() {
     let g = generators::powerlaw_cluster(120, 4, 0.5, 11);
     // Sites deeper in the DFS fire after the task has already counted
-    // some matches; isolation must roll those partial counts back.
-    for site in ["frontier_alloc", "csr_read"] {
-        let plan = compile(&Pattern::cycle(4), CompileOptions::default());
-        let poisoned = 5u32;
-        let fp = failpoint::guard(site, Trigger::OnContext(poisoned as u64), "mid-subtree");
-        let cfg = EngineConfig { threads: 4, failpoint_scope: fp.scope(), ..Default::default() };
-        let r = mine(&g, &plan, &cfg);
-        assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
+    // some matches; isolation must roll those partial counts back — in a
+    // plan that enumerates every level (house) and in one whose sites sit
+    // around a pair join's sweep (4-cycle).
+    for pattern in [Pattern::house(), Pattern::cycle(4)] {
+        for site in ["frontier_alloc", "csr_read"] {
+            let plan = compile(&pattern, CompileOptions::default());
+            let poisoned = 5u32;
+            let fp = failpoint::guard(site, Trigger::OnContext(poisoned as u64), "mid-subtree");
+            let cfg =
+                EngineConfig { threads: 4, failpoint_scope: fp.scope(), ..Default::default() };
+            let r = mine(&g, &plan, &cfg);
+            assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
+        }
     }
 }
 
 #[test]
 fn cmap_insert_fault_is_isolated_and_cmap_state_recovers() {
     let g = generators::powerlaw_cluster(120, 4, 0.5, 13);
-    let plan = compile(&Pattern::cycle(4), CompileOptions::default());
+    // The house inserts v0's and v1's neighbours; the joined 4-cycle never
+    // enters the level that would.
+    let plan = compile(&Pattern::house(), CompileOptions::default());
     let poisoned = 2u32;
     let fp = failpoint::guard("cmap_insert", Trigger::OnContext(poisoned as u64), "cmap fault");
     let cfg = EngineConfig {

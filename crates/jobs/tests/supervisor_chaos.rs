@@ -20,6 +20,13 @@ fn cycle4() -> Arc<ExecutionPlan> {
     Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()))
 }
 
+/// A plan that enumerates every level: the job that is still running when
+/// something interrupts it (the 4-cycle is counted by a pair join, several
+/// times faster at any size).
+fn house() -> Arc<ExecutionPlan> {
+    Arc::new(compile(&Pattern::house(), CompileOptions::default()))
+}
+
 fn triangle() -> Arc<ExecutionPlan> {
     Arc::new(compile(&Pattern::triangle(), CompileOptions::default()))
 }
@@ -153,9 +160,9 @@ fn preemption_pauses_victim_and_both_finish_bit_identically() {
         ..Default::default()
     });
     let cfg = EngineConfig { threads: 2, ..Default::default() };
-    let plan = cycle4();
-    let g_lo = graph(1200, 7);
-    let g_hi = graph(300, 8);
+    let plan = house();
+    let g_lo = graph(250, 7);
+    let g_hi = graph(100, 8);
     let ref_lo = mine(&g_lo, &plan, &cfg);
     let ref_hi = mine(&g_hi, &plan, &cfg);
     let lo = sup.submit(JobSpec {
@@ -184,11 +191,11 @@ fn shutdown_drains_to_checkpoints_and_restart_resumes_bit_for_bit() {
     let spool = std::env::temp_dir().join(format!("fm-jobs-drain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&spool);
     let cfg = EngineConfig { threads: 2, ..Default::default() };
-    let plan = cycle4();
+    let plan = house();
     let jobs: Vec<(Arc<CsrGraph>, MiningResult)> = [9u64, 10]
         .iter()
         .map(|&seed| {
-            let g = graph(900, seed);
+            let g = graph(150, seed);
             let reference = mine(&g, &plan, &cfg);
             (g, reference)
         })

@@ -3,7 +3,7 @@
 //! A *motif* is a connected pattern with k vertices; k-motif counting
 //! (k-MC, §II-A) counts vertex-induced occurrences of every k-motif
 //! simultaneously. Fig. 3 of the paper shows the 2 three-vertex motifs
-//! (wedge, triangle) and the 6 four-vertex motifs (3-path, 3-star, 4-cycle,
+//! (wedge, triangle) and the 6 four-vertex motifs (4-path, 3-star, 4-cycle,
 //! tailed triangle, diamond, 4-clique).
 
 use crate::pattern::Pattern;
@@ -65,25 +65,39 @@ pub fn motifs(k: usize) -> Vec<Pattern> {
     out
 }
 
-/// A short human-readable name for each 3- or 4-vertex motif, matching the
-/// terminology of Fig. 3; falls back to `k{size}e{edges}` elsewhere.
+/// A short human-readable name: the one the pattern parser reads back as
+/// this pattern (`wedge`, `triangle`, `diamond`, `tailed-triangle`,
+/// `house`, and the `k-clique` / `k-cycle` / `k-path` / `k-star` families
+/// at any size, numbered as the parser numbers them: a `k-path` has `k`
+/// vertices, a `k-star` has `k` leaves), so a run prints the name it was
+/// given; `k{size}e{edges}` for everything else.
 pub fn motif_name(p: &Pattern) -> String {
     let named: &[(&str, Pattern)] = &[
         ("wedge", Pattern::wedge()),
         ("triangle", Pattern::triangle()),
-        ("3-path", Pattern::path(4)),
-        ("3-star", Pattern::star(3)),
-        ("4-cycle", Pattern::cycle(4)),
         ("tailed-triangle", Pattern::tailed_triangle()),
         ("diamond", Pattern::diamond()),
-        ("4-clique", Pattern::k_clique(4)),
+        ("house", Pattern::house()),
     ];
     for (name, q) in named {
         if p.is_isomorphic(q) {
             return (*name).to_string();
         }
     }
-    format!("k{}e{}", p.size(), p.edge_count())
+    // Patterns are connected, which makes each family its degree profile.
+    let (n, m) = (p.size(), p.edge_count());
+    let max_degree = (0..n).map(|u| p.degree(u)).max().unwrap_or(0);
+    if p.is_clique() {
+        format!("{n}-clique")
+    } else if m == n && max_degree == 2 {
+        format!("{n}-cycle")
+    } else if m == n - 1 && max_degree == 2 {
+        format!("{n}-path")
+    } else if m == n - 1 && max_degree == n - 1 {
+        format!("{}-star", n - 1)
+    } else {
+        format!("k{n}e{m}")
+    }
 }
 
 #[cfg(test)]
@@ -107,7 +121,7 @@ mod tests {
         // Sorted by edge count: path & star (3 edges), cycle & tailed
         // triangle (4), diamond (5), clique (6).
         assert_eq!(names.len(), 6);
-        assert!(names[..2].contains(&"3-path".to_string()));
+        assert!(names[..2].contains(&"4-path".to_string()));
         assert!(names[..2].contains(&"3-star".to_string()));
         assert!(names[2..4].contains(&"4-cycle".to_string()));
         assert!(names[2..4].contains(&"tailed-triangle".to_string()));
@@ -127,8 +141,44 @@ mod tests {
 
     #[test]
     fn motif_name_fallback() {
-        let p = Pattern::cycle(5);
+        // A 4-cycle with a pendant vertex: five edges like the 5-cycle,
+        // whose name it used to share.
+        let p: Pattern = "0-1,1-2,2-3,3-0,0-4".parse().unwrap();
         assert_eq!(motif_name(&p), "k5e5");
+        assert_eq!(motif_name(&Pattern::cycle(5)), "5-cycle");
+        assert_eq!(motif_name(&Pattern::k_clique(5)), "5-clique");
+    }
+
+    /// Every name the parser knows comes back out: `count <name>` prints
+    /// `<name>: …`, at any size and under any relabelling.
+    #[test]
+    fn family_names_round_trip_through_the_parser() {
+        use crate::pattern::MAX_PATTERN_VERTICES as MAX;
+        let mut all = vec![
+            Pattern::wedge(),
+            Pattern::triangle(),
+            Pattern::diamond(),
+            Pattern::tailed_triangle(),
+            Pattern::house(),
+        ];
+        all.extend((1..=MAX).map(Pattern::k_clique));
+        all.extend((3..=MAX).map(Pattern::cycle));
+        all.extend((1..=MAX).map(Pattern::path));
+        all.extend((1..MAX).map(Pattern::star));
+        for p in all {
+            let name = motif_name(&p);
+            assert!(!name.starts_with('k'), "{p} has no family name: {name}");
+            let back: Pattern = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!((back.size(), back.edge_count()), (p.size(), p.edge_count()), "{name}");
+            // Canonical codes walk size! relabellings.
+            assert!(p.size() > 7 || back.is_isomorphic(&p), "{name} parsed back as {back}");
+            let reversed: Vec<usize> = (0..p.size()).rev().collect();
+            assert_eq!(motif_name(&p.relabel(&reversed)), name);
+        }
+        // Small members of several families take one name between them.
+        assert_eq!(motif_name(&Pattern::star(2)), "wedge");
+        assert_eq!(motif_name(&Pattern::cycle(3)), "triangle");
+        assert_eq!(motif_name(&Pattern::path(2)), "2-clique");
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! `vertex:` section with one `pruneBy` line per plan node and an
 //! `embedding:` section showing the dependency chain/tree.
 
+use crate::counting::{CountRule, Survivors};
 use crate::ir::{ExecutionPlan, Extender, FrontierHint, PlanNode};
+use crate::lowering::Program;
 use std::fmt;
 
 impl fmt::Display for ExecutionPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "vertex:")?;
-        let mut names = Vec::new();
-        write_vertex_section(f, &self.root, &mut names, &mut 0)?;
+        let names = vertex_names(self.root.iter().map(|n| n.op.depth));
+        write_vertex_section(f, &self.root, &names, &mut 0)?;
         writeln!(f, "embedding:")?;
         let mut counter = 0usize;
         write_embedding_section(f, &self.root, None, &mut counter, &names, self)?;
@@ -25,18 +27,62 @@ impl fmt::Display for ExecutionPlan {
     }
 }
 
-/// Assigns display names `v0, v1, …` (with disambiguating suffixes for
-/// sibling branches, like the paper's `v31`/`v32`) in DFS order.
+/// Display names for nodes given by depth in DFS order: `v{depth}`
+/// normally; `v{depth}{ordinal}` when siblings diverge at the same depth
+/// (Listing 2's `v31`, `v32`).
+fn vertex_names(depths: impl Iterator<Item = usize>) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for depth in depths {
+        let base = format!("v{depth}");
+        let taken = names.iter().filter(|n| n.starts_with(&base)).count();
+        names.push(if taken == 0 { base } else { format!("{base}{}", taken + 1) });
+    }
+    names
+}
+
+/// The count-only decisions of a lowered program whose rules
+/// [`count_leaves`](crate::counting::count_leaves) has decided: one
+/// `count: … → leaf` line per leaf a count-only run does not walk, in the
+/// vertex names the plan's own listing uses (a program keeps its plan's
+/// DFS order); nothing for leaves that are scanned or entered. `prefix` is
+/// the previous level's core below the op's bound.
+pub fn count_listing(prog: &Program) -> String {
+    let names = vertex_names(prog.nodes.iter().map(|n| n.depth));
+    let mut out = String::new();
+    for (i, node) in prog.nodes.iter().enumerate() {
+        let line = match node.count {
+            CountRule::Enumerate => continue,
+            CountRule::PairJoin { leaf } => {
+                let y = node.children[0];
+                format!("pair-join {},{} → {} (count map)", names[i], names[y], names[leaf])
+            }
+            CountRule::Tail { leaf, k, survivors } => {
+                let merged = || format!("|prefix ∩ v{}.N|", node.depth - 1);
+                let m = match survivors {
+                    Survivors::Scan => continue, // walked, like an entered leaf
+                    Survivors::Search => format!("|core({})|", names[i]),
+                    Survivors::Intersect => merged(),
+                    Survivors::Difference => format!("|prefix| − {}", merged()),
+                };
+                let count = if k == 1 { m } else { format!("choose({m}, {k})") };
+                format!("{count} → {}", names[leaf])
+            }
+        };
+        out.push_str("count: ");
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
 fn write_vertex_section(
     f: &mut fmt::Formatter<'_>,
     node: &PlanNode,
-    names: &mut Vec<String>,
+    names: &[String],
     next: &mut usize,
 ) -> fmt::Result {
-    let my_index = *next;
+    let name = &names[*next];
     *next += 1;
-    let name = display_name(node, my_index, names);
-    names.push(name.clone());
 
     let op = &node.op;
     let source = match op.extender {
@@ -74,19 +120,6 @@ fn write_vertex_section(
     Ok(())
 }
 
-/// `v{depth}` normally; `v{depth}{ordinal}` when siblings diverge at the
-/// same depth (Listing 2's `v31`, `v32`).
-fn display_name(node: &PlanNode, index: usize, names: &[String]) -> String {
-    let base = format!("v{}", node.op.depth);
-    if names.iter().any(|n| n.starts_with(&base)) {
-        let count = names.iter().filter(|n| n.starts_with(&base)).count();
-        format!("{base}{}", count + 1)
-    } else {
-        let _ = index;
-        base
-    }
-}
-
 fn write_embedding_section(
     f: &mut fmt::Formatter<'_>,
     node: &PlanNode,
@@ -113,8 +146,48 @@ fn write_embedding_section(
 
 #[cfg(test)]
 mod tests {
+    use super::count_listing;
     use crate::compile::{compile, compile_multi, CompileOptions};
+    use crate::counting::{count_leaves, CountOptions};
+    use crate::lowering::{lower, LowerOptions};
     use fm_pattern::Pattern;
+
+    fn counting(p: &Pattern, options: CompileOptions) -> String {
+        let mut prog = lower(&compile(p, options), LowerOptions::default());
+        count_leaves(&mut prog, CountOptions { closed_forms: true, use_cmap: false });
+        count_listing(&prog)
+    }
+
+    #[test]
+    fn count_listing_names_each_closed_form() {
+        let d = CompileOptions::default();
+        assert_eq!(counting(&Pattern::cycle(4), d), "count: pair-join v1,v2 → v3 (count map)\n");
+        assert_eq!(counting(&Pattern::diamond(), d), "count: choose(|prefix ∩ v1.N|, 2) → v3\n");
+        assert_eq!(counting(&Pattern::star(3), d), "count: choose(|core(v1)|, 3) → v3\n");
+        assert_eq!(counting(&Pattern::triangle(), d), "count: |prefix ∩ v1.N| → v2\n");
+        assert_eq!(
+            counting(&Pattern::wedge(), CompileOptions::induced()),
+            "count: |prefix| − |prefix ∩ v1.N| → v2\n"
+        );
+        // Leaves that are walked say nothing.
+        for p in [Pattern::cycle(5), Pattern::house()] {
+            assert_eq!(counting(&p, d), "");
+        }
+        assert_eq!(counting(&Pattern::cycle(4), CompileOptions::induced()), "");
+        assert_eq!(counting(&Pattern::cycle(4), CompileOptions::automine()), "");
+    }
+
+    #[test]
+    fn count_listing_uses_the_plans_branch_names() {
+        let plan = compile_multi(&fm_pattern::motifs::motifs(3), CompileOptions::induced());
+        let mut prog = lower(&plan, LowerOptions::default());
+        count_leaves(&mut prog, CountOptions { closed_forms: true, use_cmap: false });
+        assert_eq!(
+            count_listing(&prog),
+            "count: |prefix| − |prefix ∩ v1.N| → v2\ncount: |prefix ∩ v1.N| → v22\n"
+        );
+        assert!(plan.to_string().contains("  v22 ∈ v1.N"), "{plan}");
+    }
 
     #[test]
     fn four_cycle_listing() {

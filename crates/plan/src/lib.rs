@@ -41,9 +41,11 @@
 //! ```
 
 pub mod compile;
+pub mod counting;
 pub mod display;
 pub mod ir;
 pub mod lowering;
 
 pub use compile::{compile, compile_multi, CompileOptions};
+pub use counting::{count_leaves, CountOptions, CountRule, Survivors};
 pub use ir::{ExecutionPlan, Extender, FrontierHint, PatternMeta, PlanNode, VertexOp};

@@ -8,6 +8,7 @@
 //! widens the set of depths whose connectivity is queried, and therefore
 //! the set of levels that must be inserted into the c-map).
 
+use crate::counting::CountRule;
 use crate::ir::{ExecutionPlan, Extender, FrontierHint, PlanNode};
 use fm_pattern::DepthSet;
 
@@ -93,6 +94,10 @@ pub struct ProgNode {
     ///   which is why the paper sees only small c-map gains for k-CL
     ///   while 4-cycle and TC benefit substantially (§VII-C).
     pub probe: bool,
+    /// How a count-only run counts the subtree below this node. [`lower`]
+    /// leaves it on [`CountRule::Enumerate`];
+    /// [`count_leaves`](crate::counting::count_leaves) decides it.
+    pub count: CountRule,
     /// Child node indices.
     pub children: Vec<usize>,
 }
@@ -170,6 +175,7 @@ fn flatten(
         cmap_insert_bound: None,
         bounded_build: false,
         probe,
+        count: CountRule::Enumerate,
         children: Vec::new(),
     });
     let unrefined = constraints.is_empty();
@@ -223,7 +229,7 @@ fn annotate(nodes: &mut [ProgNode], options: LowerOptions) {
 }
 
 /// Parent arena index of every node (`None` for the root).
-fn parent_index(nodes: &[ProgNode]) -> Vec<Option<usize>> {
+pub(crate) fn parent_index(nodes: &[ProgNode]) -> Vec<Option<usize>> {
     let mut parents = vec![None; nodes.len()];
     for (i, n) in nodes.iter().enumerate() {
         for &c in &n.children {

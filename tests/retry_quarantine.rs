@@ -132,11 +132,13 @@ fn total_loss_with_retries_still_terminates_deterministically() {
 /// `max_retries` is a scheduling knob, not a counting knob: retrying must
 /// never double-count. A healed run's counts equal the clean run's even
 /// when the fault fires mid-subtree, after partial matches were tallied.
+/// The house enumerates every level, so under `use_cmap` it reaches all
+/// three sites (the joined 4-cycle never inserts into the c-map).
 #[test]
 fn mid_subtree_retry_does_not_double_count() {
     let g = generators::powerlaw_cluster(120, 4, 0.5, 11);
     for site in ["frontier_alloc", "csr_read", "cmap_insert"] {
-        let plan = compile(&Pattern::cycle(4), CompileOptions::default());
+        let plan = compile(&Pattern::house(), CompileOptions::default());
         let clean_cfg = EngineConfig { use_cmap: true, ..Default::default() };
         let clean = mine(&g, &plan, &clean_cfg);
         // OnNthHit(1): the first pass through the site faults, leaving
