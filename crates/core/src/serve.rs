@@ -32,13 +32,26 @@
 //! prints one `{"event":"job",...}` summary line per terminal job on
 //! stdout, sorted by job name, so restart tooling can diff runs.
 //!
+//! ## Who wakes whom
+//!
+//! Nothing on a request path sleeps. `wait` blocks on the job's outcome
+//! cell and is woken by the worker that resolves it; a `subscribe` stream
+//! blocks on its queue and is woken by the publish; the socket's acceptor
+//! thread blocks in `accept` and the stdin reader in `read`, and each
+//! hands what it gets to the one main loop both transports run
+//! (`main_loop`). The only timer is `TICK`: the main loop's
+//! `recv_timeout`, and the bound on how long a blocked `wait` or stream
+//! goes without looking at the termination latch.
+//!
 //! ## Crash safety (`--journal`)
 //!
 //! The spool covers *graceful* shutdown only. `--journal PATH` adds a
 //! durable append-only job journal ([`fm_jobs::journal`]): every
 //! submission is journaled (with a canonical-request fingerprint) before
 //! the client gets its response, and every terminal outcome is journaled
-//! as jobs resolve. After a hard kill (SIGKILL, OOM, power loss) a
+//! on the main loop's next tick after the job resolves — two records and
+//! two fsyncs a job, one of them ahead of a reply. After a hard kill
+//! (SIGKILL, OOM, power loss) a
 //! restart with the same journal replays it: jobs journaled `Finished`
 //! answer `wait` from the recorded outcome (fingerprint-validated, marked
 //! `"replayed":true`); unresolved jobs are recovered — from a drained
@@ -71,13 +84,20 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Default cap on one request line (bytes); `--max-request-bytes`.
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
 /// Default per-connection read idle timeout; `--idle-timeout` (0 disables).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+/// The one timer in `serve`: how long the main loop, a `wait` or an event
+/// stream stays blocked before it looks at what cannot wake it — the
+/// signal latches and, in the main loop, finished jobs to journal and the
+/// idle exit. Nothing a client is waiting for waits for it: a resolved
+/// job, a published event, a request line and a new connection each wake
+/// their waiter themselves.
+const TICK: Duration = Duration::from_millis(20);
 
 /// How `flexminer serve` runs: transport, durability spool, and the
 /// supervisor's admission limits.
@@ -194,7 +214,14 @@ struct Tracked {
     /// a journal-recovered job keeps its pre-crash id here while its new
     /// supervisor handle gets a fresh one.
     journal_id: u64,
-    meta: JobMeta,
+    meta: Arc<JobMeta>,
+}
+
+/// A graph-cache entry: loaded, or being loaded by the one submit that
+/// found the spec missing (everyone else waits on `ServeState::graph_loaded`).
+enum CachedGraph {
+    Loading,
+    Ready(Arc<CsrGraph>),
 }
 
 /// A terminal outcome reconstructed from the journal: enough to answer
@@ -242,7 +269,13 @@ struct ServeState {
     /// Serve start, for the `uptime_seconds` status/metrics field.
     started: Instant,
     jobs: Mutex<Vec<Tracked>>,
-    graphs: Mutex<HashMap<String, Arc<CsrGraph>>>,
+    graphs: Mutex<HashMap<String, CachedGraph>>,
+    /// Notified whenever a `CachedGraph::Loading` entry is settled.
+    graph_loaded: Condvar,
+    /// Notified by every socket connection thread as it ends (the mutex
+    /// guards nothing): what the acceptor waits for after a failed
+    /// `accept`, which is nearly always the descriptor limit.
+    conn_closed: (Mutex<()>, Condvar),
     /// Pre-crash terminal outcomes, keyed by journal id.
     history: Mutex<HashMap<u64, HistoryEntry>>,
     journal: Option<Mutex<Journal>>,
@@ -293,6 +326,8 @@ impl ServeState {
             started: Instant::now(),
             jobs: Mutex::new(Vec::new()),
             graphs: Mutex::new(HashMap::new()),
+            graph_loaded: Condvar::new(),
+            conn_closed: (Mutex::new(()), Condvar::new()),
             history: Mutex::new(HashMap::new()),
             journal: journal_handle,
             journaled: Mutex::new(HashSet::new()),
@@ -303,17 +338,67 @@ impl ServeState {
     }
 
     fn jobs_all_resolved(&self) -> bool {
-        lock_recover(&self.jobs, "job table").iter().all(|t| t.handle.try_outcome().is_some())
+        lock_recover(&self.jobs, "job table").iter().all(|t| t.handle.is_resolved())
+    }
+
+    /// The live job a client knows as `id`: its handle and metadata, taken
+    /// out of the table so the caller blocks on neither the lock nor a scan.
+    fn tracked(&self, id: u64) -> Option<(JobHandle, Arc<JobMeta>)> {
+        lock_recover(&self.jobs, "job table")
+            .iter()
+            .find(|t| t.journal_id == id)
+            .map(|t| (t.handle.clone(), Arc::clone(&t.meta)))
+    }
+
+    /// Blocks until the oldest unresolved job resolves, or a [`TICK`].
+    fn wait_for_a_job(&self) {
+        let pending = lock_recover(&self.jobs, "job table")
+            .iter()
+            .find(|t| !t.handle.is_resolved())
+            .map(|t| t.handle.clone());
+        if let Some(handle) = pending {
+            handle.wait_timeout(TICK);
+        }
     }
 
     fn graph_for(&self, spec: &str) -> Result<Arc<CsrGraph>, String> {
-        if let Some(g) = lock_recover(&self.graphs, "graph cache").get(spec) {
-            return Ok(Arc::clone(g));
-        }
-        // Load outside the lock — file parses and generators can be slow.
-        let g = Arc::new(graphspec::load(spec)?);
+        self.graph_for_with(spec, graphspec::load)
+    }
+
+    /// The cached graph for `spec`, loading it with `load` on a miss.
+    /// Single-flight: of any number of concurrent submits of one
+    /// never-seen spec, one loads (outside the lock — file parses and
+    /// generators can be slow) and the rest wait for it. A failed load is
+    /// not cached; the next caller, waiting or later, tries again.
+    fn graph_for_with(
+        &self,
+        spec: &str,
+        load: impl FnOnce(&str) -> Result<CsrGraph, String>,
+    ) -> Result<Arc<CsrGraph>, String> {
         let mut cache = lock_recover(&self.graphs, "graph cache");
-        Ok(Arc::clone(cache.entry(spec.to_string()).or_insert(g)))
+        loop {
+            match cache.get(spec) {
+                Some(CachedGraph::Ready(g)) => return Ok(Arc::clone(g)),
+                Some(CachedGraph::Loading) => {
+                    cache = self.graph_loaded.wait(cache).unwrap_or_else(|e| e.into_inner());
+                }
+                None => break,
+            }
+        }
+        cache.insert(spec.to_string(), CachedGraph::Loading);
+        drop(cache);
+        // A panicking load must not leave `Loading` behind for every later
+        // submit of this spec to wait on.
+        let loaded =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| load(spec).map(Arc::new)));
+        let mut cache = lock_recover(&self.graphs, "graph cache");
+        match &loaded {
+            Ok(Ok(g)) => cache.insert(spec.to_string(), CachedGraph::Ready(Arc::clone(g))),
+            _ => cache.remove(spec),
+        };
+        drop(cache);
+        self.graph_loaded.notify_all();
+        loaded.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     /// Appends one record, making it durable before the caller answers
@@ -337,8 +422,9 @@ impl ServeState {
     }
 
     /// Journals terminal outcomes of resolved jobs that have not been
-    /// recorded yet. Called from the serve loops (cheap when idle) and
-    /// from `finish` after the drain.
+    /// recorded yet. Called from the main loop (cheap when idle: a job
+    /// already journaled is skipped, an unresolved one has no outcome to
+    /// copy) and from `finish` after the drain.
     fn journal_tick(&self) {
         if self.journal.is_none() {
             return;
@@ -515,15 +601,13 @@ impl ServeState {
                     .str("error", &reason)
                     .finish()
             }
-            _ => {
-                self.journal_append(&JournalRecord::Started { id: journal_id });
-                ObjWriter::new()
-                    .bool("ok", true)
-                    .u64("id", journal_id)
-                    .str("name", handle.name())
-                    .finish()
-            }
+            _ => ObjWriter::new()
+                .bool("ok", true)
+                .u64("id", journal_id)
+                .str("name", handle.name())
+                .finish(),
         };
+        let meta = Arc::new(meta);
         lock_recover(&self.jobs, "job table").push(Tracked { handle, journal_id, meta });
         Ok(line)
     }
@@ -545,11 +629,7 @@ impl ServeState {
             "cancel" => match req.get("id").and_then(Json::as_u64) {
                 Some(id) => {
                     // Clients speak journal ids; map to the live handle.
-                    let sup_id = lock_recover(&self.jobs, "job table")
-                        .iter()
-                        .find(|t| t.journal_id == id)
-                        .map(|t| t.handle.id());
-                    let ok = sup_id.is_some_and(|sid| self.sup.cancel(sid));
+                    let ok = self.tracked(id).is_some_and(|(h, _)| self.sup.cancel(h.id()));
                     if ok {
                         self.journal_append(&JournalRecord::Cancelled { id });
                     }
@@ -577,36 +657,31 @@ impl ServeState {
         }
     }
 
-    /// Blocks until the job's terminal outcome, polling so a termination
-    /// signal can still drain the process out from under the waiter.
-    /// Jobs that finished before a crash answer from the journal-replayed
-    /// history, marked `"replayed":true`.
+    /// Blocks until the job's terminal outcome: the supervisor resolving
+    /// the job is what wakes this, so the reply leaves as soon as there
+    /// is one. Each [`TICK`] without an outcome it looks at the
+    /// termination latch, which on stdio — where this call is the main
+    /// loop — nothing else could see; on the socket the drain resolves the
+    /// job `drained` under the waiter. Jobs that finished before a crash
+    /// answer from the journal-replayed history, marked `"replayed":true`.
     fn wait(&self, req: &Json) -> String {
         let Some(id) = req.get("id").and_then(Json::as_u64) else {
             return err_line("wait needs an id");
         };
-        loop {
-            let live = {
-                let jobs = lock_recover(&self.jobs, "job table");
-                jobs.iter()
-                    .find(|t| t.journal_id == id)
-                    .map(|t| t.handle.try_outcome().map(|o| outcome_line(id, &t.meta, &o)))
+        let Some((handle, meta)) = self.tracked(id) else {
+            let history = lock_recover(&self.history, "job history");
+            return match history.get(&id) {
+                Some(entry) => history_line(id, entry),
+                None => err_line("unknown job id"),
             };
-            match live {
-                Some(Some(line)) => return line,
-                Some(None) => {} // still running; poll again below
-                None => {
-                    let history = lock_recover(&self.history, "job history");
-                    return match history.get(&id) {
-                        Some(entry) => history_line(id, entry),
-                        None => err_line("unknown job id"),
-                    };
-                }
+        };
+        loop {
+            if let Some(outcome) = handle.wait_timeout(TICK) {
+                return outcome_line(id, &meta, &outcome);
             }
             if signal::termination_requested() {
                 return err_line("terminating");
             }
-            std::thread::sleep(Duration::from_millis(10));
         }
     }
 
@@ -1077,6 +1152,35 @@ fn ready_line(transport: &str) {
     let _ = std::io::stdout().flush();
 }
 
+/// The loop both transports run: `rx` carries what the transport's reader
+/// thread produces (request frames on stdio, accepted connections on the
+/// socket) and `handle` deals with one item, returning true once input is
+/// over. An item wakes the loop when it arrives; with none it comes round
+/// once a [`TICK`] for the things that cannot wake it — a signal latch, a
+/// finished job to journal, the idle exit.
+fn main_loop<T>(state: &ServeState, rx: &mpsc::Receiver<T>, mut handle: impl FnMut(T) -> bool) {
+    let mut eof = false;
+    loop {
+        if should_exit(state, eof) {
+            break;
+        }
+        state.journal_tick();
+        if signal::take_usr1() {
+            state.recorder_dump("sigusr1");
+        }
+        if eof {
+            // A closed channel no longer blocks; the jobs still running do.
+            state.wait_for_a_job();
+            continue;
+        }
+        match rx.recv_timeout(TICK) {
+            Ok(item) => eof = handle(item),
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => eof = true,
+        }
+    }
+}
+
 fn run_stdio(state: &Arc<ServeState>) -> Result<i32, String> {
     // A dedicated reader thread feeds a channel: SIGTERM must be able to
     // drain the process while the main loop would otherwise sit in a
@@ -1104,76 +1208,70 @@ fn run_stdio(state: &Arc<ServeState>) -> Result<i32, String> {
         })
         .map_err(|e| format!("spawn stdin reader: {e}"))?;
     ready_line("stdio");
-    let mut eof = false;
-    loop {
-        if should_exit(state, eof) {
-            break;
-        }
-        state.journal_tick();
-        if signal::take_usr1() {
-            state.recorder_dump("sigusr1");
-        }
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(jsonl::Frame::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                println!("{}", respond(state, &line));
-                let _ = std::io::stdout().flush();
-            }
-            Ok(jsonl::Frame::TooLong { limit }) => {
-                println!("{}", too_large_line(limit));
-                let _ = std::io::stdout().flush();
-            }
-            Ok(jsonl::Frame::Eof) => eof = true,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => eof = true,
-        }
-    }
+    main_loop(state, &rx, |frame| {
+        let reply = match frame {
+            jsonl::Frame::Line(line) if line.trim().is_empty() => return false,
+            jsonl::Frame::Line(line) => respond(state, &line),
+            jsonl::Frame::TooLong { limit } => too_large_line(limit),
+            jsonl::Frame::Eof => return true,
+        };
+        println!("{reply}");
+        let _ = std::io::stdout().flush();
+        false
+    });
     Ok(state.finish())
 }
 
 #[cfg(unix)]
 fn run_socket(state: &Arc<ServeState>, path: &std::path::Path) -> Result<i32, String> {
-    use std::os::unix::net::UnixListener;
+    use std::os::unix::net::{UnixListener, UnixStream};
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    listener.set_nonblocking(true).map_err(|e| format!("nonblocking {}: {e}", path.display()))?;
-    ready_line("socket");
-    loop {
-        if should_exit(state, false) {
-            break;
-        }
-        state.journal_tick();
-        if signal::take_usr1() {
-            state.recorder_dump("sigusr1");
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let st = Arc::clone(state);
-                // Connection threads are detached; they die with the
-                // process after the drain below. A failure to spawn or to
-                // set up the stream drops that one connection — the
-                // accept loop must outlive any per-connection problem.
-                let spawned =
-                    std::thread::Builder::new().name("fm-serve-conn".into()).spawn(move || {
-                        if let Err(e) = serve_connection(&st, stream) {
-                            eprintln!("serve: connection dropped: {e}");
+    // An acceptor thread sits in the blocking `accept` and feeds the main
+    // loop, as the stdin reader does: a connection is taken up when it
+    // arrives. Detached like the reader — `accept` has no wake-up but a
+    // connection, and the process exits under it after the drain.
+    let (tx, rx) = mpsc::channel::<UnixStream>();
+    let st = Arc::clone(state);
+    std::thread::Builder::new()
+        .name("fm-serve-accept".into())
+        .spawn(move || {
+            for conn in listener.incoming() {
+                match conn {
+                    Ok(stream) => {
+                        if tx.send(stream).is_err() {
+                            break;
                         }
-                    });
-                if let Err(e) = spawned {
-                    eprintln!("serve: connection thread spawn failed: {e}");
+                    }
+                    Err(e) => {
+                        // Nearly always the descriptor limit: the next
+                        // `accept` can succeed once a connection ends.
+                        eprintln!("accept: {e}");
+                        let (gate, closed) = &st.conn_closed;
+                        let _ = closed.wait_timeout(lock_recover(gate, "connection gate"), TICK);
+                    }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+        })
+        .map_err(|e| format!("spawn acceptor: {e}"))?;
+    ready_line("socket");
+    main_loop(state, &rx, |stream| {
+        let st = Arc::clone(state);
+        // Connection threads are detached; they die with the process
+        // after the drain below. A failure to spawn or to set up the
+        // stream drops that one connection — the server must outlive any
+        // per-connection problem.
+        let spawned = std::thread::Builder::new().name("fm-serve-conn".into()).spawn(move || {
+            if let Err(e) = serve_connection(&st, stream) {
+                eprintln!("serve: connection dropped: {e}");
             }
-            Err(e) => {
-                eprintln!("accept: {e}");
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            st.conn_closed.1.notify_all();
+        });
+        if let Err(e) = spawned {
+            eprintln!("serve: connection thread spawn failed: {e}");
         }
-    }
+        false
+    });
     let code = state.finish();
     let _ = std::fs::remove_file(path);
     Ok(code)
@@ -1262,7 +1360,8 @@ fn stream_events(
     }
     let mut reported_dropped = 0;
     loop {
-        for event in sub.poll() {
+        // A publish wakes this; an empty batch is a tick with none.
+        for event in sub.recv_timeout(TICK) {
             if writeln!(stream, "{}", event.to_json()).is_err() {
                 return Ok(());
             }
@@ -1279,7 +1378,6 @@ fn stream_events(
         if signal::termination_requested() {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -1618,7 +1716,7 @@ mod tests {
 
         // "Restart": a fresh state over the same journal, no live jobs.
         let second = mk();
-        assert!(second.gauges.replayed.load(Ordering::SeqCst) >= 3, "Submitted+Started+Finished");
+        assert_eq!(second.gauges.replayed.load(Ordering::SeqCst), 2, "Submitted + Finished");
         second.recover();
         let replayed = second.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
         let v = jsonl::parse(&replayed).unwrap();
@@ -1809,6 +1907,158 @@ mod tests {
             event_line(&meta, &outcome),
             r#"{"event":"job","name":"tri","pattern":"triangle","graph":"gen:complete,n=6","recovered":true,"exit_code":0,"outcome":"finished","status":"Complete","counts":[20],"faults":0,"quarantined":0}"#
         );
+        st.sup.shutdown(None);
+
+        // And the live count behind `journal_records`: a job is two
+        // records, `Submitted` before its reply and `Finished` on the tick.
+        let dir = std::env::temp_dir().join(format!("fm-serve-gold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live = state(ServeConfig { journal: Some(dir.join("j")), ..Default::default() });
+        let resp =
+            live.handle_line(r#"{"op":"submit","pattern":"triangle","graph":"gen:complete,n=6"}"#);
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+        assert!(live.handle_line(r#"{"op":"status"}"#).contains(r#""journal_records":1,"#));
+        live.handle_line(r#"{"op":"wait","id":1}"#);
+        live.journal_tick();
+        live.journal_tick(); // a second tick finds nothing left to append
+        let status = live.handle_line(r#"{"op":"status"}"#);
+        assert!(status.ends_with(r#""journal_records":2,"journal_replayed":0,"journal_truncated_bytes":0,"journal_recovered_jobs":0}"#), "{status}");
+        live.sup.shutdown(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_the_parent_wrote_with_started_records_replays() {
+        let dir = std::env::temp_dir().join(format!("fm-serve-jrnl4-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("jobs.journal");
+        // What a build that still wrote `Started` left behind: one job
+        // finished, one killed mid-run.
+        let reqs: Vec<Json> = ["done", "cut"]
+            .iter()
+            .map(|name| {
+                jsonl::parse(&format!(
+                    r#"{{"graph":"gen:complete,n=6","induced":false,"name":"{name}","op":"submit","pattern":"triangle","priority":0,"threads":1}}"#
+                ))
+                .unwrap()
+            })
+            .collect();
+        let fp = |req: &Json| journal::fnv64(req.to_jsonl().as_bytes());
+        {
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            for record in [
+                JournalRecord::Submitted { id: 1, fp: fp(&reqs[0]), req: reqs[0].clone() },
+                JournalRecord::Started { id: 1 },
+                JournalRecord::Submitted { id: 2, fp: fp(&reqs[1]), req: reqs[1].clone() },
+                JournalRecord::Started { id: 2 },
+                JournalRecord::Finished {
+                    id: 1,
+                    fp: fp(&reqs[0]),
+                    status: "Complete".into(),
+                    exit_code: 0,
+                    counts: vec![20],
+                    faults: 0,
+                    quarantined: 0,
+                    work_digest: 0,
+                },
+            ] {
+                journal.append(&record).unwrap();
+            }
+        }
+        let st = state(ServeConfig { journal: Some(path), ..Default::default() });
+        assert_eq!(st.gauges.replayed.load(Ordering::SeqCst), 5);
+        st.recover();
+        assert_eq!(st.gauges.recovered_jobs.load(Ordering::SeqCst), 1, "job 2 re-runs");
+        let done = st.handle_line(r#"{"op":"wait","id":1}"#);
+        assert!(done.contains(r#""counts":[20]"#) && done.contains(r#""replayed":true"#), "{done}");
+        let cut = st.handle_line(r#"{"op":"wait","id":2}"#);
+        assert!(cut.contains(r#""counts":[20]"#) && !cut.contains("replayed"), "{cut}");
+        // The re-run adds its `Finished` and nothing else.
+        st.journal_tick();
+        assert_eq!(st.gauges.records.load(Ordering::SeqCst), 6);
+        st.sup.shutdown(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wait_returns_when_the_job_finishes_not_a_poll_later() {
+        let st = state(ServeConfig::default());
+        let mut gaps_us = Vec::new();
+        for _ in 0..20 {
+            // A few milliseconds of mining, so `wait` is blocked when the
+            // job resolves.
+            let resp = st.handle_line(
+                r#"{"op":"submit","pattern":"triangle","graph":"gen:powerlaw,n=3000,m=6,closure=0.5,seed=4"}"#,
+            );
+            let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).unwrap();
+            let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+            let returned_us = st.obs.clock().now_us();
+            assert!(done.contains(r#""status":"Complete""#), "{done}");
+            let (events, _) = st.obs.bus().recorder_snapshot();
+            let finished = events
+                .iter()
+                .find(|e| e.job == id && e.kind == "finished")
+                .expect("a resolved job has published `finished`");
+            gaps_us.push(returned_us - finished.ts_us);
+        }
+        gaps_us.sort_unstable();
+        // The 10 ms poll this replaces had a median gap of 5 ms.
+        assert!(gaps_us[10] < 2_000, "finished → wait reply gaps (us): {gaps_us:?}");
+        st.sup.shutdown(None);
+    }
+
+    #[test]
+    fn concurrent_submits_of_a_never_seen_spec_load_it_once() {
+        use std::sync::atomic::AtomicUsize;
+        let st = state(ServeConfig::default());
+        let loads = AtomicUsize::new(0);
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        // Every load reports in and then holds until released, so a second
+        // load running beside the first is seen, not raced.
+        let load = |spec: &str| {
+            loads.fetch_add(1, Ordering::SeqCst);
+            entered_tx.send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            graphspec::load(spec)
+        };
+        const SPEC: &str = "gen:complete,n=9";
+        let (a, b) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| st.graph_for_with(SPEC, load));
+            entered_rx.recv().unwrap();
+            let second = scope.spawn(|| st.graph_for_with(SPEC, load));
+            // The second caller either waits on the first (and never
+            // reports in) or, were the load not single-flight, is in its
+            // own load well within this.
+            let doubled = entered_rx.recv_timeout(Duration::from_millis(300)).is_ok();
+            release_tx.send(()).unwrap();
+            release_tx.send(()).unwrap();
+            assert!(!doubled, "two submits of one new spec both loaded it");
+            (first.join().unwrap().unwrap(), second.join().unwrap().unwrap())
+        });
+        assert_eq!(loads.load(Ordering::SeqCst), 1);
+        assert!(Arc::ptr_eq(&a, &b), "both submits share the one graph");
+        // Cached from here on: no load at all.
+        let c = st.graph_for_with(SPEC, |_| panic!("a cached spec must not load")).unwrap();
+        assert!(Arc::ptr_eq(&a, &c));
+        st.sup.shutdown(None);
+    }
+
+    #[test]
+    fn a_failed_graph_load_is_not_cached() {
+        let st = state(ServeConfig::default());
+        const SPEC: &str = "gen:complete,n=5";
+        let err = st.graph_for_with(SPEC, |_| Err("disk on fire".into())).unwrap_err();
+        assert_eq!(err, "disk on fire");
+        // A panicking load unwinds to the caller and leaves no marker for
+        // the next submit to wait on either.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            st.graph_for_with(SPEC, |_| panic!("loader bug"))
+        }));
+        assert!(panicked.is_err());
+        assert!(lock_recover(&st.graphs, "graph cache").is_empty());
+        assert_eq!(st.graph_for(SPEC).unwrap().num_vertices(), 5);
         st.sup.shutdown(None);
     }
 

@@ -130,6 +130,60 @@ fn stdio_submit_budget_reports_exit_code_4() {
     assert!(capped_event.contains("\"exit_code\":4"), "{out}");
 }
 
+/// SIGTERM with a `wait` outstanding on stdio, where the waiting call *is*
+/// the main loop and nothing else can see the latch: the wait must come
+/// back with a structured reply — `terminating`, or the drained outcome —
+/// and the process must drain to the spool and exit, never sit out the
+/// job.
+#[test]
+fn stdio_sigterm_under_an_outstanding_wait_drains_and_answers() {
+    // Seconds of single-threaded mining even in a release build.
+    const GRAPH: &str = "gen:powerlaw,n=5000,m=100,closure=0.6,seed=3";
+    let dir = temp_dir("stdio-term");
+    let spool = dir.join("spool");
+    let mut child = bin()
+        .args(["serve", "--spool", spool.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let pid = child.id().to_string();
+    // Held open to the end: EOF must not be what ends the process.
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    writeln!(
+        stdin,
+        "{{\"op\":\"submit\",\"name\":\"long\",\"pattern\":\"5-clique\",\"graph\":\"{GRAPH}\"}}"
+    )
+    .unwrap();
+    writeln!(stdin, "{{\"op\":\"wait\",\"id\":1}}").unwrap();
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.contains("\"event\":\"ready\""), "{line}");
+    line.clear();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true") && line.contains("\"id\":1"), "{line}");
+    // The wait line was in the pipe before the submit was answered; give
+    // the main loop a moment to be inside it.
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(Command::new("kill").args(["-TERM", &pid]).status().unwrap().success());
+    // Stint boundaries are milliseconds apart; the job itself is seconds.
+    let (code, _) = wait_exit(child, 60);
+    assert_eq!(code, 0, "drain exit must be clean");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    let reply = rest.lines().next().unwrap_or_else(|| panic!("the wait was never answered"));
+    assert!(
+        reply.contains("\"error\":\"terminating\"") || reply.contains("\"outcome\":\"drained\""),
+        "wait under SIGTERM must answer terminating or drained: {rest}"
+    );
+    assert!(!rest.contains("\"event\":\"job\""), "the job drained, it did not finish: {rest}");
+    assert!(spool.join("manifest.jsonl").exists(), "drain must spool a resume manifest");
+    drop(stdin);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn connect(path: &Path, secs: u64) -> UnixStream {
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {

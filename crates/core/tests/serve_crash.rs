@@ -207,8 +207,8 @@ fn wait_after_restart_is_answered_from_the_journal() {
     let done = request(&mut conn, r#"{"op":"wait","id":1}"#);
     assert_eq!(counts_of(&done), vec![56], "{done}");
     // The Finished record lands on the next journal tick: Submitted +
-    // Started + Finished = 3 records before we pull the plug.
-    wait_for_status(&mut conn, "\"journal_records\":3", 10);
+    // Finished = 2 records before we pull the plug.
+    wait_for_status(&mut conn, "\"journal_records\":2", 10);
     drop(conn);
     sigkill(first);
 
@@ -259,7 +259,7 @@ fn torn_journal_tail_is_truncated_and_replay_proceeds() {
     assert!(resp.contains("\"ok\":true"), "{resp}");
     let done = request(&mut conn, r#"{"op":"wait","id":1}"#);
     assert_eq!(counts_of(&done), vec![56], "{done}");
-    wait_for_status(&mut conn, "\"journal_records\":3", 10);
+    wait_for_status(&mut conn, "\"journal_records\":2", 10);
     drop(conn);
     sigkill(first);
 
@@ -285,7 +285,7 @@ fn torn_journal_tail_is_truncated_and_replay_proceeds() {
         .lines()
         .find(|l| l.contains("\"event\":\"journal\""))
         .unwrap_or_else(|| panic!("journal summary line missing: {out}"));
-    assert!(line.contains("\"replayed\":3"), "{line}");
+    assert!(line.contains("\"replayed\":2"), "{line}");
     assert!(line.contains(&format!("\"truncated_bytes\":{}", torn.len())), "{line}");
 
     // The truncation was persisted: a third open sees a clean journal.

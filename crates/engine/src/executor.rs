@@ -62,11 +62,13 @@ impl<T> std::ops::Deref for Held<'_, T> {
 /// [`prepare`] is the one place the indexes are built; every
 /// [`Executor`] — each worker of a parallel run, every stint of a
 /// [`JobCore`](crate::JobCore) — borrows them from here. Construction is
-/// governed by the config: [`EngineConfig::hub_bitmap_active`] /
-/// [`EngineConfig::simd_active`] decide whether each index is built at
-/// all, and an index that comes back empty (no vertex reaches the degree
-/// threshold, the memory budget is too tight, or the graph has no edges)
-/// is dropped so the dispatcher never consults it.
+/// governed by the config and the plan: [`EngineConfig::hub_bitmap_active`]
+/// / [`EngineConfig::simd_active`] decide whether each index may be built
+/// at all, neither is built for a plan whose count-only program hands no
+/// two lists to a set-op kernel (the only reader of either; the joined
+/// 4-cycle is such a plan), and an index that comes back empty (no vertex
+/// reaches the degree threshold, the memory budget is too tight, or the
+/// graph has no edges) is dropped so the dispatcher never consults it.
 pub struct PreparedGraph<'g> {
     graph: Held<'g, CsrGraph>,
     hubs: Option<Arc<HubBitmaps>>,
@@ -79,6 +81,16 @@ impl<'g> PreparedGraph<'g> {
         &self.graph
     }
 
+    /// The hub-bitmap index, if one was built and came back non-empty.
+    pub fn hubs(&self) -> Option<&HubBitmaps> {
+        self.hubs.as_deref()
+    }
+
+    /// The block summaries, if they were built and came back non-empty.
+    pub fn blocks(&self) -> Option<&BlockSummaries> {
+        self.blocks.as_deref()
+    }
+
     pub(crate) fn build(
         input: Held<'g, CsrGraph>,
         plan: &ExecutionPlan,
@@ -86,13 +98,15 @@ impl<'g> PreparedGraph<'g> {
     ) -> PreparedGraph<'g> {
         let graph =
             if plan.orientation { Held::Arc(Arc::new(orient_by_degree(&input))) } else { input };
-        let hubs = if cfg.hub_bitmap_active() {
+        let probed = (cfg.hub_bitmap_active() || cfg.simd_active())
+            && dispatches_set_ops(&count_program(plan, cfg), cfg);
+        let hubs = if probed && cfg.hub_bitmap_active() {
             let idx = HubBitmaps::build(&graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
             (!idx.is_empty()).then(|| Arc::new(idx))
         } else {
             None
         };
-        let blocks = if cfg.simd_active() {
+        let blocks = if probed && cfg.simd_active() {
             let bl = BlockSummaries::build(&graph);
             (!bl.is_empty()).then(|| Arc::new(bl))
         } else {
@@ -146,6 +160,32 @@ pub fn count_program(plan: &ExecutionPlan, cfg: &EngineConfig) -> Program {
         CountOptions { closed_forms: !cfg.paper_faithful, use_cmap: cfg.use_cmap },
     );
     program
+}
+
+/// Whether a count-only run of `program` ever calls a set-op kernel, the
+/// one place the hub bitmaps and the block summaries are read. Follows
+/// [`step`] and [`build_core`] arm for arm over the nodes a run reaches: a
+/// pair join or a tail answers for everything below it, a `Reuse` or an
+/// unconstrained core copies a list, and a c-map probe streams one.
+/// [`Executor::collect_matches`] reaches more nodes than this looks at; a
+/// set op without an index is the same set op on the merge or gallop tier.
+fn dispatches_set_ops(program: &Program, cfg: &EngineConfig) -> bool {
+    fn stepped(program: &Program, cfg: &EngineConfig, node_idx: usize) -> bool {
+        let node = &program.nodes[node_idx];
+        let here = match (node.count, node.frontier) {
+            (
+                CountRule::Tail { survivors: Survivors::Intersect | Survivors::Difference, .. },
+                _,
+            ) => true,
+            (_, FrontierHint::Reuse) => false,
+            _ if cfg.use_cmap && node.probe => false,
+            (_, FrontierHint::Extend | FrontierHint::ExtendDiff) => true,
+            (_, FrontierHint::None) => !(node.connected.is_empty() && node.disconnected.is_empty()),
+        };
+        here || (node.count == CountRule::Enumerate
+            && node.children.iter().any(|&child| stepped(program, cfg, child)))
+    }
+    program.nodes[0].children.iter().any(|&child| stepped(program, cfg, child))
 }
 
 /// Mutable per-worker state.

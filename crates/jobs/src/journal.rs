@@ -123,7 +123,9 @@ pub enum JournalRecord {
     /// `fp` is [`fnv64`] over its canonical serialisation — replay
     /// recomputes and cross-checks it before trusting any later record.
     Submitted { id: u64, fp: u64, req: Json },
-    /// The supervisor admitted the job (it holds or held a worker).
+    /// No longer written: earlier builds appended (and fsynced) one after
+    /// every admitted submit, and nothing ever read it back. Still decoded
+    /// and folded (as nothing) so their journals replay.
     Started { id: u64 },
     /// The job reported a terminal mining outcome. `counts` are the
     /// reported (unique-normalised) per-pattern counts; `work_digest` is
@@ -441,8 +443,6 @@ pub struct ReplayJob {
     pub id: u64,
     pub fp: u64,
     pub req: Json,
-    /// The supervisor admitted it at least once.
-    pub started: bool,
     /// A client asked for cancellation and no terminal outcome followed.
     pub cancelled: bool,
     /// Checkpoint path from the most recent `Drained` record, if any.
@@ -486,7 +486,6 @@ pub fn fold(records: &[JournalRecord]) -> Replay {
                     id: *id,
                     fp: *fp,
                     req: req.clone(),
-                    started: false,
                     cancelled: false,
                     checkpoint: None,
                     terminal: None,
@@ -501,7 +500,7 @@ pub fn fold(records: &[JournalRecord]) -> Replay {
         };
         let job = &mut replay.jobs[slot];
         match record {
-            JournalRecord::Started { .. } => job.started = true,
+            JournalRecord::Started { .. } => {}
             JournalRecord::Cancelled { .. } => job.cancelled = true,
             JournalRecord::Finished {
                 fp,
@@ -675,6 +674,34 @@ mod tests {
     }
 
     #[test]
+    fn started_records_of_earlier_builds_decode_and_fold_to_nothing() {
+        // The payload bytes an earlier build wrote, not `encode`'s output.
+        let payload = r#"{"rec":"started","id":1}"#;
+        assert_eq!(JournalRecord::decode(payload).unwrap(), JournalRecord::Started { id: 1 });
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&VERSION.to_le_bytes());
+        let records = sample_records();
+        for payload in [records[0].encode(), payload.to_string(), records[3].encode()] {
+            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            image.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+            image.extend_from_slice(payload.as_bytes());
+        }
+        let scan = scan(&image).unwrap();
+        assert_eq!(scan.records.len(), 3);
+        assert_eq!(scan.truncated_bytes, 0);
+        let with = fold(&scan.records);
+        let without = fold(&[records[0].clone(), records[3].clone()]);
+        assert_eq!((with.orphans, with.fp_mismatches, with.max_id), (0, 0, 1));
+        assert_eq!(with.jobs.len(), 1);
+        assert_eq!(with.jobs[0].terminal, without.jobs[0].terminal);
+        assert!(
+            matches!(&with.jobs[0].terminal, Some(Terminal::Finished { counts, .. }) if counts == &[117])
+        );
+        // One for a job the journal never saw submitted is still an orphan.
+        assert_eq!(fold(&[JournalRecord::Started { id: 5 }]).orphans, 1);
+    }
+
+    #[test]
     fn fold_links_records_and_distrusts_fp_mismatches() {
         let mut records = sample_records();
         // A Finished whose fp disagrees with job 2's Submitted fingerprint.
@@ -696,7 +723,6 @@ mod tests {
         assert_eq!(replay.orphans, 1);
         assert_eq!(replay.fp_mismatches, 1);
         let a = &replay.jobs[0];
-        assert!(a.started);
         assert!(matches!(&a.terminal, Some(Terminal::Finished { counts, .. }) if counts == &[117]));
         let b = &replay.jobs[1];
         assert!(b.terminal.is_none(), "mismatched-fp Finished must be distrusted");

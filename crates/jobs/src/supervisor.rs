@@ -170,12 +170,26 @@ impl OutcomeCell {
         }
     }
 
+    fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
+        let slot = self.slot.lock().expect("job outcome lock poisoned");
+        let (slot, _) = self
+            .done
+            .wait_timeout_while(slot, timeout, |s| s.is_none())
+            .expect("job outcome lock poisoned");
+        slot.clone()
+    }
+
     fn try_get(&self) -> Option<JobOutcome> {
         self.slot.lock().expect("job outcome lock poisoned").clone()
     }
+
+    fn is_resolved(&self) -> bool {
+        self.slot.lock().expect("job outcome lock poisoned").is_some()
+    }
 }
 
-/// Caller-side handle to a submitted job.
+/// Caller-side handle to a submitted job. Clones wait on the same outcome.
+#[derive(Clone)]
 pub struct JobHandle {
     id: u64,
     name: String,
@@ -196,9 +210,23 @@ impl JobHandle {
         self.cell.wait()
     }
 
+    /// Block until the job resolves or `timeout` passes, whichever is
+    /// first: `None` means it is still unresolved. A resolution wakes the
+    /// caller at once; the timeout only bounds how long it goes without
+    /// looking at anything else (a termination latch, say).
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
+        self.cell.wait_timeout(timeout)
+    }
+
     /// The outcome if the job has already resolved.
     pub fn try_outcome(&self) -> Option<JobOutcome> {
         self.cell.try_get()
+    }
+
+    /// Whether the job has resolved — [`JobHandle::try_outcome`] without
+    /// the copy of the outcome.
+    pub fn is_resolved(&self) -> bool {
+        self.cell.is_resolved()
     }
 }
 
@@ -972,5 +1000,52 @@ impl Drop for Supervisor {
             // rather than leaving waiters blocked forever.
             let _ = self.shutdown(None);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn handle() -> JobHandle {
+        JobHandle { id: 7, name: "j".into(), cell: Arc::new(OutcomeCell::default()) }
+    }
+
+    #[test]
+    fn wait_timeout_is_none_before_and_wakes_every_waiter_on_resolve() {
+        let h = handle();
+        assert!(!h.is_resolved());
+        assert!(h.wait_timeout(Duration::ZERO).is_none());
+        assert!(h.wait_timeout(Duration::from_millis(5)).is_none(), "a timeout is not an outcome");
+
+        // Far longer than the test may take: a waiter that comes back only
+        // at its timeout was not woken.
+        let patience = Duration::from_secs(60);
+        let started = Barrier::new(4);
+        let waited: Vec<(Option<JobOutcome>, Duration)> = std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..3)
+                .map(|_| {
+                    let (h, started) = (h.clone(), &started);
+                    scope.spawn(move || {
+                        started.wait();
+                        let t0 = Instant::now();
+                        (h.wait_timeout(patience), t0.elapsed())
+                    })
+                })
+                .collect();
+            started.wait();
+            h.cell.resolve(JobOutcome::Rejected { reason: "from another thread".into() });
+            waiters.into_iter().map(|w| w.join().expect("waiter panicked")).collect()
+        });
+        for (outcome, took) in waited {
+            assert!(
+                matches!(outcome, Some(JobOutcome::Rejected { .. })),
+                "every clone sees the one outcome, got {outcome:?}"
+            );
+            assert!(took < patience / 2, "woken by the timeout, not the resolve: {took:?}");
+        }
+        assert!(h.is_resolved());
+        assert!(h.wait_timeout(Duration::ZERO).is_some(), "already resolved: no wait at all");
     }
 }

@@ -15,7 +15,9 @@
 //!   preemption / retry context around an incident (DESIGN.md §9).
 //!
 //! Publishing is cheap and lock-light: one `Mutex` around the ring and
-//! the subscriber list, atomics for sequence and drop accounting. The
+//! the subscriber list, atomics for sequence and drop accounting, and one
+//! condvar notify per subscriber so a consumer blocked in
+//! [`Subscription::recv_timeout`] is woken by the publish itself. The
 //! bus timestamps every event on the same [`TraceClock`] origin as the
 //! run's spans, so recorder dumps and Perfetto traces line up.
 
@@ -23,7 +25,8 @@ use crate::json::{json_key, json_str};
 use crate::trace::TraceClock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::time::Duration;
 
 /// One structured lifecycle event.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -117,6 +120,8 @@ impl EventRing {
 #[derive(Debug)]
 struct SubQueue {
     q: Mutex<VecDeque<JobEvent>>,
+    /// Notified by every publish that lands an event in `q`.
+    ready: Condvar,
     cap: usize,
     dropped: AtomicU64,
 }
@@ -131,7 +136,19 @@ pub struct Subscription {
 impl Subscription {
     /// Drains every queued event, oldest first.
     pub fn poll(&self) -> Vec<JobEvent> {
-        let mut q = self.queue.q.lock().unwrap_or_else(|e| e.into_inner());
+        self.recv_timeout(Duration::ZERO)
+    }
+
+    /// [`Subscription::poll`], but an empty queue blocks until the next
+    /// publish or until `timeout` passes, whichever is first; empty means
+    /// the timeout passed with nothing published.
+    pub fn recv_timeout(&self, timeout: Duration) -> Vec<JobEvent> {
+        let q = self.queue.q.lock().unwrap_or_else(|e| e.into_inner());
+        let (mut q, _) = self
+            .queue
+            .ready
+            .wait_timeout_while(q, timeout, |q| q.is_empty())
+            .unwrap_or_else(|e| e.into_inner());
         q.drain(..).collect()
     }
 
@@ -200,6 +217,7 @@ impl EventBus {
                 self.dropped_total.fetch_add(1, Ordering::Relaxed);
             }
             q.push_back(ev.clone());
+            sub.ready.notify_one();
             true
         });
         inner.ring.push(ev);
@@ -211,6 +229,7 @@ impl EventBus {
         let cap = if cap == 0 { DEFAULT_SUBSCRIBER_CAPACITY } else { cap };
         let queue = Arc::new(SubQueue {
             q: Mutex::new(VecDeque::with_capacity(cap.min(DEFAULT_SUBSCRIBER_CAPACITY))),
+            ready: Condvar::new(),
             cap,
             dropped: AtomicU64::new(0),
         });
@@ -331,6 +350,40 @@ mod tests {
         let events = sub.poll();
         // The newest 4 survive, in publication order.
         assert_eq!(events.iter().map(|e| e.job).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
+        assert!(sub.poll().is_empty());
+    }
+
+    #[test]
+    fn blocking_receive_wakes_on_publish_and_comes_back_empty_on_timeout() {
+        let b = bus(16);
+        let sub = b.subscribe(2);
+        assert!(sub.recv_timeout(Duration::from_millis(5)).is_empty(), "nothing was published");
+
+        // Far longer than the test may take: a receive that comes back
+        // only at its timeout was not woken by the publish.
+        let patience = Duration::from_secs(60);
+        let waiting = std::sync::Barrier::new(2);
+        let (events, took) = std::thread::scope(|scope| {
+            let receiver = scope.spawn(|| {
+                waiting.wait();
+                let t0 = std::time::Instant::now();
+                (sub.recv_timeout(patience), t0.elapsed())
+            });
+            waiting.wait();
+            b.publish(7, "finished", "");
+            receiver.join().expect("receiver panicked")
+        });
+        assert_eq!(events.iter().map(|e| e.job).collect::<Vec<_>>(), vec![7]);
+        assert!(took < patience / 2, "woken by the timeout, not the publish: {took:?}");
+
+        // Drop-oldest accounting is the non-blocking path's: cap 2, four
+        // published, the newest two delivered at once.
+        for i in 0..4u64 {
+            b.publish(i, "tick", "");
+        }
+        assert_eq!((sub.dropped(), b.dropped_total()), (2, 2));
+        let events = sub.recv_timeout(patience);
+        assert_eq!(events.iter().map(|e| e.job).collect::<Vec<_>>(), vec![2, 3]);
         assert!(sub.poll().is_empty());
     }
 

@@ -22,11 +22,15 @@
 //!   leaves the next task's count exact.
 //! - **Declined plans are untouched.** The plans the pass declines charge,
 //!   word for word, what the commit before it charged.
+//! - **Indexes nobody reads are not built.** `prepare` skips the hub
+//!   bitmaps and block summaries for a program that calls no set-op
+//!   kernel, and a run over the lean graph equals one over a fully
+//!   indexed one, counter for counter.
 
 use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{
-    count_program, mine, mine_prepared_observed, oblivious, prepare, simd, EngineConfig, Executor,
-    JobCore, RunStatus, Stint, TelemetryOptions, WorkCounters,
+    count_program, mine, mine_prepared, mine_prepared_observed, oblivious, prepare, simd,
+    EngineConfig, Executor, JobCore, RunStatus, Stint, TelemetryOptions, WorkCounters,
 };
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::{motifs, Pattern};
@@ -186,6 +190,25 @@ proptest! {
         }
     }
 
+    /// The diamond's plan probes, so `prepare` under it indexes the same
+    /// (unoriented) graph in full: running any other unoriented plan over
+    /// that and over its own — possibly lean — prepare must agree on every
+    /// count and every counter.
+    #[test]
+    fn a_lean_prepare_runs_what_a_fully_indexed_one_runs(g in arb_graph(), use_cmap in any::<bool>()) {
+        let cfg = EngineConfig { use_cmap, ..EngineConfig::default() };
+        let indexed = prepare(&g, &compile(&Pattern::diamond(), CompileOptions::default()), &cfg);
+        for (name, plan) in plans().into_iter().filter(|(_, plan)| !plan.orientation) {
+            let own = prepare(&g, &plan, &cfg);
+            let (lean, full) = (mine_prepared(&own, &plan, &cfg), mine_prepared(&indexed, &plan, &cfg));
+            prop_assert_eq!(&lean.counts, &full.counts, "{} cmap={}", &name, use_cmap);
+            prop_assert_eq!(lean.work, full.work, "{} cmap={}", &name, use_cmap);
+            if own.hubs().is_none() && indexed.hubs().is_some() {
+                prop_assert_eq!(lean.work.setop_invocations, 0, "{} skipped an index it reads", &name);
+            }
+        }
+    }
+
     /// `#P = Σ_H copies(P in H) · ind(H)` over the connected `H` on as many
     /// vertices: the right-hand side comes from ESU and brute force alone.
     #[test]
@@ -206,6 +229,40 @@ proptest! {
             }
         }
     }
+}
+
+/// Under the default config the joined 4-cycle's prepare holds neither
+/// index and the plans that dispatch set ops still hold theirs, on a graph
+/// dense enough that both indexes come back non-empty even once oriented.
+#[test]
+fn prepare_builds_indexes_only_for_programs_that_probe_them() {
+    let cfg = EngineConfig::default();
+    let g = generators::powerlaw_cluster(120, 40, 0.5, 7);
+    let cycle = compile(&Pattern::cycle(4), CompileOptions::default());
+    assert!(joins(&cycle, &cfg));
+    let lean = prepare(&g, &cycle, &cfg);
+    assert!(lean.hubs().is_none() && lean.blocks().is_none(), "the join reads neither index");
+    let probing = [
+        ("diamond", compile(&Pattern::diamond(), CompileOptions::default())),
+        ("3-motif", compile_multi(&motifs::motifs(3), CompileOptions::induced())),
+        ("4-clique", compile(&Pattern::k_clique(4), CompileOptions::default())),
+        // No symmetry order, no join: this 4-cycle enumerates through merges.
+        ("4-cycle --no-symmetry", compile(&Pattern::cycle(4), CompileOptions::automine())),
+    ];
+    for (name, plan) in &probing {
+        let prepared = prepare(&g, plan, &cfg);
+        assert!(prepared.hubs().is_some(), "{name} lost its hub bitmaps");
+        assert_eq!(prepared.blocks().is_some(), cfg.simd_active(), "{name}: block summaries");
+        let work = mine_prepared(&prepared, plan, &cfg).work;
+        assert!(work.setop_invocations > 0 && work.probe_dispatches > 0, "{name}: {work:?}");
+    }
+    let joined = mine_prepared(&lean, &cycle, &cfg);
+    assert_eq!(joined.work.setop_invocations, 0);
+    // The unoriented plans above were prepared over the same graph in full.
+    assert_eq!(
+        joined.counts,
+        mine_prepared(&prepare(&g, &probing[0].1, &cfg), &cycle, &cfg).counts
+    );
 }
 
 /// Calls `visit` with every arrangement of `items[at..]` after the fixed
