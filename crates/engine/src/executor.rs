@@ -14,10 +14,13 @@ use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
 use crate::setops;
 use crate::telemetry::Collector;
 use crate::EngineConfig;
-use fm_graph::{orient_by_degree, BlockSummaries, CsrGraph, HubBitmaps, VertexId};
-use fm_plan::lowering::{lower, LowerOptions, ProgNode, Program};
+use fm_graph::block::BLOCK;
+use fm_graph::{orient_by_degree, BlockSummaries, CsrGraph, HubBitmaps, HubRow, VertexId};
+use fm_pattern::DepthSet;
+use fm_plan::lowering::{lower, LowerOptions, Program};
 use fm_plan::{count_leaves, CountOptions, CountRule, ExecutionPlan, FrontierHint, Survivors};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -98,21 +101,19 @@ impl<'g> PreparedGraph<'g> {
     ) -> PreparedGraph<'g> {
         let graph =
             if plan.orientation { Held::Arc(Arc::new(orient_by_degree(&input))) } else { input };
+        let mut prepared = PreparedGraph { graph, hubs: None, blocks: None };
         let probed = (cfg.hub_bitmap_active() || cfg.simd_active())
-            && dispatches_set_ops(&count_program(plan, cfg), cfg);
-        let hubs = if probed && cfg.hub_bitmap_active() {
-            let idx = HubBitmaps::build(&graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-            (!idx.is_empty()).then(|| Arc::new(idx))
-        } else {
-            None
-        };
-        let blocks = if probed && cfg.simd_active() {
-            let bl = BlockSummaries::build(&graph);
-            (!bl.is_empty()).then(|| Arc::new(bl))
-        } else {
-            None
-        };
-        PreparedGraph { graph, hubs, blocks }
+            && Resolved::new(&prepared, &count_program(plan, cfg), cfg).dispatches_set_ops();
+        if probed && cfg.hub_bitmap_active() {
+            let (threshold, budget) = (cfg.hub_degree_threshold, cfg.hub_memory_budget);
+            let idx = HubBitmaps::build(&prepared.graph, threshold, budget);
+            prepared.hubs = (!idx.is_empty()).then(|| Arc::new(idx));
+        }
+        if probed && cfg.simd_active() {
+            let bl = BlockSummaries::build(&prepared.graph);
+            prepared.blocks = (!bl.is_empty()).then(|| Arc::new(bl));
+        }
+        prepared
     }
 
     /// A second handle on the same prepared data: the graph by reference,
@@ -162,33 +163,8 @@ pub fn count_program(plan: &ExecutionPlan, cfg: &EngineConfig) -> Program {
     program
 }
 
-/// Whether a count-only run of `program` ever calls a set-op kernel, the
-/// one place the hub bitmaps and the block summaries are read. Follows
-/// [`step`] and [`build_core`] arm for arm over the nodes a run reaches: a
-/// pair join or a tail answers for everything below it, a `Reuse` or an
-/// unconstrained core copies a list, and a c-map probe streams one.
-/// [`Executor::collect_matches`] reaches more nodes than this looks at; a
-/// set op without an index is the same set op on the merge or gallop tier.
-fn dispatches_set_ops(program: &Program, cfg: &EngineConfig) -> bool {
-    fn stepped(program: &Program, cfg: &EngineConfig, node_idx: usize) -> bool {
-        let node = &program.nodes[node_idx];
-        let here = match (node.count, node.frontier) {
-            (
-                CountRule::Tail { survivors: Survivors::Intersect | Survivors::Difference, .. },
-                _,
-            ) => true,
-            (_, FrontierHint::Reuse) => false,
-            _ if cfg.use_cmap && node.probe => false,
-            (_, FrontierHint::Extend | FrontierHint::ExtendDiff) => true,
-            (_, FrontierHint::None) => !(node.connected.is_empty() && node.disconnected.is_empty()),
-        };
-        here || (node.count == CountRule::Enumerate
-            && node.children.iter().any(|&child| stepped(program, cfg, child)))
-    }
-    program.nodes[0].children.iter().any(|&child| stepped(program, cfg, child))
-}
-
 /// Mutable per-worker state.
+#[derive(Default)]
 struct State {
     emb: Vec<VertexId>,
     /// Materialized core (candidate) lists, one buffer per depth.
@@ -198,8 +174,8 @@ struct State {
     core_at: Vec<usize>,
     /// Keys inserted into the c-map per depth, for stack-ordered unwind.
     inserted: Vec<Vec<VertexId>>,
-    scratch_a: Vec<VertexId>,
-    scratch_b: Vec<VertexId>,
+    /// The merge pipeline's previous stage.
+    scratch: Vec<VertexId>,
     cmap: HashCmap,
     /// The pair join's count map: one counter per data vertex, all zero
     /// between joins. Empty until this worker's first join, so a plan
@@ -209,8 +185,12 @@ struct State {
     /// replays to zero the map again.
     touched: Vec<VertexId>,
     counts: Vec<u64>,
+    /// `counts` as the running task found them, for its rollback: kept
+    /// here so that isolating a task allocates nothing.
+    counts_before: Vec<u64>,
     work: WorkCounters,
-    matches: Option<Vec<(usize, Vec<VertexId>)>>,
+    /// Filled only under [`Executor::collect_matches`].
+    matches: Vec<(usize, Vec<VertexId>)>,
     /// Start vertices completed via the isolated path (see
     /// [`Executor::run_vertex_isolated`]); untracked fast-path runs leave
     /// this empty.
@@ -221,43 +201,234 @@ struct State {
     /// Start vertices abandoned after exhausting the configured retries
     /// (one record per vertex: its final failed attempt).
     quarantined: Vec<Fault>,
-    /// Per-worker telemetry collection; `None` (one null check on the
-    /// candidate-generation path) unless the run is observed. Depth
-    /// metrics charge work as it happens, so a faulted-then-rolled-back
-    /// attempt's work stays visible in telemetry even though the result
-    /// counters exclude it — telemetry measures work performed, results
-    /// report work kept.
+    /// Per-worker telemetry collection, unless the run is unobserved.
+    /// Depth metrics charge work as it happens, so a
+    /// faulted-then-rolled-back attempt's work stays visible in telemetry
+    /// even though the result counters exclude it — telemetry measures
+    /// work performed, results report work kept.
     telemetry: Option<Box<Collector>>,
 }
 
 impl State {
-    /// Whether candidate generation must snapshot `work` around each step
-    /// for the depth series: a collector that only takes task spans (as
-    /// `serve`'s tracing does) keeps the hot path as it is with none.
-    fn charges_depths(&self) -> bool {
-        self.telemetry.as_ref().is_some_and(|t| t.metrics)
-    }
-
     fn new(depth: usize, patterns: usize) -> State {
         State {
             emb: Vec::with_capacity(depth),
             frontiers: vec![Vec::new(); depth],
             core_at: vec![0; depth],
             inserted: vec![Vec::new(); depth],
-            scratch_a: Vec::new(),
-            scratch_b: Vec::new(),
-            cmap: HashCmap::new(),
-            pair_counts: Vec::new(),
-            touched: Vec::new(),
             counts: vec![0; patterns],
-            work: WorkCounters::default(),
-            matches: None,
-            completed: Vec::new(),
-            faults: Vec::new(),
-            quarantined: Vec::new(),
-            telemetry: None,
+            counts_before: vec![0; patterns],
+            ..State::default()
         }
     }
+}
+
+/// How a node's core candidate list comes to be.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// The parent's core, as it is.
+    Reuse,
+    /// Stream-and-probe (§II-C: "the intersection is replaced by querying
+    /// the c-map"): `emb[ext]`'s adjacency, every constraint resolved by
+    /// one c-map probe per candidate.
+    Probe { ext: usize },
+    /// The parent's core ∩ (`keep`) or \ the parent vertex's adjacency.
+    Extend { keep: bool },
+    /// `emb[ext]`'s adjacency, unconstrained.
+    Copy { ext: usize },
+    /// `emb[ext]`'s adjacency ∩ adj(connected…) \ adj(disconnected…).
+    Pipeline { ext: usize },
+}
+
+/// One node of the resolved program.
+struct Node {
+    depth: usize,
+    op: Op,
+    /// Back on `Enumerate` everywhere under [`Executor::collect_matches`].
+    count: CountRule,
+    /// `count` enumerates, every child is a counting kernel and entering
+    /// inserts nothing: one loop over the survivors counts them ([`fused`]).
+    fused: bool,
+    /// The pattern the leaf of a counted branch completes.
+    leaf_pattern: usize,
+    /// Symmetry-order upper bounds: the smallest vertex at these levels.
+    bounds: DepthSet,
+    /// Levels a candidate could collide with (injectivity).
+    distinct: DepthSet,
+    connected: DepthSet,
+    disconnected: DepthSet,
+    /// The bound also cuts the core while it is built: the lowering proved
+    /// that invisible, and this run's kernels have a bound port.
+    bounded: bool,
+    /// The pattern completed at this node, if any.
+    pattern: Option<usize>,
+    /// Entering inserts the vertex's neighbours into the c-map — those
+    /// below `emb[level]` if `Some(level)` — and leaving removes them.
+    insert: Option<Option<usize>>,
+    /// This node's slice of [`Resolved::children`].
+    children: Range<usize>,
+}
+
+/// The count program as one executor runs it (DESIGN.md §6g): what
+/// [`enter`] and [`step`] would otherwise re-derive per candidate from the
+/// config, the prepared graph and the lowered nodes, decided once.
+struct Resolved<'g> {
+    g: &'g CsrGraph,
+    hubs: Option<&'g HubBitmaps>,
+    /// The shortest list `hubs` can hold a row for; `usize::MAX` without one.
+    hub_min: usize,
+    blocks: Option<&'g BlockSummaries>,
+    simd: bool,
+    gallop_ratio: usize,
+    /// Unbounded scalar merges and no dispatcher (`paper_faithful`).
+    faithful: bool,
+    /// Charge each step's work to its depth: a collector with metrics on.
+    observed: bool,
+    /// Record every match ([`Executor::collect_matches`]).
+    collect: bool,
+    #[cfg(any(test, feature = "failpoints"))]
+    failpoint_scope: u64,
+    nodes: Vec<Node>,
+    /// Every node's child indices, back to back.
+    children: Vec<usize>,
+}
+
+/// How far ahead of the survivor in hand [`Resolved::prefetch`] fetches a
+/// row, and — further, the row's address is read from them — its offsets.
+const ROW_AHEAD: usize = 1;
+const OFFSETS_AHEAD: usize = 3;
+
+impl<'g> Resolved<'g> {
+    fn new(g: &'g PreparedGraph<'_>, program: &Program, cfg: &EngineConfig) -> Resolved<'g> {
+        let set = |levels: &[usize]| DepthSet::from_depths(levels.iter().copied());
+        let mut children = Vec::new();
+        let mut nodes: Vec<Node> = Vec::with_capacity(program.nodes.len());
+        for n in &program.nodes {
+            // The root is entered, never stepped: its op is never read.
+            let ext = n.extender.unwrap_or(0);
+            let op = match n.frontier {
+                FrontierHint::Reuse => Op::Reuse,
+                _ if cfg.use_cmap && n.probe => Op::Probe { ext },
+                FrontierHint::Extend => Op::Extend { keep: true },
+                FrontierHint::ExtendDiff => Op::Extend { keep: false },
+                FrontierHint::None if n.connected.is_empty() && n.disconnected.is_empty() => {
+                    Op::Copy { ext }
+                }
+                FrontierHint::None => Op::Pipeline { ext },
+            };
+            let leaf_pattern = match n.count {
+                CountRule::Enumerate => 0, // never read
+                CountRule::PairJoin { leaf } | CountRule::Tail { leaf, .. } => program.nodes[leaf]
+                    .pattern_index
+                    .expect("a counted branch ends in a pattern leaf"),
+            };
+            let inserts = cfg.use_cmap && n.cmap_insert && !n.children.is_empty();
+            let first_child = children.len();
+            children.extend_from_slice(&n.children);
+            nodes.push(Node {
+                depth: n.depth,
+                op,
+                count: n.count,
+                fused: false,
+                leaf_pattern,
+                bounds: set(&n.upper_bounds),
+                distinct: set(&n.injectivity),
+                connected: set(&n.connected),
+                disconnected: set(&n.disconnected),
+                // The stream-and-probe path keeps the lowering's rule
+                // (the conservative one, under `paper_faithful`) as it is.
+                bounded: n.bounded_build && (!cfg.paper_faithful || matches!(op, Op::Probe { .. })),
+                pattern: n.pattern_index,
+                insert: inserts.then_some(n.cmap_insert_bound),
+                children: first_child..children.len(),
+            });
+        }
+        for i in 0..nodes.len() {
+            let kernel = |s| matches!(s, Survivors::Intersect | Survivors::Difference);
+            let kids = &children[nodes[i].children.clone()];
+            nodes[i].fused = nodes[i].count == CountRule::Enumerate
+                && nodes[i].insert.is_none()
+                && !kids.is_empty()
+                && kids.iter().all(|&c| {
+                    matches!(nodes[c].count, CountRule::Tail { survivors, .. } if kernel(survivors))
+                });
+        }
+        Resolved {
+            g: g.graph(),
+            hubs: g.hubs(),
+            hub_min: g.hubs().map_or(usize::MAX, HubBitmaps::degree_threshold),
+            blocks: g.blocks(),
+            simd: cfg.simd_active(),
+            gallop_ratio: cfg.gallop_ratio,
+            faithful: cfg.paper_faithful,
+            observed: false,
+            collect: false,
+            #[cfg(any(test, feature = "failpoints"))]
+            failpoint_scope: cfg.failpoint_scope,
+            nodes,
+            children,
+        }
+    }
+
+    fn children(&self, node: &Node) -> &[usize] {
+        &self.children[node.children.clone()]
+    }
+
+    /// Whether a count-only run ever calls a set-op kernel, the one place
+    /// the hub bitmaps and the block summaries are read, over the nodes it
+    /// reaches: a pair join or a tail answers for everything below it, and
+    /// a `Reuse`, a copy or a c-map probe calls none.
+    /// [`Executor::collect_matches`] reaches more; a set op without an index
+    /// is the same set op on the merge or gallop tier.
+    fn dispatches_set_ops(&self) -> bool {
+        fn stepped(run: &Resolved<'_>, n: usize) -> bool {
+            let node = &run.nodes[n];
+            matches!(node.op, Op::Extend { .. } | Op::Pipeline { .. })
+                || (node.count == CountRule::Enumerate
+                    && run.children(node).iter().any(|&c| stepped(run, c)))
+        }
+        self.children(&self.nodes[0]).iter().any(|&c| stepped(self, c))
+    }
+
+    /// The hub row and (SIMD tier on) block-summary row a dispatch against
+    /// `v`'s `len`-element list can use. Exact, and lean: a hub row exists
+    /// only for `len ≥ hub_min` and summary words only for a list longer
+    /// than a block, so a short list — most of them — consults neither index.
+    #[inline(always)]
+    fn rows(&self, v: VertexId, len: usize) -> (Option<HubRow<'g>>, Option<&'g [u64]>) {
+        let hub = if len >= self.hub_min { self.hubs.and_then(|h| h.row(v)) } else { None };
+        let summary = match self.blocks {
+            Some(blocks) if len > BLOCK => blocks.row(v),
+            _ => &[],
+        };
+        (hub, self.simd.then_some(summary))
+    }
+
+    /// Starts the loads the survivors after `list[i]` will wait on, so
+    /// their misses overlap the work in hand: the CPU's stand-in for the
+    /// many PEs that hide edge-list latency (§IV).
+    #[inline(always)]
+    fn prefetch(&self, list: &[VertexId], i: usize) {
+        let offsets = self.g.offsets();
+        if let Some(v) = list.get(i + OFFSETS_AHEAD) {
+            prefetch(offsets.as_ptr().wrapping_add(v.index()));
+        }
+        if let Some(v) = list.get(i + ROW_AHEAD) {
+            prefetch(self.g.neighbor_array().as_ptr().wrapping_add(offsets[v.index()]));
+        }
+    }
+}
+
+/// A prefetch hint for the line at `at`; nothing off x86-64.
+#[inline(always)]
+fn prefetch<T>(at: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 has no architectural effect, whatever the address.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(at.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = at;
 }
 
 /// What a count that would wrap panics with instead.
@@ -280,10 +451,7 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// threading); `Executor` is the building block exposed for the task loop,
 /// the benchmarks and differential tests.
 pub struct Executor<'g> {
-    graph: &'g CsrGraph,
-    hubs: Option<&'g HubBitmaps>,
-    blocks: Option<&'g BlockSummaries>,
-    program: Program,
+    run: Resolved<'g>,
     cfg: EngineConfig,
     state: State,
 }
@@ -291,7 +459,8 @@ pub struct Executor<'g> {
 impl<'g> Executor<'g> {
     /// Creates an executor over `g`, borrowing its graph and whatever
     /// auxiliary indexes [`prepare`] built — `cfg` must be the config `g`
-    /// was prepared under (or one that activates the same indexes).
+    /// was prepared under (or one that activates the same indexes). The
+    /// count program is resolved here, once, into the form the walk runs.
     pub fn new(g: &'g PreparedGraph<'_>, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
         cfg.debug_validate();
         debug_assert!(
@@ -304,24 +473,17 @@ impl<'g> Executor<'g> {
         );
         let program = count_program(plan, cfg);
         let state = State::new(program.depth, plan.patterns.len());
-        Executor {
-            graph: g.graph(),
-            hubs: g.hubs.as_deref(),
-            blocks: g.blocks.as_deref(),
-            program,
-            cfg: *cfg,
-            state,
-        }
+        Executor { run: Resolved::new(g, &program, cfg), cfg: *cfg, state }
     }
 
     /// Enables recording of complete matches (pattern index + embedding).
     /// Intended for tests and small listings; counting stays exact either
     /// way. A match has to be entered to be recorded, so this puts every
-    /// node back on [`CountRule::Enumerate`].
+    /// node back on enumeration.
     pub fn collect_matches(&mut self) {
-        self.state.matches = Some(Vec::new());
-        for node in &mut self.program.nodes {
-            node.count = CountRule::Enumerate;
+        self.run.collect = true;
+        for node in &mut self.run.nodes {
+            (node.count, node.fused) = (CountRule::Enumerate, false);
         }
     }
 
@@ -332,8 +494,7 @@ impl<'g> Executor<'g> {
     /// Panics if `v` is out of range for the graph.
     pub fn run_vertex(&mut self, v: VertexId) {
         fail_point!(self.cfg, "start_vertex", v.0 as u64);
-        let aux = Aux { hubs: self.hubs, blocks: self.blocks, simd: self.cfg.simd_active() };
-        enter(self.graph, aux, &self.cfg, &self.program, &mut self.state, 0, v);
+        enter(&self.run, &mut self.state, 0, v);
         debug_assert!(self.state.emb.is_empty());
         debug_assert!(
             !self.cfg.use_cmap || self.state.cmap.is_empty(),
@@ -375,33 +536,28 @@ impl<'g> Executor<'g> {
 
     /// One isolated attempt: panic boundary plus full rollback.
     fn run_vertex_attempt(&mut self, v: VertexId, attempt: u32) -> bool {
-        let counts_snapshot = self.state.counts.clone();
+        self.state.counts_before.copy_from_slice(&self.state.counts);
         let work_snapshot = self.state.work;
-        let matches_snapshot = self.state.matches.as_ref().map(Vec::len);
+        let matches_snapshot = self.state.matches.len();
         let outcome = catch_unwind(AssertUnwindSafe(|| self.run_vertex(v)));
         match outcome {
             Ok(()) => true,
             Err(payload) => {
-                self.state.counts = counts_snapshot;
-                self.state.work = work_snapshot;
-                if let (Some(matches), Some(len)) = (&mut self.state.matches, matches_snapshot) {
-                    matches.truncate(len);
-                }
+                let s = &mut self.state;
+                s.counts.copy_from_slice(&s.counts_before);
+                s.work = work_snapshot;
+                s.matches.truncate(matches_snapshot);
                 // The DFS state is mid-subtree garbage: reset everything
                 // the next task reads before writing.
-                self.state.emb.clear();
-                self.state.cmap.clear();
-                for w in self.state.touched.drain(..) {
-                    self.state.pair_counts[w.index()] = 0;
+                s.emb.clear();
+                s.cmap.clear();
+                for w in s.touched.drain(..) {
+                    s.pair_counts[w.index()] = 0;
                 }
-                for ins in &mut self.state.inserted {
+                for ins in &mut s.inserted {
                     ins.clear();
                 }
-                self.state.faults.push(Fault {
-                    vid: v.0,
-                    attempt,
-                    payload: payload_string(&*payload),
-                });
+                s.faults.push(Fault { vid: v.0, attempt, payload: payload_string(&*payload) });
                 false
             }
         }
@@ -452,6 +608,7 @@ impl<'g> Executor<'g> {
 
     /// Installs this worker's telemetry collector (observed runs only).
     pub(crate) fn set_telemetry(&mut self, collector: Box<Collector>) {
+        self.run.observed = collector.metrics;
         self.state.telemetry = Some(collector);
     }
 
@@ -489,72 +646,41 @@ impl<'g> Executor<'g> {
 
     /// The matches recorded since [`collect_matches`](Self::collect_matches).
     pub fn matches(&self) -> &[(usize, Vec<VertexId>)] {
-        self.state.matches.as_deref().unwrap_or(&[])
+        &self.state.matches
     }
 }
 
-/// Shared read-only dispatch context threaded through the DFS walk: the
-/// optional hub-bitmap index (probe tier), the optional block summaries
-/// (SIMD-tier block skipping), and whether the run's configuration
-/// activated the SIMD tier at all.
-#[derive(Clone, Copy)]
-struct Aux<'a> {
-    hubs: Option<&'a HubBitmaps>,
-    blocks: Option<&'a BlockSummaries>,
-    simd: bool,
-}
-
-impl<'a> Aux<'a> {
-    /// SIMD routing state for a dispatch whose subtrahend operand is
-    /// `v`'s adjacency list.
-    fn simd_for(&self, v: VertexId) -> setops::SimdOpt<'a> {
-        setops::SimdOpt { enabled: self.simd, b_blocks: self.blocks.map(|b| b.row(v)) }
-    }
-}
-
-/// Pushes `w` as the vertex for `node`, handles counting and c-map
-/// insertion, recurses into children, and unwinds.
-fn enter(
-    g: &CsrGraph,
-    aux: Aux<'_>,
-    cfg: &EngineConfig,
-    prog: &Program,
-    state: &mut State,
-    node_idx: usize,
-    w: VertexId,
-) {
-    let node = &prog.nodes[node_idx];
+/// Pushes `w` as the vertex for node `n`, handles counting and c-map
+/// insertion, steps the children, and unwinds.
+fn enter(run: &Resolved<'_>, state: &mut State, n: usize, w: VertexId) {
+    let node = &run.nodes[n];
     let d = node.depth;
     debug_assert_eq!(state.emb.len(), d);
     state.emb.push(w);
     state.work.extensions += 1;
-    if let Some(pi) = node.pattern_index {
+    if let Some(pi) = node.pattern {
         state.counts[pi] += 1;
-        if let Some(matches) = &mut state.matches {
-            matches.push((pi, state.emb.clone()));
+        if run.collect {
+            state.matches.push((pi, state.emb.clone()));
         }
     }
-    let mut did_insert = false;
-    if cfg.use_cmap && node.cmap_insert && !node.children.is_empty() {
-        fail_point!(cfg, "cmap_insert", state.emb[0].0 as u64);
-        did_insert = true;
-        let bound = node.cmap_insert_bound.map(|l| state.emb[l]);
+    if let Some(below) = node.insert {
+        fail_point!(run, "cmap_insert", state.emb[0].0 as u64);
+        let bound = below.map(|l| state.emb[l]);
         state.inserted[d].clear();
-        for &nb in g.neighbors(w) {
-            if let Some(b) = bound {
-                if nb >= b {
-                    break; // adjacency is sorted ascending
-                }
+        for &nb in run.g.neighbors(w) {
+            if bound.is_some_and(|b| nb >= b) {
+                break; // adjacency is sorted ascending
             }
             state.cmap.insert(nb, d);
             state.work.cmap_inserts += 1;
             state.inserted[d].push(nb);
         }
     }
-    for &child in &node.children {
-        step(g, aux, cfg, prog, state, child);
+    for &child in run.children(node) {
+        step(run, state, child);
     }
-    if did_insert {
+    if node.insert.is_some() {
         let ins = std::mem::take(&mut state.inserted[d]);
         for &nb in &ins {
             state.cmap.remove(nb, d);
@@ -565,34 +691,26 @@ fn enter(
     state.emb.pop();
 }
 
-/// Generates the candidates of `node` and counts the subtree below them
+/// Generates the candidates of node `n` and counts the subtree below them
 /// the way the program decided ([`CountRule`]): entering each survivor, or
 /// — in a count-only run, where the lowering proved it equivalent — by one
 /// of the closed forms of DESIGN.md §6f.
-fn step(
-    g: &CsrGraph,
-    aux: Aux<'_>,
-    cfg: &EngineConfig,
-    prog: &Program,
-    state: &mut State,
-    node_idx: usize,
-) {
-    let node = &prog.nodes[node_idx];
-    let bound: Option<VertexId> = node.upper_bounds.iter().map(|&l| state.emb[l]).min();
-    let (leaf, k, survivors) = match node.count {
+fn step(run: &Resolved<'_>, state: &mut State, n: usize) {
+    let node = &run.nodes[n];
+    let bound = node.bounds.iter().map(|l| state.emb[l]).min();
+    let (k, survivors) = match node.count {
         CountRule::Enumerate => {
-            let (core, len) = materialize(g, aux, cfg, prog, state, node_idx, bound);
-            walk(state, node, core, len, bound, |state, w| {
-                enter(g, aux, cfg, prog, state, node_idx, w)
-            });
-            return;
+            let core = materialize(run, state, node, bound);
+            if node.fused {
+                return fused(run, state, node, core, bound);
+            }
+            return walk(run, state, node, core, bound, |state, w| enter(run, state, n, w));
         }
         CountRule::PairJoin { leaf } => {
-            materialize(g, aux, cfg, prog, state, node_idx, bound);
-            pair_join(g, cfg, state, node, &prog.nodes[leaf], bound);
-            return;
+            materialize(run, state, node, bound);
+            return pair_join(run, state, node, &run.nodes[leaf], bound);
         }
-        CountRule::Tail { leaf, k, survivors } => (leaf, k, survivors),
+        CountRule::Tail { k, survivors, .. } => (k, survivors),
     };
     // `m`: how many candidates survive this node's bound and injectivity.
     let m = match survivors {
@@ -600,111 +718,205 @@ fn step(
         // the FlexMiner reducer does the same in hardware: every counter is
         // charged as entering each survivor would.
         Survivors::Scan => {
-            let (core, len) = materialize(g, aux, cfg, prog, state, node_idx, bound);
+            let core = materialize(run, state, node, bound);
             let mut found = 0u64;
-            walk(state, node, core, len, bound, |_, _| found += 1);
+            walk(run, state, node, core, bound, |_, _| found += 1);
             found
         }
         Survivors::Search => {
-            let (core, _) = materialize(g, aux, cfg, prog, state, node_idx, bound);
+            let core = materialize(run, state, node, bound);
             let (_, m) =
                 surviving(&state.frontiers[core], bound, node, &state.emb, &mut state.work);
             state.work.candidates_checked += m;
             m
         }
-        // The counting twin of the adaptive kernel, same tier rule and same
-        // charges as the merge it replaces; only the frontier write is
-        // skipped. An `ExtendDiff` counts what the difference would keep as
-        // what the intersection would drop.
         Survivors::Intersect | Survivors::Difference => {
-            let d = node.depth;
-            fail_point!(cfg, "frontier_alloc", state.emb[0].0 as u64);
-            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
-            let v = state.emb[d - 1];
-            let hub = aux.hubs.and_then(|h| h.row(v));
-            let work_before = state.charges_depths().then_some(state.work);
-            let prefix = &state.frontiers[state.core_at[d - 1]];
-            let prefix = match (survivors, bound) {
-                (Survivors::Difference, Some(b)) => {
-                    setops::bounded_prefix(prefix, b, &mut state.work)
-                }
-                _ => prefix,
-            };
-            let common = setops::intersect_adaptive_count(
-                prefix,
-                g.neighbors(v),
-                bound,
-                cfg.gallop_ratio,
-                hub,
-                aux.simd_for(v),
-                &mut state.work,
-            );
-            if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {
-                t.charge_setops(d, before, state.work);
-            }
-            let m = if survivors == Survivors::Intersect {
-                common
-            } else {
-                prefix.len() as u64 - common
-            };
-            state.work.candidates_checked += m;
-            m
+            let core = state.core_at[node.depth - 1];
+            kernel_count(run, state, node, core)
         }
     };
-    let pi = prog.nodes[leaf].pattern_index.expect("a tail ends in a pattern leaf");
-    credit(state, pi, choose(m, k));
+    credit(state, node.leaf_pattern, choose(m, k));
 }
 
-/// [`build_core`] for `node`, with the telemetry an observed run keeps of
-/// it. Returns the buffer index of the core and its length.
-fn materialize(
-    g: &CsrGraph,
-    aux: Aux<'_>,
-    cfg: &EngineConfig,
-    prog: &Program,
-    state: &mut State,
-    node_idx: usize,
+/// The fused last level (DESIGN.md §6g): every child of `node` is a
+/// counting kernel over `node`'s own core, so the walk that filters the
+/// survivors also runs each child's kernel and credits `C(m, k)` — one
+/// loop, charging what [`enter`] and [`step`] charge per survivor.
+fn fused(run: &Resolved<'_>, state: &mut State, node: &Node, core: usize, bound: Option<VertexId>) {
+    walk(run, state, node, core, bound, |state, w| {
+        state.work.extensions += 1;
+        if let Some(pi) = node.pattern {
+            state.counts[pi] += 1;
+        }
+        state.emb.push(w);
+        for &leaf in run.children(node) {
+            let leaf = &run.nodes[leaf];
+            let CountRule::Tail { k, .. } = leaf.count else { unreachable!("fused over tails") };
+            let m = kernel_count(run, state, leaf, core);
+            credit(state, leaf.leaf_pattern, choose(m, k));
+        }
+        state.emb.pop();
+    });
+}
+
+/// How many of the parent's core (buffer `core`) below `leaf`'s bound are
+/// — for a difference, are not — adjacent to the parent's vertex, the last
+/// of `emb`: the counting twin of the adaptive kernel, same tier rule and
+/// charges as the merge it replaces, minus the frontier write. A difference
+/// counts what it would keep as what the intersection would drop.
+#[inline(always)]
+fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize) -> u64 {
+    let State { frontiers, emb, work, telemetry, .. } = state;
+    fail_point!(run, "frontier_alloc", emb[0].0 as u64);
+    fail_point!(run, "csr_read", emb[0].0 as u64);
+    let diff = matches!(leaf.count, CountRule::Tail { survivors: Survivors::Difference, .. });
+    let (v, bound) = (emb[leaf.depth - 1], leaf.bounds.iter().map(|l| emb[l]).min());
+    let before = run.observed.then_some(*work);
+    let prefix = match (diff, bound) {
+        (true, Some(b)) => setops::bounded_prefix(&frontiers[core], b, work),
+        _ => &frontiers[core],
+    };
+    let adj = run.g.neighbors(v);
+    let (hub, simd) = run.rows(v, adj.len());
+    let common =
+        setops::intersect_adaptive_count(prefix, adj, bound, run.gallop_ratio, hub, simd, work);
+    if let (Some(t), Some(before)) = (telemetry, before) {
+        t.charge_setops(leaf.depth, before, *work);
+    }
+    let m = if diff { prefix.len() as u64 - common } else { common };
+    work.candidates_checked += m;
+    m
+}
+
+/// One stage of candidate generation: `cur ∩ N(v)` (`keep`) or `cur \ N(v)`
+/// into `out`. Faithful mode: full (unbounded) scalar merges, as in
+/// GraphZero's generated code and the SIU of Fig. 9 (bounds apply while
+/// the sorted core is walked). Otherwise `bound` is pushed into the merge
+/// and the adaptive dispatcher picks the tier.
+#[inline]
+fn set_op(
+    run: &Resolved<'_>,
+    keep: bool,
+    cur: &[VertexId],
+    v: VertexId,
     bound: Option<VertexId>,
-) -> (usize, usize) {
-    let node = &prog.nodes[node_idx];
+    out: &mut Vec<VertexId>,
+    work: &mut WorkCounters,
+) {
+    let adj = run.g.neighbors(v);
+    let (hub, simd) = run.rows(v, adj.len()); // no rows under `faithful`
+    match (run.faithful, keep) {
+        (true, true) => setops::intersect_into(cur, adj, out, work),
+        (true, false) => setops::difference_into(cur, adj, out, work),
+        (false, true) => {
+            let ratio = run.gallop_ratio;
+            setops::intersect_adaptive_into(cur, adj, bound, ratio, hub, simd, out, work)
+        }
+        (false, false) => setops::difference_adaptive_into(cur, adj, bound, hub, simd, out, work),
+    }
+}
+
+/// Materializes (or locates) the core candidate list of `node`, leaving
+/// its buffer index in `state.core_at[depth]` — and returning it — with
+/// the telemetry an observed run keeps of it.
+fn materialize(
+    run: &Resolved<'_>,
+    state: &mut State,
+    node: &Node,
+    bound: Option<VertexId>,
+) -> usize {
     let d = node.depth;
-    let work_before = state.charges_depths().then_some(state.work);
-    build_core(g, aux, cfg, prog, state, node_idx, bound);
+    let before = run.observed.then_some(state.work);
+    if node.op == Op::Reuse {
+        state.core_at[d] = state.core_at[d - 1];
+    } else {
+        fail_point!(run, "frontier_alloc", state.emb[0].0 as u64);
+        fail_point!(run, "csr_read", state.emb[0].0 as u64);
+        let cut = if node.bounded { bound } else { None };
+        let mut out = std::mem::take(&mut state.frontiers[d]);
+        out.clear();
+        match node.op {
+            Op::Reuse => unreachable!(),
+            Op::Probe { ext } => {
+                for &w in run.g.neighbors(state.emb[ext]) {
+                    if cut.is_some_and(|b| w >= b) {
+                        break;
+                    }
+                    state.work.cmap_queries += 1;
+                    let found = DepthSet::from_bits(state.cmap.query(w));
+                    state.work.cmap_hits += u64::from(!found.is_empty());
+                    if node.connected.is_subset(found)
+                        && node.disconnected.intersection(found).is_empty()
+                    {
+                        out.push(w);
+                    }
+                }
+            }
+            Op::Extend { keep } => {
+                let src = &state.frontiers[state.core_at[d - 1]];
+                set_op(run, keep, src, state.emb[d - 1], cut, &mut out, &mut state.work);
+            }
+            Op::Copy { ext } => {
+                let src = run.g.neighbors(state.emb[ext]);
+                out.extend_from_slice(match cut {
+                    Some(b) => setops::bounded_prefix(src, b, &mut state.work),
+                    None => src,
+                });
+            }
+            // The first stage reads the extender's adjacency; every later
+            // one reads its predecessor's output, swapped into the scratch.
+            Op::Pipeline { ext } => {
+                let mut prev = std::mem::take(&mut state.scratch);
+                let stages = node.connected.iter().map(|l| (l, true));
+                let stages = stages.chain(node.disconnected.iter().map(|l| (l, false)));
+                for (i, (l, keep)) in stages.enumerate() {
+                    std::mem::swap(&mut out, &mut prev);
+                    out.clear();
+                    let cur = if i == 0 { run.g.neighbors(state.emb[ext]) } else { &prev[..] };
+                    set_op(run, keep, cur, state.emb[l], cut, &mut out, &mut state.work);
+                }
+                state.scratch = prev;
+            }
+        }
+        state.frontiers[d] = out;
+        state.core_at[d] = d;
+    }
     let core = state.core_at[d];
-    let len = state.frontiers[core].len();
     // Observed runs: charge this level's candidate-generation delta (all
-    // build_core arms — merges, gallops, probes, and c-map traffic) to
-    // depth `d`, and sample the size of any newly materialized frontier.
-    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {
+    // arms — merges, gallops, probes, and c-map traffic) to depth `d`, and
+    // sample the size of any newly materialized frontier.
+    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), before) {
         t.charge_setops(d, before, state.work);
-        if node.frontier != FrontierHint::Reuse {
-            t.record_frontier(len);
+        if node.op != Op::Reuse {
+            t.record_frontier(state.frontiers[core].len());
         }
     }
-    (core, len)
+    core
 }
 
 /// Walks `node`'s materialized core the way enumeration does — one
 /// `candidates_checked` per element, up to and including the one that
-/// trips the bound — handing each survivor to `visit`.
+/// trips the bound — handing each survivor to `visit`, and prefetching the
+/// next ones' adjacency where children are about to read it.
 #[inline]
 fn walk(
+    run: &Resolved<'_>,
     state: &mut State,
-    node: &ProgNode,
+    node: &Node,
     core: usize,
-    len: usize,
     bound: Option<VertexId>,
     mut visit: impl FnMut(&mut State, VertexId),
 ) {
-    for i in 0..len {
+    for i in 0..state.frontiers[core].len() {
         let w = state.frontiers[core][i];
         state.work.candidates_checked += 1;
-        if let Some(b) = bound {
-            if w >= b {
-                break; // cores are sorted ascending
-            }
+        if bound.is_some_and(|b| w >= b) {
+            break; // cores are sorted ascending
         }
-        if node.injectivity.iter().any(|&l| state.emb[l] == w) {
+        if !node.children.is_empty() {
+            run.prefetch(&state.frontiers[core], i);
+        }
+        if node.distinct.iter().any(|l| state.emb[l] == w) {
             continue;
         }
         visit(state, w);
@@ -716,7 +928,7 @@ fn walk(
 fn surviving(
     core: &[VertexId],
     bound: Option<VertexId>,
-    node: &ProgNode,
+    node: &Node,
     emb: &[VertexId],
     work: &mut WorkCounters,
 ) -> (usize, u64) {
@@ -724,7 +936,7 @@ fn surviving(
         Some(b) => setops::bounded_prefix(core, b, work),
         None => core,
     };
-    let taken = node.injectivity.iter().filter(|&&l| below.binary_search(&emb[l]).is_ok()).count();
+    let taken = node.distinct.iter().filter(|&l| below.binary_search(&emb[l]).is_ok()).count();
     (below.len(), (below.len() - taken) as u64)
 }
 
@@ -760,6 +972,7 @@ fn choose(m: u64, k: usize) -> u64 {
 
 /// Adds `found` matches of pattern `pi`, each charged as the one search
 /// leaf it stands for.
+#[inline]
 fn credit(state: &mut State, pi: usize, found: u64) {
     state.counts[pi] = state.counts[pi].checked_add(found).expect(COUNT_OVERFLOW);
     state.work.extensions = state.work.extensions.checked_add(found).expect(COUNT_OVERFLOW);
@@ -774,14 +987,7 @@ fn credit(state: &mut State, pi: usize, found: u64) {
 /// undoes the map by replaying the touched keys. One `setop_iterations`
 /// per streamed element (the probe tier's price), no invocation and no
 /// tier: nothing was dispatched.
-fn pair_join(
-    g: &CsrGraph,
-    cfg: &EngineConfig,
-    state: &mut State,
-    x: &ProgNode,
-    z: &ProgNode,
-    bound: Option<VertexId>,
-) {
+fn pair_join(run: &Resolved<'_>, state: &mut State, x: &Node, z: &Node, bound: Option<VertexId>) {
     let core = state.core_at[x.depth];
     let (end, survivors) = surviving(&state.frontiers[core], bound, x, &state.emb, &mut state.work);
     state.work.candidates_checked += end as u64;
@@ -789,19 +995,19 @@ fn pair_join(
         return;
     }
     if state.pair_counts.is_empty() {
-        state.pair_counts = vec![0; g.num_vertices()];
+        state.pair_counts = vec![0; run.g.num_vertices()];
     }
-    let z_bound = z.upper_bounds.iter().map(|&l| state.emb[l]).min();
-    let work_before = state.charges_depths().then_some(state.work);
+    let z_bound = z.bounds.iter().map(|l| state.emb[l]).min();
+    let before = run.observed.then_some(state.work);
     for i in 0..end {
         let xv = state.frontiers[core][i];
-        if x.injectivity.iter().any(|&l| state.emb[l] == xv) {
+        if x.distinct.iter().any(|l| state.emb[l] == xv) {
             continue;
         }
-        fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
+        fail_point!(run, "csr_read", state.emb[0].0 as u64);
         let adj = match z_bound {
-            Some(b) => setops::bounded_prefix(g.neighbors(xv), b, &mut state.work),
-            None => g.neighbors(xv),
+            Some(b) => setops::bounded_prefix(run.g.neighbors(xv), b, &mut state.work),
+            None => run.g.neighbors(xv),
         };
         state.work.setop_iterations += adj.len() as u64;
         for &w in adj {
@@ -812,12 +1018,12 @@ fn pair_join(
             *cnt += 1;
         }
     }
-    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {
+    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), before) {
         t.charge_setops(z.depth, before, state.work);
     }
     // An embedding vertex `z` may not repeat closes no pair; those its
     // bound excludes were never streamed.
-    for &l in z.injectivity.iter().filter(|&&l| !z.upper_bounds.contains(&l)) {
+    for l in z.distinct.difference(z.bounds) {
         state.pair_counts[state.emb[l].index()] = 0;
     }
     let mut found: u128 = 0;
@@ -825,189 +1031,7 @@ fn pair_join(
         let cnt = u128::from(std::mem::take(&mut state.pair_counts[w.index()]));
         found += cnt * cnt.saturating_sub(1) / 2;
     }
-    let pi = z.pattern_index.expect("a pair join ends in a pattern leaf");
-    credit(state, pi, u64::try_from(found).expect(COUNT_OVERFLOW));
-}
-
-/// Materializes (or locates) the core candidate list for `node`, leaving
-/// its buffer index in `state.core_at[depth]`.
-fn build_core(
-    g: &CsrGraph,
-    aux: Aux<'_>,
-    cfg: &EngineConfig,
-    prog: &Program,
-    state: &mut State,
-    node_idx: usize,
-    bound: Option<VertexId>,
-) {
-    let node = &prog.nodes[node_idx];
-    let d = node.depth;
-    let has_constraints = !(node.connected.is_empty() && node.disconnected.is_empty());
-    if node.frontier != FrontierHint::Reuse {
-        fail_point!(cfg, "frontier_alloc", state.emb[0].0 as u64);
-    }
-    match node.frontier {
-        FrontierHint::Reuse => {
-            state.core_at[d] = state.core_at[d - 1];
-        }
-        // Stream-and-probe: with a c-map, a probe-strategy op streams its
-        // extender's adjacency and resolves all connectivity constraints
-        // with one probe per candidate (§II-C: "the intersection is
-        // replaced by querying the c-map"). The lowering enables the
-        // strategy only where the probed levels' insertions amortize.
-        _ if cfg.use_cmap && node.probe => {
-            let ext = node.extender.expect("constrained ops always have an extender");
-            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
-            let src = g.neighbors(state.emb[ext]);
-            let mut out = std::mem::take(&mut state.frontiers[d]);
-            out.clear();
-            for &w in src {
-                if node.bounded_build {
-                    if let Some(b) = bound {
-                        if w >= b {
-                            break;
-                        }
-                    }
-                }
-                state.work.cmap_queries += 1;
-                let bits = state.cmap.query(w);
-                if bits != 0 {
-                    state.work.cmap_hits += 1;
-                }
-                let ok = node.connected.iter().all(|&l| (bits >> l) & 1 == 1)
-                    && node.disconnected.iter().all(|&l| (bits >> l) & 1 == 0);
-                if ok {
-                    out.push(w);
-                }
-            }
-            state.frontiers[d] = out;
-            state.core_at[d] = d;
-        }
-        FrontierHint::Extend | FrontierHint::ExtendDiff => {
-            let want_connected = node.frontier == FrontierHint::Extend;
-            let src = state.core_at[d - 1];
-            let mut out = std::mem::take(&mut state.frontiers[d]);
-            out.clear();
-            // Faithful mode: full (unbounded) merges, as in GraphZero's
-            // generated code and the SIU of Fig. 9 — candidate sets are
-            // materialized in full and vid bounds are applied during
-            // iteration (sorted cores break early). Otherwise the bound
-            // is pushed into the merge when the lowering proved the
-            // truncation invisible, and intersections may dispatch to
-            // galloping.
-            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
-            let adj = g.neighbors(state.emb[d - 1]);
-            let merge_bound = if cfg.paper_faithful || !node.bounded_build { None } else { bound };
-            if cfg.paper_faithful {
-                if want_connected {
-                    setops::intersect_into(&state.frontiers[src], adj, &mut out, &mut state.work)
-                } else {
-                    setops::difference_into(&state.frontiers[src], adj, &mut out, &mut state.work)
-                }
-            } else {
-                let v = state.emb[d - 1];
-                let hub = aux.hubs.and_then(|h| h.row(v));
-                if want_connected {
-                    setops::intersect_adaptive_into(
-                        &state.frontiers[src],
-                        adj,
-                        merge_bound,
-                        cfg.gallop_ratio,
-                        hub,
-                        aux.simd_for(v),
-                        &mut out,
-                        &mut state.work,
-                    )
-                } else {
-                    setops::difference_adaptive_into(
-                        &state.frontiers[src],
-                        adj,
-                        merge_bound,
-                        hub,
-                        aux.simd_for(v),
-                        &mut out,
-                        &mut state.work,
-                    )
-                }
-            }
-            state.frontiers[d] = out;
-            state.core_at[d] = d;
-        }
-        FrontierHint::None => {
-            let ext = node.extender.expect("non-root ops always have an extender");
-            fail_point!(cfg, "csr_read", state.emb[0].0 as u64);
-            let src = g.neighbors(state.emb[ext]);
-            let mut out = std::mem::take(&mut state.frontiers[d]);
-            out.clear();
-            let merge_bound = if cfg.paper_faithful || !node.bounded_build { None } else { bound };
-            if !has_constraints {
-                let src = match merge_bound {
-                    Some(b) => setops::bounded_prefix(src, b, &mut state.work),
-                    None => src,
-                };
-                out.extend_from_slice(src);
-            } else {
-                // Merge pipeline: src ∩ adj(connected…) \ adj(disconnected…),
-                // ping-ponging between two scratch buffers and landing the
-                // final stage in `out`.
-                let mut a = std::mem::take(&mut state.scratch_a);
-                let mut b = std::mem::take(&mut state.scratch_b);
-                let total = node.connected.len() + node.disconnected.len();
-                let stages = node
-                    .connected
-                    .iter()
-                    .map(|&l| (l, true))
-                    .chain(node.disconnected.iter().map(|&l| (l, false)));
-                for (i, (l, is_conn)) in stages.enumerate() {
-                    let adj = g.neighbors(state.emb[l]);
-                    let last = i + 1 == total;
-                    let (cur, dst): (&[VertexId], &mut Vec<VertexId>) = if i == 0 {
-                        (src, if last { &mut out } else { &mut a })
-                    } else if i % 2 == 1 {
-                        (&a, if last { &mut out } else { &mut b })
-                    } else {
-                        (&b, if last { &mut out } else { &mut a })
-                    };
-                    dst.clear();
-                    if cfg.paper_faithful {
-                        if is_conn {
-                            setops::intersect_into(cur, adj, dst, &mut state.work);
-                        } else {
-                            setops::difference_into(cur, adj, dst, &mut state.work);
-                        }
-                    } else {
-                        let hub = aux.hubs.and_then(|h| h.row(state.emb[l]));
-                        if is_conn {
-                            setops::intersect_adaptive_into(
-                                cur,
-                                adj,
-                                merge_bound,
-                                cfg.gallop_ratio,
-                                hub,
-                                aux.simd_for(state.emb[l]),
-                                dst,
-                                &mut state.work,
-                            );
-                        } else {
-                            setops::difference_adaptive_into(
-                                cur,
-                                adj,
-                                merge_bound,
-                                hub,
-                                aux.simd_for(state.emb[l]),
-                                dst,
-                                &mut state.work,
-                            );
-                        }
-                    }
-                }
-                state.scratch_a = a;
-                state.scratch_b = b;
-            }
-            state.frontiers[d] = out;
-            state.core_at[d] = d;
-        }
-    }
+    credit(state, x.leaf_pattern, u64::try_from(found).expect(COUNT_OVERFLOW));
 }
 
 #[cfg(test)]

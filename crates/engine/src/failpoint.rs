@@ -12,10 +12,12 @@
 //! | site             | fires in                                           |
 //! |------------------|----------------------------------------------------|
 //! | `start_vertex`   | [`Executor::run_vertex`] entry                     |
-//! | `frontier_alloc` | candidate-core materialization in `build_core`     |
+//! | `frontier_alloc` | candidate-core materialization (`materialize`) and |
+//! |                  | each counting kernel, fused loop or not            |
 //! | `cmap_insert`    | bulk c-map insertion on embedding push             |
-//! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline,  |
-//! |                  | and each survivor's stream in a pair join's sweep  |
+//! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline   |
+//! |                  | and the counting kernels, and each survivor's      |
+//! |                  | stream in a pair join's sweep                      |
 //!
 //! Injection is scoped to a run, not to the process: [`guard`] hands out a
 //! fresh scope id, the test puts it in the run's

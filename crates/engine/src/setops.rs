@@ -635,41 +635,13 @@ pub fn difference_simd_bounded_into(
     charge_difference_bounded_exit(a, b, a_p, m, work);
 }
 
-/// Per-dispatch SIMD routing state, threaded from the executor: whether
-/// the run's configuration activated the tier
-/// ([`EngineConfig::simd_active`](crate::EngineConfig::simd_active)) and
-/// the subtrahend operand's block-summary row when one is indexed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimdOpt<'a> {
-    /// Route merge-tier operations to the vector kernels.
-    pub enabled: bool,
-    /// `b`'s per-64-element summary row for block skipping, if built.
-    pub b_blocks: Option<&'a [u64]>,
-}
-
-impl SimdOpt<'static> {
-    /// The scalar configuration: merge-tier ops run the scalar merge.
-    pub const OFF: SimdOpt<'static> = SimdOpt { enabled: false, b_blocks: None };
-
-    /// The vector configuration without a skip index.
-    pub const ON: SimdOpt<'static> = SimdOpt { enabled: true, b_blocks: None };
-}
-
-impl<'a> SimdOpt<'a> {
-    /// The subtrahend's summary row, or the empty no-skip row.
-    #[inline]
-    fn blocks(&self) -> &'a [u64] {
-        self.b_blocks.unwrap_or(&[])
-    }
-}
-
 /// The kernel tier an adaptive dispatcher picked for one set operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Tier {
+    /// The scalar merge, or in its place the vector kernels ([`merge_tier`]).
     Merge,
     Gallop,
     Probe,
-    Simd,
 }
 
 /// The shared four-tier dispatch rule. Probe wins whenever `b` is an
@@ -679,21 +651,37 @@ enum Tier {
 /// element costs one comparison against galloping's ⌈log₂|b|⌉. For a hub
 /// *shorter* than `a` the plain kernels can exhaust `b` early, so the
 /// size-based merge/gallop rule applies instead. SIMD *replaces* the merge
-/// tier wholesale when enabled (the vector kernels are the same merge,
-/// wider), which keeps the probe/gallop routing — and therefore every
+/// tier wholesale when enabled ([`merge_tier`]: the vector kernels are the
+/// same merge, wider), which keeps the probe/gallop routing — and every
 /// charged counter — identical between scalar and SIMD runs: a scalar
 /// run's `merge_dispatches` equals the SIMD run's `simd_dispatches`.
-fn choose_tier(a_len: usize, b_len: usize, gallop_ratio: usize, hub: bool, simd: bool) -> Tier {
+fn choose_tier(a_len: usize, b_len: usize, gallop_ratio: usize, hub: bool) -> Tier {
     if hub && b_len >= a_len {
         return Tier::Probe;
     }
     let (small, large) = if a_len <= b_len { (a_len, b_len) } else { (b_len, a_len) };
     if gallop_ratio > 0 && small.saturating_mul(gallop_ratio) <= large {
         Tier::Gallop
-    } else if simd {
-        Tier::Simd
     } else {
         Tier::Merge
+    }
+}
+
+/// Charges a merge-tier dispatch to the SIMD tier that replaces it
+/// (`simd`) or to the merge tier, and says whether a vector kernel should
+/// run it: on the SIMD tier, when both operands fill a vector. Shorter ones
+/// would fall through to the vector kernels' scalar tail and then be
+/// charged in closed form, a few binary searches later; the scalar merge
+/// charges as it walks — same output, same counters — so the SIMD tier
+/// runs that for them.
+#[inline]
+fn merge_tier(simd: bool, a_len: usize, b_len: usize, work: &mut WorkCounters) -> bool {
+    if simd {
+        work.simd_dispatches += 1;
+        a_len.min(b_len) >= crate::simd::LANES
+    } else {
+        work.merge_dispatches += 1;
+        false
     }
 }
 
@@ -732,8 +720,12 @@ fn assert_dispatched_once(before: (u64, u64), work: &WorkCounters) {
 /// smaller than the other (`0` disables galloping), to a bitmap probe
 /// when `hub` carries `b`'s bitset row and `|b| ≥ |a|` (see `choose_tier`
 /// for why that makes the probe never worse on charged iterations), and
-/// to the vectorized kernels in place of the scalar merge when
-/// `simd.enabled`. For the galloping path a vid bound is applied by
+/// to the vectorized kernels in place of the scalar merge when the run's
+/// configuration activated them
+/// ([`EngineConfig::simd_active`](crate::EngineConfig::simd_active)):
+/// `simd` is then `b`'s per-64-element summary row for block skipping
+/// (empty: none indexed, or `b` fits one block), and `None` keeps the scalar
+/// merge. For the galloping path a vid bound is applied by
 /// truncating both inputs up front via [`bounded_prefix`]. Output,
 /// counts, and charged work are identical across all tiers that replace
 /// each other; the chosen tier is recorded in the dispatch counters, so
@@ -746,13 +738,14 @@ pub fn intersect_adaptive_into(
     bound: Option<VertexId>,
     gallop_ratio: usize,
     hub: Option<HubRow<'_>>,
-    simd: SimdOpt<'_>,
+    simd: Option<&[u64]>,
     out: &mut Vec<VertexId>,
     work: &mut WorkCounters,
 ) {
     #[cfg(debug_assertions)]
     let snap = dispatch_snapshot(work);
-    match choose_tier(a.len(), b.len(), gallop_ratio, hub.is_some(), simd.enabled) {
+    let blocks = simd.unwrap_or(&[]);
+    match choose_tier(a.len(), b.len(), gallop_ratio, hub.is_some()) {
         Tier::Probe => {
             work.probe_dispatches += 1;
             let row = hub.expect("probe tier requires a hub row");
@@ -769,20 +762,12 @@ pub fn intersect_adaptive_into(
             };
             intersect_galloping_into(a, b, out, work);
         }
-        Tier::Simd => {
-            work.simd_dispatches += 1;
-            match bound {
-                Some(bd) => intersect_simd_bounded_into(a, b, bd, simd.blocks(), out, work),
-                None => intersect_simd_into(a, b, simd.blocks(), out, work),
-            }
-        }
-        Tier::Merge => {
-            work.merge_dispatches += 1;
-            match bound {
-                Some(bd) => intersect_bounded_into(a, b, bd, out, work),
-                None => intersect_into(a, b, out, work),
-            }
-        }
+        Tier::Merge => match (merge_tier(simd.is_some(), a.len(), b.len(), work), bound) {
+            (true, Some(bd)) => intersect_simd_bounded_into(a, b, bd, blocks, out, work),
+            (true, None) => intersect_simd_into(a, b, blocks, out, work),
+            (false, Some(bd)) => intersect_bounded_into(a, b, bd, out, work),
+            (false, None) => intersect_into(a, b, out, work),
+        },
     }
     #[cfg(debug_assertions)]
     assert_dispatched_once(snap, work);
@@ -796,12 +781,13 @@ pub fn intersect_adaptive_count(
     bound: Option<VertexId>,
     gallop_ratio: usize,
     hub: Option<HubRow<'_>>,
-    simd: SimdOpt<'_>,
+    simd: Option<&[u64]>,
     work: &mut WorkCounters,
 ) -> u64 {
     #[cfg(debug_assertions)]
     let snap = dispatch_snapshot(work);
-    let found = match choose_tier(a.len(), b.len(), gallop_ratio, hub.is_some(), simd.enabled) {
+    let blocks = simd.unwrap_or(&[]);
+    let found = match choose_tier(a.len(), b.len(), gallop_ratio, hub.is_some()) {
         Tier::Probe => {
             work.probe_dispatches += 1;
             let row = hub.expect("probe tier requires a hub row");
@@ -818,20 +804,12 @@ pub fn intersect_adaptive_count(
             };
             intersect_galloping_count(a, b, work)
         }
-        Tier::Simd => {
-            work.simd_dispatches += 1;
-            match bound {
-                Some(bd) => intersect_simd_bounded_count(a, b, bd, simd.blocks(), work),
-                None => intersect_simd_count(a, b, simd.blocks(), work),
-            }
-        }
-        Tier::Merge => {
-            work.merge_dispatches += 1;
-            match bound {
-                Some(bd) => intersect_bounded_count(a, b, bd, work),
-                None => intersect_count(a, b, work),
-            }
-        }
+        Tier::Merge => match (merge_tier(simd.is_some(), a.len(), b.len(), work), bound) {
+            (true, Some(bd)) => intersect_simd_bounded_count(a, b, bd, blocks, work),
+            (true, None) => intersect_simd_count(a, b, blocks, work),
+            (false, Some(bd)) => intersect_bounded_count(a, b, bd, work),
+            (false, None) => intersect_count(a, b, work),
+        },
     };
     #[cfg(debug_assertions)]
     assert_dispatched_once(snap, work);
@@ -842,14 +820,14 @@ pub fn intersect_adaptive_count(
 /// indexed hub (the probe streams `|a|` elements; the merge streams `|a|`
 /// minuend elements *plus* subtrahend cursor advances, so the probe is
 /// never charged more), a bounded (or plain) merge otherwise — vectorized
-/// in place of the scalar merge when `simd.enabled`. Galloping does not
+/// in place of the scalar merge when `simd` is `Some`. Galloping does not
 /// apply: the merge already touches each minuend element once.
 pub fn difference_adaptive_into(
     a: &[VertexId],
     b: &[VertexId],
     bound: Option<VertexId>,
     hub: Option<HubRow<'_>>,
-    simd: SimdOpt<'_>,
+    simd: Option<&[u64]>,
     out: &mut Vec<VertexId>,
     work: &mut WorkCounters,
 ) {
@@ -863,18 +841,13 @@ pub fn difference_adaptive_into(
                 None => difference_probe_into(a, row, out, work),
             }
         }
-        None if simd.enabled => {
-            work.simd_dispatches += 1;
-            match bound {
-                Some(bd) => difference_simd_bounded_into(a, b, bd, simd.blocks(), out, work),
-                None => difference_simd_into(a, b, simd.blocks(), out, work),
-            }
-        }
         None => {
-            work.merge_dispatches += 1;
-            match bound {
-                Some(bd) => difference_bounded_into(a, b, bd, out, work),
-                None => difference_into(a, b, out, work),
+            let blocks = simd.unwrap_or(&[]);
+            match (merge_tier(simd.is_some(), a.len(), b.len(), work), bound) {
+                (true, Some(bd)) => difference_simd_bounded_into(a, b, bd, blocks, out, work),
+                (true, None) => difference_simd_into(a, b, blocks, out, work),
+                (false, Some(bd)) => difference_bounded_into(a, b, bd, out, work),
+                (false, None) => difference_into(a, b, out, work),
             }
         }
     }
@@ -905,18 +878,9 @@ mod tests {
         let mut w = WorkCounters::default();
         let mut out = Vec::new();
         // Probe tier: hub row present and |b| >= |a|.
-        intersect_adaptive_into(
-            &small,
-            &large,
-            None,
-            16,
-            Some(row),
-            SimdOpt::OFF,
-            &mut out,
-            &mut w,
-        );
+        intersect_adaptive_into(&small, &large, None, 16, Some(row), None, &mut out, &mut w);
         // Gallop tier: heavily skewed sizes, no hub.
-        intersect_adaptive_into(&small, &large, None, 16, None, SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&small, &large, None, 16, None, None, &mut out, &mut w);
         // Merge tier: balanced sizes (with a bound, which charges extra
         // comparisons via bounded_prefix but no extra invocation).
         intersect_adaptive_into(
@@ -925,19 +889,19 @@ mod tests {
             Some(VertexId(4)),
             16,
             None,
-            SimdOpt::OFF,
+            None,
             &mut out,
             &mut w,
         );
         // Count-only and difference dispatchers uphold the same rule.
-        intersect_adaptive_count(&small, &large, None, 16, None, SimdOpt::OFF, &mut w);
-        difference_adaptive_into(&small, &large, None, Some(row), SimdOpt::OFF, &mut out, &mut w);
-        difference_adaptive_into(&small, &small, None, None, SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_count(&small, &large, None, 16, None, None, &mut w);
+        difference_adaptive_into(&small, &large, None, Some(row), None, &mut out, &mut w);
+        difference_adaptive_into(&small, &small, None, None, None, &mut out, &mut w);
         // SIMD replaces the merge tier (and only it) when enabled.
-        intersect_adaptive_into(&small, &small, None, 16, None, SimdOpt::ON, &mut out, &mut w);
-        difference_adaptive_into(&small, &small, None, None, SimdOpt::ON, &mut out, &mut w);
-        intersect_adaptive_into(&small, &large, None, 16, Some(row), SimdOpt::ON, &mut out, &mut w);
-        intersect_adaptive_into(&small, &large, None, 16, None, SimdOpt::ON, &mut out, &mut w);
+        intersect_adaptive_into(&small, &small, None, 16, None, Some(&[]), &mut out, &mut w);
+        difference_adaptive_into(&small, &small, None, None, Some(&[]), &mut out, &mut w);
+        intersect_adaptive_into(&small, &large, None, 16, Some(row), Some(&[]), &mut out, &mut w);
+        intersect_adaptive_into(&small, &large, None, 16, None, Some(&[]), &mut out, &mut w);
 
         assert_eq!(w.setop_invocations, 10);
         assert_eq!(
@@ -1033,26 +997,8 @@ mod tests {
             let mut gallop_out = Vec::new();
             let mut w = WorkCounters::default();
             // ratio 0 forces the merge kernel; a tiny ratio forces gallop.
-            intersect_adaptive_into(
-                &small,
-                &large,
-                bound,
-                0,
-                None,
-                SimdOpt::OFF,
-                &mut merge_out,
-                &mut w,
-            );
-            intersect_adaptive_into(
-                &small,
-                &large,
-                bound,
-                1,
-                None,
-                SimdOpt::OFF,
-                &mut gallop_out,
-                &mut w,
-            );
+            intersect_adaptive_into(&small, &large, bound, 0, None, None, &mut merge_out, &mut w);
+            intersect_adaptive_into(&small, &large, bound, 1, None, None, &mut gallop_out, &mut w);
             assert_eq!(merge_out, gallop_out, "bound {bound:?}");
         }
         // Skew within the ratio dispatches to galloping (|small| iters);
@@ -1061,13 +1007,13 @@ mod tests {
         let big: Vec<VertexId> = (0..100).map(VertexId).collect();
         let mut out = Vec::new();
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&one, &big, None, 16, None, SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&one, &big, None, 16, None, None, &mut out, &mut w);
         assert_eq!(out, one);
         assert_eq!(w.setop_iterations, 1, "galloped: one probe for the single element");
         assert_eq!((w.merge_dispatches, w.gallop_dispatches, w.probe_dispatches), (0, 1, 0));
         let mut out = Vec::new();
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&one, &big, None, 200, None, SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&one, &big, None, 200, None, None, &mut out, &mut w);
         assert_eq!(out, one);
         assert!(w.setop_iterations > 10, "ratio not met: merge kernel runs");
         assert_eq!((w.merge_dispatches, w.gallop_dispatches, w.probe_dispatches), (1, 0, 0));
@@ -1148,7 +1094,7 @@ mod tests {
         let a: Vec<VertexId> = (0..30).map(VertexId).collect();
         let mut out = Vec::new();
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&a, &adj, None, 16, Some(row), SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&a, &adj, None, 16, Some(row), None, &mut out, &mut w);
         assert_eq!(w.probe_dispatches, 1);
         assert_eq!(w.setop_iterations, a.len() as u64);
         let expect: Vec<VertexId> = (1..30).step_by(2).map(VertexId).collect();
@@ -1157,7 +1103,7 @@ mod tests {
         let long: Vec<VertexId> = (0..200).map(VertexId).collect();
         let mut out = Vec::new();
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&long, &adj, None, 16, Some(row), SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&long, &adj, None, 16, Some(row), None, &mut out, &mut w);
         assert_eq!(w.probe_dispatches, 0);
         assert_eq!(w.merge_dispatches + w.gallop_dispatches, 1);
     }
@@ -1171,7 +1117,7 @@ mod tests {
         for hub in [None, Some(row)] {
             for bound in [None, Some(VertexId(33))] {
                 for ratio in [0, 2, 16] {
-                    for simd in [SimdOpt::OFF, SimdOpt::ON] {
+                    for simd in [None, Some(&[][..])] {
                         let mut out = Vec::new();
                         let mut wi = WorkCounters::default();
                         intersect_adaptive_into(
@@ -1197,11 +1143,11 @@ mod tests {
         for bound in [None, Some(VertexId(25))] {
             let mut merged = Vec::new();
             let mut w = WorkCounters::default();
-            difference_adaptive_into(&a, &adj, bound, None, SimdOpt::OFF, &mut merged, &mut w);
+            difference_adaptive_into(&a, &adj, bound, None, None, &mut merged, &mut w);
             assert_eq!((w.merge_dispatches, w.probe_dispatches), (1, 0));
             let mut probed = Vec::new();
             let mut w = WorkCounters::default();
-            difference_adaptive_into(&a, &adj, bound, Some(row), SimdOpt::OFF, &mut probed, &mut w);
+            difference_adaptive_into(&a, &adj, bound, Some(row), None, &mut probed, &mut w);
             assert_eq!((w.merge_dispatches, w.probe_dispatches), (0, 1));
             assert_eq!(probed, merged, "bound {bound:?}");
         }
@@ -1427,15 +1373,15 @@ mod tests {
         let big: Vec<VertexId> = (0..1000).map(VertexId).collect();
         let mut out = Vec::new();
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&one, &big, None, 0, None, SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&one, &big, None, 0, None, None, &mut out, &mut w);
         assert_eq!(out, one);
         assert_eq!((w.gallop_dispatches, w.merge_dispatches), (0, 1));
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&one, &big, None, 0, None, SimdOpt::ON, &mut out, &mut w);
+        intersect_adaptive_into(&one, &big, None, 0, None, Some(&[]), &mut out, &mut w);
         assert_eq!((w.gallop_dispatches, w.simd_dispatches), (0, 1));
         // Any non-zero ratio met by the skew re-enables galloping.
         let mut w = WorkCounters::default();
-        intersect_adaptive_into(&one, &big, None, 1, None, SimdOpt::OFF, &mut out, &mut w);
+        intersect_adaptive_into(&one, &big, None, 1, None, None, &mut out, &mut w);
         assert_eq!(w.gallop_dispatches, 1);
     }
 
@@ -1451,27 +1397,10 @@ mod tests {
             let (mut off_out, mut on_out) = (Vec::new(), Vec::new());
             let mut off = WorkCounters::default();
             let mut on = WorkCounters::default();
-            intersect_adaptive_into(&a, &b, bound, 16, None, SimdOpt::OFF, &mut off_out, &mut off);
-            intersect_adaptive_into(
-                &a,
-                &b,
-                bound,
-                16,
-                None,
-                SimdOpt { enabled: true, b_blocks: Some(&blocks) },
-                &mut on_out,
-                &mut on,
-            );
-            difference_adaptive_into(&a, &b, bound, None, SimdOpt::OFF, &mut off_out, &mut off);
-            difference_adaptive_into(
-                &a,
-                &b,
-                bound,
-                None,
-                SimdOpt { enabled: true, b_blocks: Some(&blocks) },
-                &mut on_out,
-                &mut on,
-            );
+            intersect_adaptive_into(&a, &b, bound, 16, None, None, &mut off_out, &mut off);
+            intersect_adaptive_into(&a, &b, bound, 16, None, Some(&blocks), &mut on_out, &mut on);
+            difference_adaptive_into(&a, &b, bound, None, None, &mut off_out, &mut off);
+            difference_adaptive_into(&a, &b, bound, None, Some(&blocks), &mut on_out, &mut on);
             assert_eq!(off_out, on_out, "bound {bound:?}");
             assert_eq!(off.merge_dispatches, on.simd_dispatches);
             assert_eq!(on.merge_dispatches, 0);

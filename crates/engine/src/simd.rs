@@ -55,6 +55,10 @@ pub fn isa() -> &'static str {
     }
 }
 
+/// The widest vector the kernels load (AVX2): with fewer elements on either
+/// side no vector round runs and an operation is all scalar tail.
+pub(crate) const LANES: usize = 8;
+
 /// `a ∩ b` appended to `out`. `b_blocks` is `b`'s per-64-element summary
 /// row (possibly empty: no skipping). Output-identical to
 /// [`setops::intersect_into`](crate::setops::intersect_into).

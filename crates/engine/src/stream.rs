@@ -43,8 +43,8 @@
 //!   [`resume_paused`](JobCore::resume_paused) once its active stints have
 //!   yielded.
 //! * A run nobody observes takes no lock and makes no allocation per
-//!   task beyond the task's own rollback copy: deltas accumulate in the
-//!   stint's executor, and timing, spans, progress and per-task
+//!   task (the rollback copy lives in the stint's executor): deltas
+//!   accumulate there too, and timing, spans, progress and per-task
 //!   publication are each paid only by the run that asked for them.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointSink};

@@ -106,7 +106,8 @@ impl Collector {
 
     /// Charges the work-counter delta of one candidate-generation step to
     /// the depth-resolved shard (set-op iterations/invocations, dispatch
-    /// tiers, c-map queries/hits).
+    /// tiers, c-map queries/hits). The executor calls this, and
+    /// [`record_frontier`](Self::record_frontier), only with `metrics` on.
     #[inline]
     pub(crate) fn charge_setops(
         &mut self,
@@ -114,9 +115,6 @@ impl Collector {
         before: WorkCounters,
         after: WorkCounters,
     ) {
-        if !self.metrics {
-            return;
-        }
         let w = after - before;
         charge_depth(&mut self.shard.depth_setop_iterations, depth, w.setop_iterations);
         charge_depth(&mut self.shard.depth_setop_invocations, depth, w.setop_invocations);
@@ -131,9 +129,7 @@ impl Collector {
     /// Records a materialized frontier's size.
     #[inline]
     pub(crate) fn record_frontier(&mut self, len: usize) {
-        if self.metrics {
-            self.shard.frontier_sizes.record(len as u64);
-        }
+        self.shard.frontier_sizes.record(len as u64);
     }
 
     /// Records one finished start-vertex task: wall time into the

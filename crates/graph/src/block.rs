@@ -4,11 +4,12 @@
 //! vector-width chunks, and on skewed operand pairs most of the larger
 //! list's blocks cannot contain a match at all. [`BlockSummaries`] gives
 //! the kernels a one-word-per-block index to detect that without touching
-//! the block: for every 64-neighbor block of every adjacency list it packs
-//! the block's id range into a single `u64` (`last << 32 | first`). A
-//! kernel positioned at value `x` skips whole blocks while
-//! `block_last < x` — one word load per skipped block instead of up to 64
-//! element comparisons. This is the software analogue of the block-metadata
+//! the block: for every 64-neighbor block of every adjacency list longer
+//! than one block it packs the block's id range into a single `u64`
+//! (`last << 32 | first`). A kernel positioned at value `x` skips whole
+//! blocks while `block_last < x` — one word load per skipped block instead
+//! of up to 64 element comparisons. A list that fits one block has nothing
+//! to skip to, so it gets no words and reads as the empty no-skip row. This is the software analogue of the block-metadata
 //! skipping in vectorized GPM intersection kernels (IntersectX's segment
 //! summaries, G²Miner's warp-level bounds checks).
 //!
@@ -27,7 +28,7 @@ use crate::vertex::VertexId;
 pub const BLOCK: usize = 64;
 
 /// One packed `u64` range summary per 64-neighbor block of every
-/// adjacency list.
+/// adjacency list longer than one block.
 ///
 /// Word layout: `(last_id as u64) << 32 | first_id as u64`, where `first`/
 /// `last` are the smallest and largest vertex ids in the block (adjacency
@@ -62,8 +63,10 @@ fn pack(first: VertexId, last: VertexId) -> u64 {
 }
 
 impl BlockSummaries {
-    /// Builds summaries for every adjacency list of `g`. O(n + m) time,
-    /// `ceil(degree / 64)` words per vertex.
+    /// Builds summaries for the adjacency lists of `g` that span more than
+    /// one block. O(n + m) time, `ceil(degree / 64)` words per such vertex
+    /// and none for the rest: a kernel skips *to* a later block, and a
+    /// one-block list has none.
     pub fn build(g: &CsrGraph) -> BlockSummaries {
         let n = g.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -71,8 +74,8 @@ impl BlockSummaries {
         let mut words = Vec::new();
         for v in g.vertices() {
             let adj = g.neighbors(v);
-            for block in adj.chunks(BLOCK) {
-                words.push(pack(block[0], block[block.len() - 1]));
+            if adj.len() > BLOCK {
+                words.extend(adj.chunks(BLOCK).map(|block| pack(block[0], block[block.len() - 1])));
             }
             offsets.push(words.len());
         }
@@ -80,7 +83,8 @@ impl BlockSummaries {
     }
 
     /// The summary words for `v`'s adjacency list: one `u64` per
-    /// 64-neighbor block, empty for isolated or out-of-range vertices.
+    /// 64-neighbor block, or the empty no-skip row when the list fits one
+    /// block (and for out-of-range vertices).
     #[inline]
     pub fn row(&self, v: VertexId) -> &[u64] {
         let i = v.index();
@@ -90,7 +94,8 @@ impl BlockSummaries {
         &self.words[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// Whether the index holds no summary words (edgeless graph).
+    /// Whether the index holds no summary words (no list spans more than
+    /// one block).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
@@ -120,8 +125,9 @@ mod tests {
         for v in g.vertices() {
             let adj = g.neighbors(v);
             let row = idx.row(v);
-            assert_eq!(row.len(), adj.len().div_ceil(BLOCK), "{v:?}");
-            for (k, block) in adj.chunks(BLOCK).enumerate() {
+            let blocks = if adj.len() > BLOCK { adj.len().div_ceil(BLOCK) } else { 0 };
+            assert_eq!(row.len(), blocks, "{v:?}");
+            for (k, block) in adj.chunks(BLOCK).enumerate().take(blocks) {
                 let (first, last) = unpack(row[k]);
                 assert_eq!(first, block[0].0, "{v:?} block {k} first");
                 assert_eq!(last, block[block.len() - 1].0, "{v:?} block {k} last");
@@ -144,13 +150,44 @@ mod tests {
 
     #[test]
     fn isolated_and_out_of_range_vertices_have_empty_rows() {
-        let g = generators::star(4); // leaves have degree 1, all < BLOCK
+        let g = generators::star(4); // every list fits one block
         let idx = BlockSummaries::build(&g);
-        assert_eq!(idx.row(VertexId(1)).len(), 1);
+        assert!(idx.is_empty());
+        assert_eq!(idx.row(VertexId(0)), &[] as &[u64]);
         assert_eq!(idx.row(VertexId(999)), &[] as &[u64]);
         let empty = CsrGraph::from_parts(vec![0], vec![]).unwrap();
         let idx = BlockSummaries::build(&empty);
         assert!(idx.is_empty());
         assert!(idx.bytes() > 0, "offset scaffolding is still resident");
+    }
+
+    /// Rows of 0, 1, 64, 65 and 200 neighbours: words only where a list
+    /// spans more than one block, and then one per block.
+    #[test]
+    fn only_rows_longer_than_one_block_store_words() {
+        // Vertices 0..4 are the rows under test; their neighbours are
+        // fresh vertices 10.., so no other row grows past one entry.
+        let degrees = [0usize, 1, 64, 65, 200];
+        let mut b = crate::GraphBuilder::new();
+        let mut next = 10u32;
+        for (v, &d) in degrees.iter().enumerate() {
+            for _ in 0..d {
+                b = b.edge(v as u32, next);
+                next += 1;
+            }
+        }
+        let g = b.vertices(10).build().unwrap();
+        let idx = BlockSummaries::build(&g);
+        for (v, &d) in degrees.iter().enumerate() {
+            let v = VertexId(v as u32);
+            assert_eq!(g.degree(v), d);
+            let want = if d > BLOCK { d.div_ceil(BLOCK) } else { 0 };
+            assert_eq!(idx.row(v).len(), want, "degree {d}");
+        }
+        let (first, last) = unpack(idx.row(VertexId(4))[3]);
+        let adj = g.neighbors(VertexId(4));
+        assert_eq!((first, last), (adj[192].0, adj[199].0), "trailing partial block");
+        // 2 + 4 words, and the offsets of every vertex.
+        assert_eq!(idx.bytes(), 6 * 8 + (g.num_vertices() + 1) * std::mem::size_of::<usize>());
     }
 }

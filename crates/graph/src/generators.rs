@@ -15,6 +15,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::vertex::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -175,6 +176,27 @@ pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> CsrGraph {
 ///
 /// Panics if `m == 0` or `n < m + 1`.
 pub fn powerlaw_cluster(n: usize, m: usize, closure: f64, seed: u64) -> CsrGraph {
+    let mut adj = powerlaw_cluster_adjacency(n, m, closure, seed);
+    // Row `u` is already in CSR order but for its head: the (at most) `m`
+    // targets `u` chose itself, all below `u` and in draw order, are
+    // followed by the later vertices that attached to `u`, ascending. (A
+    // seed-clique row is ascending throughout.) Sorting the head is the
+    // whole build; no edge is re-emitted or scattered.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut neighbors = Vec::with_capacity(adj.iter().map(Vec::len).sum());
+    for row in &mut adj {
+        let own = row.len().min(m);
+        row[..own].sort_unstable();
+        neighbors.extend(row.iter().map(|&v| VertexId(v)));
+        offsets.push(neighbors.len());
+    }
+    CsrGraph::from_parts(offsets, neighbors).expect("powerlaw cluster graph is always valid")
+}
+
+/// The growth process behind [`powerlaw_cluster`]: every vertex's
+/// neighbours in the order the edges were added.
+fn powerlaw_cluster_adjacency(n: usize, m: usize, closure: f64, seed: u64) -> Vec<Vec<u32>> {
     assert!(m >= 1, "each new vertex must attach at least one edge");
     assert!(n > m, "need at least m+1 vertices for the seed clique");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -213,15 +235,7 @@ pub fn powerlaw_cluster(n: usize, m: usize, closure: f64, seed: u64) -> CsrGraph
             add(&mut adj, &mut endpoints, u, t);
         }
     }
-    let mut b = GraphBuilder::new().vertices(n);
-    for (u, list) in adj.iter().enumerate() {
-        for &v in list {
-            if (u as u32) < v {
-                b = b.edge(u as u32, v);
-            }
-        }
-    }
-    b.build().expect("powerlaw cluster graph is always valid")
+    adj
 }
 
 /// Appends `hubs` new high-degree vertices, each adjacent to every
@@ -326,7 +340,6 @@ pub fn shuffle_ids(g: &CsrGraph, seed: u64) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex::VertexId;
 
     #[test]
     fn complete_graph_structure() {
@@ -414,6 +427,28 @@ mod tests {
         let g = powerlaw_cluster(200, 3, 0.6, 9);
         assert!(g.is_symmetric());
         assert_eq!(g, powerlaw_cluster(200, 3, 0.6, 9));
+    }
+
+    /// The rows [`powerlaw_cluster`] writes straight from its adjacency
+    /// lists against the same lists fed edge by edge through the builder.
+    #[test]
+    fn powerlaw_cluster_rows_equal_the_builder_path() {
+        for (n, m, closure, seed) in [
+            (200, 3, 0.6, 9),
+            (500, 8, 0.0, 1),
+            (300, 5, 1.0, 2),
+            (64, 1, 0.3, 3),
+            (41, 40, 0.5, 4),
+        ] {
+            let mut b = GraphBuilder::new().vertices(n);
+            for (u, list) in powerlaw_cluster_adjacency(n, m, closure, seed).iter().enumerate() {
+                for &v in list.iter().filter(|&&v| (u as u32) < v) {
+                    b = b.edge(u as u32, v);
+                }
+            }
+            let oracle = b.build().expect("simple graph");
+            assert_eq!(powerlaw_cluster(n, m, closure, seed), oracle, "{n} {m} {closure} {seed}");
+        }
     }
 
     #[test]

@@ -233,7 +233,9 @@ proptest! {
 
 /// Under the default config the joined 4-cycle's prepare holds neither
 /// index and the plans that dispatch set ops still hold theirs, on a graph
-/// dense enough that both indexes come back non-empty even once oriented.
+/// dense enough that the hub index comes back non-empty even once oriented
+/// and the block summaries wherever a row spans more than one block (every
+/// plan here but the 4-clique, whose oriented rows are all shorter).
 #[test]
 fn prepare_builds_indexes_only_for_programs_that_probe_them() {
     let cfg = EngineConfig::default();
@@ -252,7 +254,10 @@ fn prepare_builds_indexes_only_for_programs_that_probe_them() {
     for (name, plan) in &probing {
         let prepared = prepare(&g, plan, &cfg);
         assert!(prepared.hubs().is_some(), "{name} lost its hub bitmaps");
-        assert_eq!(prepared.blocks().is_some(), cfg.simd_active(), "{name}: block summaries");
+        let long_rows = prepared.vertices().any(|v| prepared.degree(v) > 64);
+        assert_eq!(long_rows, !plan.orientation, "{name}: this graph's rows");
+        let summaries = cfg.simd_active() && long_rows;
+        assert_eq!(prepared.blocks().is_some(), summaries, "{name}: block summaries");
         let work = mine_prepared(&prepared, plan, &cfg).work;
         assert!(work.setop_invocations > 0 && work.probe_dispatches > 0, "{name}: {work:?}");
     }
