@@ -1,7 +1,10 @@
 //! Microbenchmarks of the set-operation kernels (the SIU/SDU's software
 //! twins): merge intersection/difference vs galloping, and the effect of
 //! vid-bounded early exit. These are the operations §III identifies as the
-//! dominant cost of software GPM.
+//! dominant cost of software GPM. The merge rows time the reference
+//! walking merges; the galloping and bounded rows go through
+//! `setops::intersect` with the arguments that force their kernel (a gallop
+//! ratio of 1 gallops any shape, 0 keeps the scalar merge).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fm_engine::result::WorkCounters;
@@ -37,17 +40,17 @@ fn bench_intersections(c: &mut Criterion) {
             let mut w = WorkCounters::default();
             bench.iter(|| {
                 out.clear();
-                setops::intersect_galloping_into(&a, &b, &mut out, &mut w);
+                setops::intersect(&a, &b, None, 1, None, None, &mut out, &mut w);
                 out.len()
             });
         });
         group.bench_with_input(BenchmarkId::new("merge-bounded-median", len), &len, |bench, _| {
             let mut out = Vec::with_capacity(len);
             let mut w = WorkCounters::default();
-            let bound = a[a.len() / 2];
+            let bound = Some(a[a.len() / 2]);
             bench.iter(|| {
                 out.clear();
-                setops::intersect_bounded_into(&a, &b, bound, &mut out, &mut w);
+                setops::intersect(&a, &b, bound, 0, None, None, &mut out, &mut w);
                 out.len()
             });
         });
@@ -75,7 +78,7 @@ fn bench_asymmetric(c: &mut Criterion) {
         let mut w = WorkCounters::default();
         bench.iter(|| {
             out.clear();
-            setops::intersect_galloping_into(&small, &large, &mut out, &mut w);
+            setops::intersect(&small, &large, None, 1, None, None, &mut out, &mut w);
             out.len()
         });
     });

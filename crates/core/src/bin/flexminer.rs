@@ -28,6 +28,27 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
+/// Writes to stdout. A reader that went away (`flexminer plan … | head -1`)
+/// is not a failure: the process ends quietly with status 0. Any other
+/// write error is one `error:` line and status 1.
+fn out(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("error: write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `flexminer count --help` asks for help; it is not a pattern.
@@ -282,7 +303,7 @@ exit codes:
   and 9 (drained to a checkpoint at shutdown)";
     // Help that was asked for is output; help after a mistake is an error.
     if msg.is_empty() {
-        println!("{text}");
+        outln!("{text}");
         exit(0);
     }
     eprintln!("error: {msg}\n\n{text}");
@@ -408,10 +429,10 @@ fn cmd_plan(args: &[String]) -> CliResult {
         job = job.symmetry(false);
     }
     let plan = job.plan().map_err(|e| e.to_string())?;
-    print!("{plan}");
+    out(format_args!("{plan}"));
     // Below the listing: how `count` counts the leaves it does not walk.
     let program = flexminer::engine::count_program(&plan, &EngineConfig::default());
-    print!("{}", flexminer::plan::display::count_listing(&program));
+    out(format_args!("{}", flexminer::plan::display::count_listing(&program)));
     Ok(0)
 }
 
@@ -483,7 +504,7 @@ fn cmd_count(args: &[String]) -> CliResult {
     }
     .map_err(|e| e.to_string())?;
     for pc in outcome.per_pattern() {
-        println!("{}: {}", pc.name, pc.count);
+        outln!("{}: {}", pc.name, pc.count);
     }
     telemetry.export(|| report::engine_metrics(&outcome), || report::engine_trace(&outcome))?;
     report_status(&outcome, telemetry.level);
@@ -547,17 +568,17 @@ fn cmd_sim(args: &[String]) -> CliResult {
     };
     let report = outcome.sim_report().expect("accelerator backend always reports");
     for pc in outcome.per_pattern() {
-        println!("{}: {}", pc.name, pc.count);
+        outln!("{}: {}", pc.name, pc.count);
     }
     telemetry.export(|| report::sim_metrics(&outcome, &cfg), || report::sim_trace(report))?;
     report_status(&outcome, telemetry.level);
-    println!("cycles:            {}", report.cycles);
-    println!("simulated time:    {:.6} s", report.seconds(&cfg));
-    println!("PEs:               {}", cfg.num_pes);
-    println!("tasks:             {}", report.totals.tasks);
-    println!("extensions:        {}", report.totals.extensions);
-    println!("SIU iterations:    {}", report.totals.siu_cycles);
-    println!(
+    outln!("cycles:            {}", report.cycles);
+    outln!("simulated time:    {:.6} s", report.seconds(&cfg));
+    outln!("PEs:               {}", cfg.num_pes);
+    outln!("tasks:             {}", report.totals.tasks);
+    outln!("extensions:        {}", report.totals.extensions);
+    outln!("SIU iterations:    {}", report.totals.siu_cycles);
+    outln!(
         "c-map r/w/inval:   {}/{}/{} (read ratio {:.1}%, overflows {})",
         report.totals.cmap_reads,
         report.totals.cmap_writes,
@@ -565,17 +586,17 @@ fn cmd_sim(args: &[String]) -> CliResult {
         100.0 * report.cmap_read_ratio(),
         report.totals.cmap_overflows
     );
-    println!("NoC requests:      {}", report.noc_traffic());
-    println!(
+    outln!("NoC requests:      {}", report.noc_traffic());
+    outln!(
         "L2 accesses:       {} ({:.1}% miss)",
         report.l2_accesses,
         100.0 * report.l2_miss_rate()
     );
-    println!("DRAM accesses:     {}", report.dram_accesses);
-    println!("load imbalance:    {:.3}", report.imbalance());
+    outln!("DRAM accesses:     {}", report.dram_accesses);
+    outln!("load imbalance:    {:.3}", report.imbalance());
     if has_flag(args, "--energy") {
         let e = EnergyModel::default().estimate(report, &cfg);
-        println!(
+        outln!(
             "energy estimate:   {:.3} mJ (pe {:.3}, siu {:.3}, cmap {:.3}, l1 {:.3}, l2 {:.3}, noc {:.3}, dram {:.3}, static {:.3})",
             e.total_mj(),
             e.pe_mj,
@@ -598,7 +619,7 @@ fn cmd_motifs(args: &[String]) -> CliResult {
     let census =
         apps::motif_census(&g, k, Backend::software(threads)).map_err(|e| e.to_string())?;
     for (name, count) in census {
-        println!("{name}: {count}");
+        outln!("{name}: {count}");
     }
     Ok(0)
 }
@@ -617,8 +638,8 @@ fn cmd_generate(args: &[String]) -> CliResult {
 fn cmd_stats(args: &[String]) -> CliResult {
     let g = load_graph(args)?;
     let s = GraphStats::of(&g);
-    println!("{s}");
-    println!("symmetric: {}", g.is_symmetric());
+    outln!("{s}");
+    outln!("symmetric: {}", g.is_symmetric());
     Ok(0)
 }
 

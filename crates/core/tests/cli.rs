@@ -167,6 +167,28 @@ fn help_after_a_command_prints_usage_and_exits_zero() {
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: unknown command frobnicate"));
 }
 
+/// A reader that went away is not a crash: with stdout the write end of a
+/// pipe whose read end is already closed (what `| head -1` leaves behind),
+/// every subcommand that prints ends with status 0 and nothing on stderr —
+/// not 101 and `failed printing to stdout`.
+#[test]
+fn a_closed_stdout_pipe_ends_quietly_with_status_zero() {
+    let stats = ["stats", "--graph", GRAPH];
+    for args in
+        [&["plan", "5-clique"][..], &["--help"], &["count", "triangle", "--graph", GRAPH], &stats]
+    {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_flexminer"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary should spawn");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
 /// Every subcommand checks its argv against its own flag table before it
 /// does any work: a flag it does not list (a typo, another subcommand's
 /// flag, the reuse tier's retired `--no-reuse` / `--reuse-budget`), a

@@ -993,8 +993,7 @@ mod tests {
             Err(CheckpointError::ConfigMismatch { .. })
         ));
         // Order-irrelevant knobs do NOT invalidate a resume.
-        let retuned =
-            EngineConfig { threads: 7, chunk_size: 1, degree_sched: false, max_retries: 5, ..cfg };
+        let retuned = EngineConfig { threads: 7, max_retries: 5, ..cfg };
         assert_eq!(c.validate(&g, &plan, &retuned), Ok(()));
     }
 

@@ -11,7 +11,7 @@ use crate::checkpoint::Checkpoint;
 use crate::cmap::{ConnectivityMap, HashCmap};
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
-use crate::setops;
+use crate::setops::{self, Count};
 use crate::telemetry::Collector;
 use crate::EngineConfig;
 use fm_graph::block::BLOCK;
@@ -761,9 +761,9 @@ fn fused(run: &Resolved<'_>, state: &mut State, node: &Node, core: usize, bound:
 
 /// How many of the parent's core (buffer `core`) below `leaf`'s bound are
 /// — for a difference, are not — adjacent to the parent's vertex, the last
-/// of `emb`: the counting twin of the adaptive kernel, same tier rule and
-/// charges as the merge it replaces, minus the frontier write. A difference
-/// counts what it would keep as what the intersection would drop.
+/// of `emb`: the dispatcher's kernel into the counting sink, same tier rule
+/// and charges as the merge it replaces, minus the frontier write. A
+/// difference counts what it would keep as what the intersection would drop.
 #[inline(always)]
 fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize) -> u64 {
     let State { frontiers, emb, work, telemetry, .. } = state;
@@ -778,8 +778,8 @@ fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize)
     };
     let adj = run.g.neighbors(v);
     let (hub, simd) = run.rows(v, adj.len());
-    let common =
-        setops::intersect_adaptive_count(prefix, adj, bound, run.gallop_ratio, hub, simd, work);
+    let ratio = run.gallop_ratio;
+    let Count(common) = setops::intersect(prefix, adj, bound, ratio, hub, simd, Count(0), work);
     if let (Some(t), Some(before)) = (telemetry, before) {
         t.charge_setops(leaf.depth, before, *work);
     }
@@ -791,8 +791,8 @@ fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize)
 /// One stage of candidate generation: `cur ∩ N(v)` (`keep`) or `cur \ N(v)`
 /// into `out`. Faithful mode: full (unbounded) scalar merges, as in
 /// GraphZero's generated code and the SIU of Fig. 9 (bounds apply while
-/// the sorted core is walked). Otherwise `bound` is pushed into the merge
-/// and the adaptive dispatcher picks the tier.
+/// the sorted core is walked). Otherwise `bound` is pushed into the kernel
+/// and the dispatcher picks the tier.
 #[inline]
 fn set_op(
     run: &Resolved<'_>,
@@ -809,10 +809,11 @@ fn set_op(
         (true, true) => setops::intersect_into(cur, adj, out, work),
         (true, false) => setops::difference_into(cur, adj, out, work),
         (false, true) => {
-            let ratio = run.gallop_ratio;
-            setops::intersect_adaptive_into(cur, adj, bound, ratio, hub, simd, out, work)
+            setops::intersect(cur, adj, bound, run.gallop_ratio, hub, simd, out, work);
         }
-        (false, false) => setops::difference_adaptive_into(cur, adj, bound, hub, simd, out, work),
+        (false, false) => {
+            setops::difference(cur, adj, bound, hub, simd, out, work);
+        }
     }
 }
 

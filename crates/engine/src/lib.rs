@@ -96,7 +96,6 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 /// | `gallop_ratio`  | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge/simd) — tests rely on it to force specific tiers |
 /// | `hub_bitmap`    | on      | ignored (no probes)| composes with every other knob; inert when no vertex reaches `hub_degree_threshold` or `hub_memory_budget` is too tight |
 /// | `simd`          | on      | ignored (scalar merges) | replaces the merge tier with vectorized kernels when compiled in (`simd` cargo feature) and runnable on the host CPU; counts, `setop_iterations`, and `comparisons` are bit-identical to the scalar path — only the dispatch split shifts merge → `simd_dispatches`. With `gallop_ratio == 0` the gallop tier is disabled, so *every* non-probe dispatch lands on the SIMD tier — the split is merge+gallop → simd, not merge → simd |
-/// | `degree_sched`  | on      | on                 | only effective with `threads > 1`; counts and aggregate work are order-independent |
 /// | `max_retries`   | 0       | same               | count-irrelevant (a retried task contributes exactly once); excluded from the checkpoint config fingerprint, so a resume may change it |
 /// | `straggler_*`   | 8 / 10ms| same               | observability only; never perturbs counts, work, or scheduling |
 ///
@@ -108,8 +107,6 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 pub struct EngineConfig {
     /// Worker threads (1 = run on the calling thread).
     pub threads: usize,
-    /// Start vertices handed out per scheduling quantum.
-    pub chunk_size: usize,
     /// Serve connectivity constraints from a software c-map
     /// (Sandslash-style memoization [15, 21]) instead of merge-based set
     /// operations. Composes with either state of
@@ -162,11 +159,6 @@ pub struct EngineConfig {
     /// either way; only wall-clock and the merge/simd dispatch split
     /// change.
     pub simd: bool,
-    /// Hand start vertices to parallel workers in degree-descending order,
-    /// so the heavy hub subtrees start first and cannot land at the tail
-    /// of the schedule. Counts and aggregate work are order-independent;
-    /// only effective with `threads > 1`.
-    pub degree_sched: bool,
     /// Wall-clock deadline and set-op iteration cap for the run, polled at
     /// start-vertex granularity. Unlimited by default; see
     /// [`Budget`] and [`MiningResult::status`](result::MiningResult::status)
@@ -200,11 +192,8 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // A fine scheduling grain: power-law inputs concentrate work in a
-        // few hub start-vertices, and coarse chunks would serialize them.
         EngineConfig {
             threads: 1,
-            chunk_size: 4,
             use_cmap: false,
             frontier_memo: true,
             paper_faithful: false,
@@ -223,7 +212,6 @@ impl Default for EngineConfig {
             hub_degree_threshold: 32,
             hub_memory_budget: 8 << 20,
             simd: true,
-            degree_sched: true,
             budget: Budget::unlimited(),
             max_retries: 0,
             straggler_ratio: 8,
@@ -270,7 +258,6 @@ impl EngineConfig {
     /// construction; compiles to nothing in release builds.
     pub fn debug_validate(&self) {
         debug_assert!(self.threads >= 1, "threads must be at least 1");
-        debug_assert!(self.chunk_size >= 1, "chunk_size must be at least 1");
         debug_assert!(
             !(self.paper_faithful && self.hub_bitmap_active()),
             "paper_faithful excludes the hub-bitmap probe tier"

@@ -14,22 +14,22 @@ use std::time::Duration;
 ///
 /// The four dispatch counters — [`merge_dispatches`], [`gallop_dispatches`],
 /// [`probe_dispatches`] and [`simd_dispatches`] — are charged *only* by the
-/// adaptive dispatchers in [`setops`](crate::setops), exactly one per
-/// dispatched op, and every dispatched op runs exactly one kernel (which
-/// charges [`setop_invocations`] exactly once). So for any span of work
-/// routed through the dispatchers:
+/// dispatcher behind [`setops::intersect`](crate::setops::intersect) and
+/// [`setops::difference`](crate::setops::difference), at the one site that
+/// also charges [`setop_invocations`]: one of each per dispatched op. So
+/// for any span of work routed through the dispatcher:
 ///
 /// ```text
 /// merge_dispatches + gallop_dispatches + probe_dispatches
 ///     + simd_dispatches == setop_invocations
 /// ```
 ///
-/// This holds globally for the default (adaptive) plan-driven executor,
-/// where every kernel invocation goes through a dispatcher. It does *not*
-/// hold for `paper_faithful` mode, the simulator's PE models, or the
-/// pattern-oblivious baseline, which call kernels directly: there the
-/// dispatch counters stay zero while `setop_invocations` advances. The
-/// invariant is debug-asserted inside each dispatcher and pinned by a unit
+/// This holds globally for the default plan-driven executor, where every
+/// kernel invocation goes through the dispatcher. It does *not* hold for
+/// `paper_faithful` mode, the simulator's PE models, or the
+/// pattern-oblivious baseline, which call the reference merges directly:
+/// there the dispatch counters stay zero while `setop_invocations`
+/// advances. The invariant holds by construction and is pinned by a unit
 /// test in `setops`.
 ///
 /// [`merge_dispatches`]: WorkCounters::merge_dispatches
@@ -59,7 +59,7 @@ pub struct WorkCounters {
     /// c-map invalidations on backtrack.
     pub cmap_removes: u64,
     /// Candidate-generation ops dispatched to the merge kernel by the
-    /// adaptive dispatcher. Zero in `paper_faithful` mode, where every op
+    /// dispatcher. Zero in `paper_faithful` mode, where every op
     /// runs the fixed merge datapath without a dispatch decision.
     pub merge_dispatches: u64,
     /// Candidate-generation ops dispatched to galloping (binary search).

@@ -14,20 +14,22 @@
 //! falls below the current minuend element, one word load per skipped
 //! block.
 //!
-//! The kernels here are **uncharged**: they only produce output.
-//! [`WorkCounters`](crate::result::WorkCounters) charging lives in the
-//! `*_simd_*` wrappers in [`setops`](crate::setops), which reproduce
-//! the scalar kernels' counters exactly in closed form from the operand
-//! data (bit-parity: same `setop_iterations` and `comparisons` the
-//! scalar merge would have charged, so telemetry partitions and budget
+//! The kernels here are **uncharged**: they only feed a
+//! [`Sink`] — a list or a count, one loop for both.
+//! [`WorkCounters`](crate::result::WorkCounters) charging lives with the
+//! dispatcher in [`setops`](crate::setops), which reproduces the scalar
+//! merge's counters exactly in closed form from the operand data
+//! (bit-parity: same `setop_iterations` and `comparisons` the scalar
+//! merge would have charged, so telemetry partitions and budget
 //! accounting are invariant under the tier swap).
 //!
 //! Compiled under the (default) `simd` cargo feature on `x86_64` only;
 //! everywhere else the entry points fall back to scalar merges, so the
-//! wrappers and their differential tests are portable. AVX2 (8 lanes)
+//! dispatcher and its differential tests are portable. AVX2 (8 lanes)
 //! is selected over SSE2 (4 lanes, the `x86_64` baseline) by runtime
 //! CPU detection, never by compile-time `-C target-feature` alone.
 
+use crate::setops::Sink;
 use fm_graph::VertexId;
 
 /// Whether the vectorized kernels are compiled in and runnable on this
@@ -59,16 +61,19 @@ pub fn isa() -> &'static str {
 /// side no vector round runs and an operation is all scalar tail.
 pub(crate) const LANES: usize = 8;
 
-/// `a ∩ b` appended to `out`. `b_blocks` is `b`'s per-64-element summary
-/// row (possibly empty: no skipping). Output-identical to
+/// `a ∩ b` into `out`, which is handed back. `b_blocks` is `b`'s
+/// per-64-element summary row (possibly empty: no skipping).
+/// Output-identical to
 /// [`setops::intersect_into`](crate::setops::intersect_into).
-pub(crate) fn intersect_raw(
+pub(crate) fn intersect_raw<S: Sink>(
     a: &[VertexId],
     b: &[VertexId],
     b_blocks: &[u64],
-    out: &mut Vec<VertexId>,
-) {
+    out: S,
+) -> S {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    // SAFETY: each kernel runs only after its instruction set was detected
+    // (SSE2 is the `x86_64` baseline).
     unsafe {
         if is_x86_feature_detected!("avx2") {
             x86::intersect_avx2(a, b, b_blocks, out)
@@ -79,36 +84,20 @@ pub(crate) fn intersect_raw(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         let _ = b_blocks;
-        tail::intersect(a, b, out);
+        tail::intersect(a, b, out)
     }
 }
 
-/// Counting twin of [`intersect_raw`].
-pub(crate) fn intersect_count_raw(a: &[VertexId], b: &[VertexId], b_blocks: &[u64]) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    unsafe {
-        if is_x86_feature_detected!("avx2") {
-            x86::intersect_count_avx2(a, b, b_blocks)
-        } else {
-            x86::intersect_count_sse2(a, b, b_blocks)
-        }
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = b_blocks;
-        tail::intersect_count(a, b)
-    }
-}
-
-/// `a \ b` appended to `out`. Output-identical to
+/// `a \ b` into `out`, which is handed back. Output-identical to
 /// [`setops::difference_into`](crate::setops::difference_into).
-pub(crate) fn difference_raw(
+pub(crate) fn difference_raw<S: Sink>(
     a: &[VertexId],
     b: &[VertexId],
     b_blocks: &[u64],
-    out: &mut Vec<VertexId>,
-) {
+    out: S,
+) -> S {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    // SAFETY: as in `intersect_raw`.
     unsafe {
         if is_x86_feature_detected!("avx2") {
             x86::difference_avx2(a, b, b_blocks, out)
@@ -119,7 +108,7 @@ pub(crate) fn difference_raw(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         let _ = b_blocks;
-        tail::difference(a, b, 0, out);
+        tail::difference(a, b, 0, out)
     }
 }
 
@@ -127,9 +116,10 @@ pub(crate) fn difference_raw(
 /// when the vector kernels are compiled out). Uncharged, like everything
 /// in this module.
 mod tail {
+    use super::Sink;
     use fm_graph::VertexId;
 
-    pub(super) fn intersect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+    pub(super) fn intersect<S: Sink>(a: &[VertexId], b: &[VertexId], mut out: S) -> S {
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
@@ -142,23 +132,7 @@ mod tail {
                 std::cmp::Ordering::Greater => j += 1,
             }
         }
-    }
-
-    pub(super) fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-        let (mut i, mut j) = (0, 0);
-        let mut n = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-            }
-        }
-        n
+        out
     }
 
     /// Difference tail carrying the vector loop's per-lane `matched` mask
@@ -167,12 +141,12 @@ mod tail {
     /// rescan from the current subtrahend cursor finds its match (the
     /// matching element may sit before or at the cursor, never both
     /// emit).
-    pub(super) fn difference(
+    pub(super) fn difference<S: Sink>(
         a: &[VertexId],
         b: &[VertexId],
         matched: u32,
-        out: &mut Vec<VertexId>,
-    ) {
+        mut out: S,
+    ) -> S {
         let mut j = 0usize;
         for (t, &x) in a.iter().enumerate() {
             while j < b.len() && b[j] < x {
@@ -187,12 +161,13 @@ mod tail {
                 out.push(x);
             }
         }
+        out
     }
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
-    use super::tail;
+    use super::{tail, Sink};
     use fm_graph::VertexId;
     use std::arch::x86_64::*;
 
@@ -351,83 +326,51 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn intersect_avx2(
+    pub(super) unsafe fn intersect_avx2<S: Sink>(
         a: &[VertexId],
         b: &[VertexId],
         blocks: &[u64],
-        out: &mut Vec<VertexId>,
-    ) {
-        let (i, j) = intersect_loop!(a, b, blocks, 8, eq8, |base: usize, mut m: u32| {
-            while m != 0 {
-                out.push(a[base + m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
+        mut out: S,
+    ) -> S {
+        let (i, j) = intersect_loop!(a, b, blocks, 8, eq8, |base: usize, m: u32| {
+            out.push_lanes(a, base, m)
         });
-        tail::intersect(&a[i..], &b[j..], out);
+        tail::intersect(&a[i..], &b[j..], out)
     }
 
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn intersect_sse2(
+    pub(super) unsafe fn intersect_sse2<S: Sink>(
         a: &[VertexId],
         b: &[VertexId],
         blocks: &[u64],
-        out: &mut Vec<VertexId>,
-    ) {
-        let (i, j) = intersect_loop!(a, b, blocks, 4, eq4, |base: usize, mut m: u32| {
-            while m != 0 {
-                out.push(a[base + m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
+        mut out: S,
+    ) -> S {
+        let (i, j) = intersect_loop!(a, b, blocks, 4, eq4, |base: usize, m: u32| {
+            out.push_lanes(a, base, m)
         });
-        tail::intersect(&a[i..], &b[j..], out);
+        tail::intersect(&a[i..], &b[j..], out)
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn intersect_count_avx2(
+    pub(super) unsafe fn difference_avx2<S: Sink>(
         a: &[VertexId],
         b: &[VertexId],
         blocks: &[u64],
-    ) -> u64 {
-        let mut n = 0u64;
-        let (i, j) = intersect_loop!(a, b, blocks, 8, eq8, |_: usize, m: u32| {
-            n += u64::from(m.count_ones());
-        });
-        n + tail::intersect_count(&a[i..], &b[j..])
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn intersect_count_sse2(
-        a: &[VertexId],
-        b: &[VertexId],
-        blocks: &[u64],
-    ) -> u64 {
-        let mut n = 0u64;
-        let (i, j) = intersect_loop!(a, b, blocks, 4, eq4, |_: usize, m: u32| {
-            n += u64::from(m.count_ones());
-        });
-        n + tail::intersect_count(&a[i..], &b[j..])
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn difference_avx2(
-        a: &[VertexId],
-        b: &[VertexId],
-        blocks: &[u64],
-        out: &mut Vec<VertexId>,
-    ) {
+        mut out: S,
+    ) -> S {
         let (i, j, matched) = difference_loop!(a, b, blocks, 8, eq8, |idx: usize| out.push(a[idx]));
-        tail::difference(&a[i..], &b[j..], matched, out);
+        tail::difference(&a[i..], &b[j..], matched, out)
     }
 
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn difference_sse2(
+    pub(super) unsafe fn difference_sse2<S: Sink>(
         a: &[VertexId],
         b: &[VertexId],
         blocks: &[u64],
-        out: &mut Vec<VertexId>,
-    ) {
+        mut out: S,
+    ) -> S {
         let (i, j, matched) = difference_loop!(a, b, blocks, 4, eq4, |idx: usize| out.push(a[idx]));
-        tail::difference(&a[i..], &b[j..], matched, out);
+        tail::difference(&a[i..], &b[j..], matched, out)
     }
 }
 
@@ -476,7 +419,8 @@ mod tests {
                     let mut got = Vec::new();
                     intersect_raw(&a, &b, blk, &mut got);
                     assert_eq!(got, reference_intersect(&a, &b), "∩ {la}x{lb}");
-                    assert_eq!(intersect_count_raw(&a, &b, blk), got.len() as u64, "|∩| {la}x{lb}");
+                    let n = intersect_raw(&a, &b, blk, crate::setops::Count(0));
+                    assert_eq!(n.0, got.len() as u64, "|∩| {la}x{lb}");
                     let mut got = Vec::new();
                     difference_raw(&a, &b, blk, &mut got);
                     assert_eq!(got, reference_difference(&a, &b), "\\ {la}x{lb}");

@@ -115,6 +115,11 @@ impl TaskCursor {
     }
 }
 
+/// Start vertices handed out per claim by the job's own cursors. A fine
+/// grain: power-law inputs concentrate work in a few hub start-vertices,
+/// and coarse chunks would serialize them.
+const GRAIN: usize = 4;
+
 /// How one call to [`JobCore::run_stint`] ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stint {
@@ -276,10 +281,10 @@ impl<'g> JobCore<'g> {
         // are order-independent. Ties break by ascending vid (stable
         // sort), keeping the schedule deterministic; a single lane has no
         // tail to protect and keeps the ascending order.
-        if cfg.degree_sched && cfg.threads > 1 {
+        if cfg.threads > 1 {
             pending.sort_by_key(|&v| std::cmp::Reverse(graph.degree(VertexId(v))));
         }
-        let cursor = Arc::new(TaskCursor::new(pending.len(), cfg.chunk_size));
+        let cursor = Arc::new(TaskCursor::new(pending.len(), GRAIN));
         JobCore {
             graph,
             plan,
@@ -417,7 +422,7 @@ impl<'g> JobCore<'g> {
         let mut pending: Vec<u32> = std::mem::take(&mut s.leftover);
         pending.extend_from_slice(&s.pending[claimed..]);
         pending.extend_from_slice(extra);
-        s.cursor = Arc::new(TaskCursor::new(pending.len(), self.cfg.chunk_size));
+        s.cursor = Arc::new(TaskCursor::new(pending.len(), GRAIN));
         s.pending = Arc::new(pending);
     }
 
@@ -504,7 +509,7 @@ impl<'g> JobCore<'g> {
         }
         if let Some(o) = observer.filter(|o| o.metrics || o.task_spans) {
             // A stint can run its limit rounded up to the chunk grain.
-            let most = max_tasks.saturating_add(self.cfg.chunk_size as u64);
+            let most = max_tasks.saturating_add(GRAIN as u64);
             let ring = o.span_capacity.min(usize::try_from(most).unwrap_or(usize::MAX));
             ex.set_telemetry(Collector::new(o.metrics, task_clock, lane, ring));
         }
@@ -706,31 +711,33 @@ mod tests {
 
     #[test]
     fn task_cursor_partitions_exactly_under_contention() {
-        let cursor = TaskCursor::new(1000, 7);
-        let claimed: Vec<Range<usize>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        while let Some(r) = cursor.claim() {
-                            mine.push(r);
-                        }
-                        mine
+        for chunk in [7, 1] {
+            let cursor = TaskCursor::new(1000, chunk);
+            let claimed: Vec<Range<usize>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut mine = Vec::new();
+                            while let Some(r) = cursor.claim() {
+                                mine.push(r);
+                            }
+                            mine
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        let mut covered = vec![false; 1000];
-        for r in claimed {
-            for i in r {
-                assert!(!covered[i], "index {i} claimed twice");
-                covered[i] = true;
+                    .collect();
+                handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            });
+            let mut covered = vec![false; 1000];
+            for r in claimed {
+                for i in r {
+                    assert!(!covered[i], "chunk {chunk}: index {i} claimed twice");
+                    covered[i] = true;
+                }
             }
+            assert!(covered.into_iter().all(|c| c));
+            assert_eq!(cursor.claimed(), 1000);
+            assert_eq!(cursor.remaining(), 0);
         }
-        assert!(covered.into_iter().all(|c| c));
-        assert_eq!(cursor.claimed(), 1000);
-        assert_eq!(cursor.remaining(), 0);
     }
 
     /// One stop evaluator: cancellation outranks an expired deadline,

@@ -1,7 +1,8 @@
-//! Property tests: the merge kernels agree with `BTreeSet` semantics.
+//! Property tests: the reference merges and the dispatcher's kernels agree
+//! with `BTreeSet` semantics.
 
 use fm_engine::result::WorkCounters;
-use fm_engine::setops;
+use fm_engine::setops::{self, Count};
 use fm_graph::VertexId;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -23,7 +24,8 @@ proptest! {
         let mut w = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut out, &mut w);
         prop_assert_eq!(&out, &expected);
-        prop_assert_eq!(setops::intersect_count(&a, &b, &mut w), expected.len() as u64);
+        let Count(n) = setops::intersect(&a, &b, None, 0, None, None, Count(0), &mut w);
+        prop_assert_eq!(n, expected.len() as u64);
         // Merge cost bound: at most |a| + |b| iterations.
         let mut w2 = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut Vec::new(), &mut w2);
@@ -38,7 +40,9 @@ proptest! {
         let mut gallop = Vec::new();
         let mut w = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut merge, &mut w);
-        setops::intersect_galloping_into(&a, &b, &mut gallop, &mut w);
+        // A ratio of 1 gallops any shape.
+        setops::intersect(&a, &b, None, 1, None, None, &mut gallop, &mut w);
+        prop_assert_eq!(w.gallop_dispatches, 1);
         prop_assert_eq!(merge, gallop);
     }
 
@@ -51,7 +55,8 @@ proptest! {
         let mut bounded = Vec::new();
         let mut w = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut full, &mut w);
-        setops::intersect_bounded_into(&a, &b, VertexId(bound), &mut bounded, &mut w);
+        let bd = Some(VertexId(bound));
+        setops::intersect(&a, &b, bd, 0, None, None, &mut bounded, &mut w);
         let expected: Vec<VertexId> =
             full.into_iter().take_while(|&v| v < VertexId(bound)).collect();
         prop_assert_eq!(bounded, expected);

@@ -1,24 +1,26 @@
 //! Differential property tests for the SIMD set-op kernel tier: every
-//! `*_simd_*` wrapper must be bit-identical to its scalar twin — same
+//! cell of the dispatcher's op × sink × bound table must be bit-identical
+//! between the merge tier and the SIMD tier that replaces it — same
 //! output lists, same bounded truncation, and the same `WorkCounters`
-//! (the closed-form charging reproduces the scalar walk exactly) — over
+//! (the closed-form charging reproduces the scalar walk exactly) — and
+//! agree with the two reference walking merges and a `BTreeSet`, over
 //! adversarial operands: empty sides, identical lists, disjoint lists,
 //! bounds of 0 and past-the-end, and lengths straddling the 4/8-lane
 //! vector-width tails. End to end, flipping `EngineConfig::simd` must be
 //! invisible to mining results across threads, c-map, and hub modes
 //! except for the merge→simd dispatch relabeling.
+//!
+//! Also built as an `fm-engine` test target, so CI's scalar-fallback step
+//! (`--no-default-features`) runs the same table against the engine
+//! without the vector kernels.
 
-use fm_engine::setops::{
-    difference_bounded_into, difference_into, difference_simd_bounded_into, difference_simd_into,
-    intersect_bounded_count, intersect_bounded_into, intersect_count, intersect_into,
-    intersect_simd_bounded_count, intersect_simd_bounded_into, intersect_simd_count,
-    intersect_simd_into,
-};
+use fm_engine::setops::{self, Count, Sink};
 use fm_engine::{mine, simd, EngineConfig, WorkCounters};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Sorted-dedup vertex list from raw fuzz input.
 fn sorted(mut raw: Vec<u32>) -> Vec<VertexId> {
@@ -51,13 +53,39 @@ fn arb_pair() -> impl Strategy<Value = (Vec<VertexId>, Vec<VertexId>)> {
         })
 }
 
+/// The op axis of the table.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Op {
+    Intersect,
+    Difference,
+}
+
+/// One merge-tier dispatch (no gallop, no hub) into `out`: the scalar
+/// merge, or with `simd` the tier that replaces it.
+fn merge_tier<S: Sink>(
+    op: Op,
+    (a, b): (&[VertexId], &[VertexId]),
+    bound: Option<VertexId>,
+    simd: Option<&[u64]>,
+    out: S,
+) -> (S, WorkCounters) {
+    let mut w = WorkCounters::default();
+    let out = match op {
+        Op::Intersect => setops::intersect(a, b, bound, 0, None, simd, out, &mut w),
+        Op::Difference => setops::difference(a, b, bound, None, simd, out, &mut w),
+    };
+    (out, w)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Kernel-level differential: all six SIMD wrappers agree with their
-    /// scalar twins on outputs AND charged work, with and without block
-    /// summaries, for unbounded and bounded (0, interior, past-the-end)
-    /// forms.
+    /// Kernel-level differential over the op × sink × bound table: the
+    /// SIMD tier agrees with the merge tier on outputs AND charged work,
+    /// with and without block summaries, for unbounded and bounded (0,
+    /// interior, past-the-end) forms; the counting sink charges what the
+    /// list sink does; and the unbounded merge tier is the reference
+    /// walking merge.
     #[test]
     fn simd_wrappers_are_bit_identical_to_scalar_kernels(
         (a, b) in arb_pair(),
@@ -70,46 +98,41 @@ proptest! {
             2 => VertexId(b.get(b.len() / 2).map_or(17, |x| x.0 + 1)),
             _ => VertexId(u32::MAX),
         };
-        for blocks in [&[][..], &blocks_full[..]] {
-            let ctx = format!("|a|={} |b|={} bound={} blocks={}",
-                a.len(), b.len(), bound.0, !blocks.is_empty());
-
-            let (mut so, mut vo) = (Vec::new(), Vec::new());
-            let (mut ws, mut wv) = (WorkCounters::default(), WorkCounters::default());
-            intersect_into(&a, &b, &mut so, &mut ws);
-            intersect_simd_into(&a, &b, blocks, &mut vo, &mut wv);
-            prop_assert_eq!(&so, &vo, "intersect {}", &ctx);
-            prop_assert_eq!(ws, wv, "intersect charges {}", &ctx);
-            prop_assert_eq!(intersect_count(&a, &b, &mut ws), so.len() as u64);
-            prop_assert_eq!(intersect_simd_count(&a, &b, blocks, &mut wv), vo.len() as u64);
-            prop_assert_eq!(ws, wv, "intersect_count charges {}", &ctx);
-
-            let (mut so, mut vo) = (Vec::new(), Vec::new());
-            let (mut ws, mut wv) = (WorkCounters::default(), WorkCounters::default());
-            intersect_bounded_into(&a, &b, bound, &mut so, &mut ws);
-            intersect_simd_bounded_into(&a, &b, bound, blocks, &mut vo, &mut wv);
-            prop_assert_eq!(&so, &vo, "bounded intersect {}", &ctx);
-            prop_assert_eq!(ws, wv, "bounded intersect charges {}", &ctx);
-            prop_assert_eq!(intersect_bounded_count(&a, &b, bound, &mut ws), so.len() as u64);
-            prop_assert_eq!(
-                intersect_simd_bounded_count(&a, &b, bound, blocks, &mut wv),
-                vo.len() as u64
-            );
-            prop_assert_eq!(ws, wv, "bounded count charges {}", &ctx);
-
-            let (mut so, mut vo) = (Vec::new(), Vec::new());
-            let (mut ws, mut wv) = (WorkCounters::default(), WorkCounters::default());
-            difference_into(&a, &b, &mut so, &mut ws);
-            difference_simd_into(&a, &b, blocks, &mut vo, &mut wv);
-            prop_assert_eq!(&so, &vo, "difference {}", &ctx);
-            prop_assert_eq!(ws, wv, "difference charges {}", &ctx);
-
-            let (mut so, mut vo) = (Vec::new(), Vec::new());
-            let (mut ws, mut wv) = (WorkCounters::default(), WorkCounters::default());
-            difference_bounded_into(&a, &b, bound, &mut so, &mut ws);
-            difference_simd_bounded_into(&a, &b, bound, blocks, &mut vo, &mut wv);
-            prop_assert_eq!(&so, &vo, "bounded difference {}", &ctx);
-            prop_assert_eq!(ws, wv, "bounded difference charges {}", &ctx);
+        let in_b: BTreeSet<VertexId> = b.iter().copied().collect();
+        for op in [Op::Intersect, Op::Difference] {
+            for bound in [None, Some(bound)] {
+                let mut so = Vec::new();
+                let (_, ws) = merge_tier(op, (&a, &b), bound, None, &mut so);
+                let expect: Vec<VertexId> = a
+                    .iter()
+                    .filter(|x| bound.is_none_or(|bd| **x < bd))
+                    .filter(|x| in_b.contains(*x) == (op == Op::Intersect))
+                    .copied()
+                    .collect();
+                prop_assert_eq!(&so, &expect, "{:?} bound={:?}", op, bound);
+                if bound.is_none() {
+                    let (mut out, mut w) = (Vec::new(), WorkCounters::default());
+                    match op {
+                        Op::Intersect => setops::intersect_into(&a, &b, &mut out, &mut w),
+                        Op::Difference => setops::difference_into(&a, &b, &mut out, &mut w),
+                    }
+                    let walked = WorkCounters { merge_dispatches: 1, ..w };
+                    prop_assert_eq!((&out, walked), (&so, ws), "{:?} vs the walking merge", op);
+                }
+                let (n, wn) = merge_tier(op, (&a, &b), bound, None, Count(0));
+                prop_assert_eq!((n.0, wn), (so.len() as u64, ws), "scalar count {:?}", op);
+                let relabeled = WorkCounters { merge_dispatches: 0, simd_dispatches: 1, ..ws };
+                for blocks in [&[][..], &blocks_full[..]] {
+                    let ctx = format!("{op:?} |a|={} |b|={} bound={bound:?} blocks={}",
+                        a.len(), b.len(), !blocks.is_empty());
+                    let mut vo = Vec::new();
+                    let (_, wv) = merge_tier(op, (&a, &b), bound, Some(blocks), &mut vo);
+                    prop_assert_eq!(&so, &vo, "output {}", &ctx);
+                    prop_assert_eq!(relabeled, wv, "charges {}", &ctx);
+                    let (n, wn) = merge_tier(op, (&a, &b), bound, Some(blocks), Count(0));
+                    prop_assert_eq!((n.0, wn), (vo.len() as u64, wv), "count {}", &ctx);
+                }
+            }
         }
     }
 }
