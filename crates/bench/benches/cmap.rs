@@ -1,11 +1,10 @@
-//! Microbenchmarks of the connectivity-map implementations: the two
-//! software layouts (hash vs the |V|-sized vector of [15, 21]) and the
+//! Microbenchmarks of the accelerator model's connectivity maps: the two
+//! functional layouts (hash vs the |V|-sized vector of [15, 21]) and the
 //! hardware timing model's probe-cost behaviour under load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fm_engine::cmap::{ConnectivityMap, HashCmap, VectorCmap};
 use fm_graph::VertexId;
-use fm_sim::cmap::HwCmap;
+use fm_sim::cmap::{ConnectivityMap, HashCmap, HwCmap, VectorCmap};
 use rand::{Rng, SeedableRng};
 
 fn keys(n: usize, universe: u32, seed: u64) -> Vec<u32> {

@@ -47,16 +47,6 @@ fn bench_engine_patterns(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bitmap", name), &plan, |b, plan| {
             b.iter(|| mine(&g, plan, &EngineConfig::default()).counts)
         });
-        group.bench_with_input(BenchmarkId::new("cmap", name), &plan, |b, plan| {
-            b.iter(|| {
-                mine(
-                    &g,
-                    plan,
-                    &EngineConfig { use_cmap: true, hub_bitmap: false, ..Default::default() },
-                )
-                .counts
-            })
-        });
     }
     // AutoMine mode: the symmetry-breaking ablation.
     let auto = compile(&Pattern::triangle(), CompileOptions::automine());

@@ -109,11 +109,6 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
                 (&[("tier", "simd")], w.simd_dispatches),
             ],
         );
-        doc.counter("fm_cmap_queries", "Software c-map probes", w.cmap_queries);
-        doc.counter("fm_cmap_hits", "Software c-map probe hits", w.cmap_hits);
-        let hit_rate =
-            if w.cmap_queries == 0 { 0.0 } else { w.cmap_hits as f64 / w.cmap_queries as f64 };
-        doc.gauge("fm_cmap_hit_rate", "c-map hits / queries", hit_rate);
     }
     if let Some(shard) = outcome.telemetry() {
         depth_counter(
@@ -151,18 +146,6 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
             "fm_depth_simd_dispatches",
             "SIMD-tier dispatches by DFS depth",
             &shard.depth_simd,
-        );
-        depth_counter(
-            &mut doc,
-            "fm_depth_cmap_queries",
-            "Software c-map probes by DFS depth",
-            &shard.depth_cmap_queries,
-        );
-        depth_counter(
-            &mut doc,
-            "fm_depth_cmap_hits",
-            "Software c-map probe hits by DFS depth",
-            &shard.depth_cmap_hits,
         );
         doc.log2_histogram(
             "fm_task_wall_time_us",
@@ -298,37 +281,6 @@ pub fn sim_trace(report: &SimReport) -> String {
         prev = *s;
     }
     chrome_trace_json("fm-sim", &[], &counters)
-}
-
-/// Appends the serve journal/recovery gauges to a metrics document, so
-/// both exporters (Prometheus text and JSON) surface durability state:
-/// `fm_journal_records` (replayed at startup plus appended since),
-/// `fm_journal_replayed` (records recovered at startup),
-/// `fm_journal_truncated` (torn-tail bytes discarded at startup), and
-/// `fm_journal_recovered_jobs` (unresolved jobs resubmitted by replay).
-pub fn journal_metrics(
-    doc: &mut MetricsDoc,
-    records: u64,
-    replayed: u64,
-    truncated_bytes: u64,
-    recovered_jobs: u64,
-) {
-    doc.gauge(
-        "fm_journal_records",
-        "Records in the job journal (replayed at startup plus appended since)",
-        records as f64,
-    );
-    doc.gauge("fm_journal_replayed", "Journal records replayed at startup", replayed as f64);
-    doc.gauge(
-        "fm_journal_truncated",
-        "Torn-tail bytes discarded by journal recovery at startup",
-        truncated_bytes as f64,
-    );
-    doc.gauge(
-        "fm_journal_recovered_jobs",
-        "Unresolved journaled jobs resubmitted at startup",
-        recovered_jobs as f64,
-    );
 }
 
 /// Writes `doc` to `path`: Prometheus text exposition for `.prom`/`.txt`

@@ -259,6 +259,41 @@ struct JournalGauges {
     recovered_jobs: AtomicU64,
 }
 
+impl JournalGauges {
+    /// Every gauge as `(key, metric name, metric help, value)`: the one
+    /// list behind `status` (`journal_<key>`), both metrics exporters and
+    /// the exit summary (`<key>`), so all three surface durability state.
+    fn list(&self) -> [(&'static str, &'static str, &'static str, u64); 4] {
+        let read = |gauge: &AtomicU64| gauge.load(Ordering::SeqCst);
+        [
+            (
+                "records",
+                "fm_journal_records",
+                "Records in the job journal (replayed at startup plus appended since)",
+                read(&self.records),
+            ),
+            (
+                "replayed",
+                "fm_journal_replayed",
+                "Journal records replayed at startup",
+                read(&self.replayed),
+            ),
+            (
+                "truncated_bytes",
+                "fm_journal_truncated",
+                "Torn-tail bytes discarded by journal recovery at startup",
+                read(&self.truncated_bytes),
+            ),
+            (
+                "recovered_jobs",
+                "fm_journal_recovered_jobs",
+                "Unresolved journaled jobs resubmitted at startup",
+                read(&self.recovered_jobs),
+            ),
+        ]
+    }
+}
+
 struct ServeState {
     cfg: ServeConfig,
     sup: Supervisor,
@@ -496,13 +531,15 @@ impl ServeState {
         let pattern_spec =
             req.get("pattern").and_then(Json::as_str).ok_or("submit needs a pattern")?;
         let graph_spec = req.get("graph").and_then(Json::as_str).ok_or("submit needs a graph")?;
-        let induced = req.get("induced").and_then(Json::as_bool).unwrap_or(false);
-        let threads =
-            req.get("threads").and_then(Json::as_u64).unwrap_or(1).clamp(1, 1 << 16) as usize;
-        let priority = req.get("priority").and_then(Json::as_i64).unwrap_or(0) as i32;
-        let max_attempts = req.get("max_attempts").and_then(Json::as_u64).map(|v| v as u32);
-        let budget = req.get("budget").and_then(Json::as_u64);
-        let deadline_secs = req.get("deadline").and_then(Json::as_f64);
+        let induced = field(req, "induced", "a boolean", Json::as_bool)?.unwrap_or(false);
+        let threads = int_field(req, "threads", 1.0, 65536.0)?.map_or(1, |n| n as usize);
+        let priority = int_field(req, "priority", f64::from(i32::MIN), f64::from(i32::MAX))?
+            .map_or(0, |n| n as i32);
+        let max_attempts =
+            int_field(req, "max_attempts", 0.0, f64::from(u32::MAX))?.map(|n| n as u32);
+        // `u64::MAX as f64` is 2⁶⁴, which the cast brings back to `u64::MAX`.
+        let budget = int_field(req, "budget", 0.0, u64::MAX as f64)?.map(|n| n as u64);
+        let deadline_secs = field(req, "deadline", "a number of seconds", Json::as_f64)?;
         if let Some(s) = deadline_secs {
             if !s.is_finite() || s <= 0.0 {
                 return Err(format!("deadline must be a positive number of seconds, got {s}"));
@@ -512,9 +549,7 @@ impl ServeState {
             pattern_spec.parse().map_err(|e| format!("bad pattern {pattern_spec:?}: {e}"))?;
         let plan = Arc::new(compile(&pattern, CompileOptions { induced, ..Default::default() }));
         let graph = self.graph_for(graph_spec)?;
-        let name = req
-            .get("name")
-            .and_then(Json::as_str)
+        let name = field(req, "name", "a string", Json::as_str)?
             .map(str::to_string)
             .unwrap_or_else(|| format!("{pattern_spec}@{graph_spec}"));
         let mut meta = JobMeta {
@@ -697,7 +732,7 @@ impl ServeState {
             by_priority.push_str(&format!("\"{priority}\":{depth}"));
         }
         by_priority.push('}');
-        ObjWriter::new()
+        let mut w = ObjWriter::new()
             .bool("ok", true)
             .u64("submitted", s.submitted)
             .u64("rejected", s.rejected)
@@ -712,12 +747,11 @@ impl ServeState {
             .u64("memory_budget_bytes", s.memory_budget_bytes)
             .u64("uptime_seconds", self.started.elapsed().as_secs())
             .u64("events_published", self.obs.bus().published())
-            .u64("events_dropped", self.obs.bus().dropped_total())
-            .u64("journal_records", self.gauges.records.load(Ordering::SeqCst))
-            .u64("journal_replayed", self.gauges.replayed.load(Ordering::SeqCst))
-            .u64("journal_truncated_bytes", self.gauges.truncated_bytes.load(Ordering::SeqCst))
-            .u64("journal_recovered_jobs", self.gauges.recovered_jobs.load(Ordering::SeqCst))
-            .finish()
+            .u64("events_dropped", self.obs.bus().dropped_total());
+        for (key, _, _, value) in self.gauges.list() {
+            w = w.u64(&format!("journal_{key}"), value);
+        }
+        w.finish()
     }
 
     fn metrics(&self, req: &Json) -> String {
@@ -728,13 +762,9 @@ impl ServeState {
             self.started.elapsed().as_secs_f64(),
         );
         self.obs.metrics_into(&mut doc);
-        crate::report::journal_metrics(
-            &mut doc,
-            self.gauges.records.load(Ordering::SeqCst),
-            self.gauges.replayed.load(Ordering::SeqCst),
-            self.gauges.truncated_bytes.load(Ordering::SeqCst),
-            self.gauges.recovered_jobs.load(Ordering::SeqCst),
-        );
+        for (_, metric, help, value) in self.gauges.list() {
+            doc.gauge(metric, help, value as f64);
+        }
         match req.get("format").and_then(Json::as_str).unwrap_or("json") {
             "prometheus" => ObjWriter::new().bool("ok", true).str("body", &doc.to_prometheus()),
             _ => ObjWriter::new().bool("ok", true).raw("body", &doc.to_json()),
@@ -878,24 +908,12 @@ impl ServeState {
                 }
                 let Some(ckpt) = &d.checkpoint else { continue };
                 let Some(t) = jobs.iter().find(|t| t.handle.id() == d.id) else { continue };
-                let mut w = ObjWriter::new()
-                    .str("name", &t.meta.name)
-                    .str("graph", &t.meta.graph)
-                    .str("pattern", &t.meta.pattern)
-                    .bool("induced", t.meta.induced)
-                    .u64("threads", t.meta.threads as u64)
-                    .i64("priority", t.meta.priority as i64)
-                    .str("checkpoint", &ckpt.display().to_string());
-                if let Some(a) = t.meta.max_attempts {
-                    w = w.u64("max_attempts", a as u64);
-                }
-                if let Some(b) = t.meta.budget {
-                    w = w.u64("budget", b);
-                }
-                if let Some(s) = t.meta.deadline_secs {
-                    w = w.raw("deadline", &format!("{s}"));
-                }
-                manifest.push_str(&w.finish());
+                // The request as journaled, plus where its progress is.
+                let Json::Obj(mut entry) = canonical_req(&t.meta) else {
+                    unreachable!("the canonical request is an object")
+                };
+                entry.insert("checkpoint".to_string(), Json::Str(ckpt.display().to_string()));
+                manifest.push_str(&Json::Obj(entry).to_jsonl());
                 manifest.push('\n');
                 eprintln!("drained: job {} ({}) -> {}", d.id, d.name, ckpt.display());
             }
@@ -926,17 +944,11 @@ impl ServeState {
         if self.journal.is_some() {
             // One durability summary line so restart tooling can see the
             // journal/recovery counters without scraping the exporters.
-            let _ = writeln!(
-                out,
-                "{}",
-                ObjWriter::new()
-                    .str("event", "journal")
-                    .u64("records", self.gauges.records.load(Ordering::SeqCst))
-                    .u64("replayed", self.gauges.replayed.load(Ordering::SeqCst))
-                    .u64("truncated_bytes", self.gauges.truncated_bytes.load(Ordering::SeqCst))
-                    .u64("recovered_jobs", self.gauges.recovered_jobs.load(Ordering::SeqCst))
-                    .finish()
-            );
+            let mut w = ObjWriter::new().str("event", "journal");
+            for (key, _, _, value) in self.gauges.list() {
+                w = w.u64(key, value);
+            }
+            let _ = writeln!(out, "{}", w.finish());
         }
         let _ = out.flush();
         drop(jobs);
@@ -973,6 +985,26 @@ fn respond(state: &ServeState, line: &str) -> String {
 /// Structured reply for a frame over the `--max-request-bytes` cap.
 fn too_large_line(limit: usize) -> String {
     err_line(&format!("request too large: line exceeded {limit} bytes"))
+}
+
+/// `req[name]` read by `read`, `None` when the client left it out. A field
+/// that is present but not `what` is an error naming it: a typo must not
+/// silently run the job under a default the client did not ask for.
+fn field<'a, T>(
+    req: &'a Json,
+    name: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(value) = req.get(name) else { return Ok(None) };
+    read(value).map(Some).ok_or_else(|| format!("{name} must be {what}, got {}", value.to_jsonl()))
+}
+
+/// An integer field within `min..=max`: checked here, so that the `as`
+/// cast at the call site has nothing to wrap or saturate silently.
+fn int_field(req: &Json, name: &str, min: f64, max: f64) -> Result<Option<f64>, String> {
+    let what = format!("an integer in {min}..={max}");
+    field(req, name, &what, |v| v.as_f64().filter(|n| n.fract() == 0.0 && (min..=max).contains(n)))
 }
 
 /// The canonical submit request for journaling: every default
@@ -1560,6 +1592,51 @@ mod tests {
             let v = jsonl::parse(&resp).unwrap();
             assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{req} -> {resp}");
             assert!(resp.contains(needle), "{req} -> {resp}");
+        }
+        st.sup.shutdown(None);
+    }
+
+    /// A `submit` field is either what the client typed or an error that
+    /// names it — never a wrapped, clamped or defaulted stand-in — and the
+    /// request after a refused one is served.
+    #[test]
+    fn malformed_submit_fields_are_named_not_rewritten() {
+        let st = state(ServeConfig::default());
+        let submit = |extra: &str| {
+            st.handle_line(&format!(
+                r#"{{"op":"submit","pattern":"triangle","graph":"gen:complete,n=5",{extra}}}"#
+            ))
+        };
+        type Kept = fn(&JobMeta) -> bool;
+        let cases: [(&str, &str, &str, Kept); 9] = [
+            (r#""priority":4294967297"#, "priority", r#""priority":-2147483648"#, |m| {
+                m.priority == i32::MIN
+            }),
+            (r#""max_attempts":4294967296"#, "max_attempts", r#""max_attempts":4294967295"#, |m| {
+                m.max_attempts == Some(u32::MAX)
+            }),
+            (r#""threads":"4""#, "threads", r#""threads":4"#, |m| m.threads == 4),
+            (r#""induced":1"#, "induced", r#""induced":true"#, |m| m.induced),
+            (r#""priority":1.5"#, "priority", r#""priority":1"#, |m| m.priority == 1),
+            (r#""budget":-1"#, "budget", r#""budget":0"#, |m| m.budget == Some(0)),
+            (r#""threads":0"#, "threads", r#""threads":65536"#, |m| m.threads == 65536),
+            (r#""deadline":"60""#, "deadline", r#""deadline":60"#, |m| {
+                m.deadline_secs == Some(60.0)
+            }),
+            (r#""name":7"#, "name", r#""name":"seven""#, |m| m.name == "seven"),
+        ];
+        for (bad, field, twin, kept) in cases {
+            let before = st.jobs.lock().unwrap().len();
+            let resp = submit(bad);
+            let v = jsonl::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{bad} -> {resp}");
+            let error = v.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.starts_with(field), "{bad} -> {resp}");
+            assert_eq!(st.jobs.lock().unwrap().len(), before, "{bad} admitted a job");
+            let resp = submit(twin);
+            assert!(resp.contains(r#""ok":true"#), "{twin} -> {resp}");
+            let jobs = st.jobs.lock().unwrap();
+            assert!(kept(&jobs.last().expect("just admitted").meta), "{twin} was rewritten");
         }
         st.sup.shutdown(None);
     }

@@ -374,6 +374,11 @@ fn count_telemetry_exports_and_stays_bit_identical() {
     assert!(prom_text.contains("# TYPE fm_pattern_count counter"), "{prom_text:.300}");
     assert!(prom_text.contains("fm_depth_setop_iterations{depth=\"1\"}"), "{prom_text:.300}");
     assert!(prom_text.contains("fm_dispatches{tier="), "{prom_text:.300}");
+    for series in ["# TYPE fm_setop_iterations counter", "# TYPE fm_setop_invocations counter"] {
+        assert!(prom_text.contains(series), "{series} missing: {prom_text:.300}");
+    }
+    // The engine has no c-map: neither the totals nor the depth series.
+    assert!(!prom_text.contains("cmap"), "{prom_text}");
     assert!(prom_text.contains("fm_task_wall_time_us_bucket"), "{prom_text:.300}");
 
     let trace_text = std::fs::read_to_string(&trace).unwrap();

@@ -57,10 +57,11 @@ const CKPT_MAGIC: &[u8; 8] = b"FMCKPT\x01\x00";
 /// Current format version. Bump on any layout change, and on any change
 /// to what the stored work words *mean* (version 5: closed-form leaves
 /// charge differently from the enumeration a version-4 file's words
-/// recorded, so the two may not be added); readers reject every other
-/// version with [`CheckpointError::UnsupportedVersion`] instead of
+/// recorded, so the two may not be added; version 6: nine work words, the
+/// four c-map words of a version-5 body are gone); readers reject every
+/// other version with [`CheckpointError::UnsupportedVersion`] instead of
 /// misparsing or miscounting it.
-const CKPT_VERSION: u32 = 5;
+const CKPT_VERSION: u32 = 6;
 
 /// Elements preallocated up front when reading untrusted length headers:
 /// larger lists grow on demand as
@@ -76,9 +77,10 @@ const MAX_PATTERNS: usize = 4096;
 /// Plausibility cap on one stringified panic payload.
 const MAX_PAYLOAD_BYTES: usize = 1 << 16;
 
-/// CRC32 (IEEE 802.3, reflected) over `data`. Bitwise — checkpoint
+/// CRC32 (IEEE 802.3, reflected) over `data`: the checksum of the
+/// checkpoint format and of `fm-jobs`' journal records. Bitwise — both
 /// payloads are small enough that a table buys nothing.
-fn crc32(data: &[u8]) -> u32 {
+pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
         crc ^= u32::from(b);
@@ -100,22 +102,29 @@ impl Fnv {
     fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
+    fn raw(&mut self, v: &[u8]) {
         for &b in v {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
+    fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+    fn bytes(&mut self, v: &[u8]) {
+        self.u64(v.len() as u64);
+        self.raw(v);
+    }
     fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// FNV-1a over `data` alone: the fingerprints `fm-jobs`' journal persists.
+pub fn fnv64(data: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.raw(data);
+    h.finish()
 }
 
 /// Identity of a data graph for resume validation: cheap to compute, and
@@ -204,8 +213,6 @@ pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
 /// or off never invalidates a checkpoint.
 pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     let mut h = Fnv::new();
-    h.u64(u64::from(cfg.use_cmap));
-    h.u64(u64::from(cfg.frontier_memo));
     h.u64(u64::from(cfg.paper_faithful));
     h.u64(cfg.gallop_ratio as u64);
     h.u64(u64::from(cfg.hub_bitmap_active()));
@@ -678,7 +685,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::ConfigMismatch { expected, found } => write!(
                 f,
                 "checkpoint was taken under different engine knobs (snapshot {expected:#018x}, \
-                 resume {found:#018x}); match cmap/memo/faithful/dispatch settings or restart"
+                 resume {found:#018x}); match faithful/dispatch settings or restart"
             ),
         }
     }
@@ -924,10 +931,11 @@ mod tests {
             Checkpoint::decode(&bytes).unwrap_err(),
             CheckpointError::UnsupportedVersion(99)
         );
-        // Version 3 bodies carried 17 work words, and version 4's 13 were
-        // charged by plans that enumerated every leaf: this build must
-        // refuse both by number, not misparse one or add up the other.
-        for old in [3, 4] {
+        // Version 3 bodies carried 17 work words, version 4's 13 were
+        // charged by plans that enumerated every leaf, and version 5 still
+        // carried the four c-map words: this build must refuse each by
+        // number, not misparse one or add up the other.
+        for old in [3, 4, 5] {
             bytes[8] = old;
             assert_eq!(
                 Checkpoint::decode(&bytes).unwrap_err(),
@@ -983,7 +991,7 @@ mod tests {
         let plan = compile(&Pattern::triangle(), CompileOptions::default());
         let plan2 = compile(&Pattern::cycle(4), CompileOptions::default());
         let cfg = EngineConfig::default();
-        let cfg2 = EngineConfig { use_cmap: true, ..cfg };
+        let cfg2 = EngineConfig { hub_bitmap: false, ..cfg };
         let c = Checkpoint::empty(&g, &plan, &cfg, 1);
         assert_eq!(c.validate(&g, &plan, &cfg), Ok(()));
         assert!(matches!(c.validate(&g2, &plan, &cfg), Err(CheckpointError::GraphMismatch { .. })));

@@ -2,13 +2,11 @@
 //!
 //! This is the software realization of the execution model in Fig. 10 of
 //! the paper: a depth-first walk over the subgraph search tree, customized
-//! entirely by the execution plan. The same candidate-generation semantics
-//! (frontier memoization, c-map queries, merge-based fallback) are
-//! implemented cycle-by-cycle in the hardware simulator; the two are
-//! cross-checked for identical counts in the integration tests.
+//! entirely by the execution plan. The hardware simulator implements the
+//! same plans cycle by cycle (with the c-map this engine does not have);
+//! the two are cross-checked for identical counts in the integration tests.
 
 use crate::checkpoint::Checkpoint;
-use crate::cmap::{ConnectivityMap, HashCmap};
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
 use crate::setops::{self, Count};
@@ -148,18 +146,13 @@ pub fn prepare<'g>(
 }
 
 /// The program a count-only run of `plan` executes under `cfg`: the plan
-/// lowered for the engine's candidate generation, then every leaf's
+/// lowered with its frontier hints honoured (the default), then every leaf's
 /// counting rule decided ([`count_leaves`]). `paper_faithful` keeps the
 /// scan — the one rule that charges exactly what enumeration does.
 pub fn count_program(plan: &ExecutionPlan, cfg: &EngineConfig) -> Program {
-    let mut program = lower(
-        plan,
-        LowerOptions { frontier_memo: cfg.frontier_memo, bounded_pushdown: !cfg.paper_faithful },
-    );
-    count_leaves(
-        &mut program,
-        CountOptions { closed_forms: !cfg.paper_faithful, use_cmap: cfg.use_cmap },
-    );
+    let options = LowerOptions { bounded_pushdown: !cfg.paper_faithful, ..Default::default() };
+    let mut program = lower(plan, options);
+    count_leaves(&mut program, CountOptions { closed_forms: !cfg.paper_faithful });
     program
 }
 
@@ -172,11 +165,8 @@ struct State {
     /// `core_at[d]` = depth index whose buffer holds the core for level d
     /// (differs from `d` for `Reuse` ops).
     core_at: Vec<usize>,
-    /// Keys inserted into the c-map per depth, for stack-ordered unwind.
-    inserted: Vec<Vec<VertexId>>,
     /// The merge pipeline's previous stage.
     scratch: Vec<VertexId>,
-    cmap: HashCmap,
     /// The pair join's count map: one counter per data vertex, all zero
     /// between joins. Empty until this worker's first join, so a plan
     /// without one never pays for it.
@@ -215,7 +205,6 @@ impl State {
             emb: Vec::with_capacity(depth),
             frontiers: vec![Vec::new(); depth],
             core_at: vec![0; depth],
-            inserted: vec![Vec::new(); depth],
             counts: vec![0; patterns],
             counts_before: vec![0; patterns],
             ..State::default()
@@ -228,10 +217,6 @@ impl State {
 enum Op {
     /// The parent's core, as it is.
     Reuse,
-    /// Stream-and-probe (§II-C: "the intersection is replaced by querying
-    /// the c-map"): `emb[ext]`'s adjacency, every constraint resolved by
-    /// one c-map probe per candidate.
-    Probe { ext: usize },
     /// The parent's core ∩ (`keep`) or \ the parent vertex's adjacency.
     Extend { keep: bool },
     /// `emb[ext]`'s adjacency, unconstrained.
@@ -246,8 +231,8 @@ struct Node {
     op: Op,
     /// Back on `Enumerate` everywhere under [`Executor::collect_matches`].
     count: CountRule,
-    /// `count` enumerates, every child is a counting kernel and entering
-    /// inserts nothing: one loop over the survivors counts them ([`fused`]).
+    /// `count` enumerates and every child is a counting kernel: one loop
+    /// over the survivors counts them ([`fused`]).
     fused: bool,
     /// The pattern the leaf of a counted branch completes.
     leaf_pattern: usize,
@@ -262,9 +247,6 @@ struct Node {
     bounded: bool,
     /// The pattern completed at this node, if any.
     pattern: Option<usize>,
-    /// Entering inserts the vertex's neighbours into the c-map — those
-    /// below `emb[level]` if `Some(level)` — and leaving removes them.
-    insert: Option<Option<usize>>,
     /// This node's slice of [`Resolved::children`].
     children: Range<usize>,
 }
@@ -308,7 +290,6 @@ impl<'g> Resolved<'g> {
             let ext = n.extender.unwrap_or(0);
             let op = match n.frontier {
                 FrontierHint::Reuse => Op::Reuse,
-                _ if cfg.use_cmap && n.probe => Op::Probe { ext },
                 FrontierHint::Extend => Op::Extend { keep: true },
                 FrontierHint::ExtendDiff => Op::Extend { keep: false },
                 FrontierHint::None if n.connected.is_empty() && n.disconnected.is_empty() => {
@@ -322,7 +303,6 @@ impl<'g> Resolved<'g> {
                     .pattern_index
                     .expect("a counted branch ends in a pattern leaf"),
             };
-            let inserts = cfg.use_cmap && n.cmap_insert && !n.children.is_empty();
             let first_child = children.len();
             children.extend_from_slice(&n.children);
             nodes.push(Node {
@@ -335,11 +315,8 @@ impl<'g> Resolved<'g> {
                 distinct: set(&n.injectivity),
                 connected: set(&n.connected),
                 disconnected: set(&n.disconnected),
-                // The stream-and-probe path keeps the lowering's rule
-                // (the conservative one, under `paper_faithful`) as it is.
-                bounded: n.bounded_build && (!cfg.paper_faithful || matches!(op, Op::Probe { .. })),
+                bounded: n.bounded_build && !cfg.paper_faithful,
                 pattern: n.pattern_index,
-                insert: inserts.then_some(n.cmap_insert_bound),
                 children: first_child..children.len(),
             });
         }
@@ -347,7 +324,6 @@ impl<'g> Resolved<'g> {
             let kernel = |s| matches!(s, Survivors::Intersect | Survivors::Difference);
             let kids = &children[nodes[i].children.clone()];
             nodes[i].fused = nodes[i].count == CountRule::Enumerate
-                && nodes[i].insert.is_none()
                 && !kids.is_empty()
                 && kids.iter().all(|&c| {
                     matches!(nodes[c].count, CountRule::Tail { survivors, .. } if kernel(survivors))
@@ -377,7 +353,7 @@ impl<'g> Resolved<'g> {
     /// Whether a count-only run ever calls a set-op kernel, the one place
     /// the hub bitmaps and the block summaries are read, over the nodes it
     /// reaches: a pair join or a tail answers for everything below it, and
-    /// a `Reuse`, a copy or a c-map probe calls none.
+    /// a `Reuse` or a copy calls none.
     /// [`Executor::collect_matches`] reaches more; a set op without an index
     /// is the same set op on the merge or gallop tier.
     fn dispatches_set_ops(&self) -> bool {
@@ -496,10 +472,6 @@ impl<'g> Executor<'g> {
         fail_point!(self.cfg, "start_vertex", v.0 as u64);
         enter(&self.run, &mut self.state, 0, v);
         debug_assert!(self.state.emb.is_empty());
-        debug_assert!(
-            !self.cfg.use_cmap || self.state.cmap.is_empty(),
-            "c-map must be self-cleaning across tasks"
-        );
     }
 
     /// Runs the subtree of `v` inside a panic boundary, retrying up to
@@ -511,7 +483,7 @@ impl<'g> Executor<'g> {
     /// roster but does *not* degrade the run (transient faults self-heal).
     /// Every panicking attempt rolls back *all* of its effects — counts
     /// and work counters are restored to their pre-task snapshot and the
-    /// embedding stack, c-map, and insertion logs are reset — so a
+    /// embedding stack and the pair join's count map are reset — so a
     /// poisoned attempt contributes exactly nothing, and a retry starts
     /// from the same state the first attempt saw; the panic payload is
     /// recorded as a [`Fault`] tagged with the attempt index. A vertex
@@ -550,12 +522,8 @@ impl<'g> Executor<'g> {
                 // The DFS state is mid-subtree garbage: reset everything
                 // the next task reads before writing.
                 s.emb.clear();
-                s.cmap.clear();
                 for w in s.touched.drain(..) {
                     s.pair_counts[w.index()] = 0;
-                }
-                for ins in &mut s.inserted {
-                    ins.clear();
                 }
                 s.faults.push(Fault { vid: v.0, attempt, payload: payload_string(&*payload) });
                 false
@@ -650,12 +618,11 @@ impl<'g> Executor<'g> {
     }
 }
 
-/// Pushes `w` as the vertex for node `n`, handles counting and c-map
-/// insertion, steps the children, and unwinds.
+/// Pushes `w` as the vertex for node `n`, handles counting, steps the
+/// children, and unwinds.
 fn enter(run: &Resolved<'_>, state: &mut State, n: usize, w: VertexId) {
     let node = &run.nodes[n];
-    let d = node.depth;
-    debug_assert_eq!(state.emb.len(), d);
+    debug_assert_eq!(state.emb.len(), node.depth);
     state.emb.push(w);
     state.work.extensions += 1;
     if let Some(pi) = node.pattern {
@@ -664,29 +631,8 @@ fn enter(run: &Resolved<'_>, state: &mut State, n: usize, w: VertexId) {
             state.matches.push((pi, state.emb.clone()));
         }
     }
-    if let Some(below) = node.insert {
-        fail_point!(run, "cmap_insert", state.emb[0].0 as u64);
-        let bound = below.map(|l| state.emb[l]);
-        state.inserted[d].clear();
-        for &nb in run.g.neighbors(w) {
-            if bound.is_some_and(|b| nb >= b) {
-                break; // adjacency is sorted ascending
-            }
-            state.cmap.insert(nb, d);
-            state.work.cmap_inserts += 1;
-            state.inserted[d].push(nb);
-        }
-    }
     for &child in run.children(node) {
         step(run, state, child);
-    }
-    if node.insert.is_some() {
-        let ins = std::mem::take(&mut state.inserted[d]);
-        for &nb in &ins {
-            state.cmap.remove(nb, d);
-            state.work.cmap_removes += 1;
-        }
-        state.inserted[d] = ins;
     }
     state.emb.pop();
 }
@@ -838,21 +784,6 @@ fn materialize(
         out.clear();
         match node.op {
             Op::Reuse => unreachable!(),
-            Op::Probe { ext } => {
-                for &w in run.g.neighbors(state.emb[ext]) {
-                    if cut.is_some_and(|b| w >= b) {
-                        break;
-                    }
-                    state.work.cmap_queries += 1;
-                    let found = DepthSet::from_bits(state.cmap.query(w));
-                    state.work.cmap_hits += u64::from(!found.is_empty());
-                    if node.connected.is_subset(found)
-                        && node.disconnected.intersection(found).is_empty()
-                    {
-                        out.push(w);
-                    }
-                }
-            }
             Op::Extend { keep } => {
                 let src = &state.frontiers[state.core_at[d - 1]];
                 set_op(run, keep, src, state.emb[d - 1], cut, &mut out, &mut state.work);
@@ -884,8 +815,8 @@ fn materialize(
     }
     let core = state.core_at[d];
     // Observed runs: charge this level's candidate-generation delta (all
-    // arms — merges, gallops, probes, and c-map traffic) to depth `d`, and
-    // sample the size of any newly materialized frontier.
+    // arms — merges, gallops, probes) to depth `d`, and sample the size of
+    // any newly materialized frontier.
     if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), before) {
         t.charge_setops(d, before, state.work);
         if node.op != Op::Reuse {
@@ -1136,43 +1067,6 @@ mod tests {
         let faithful = mine(&g, &plan, &EngineConfig::paper_faithful());
         let bounded = mine(&g, &plan, &EngineConfig { gallop_ratio: 0, ..Default::default() });
         assert!(bounded.work.setop_iterations < faithful.work.setop_iterations);
-    }
-
-    #[test]
-    fn cmap_mode_matches_setops_mode() {
-        let g = generators::powerlaw_cluster(150, 4, 0.5, 7);
-        for pattern in [
-            Pattern::triangle(),
-            Pattern::cycle(4),
-            Pattern::diamond(),
-            Pattern::tailed_triangle(),
-            Pattern::k_clique(4),
-            Pattern::house(),
-        ] {
-            let plan = compile(&pattern, CompileOptions::default());
-            let base = count(&g, &plan, &EngineConfig::default());
-            let with_cmap =
-                count(&g, &plan, &EngineConfig { use_cmap: true, ..Default::default() });
-            assert_eq!(base, with_cmap, "pattern {pattern}");
-        }
-    }
-
-    #[test]
-    fn frontier_memo_off_matches_on() {
-        let g = generators::powerlaw_cluster(120, 4, 0.4, 9);
-        for pattern in [Pattern::k_clique(4), Pattern::diamond(), Pattern::cycle(4)] {
-            let plan = compile(&pattern, CompileOptions::default());
-            let on = count(&g, &plan, &EngineConfig::default());
-            let off =
-                count(&g, &plan, &EngineConfig { frontier_memo: false, ..Default::default() });
-            let off_cmap = count(
-                &g,
-                &plan,
-                &EngineConfig { frontier_memo: false, use_cmap: true, ..Default::default() },
-            );
-            assert_eq!(on, off, "pattern {pattern}");
-            assert_eq!(on, off_cmap, "pattern {pattern} (cmap)");
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! | `start_vertex`   | [`Executor::run_vertex`] entry                     |
 //! | `frontier_alloc` | candidate-core materialization (`materialize`) and |
 //! |                  | each counting kernel, fused loop or not            |
-//! | `cmap_insert`    | bulk c-map insertion on embedding push             |
 //! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline   |
 //! |                  | and the counting kernels, and each survivor's      |
 //! |                  | stream in a pair join's sweep                      |

@@ -19,14 +19,15 @@
 //! * **Pattern-oblivious model** ([`oblivious`]) — ESU-style enumeration of
 //!   all connected k-subgraphs plus explicit isomorphism tests, the search
 //!   strategy of Gramer \[90\] (§III).
-//! * **Software c-map** ([`cmap`]) — hash- and vector-backed connectivity
-//!   maps implementing the bulk, stack-disciplined insert/delete semantics
-//!   of §VI, used for memoization ablations and as the functional model the
-//!   hardware c-map is validated against.
+//!
+//! There is one candidate generator: the plan's frontier-memoization hints
+//! are always honored, and connectivity is answered by set operations (and
+//! the hub bitmaps behind their dispatcher). The c-map of §VI is the
+//! accelerator's; its functional store lives in `fm-sim`.
 //!
 //! All engines report [`WorkCounters`] (set-operation iterations,
-//! comparisons, c-map traffic) used by the motivation study (Fig. 7 and the
-//! branch-misprediction discussion of §III).
+//! comparisons, dispatch tiers) used by the motivation study (Fig. 7 and
+//! the branch-misprediction discussion of §III).
 //!
 //! # Examples
 //!
@@ -43,7 +44,6 @@
 //! ```
 
 pub mod checkpoint;
-pub mod cmap;
 pub mod control;
 pub mod executor;
 #[cfg(any(test, feature = "failpoints"))]
@@ -91,8 +91,6 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 ///
 /// | knob            | default | `paper_faithful()` | composition |
 /// |-----------------|---------|--------------------|-------------|
-/// | `use_cmap`      | off     | off                | supported with `frontier_memo` on **or** off — with memoization off the lowering marks every level insertable, so the c-map probes all levels (the cmap-mode tests flip both knobs together) |
-/// | `frontier_memo` | on      | on                 | off is a fully supported mode (merge-pipeline candidate generation), not merely an ablation artifact; counts are invariant |
 /// | `gallop_ratio`  | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge/simd) — tests rely on it to force specific tiers |
 /// | `hub_bitmap`    | on      | ignored (no probes)| composes with every other knob; inert when no vertex reaches `hub_degree_threshold` or `hub_memory_budget` is too tight |
 /// | `simd`          | on      | ignored (scalar merges) | replaces the merge tier with vectorized kernels when compiled in (`simd` cargo feature) and runnable on the host CPU; counts, `setop_iterations`, and `comparisons` are bit-identical to the scalar path — only the dispatch split shifts merge → `simd_dispatches`. With `gallop_ratio == 0` the gallop tier is disabled, so *every* non-probe dispatch lands on the SIMD tier — the split is merge+gallop → simd, not merge → simd |
@@ -107,23 +105,10 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 pub struct EngineConfig {
     /// Worker threads (1 = run on the calling thread).
     pub threads: usize,
-    /// Serve connectivity constraints from a software c-map
-    /// (Sandslash-style memoization [15, 21]) instead of merge-based set
-    /// operations. Composes with either state of
-    /// [`frontier_memo`](Self::frontier_memo); see the knob matrix in the
-    /// type docs.
-    pub use_cmap: bool,
-    /// Honor the plan's frontier-memoization hints. The paper keeps this
-    /// on for fairness with GraphZero; turning it off selects the
-    /// merge-pipeline candidate-generation mode (identical counts, more
-    /// set-op work) and composes with `use_cmap` — see the knob matrix in
-    /// the type docs.
-    pub frontier_memo: bool,
     /// Reproduce the paper's exact work-counter semantics: full unbounded
     /// SIU/SDU merges for `Extend`/`ExtendDiff`/merge-pipeline candidate
-    /// generation (the merge FSM of Fig. 9 has no bound port), the
-    /// conservative bounded-build rule for the stream-and-probe path, and
-    /// no galloping. The simulator cross-checks and the Fig. 7/13 binaries
+    /// generation (the merge FSM of Fig. 9 has no bound port) and no
+    /// galloping. The simulator cross-checks and the Fig. 7/13 binaries
     /// run in this mode so recorded artifacts stay comparable; the default
     /// mode pushes symmetry bounds into candidate generation and may
     /// dispatch to galloping, producing identical counts with less set-op
@@ -194,8 +179,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 1,
-            use_cmap: false,
-            frontier_memo: true,
             paper_faithful: false,
             gallop_ratio: 16,
             hub_bitmap: true,

@@ -50,14 +50,6 @@ pub struct WorkCounters {
     pub candidates_checked: u64,
     /// Embedding extensions performed (search-tree edges walked).
     pub extensions: u64,
-    /// c-map insertions (software c-map mode only).
-    pub cmap_inserts: u64,
-    /// c-map lookups.
-    pub cmap_queries: u64,
-    /// c-map lookups that found an entry.
-    pub cmap_hits: u64,
-    /// c-map invalidations on backtrack.
-    pub cmap_removes: u64,
     /// Candidate-generation ops dispatched to the merge kernel by the
     /// dispatcher. Zero in `paper_faithful` mode, where every op
     /// runs the fixed merge datapath without a dispatch decision.
@@ -89,12 +81,12 @@ pub struct WorkCounters {
 
 impl WorkCounters {
     /// How many words [`words`](Self::words) has.
-    pub const WORDS: usize = 13;
+    pub const WORDS: usize = 9;
 
     /// Every counter, in the order a checkpoint body and `serve`'s work
     /// digest store them (so a change here is a `CKPT_VERSION` bump): the
     /// one statement of the word list, which `-`, `+=` and both
-    /// serializers walk. All thirteen are flows — none is a high-water
+    /// serializers walk. All nine are flows — none is a high-water
     /// mark — so both operators are component-wise.
     pub fn words_mut(&mut self) -> [&mut u64; Self::WORDS] {
         [
@@ -103,10 +95,6 @@ impl WorkCounters {
             &mut self.comparisons,
             &mut self.candidates_checked,
             &mut self.extensions,
-            &mut self.cmap_inserts,
-            &mut self.cmap_queries,
-            &mut self.cmap_hits,
-            &mut self.cmap_removes,
             &mut self.merge_dispatches,
             &mut self.gallop_dispatches,
             &mut self.probe_dispatches,

@@ -106,7 +106,7 @@ impl Collector {
 
     /// Charges the work-counter delta of one candidate-generation step to
     /// the depth-resolved shard (set-op iterations/invocations, dispatch
-    /// tiers, c-map queries/hits). The executor calls this, and
+    /// tiers). The executor calls this, and
     /// [`record_frontier`](Self::record_frontier), only with `metrics` on.
     #[inline]
     pub(crate) fn charge_setops(
@@ -122,8 +122,6 @@ impl Collector {
         charge_depth(&mut self.shard.depth_gallop, depth, w.gallop_dispatches);
         charge_depth(&mut self.shard.depth_probe, depth, w.probe_dispatches);
         charge_depth(&mut self.shard.depth_simd, depth, w.simd_dispatches);
-        charge_depth(&mut self.shard.depth_cmap_queries, depth, w.cmap_queries);
-        charge_depth(&mut self.shard.depth_cmap_hits, depth, w.cmap_hits);
     }
 
     /// Records a materialized frontier's size.
@@ -185,8 +183,6 @@ mod tests {
             setop_invocations: 3,
             gallop_dispatches: 2,
             simd_dispatches: 1,
-            cmap_queries: 4,
-            cmap_hits: 3,
             ..Default::default()
         };
         c.charge_setops(2, before, after);
@@ -195,7 +191,6 @@ mod tests {
         assert_eq!(shard.depth_setop_iterations, vec![0, 0, 10]);
         assert_eq!(shard.depth_gallop, vec![0, 0, 2]);
         assert_eq!(shard.depth_simd, vec![0, 0, 1]);
-        assert_eq!(shard.depth_cmap_hits, vec![0, 0, 3]);
         assert!(shard.depth_merge.is_empty());
     }
 

@@ -76,26 +76,6 @@ fn mid_subtree_faults_roll_back_partial_counts() {
 }
 
 #[test]
-fn cmap_insert_fault_is_isolated_and_cmap_state_recovers() {
-    let g = generators::powerlaw_cluster(120, 4, 0.5, 13);
-    // The house inserts v0's and v1's neighbours; the joined 4-cycle never
-    // enters the level that would.
-    let plan = compile(&Pattern::house(), CompileOptions::default());
-    let poisoned = 2u32;
-    let fp = failpoint::guard("cmap_insert", Trigger::OnContext(poisoned as u64), "cmap fault");
-    let cfg = EngineConfig {
-        threads: 2,
-        use_cmap: true,
-        failpoint_scope: fp.scope(),
-        ..Default::default()
-    };
-    let r = mine(&g, &plan, &cfg);
-    // The executor that caught the fault keeps mining later vertices with
-    // a wiped c-map; counts must still be exact (self-cleaning invariant).
-    assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
-}
-
-#[test]
 fn nth_hit_trigger_poisons_exactly_one_task_per_run() {
     let g = generators::erdos_renyi(60, 0.15, 3);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());

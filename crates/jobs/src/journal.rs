@@ -87,30 +87,9 @@ fn io_err<E: std::fmt::Display>(what: &str) -> impl FnOnce(E) -> JournalError + 
     move |e| JournalError::Io(format!("{what}: {e}"))
 }
 
-/// CRC-32 (IEEE, reflected) — same polynomial as the checkpoint format.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// FNV-1a over arbitrary bytes — the journal's fingerprint hash. Pinned
-/// here (not `DefaultHasher`) because fingerprints are persisted and must
-/// be stable across builds.
-pub fn fnv64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+/// The record checksum and the fingerprint hash are the checkpoint
+/// format's (persisted, so pinned there and not `DefaultHasher`).
+pub use fm_engine::checkpoint::{crc32, fnv64};
 
 /// One journal record. The JSON payload carries a `"rec"` discriminator;
 /// all ids are the *journal* ids assigned at first submission — a

@@ -46,7 +46,7 @@ fn finished(outcome: JobOutcome, what: &str) -> MiningResult {
     }
 }
 
-/// The full engine-config matrix (threads × c-map × hub index) interleaved
+/// The engine-config matrix (threads × SIMD tier × hub index) interleaved
 /// over one worker pool: every job's result matches its solo run.
 #[test]
 fn interleaved_jobs_match_solo_runs_bit_for_bit() {
@@ -59,10 +59,10 @@ fn interleaved_jobs_match_solo_runs_bit_for_bit() {
     let mut waits = Vec::new();
     let mut case = 0u64;
     for threads in [1usize, 4] {
-        for use_cmap in [false, true] {
+        for simd in [false, true] {
             for hub_bitmap in [false, true] {
                 case += 1;
-                let cfg = EngineConfig { threads, use_cmap, hub_bitmap, ..Default::default() };
+                let cfg = EngineConfig { threads, simd, hub_bitmap, ..Default::default() };
                 let g = graph(150 + case as usize * 10, case);
                 let plan = if case.is_multiple_of(2) { cycle4() } else { triangle() };
                 let reference = mine(&g, &plan, &cfg);

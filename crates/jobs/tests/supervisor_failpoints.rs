@@ -107,7 +107,7 @@ fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
         .iter()
         .enumerate()
         .map(|(i, &threads)| {
-            let cfg = EngineConfig { threads, use_cmap: i % 2 == 0, ..Default::default() };
+            let cfg = EngineConfig { threads, hub_bitmap: i % 2 == 0, ..Default::default() };
             let g = Arc::new(generators::powerlaw_cluster(120 + i * 15, 4, 0.5, 40 + i as u64));
             let reference = mine(&g, &plan, &cfg);
             (g, cfg, reference, i)

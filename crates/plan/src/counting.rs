@@ -43,10 +43,6 @@ pub struct CountOptions {
     /// the paper's work counters, which keep [`Survivors::Scan`] leaves —
     /// charge-identical to enumeration — and nothing else.
     pub closed_forms: bool,
-    /// The engine serves [`probe`](ProgNode::probe) ops from a c-map, so
-    /// such an op's core is not the frontier merge the counting kernels
-    /// replace.
-    pub use_cmap: bool,
 }
 
 /// How a count-only run counts the subtree below one node.
@@ -107,7 +103,7 @@ pub fn count_leaves(prog: &mut Program, options: CountOptions) {
             (x, CountRule::PairJoin { leaf })
         } else {
             let (head, k) = tail_head(&prog.nodes, &parents, leaf);
-            let survivors = survivors_of(&prog.nodes[head], k, options.use_cmap);
+            let survivors = survivors_of(&prog.nodes[head], k);
             (head, CountRule::Tail { leaf, k, survivors })
         };
         prog.nodes[at].count = rule;
@@ -169,9 +165,8 @@ fn pair_join_head(nodes: &[ProgNode], parents: &[Option<usize>], z: usize) -> Op
 /// The cheapest sound way for `head` to count its survivors. The counting
 /// kernels apply a bound but cannot skip a vertex, so every injectivity
 /// level must also be a strict bound of the op.
-fn survivors_of(head: &ProgNode, k: usize, use_cmap: bool) -> Survivors {
-    let merges =
-        !(use_cmap && head.probe) && head.injectivity.iter().all(|l| head.upper_bounds.contains(l));
+fn survivors_of(head: &ProgNode, k: usize) -> Survivors {
+    let merges = head.injectivity.iter().all(|l| head.upper_bounds.contains(l));
     match head.frontier {
         FrontierHint::Extend if merges => Survivors::Intersect,
         FrontierHint::ExtendDiff if merges => Survivors::Difference,
@@ -187,7 +182,7 @@ mod tests {
     use crate::lowering::{lower, LowerOptions};
     use fm_pattern::Pattern;
 
-    const FUSED: CountOptions = CountOptions { closed_forms: true, use_cmap: false };
+    const FUSED: CountOptions = CountOptions { closed_forms: true };
 
     fn rules(p: &Pattern, options: CompileOptions, count: CountOptions) -> Vec<CountRule> {
         let mut prog = lower(&compile(p, options), LowerOptions::default());
@@ -205,9 +200,6 @@ mod tests {
     fn four_cycle_joins_at_v1() {
         let got = rules(&Pattern::cycle(4), CompileOptions::default(), FUSED);
         assert_eq!(got, [E, CountRule::PairJoin { leaf: 3 }, E, E]);
-        // The map replaces the c-map the enumerating plan would probe.
-        let cmap = CountOptions { use_cmap: true, ..FUSED };
-        assert_eq!(rules(&Pattern::cycle(4), CompileOptions::default(), cmap), got);
     }
 
     #[test]
@@ -218,9 +210,6 @@ mod tests {
             rules(&Pattern::diamond(), d, FUSED),
             [E, E, tail(3, 2, Survivors::Intersect), E]
         );
-        // Under a c-map v2 is a probe op: its core is built, then searched.
-        let cmap = CountOptions { use_cmap: true, ..FUSED };
-        assert_eq!(rules(&Pattern::diamond(), d, cmap)[2], tail(3, 2, Survivors::Search));
         assert_eq!(rules(&Pattern::wedge(), d, FUSED), [E, tail(2, 2, Survivors::Search), E]);
         assert_eq!(rules(&Pattern::star(3), d, FUSED), [E, tail(3, 3, Survivors::Search), E, E]);
         // K_{2,3}: the two hubs first, then three twins over N(v0) ∩ N(v1).
@@ -264,7 +253,7 @@ mod tests {
         // AutoMine: no Y < X bound.
         assert!(scan_only(&rules(&Pattern::cycle(4), CompileOptions::automine(), FUSED)));
         // Faithful engines: the scan and nothing else, whatever the shape.
-        let faithful = CountOptions { closed_forms: false, use_cmap: false };
+        let faithful = CountOptions { closed_forms: false };
         for p in [Pattern::cycle(4), Pattern::diamond(), Pattern::triangle(), Pattern::star(3)] {
             assert!(scan_only(&rules(&p, CompileOptions::default(), faithful)), "{p}");
         }

@@ -154,7 +154,7 @@ mod tests {
 
     fn counting(p: &Pattern, options: CompileOptions) -> String {
         let mut prog = lower(&compile(p, options), LowerOptions::default());
-        count_leaves(&mut prog, CountOptions { closed_forms: true, use_cmap: false });
+        count_leaves(&mut prog, CountOptions { closed_forms: true });
         count_listing(&prog)
     }
 
@@ -181,7 +181,7 @@ mod tests {
     fn count_listing_uses_the_plans_branch_names() {
         let plan = compile_multi(&fm_pattern::motifs::motifs(3), CompileOptions::induced());
         let mut prog = lower(&plan, LowerOptions::default());
-        count_leaves(&mut prog, CountOptions { closed_forms: true, use_cmap: false });
+        count_leaves(&mut prog, CountOptions { closed_forms: true });
         assert_eq!(
             count_listing(&prog),
             "count: |prefix| − |prefix ∩ v1.N| → v2\ncount: |prefix ∩ v1.N| → v22\n"

@@ -2,13 +2,12 @@
 //!
 //! The hardware c-map is a banked, linear-probing hash scratchpad with
 //! 5-byte entries (4 B key + 1 B connectivity bitset). This model is
-//! functional-plus-timing: contents are exact (the same open-addressing
-//! store the software engine uses, [`fm_engine::cmap::HashCmap`]), while
-//! access cost follows the probe-length behaviour of linear probing divided
-//! across `m` parallel banks — "we empirically observe that the map should
-//! be properly sized to keep its occupancy below 75%, thus maintain a low
-//! expected access latency. In our design, most accesses take only a
-//! single cycle."
+//! functional-plus-timing: contents are exact (the open-addressing
+//! [`HashCmap`] of [`store`]), while access cost follows the probe-length
+//! behaviour of linear probing divided across `m` parallel banks — "we
+//! empirically observe that the map should be properly sized to keep its
+//! occupancy below 75%, thus maintain a low expected access latency. In our
+//! design, most accesses take only a single cycle."
 //!
 //! The cost is a step function of occupancy alone, so [`HwCmap::new`]
 //! evaluates the formula once into a short list of steps and every access
@@ -22,8 +21,10 @@
 //! like any other. (The host store closes the gap by backward shift — a
 //! host detail with no modelled cost.)
 
-use fm_engine::cmap::{ConnectivityMap, HashCmap};
+pub mod store;
+
 use fm_graph::VertexId;
+pub use store::{ConnectivityMap, HashCmap, VectorCmap};
 
 /// Load at or above which a probe is charged the flat saturated cost.
 const SATURATED_LOAD: f64 = 0.99;

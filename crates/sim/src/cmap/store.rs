@@ -1,26 +1,30 @@
-//! Software connectivity maps (c-map).
+//! The functional connectivity maps (c-map) under the accelerator model.
 //!
 //! §II-C / §VI of the paper: a c-map is a key→bitset map recording, for
 //! each vertex `w` seen near the current embedding, which embedding depths
 //! `w` is connected to. It is built incrementally as vertices join the
-//! embedding and unwound in stack order on backtracking.
+//! embedding and unwound in stack order on backtracking. The c-map is the
+//! accelerator's: the software engine (`fm-engine`) answers "is `w`
+//! adjacent to an ancestor" with set operations and its hub bitmaps, and
+//! has no c-map of its own.
 //!
 //! Two functional implementations are provided:
 //!
 //! * [`HashCmap`] — compact open-addressing map keyed by vertex id (the
-//!   linear-probing scratchpad of §VI-A; also the store under `fm-sim`'s
-//!   timed `HwCmap`);
+//!   linear-probing scratchpad of §VI-A): the store whose contents the
+//!   timed [`HwCmap`](super::HwCmap) holds;
 //! * [`VectorCmap`] — the prior-work software layout ([15, 21]): a |V|-sized
 //!   array, O(1) access but O(|V|) memory per worker. The paper's critique
-//!   of this layout (§VI) motivates the hardware design; we keep it for
-//!   ablations and as a differential-testing oracle.
+//!   of this layout (§VI) motivates the hardware design; it stays as
+//!   `HashCmap`'s differential-testing oracle and the third column of
+//!   `benches/cmap.rs`.
 
 use fm_graph::VertexId;
 
 /// Common interface of the software connectivity maps.
 ///
-/// The trait is sealed in spirit: it exists so the executor and tests can
-/// be generic over the two layouts.
+/// The trait is sealed in spirit: it exists so the tests and the benchmark
+/// can be generic over the two layouts.
 pub trait ConnectivityMap {
     /// Sets bit `depth` for key `w` (inserting the entry if absent).
     fn insert(&mut self, w: VertexId, depth: usize);

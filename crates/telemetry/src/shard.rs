@@ -31,10 +31,6 @@ pub struct TelemetryShard {
     pub depth_probe: Vec<u64>,
     /// Adaptive dispatches resolved to the SIMD tier, per depth.
     pub depth_simd: Vec<u64>,
-    /// c-map membership queries charged per depth.
-    pub depth_cmap_queries: Vec<u64>,
-    /// c-map query hits per depth.
-    pub depth_cmap_hits: Vec<u64>,
     /// Sizes of materialized frontiers (log2 buckets).
     pub frontier_sizes: Log2Histogram,
     /// Start-vertex task wall times in microseconds (log2 buckets).
@@ -101,8 +97,6 @@ impl TelemetryShard {
         add_resized(&mut self.depth_gallop, &other.depth_gallop);
         add_resized(&mut self.depth_probe, &other.depth_probe);
         add_resized(&mut self.depth_simd, &other.depth_simd);
-        add_resized(&mut self.depth_cmap_queries, &other.depth_cmap_queries);
-        add_resized(&mut self.depth_cmap_hits, &other.depth_cmap_hits);
         self.frontier_sizes.merge(&other.frontier_sizes);
         self.task_micros.merge(&other.task_micros);
         self.spans.extend(other.spans.iter().copied());
@@ -121,8 +115,6 @@ impl TelemetryShard {
             self.depth_gallop.len(),
             self.depth_probe.len(),
             self.depth_simd.len(),
-            self.depth_cmap_queries.len(),
-            self.depth_cmap_hits.len(),
         ]
         .into_iter()
         .max()
@@ -138,7 +130,7 @@ mod tests {
         let mut s = TelemetryShard::new();
         charge_depth(&mut s.depth_setop_iterations, 2, seed + 5);
         charge_depth(&mut s.depth_merge, 1, seed);
-        charge_depth(&mut s.depth_cmap_hits, 3, 1);
+        charge_depth(&mut s.depth_probe, 3, 1);
         s.frontier_sizes.record(seed);
         s.task_micros.record(seed * 100);
         s.absorb_spans(

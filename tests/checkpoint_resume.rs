@@ -59,37 +59,33 @@ fn assert_bit_identical(resumed: &MiningResult, full: &MiningResult, ctx: &str) 
 
 /// Budget-interrupted run, checkpointed every task, resumed without the
 /// budget: counts and work counters must match the uninterrupted
-/// reference bit for bit — across threads {1, 4} × c-map on/off ×
-/// hub-bitmap on/off (the full set-op dispatch matrix).
+/// reference bit for bit — across threads {1, 4} × hub-bitmap on/off.
 #[test]
 fn budget_interrupt_then_resume_is_bit_identical_across_backends() {
     let g = generators::powerlaw_cluster(300, 5, 0.5, 21);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     for threads in [1usize, 4] {
-        for use_cmap in [false, true] {
-            for hub_bitmap in [false, true] {
-                let base = EngineConfig { threads, use_cmap, hub_bitmap, ..Default::default() };
-                let full = mine(&g, &plan, &base);
-                let budget_cfg = EngineConfig {
-                    budget: Budget::with_max_setop_iterations(full.work.setop_iterations / 3),
-                    ..base
-                };
-                let path = temp_ckpt("matrix");
-                let ctx = format!("threads={threads} cmap={use_cmap} hub={hub_bitmap}");
-                let opts =
-                    MineOptions { checkpoint: Some(every_task(&path)), ..Default::default() };
-                let cut = mine_with(&g, &plan, &budget_cfg, opts).unwrap();
-                assert_eq!(cut.status, RunStatus::BudgetExhausted, "{ctx}");
-                assert_eq!(cut.checkpoint_error, None, "{ctx}");
-                // The snapshot on disk is mid-run: strictly fewer completed
-                // start vertices than the graph has.
-                let snap = Checkpoint::load(&path).unwrap();
-                assert!(snap.completed.len() < g.num_vertices(), "{ctx}");
-                assert_eq!(snap.completed.to_vids(), cut.completed, "{ctx}");
-                let resumed = resume_from_file(&g, &plan, &base, &path, None).unwrap();
-                assert_bit_identical(&resumed, &full, &ctx);
-                let _ = std::fs::remove_file(&path);
-            }
+        for hub_bitmap in [false, true] {
+            let base = EngineConfig { threads, hub_bitmap, ..Default::default() };
+            let full = mine(&g, &plan, &base);
+            let budget_cfg = EngineConfig {
+                budget: Budget::with_max_setop_iterations(full.work.setop_iterations / 3),
+                ..base
+            };
+            let path = temp_ckpt("matrix");
+            let ctx = format!("threads={threads} hub={hub_bitmap}");
+            let opts = MineOptions { checkpoint: Some(every_task(&path)), ..Default::default() };
+            let cut = mine_with(&g, &plan, &budget_cfg, opts).unwrap();
+            assert_eq!(cut.status, RunStatus::BudgetExhausted, "{ctx}");
+            assert_eq!(cut.checkpoint_error, None, "{ctx}");
+            // The snapshot on disk is mid-run: strictly fewer completed
+            // start vertices than the graph has.
+            let snap = Checkpoint::load(&path).unwrap();
+            assert!(snap.completed.len() < g.num_vertices(), "{ctx}");
+            assert_eq!(snap.completed.to_vids(), cut.completed, "{ctx}");
+            let resumed = resume_from_file(&g, &plan, &base, &path, None).unwrap();
+            assert_bit_identical(&resumed, &full, &ctx);
+            let _ = std::fs::remove_file(&path);
         }
     }
 }
@@ -105,37 +101,35 @@ fn faulted_run_checkpoints_and_resume_heals_quarantine() {
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let poisoned = 11u32;
     for threads in [1usize, 4] {
-        for use_cmap in [false, true] {
-            for hub_bitmap in [false, true] {
-                let base = EngineConfig { threads, use_cmap, hub_bitmap, ..Default::default() };
-                let full = mine(&g, &plan, &base);
-                let path = temp_ckpt("heal");
-                let ctx = format!("threads={threads} cmap={use_cmap} hub={hub_bitmap}");
-                {
-                    let fp = failpoint::guard(
-                        "start_vertex",
-                        Trigger::OnContext(poisoned as u64),
-                        "transient environmental fault",
-                    );
-                    let faulty = EngineConfig { failpoint_scope: fp.scope(), ..base };
-                    let opts =
-                        MineOptions { checkpoint: Some(every_task(&path)), ..Default::default() };
-                    let cut = mine_with(&g, &plan, &faulty, opts).unwrap();
-                    assert_eq!(cut.status, RunStatus::Degraded, "{ctx}");
-                    assert_eq!(cut.quarantined.len(), 1, "{ctx}");
-                    assert_eq!(cut.quarantined[0].vid, poisoned, "{ctx}");
-                }
-                // Resumed under the fault-free config, as after a process
-                // restart. The snapshot must carry the quarantine record.
-                let snap = Checkpoint::load(&path).unwrap();
-                assert_eq!(snap.quarantined.len(), 1, "{ctx}");
-                assert!(!snap.completed.contains(poisoned), "{ctx}");
-                let resumed = resume_from_file(&g, &plan, &base, &path, None).unwrap();
-                assert_bit_identical(&resumed, &full, &ctx);
-                // The healed run still remembers what happened.
-                assert!(resumed.faults.iter().any(|f| f.vid == poisoned), "{ctx}");
-                let _ = std::fs::remove_file(&path);
+        for hub_bitmap in [false, true] {
+            let base = EngineConfig { threads, hub_bitmap, ..Default::default() };
+            let full = mine(&g, &plan, &base);
+            let path = temp_ckpt("heal");
+            let ctx = format!("threads={threads} hub={hub_bitmap}");
+            {
+                let fp = failpoint::guard(
+                    "start_vertex",
+                    Trigger::OnContext(poisoned as u64),
+                    "transient environmental fault",
+                );
+                let faulty = EngineConfig { failpoint_scope: fp.scope(), ..base };
+                let opts =
+                    MineOptions { checkpoint: Some(every_task(&path)), ..Default::default() };
+                let cut = mine_with(&g, &plan, &faulty, opts).unwrap();
+                assert_eq!(cut.status, RunStatus::Degraded, "{ctx}");
+                assert_eq!(cut.quarantined.len(), 1, "{ctx}");
+                assert_eq!(cut.quarantined[0].vid, poisoned, "{ctx}");
             }
+            // Resumed under the fault-free config, as after a process
+            // restart. The snapshot must carry the quarantine record.
+            let snap = Checkpoint::load(&path).unwrap();
+            assert_eq!(snap.quarantined.len(), 1, "{ctx}");
+            assert!(!snap.completed.contains(poisoned), "{ctx}");
+            let resumed = resume_from_file(&g, &plan, &base, &path, None).unwrap();
+            assert_bit_identical(&resumed, &full, &ctx);
+            // The healed run still remembers what happened.
+            assert!(resumed.faults.iter().any(|f| f.vid == poisoned), "{ctx}");
+            let _ = std::fs::remove_file(&path);
         }
     }
 }
@@ -194,7 +188,7 @@ fn fingerprint_mismatches_are_structured_errors() {
     let err = resume_from_file(&g, &other_plan, &cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::PlanMismatch { .. }), "{err}");
 
-    let other_cfg = EngineConfig { use_cmap: !cfg.use_cmap, ..cfg };
+    let other_cfg = EngineConfig { hub_bitmap: !cfg.hub_bitmap, ..cfg };
     let err = resume_from_file(&g, &plan, &other_cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::ConfigMismatch { .. }), "{err}");
 
@@ -277,10 +271,6 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
     ])
 }
 
-fn resume_reference(g: &CsrGraph, plan: &ExecutionPlan, use_cmap: bool) -> MiningResult {
-    mine(g, plan, &EngineConfig { use_cmap, ..Default::default() })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -294,14 +284,12 @@ proptest! {
         g in arb_graph(40, 140),
         p in arb_pattern(),
         budget in 1u64..600,
-        use_cmap in any::<bool>(),
     ) {
         let plan = compile(&p, CompileOptions::default());
-        let full = resume_reference(&g, &plan, use_cmap);
+        let full = mine(&g, &plan, &EngineConfig::default());
         for threads in [1usize, 4, 7] {
             let cut_cfg = EngineConfig {
                 threads,
-                use_cmap,
                 budget: Budget::with_max_setop_iterations(budget),
                 ..Default::default()
             };
@@ -313,15 +301,14 @@ proptest! {
             // schedule-agnostic by construction.
             let resume_cfg = EngineConfig {
                 threads: [1usize, 4, 7][(threads + 1) % 3],
-                use_cmap,
                 ..Default::default()
             };
             let resumed = resume_from_file(&g, &plan, &resume_cfg, &path, None).unwrap();
             prop_assert_eq!(resumed.status, RunStatus::Complete);
             prop_assert_eq!(&resumed.counts, &full.counts,
-                "threads={} cmap={} budget={}", threads, use_cmap, budget);
+                "threads={} budget={}", threads, budget);
             prop_assert_eq!(resumed.work, full.work,
-                "threads={} cmap={} budget={}", threads, use_cmap, budget);
+                "threads={} budget={}", threads, budget);
             let _ = std::fs::remove_file(&path);
         }
     }

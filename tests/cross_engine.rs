@@ -2,9 +2,9 @@
 //! identical counts for identical plans.
 //!
 //! This is the load-bearing correctness property of the reproduction: the
-//! sequential software engine, the multithreaded engine, the software
-//! c-map engine, the pattern-oblivious ESU oracle, and the cycle-level
-//! hardware simulator (across c-map configurations, including forced
+//! sequential software engine, the multithreaded engine, the
+//! paper-faithful engine, the pattern-oblivious ESU oracle, and the
+//! cycle-level hardware simulator (across c-map configurations, including forced
 //! overflow) all count the same embeddings.
 
 use fm_engine::{mine, oblivious, EngineConfig};
@@ -51,14 +51,6 @@ fn all_executor_counts(g: &CsrGraph, plan: &ExecutionPlan) -> Vec<(String, Vec<u
         ("engine-1t".into(), mine(g, plan, &EngineConfig::default()).counts),
         ("engine-4t".into(), mine(g, plan, &EngineConfig::with_threads(4)).counts),
         ("engine-faithful".into(), mine(g, plan, &EngineConfig::paper_faithful()).counts),
-        (
-            "engine-cmap".into(),
-            mine(g, plan, &EngineConfig { use_cmap: true, ..Default::default() }).counts,
-        ),
-        (
-            "engine-nomemo".into(),
-            mine(g, plan, &EngineConfig { frontier_memo: false, ..Default::default() }).counts,
-        ),
     ];
     for (name, cfg) in [
         ("sim-default", SimConfig::with_pes(4)),

@@ -1,8 +1,7 @@
 //! Differential property tests for the bounded-merge pushdown and the
 //! adaptive set-op dispatch: every optimized executor mode must report
 //! byte-identical `unique_counts` to the paper-faithful executor on random
-//! Erdős–Rényi and power-law graphs, across all stock patterns, with and
-//! without the software c-map.
+//! Erdős–Rényi and power-law graphs, across all stock patterns.
 
 use fm_engine::{count_program, mine, EngineConfig, MiningResult};
 use fm_graph::CsrGraph;
@@ -51,23 +50,23 @@ proptest! {
     /// Bounded-build and adaptive-gallop candidate generation are
     /// count-preserving relative to the faithful executor, and the bound
     /// pushdown never adds set-op iterations. (A pair join is no pushdown:
-    /// it charges its sweep where the faithful plan may probe a c-map or
-    /// stop a merge early; `prop_engine_lattice.rs` bounds it instead.)
+    /// it charges its sweep where the faithful plan may stop a merge
+    /// early; `prop_engine_lattice.rs` bounds it instead.)
     #[test]
-    fn optimized_modes_match_faithful_unique_counts(g in arb_graph(), use_cmap in any::<bool>()) {
+    fn optimized_modes_match_faithful_unique_counts(g in arb_graph()) {
         for pattern in stock_patterns() {
             for options in [CompileOptions::default(), CompileOptions::induced()] {
                 let plan = compile(&pattern, options);
-                let faithful = EngineConfig { use_cmap, ..EngineConfig::paper_faithful() };
-                let bounded = EngineConfig { use_cmap, gallop_ratio: 0, ..Default::default() };
+                let faithful = EngineConfig::paper_faithful();
+                let bounded = EngineConfig { gallop_ratio: 0, ..Default::default() };
                 // Ratio 1 dispatches to galloping at the slightest skew,
                 // exercising that kernel far more than the default 16.
-                let adaptive = EngineConfig { use_cmap, gallop_ratio: 1, ..Default::default() };
+                let adaptive = EngineConfig { gallop_ratio: 1, ..Default::default() };
                 let (base, base_result) = run(&g, &plan, &faithful);
                 let (bounded_counts, bounded_result) = run(&g, &plan, &bounded);
                 let (adaptive_counts, _) = run(&g, &plan, &adaptive);
-                prop_assert_eq!(&base, &bounded_counts, "bounded vs faithful: {} cmap={}", pattern, use_cmap);
-                prop_assert_eq!(&base, &adaptive_counts, "adaptive vs faithful: {} cmap={}", pattern, use_cmap);
+                prop_assert_eq!(&base, &bounded_counts, "bounded vs faithful: {}", pattern);
+                prop_assert_eq!(&base, &adaptive_counts, "adaptive vs faithful: {}", pattern);
                 let joined = count_program(&plan, &bounded)
                     .nodes
                     .iter()
@@ -75,7 +74,7 @@ proptest! {
                 prop_assert!(
                     joined
                         || bounded_result.work.setop_iterations <= base_result.work.setop_iterations,
-                    "pushdown added merge work: {} cmap={}", pattern, use_cmap
+                    "pushdown added merge work: {}", pattern
                 );
             }
         }

@@ -1,19 +1,18 @@
 //! The knob-lattice differential suite: every way of turning the engine's
 //! knobs must be invisible to results. One property draws a graph (ER |
 //! power-law | hub-attached power-law) and a point of the lattice
-//! {`use_cmap`, `frontier_memo`, `gallop_ratio` ∈ {0, 1, 16}, `hub_bitmap`
-//! off / default budget / tight budget} and walks `simd` × threads {1, 3}
-//! under it, for every stock pattern compiled edge-induced and
-//! vertex-induced, against two references with the same `use_cmap` and
-//! `frontier_memo`: `paper_faithful`, and the *plain* engine (bounded
-//! merges, every dispatch knob off).
+//! {`gallop_ratio` ∈ {0, 1, 16}, `hub_bitmap` off / default budget / tight
+//! budget} and walks `simd` × threads {1, 3} under it, for every stock
+//! pattern compiled edge-induced and vertex-induced, against two
+//! references: `paper_faithful`, and the *plain* engine (bounded merges,
+//! every dispatch knob off).
 //!
 //! - Unique counts equal the faithful engine's and, for vertex-induced
 //!   plans, the pattern-oblivious ESU oracle's; every run is `Complete`.
 //! - The dispatch knobs (`gallop_ratio`, `hub_bitmap`, `simd`, threads)
 //!   choose *how* a candidate set is derived, never *which*: `extensions`,
-//!   `candidates_checked`, `cmap_*` and `setop_invocations` equal the
-//!   plain engine's, and the four tier counters partition the invocations.
+//!   `candidates_checked` and `setop_invocations` equal the plain engine's,
+//!   and the four tier counters partition the invocations.
 //! - Bound pushdown only removes work: plain ≤ faithful `setop_iterations`;
 //!   so do probes, where no gallop can undercut them (`gallop_ratio == 0`).
 //!   A pair join is no pushdown — one short and one long list: a merge can
@@ -72,13 +71,11 @@ fn stock_patterns() -> Vec<Pattern> {
     ]
 }
 
-/// The plain engine under `use_cmap` / `frontier_memo`: bounded merges,
-/// every dispatch on the scalar merge tier, one thread. The hub threshold
-/// is low so small graphs have rows once `hub_bitmap` is switched on.
-fn plain(use_cmap: bool, frontier_memo: bool) -> EngineConfig {
+/// The plain engine: bounded merges, every dispatch on the scalar merge
+/// tier, one thread. The hub threshold is low so small graphs have rows
+/// once `hub_bitmap` is switched on.
+fn plain() -> EngineConfig {
     EngineConfig {
-        use_cmap,
-        frontier_memo,
         gallop_ratio: 0,
         hub_bitmap: false,
         hub_degree_threshold: 4,
@@ -110,16 +107,8 @@ fn simd_relabel(scalar: WorkCounters) -> WorkCounters {
 }
 
 /// The counters a dispatch knob must not move.
-fn search_words(w: &WorkCounters) -> [u64; 7] {
-    [
-        w.extensions,
-        w.candidates_checked,
-        w.cmap_inserts,
-        w.cmap_queries,
-        w.cmap_hits,
-        w.cmap_removes,
-        w.setop_invocations,
-    ]
+fn search_words(w: &WorkCounters) -> [u64; 3] {
+    [w.extensions, w.candidates_checked, w.setop_invocations]
 }
 
 fn tiers(w: &WorkCounters) -> u64 {
@@ -151,21 +140,17 @@ proptest! {
     #[test]
     fn every_knob_is_result_invisible(
         g in arb_graph(),
-        (use_cmap, frontier_memo) in (any::<bool>(), any::<bool>()),
         (gallop_pick, hub) in (0usize..3, 0u8..3),
     ) {
         let gallop_ratio = [0, 1, 16][gallop_pick];
-        let base = plain(use_cmap, frontier_memo);
+        let base = plain();
         for pattern in stock_patterns() {
             for options in [CompileOptions::default(), CompileOptions::induced()] {
                 let plan = compile(&pattern, options);
                 let ctx = format!(
-                    "{pattern} induced={} cmap={use_cmap} memo={frontier_memo} \
-                     gallop={gallop_ratio} hub={hub}", plan.induced
+                    "{pattern} induced={} gallop={gallop_ratio} hub={hub}", plan.induced
                 );
-                let faithful = mine(&g, &plan, &EngineConfig {
-                    use_cmap, frontier_memo, ..EngineConfig::paper_faithful()
-                });
+                let faithful = mine(&g, &plan, &EngineConfig::paper_faithful());
                 let expected = faithful.unique_counts(&plan);
                 // ESU pays k! per subgraph: the oracle stops at four vertices.
                 if plan.induced && pattern.size() <= 4 {
@@ -224,12 +209,12 @@ proptest! {
     #[test]
     fn tight_budget_partials_replay_exactly(
         g in arb_graph(),
-        (use_cmap, hub) in (any::<bool>(), 0u8..3),
+        hub in 0u8..3,
         (simd, gallop_pick) in (any::<bool>(), 0usize..3),
     ) {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         for threads in [1usize, 3] {
-            let cfg = knobbed(plain(use_cmap, true), [0, 1, 16][gallop_pick], hub, simd, threads);
+            let cfg = knobbed(plain(), [0, 1, 16][gallop_pick], hub, simd, threads);
             let full = mine(&g, &plan, &cfg).work.setop_iterations;
             // Too cheap to cut strictly.
             if full < 9 {
@@ -284,17 +269,17 @@ fn default_engine_reproduces_the_parents_reuse_off_counters() {
     #[rustfmt::skip]
     let pins: [(ExecutionPlan, &[u64], [u64; WorkCounters::WORDS]); 6] = [
         (single(Pattern::triangle()), &[9920],
-         [165975, 15964, 165979, 25884, 27884, 0, 0, 0, 0, 0, 225, 0, 15739]),
+         [165975, 15964, 165979, 25884, 27884, 0, 225, 0, 15739]),
         (single(Pattern::k_clique(4)), &[1993],
-         [220648, 25884, 220720, 27877, 29877, 0, 0, 0, 0, 0, 954, 0, 24930]),
+         [220648, 25884, 220720, 27877, 29877, 0, 954, 0, 24930]),
         (single(Pattern::k_clique(5)), &[848],
-         [225550, 27877, 225626, 28725, 30725, 0, 0, 0, 0, 0, 1546, 0, 26331]),
+         [225550, 27877, 225626, 28725, 30725, 0, 1546, 0, 26331]),
         (single(Pattern::cycle(4)), &[118809],
-         [465797, 0, 107104, 15964, 120809, 0, 0, 0, 0, 0, 0, 0, 0]),
+         [465797, 0, 107104, 15964, 120809, 0, 0, 0, 0]),
         (single(Pattern::diamond()), &[62590],
-         [378179, 15964, 378179, 47332, 80554, 0, 0, 0, 0, 0, 0, 7696, 8268]),
+         [378179, 15964, 378179, 47332, 80554, 0, 0, 7696, 8268]),
         (compile_multi(&motifs::motifs(3), CompileOptions::induced()), &[491869, 9920],
-         [698710, 47892, 2187314, 549681, 551681, 0, 0, 0, 0, 0, 541, 16737, 30614]),
+         [698710, 47892, 2187314, 549681, 551681, 0, 541, 16737, 30614]),
     ];
     for (plan, counts, words) in pins {
         // Recorded on a host with the vector kernels; a scalar host
@@ -303,7 +288,7 @@ fn default_engine_reproduces_the_parents_reuse_off_counters() {
             words
         } else {
             let mut w = words;
-            (w[9], w[12]) = (w[12], 0);
+            (w[5], w[8]) = (w[8], 0);
             w
         };
         for threads in [1usize, 3] {

@@ -1,7 +1,7 @@
 //! Differential property tests for the hub-bitmap probe tier: enabling
 //! the index must be invisible to results — identical per-pattern counts
-//! and identical `RunStatus` across all stock patterns, thread counts,
-//! c-map modes, and memory budgets — including under a tight `Budget`,
+//! and identical `RunStatus` across all stock patterns, thread counts
+//! and memory budgets — including under a tight `Budget`,
 //! where each partial run must stay exact over its completed set.
 
 use fm_engine::{mine, prepare, Budget, EngineConfig, Executor, RunStatus};
@@ -42,10 +42,9 @@ fn stock_patterns() -> Vec<Pattern> {
 
 /// A config pair differing only in `hub_bitmap`; the threshold is low so
 /// small random graphs actually exercise the probe tier.
-fn cfg_pair(threads: usize, use_cmap: bool, hub_memory_budget: usize) -> [EngineConfig; 2] {
+fn cfg_pair(threads: usize, hub_memory_budget: usize) -> [EngineConfig; 2] {
     let on = EngineConfig {
         threads,
-        use_cmap,
         hub_bitmap: true,
         hub_degree_threshold: 4,
         hub_memory_budget,
@@ -70,33 +69,31 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// hub_bitmap on/off is result-invisible: identical counts and
-    /// identical `RunStatus` for every stock pattern × threads {1,4} ×
-    /// cmap on/off, with both a roomy and an over-tight memory budget
+    /// identical `RunStatus` for every stock pattern × threads {1,4},
+    /// with both a roomy and an over-tight memory budget
     /// (the latter silently degrades to no index).
     #[test]
     fn hub_bitmap_is_result_invisible(
         g in arb_graph(),
-        use_cmap in any::<bool>(),
         tight_budget in any::<bool>(),
     ) {
         let mem = if tight_budget { 64 } else { 1 << 22 };
         for pattern in stock_patterns() {
             let plan = compile(&pattern, CompileOptions::default());
             for threads in [1usize, 4] {
-                let [on, off] = cfg_pair(threads, use_cmap, mem);
+                let [on, off] = cfg_pair(threads, mem);
                 let r_on = mine(&g, &plan, &on);
                 let r_off = mine(&g, &plan, &off);
                 prop_assert_eq!(
                     &r_on.counts, &r_off.counts,
-                    "{} threads={} cmap={} mem={}", pattern, threads, use_cmap, mem
+                    "{} threads={} mem={}", pattern, threads, mem
                 );
                 prop_assert_eq!(r_on.status, r_off.status, "{} threads={}", pattern, threads);
                 prop_assert_eq!(r_on.status, RunStatus::Complete);
-                // Probes can only remove set-op iterations, never add.
-                prop_assert!(
-                    r_on.work.setop_iterations <= r_off.work.setop_iterations,
-                    "probe tier added iterations: {} threads={}", pattern, threads
-                );
+                // No iteration inequality: a probe streams its whole short
+                // side, while a bounded merge stops as soon as *either* side
+                // passes the bound, so a probe may charge a step or two more
+                // than the merge it replaces (13 vertices are enough).
                 prop_assert_eq!(r_off.work.probe_dispatches, 0, "index off must never probe");
             }
         }
@@ -106,10 +103,10 @@ proptest! {
     /// `BudgetExhausted`, and each run's partial counts replay bit-for-bit
     /// over its reported completed set.
     #[test]
-    fn tight_budget_partials_stay_exact(g in arb_graph(), use_cmap in any::<bool>()) {
+    fn tight_budget_partials_stay_exact(g in arb_graph()) {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         for threads in [1usize, 4] {
-            let [on, off] = cfg_pair(threads, use_cmap, 1 << 22);
+            let [on, off] = cfg_pair(threads, 1 << 22);
             let full = mine(&g, &plan, &on);
             // Small graphs can be too cheap to exhaust deterministically;
             // only assert where a strict cut exists for both modes.
@@ -122,7 +119,7 @@ proptest! {
                 let r = mine(&g, &plan, &cfg);
                 prop_assert_eq!(
                     r.status, RunStatus::BudgetExhausted,
-                    "threads={} cmap={} hub={}", threads, use_cmap, cfg.hub_bitmap
+                    "threads={} hub={}", threads, cfg.hub_bitmap
                 );
                 let replayed = replay(&g, &plan, &cfg, &r.completed);
                 prop_assert_eq!(
@@ -147,7 +144,7 @@ fn differential_equality_on_powerlaw_and_mesh() {
         for pattern in stock_patterns() {
             let plan = compile(&pattern, CompileOptions::default());
             for threads in [1usize, 4] {
-                let [on, off] = cfg_pair(threads, false, 1 << 24);
+                let [on, off] = cfg_pair(threads, 1 << 24);
                 let r_on = mine(g, &plan, &on);
                 let r_off = mine(g, &plan, &off);
                 assert_eq!(r_on.counts, r_off.counts, "{name} {pattern} threads={threads}");

@@ -1,7 +1,6 @@
 //! Property test for partial-result determinism (ISSUE satellite): for
 //! any stop point, the partial counts equal a sequential run restricted to
-//! the recorded completed start-vertex set — across threads ∈ {1, 4, 7}
-//! and c-map on/off.
+//! the recorded completed start-vertex set — across threads ∈ {1, 4, 7}.
 //!
 //! The stop point is induced with a set-operation budget, the engine's
 //! machine-independent work unit: sweeping the cap sweeps the cancel point
@@ -35,20 +34,18 @@ proptest! {
     /// Whatever subset of start vertices completes before the budget
     /// trips, the reported counts are *exactly* the counts of that subset:
     /// a fresh sequential executor fed only the completed vids reproduces
-    /// them bit-for-bit, for every thread count and c-map mode.
+    /// them bit-for-bit, for every thread count.
     #[test]
     fn partial_counts_are_exact_over_the_completed_set(
         g in arb_graph(40, 140),
         p in arb_pattern(),
         budget in 0u64..600,
-        use_cmap in any::<bool>(),
     ) {
         let plan = compile(&p, CompileOptions::default());
         let full = mine(&g, &plan, &EngineConfig::default());
         for threads in [1usize, 4, 7] {
             let cfg = EngineConfig {
                 threads,
-                use_cmap,
                 budget: Budget::with_max_setop_iterations(budget),
                 ..Default::default()
             };
@@ -74,7 +71,7 @@ proptest! {
                 ex.run_vertex(VertexId(v));
             }
             let replay = ex.finish();
-            prop_assert_eq!(&r.counts, &replay.counts, "threads={} cmap={}", threads, use_cmap);
+            prop_assert_eq!(&r.counts, &replay.counts, "threads={}", threads);
         }
     }
 

@@ -165,12 +165,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// End-to-end differential: `simd` on/off is result-invisible across
-    /// patterns × threads {1,4} × cmap × hub — identical counts, status,
+    /// patterns × threads {1,4} × hub — identical counts, status,
     /// and every work counter except the merge→simd relabeling.
     #[test]
     fn simd_toggle_is_result_invisible(
         g in arb_graph(),
-        use_cmap in any::<bool>(),
         hub in any::<bool>(),
     ) {
         for pattern in [
@@ -183,7 +182,6 @@ proptest! {
             for threads in [1usize, 4] {
                 let on = EngineConfig {
                     threads,
-                    use_cmap,
                     hub_bitmap: hub,
                     hub_degree_threshold: 4,
                     simd: true,
@@ -192,7 +190,7 @@ proptest! {
                 let off = EngineConfig { simd: false, ..on };
                 let r_on = mine(&g, &plan, &on);
                 let r_off = mine(&g, &plan, &off);
-                let ctx = format!("{pattern} threads={threads} cmap={use_cmap} hub={hub}");
+                let ctx = format!("{pattern} threads={threads} hub={hub}");
                 prop_assert_eq!(&r_on.counts, &r_off.counts, "counts: {}", &ctx);
                 prop_assert_eq!(r_on.status, r_off.status, "status: {}", &ctx);
                 prop_assert_eq!(r_off.work.simd_dispatches, 0, "simd off must never dispatch");

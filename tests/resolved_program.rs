@@ -3,11 +3,12 @@
 //!
 //! - **Pins.** Unique counts and every [`WorkCounters`] word of the six
 //!   stock requests and `motifs 4`, on a power-law and a caveman graph,
-//!   under the default, `use_cmap`, `hub_bitmap: false`, `simd: false` and
+//!   under the default, `hub_bitmap: false`, `simd: false` and
 //!   `paper_faithful` configs, as the commit before the resolved program
 //!   produced them (1 and 2 threads agree): resolving the program once,
 //!   fusing the last level, looking index rows up lazily and prefetching
-//!   move no counter.
+//!   move no counter. (The rows carried four software-c-map words until
+//!   that engine mode went; they were 0 in every row kept here.)
 //! - **Per task.** On arbitrary patterns and graphs, after each
 //!   `run_vertex(v)` the fused executor's counts equal those of one forced
 //!   to enumerate (`collect_matches`), and an observed run reports the
@@ -48,7 +49,6 @@ fn config(name: &str) -> EngineConfig {
     let d = EngineConfig::default();
     match name {
         "default" => d,
-        "use_cmap" => EngineConfig { use_cmap: true, ..d },
         "no_hub" => EngineConfig { hub_bitmap: false, ..d },
         "no_simd" => EngineConfig { simd: false, ..d },
         "faithful" => EngineConfig::paper_faithful(),
@@ -61,152 +61,124 @@ type Pin = (&'static str, &'static str, &'static [u64], [u64; WorkCounters::WORD
 
 /// Recorded at the parent commit on `powerlaw_cluster(2000, 8, 0.4, 7)`.
 #[rustfmt::skip]
-const POWERLAW: [Pin; 35] = [
+const POWERLAW: [Pin; 28] = [
     ("triangle", "default", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 0, 0, 0, 0, 217, 0, 15747]),
-    ("triangle", "use_cmap", &[10058],
-     [0, 0, 0, 26022, 28022, 15964, 114027, 10058, 15964, 0, 0, 0, 0]),
+     [166564, 15964, 166564, 26022, 28022, 0, 217, 0, 15747]),
     ("triangle", "no_hub", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 0, 0, 0, 0, 217, 0, 15747]),
+     [166564, 15964, 166564, 26022, 28022, 0, 217, 0, 15747]),
     ("triangle", "no_simd", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 0, 0, 0, 15747, 217, 0, 0]),
+     [166564, 15964, 166564, 26022, 28022, 15747, 217, 0, 0]),
     ("triangle", "faithful", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [166564, 15964, 166564, 26022, 28022, 0, 0, 0, 0]),
     ("4-clique", "default", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 0, 0, 0, 0, 862, 0, 25160]),
-    ("4-clique", "use_cmap", &[1965],
-     [55373, 10058, 55373, 27987, 29987, 15964, 114027, 10058, 15964, 0, 645, 0, 9413]),
+     [221937, 26022, 221937, 27987, 29987, 0, 862, 0, 25160]),
     ("4-clique", "no_hub", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 0, 0, 0, 0, 862, 0, 25160]),
+     [221937, 26022, 221937, 27987, 29987, 0, 862, 0, 25160]),
     ("4-clique", "no_simd", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 0, 0, 0, 25160, 862, 0, 0]),
+     [221937, 26022, 221937, 27987, 29987, 25160, 862, 0, 0]),
     ("4-clique", "faithful", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [221937, 26022, 221937, 27987, 29987, 0, 0, 0, 0]),
     ("5-clique", "default", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 0, 0, 0, 0, 1259, 0, 26728]),
-    ("5-clique", "use_cmap", &[674],
-     [60497, 12023, 60497, 28661, 30661, 15964, 114027, 10058, 15964, 0, 1042, 0, 10981]),
+     [227061, 27987, 227061, 28661, 30661, 0, 1259, 0, 26728]),
     ("5-clique", "no_hub", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 0, 0, 0, 0, 1259, 0, 26728]),
+     [227061, 27987, 227061, 28661, 30661, 0, 1259, 0, 26728]),
     ("5-clique", "no_simd", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 0, 0, 0, 26728, 1259, 0, 0]),
+     [227061, 27987, 227061, 28661, 30661, 26728, 1259, 0, 0]),
     ("5-clique", "faithful", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [227061, 27987, 227061, 28661, 30661, 0, 0, 0, 0]),
     ("4-cycle", "default", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0, 0, 0, 0, 0]),
-    ("4-cycle", "use_cmap", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0]),
     ("4-cycle", "no_hub", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0]),
     ("4-cycle", "no_simd", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0]),
     ("4-cycle", "faithful", &[124212],
-     [5426784, 55832, 5426784, 269417, 198008, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [5426784, 55832, 5426784, 269417, 198008, 0, 0, 0, 0]),
     ("diamond", "default", &[65880],
-     [380962, 15964, 380962, 47751, 83844, 0, 0, 0, 0, 0, 0, 7481, 8483]),
-    ("diamond", "use_cmap", &[65880],
-     [0, 0, 0, 47751, 83844, 31928, 834589, 30174, 31928, 0, 0, 0, 0]),
+     [380962, 15964, 380962, 47751, 83844, 0, 0, 7481, 8483]),
     ("diamond", "no_hub", &[65880],
-     [890389, 15964, 923584, 47751, 83844, 0, 0, 0, 0, 0, 569, 0, 15395]),
+     [890389, 15964, 923584, 47751, 83844, 0, 569, 0, 15395]),
     ("diamond", "no_simd", &[65880],
-     [380962, 15964, 380962, 47751, 83844, 0, 0, 0, 0, 8483, 0, 7481, 0]),
+     [380962, 15964, 380962, 47751, 83844, 8483, 0, 7481, 0]),
     ("diamond", "faithful", &[65880],
-     [982866, 15964, 982866, 143805, 114018, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [982866, 15964, 982866, 143805, 114018, 0, 0, 0, 0]),
     ("motifs 3", "default", &[495751, 10058],
-     [696212, 47892, 2185190, 553701, 555701, 0, 0, 0, 0, 0, 636, 16200, 31056]),
-    ("motifs 3", "use_cmap", &[495751, 10058],
-     [579076, 31928, 1878375, 553701, 555701, 31928, 121561, 10058, 31928, 0, 636, 8604, 22688]),
+     [696212, 47892, 2185190, 553701, 555701, 0, 636, 16200, 31056]),
     ("motifs 3", "no_hub", &[495751, 10058],
-     [729944, 47892, 2409318, 553701, 555701, 0, 0, 0, 0, 0, 8339, 0, 39553]),
+     [729944, 47892, 2409318, 553701, 555701, 0, 8339, 0, 39553]),
     ("motifs 3", "no_simd", &[495751, 10058],
-     [696212, 47892, 2185190, 553701, 555701, 0, 0, 0, 0, 31056, 636, 16200, 0]),
+     [696212, 47892, 2185190, 553701, 555701, 31056, 636, 16200, 0]),
     ("motifs 3", "faithful", &[495751, 10058],
-     [3019336, 47892, 2948598, 596081, 555701, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [3019336, 47892, 2948598, 596081, 555701, 0, 0, 0, 0]),
     ("motifs 4", "default", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [57114034, 1251867, 80638465, 29047260, 29033296, 0, 0, 0, 0, 0, 3295, 406787, 841785]),
-    ("motifs 4", "use_cmap", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [22072679, 645977, 39407846, 29047260, 29033296, 1585799, 17064751, 1856546, 1585799, 0, 981, 271333, 373663]),
+     [57114034, 1251867, 80638465, 29047260, 29033296, 0, 3295, 406787, 841785]),
     ("motifs 4", "no_hub", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [67983961, 1251867, 92956705, 29047260, 29033296, 0, 0, 0, 0, 0, 13955, 0, 1237912]),
+     [67983961, 1251867, 92956705, 29047260, 29033296, 0, 13955, 0, 1237912]),
     ("motifs 4", "no_simd", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [57114034, 1251867, 80638465, 29047260, 29033296, 0, 0, 0, 0, 841785, 3295, 406787, 0]),
+     [57114034, 1251867, 80638465, 29047260, 29033296, 841785, 3295, 406787, 0]),
     ("motifs 4", "faithful", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [126892626, 1251867, 122919810, 29722336, 29033296, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [126892626, 1251867, 122919810, 29722336, 29033296, 0, 0, 0, 0]),
 ];
 
 /// Recorded at the parent commit on `caveman(200, 11, 1000, 7)`.
 #[rustfmt::skip]
-const CAVEMAN: [Pin; 35] = [
+const CAVEMAN: [Pin; 28] = [
     ("triangle", "default", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 0, 0, 0, 0, 1270, 0, 10726]),
-    ("triangle", "use_cmap", &[33003],
-     [0, 0, 0, 44999, 47199, 11996, 41573, 33003, 11996, 0, 0, 0, 0]),
+     [72363, 11996, 72363, 44999, 47199, 0, 1270, 0, 10726]),
     ("triangle", "no_hub", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 0, 0, 0, 0, 1270, 0, 10726]),
+     [72363, 11996, 72363, 44999, 47199, 0, 1270, 0, 10726]),
     ("triangle", "no_simd", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 0, 0, 0, 10726, 1270, 0, 0]),
+     [72363, 11996, 72363, 44999, 47199, 10726, 1270, 0, 0]),
     ("triangle", "faithful", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [72363, 11996, 72363, 44999, 47199, 0, 0, 0, 0]),
     ("4-clique", "default", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 0, 0, 0, 0, 5637, 0, 39362]),
-    ("4-clique", "use_cmap", &[66000],
-     [139823, 33003, 139823, 110999, 113199, 11996, 41573, 33003, 11996, 0, 4367, 0, 28636]),
+     [212186, 44999, 212186, 110999, 113199, 0, 5637, 0, 39362]),
     ("4-clique", "no_hub", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 0, 0, 0, 0, 5637, 0, 39362]),
+     [212186, 44999, 212186, 110999, 113199, 0, 5637, 0, 39362]),
     ("4-clique", "no_simd", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 0, 0, 0, 39362, 5637, 0, 0]),
+     [212186, 44999, 212186, 110999, 113199, 39362, 5637, 0, 0]),
     ("4-clique", "faithful", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [212186, 44999, 212186, 110999, 113199, 0, 0, 0, 0]),
     ("5-clique", "default", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 0, 0, 0, 0, 17277, 0, 93722]),
-    ("5-clique", "use_cmap", &[92400],
-     [346148, 99003, 346148, 203399, 205599, 11996, 41573, 33003, 11996, 0, 16007, 0, 82996]),
+     [418511, 110999, 418511, 203399, 205599, 0, 17277, 0, 93722]),
     ("5-clique", "no_hub", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 0, 0, 0, 0, 17277, 0, 93722]),
+     [418511, 110999, 418511, 203399, 205599, 0, 17277, 0, 93722]),
     ("5-clique", "no_simd", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 0, 0, 0, 93722, 17277, 0, 0]),
+     [418511, 110999, 418511, 203399, 205599, 93722, 17277, 0, 0]),
     ("5-clique", "faithful", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [418511, 110999, 418511, 203399, 205599, 0, 0, 0, 0]),
     ("4-cycle", "default", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0, 0, 0, 0, 0]),
-    ("4-cycle", "use_cmap", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0]),
     ("4-cycle", "no_hub", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0]),
     ("4-cycle", "no_simd", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0]),
     ("4-cycle", "faithful", &[198055],
-     [499322, 38082, 499322, 300273, 250333, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [499322, 38082, 499322, 300273, 250333, 0, 0, 0, 0]),
     ("diamond", "default", &[396027],
-     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 0, 0, 0, 0, 11996]),
-    ("diamond", "use_cmap", &[396027],
-     [0, 0, 0, 113067, 410223, 23992, 132245, 99009, 23992, 0, 0, 0, 0]),
+     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 11996]),
     ("diamond", "no_hub", &[396027],
-     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 0, 0, 0, 0, 11996]),
+     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 11996]),
     ("diamond", "no_simd", &[396027],
-     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 0, 11996, 0, 0, 0]),
+     [151371, 11996, 151371, 113067, 410223, 11996, 0, 0, 0]),
     ("diamond", "faithful", &[396027],
-     [151371, 11996, 151371, 608103, 509232, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [151371, 11996, 151371, 608103, 509232, 0, 0, 0, 0]),
     ("motifs 3", "default", &[20863, 33003],
-     [193077, 35988, 668811, 89854, 92054, 0, 0, 0, 0, 0, 2208, 0, 33780]),
-    ("motifs 3", "use_cmap", &[20863, 33003],
-     [139063, 23992, 530183, 89854, 92054, 23992, 43331, 33003, 23992, 0, 2206, 0, 21786]),
+     [193077, 35988, 668811, 89854, 92054, 0, 2208, 0, 33780]),
     ("motifs 3", "no_hub", &[20863, 33003],
-     [193077, 35988, 668811, 89854, 92054, 0, 0, 0, 0, 0, 2208, 0, 33780]),
+     [193077, 35988, 668811, 89854, 92054, 0, 2208, 0, 33780]),
     ("motifs 3", "no_simd", &[20863, 33003],
-     [193077, 35988, 668811, 89854, 92054, 0, 0, 0, 0, 33780, 2208, 0, 0]),
+     [193077, 35988, 668811, 89854, 92054, 33780, 2208, 0, 0]),
     ("motifs 3", "faithful", &[20863, 33003],
-     [467469, 35988, 454113, 126713, 92054, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [467469, 35988, 454113, 126713, 92054, 0, 0, 0, 0]),
     ("motifs 4", "default", &[9810, 128348, 89627, 28, 27, 66000],
-     [4830404, 597000, 7420214, 520264, 510468, 0, 0, 0, 0, 0, 11, 0, 596989]),
-    ("motifs 4", "use_cmap", &[9810, 128348, 89627, 28, 27, 66000],
-     [2754334, 311864, 3234879, 520264, 510468, 369518, 939950, 710892, 369518, 0, 9, 0, 311855]),
+     [4830404, 597000, 7420214, 520264, 510468, 0, 11, 0, 596989]),
     ("motifs 4", "no_hub", &[9810, 128348, 89627, 28, 27, 66000],
-     [4830404, 597000, 7420214, 520264, 510468, 0, 0, 0, 0, 0, 11, 0, 596989]),
+     [4830404, 597000, 7420214, 520264, 510468, 0, 11, 0, 596989]),
     ("motifs 4", "no_simd", &[9810, 128348, 89627, 28, 27, 66000],
-     [4830404, 597000, 7420214, 520264, 510468, 0, 0, 0, 0, 596989, 11, 0, 0]),
+     [4830404, 597000, 7420214, 520264, 510468, 596989, 11, 0, 0]),
     ("motifs 4", "faithful", &[9810, 128348, 89627, 28, 27, 66000],
-     [7155524, 597000, 7000343, 763320, 510468, 0, 0, 0, 0, 0, 0, 0, 0]),
+     [7155524, 597000, 7000343, 763320, 510468, 0, 0, 0, 0]),
 ];
 
 #[test]
@@ -223,7 +195,7 @@ fn counts_and_counters_are_the_parent_commits() {
             // reports the same dispatches on the merge tier.
             let mut want = words;
             if !simd::runtime_available() {
-                (want[9], want[12]) = (want[9] + want[12], 0);
+                (want[5], want[8]) = (want[5] + want[8], 0);
             }
             for threads in [1usize, 2] {
                 let r = mine(g, plan, &EngineConfig { threads, ..config(cfg_name) });
@@ -308,10 +280,8 @@ fn the_stock_plans_fuse_where_the_design_says() {
     // The joined 4-cycle dispatches nothing; everything else ends in a
     // counting kernel one level below an enumerated node.
     assert_eq!(fused, ["triangle", "4-clique", "5-clique", "diamond", "motifs 3", "motifs 4"]);
-    // Nothing fuses where the leaves scan: `paper_faithful`, and a
-    // diamond whose `v2` probes the c-map instead of merging.
+    // Nothing fuses where the leaves scan: `paper_faithful`.
     assert!(plans.iter().all(|(_, plan)| !fuses(plan, &EngineConfig::paper_faithful())));
-    assert!(!fuses(&plans[4].1, &EngineConfig { use_cmap: true, ..cfg }));
 }
 
 proptest! {
@@ -320,11 +290,9 @@ proptest! {
     #[test]
     fn fused_tasks_count_what_enumerated_tasks_count(
         g in arb_graph(),
-        (name, plan) in arb_pattern(),
-        use_cmap in any::<bool>(),
+        (ctx, plan) in arb_pattern(),
     ) {
-        let cfg = EngineConfig { use_cmap, ..EngineConfig::default() };
-        let ctx = format!("{name} cmap={use_cmap}");
+        let cfg = EngineConfig::default();
         let prepared = prepare(&g, &plan, &cfg);
         // One enumerating executor walks every task and keeps what it
         // found; a fresh fused one per task shows that task alone, and one
@@ -370,8 +338,6 @@ proptest! {
                 (&shard.depth_gallop, w.gallop_dispatches),
                 (&shard.depth_probe, w.probe_dispatches),
                 (&shard.depth_simd, w.simd_dispatches),
-                (&shard.depth_cmap_queries, w.cmap_queries),
-                (&shard.depth_cmap_hits, w.cmap_hits),
             ] {
                 prop_assert_eq!(sum(series), word, "a depth series lost work: {}", &ctx);
             }

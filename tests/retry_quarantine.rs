@@ -132,22 +132,20 @@ fn total_loss_with_retries_still_terminates_deterministically() {
 /// `max_retries` is a scheduling knob, not a counting knob: retrying must
 /// never double-count. A healed run's counts equal the clean run's even
 /// when the fault fires mid-subtree, after partial matches were tallied.
-/// The house enumerates every level, so under `use_cmap` it reaches all
-/// three sites (the joined 4-cycle never inserts into the c-map).
+/// The house enumerates every level, so it passes both sites with matches
+/// already tallied (the joined 4-cycle materializes one core per task).
 #[test]
 fn mid_subtree_retry_does_not_double_count() {
     let g = generators::powerlaw_cluster(120, 4, 0.5, 11);
-    for site in ["frontier_alloc", "csr_read", "cmap_insert"] {
+    for site in ["frontier_alloc", "csr_read"] {
         let plan = compile(&Pattern::house(), CompileOptions::default());
-        let clean_cfg = EngineConfig { use_cmap: true, ..Default::default() };
-        let clean = mine(&g, &plan, &clean_cfg);
+        let clean = mine(&g, &plan, &EngineConfig::default());
         // OnNthHit(1): the first pass through the site faults, leaving
         // partial counts to roll back; every retry then succeeds.
         let fp = failpoint::guard(site, Trigger::OnNthHit(1), "mid-subtree transient");
         let cfg = EngineConfig {
             threads: 4,
             max_retries: 3,
-            use_cmap: true,
             failpoint_scope: fp.scope(),
             ..Default::default()
         };

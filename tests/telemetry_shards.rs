@@ -28,8 +28,6 @@ fn deterministic_parts(outcome: &MiningOutcome) -> (Vec<Vec<u64>>, [u64; 64], u6
             s.depth_merge.clone(),
             s.depth_gallop.clone(),
             s.depth_probe.clone(),
-            s.depth_cmap_queries.clone(),
-            s.depth_cmap_hits.clone(),
         ],
         s.frontier_sizes.buckets,
         s.frontier_sizes.count,
