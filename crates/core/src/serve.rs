@@ -15,6 +15,7 @@
 //! | `subscribe`| `buffer?` (event-queue cap)                                 | ack, then one job event per line until disconnect (socket only) |
 //! | `shutdown` |                                                             | `{"ok":true}`, then the process drains |
 //!
+//! `max_attempts: 0` means 1 (a job always gets its first attempt).
 //! `budget` caps the job's set-op iterations and `deadline` gives it a
 //! wall-clock allowance in (fractional) seconds; either stop surfaces as
 //! an exact partial result with the `count` command's exit-code semantics
@@ -82,7 +83,8 @@ use fm_plan::{compile, CompileOptions, ExecutionPlan};
 use fm_telemetry::{chrome_trace_json, TraceClock, DEFAULT_RECORDER_CAPACITY};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write;
-use std::path::PathBuf;
+use std::ops::RangeInclusive;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -532,13 +534,11 @@ impl ServeState {
             req.get("pattern").and_then(Json::as_str).ok_or("submit needs a pattern")?;
         let graph_spec = req.get("graph").and_then(Json::as_str).ok_or("submit needs a graph")?;
         let induced = field(req, "induced", "a boolean", Json::as_bool)?.unwrap_or(false);
-        let threads = int_field(req, "threads", 1.0, 65536.0)?.map_or(1, |n| n as usize);
-        let priority = int_field(req, "priority", f64::from(i32::MIN), f64::from(i32::MAX))?
-            .map_or(0, |n| n as i32);
-        let max_attempts =
-            int_field(req, "max_attempts", 0.0, f64::from(u32::MAX))?.map(|n| n as u32);
-        // `u64::MAX as f64` is 2⁶⁴, which the cast brings back to `u64::MAX`.
-        let budget = int_field(req, "budget", 0.0, u64::MAX as f64)?.map(|n| n as u64);
+        let threads = int_field(req, "threads", 1usize..=65536)?.unwrap_or(1);
+        let priority = int_field(req, "priority", i32::MIN..=i32::MAX)?.unwrap_or(0);
+        // 0 is admitted and means 1: a job always gets its first attempt.
+        let max_attempts = int_field(req, "max_attempts", 0..=u32::MAX)?;
+        let budget = int_field(req, "budget", 0..=u64::MAX)?;
         let deadline_secs = field(req, "deadline", "a number of seconds", Json::as_f64)?;
         if let Some(s) = deadline_secs {
             if !s.is_finite() || s <= 0.0 {
@@ -840,7 +840,7 @@ impl ServeState {
                     None => {
                         let resume = job.checkpoint.as_ref().and_then(|path| {
                             recovered_ckpts.insert(path.clone());
-                            match Checkpoint::load(std::path::Path::new(path)) {
+                            match Checkpoint::load(Path::new(path)) {
                                 Ok(ckpt) => Some(ckpt),
                                 Err(e) => {
                                     eprintln!(
@@ -908,12 +908,7 @@ impl ServeState {
                 }
                 let Some(ckpt) = &d.checkpoint else { continue };
                 let Some(t) = jobs.iter().find(|t| t.handle.id() == d.id) else { continue };
-                // The request as journaled, plus where its progress is.
-                let Json::Obj(mut entry) = canonical_req(&t.meta) else {
-                    unreachable!("the canonical request is an object")
-                };
-                entry.insert("checkpoint".to_string(), Json::Str(ckpt.display().to_string()));
-                manifest.push_str(&Json::Obj(entry).to_jsonl());
+                manifest.push_str(&manifest_line(&t.meta, ckpt));
                 manifest.push('\n');
                 eprintln!("drained: job {} ({}) -> {}", d.id, d.name, ckpt.display());
             }
@@ -1000,11 +995,19 @@ fn field<'a, T>(
     read(value).map(Some).ok_or_else(|| format!("{name} must be {what}, got {}", value.to_jsonl()))
 }
 
-/// An integer field within `min..=max`: checked here, so that the `as`
-/// cast at the call site has nothing to wrap or saturate silently.
-fn int_field(req: &Json, name: &str, min: f64, max: f64) -> Result<Option<f64>, String> {
-    let what = format!("an integer in {min}..={max}");
-    field(req, name, &what, |v| v.as_f64().filter(|n| n.fract() == 0.0 && (min..=max).contains(n)))
+/// An integer field within `range`, converted without an `as` cast, which
+/// would wrap or saturate silently: 2⁶⁴ is an `f64` and not a `u64`.
+fn int_field<T>(req: &Json, name: &str, range: RangeInclusive<T>) -> Result<Option<T>, String>
+where
+    T: TryFrom<i128> + PartialOrd + std::fmt::Display,
+{
+    let what = format!("an integer in {}..={}", range.start(), range.end());
+    field(req, name, &what, |v| {
+        let n = v.as_f64().filter(|n| n.fract() == 0.0)?;
+        // Exact for every integral `f64` an `i128` holds; past that it
+        // saturates to a value no `T` here reaches.
+        T::try_from(n as i128).ok().filter(|t| range.contains(t))
+    })
 }
 
 /// The canonical submit request for journaling: every default
@@ -1136,14 +1139,23 @@ fn event_line(meta: &JobMeta, outcome: &JobOutcome) -> String {
     outcome_fields(w, meta, outcome).finish()
 }
 
+/// One drain-manifest line: the request as journaled ([`canonical_req`]),
+/// plus where its progress is.
+fn manifest_line(meta: &JobMeta, checkpoint: &Path) -> String {
+    let Json::Obj(mut entry) = canonical_req(meta) else {
+        unreachable!("the canonical request is an object")
+    };
+    entry.insert("checkpoint".to_string(), Json::Str(checkpoint.display().to_string()));
+    Json::Obj(entry).to_jsonl()
+}
+
 /// Parses one manifest line back into a submit request plus its loaded
 /// checkpoint.
 fn resume_entry(line: &str) -> Result<(Json, Checkpoint), String> {
     let req = jsonl::parse(line)?;
     let path =
         req.get("checkpoint").and_then(Json::as_str).ok_or("manifest entry missing checkpoint")?;
-    let ckpt =
-        Checkpoint::load(std::path::Path::new(path)).map_err(|e| format!("load {path}: {e}"))?;
+    let ckpt = Checkpoint::load(Path::new(path)).map_err(|e| format!("load {path}: {e}"))?;
     Ok((req, ckpt))
 }
 
@@ -1255,7 +1267,7 @@ fn run_stdio(state: &Arc<ServeState>) -> Result<i32, String> {
 }
 
 #[cfg(unix)]
-fn run_socket(state: &Arc<ServeState>, path: &std::path::Path) -> Result<i32, String> {
+fn run_socket(state: &Arc<ServeState>, path: &Path) -> Result<i32, String> {
     use std::os::unix::net::{UnixListener, UnixStream};
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
@@ -1414,7 +1426,7 @@ fn stream_events(
 }
 
 #[cfg(not(unix))]
-fn run_socket(_state: &Arc<ServeState>, _path: &std::path::Path) -> Result<i32, String> {
+fn run_socket(_state: &Arc<ServeState>, _path: &Path) -> Result<i32, String> {
     Err("--socket requires a unix platform; use stdio mode".into())
 }
 
@@ -1608,7 +1620,7 @@ mod tests {
             ))
         };
         type Kept = fn(&JobMeta) -> bool;
-        let cases: [(&str, &str, &str, Kept); 9] = [
+        let cases: [(&str, &str, &str, Kept); 10] = [
             (r#""priority":4294967297"#, "priority", r#""priority":-2147483648"#, |m| {
                 m.priority == i32::MIN
             }),
@@ -1619,6 +1631,13 @@ mod tests {
             (r#""induced":1"#, "induced", r#""induced":true"#, |m| m.induced),
             (r#""priority":1.5"#, "priority", r#""priority":1"#, |m| m.priority == 1),
             (r#""budget":-1"#, "budget", r#""budget":0"#, |m| m.budget == Some(0)),
+            // 2⁶⁴ is an `f64` and one past `u64::MAX`; the largest `f64` below it is exact.
+            (
+                r#""budget":18446744073709551616"#,
+                "budget",
+                r#""budget":18446744073709549568"#,
+                |m| m.budget == Some(u64::MAX - 2047),
+            ),
             (r#""threads":0"#, "threads", r#""threads":65536"#, |m| m.threads == 65536),
             (r#""deadline":"60""#, "deadline", r#""deadline":60"#, |m| {
                 m.deadline_secs == Some(60.0)
@@ -1681,16 +1700,11 @@ mod tests {
         // The manifest line a drain would write for this job round-trips
         // through the submit parser with both knobs intact — this is the
         // resume path (`resume_manifest` replays these lines verbatim).
-        let manifest_line = ObjWriter::new()
-            .str("op", "submit")
-            .str("name", "capped")
-            .str("pattern", "4-cycle")
-            .str("graph", "gen:complete,n=6")
-            .u64("budget", 1)
-            .raw("deadline", &format!("{}", 3600.0))
-            .finish();
-        st.handle_line(&manifest_line);
+        let line = manifest_line(&st.jobs.lock().unwrap()[0].meta, Path::new("capped.ckpt"));
+        assert!(line.contains(r#""op":"submit""#) && line.contains("capped.ckpt"), "{line}");
+        st.handle_line(&line);
         let jobs = st.jobs.lock().unwrap();
+        assert_eq!(canonical_req(&jobs[1].meta), canonical_req(&jobs[0].meta), "{line}");
         assert_eq!(jobs[1].meta.budget, Some(1));
         assert_eq!(jobs[1].meta.deadline_secs, Some(3600.0));
         drop(jobs);

@@ -381,7 +381,9 @@ enum Tier<'a> {
 /// an intersection — at least as long as `a`: the probe streams exactly
 /// `|a|` elements while a merge advances at least `min(|a|,|b|) = |a|`
 /// cursors (a difference's merge always streams all of `a`), so the probe
-/// is never charged more iterations, and each probed element costs one
+/// is never charged more iterations than an *unbounded* merge — a bounded
+/// intersection can stop sooner, on `b`'s first element past the bound
+/// (ROADMAP, open items) — and each probed element costs one
 /// comparison against galloping's ⌈log₂|b|⌉. A hub *shorter* than `a` can be
 /// exhausted early, so the size rule applies instead: gallop once one side
 /// is `gallop_ratio` times the other (`0`: never; and never for a

@@ -2,7 +2,9 @@
 //! the index must be invisible to results — identical per-pattern counts
 //! and identical `RunStatus` across all stock patterns, thread counts
 //! and memory budgets — including under a tight `Budget`,
-//! where each partial run must stay exact over its completed set.
+//! where each partial run must stay exact over its completed set. Where
+//! no dispatch is bounded, the probe tier also never adds a set-op
+//! iteration (see [`probes_add_no_iterations`]).
 
 use fm_engine::{mine, prepare, Budget, EngineConfig, Executor, RunStatus};
 use fm_graph::{generators, CsrGraph, VertexId};
@@ -54,6 +56,39 @@ fn cfg_pair(threads: usize, hub_memory_budget: usize) -> [EngineConfig; 2] {
     [on, off]
 }
 
+/// Whether no op of `plan` carries a symmetry bound, so that every set
+/// operation it dispatches is unbounded: the oriented clique plans, and
+/// anything compiled without symmetry breaking.
+fn unbounded(plan: &ExecutionPlan) -> bool {
+    plan.root.iter().all(|n| n.op.upper_bounds.is_empty())
+}
+
+/// "Probes only remove set-op iterations", where that is a theorem: an
+/// *unbounded* merge runs one operand out, so it walks at least the `|a|`
+/// steps a probe streams (`setops::dispatch`), and with `gallop_ratio: 0`
+/// no gallop is there to undercut either. A *bounded* intersection merge
+/// stops on whichever cursor passes the bound first, which can be sooner
+/// than the probe's walk over `a` below it, so a bounded plan is held to
+/// no such inequality (ROADMAP, open items). Returns the probes dispatched.
+fn probes_add_no_iterations(
+    g: &CsrGraph,
+    plan: &ExecutionPlan,
+    hub_memory_budget: usize,
+) -> Result<u64, TestCaseError> {
+    assert!(unbounded(plan), "the inequality is only claimed for unbounded plans");
+    let [on, off] = cfg_pair(1, hub_memory_budget).map(|c| EngineConfig { gallop_ratio: 0, ..c });
+    let (r_on, r_off) = (mine(g, plan, &on), mine(g, plan, &off));
+    prop_assert_eq!(&r_on.counts, &r_off.counts);
+    prop_assert!(
+        r_on.work.setop_iterations <= r_off.work.setop_iterations,
+        "probe tier added iterations: {} > {} over {} probes",
+        r_on.work.setop_iterations,
+        r_off.work.setop_iterations,
+        r_on.work.probe_dispatches
+    );
+    Ok(r_on.work.probe_dispatches)
+}
+
 /// Replays `completed` sequentially under `cfg` and returns the counts —
 /// the bit-for-bit exactness oracle for partial results.
 fn replay(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, completed: &[u32]) -> Vec<u64> {
@@ -71,7 +106,9 @@ proptest! {
     /// hub_bitmap on/off is result-invisible: identical counts and
     /// identical `RunStatus` for every stock pattern × threads {1,4},
     /// with both a roomy and an over-tight memory budget
-    /// (the latter silently degrades to no index).
+    /// (the latter silently degrades to no index). Every plan without a
+    /// bound — as compiled, or with symmetry breaking off — also gains no
+    /// set-op iteration from the index.
     #[test]
     fn hub_bitmap_is_result_invisible(
         g in arb_graph(),
@@ -90,11 +127,13 @@ proptest! {
                 );
                 prop_assert_eq!(r_on.status, r_off.status, "{} threads={}", pattern, threads);
                 prop_assert_eq!(r_on.status, RunStatus::Complete);
-                // No iteration inequality: a probe streams its whole short
-                // side, while a bounded merge stops as soon as *either* side
-                // passes the bound, so a probe may charge a step or two more
-                // than the merge it replaces (13 vertices are enough).
                 prop_assert_eq!(r_off.work.probe_dispatches, 0, "index off must never probe");
+            }
+            let unsymmetric = CompileOptions { symmetry: false, ..CompileOptions::default() };
+            for plan in [plan, compile(&pattern, unsymmetric)] {
+                if unbounded(&plan) {
+                    probes_add_no_iterations(&g, &plan, mem)?;
+                }
             }
         }
     }
@@ -157,4 +196,19 @@ fn differential_equality_on_powerlaw_and_mesh() {
         }
     }
     assert!(probes_on_powerlaw > 0, "hub-heavy input must exercise the probe tier");
+}
+
+/// The iteration inequality on a hub-heavy fixture, where it has probes to
+/// speak about: every stock pattern compiled without symmetry bounds. A
+/// tree (wedge, 4-path, 3-star) closes no edge, so it intersects nothing.
+#[test]
+fn probes_add_no_iterations_to_unbounded_plans() {
+    let g = generators::attach_hubs(&generators::powerlaw_cluster(120, 3, 0.5, 7), 4, 60, 11);
+    for pattern in stock_patterns() {
+        let plan = compile(&pattern, CompileOptions { symmetry: false, ..Default::default() });
+        let probes = probes_add_no_iterations(&g, &plan, 1 << 24)
+            .unwrap_or_else(|e| panic!("{pattern}: {e}"));
+        let tree = pattern.edge_count() + 1 == pattern.size();
+        assert_eq!(probes == 0, tree, "{pattern}: {probes} probes");
+    }
 }
