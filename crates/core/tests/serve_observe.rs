@@ -210,6 +210,37 @@ fn subscribe_slow_consumer_drops_are_bounded_and_counted() {
     assert_eq!(wait_exit(child, 30), 0);
 }
 
+/// A `buffer` that is not an integer in range is refused by name, as a
+/// bad `submit` field is, and the connection carries on: never defaulted,
+/// and never so large that a stalled subscriber's queue has no bound.
+#[test]
+fn subscribe_buffer_is_range_checked_not_defaulted() {
+    let dir = temp_dir("buf");
+    let sock = dir.join("serve.sock");
+    let child = spawn_socket_serve(&sock, &[]);
+
+    let mut conn = connect(&sock, 10);
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for bad in [r#""x""#, "-5", "1.5", "65537", "1e30"] {
+        let resp = request(&mut conn, &format!(r#"{{"op":"subscribe","buffer":{bad}}}"#));
+        let want = r#""ok":false,"error":"buffer must be an integer in 0..=65536, got "#;
+        assert!(resp.contains(want), "buffer {bad} -> {resp}");
+    }
+    let status = request(&mut conn, r#"{"op":"status"}"#);
+    assert!(status.contains(r#""ok":true"#), "{status}");
+
+    let mut sub = connect(&sock, 5);
+    writeln!(sub, r#"{{"op":"subscribe","buffer":65536}}"#).unwrap();
+    sub.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut ack = String::new();
+    BufReader::new(sub.try_clone().unwrap()).read_line(&mut ack).unwrap();
+    assert!(ack.contains("\"streaming\":\"events\""), "{ack}");
+
+    drop(sub);
+    kill(&child, "-TERM");
+    assert_eq!(wait_exit(child, 30), 0);
+}
+
 /// A subscriber vanishing mid-stream is this connection's problem only:
 /// the accept loop keeps answering requests and later jobs still run.
 #[test]

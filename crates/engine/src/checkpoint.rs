@@ -388,10 +388,10 @@ impl Checkpoint {
     /// completed start vertices will be skipped with their contribution
     /// taken from here, so the final counts are bit-identical to an
     /// uninterrupted run; the fault history (which already includes the
-    /// final attempt of every quarantined vertex) carries forward; the
-    /// quarantine list is dropped because those vertices are about to be
-    /// *re-attempted* — a process restart is the classic cure for
-    /// environmental faults.
+    /// final attempt of every quarantined vertex) carries forward, and a
+    /// re-attempt is numbered after it; the quarantine list is dropped
+    /// because those vertices are about to be *re-attempted* — a process
+    /// restart is the classic cure for environmental faults.
     ///
     /// # Errors
     ///

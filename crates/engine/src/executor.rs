@@ -554,6 +554,13 @@ impl<'g> Executor<'g> {
         for v in s.completed.drain(..) {
             snap.completed.insert(v);
         }
+        // A start vertex run again (a retry round, a resume) numbers its
+        // attempts after the ones it already has on record.
+        let recorded =
+            |vid| snap.faults.iter().filter(|f| f.vid == vid).map(|f| f.attempt + 1).max();
+        for f in s.faults.iter_mut().chain(&mut s.quarantined) {
+            f.attempt += recorded(f.vid).unwrap_or(0);
+        }
         snap.faults.append(&mut s.faults);
         snap.quarantined.append(&mut s.quarantined);
         tasks

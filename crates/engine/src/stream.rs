@@ -395,7 +395,8 @@ impl<'g> JobCore<'g> {
 
     /// Moves every quarantined start vertex back onto the pending queue
     /// for another round of attempts (their fault history stays on the
-    /// snapshot), returning how many were re-queued. A supervisor calls
+    /// snapshot, and the round's attempts are numbered after it),
+    /// returning how many were re-queued. A supervisor calls
     /// this between backoff-spaced attempts of a degraded job. No-op
     /// (returning 0) while stints are active.
     pub fn reattempt_quarantined(&self) -> usize {

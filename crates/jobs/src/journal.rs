@@ -106,12 +106,22 @@ pub enum JournalRecord {
     /// every admitted submit, and nothing ever read it back. Still decoded
     /// and folded (as nothing) so their journals replay.
     Started { id: u64 },
-    /// The job reported a terminal mining outcome. `counts` are the
-    /// reported (unique-normalised) per-pattern counts; `work_digest` is
-    /// [`fnv64`] over the work-counter words for drift detection.
+    /// What became of the job; `"rec"` is [`Reported::kind`]. Finished
+    /// and drained records carry `fp`, which replay checks against the
+    /// `Submitted` fingerprint; rejected and cancelled records carry none
+    /// and read back 0.
+    Outcome { id: u64, fp: u64, outcome: Reported },
+}
+
+/// What a job reported: the one value behind a `wait` reply, an exit
+/// summary line and the journal record of the job's end, computed once
+/// from the live outcome or read back from the journal.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reported {
+    /// Mining ended. `counts` are the reported (unique-normalised)
+    /// per-pattern counts; `work_digest` is [`fnv64`] over the
+    /// work-counter words, journaled for drift detection and not sent.
     Finished {
-        id: u64,
-        fp: u64,
         status: String,
         exit_code: i64,
         counts: Vec<u64>,
@@ -120,11 +130,41 @@ pub enum JournalRecord {
         work_digest: u64,
     },
     /// Admission control refused the job.
-    Rejected { id: u64, reason: String },
-    /// A client cancelled the job before it finished.
-    Cancelled { id: u64 },
+    Rejected { reason: String },
     /// A graceful drain checkpointed the job for resumption.
-    Drained { id: u64, fp: u64, checkpoint: Option<String> },
+    Drained { checkpoint: Option<String> },
+    /// A client cancelled the job. With no finished record after it, this
+    /// is all the journal knows of the job's end: the counts are lost and
+    /// are reported as such, never fabricated.
+    Cancelled,
+}
+
+impl Reported {
+    /// The record's `"rec"` and the reply's `"outcome"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Reported::Finished { .. } => "finished",
+            Reported::Rejected { .. } => "rejected",
+            Reported::Drained { .. } => "drained",
+            Reported::Cancelled => "cancelled",
+        }
+    }
+
+    /// Whether the record pins the job's fingerprint.
+    fn carries_fp(&self) -> bool {
+        matches!(self, Reported::Finished { .. } | Reported::Drained { .. })
+    }
+
+    /// How firmly a folded outcome holds against a later record of the
+    /// same job: a journaled end is final, a cancel outlives a drain, and
+    /// a later record of equal standing replaces an earlier one.
+    fn standing(&self) -> u8 {
+        match self {
+            Reported::Drained { .. } => 0,
+            Reported::Cancelled => 1,
+            Reported::Finished { .. } | Reported::Rejected { .. } => 2,
+        }
+    }
 }
 
 /// Full-width u64s (fingerprints, digests) travel as 16-digit hex strings:
@@ -144,10 +184,7 @@ impl JournalRecord {
         match self {
             JournalRecord::Submitted { id, .. }
             | JournalRecord::Started { id }
-            | JournalRecord::Finished { id, .. }
-            | JournalRecord::Rejected { id, .. }
-            | JournalRecord::Cancelled { id }
-            | JournalRecord::Drained { id, .. } => *id,
+            | JournalRecord::Outcome { id, .. } => *id,
         }
     }
 
@@ -163,41 +200,31 @@ impl JournalRecord {
             JournalRecord::Started { id } => {
                 ObjWriter::new().str("rec", "started").u64("id", *id).finish()
             }
-            JournalRecord::Finished {
-                id,
-                fp,
-                status,
-                exit_code,
-                counts,
-                faults,
-                quarantined,
-                work_digest,
-            } => ObjWriter::new()
-                .str("rec", "finished")
-                .u64("id", *id)
-                .str("fp", &hex64(*fp))
-                .str("status", status)
-                .i64("exit_code", *exit_code)
-                .raw("counts", &jsonl::u64_array(counts))
-                .u64("faults", *faults)
-                .u64("quarantined", *quarantined)
-                .str("work_digest", &hex64(*work_digest))
-                .finish(),
-            JournalRecord::Rejected { id, reason } => ObjWriter::new()
-                .str("rec", "rejected")
-                .u64("id", *id)
-                .str("reason", reason)
-                .finish(),
-            JournalRecord::Cancelled { id } => {
-                ObjWriter::new().str("rec", "cancelled").u64("id", *id).finish()
-            }
-            JournalRecord::Drained { id, fp, checkpoint } => {
-                let w =
-                    ObjWriter::new().str("rec", "drained").u64("id", *id).str("fp", &hex64(*fp));
-                match checkpoint {
-                    Some(path) => w.str("checkpoint", path).finish(),
-                    None => w.finish(),
+            JournalRecord::Outcome { id, fp, outcome } => {
+                let mut w = ObjWriter::new().str("rec", outcome.kind()).u64("id", *id);
+                if outcome.carries_fp() {
+                    w = w.str("fp", &hex64(*fp));
                 }
+                match outcome {
+                    Reported::Finished {
+                        status,
+                        exit_code,
+                        counts,
+                        faults,
+                        quarantined,
+                        work_digest,
+                    } => w
+                        .str("status", status)
+                        .i64("exit_code", *exit_code)
+                        .raw("counts", &jsonl::u64_array(counts))
+                        .u64("faults", *faults)
+                        .u64("quarantined", *quarantined)
+                        .str("work_digest", &hex64(*work_digest)),
+                    Reported::Rejected { reason } => w.str("reason", reason),
+                    Reported::Drained { checkpoint: Some(path) } => w.str("checkpoint", path),
+                    Reported::Drained { checkpoint: None } | Reported::Cancelled => w,
+                }
+                .finish()
             }
         }
     }
@@ -208,16 +235,22 @@ impl JournalRecord {
         let v = jsonl::parse(payload)?;
         let id = v.get("id").and_then(Json::as_u64).ok_or("missing record id")?;
         let rec = v.get("rec").and_then(Json::as_str).ok_or("missing rec discriminator")?;
-        match rec {
+        let fp = || parse_hex64(v.get("fp")).ok_or(format!("{rec}: missing fp"));
+        let string = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or(format!("{rec}: missing {key}"))
+        };
+        let outcome = match rec {
             "submitted" => {
-                let fp = parse_hex64(v.get("fp")).ok_or("submitted: missing fp")?;
                 let req = v.get("req").cloned().ok_or("submitted: missing req")?;
                 if !matches!(req, Json::Obj(_)) {
                     return Err("submitted: req is not an object".to_string());
                 }
-                Ok(JournalRecord::Submitted { id, fp, req })
+                return Ok(JournalRecord::Submitted { id, fp: fp()?, req });
             }
-            "started" => Ok(JournalRecord::Started { id }),
+            "started" => return Ok(JournalRecord::Started { id }),
             "finished" => {
                 let get_u64 = |key: &str| {
                     v.get(key).and_then(Json::as_u64).ok_or(format!("finished: missing {key}"))
@@ -229,14 +262,8 @@ impl JournalRecord {
                     .iter()
                     .map(|c| c.as_u64().ok_or("finished: non-integer count".to_string()))
                     .collect::<Result<Vec<u64>, String>>()?;
-                Ok(JournalRecord::Finished {
-                    id,
-                    fp: parse_hex64(v.get("fp")).ok_or("finished: missing fp")?,
-                    status: v
-                        .get("status")
-                        .and_then(Json::as_str)
-                        .ok_or("finished: missing status")?
-                        .to_string(),
+                Reported::Finished {
+                    status: string("status")?,
                     exit_code: v
                         .get("exit_code")
                         .and_then(Json::as_i64)
@@ -246,24 +273,15 @@ impl JournalRecord {
                     quarantined: get_u64("quarantined")?,
                     work_digest: parse_hex64(v.get("work_digest"))
                         .ok_or("finished: missing work_digest")?,
-                })
+                }
             }
-            "rejected" => Ok(JournalRecord::Rejected {
-                id,
-                reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or("rejected: missing reason")?
-                    .to_string(),
-            }),
-            "cancelled" => Ok(JournalRecord::Cancelled { id }),
-            "drained" => Ok(JournalRecord::Drained {
-                id,
-                fp: parse_hex64(v.get("fp")).ok_or("drained: missing fp")?,
-                checkpoint: v.get("checkpoint").and_then(Json::as_str).map(str::to_string),
-            }),
-            other => Err(format!("unknown record kind '{other}'")),
-        }
+            "rejected" => Reported::Rejected { reason: string("reason")? },
+            "drained" => Reported::Drained { checkpoint: string("checkpoint").ok() },
+            "cancelled" => Reported::Cancelled,
+            other => return Err(format!("unknown record kind '{other}'")),
+        };
+        let fp = if outcome.carries_fp() { fp()? } else { 0 };
+        Ok(JournalRecord::Outcome { id, fp, outcome })
     }
 }
 
@@ -400,35 +418,16 @@ fn create_empty(path: &Path) -> Result<(), JournalError> {
     Ok(())
 }
 
-/// A job's terminal outcome as reconstructed from the journal.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Terminal {
-    Finished {
-        status: String,
-        exit_code: i64,
-        counts: Vec<u64>,
-        faults: u64,
-        quarantined: u64,
-        work_digest: u64,
-    },
-    Rejected {
-        reason: String,
-    },
-}
-
 /// One job folded out of the record stream.
 #[derive(Clone, Debug)]
 pub struct ReplayJob {
     pub id: u64,
     pub fp: u64,
     pub req: Json,
-    /// A client asked for cancellation and no terminal outcome followed.
-    pub cancelled: bool,
-    /// Checkpoint path from the most recent `Drained` record, if any.
-    pub checkpoint: Option<String>,
-    /// Terminal outcome, when one was journaled with a matching
-    /// fingerprint.
-    pub terminal: Option<Terminal>,
+    /// What the journal says became of the job, `None` while nothing
+    /// did: a finished or rejected end, else a cancel, else the most
+    /// recent drain (records with a mismatched fingerprint skipped).
+    pub outcome: Option<Reported>,
 }
 
 /// The folded view of a journal: per-job state plus replay accounting.
@@ -448,12 +447,13 @@ pub struct Replay {
     pub fp_mismatches: u64,
 }
 
-/// Fold a record prefix into per-job state. Later records win; records
+/// Fold a record prefix into per-job state. A later record wins over one
+/// of equal or lower standing ([`ReplayJob::outcome`]); records
 /// referencing unknown ids are dropped (a `Submitted` lost to a torn tail
-/// takes its dependents with it — prefix semantics). A `Finished`/
-/// `Drained` whose `fp` disagrees with the job's `Submitted` fingerprint
-/// is distrusted and ignored: the job stays unresolved and will be
-/// recomputed rather than answered from a suspect record.
+/// takes its dependents with it — prefix semantics). A finished or
+/// drained record whose `fp` disagrees with the job's `Submitted`
+/// fingerprint is distrusted and ignored: the job stays unresolved and
+/// will be recomputed rather than answered from a suspect record.
 pub fn fold(records: &[JournalRecord]) -> Replay {
     let mut index: BTreeMap<u64, usize> = BTreeMap::new();
     let mut replay = Replay::default();
@@ -461,14 +461,7 @@ pub fn fold(records: &[JournalRecord]) -> Replay {
         replay.max_id = replay.max_id.max(record.id());
         if let JournalRecord::Submitted { id, fp, req } = record {
             index.entry(*id).or_insert_with(|| {
-                replay.jobs.push(ReplayJob {
-                    id: *id,
-                    fp: *fp,
-                    req: req.clone(),
-                    cancelled: false,
-                    checkpoint: None,
-                    terminal: None,
-                });
+                replay.jobs.push(ReplayJob { id: *id, fp: *fp, req: req.clone(), outcome: None });
                 replay.jobs.len() - 1
             });
             continue;
@@ -477,44 +470,12 @@ pub fn fold(records: &[JournalRecord]) -> Replay {
             replay.orphans += 1;
             continue;
         };
+        let JournalRecord::Outcome { fp, outcome, .. } = record else { continue };
         let job = &mut replay.jobs[slot];
-        match record {
-            JournalRecord::Started { .. } => {}
-            JournalRecord::Cancelled { .. } => job.cancelled = true,
-            JournalRecord::Finished {
-                fp,
-                status,
-                exit_code,
-                counts,
-                faults,
-                quarantined,
-                work_digest,
-                ..
-            } => {
-                if *fp != job.fp {
-                    replay.fp_mismatches += 1;
-                    continue;
-                }
-                job.terminal = Some(Terminal::Finished {
-                    status: status.clone(),
-                    exit_code: *exit_code,
-                    counts: counts.clone(),
-                    faults: *faults,
-                    quarantined: *quarantined,
-                    work_digest: *work_digest,
-                });
-            }
-            JournalRecord::Rejected { reason, .. } => {
-                job.terminal = Some(Terminal::Rejected { reason: reason.clone() });
-            }
-            JournalRecord::Drained { fp, checkpoint, .. } => {
-                if *fp != job.fp {
-                    replay.fp_mismatches += 1;
-                    continue;
-                }
-                job.checkpoint = checkpoint.clone();
-            }
-            JournalRecord::Submitted { .. } => unreachable!("handled above"),
+        if outcome.carries_fp() && *fp != job.fp {
+            replay.fp_mismatches += 1;
+        } else if job.outcome.as_ref().is_none_or(|held| held.standing() <= outcome.standing()) {
+            job.outcome = Some(outcome.clone());
         }
     }
     replay
@@ -540,17 +501,23 @@ mod tests {
             JournalRecord::Submitted { id: 1, fp: fp1, req: r1 },
             JournalRecord::Started { id: 1 },
             JournalRecord::Submitted { id: 2, fp: fp2, req: r2 },
-            JournalRecord::Finished {
+            JournalRecord::Outcome {
                 id: 1,
                 fp: fp1,
-                status: "Complete".to_string(),
-                exit_code: 0,
-                counts: vec![117],
-                faults: 0,
-                quarantined: 0,
-                work_digest: 0xdead_beef,
+                outcome: Reported::Finished {
+                    status: "Complete".to_string(),
+                    exit_code: 0,
+                    counts: vec![117],
+                    faults: 0,
+                    quarantined: 0,
+                    work_digest: 0xdead_beef,
+                },
             },
-            JournalRecord::Drained { id: 2, fp: fp2, checkpoint: Some("spool/job-2.ckpt".into()) },
+            JournalRecord::Outcome {
+                id: 2,
+                fp: fp2,
+                outcome: Reported::Drained { checkpoint: Some("spool/job-2.ckpt".into()) },
+            },
         ]
     }
 
@@ -560,8 +527,42 @@ mod tests {
             let payload = record.encode();
             assert_eq!(JournalRecord::decode(&payload).unwrap(), record);
         }
-        let no_ckpt = JournalRecord::Drained { id: 3, fp: 9, checkpoint: None };
-        assert_eq!(JournalRecord::decode(&no_ckpt.encode()).unwrap(), no_ckpt);
+        // One outcome record per kind, against the bytes journals hold.
+        let finished = Reported::Finished {
+            status: "Degraded".into(),
+            exit_code: 6,
+            counts: vec![117, 0],
+            faults: 2,
+            quarantined: 1,
+            work_digest: 0xdead_beef,
+        };
+        for (fp, outcome, payload) in [
+            (
+                0xabc,
+                finished,
+                r#"{"rec":"finished","id":3,"fp":"0000000000000abc","status":"Degraded","exit_code":6,"counts":[117,0],"faults":2,"quarantined":1,"work_digest":"00000000deadbeef"}"#,
+            ),
+            (
+                9,
+                Reported::Drained { checkpoint: Some("s/j.ckpt".into()) },
+                r#"{"rec":"drained","id":3,"fp":"0000000000000009","checkpoint":"s/j.ckpt"}"#,
+            ),
+            (
+                9,
+                Reported::Drained { checkpoint: None },
+                r#"{"rec":"drained","id":3,"fp":"0000000000000009"}"#,
+            ),
+            (
+                0,
+                Reported::Rejected { reason: "full".into() },
+                r#"{"rec":"rejected","id":3,"reason":"full"}"#,
+            ),
+            (0, Reported::Cancelled, r#"{"rec":"cancelled","id":3}"#),
+        ] {
+            let record = JournalRecord::Outcome { id: 3, fp, outcome };
+            assert_eq!(record.encode(), payload);
+            assert_eq!(JournalRecord::decode(payload).unwrap(), record);
+        }
     }
 
     #[test]
@@ -615,7 +616,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("jobs.journal");
         let records = sample_records();
-        let huge = JournalRecord::Rejected { id: 99, reason: "x".repeat(MAX_RECORD_BYTES) };
+        let reason = "x".repeat(MAX_RECORD_BYTES);
+        let huge = JournalRecord::Outcome { id: 99, fp: 0, outcome: Reported::Rejected { reason } };
         {
             let (mut j, _) = Journal::open(&path).unwrap();
             j.append(&records[0]).unwrap();
@@ -672,9 +674,9 @@ mod tests {
         let without = fold(&[records[0].clone(), records[3].clone()]);
         assert_eq!((with.orphans, with.fp_mismatches, with.max_id), (0, 0, 1));
         assert_eq!(with.jobs.len(), 1);
-        assert_eq!(with.jobs[0].terminal, without.jobs[0].terminal);
+        assert_eq!(with.jobs[0].outcome, without.jobs[0].outcome);
         assert!(
-            matches!(&with.jobs[0].terminal, Some(Terminal::Finished { counts, .. }) if counts == &[117])
+            matches!(&with.jobs[0].outcome, Some(Reported::Finished { counts, .. }) if counts == &[117])
         );
         // One for a job the journal never saw submitted is still an orphan.
         assert_eq!(fold(&[JournalRecord::Started { id: 5 }]).orphans, 1);
@@ -684,16 +686,15 @@ mod tests {
     fn fold_links_records_and_distrusts_fp_mismatches() {
         let mut records = sample_records();
         // A Finished whose fp disagrees with job 2's Submitted fingerprint.
-        records.push(JournalRecord::Finished {
-            id: 2,
-            fp: 0x1234,
+        let forged = Reported::Finished {
             status: "Complete".to_string(),
             exit_code: 0,
             counts: vec![999],
             faults: 0,
             quarantined: 0,
             work_digest: 0,
-        });
+        };
+        records.push(JournalRecord::Outcome { id: 2, fp: 0x1234, outcome: forged });
         // An orphan record (no Submitted for id 9).
         records.push(JournalRecord::Started { id: 9 });
         let replay = fold(&records);
@@ -702,9 +703,16 @@ mod tests {
         assert_eq!(replay.orphans, 1);
         assert_eq!(replay.fp_mismatches, 1);
         let a = &replay.jobs[0];
-        assert!(matches!(&a.terminal, Some(Terminal::Finished { counts, .. }) if counts == &[117]));
-        let b = &replay.jobs[1];
-        assert!(b.terminal.is_none(), "mismatched-fp Finished must be distrusted");
-        assert_eq!(b.checkpoint.as_deref(), Some("spool/job-2.ckpt"));
+        assert!(matches!(&a.outcome, Some(Reported::Finished { counts, .. }) if counts == &[117]));
+        let drained = Some(Reported::Drained { checkpoint: Some("spool/job-2.ckpt".into()) });
+        assert_eq!(replay.jobs[1].outcome, drained, "mismatched-fp Finished must be distrusted");
+
+        // A cancel outlives a drain on either side of it, and a journaled
+        // end outlives a cancel.
+        let cancel = |id| JournalRecord::Outcome { id, fp: 0, outcome: Reported::Cancelled };
+        records.extend([cancel(1), cancel(2), records[4].clone()]);
+        let replay = fold(&records);
+        assert_eq!(replay.jobs[0].outcome, a.outcome);
+        assert_eq!(replay.jobs[1].outcome, Some(Reported::Cancelled));
     }
 }

@@ -7,7 +7,7 @@
 //! was not written ("mis-replay"). Truncation models the SIGKILL window
 //! between `write` and `sync_data`; bit flips model media corruption.
 
-use fm_jobs::journal::{self, Journal, JournalRecord, HEADER_LEN, MAGIC, VERSION};
+use fm_jobs::journal::{self, Journal, JournalRecord, Reported, HEADER_LEN, MAGIC, VERSION};
 use fm_jobs::jsonl;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,27 +30,27 @@ fn build_image(n: u64) -> (Vec<u8>, Vec<JournalRecord>) {
         if i <= 2 {
             records.push(JournalRecord::Started { id: i });
         }
-        if i % 2 == 0 {
-            records.push(JournalRecord::Finished {
-                id: i,
-                fp,
+        let outcome = if i % 2 == 0 {
+            Reported::Finished {
                 status: "Complete".to_string(),
                 exit_code: 0,
                 counts: vec![i * 37, i * 101],
                 faults: 0,
                 quarantined: 0,
                 work_digest: journal::fnv64(&i.to_le_bytes()),
-            });
+            }
         } else {
-            records.push(JournalRecord::Drained {
-                id: i,
-                fp,
-                checkpoint: Some(format!("spool/job-{i}.ckpt")),
-            });
-        }
+            Reported::Drained { checkpoint: Some(format!("spool/job-{i}.ckpt")) }
+        };
+        records.push(JournalRecord::Outcome { id: i, fp, outcome });
     }
-    records.push(JournalRecord::Rejected { id: n + 1, reason: "job table full".to_string() });
-    records.push(JournalRecord::Cancelled { id: 1 });
+    let reason = "job table full".to_string();
+    records.push(JournalRecord::Outcome {
+        id: n + 1,
+        fp: 0,
+        outcome: Reported::Rejected { reason },
+    });
+    records.push(JournalRecord::Outcome { id: 1, fp: 0, outcome: Reported::Cancelled });
 
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
@@ -128,14 +128,13 @@ proptest! {
         prop_assert!(is_prefix(&scan.records, &records));
         let recovered = scan.records.len();
         // The truncated journal must accept appends and replay them.
-        j.append(&JournalRecord::Cancelled { id: 424_242 }).unwrap();
+        let cancel = JournalRecord::Outcome { id: 424_242, fp: 0, outcome: Reported::Cancelled };
+        j.append(&cancel).unwrap();
         drop(j);
         let (_, scan2) = Journal::open(&path).unwrap();
         prop_assert_eq!(scan2.records.len(), recovered + 1);
         prop_assert_eq!(scan2.truncated_bytes, 0);
-        let tail_is_cancel =
-            matches!(scan2.records.last(), Some(JournalRecord::Cancelled { id: 424_242 }));
-        prop_assert!(tail_is_cancel);
+        prop_assert_eq!(scan2.records.last(), Some(&cancel));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -85,8 +85,11 @@ fn persistent_fault_exhausts_attempts_and_resolves_degraded() {
     assert_eq!(r.work, reference.work);
     // Attempt 1 degraded, one retry, attempt 2 degraded, budget spent.
     assert_eq!(sup.stats().retries, 1);
-    // Both failed attempts are on the fault roster.
-    assert_eq!(r.faults.len(), 2);
+    // Both failed attempts are on the fault roster, the retry numbered
+    // after the first, and the quarantine names the last.
+    let faults: Vec<(u32, u32)> = r.faults.iter().map(|f| (f.vid, f.attempt)).collect();
+    assert_eq!(faults, [(poisoned, 0), (poisoned, 1)]);
+    assert_eq!(r.quarantined[0].attempt, 1);
 }
 
 /// Chaos matrix: concurrent jobs with and without injected faults, over
