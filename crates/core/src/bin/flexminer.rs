@@ -223,7 +223,7 @@ commands:
   serve [flags]                             multi-job supervisor speaking JSONL
         [--socket PATH] [--spool DIR] [--journal PATH] [--exit-when-idle]
         [--workers N] [--max-running N] [--queue-capacity N]
-        [--memory-budget BYTES] [--stint-tasks N] [--max-attempts K]
+        [--memory-budget BYTES] [--stint-tasks N]
         [--max-request-bytes N] [--idle-timeout SECS]
         [--trace-out PATH] [--recorder-out PATH] [--recorder-cap N]
 
@@ -266,14 +266,17 @@ serve protocol (JSONL, one object per line, over stdio or --socket):
   {\"op\":\"submit\",\"pattern\":P,\"graph\":G[,\"name\":S,\"induced\":B,
    \"threads\":N,\"priority\":N,\"max_attempts\":K,
    \"budget\":SETOP_ITERS,\"deadline\":SECS]}          admit a job
-   (per-job budget/deadline stop with exit codes 4/3 and exact partial
-   counts; both survive a drain, the deadline re-anchors at resume)
+   (a faulted task runs at most K times, default 3; per-job
+   budget/deadline stop with exit codes 4/3 and exact partial counts;
+   both survive a drain, the deadline re-anchors at resume; a gen: spec
+   sized over --memory-budget is refused before it is generated)
   {\"op\":\"wait\",\"id\":N}    block until the job's terminal outcome
   {\"op\":\"status\"}          supervisor gauges   {\"op\":\"cancel\",\"id\":N}
   {\"op\":\"metrics\"[,\"format\":\"prometheus\"]}    exporter document
   {\"op\":\"shutdown\"}        drain to --spool checkpoints and exit
   SIGTERM drains identically; restarting with the same --spool resumes
-  every drained job bit-for-bit.
+  every drained job bit-for-bit under its id. --spool DIR journals to
+  DIR/journal unless --journal names another file.
   --journal PATH appends every submission and outcome to a durable
   CRC-framed journal: after a hard kill (SIGKILL/OOM) a restart with the
   same journal answers wait/status for finished jobs from the record
@@ -285,7 +288,7 @@ serve protocol (JSONL, one object per line, over stdio or --socket):
   after --idle-timeout seconds (default 300, 0 disables)
   {\"op\":\"subscribe\"[,\"buffer\":N]}  (socket only) turns the
   connection into a live JSONL stream of job lifecycle events
-  (submitted/queued/running/preempted/parked/resumed/retry/progress/
+  (submitted/queued/running/preempted/parked/resumed/progress/
   finished/drained); a slow consumer loses oldest events and sees a
   {\"event\":\"dropped\"} notice instead of blocking the server.
   --trace-out writes one Chrome-trace JSON at exit with supervisor
@@ -364,7 +367,6 @@ const SERVE_FLAGS: Flags = &[
     ("--queue-capacity", true),
     ("--memory-budget", true),
     ("--stint-tasks", true),
-    ("--max-attempts", true),
     ("--max-request-bytes", true),
     ("--idle-timeout", true),
     ("--trace-out", true),
@@ -659,9 +661,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     if let Some(v) = flag_value(args, "--stint-tasks") {
         sup.stint_tasks = v.parse().map_err(|e| format!("bad --stint-tasks: {e}"))?;
-    }
-    if let Some(v) = flag_value(args, "--max-attempts") {
-        sup.max_attempts = v.parse().map_err(|e| format!("bad --max-attempts: {e}"))?;
     }
     let mut cfg = ServeConfig {
         socket: flag_value(args, "--socket").map(PathBuf::from),

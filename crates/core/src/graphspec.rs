@@ -28,62 +28,114 @@ pub fn load(input: &str) -> Result<CsrGraph, String> {
 
 /// Builds a synthetic graph from a `kind,k=v,...` spec (no `gen:` prefix).
 ///
-/// Kinds: `powerlaw` (n, m, closure, seed), `pa` (n, m, seed),
-/// `er` (n, p, seed), `complete` (n), `caveman` (communities, size,
-/// bridges, seed).
-///
 /// # Errors
 ///
-/// Returns a message for unknown kinds, unparsable parameters, and
-/// parameters outside a generator's documented preconditions
-/// (`bad gen spec: …`).
+/// See [`GenSpec::parse`].
 pub fn generate(spec: &str) -> Result<CsrGraph, String> {
-    let mut parts = spec.split(',');
-    let kind = parts.next().ok_or("empty generator spec")?;
-    let kv: HashMap<&str, &str> = parts.filter_map(|p| p.split_once('=')).collect();
-    let get_u = |k: &str, default: usize| -> Result<usize, String> {
-        kv.get(k).map_or(Ok(default), |v| v.parse().map_err(|e| format!("bad {k}: {e}")))
-    };
-    let get_f = |k: &str, default: f64| -> Result<f64, String> {
-        kv.get(k).map_or(Ok(default), |v| v.parse().map_err(|e| format!("bad {k}: {e}")))
-    };
-    let seed = get_u("seed", 1)? as u64;
-    // The generators assert their documented preconditions; a client's
-    // numbers are checked here so a miss is a message, not a panic.
-    let need = |ok: bool, what: &str| -> Result<(), String> {
-        ok.then_some(()).ok_or_else(|| format!("bad gen spec: {kind} needs {what}"))
-    };
-    Ok(match kind {
-        "powerlaw" | "pa" => {
-            let (n, m) = (get_u("n", 10_000)?, get_u("m", 5)?);
-            need(m >= 1 && n > m, "m >= 1 and n > m")?;
-            if kind == "pa" {
-                generators::preferential_attachment(n, m, seed)
-            } else {
-                generators::powerlaw_cluster(n, m, get_f("closure", 0.5)?, seed)
+    Ok(GenSpec::parse(spec)?.build())
+}
+
+/// A parsed generator spec: which generator runs and with what, checked
+/// once, so what [`bounds`](Self::bounds) sizes is what
+/// [`build`](Self::build) makes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum GenSpec {
+    PowerLaw { n: usize, m: usize, closure: f64, seed: u64 },
+    Pa { n: usize, m: usize, seed: u64 },
+    Er { n: usize, p: f64, seed: u64 },
+    Complete { n: usize },
+    Caveman { communities: usize, size: usize, bridges: usize, seed: u64 },
+}
+
+impl GenSpec {
+    /// Parses a `kind,k=v,...` spec (no `gen:` prefix).
+    ///
+    /// Kinds: `powerlaw` (n, m, closure, seed), `pa` (n, m, seed),
+    /// `er` (n, p, seed), `complete` (n), `caveman` (communities, size,
+    /// bridges, seed).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for unknown kinds, unparsable parameters, and
+    /// parameters outside a generator's documented preconditions
+    /// (`bad gen spec: …`).
+    pub fn parse(spec: &str) -> Result<GenSpec, String> {
+        let mut parts = spec.split(',');
+        let kind = parts.next().ok_or("empty generator spec")?;
+        let kv: HashMap<&str, &str> = parts.filter_map(|p| p.split_once('=')).collect();
+        let get_u = |k: &str, default: usize| -> Result<usize, String> {
+            kv.get(k).map_or(Ok(default), |v| v.parse().map_err(|e| format!("bad {k}: {e}")))
+        };
+        let get_f = |k: &str, default: f64| -> Result<f64, String> {
+            kv.get(k).map_or(Ok(default), |v| v.parse().map_err(|e| format!("bad {k}: {e}")))
+        };
+        let seed = get_u("seed", 1)? as u64;
+        // The generators assert their documented preconditions; a client's
+        // numbers are checked here so a miss is a message, not a panic.
+        let need = |ok: bool, what: &str| -> Result<(), String> {
+            ok.then_some(()).ok_or_else(|| format!("bad gen spec: {kind} needs {what}"))
+        };
+        Ok(match kind {
+            "powerlaw" | "pa" => {
+                let (n, m) = (get_u("n", 10_000)?, get_u("m", 5)?);
+                need(m >= 1 && n > m, "m >= 1 and n > m")?;
+                if kind == "pa" {
+                    GenSpec::Pa { n, m, seed }
+                } else {
+                    GenSpec::PowerLaw { n, m, closure: get_f("closure", 0.5)?, seed }
+                }
+            }
+            "er" => GenSpec::Er { n: get_u("n", 1_000)?, p: get_f("p", 0.01)?, seed },
+            "complete" => GenSpec::Complete { n: get_u("n", 16)? },
+            "caveman" => {
+                let (communities, size) = (get_u("communities", 50)?, get_u("size", 10)?);
+                need(communities >= 1 && size >= 2, "communities >= 1 and size >= 2")?;
+                GenSpec::Caveman { communities, size, bridges: get_u("bridges", 100)?, seed }
+            }
+            other => return Err(format!("unknown generator kind {other}")),
+        })
+    }
+
+    /// Upper bounds on the built graph's vertex and directed edge counts
+    /// (each undirected edge twice, as the CSR stores it), saturating:
+    /// every growth step adds at most `m` edges, a random graph at most
+    /// every pair, a caveman graph its cliques plus one edge per bridge.
+    pub fn bounds(&self) -> (u64, u64) {
+        let pairs = |n: u64| n.saturating_mul(n.saturating_sub(1));
+        match *self {
+            GenSpec::PowerLaw { n, m, .. } | GenSpec::Pa { n, m, .. } => {
+                (n as u64, (n as u64).saturating_mul(m as u64).saturating_mul(2))
+            }
+            GenSpec::Er { n, .. } | GenSpec::Complete { n } => (n as u64, pairs(n as u64)),
+            GenSpec::Caveman { communities, size, bridges, .. } => {
+                let cliques = (communities as u64).saturating_mul(pairs(size as u64));
+                let n = (communities as u64).saturating_mul(size as u64);
+                (n, cliques.saturating_add((bridges as u64).saturating_mul(2)))
             }
         }
-        "er" => generators::erdos_renyi(get_u("n", 1_000)?, get_f("p", 0.01)?, seed),
-        "complete" => generators::complete(get_u("n", 16)?),
-        "caveman" => {
-            let (communities, size) = (get_u("communities", 50)?, get_u("size", 10)?);
-            need(communities >= 1 && size >= 2, "communities >= 1 and size >= 2")?;
-            generators::caveman(communities, size, get_u("bridges", 100)?, seed)
+    }
+
+    /// Runs the generator.
+    pub fn build(&self) -> CsrGraph {
+        match *self {
+            GenSpec::PowerLaw { n, m, closure, seed } => {
+                generators::powerlaw_cluster(n, m, closure, seed)
+            }
+            GenSpec::Pa { n, m, seed } => generators::preferential_attachment(n, m, seed),
+            GenSpec::Er { n, p, seed } => generators::erdos_renyi(n, p, seed),
+            GenSpec::Complete { n } => generators::complete(n),
+            GenSpec::Caveman { communities, size, bridges, seed } => {
+                generators::caveman(communities, size, bridges, seed)
+            }
         }
-        other => return Err(format!("unknown generator kind {other}")),
-    })
+    }
 }
 
 /// Stable non-zero identity key for a spec string, used as the
 /// supervisor's shared-graph key so jobs naming the same input are
 /// charged for one resident copy (FNV-1a; 0 is reserved for "unique").
 pub fn fingerprint(input: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in input.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h | 1
+    fm_jobs::journal::fnv64(input.as_bytes()) | 1
 }
 
 #[cfg(test)]
@@ -118,5 +170,31 @@ mod tests {
         assert_eq!(a, fingerprint("gen:complete,n=5"));
         assert_ne!(a, fingerprint("gen:complete,n=6"));
         assert_ne!(a, 0);
+        // FNV-1a with the 64-bit prime 0x100000001b3. (The key lives only
+        // in one process's memory accounting; nothing persists it.)
+        assert_eq!(a, 0xfd17_63ad_b800_681b);
+    }
+
+    #[test]
+    fn gen_bounds_cover_what_the_generators_build() {
+        for spec in [
+            "complete,n=9",
+            "powerlaw,n=300,m=4,closure=0.5,seed=3",
+            "pa,n=5,m=4",
+            "er,n=80,p=0.2,seed=2",
+            "caveman,communities=6,size=5,bridges=40,seed=4",
+            "caveman,communities=1,size=2,bridges=0",
+        ] {
+            let gen = GenSpec::parse(spec).unwrap();
+            let (g, (n, m)) = (gen.build(), gen.bounds());
+            assert_eq!(g.num_vertices() as u64, n, "{spec}");
+            assert!(g.num_directed_edges() as u64 <= m, "{spec}: {} > {m}", g.num_directed_edges());
+        }
+        // A complete graph meets its bound; a huge spec saturates rather
+        // than wrapping to a size that would pass a budget.
+        assert_eq!(GenSpec::parse("complete,n=9").unwrap().bounds(), (9, 72));
+        assert_eq!(GenSpec::parse("complete,n=200000").unwrap().bounds().1, 200_000 * 199_999);
+        let huge = GenSpec::parse("caveman,communities=18446744073709551615,size=4294967296");
+        assert_eq!(huge.unwrap().bounds(), (u64::MAX, u64::MAX));
     }
 }

@@ -15,23 +15,28 @@
 //! | `subscribe`| `buffer?` (event-queue cap, 0..=65536; 0 is the default)    | ack, then one job event per line until disconnect (socket only) |
 //! | `shutdown` |                                                             | `{"ok":true}`, then the process drains |
 //!
-//! `max_attempts: 0` means 1 (a job always gets its first attempt).
+//! `max_attempts: K` is how often a faulted start-vertex task may run:
+//! the engine retries it in place K − 1 times
+//! ([`EngineConfig::max_retries`]) before quarantining it. 0 means 1 (a
+//! job always gets its first attempt) and the default is 3.
 //! `budget` caps the job's set-op iterations and `deadline` gives it a
 //! wall-clock allowance in (fractional) seconds; either stop surfaces as
 //! an exact partial result with the `count` command's exit-code semantics
 //! (4 budget exhausted, 3 deadline exceeded) on the `wait` response and
-//! summary line. Both survive a drain in the resume manifest; the
+//! summary line. Both survive a drain in the journaled request; the
 //! deadline is re-anchored when the restarted process resubmits the job
 //! (the allowance is per attempt — wall time the old process spent does
 //! not count against the new one).
 //!
 //! On SIGTERM/SIGINT (or the `shutdown` op — both arm the same
 //! [`fm_jobs::signal`] latch) the supervisor drains every unfinished job
-//! to a checkpoint under `--spool` and records a resubmission manifest;
-//! a restarted `serve` with the same spool resumes each job and its final
-//! counts are bit-identical to an uninterrupted run. At exit the process
-//! prints one `{"event":"job",...}` summary line per terminal job on
-//! stdout, sorted by job name, so restart tooling can diff runs.
+//! to a checkpoint under `--spool` and the journal records where each
+//! one's progress is (`--spool DIR` alone journals to `DIR/journal`); a
+//! restarted `serve` on the same spool resumes each job under the id its
+//! client holds, and its final counts are bit-identical to an
+//! uninterrupted run. At exit the process prints one `{"event":"job",...}`
+//! summary line per terminal job on stdout, sorted by job name, so
+//! restart tooling can diff runs.
 //!
 //! ## One table, one record
 //!
@@ -54,22 +59,22 @@
 //! `recv_timeout`, and the bound on how long a blocked `wait` or stream
 //! goes without looking at the termination latch.
 //!
-//! ## Crash safety (`--journal`)
+//! ## Crash safety (the journal)
 //!
-//! The spool covers *graceful* shutdown only. `--journal PATH` adds a
-//! durable append-only job journal ([`fm_jobs::journal`]): every
+//! `--journal PATH` (or `--spool` alone) keeps a durable append-only job
+//! journal ([`fm_jobs::journal`]): every
 //! submission is journaled (with a canonical-request fingerprint) before
 //! the client gets its response, and every terminal outcome is journaled
 //! on the main loop's next tick after the job resolves — two records and
-//! two fsyncs a job, one of them ahead of a reply. After a hard kill
-//! (SIGKILL, OOM, power loss) a
+//! two fsyncs a job, one of them ahead of a reply. After a drain or a
+//! hard kill (SIGKILL, OOM, power loss) a
 //! restart with the same journal replays it: jobs journaled `Finished`
 //! answer `wait` from the recorded outcome (fingerprint-validated, marked
 //! `"replayed":true`); unresolved jobs are recovered — from a drained
 //! checkpoint when one was journaled, otherwise resubmitted from the
 //! journaled spec — and converge to the same bit-identical counts as an
 //! uninterrupted run. Recovery keeps each job's original id, so a client
-//! reconnecting after the crash `wait`s on the id it was given.
+//! reconnecting after the restart `wait`s on the id it was given.
 //!
 //! ## Protocol hardening
 //!
@@ -97,17 +102,18 @@ use fm_jobs::{signal, JobHandle, JobObserver, JobOutcome, JobSpec, Supervisor, S
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
 use fm_telemetry::{chrome_trace_json, TraceClock, DEFAULT_RECORDER_CAPACITY};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use wire::{canonical_req, err_line, field, int_field, manifest_line, reported, resume_entry};
-use wire::{summary_line, wait_line};
+use wire::{canonical_req, err_line, field, int_field, reported, summary_line, wait_line};
 
 /// Default cap on one request line (bytes); `--max-request-bytes`.
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
+/// Attempts a faulted task gets when a submit names no `max_attempts`.
+const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 /// Default per-connection read idle timeout; `--idle-timeout` (0 disables).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 /// The one timer in `serve`: how long the main loop, a `wait` or an event
@@ -124,9 +130,10 @@ const TICK: Duration = Duration::from_millis(20);
 pub struct ServeConfig {
     /// Unix-socket path to listen on; `None` speaks JSONL over stdio.
     pub socket: Option<PathBuf>,
-    /// Directory for drain checkpoints and the resume manifest.
+    /// Directory for drain checkpoints.
     pub spool: Option<PathBuf>,
-    /// Append-only job journal for hard-kill recovery; `None` disables.
+    /// Append-only job journal for restart recovery; `None` journals to
+    /// `spool/journal` when there is a spool and disables it otherwise.
     pub journal: Option<PathBuf>,
     /// Exit once at least one job was submitted and all jobs resolved.
     pub exit_when_idle: bool,
@@ -201,6 +208,21 @@ struct JobMeta {
     /// True when this job was resubmitted by journal replay.
     recovered: bool,
     plan: Arc<ExecutionPlan>,
+}
+
+impl JobMeta {
+    /// The engine configuration the job runs under. The deadline anchors
+    /// here, at admission — like `count`'s `--timeout` anchoring after
+    /// graph load — so queue wait counts against it but a drained job
+    /// resubmitted on restart gets its full allowance back.
+    fn engine_config(&self) -> EngineConfig {
+        let mut cfg = EngineConfig::with_threads(self.threads);
+        cfg.budget.max_setop_iterations = self.budget;
+        cfg.budget.deadline =
+            self.deadline_secs.and_then(|s| Instant::now().checked_add(Duration::from_secs_f64(s)));
+        cfg.max_retries = self.max_attempts.unwrap_or(DEFAULT_MAX_ATTEMPTS).saturating_sub(1);
+        cfg
+    }
 }
 
 /// One job of the table, keyed by the id its client holds.
@@ -309,7 +331,9 @@ impl ServeState {
     /// contents (empty without one) for [`ServeState::recover`]. Fails
     /// only on journal-level problems a human must resolve: an unreadable
     /// path, a foreign file, a future format version.
-    fn new(cfg: ServeConfig) -> Result<(ServeState, Replay), String> {
+    fn new(mut cfg: ServeConfig) -> Result<(ServeState, Replay), String> {
+        // A spool's drains come back through the journal's records.
+        cfg.journal = cfg.journal.or_else(|| cfg.spool.as_ref().map(|dir| dir.join("journal")));
         // One clock origin for the whole session: supervisor lifecycle
         // spans and per-job engine spans land on one Perfetto timeline.
         let obs = Arc::new(JobObserver::new(
@@ -507,7 +531,7 @@ impl ServeState {
         let induced = field(req, "induced", "a boolean", Json::as_bool)?.unwrap_or(false);
         let threads = int_field(req, "threads", 1usize..=65536)?.unwrap_or(1);
         let priority = int_field(req, "priority", i32::MIN..=i32::MAX)?.unwrap_or(0);
-        // 0 is admitted and means 1: a job always gets its first attempt.
+        // 0 is admitted (older journals may hold it) and means 1.
         let max_attempts = int_field(req, "max_attempts", 0..=u32::MAX)?;
         let budget = int_field(req, "budget", 0..=u64::MAX)?;
         let deadline_secs = field(req, "deadline", "a number of seconds", Json::as_f64)?;
@@ -519,6 +543,18 @@ impl ServeState {
         let pattern: Pattern =
             pattern_spec.parse().map_err(|e| format!("bad pattern {pattern_spec:?}: {e}"))?;
         let plan = Arc::new(compile(&pattern, CompileOptions { induced, ..Default::default() }));
+        // A generator spec is sized from its parameters before anything is
+        // generated: one too big for the whole budget never allocates.
+        if let Some(spec) = graph_spec.strip_prefix("gen:") {
+            let (vertices, edges) = graphspec::GenSpec::parse(spec)?.bounds();
+            let need = fm_jobs::csr_bytes(vertices, edges, plan.orientation);
+            let budget = self.cfg.supervisor.memory_budget_bytes;
+            if need > budget {
+                return Err(format!(
+                    "graph {graph_spec} needs up to {need} B, over the {budget} B memory budget"
+                ));
+            }
+        }
         let graph = self.graph_for(graph_spec)?;
         let name = field(req, "name", "a string", Json::as_str)?
             .map(str::to_string)
@@ -559,20 +595,11 @@ impl ServeState {
                 ));
             }
         }
-        let mut engine_cfg = EngineConfig::with_threads(threads);
-        engine_cfg.budget.max_setop_iterations = budget;
-        // The deadline anchors here, at admission — like `count`'s
-        // `--timeout` anchoring after graph load — so queue wait counts
-        // against it but a drained job resubmitted from the manifest gets
-        // its full allowance back.
-        engine_cfg.budget.deadline =
-            deadline_secs.and_then(|s| Instant::now().checked_add(Duration::from_secs_f64(s)));
         let spec = JobSpec {
             priority,
             graph_key: graphspec::fingerprint(graph_spec),
-            max_attempts,
             resume,
-            ..JobSpec::new(name, graph, plan, engine_cfg)
+            ..JobSpec::new(name, graph, plan, meta.engine_config())
         };
         let handle = self.sup.submit(spec);
         self.submitted_any.store(true, Ordering::SeqCst);
@@ -701,7 +728,6 @@ impl ServeState {
             .u64("submitted", s.submitted)
             .u64("rejected", s.rejected)
             .u64("preempted", s.preempted)
-            .u64("retries", s.retries)
             .u64("completed", s.completed)
             .u64("drained", s.drained)
             .u64("queued", s.queued)
@@ -736,18 +762,16 @@ impl ServeState {
         .finish()
     }
 
-    /// Replays the journal folded by `new`, then the drain manifest.
-    ///
-    /// Journal replay: a job whose end was journaled enters the table as
-    /// replayed (post-restart `wait` answers from the record — never a
-    /// recomputation, never a fabricated count); an unresolved one is
-    /// resubmitted under its original id, resuming from a journaled drain
-    /// checkpoint when one loads cleanly and from scratch otherwise —
-    /// mining is deterministic, so either path converges to the
-    /// bit-identical counts of an uninterrupted run. No new `Submitted`
-    /// record is written for a recovered job: the original record stays
-    /// the marker, so a second crash *during* recovery just replays the
-    /// same unresolved set again.
+    /// Replays the journal folded by `new`: a job whose end was journaled
+    /// enters the table as replayed (post-restart `wait` answers from the
+    /// record — never a recomputation, never a fabricated count); an
+    /// unresolved or drained one is resubmitted under its original id,
+    /// resuming from its journaled drain checkpoint when one loads cleanly
+    /// and from scratch otherwise — mining is deterministic, so either
+    /// path converges to the bit-identical counts of an uninterrupted run.
+    /// No new `Submitted` record is written for a recovered job: the
+    /// original record stays the marker, so a second crash *during*
+    /// recovery just replays the same unresolved set again.
     fn recover(&self, replay: Replay) {
         if replay.orphans > 0 || replay.fp_mismatches > 0 {
             eprintln!(
@@ -757,7 +781,6 @@ impl ServeState {
         }
         // New handle ids must never collide with journaled ids.
         self.sup.reserve_ids(replay.max_id);
-        let mut recovered_ckpts: HashSet<String> = HashSet::new();
         for job in replay.jobs {
             let checkpoint = match job.outcome {
                 None => None,
@@ -777,75 +800,28 @@ impl ServeState {
                         job.id
                     );
                 }
-                recovered_ckpts.insert(path);
                 loaded.ok()
             });
             self.gauges.recovered_jobs.fetch_add(1, Ordering::SeqCst);
             let resp = self.submit(&job.req, resume, Some(job.id)).unwrap_or_else(|e| err_line(&e));
             eprintln!("recovered from journal: {resp}");
         }
-        self.resume_manifest(&recovered_ckpts);
     }
 
-    /// Resubmits every job recorded by a previous process's drain. The
-    /// manifest is consumed (deleted) first so a crash mid-resume cannot
-    /// double-submit on the next restart. Entries whose checkpoint the
-    /// journal replay already recovered are skipped — the journal owns
-    /// those jobs' identities.
-    fn resume_manifest(&self, recovered_ckpts: &HashSet<String>) {
-        let Some(spool) = self.cfg.spool.as_ref() else { return };
-        let manifest = spool.join("manifest.jsonl");
-        let Ok(body) = std::fs::read_to_string(&manifest) else { return };
-        let _ = std::fs::remove_file(&manifest);
-        for line in body.lines().filter(|l| !l.trim().is_empty()) {
-            let journal_owns = jsonl::parse(line).ok().is_some_and(|req| {
-                req.get("checkpoint")
-                    .and_then(Json::as_str)
-                    .is_some_and(|p| recovered_ckpts.contains(p))
-            });
-            if journal_owns {
-                continue;
-            }
-            match resume_entry(line) {
-                Ok((req, ckpt)) => {
-                    let resp = self.submit(&req, Some(ckpt), None).unwrap_or_else(|e| err_line(&e));
-                    eprintln!("resumed from manifest: {resp}");
-                }
-                Err(e) => eprintln!("manifest entry skipped: {e}"),
+    /// Drains the supervisor, journals every terminal or drained outcome
+    /// (a drained record is how the job comes back on restart), and
+    /// prints the per-job summary lines. Returns the process exit code.
+    fn finish(&self) -> i32 {
+        for d in self.sup.shutdown(self.cfg.spool.as_deref()) {
+            match (&d.checkpoint, &d.error) {
+                (Some(ckpt), _) => eprintln!("drained: {} -> {}", d.name, ckpt.display()),
+                (None, Some(e)) => eprintln!("drain: {} lost its checkpoint: {e}", d.name),
+                (None, None) => {}
             }
         }
-    }
-
-    /// Drains the supervisor, writes the resume manifest, journals every
-    /// terminal/drained outcome, and prints the per-job summary lines.
-    /// Returns the process exit code.
-    fn finish(&self) -> i32 {
-        let drained = self.sup.shutdown(self.cfg.spool.as_deref());
-        // After the drain every handle is resolved (Finished or Drained);
-        // journal the stragglers before touching the manifest so a crash
-        // right here still recovers from the journal alone.
+        // After the drain every handle is resolved (Finished or Drained).
         self.journal_tick();
         let jobs = lock_recover(&self.jobs, "job table");
-        if !drained.is_empty() {
-            let mut manifest = String::new();
-            for d in &drained {
-                if let Some(e) = &d.error {
-                    eprintln!("drain: job {} ({}) lost its checkpoint: {e}", d.id, d.name);
-                }
-                let Some(ckpt) = &d.checkpoint else { continue };
-                let mut live = jobs.values().filter_map(Entry::live);
-                let Some((_, meta)) = live.find(|(h, _)| h.id() == d.id) else { continue };
-                manifest.push_str(&manifest_line(meta, ckpt));
-                manifest.push('\n');
-                eprintln!("drained: job {} ({}) -> {}", d.id, d.name, ckpt.display());
-            }
-            if let Some(spool) = self.cfg.spool.as_ref() {
-                let path = spool.join("manifest.jsonl");
-                if let Err(e) = std::fs::write(&path, manifest) {
-                    eprintln!("drain: manifest write failed: {e}");
-                }
-            }
-        }
         // One summary line per terminal job, sorted by name — ids change
         // across a restart, names don't, so restart tooling diffs these.
         let mut lines: Vec<(String, String)> = jobs
@@ -1142,6 +1118,18 @@ mod tests {
             assert!(resp.contains(r#""ok":true"#), "{twin} -> {resp}");
             assert!(kept(metas(&st).last().expect("just admitted")), "{twin} was rewritten");
         }
+        // `max_attempts: K` runs a faulted task at most K times: K − 1
+        // in-place engine retries, 0 meaning 1 attempt, 3 by default.
+        let budgets =
+            [(None, 2), (Some(0), 0), (Some(1), 0), (Some(5), 4), (Some(u32::MAX), u32::MAX - 1)];
+        for (attempts, retries) in budgets {
+            let extra =
+                attempts.map_or("\"name\":\"x\"".into(), |k| format!("\"max_attempts\":{k}"));
+            assert!(submit(&extra).contains(r#""ok":true"#), "{extra}");
+            let meta = metas(&st).pop().expect("just admitted");
+            assert_eq!(meta.max_attempts, attempts, "{extra}");
+            assert_eq!(meta.engine_config().max_retries, retries, "{extra}");
+        }
         st.sup.shutdown(None);
     }
 
@@ -1151,8 +1139,22 @@ mod tests {
             supervisor: SupervisorConfig { memory_budget_bytes: 1, ..Default::default() },
             ..Default::default()
         });
+        // A generator spec is sized from its parameters and refused before
+        // it is generated or given an id: (16 + 1)·8 + 240·4, doubled for
+        // the oriented triangle plan.
         let resp =
             st.handle_line(r#"{"op":"submit","pattern":"triangle","graph":"gen:complete,n=16"}"#);
+        let refused = "graph gen:complete,n=16 needs up to 2192 B, over the 1 B memory budget";
+        assert_eq!(resp, err_line(refused));
+        assert_eq!(st.sup.stats().submitted, 0);
+        // An edge-list file is charged at admission, and shed there.
+        let path = std::env::temp_dir().join(format!("fm-serve-tri-{}.txt", std::process::id()));
+        std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
+        let resp = st.handle_line(&format!(
+            r#"{{"op":"submit","pattern":"triangle","graph":"{}"}}"#,
+            path.display()
+        ));
+        let _ = std::fs::remove_file(&path);
         let v = jsonl::parse(&resp).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
         assert_eq!(v.get("outcome").and_then(Json::as_str), Some("rejected"), "{resp}");
@@ -1179,11 +1181,11 @@ mod tests {
         assert_eq!(d.get("status").and_then(Json::as_str), Some("BudgetExhausted"), "{done}");
         assert_eq!(d.get("exit_code").and_then(Json::as_i64), Some(4), "{done}");
 
-        // The manifest line a drain would write for this job round-trips
-        // through the submit parser with both knobs intact — this is the
-        // resume path (`resume_manifest` replays these lines verbatim).
-        let line = manifest_line(&metas(&st)[0], Path::new("capped.ckpt"));
-        assert!(line.contains(r#""op":"submit""#) && line.contains("capped.ckpt"), "{line}");
+        // The journaled request round-trips through the submit parser with
+        // both knobs intact — this is the resume path (`recover`
+        // resubmits it, with the drained checkpoint when there is one).
+        let line = canonical_req(&metas(&st)[0]).to_jsonl();
+        assert!(line.contains(r#""op":"submit""#), "{line}");
         st.handle_line(&line);
         let jobs = metas(&st);
         assert_eq!(canonical_req(&jobs[1]), canonical_req(&jobs[0]), "{line}");
@@ -1638,56 +1640,39 @@ mod tests {
     fn drain_writes_manifest_and_restart_resumes_bit_identically() {
         let spool = std::env::temp_dir().join(format!("fm-serve-drain-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&spool);
-        std::fs::create_dir_all(&spool).unwrap();
-        let mk = || {
-            state(ServeConfig {
-                spool: Some(spool.clone()),
-                supervisor: SupervisorConfig { workers: 1, stint_tasks: 4, ..Default::default() },
-                ..Default::default()
-            })
+        const SUBMIT: &str = r#"{"op":"submit","name":"ref","pattern":"house","graph":"gen:powerlaw,n=400,m=4,closure=0.5,seed=7"}"#;
+        let cfg = |spool: Option<PathBuf>| ServeConfig {
+            spool,
+            supervisor: SupervisorConfig { workers: 1, stint_tasks: 4, ..Default::default() },
+            ..Default::default()
         };
-        // Reference: the same job, run clean to completion.
-        let clean = mk();
-        let resp = clean.handle_line(
-            r#"{"op":"submit","name":"ref","pattern":"house","graph":"gen:powerlaw,n=400,m=4,closure=0.5,seed=7"}"#,
-        );
-        let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).unwrap();
+        let id_of = |resp: &str| jsonl::parse(resp).unwrap().get("id").and_then(Json::as_u64);
+        let counts_of = |line: &str| {
+            let v = jsonl::parse(line).unwrap();
+            v.get("counts").and_then(|c| c.as_arr().map(<[Json]>::to_vec)).unwrap()
+        };
+        // Reference: the same job, run clean to completion without a spool.
+        let clean = state(cfg(None));
+        let id = id_of(&clean.handle_line(SUBMIT)).unwrap();
         let reference = clean.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
         clean.sup.shutdown(None);
-        let ref_counts = jsonl::parse(&reference)
-            .unwrap()
-            .get("counts")
-            .and_then(|c| c.as_arr().map(|a| a.to_vec()))
-            .unwrap();
 
-        // Interrupted: submit, drain almost immediately, then restart.
-        let first = mk();
-        first.handle_line(
-            r#"{"op":"submit","name":"ref","pattern":"house","graph":"gen:powerlaw,n=400,m=4,closure=0.5,seed=7"}"#,
-        );
-        let code = first.finish();
-        assert_eq!(code, 0);
-        // Whether the job finished before the drain is timing-dependent;
-        // the manifest exists exactly when it did not.
-        let manifest = spool.join("manifest.jsonl");
-        if manifest.exists() {
-            let second = mk();
-            second.resume_manifest(&HashSet::new());
-            assert!(!manifest.exists(), "resume must consume the manifest");
-            let jobs = second.jobs.lock().unwrap();
-            assert_eq!(jobs.len(), 1);
-            let (handle, meta) = jobs.values().find_map(Entry::live).expect("a live job");
-            let outcome = handle.wait();
-            let JobOutcome::Finished(r) = outcome else {
-                panic!("resumed job must finish, got {outcome:?}")
-            };
-            assert_eq!(r.status, RunStatus::Complete);
-            let resumed = r.try_unique_counts(&meta.plan).unwrap();
-            let want: Vec<u64> = ref_counts.iter().map(|c| c.as_u64().unwrap()).collect();
-            assert_eq!(resumed, want, "drain + resume must be bit-identical");
-            drop(jobs);
-            second.sup.shutdown(None);
-        }
+        // Interrupted: submit, drain almost immediately, then restart on
+        // the same spool, which journals beside its checkpoints.
+        let first = recovered(cfg(Some(spool.clone())));
+        let id = id_of(&first.handle_line(SUBMIT)).unwrap();
+        assert_eq!(first.finish(), 0);
+        drop(first);
+        assert!(spool.join("journal").exists(), "a spool alone journals");
+        let second = recovered(cfg(Some(spool.clone())));
+        // Whether the job finished before the drain is timing-dependent:
+        // either way `wait` on the id the client holds gives the clean
+        // counts — replayed from the record, or resumed from the drain.
+        let line = second.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+        assert_eq!(counts_of(&line), counts_of(&reference), "drain + resume must be bit-identical");
+        let resumed = second.gauges.recovered_jobs.load(Ordering::SeqCst);
+        assert_eq!(resumed == 1, !line.contains(r#""replayed":true"#), "{line}");
+        second.sup.shutdown(None);
         let _ = std::fs::remove_dir_all(&spool);
     }
 }

@@ -1,15 +1,14 @@
 //! The lines `serve` reads and writes: request fields, the canonical
-//! request the journal and the drain manifest hold, and the one rendering
-//! of what a job reported.
+//! request the journal holds, and the one rendering of what a job
+//! reported.
 
 use super::JobMeta;
-use fm_engine::{Checkpoint, RunStatus};
+use fm_engine::RunStatus;
 use fm_jobs::journal::{self, Reported};
 use fm_jobs::jsonl::{self, Json, ObjWriter};
 use fm_jobs::JobOutcome;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
-use std::path::Path;
 
 /// Exit code for a run status, shared by `count` and per-job serve
 /// outcomes: 0 complete, 3 deadline exceeded, 4 budget exhausted,
@@ -169,24 +168,4 @@ pub(super) fn canonical_req(meta: &JobMeta) -> Json {
         map.insert("deadline".to_string(), Json::Num(s));
     }
     Json::Obj(map)
-}
-
-/// One drain-manifest line: the request as journaled ([`canonical_req`]),
-/// plus where its progress is.
-pub(super) fn manifest_line(meta: &JobMeta, checkpoint: &Path) -> String {
-    let Json::Obj(mut entry) = canonical_req(meta) else {
-        unreachable!("the canonical request is an object")
-    };
-    entry.insert("checkpoint".to_string(), Json::Str(checkpoint.display().to_string()));
-    Json::Obj(entry).to_jsonl()
-}
-
-/// Parses one manifest line back into a submit request plus its loaded
-/// checkpoint.
-pub(super) fn resume_entry(line: &str) -> Result<(Json, Checkpoint), String> {
-    let req = jsonl::parse(line)?;
-    let path =
-        req.get("checkpoint").and_then(Json::as_str).ok_or("manifest entry missing checkpoint")?;
-    let ckpt = Checkpoint::load(Path::new(path)).map_err(|e| format!("load {path}: {e}"))?;
-    Ok((req, ckpt))
 }

@@ -179,7 +179,7 @@ fn stdio_sigterm_under_an_outstanding_wait_drains_and_answers() {
         "wait under SIGTERM must answer terminating or drained: {rest}"
     );
     assert!(!rest.contains("\"event\":\"job\""), "the job drained, it did not finish: {rest}");
-    assert!(spool.join("manifest.jsonl").exists(), "drain must spool a resume manifest");
+    assert!(spool.join("journal").exists(), "a spool journals where its drains resume from");
     drop(stdin);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -239,10 +239,11 @@ fn socket_sigterm_drain_restart_is_bit_identical() {
     let (code, out) = wait_exit(child, 60);
     assert_eq!(code, 0, "drain exit must be clean; stdout: {out}");
     assert!(!out.contains("\"event\":\"job\""), "job should have drained, not finished: {out}");
-    assert!(spool.join("manifest.jsonl").exists(), "drain must spool a resume manifest");
+    assert!(spool.join("journal").exists(), "a spool journals where its drains resume from");
 
-    // Restart with the same spool: the manifest resumes the job, which
-    // runs to completion and reports counts identical to the reference.
+    // Restart with the same spool: the journal's drained record resumes
+    // the job, which runs to completion and reports counts identical to
+    // the reference.
     let restarted = bin()
         .args([
             "serve",
@@ -264,7 +265,64 @@ fn socket_sigterm_drain_restart_is_bit_identical() {
         .find(|l| l.contains("\"event\":\"job\"") && l.contains("\"name\":\"big\""))
         .unwrap_or_else(|| panic!("resumed job must report a summary line: {out}"));
     assert!(event.contains("\"status\":\"Complete\""), "{event}");
+    assert!(event.contains("\"recovered\":true"), "{event}");
     assert_eq!(counts_of(event), reference, "drained + resumed counts must be bit-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--spool` alone: SIGTERM mid-job, restart on the same spool, and a
+/// client reconnecting with the id it was given before the drain gets the
+/// clean-run count from `wait` — the job resumed under that id.
+#[test]
+fn spool_alone_drain_resumes_under_the_original_id() {
+    const GRAPH: &str = "gen:powerlaw,n=1000,m=4,closure=0.5,seed=11";
+    let dir = temp_dir("spool-id");
+    let sock = dir.join("serve.sock");
+    let spool = dir.join("spool");
+    let g = flexminer::graphspec::load(GRAPH).unwrap();
+    let reference = Miner::new(&g).pattern(Pattern::house()).run().unwrap().counts();
+    let serve = || {
+        bin()
+            .args(["serve", "--socket", sock.to_str().unwrap(), "--spool", spool.to_str().unwrap()])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap()
+    };
+    let first = serve();
+    let pid = first.id().to_string();
+    let mut conn = connect(&sock, 30);
+    // A job ahead of it, so the one waited on has a later id than 1.
+    let warm = request(
+        &mut conn,
+        r#"{"op":"submit","name":"warm","pattern":"triangle","graph":"gen:complete,n=8"}"#,
+    );
+    assert!(warm.contains("\"ok\":true"), "{warm}");
+    let resp = request(
+        &mut conn,
+        &format!(r#"{{"op":"submit","name":"big","pattern":"house","graph":"{GRAPH}"}}"#),
+    );
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    let id_txt = resp.split("\"id\":").nth(1).unwrap();
+    let id: u64 = id_txt[..id_txt.find(|c: char| !c.is_ascii_digit()).unwrap()].parse().unwrap();
+    assert!(Command::new("kill").args(["-TERM", &pid]).status().unwrap().success());
+    let (code, out) = wait_exit(first, 60);
+    assert_eq!(code, 0, "drain exit must be clean; stdout: {out}");
+    assert!(!out.contains("\"name\":\"big\""), "the job should have drained: {out}");
+
+    let second = serve();
+    let mut conn = connect(&sock, 30);
+    let done = request(&mut conn, &format!(r#"{{"op":"wait","id":{id}}}"#));
+    assert!(
+        done.contains("\"name\":\"big\"") && done.contains("\"status\":\"Complete\""),
+        "{done}"
+    );
+    assert_eq!(counts_of(&done), reference, "wait on the pre-drain id must give the clean count");
+    let resp = request(&mut conn, r#"{"op":"shutdown"}"#);
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    let (code, _) = wait_exit(second, 60);
+    assert_eq!(code, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -323,6 +381,16 @@ fn socket_survives_malformed_truncated_and_oversized_frames() {
         r#"{"op":"submit","pattern":"triangle","graph":"gen:powerlaw,n=5,m=10"}"#,
     );
     assert!(bad.contains("\"ok\":false") && bad.contains("bad gen spec"), "{bad}");
+    // A spec whose graph would not fit the memory budget is sized from its
+    // parameters and refused at once, never generated (this one is about
+    // 160 GB of CSR).
+    let asked = Instant::now();
+    let huge = request(
+        &mut conn,
+        r#"{"op":"submit","pattern":"triangle","graph":"gen:complete,n=200000"}"#,
+    );
+    assert!(asked.elapsed() < Duration::from_secs(1), "sizing took {:?}", asked.elapsed());
+    assert!(huge.contains("\"ok\":false") && huge.contains("memory budget"), "{huge}");
     // The same connection still serves a valid request afterwards.
     let ok = request(&mut conn, r#"{"op":"status"}"#);
     assert!(ok.contains("\"ok\":true"), "{ok}");

@@ -554,7 +554,7 @@ impl<'g> Executor<'g> {
         for v in s.completed.drain(..) {
             snap.completed.insert(v);
         }
-        // A start vertex run again (a retry round, a resume) numbers its
+        // A start vertex run again (a resume after a fault) numbers its
         // attempts after the ones it already has on record.
         let recorded =
             |vid| snap.faults.iter().filter(|f| f.vid == vid).map(|f| f.attempt + 1).max();

@@ -387,44 +387,16 @@ impl<'g> JobCore<'g> {
         if self.active.load(Ordering::Acquire) != 0 {
             return false;
         }
+        // No stint is active, so the cursor is stable: pending becomes the
+        // returned leftovers plus the unclaimed tail.
         let mut s = self.sched.lock().expect("job sched lock poisoned");
-        self.rebuild_queue(&mut s, &[]);
-        self.pause.store(false, Ordering::Release);
-        true
-    }
-
-    /// Moves every quarantined start vertex back onto the pending queue
-    /// for another round of attempts (their fault history stays on the
-    /// snapshot, and the round's attempts are numbered after it),
-    /// returning how many were re-queued. A supervisor calls
-    /// this between backoff-spaced attempts of a degraded job. No-op
-    /// (returning 0) while stints are active.
-    pub fn reattempt_quarantined(&self) -> usize {
-        if self.active.load(Ordering::Acquire) != 0 {
-            return 0;
-        }
-        let vids: Vec<u32> = {
-            let mut snap = self.snap.lock().expect("job snapshot lock poisoned");
-            std::mem::take(&mut snap.quarantined).into_iter().map(|f| f.vid).collect()
-        };
-        if vids.is_empty() {
-            return 0;
-        }
-        let mut s = self.sched.lock().expect("job sched lock poisoned");
-        self.rebuild_queue(&mut s, &vids);
-        vids.len()
-    }
-
-    /// Rebuilds `pending` as leftovers + unclaimed tail + `extra`, with a
-    /// fresh cursor. Caller holds the sched lock and has verified no stint
-    /// is active (so the cursor is stable).
-    fn rebuild_queue(&self, s: &mut Sched, extra: &[u32]) {
         let claimed = s.cursor.claimed();
         let mut pending: Vec<u32> = std::mem::take(&mut s.leftover);
         pending.extend_from_slice(&s.pending[claimed..]);
-        pending.extend_from_slice(extra);
         s.cursor = Arc::new(TaskCursor::new(pending.len(), GRAIN));
         s.pending = Arc::new(pending);
+        self.pause.store(false, Ordering::Release);
+        true
     }
 
     /// The stop condition in effect, if any: cancellation over deadline
@@ -838,6 +810,6 @@ mod tests {
         assert!(merged.iter().any(|s| s.tid == 1));
     }
 
-    // The quarantine-reattempt-and-heal path needs a real injected fault;
-    // it lives in tests/failpoints.rs with the other fault-injection tests.
+    // The retry-and-heal path needs a real injected fault; it lives in
+    // tests/failpoints.rs with the other fault-injection tests.
 }

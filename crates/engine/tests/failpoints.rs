@@ -89,39 +89,54 @@ fn nth_hit_trigger_poisons_exactly_one_task_per_run() {
     assert_eq!(r.counts, counts_without(&g, &plan, &cfg, 9));
 }
 
-/// ISSUE: a job core whose quarantined vertices are re-queued between
-/// supervisor attempts heals completely once the (transient) fault clears,
-/// with counts and work bit-identical to an unfaulted run.
+/// A job core under `max_retries` runs a faulted task again in place: a
+/// transient fault heals with counts and work bit-identical to an
+/// unfaulted run, and a persistent one spends every attempt and
+/// quarantines the last. Counts and work words were recorded before the
+/// retry moved into the engine (the supervisor's backoff rounds).
 #[test]
 fn job_core_reattempts_quarantine_and_heals_bit_identically() {
+    const COUNTS: [u64; 1] = [2418];
+    const WORK: [u64; 9] = [6548, 0, 3643, 590, 2568, 0, 0, 0, 0];
     let g = Arc::new(generators::powerlaw_cluster(150, 4, 0.5, 29));
     let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
     let reference = mine(&g, &plan, &EngineConfig::default());
-    let fp = failpoint::guard("start_vertex", Trigger::OnContext(3), "injected transient fault");
-    let cfg = EngineConfig { failpoint_scope: fp.scope(), ..Default::default() };
-    let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg);
+    assert_eq!((reference.counts.as_slice(), reference.work.words()), (&COUNTS[..], WORK));
     let drain = |core: &JobCore| loop {
         match core.run_stint(9) {
-            Stint::Ran { drained: true, .. } => break,
+            Stint::Ran { drained: true, .. } => break core.result(),
             Stint::Ran { .. } => continue,
             other => panic!("unexpected stint outcome {other:?}"),
         }
     };
-    drain(&core);
-    let r = core.result();
-    assert_eq!(r.status, RunStatus::Degraded);
-    assert_eq!(r.quarantined.len(), 1);
-    assert_eq!(r.quarantined[0].vid, 3);
-    // Fault cleared: one backoff-spaced reattempt heals.
-    drop(fp);
-    assert_eq!(core.reattempt_quarantined(), 1);
-    drain(&core);
-    let healed = core.result();
+    let roster = |faults: &[fm_engine::Fault]| -> Vec<(u32, u32)> {
+        faults.iter().map(|f| (f.vid, f.attempt)).collect()
+    };
+    // One lane runs ascending, so the fourth task is vertex 3; its retry
+    // is the fifth hit, which does not fire.
+    let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(4), "injected transient fault");
+    let cfg = EngineConfig {
+        threads: 1,
+        max_retries: 1,
+        failpoint_scope: fp.scope(),
+        ..Default::default()
+    };
+    let healed = drain(&JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg));
     assert_eq!(healed.status, RunStatus::Complete);
-    assert_eq!(healed.counts, reference.counts);
-    assert_eq!(healed.work, reference.work);
+    assert_eq!(healed.counts, COUNTS);
+    assert_eq!(healed.work.words(), WORK);
     // The failed attempt stays on the fault history.
-    assert_eq!(healed.faults.len(), 1);
+    assert_eq!(roster(&healed.faults), [(3, 0)]);
+    assert!(healed.quarantined.is_empty());
+    drop(fp);
+
+    let fp = failpoint::guard("start_vertex", Trigger::OnContext(3), "injected persistent fault");
+    let cfg = EngineConfig { max_retries: 2, failpoint_scope: fp.scope(), ..Default::default() };
+    let spent = drain(&JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg));
+    assert_eq!(spent.status, RunStatus::Degraded);
+    assert_eq!(roster(&spent.faults), [(3, 0), (3, 1), (3, 2)]);
+    assert_eq!(roster(&spent.quarantined), [(3, 2)]);
+    assert_eq!(spent.counts, counts_without(&g, &plan, &cfg, 3));
 }
 
 #[test]

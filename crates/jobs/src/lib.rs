@@ -10,9 +10,9 @@
 //! - **Priority preemption**: a strictly higher-priority arrival pauses
 //!   the lowest-priority running job into an in-memory checkpoint; the
 //!   victim later resumes bit-identically.
-//! - **Backoff retry** ([`BackoffPolicy`]): degraded jobs re-queue their
-//!   quarantined tasks under capped exponential backoff with
-//!   deterministic (FNV-seeded) jitter.
+//! - **Retry** is the engine's: a faulted start-vertex task runs again in
+//!   place up to [`fm_engine::EngineConfig::max_retries`] times before it
+//!   is quarantined. The supervisor keeps no retry loop and no timer.
 //! - **Graceful drain** ([`Supervisor::shutdown`]): SIGTERM (see
 //!   [`signal`]) or a protocol `shutdown` pauses every job at a stint
 //!   boundary and spools durable checkpoints, so a restarted process
@@ -20,24 +20,24 @@
 //!
 //! - **Durable job journal** ([`journal`]): a CRC-framed append-only log
 //!   of submissions and outcomes with torn-tail truncation recovery, so
-//!   `flexminer serve --journal` survives `kill -9` — finished jobs
-//!   answer `wait` from the recorded outcome and unresolved jobs are
-//!   re-run (or resumed from a drained checkpoint) to the same
-//!   bit-identical counts.
+//!   `flexminer serve` survives `kill -9` — finished jobs answer `wait`
+//!   from the recorded outcome and unresolved jobs are re-run (or resumed
+//!   from a drained checkpoint, whose record is how a drain comes back)
+//!   to the same bit-identical counts.
 //!
 //! The [`jsonl`] module carries the dependency-free wire codec used by
 //! `flexminer serve`. Everything here is plain `std` plus the workspace
 //! crates — no external dependencies.
 
-mod backoff;
 pub mod journal;
 pub mod jsonl;
 pub mod observe;
+mod outcome;
 pub mod signal;
 mod supervisor;
 
-pub use backoff::BackoffPolicy;
 pub use observe::JobObserver;
+pub use outcome::{JobHandle, JobOutcome};
 pub use supervisor::{
-    DrainedJob, JobHandle, JobOutcome, JobSpec, Supervisor, SupervisorConfig, SupervisorStats,
+    csr_bytes, DrainedJob, JobSpec, Supervisor, SupervisorConfig, SupervisorStats,
 };

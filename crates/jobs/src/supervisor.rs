@@ -13,14 +13,12 @@
 //! submit ─▶ admission ──rejected──▶ Rejected { reason }   (immediate)
 //!              │ admitted
 //!              ▼
-//!           Queued ◀──────────────┐◀─ Backoff(due) ◀─┐
-//!              │ promote           │                  │ degraded,
-//!              ▼                   │ resume_paused    │ attempts left
-//!           Ready ──preempt──▶ Pausing ──▶ Parked     │
-//!              │ stints drain the queue               │
-//!              ▼                                      │
-//!           settle ───────────────────────────────────┘
-//!              │ final
+//!           Queued
+//!              │ promote
+//!              ▼
+//!           Ready ──preempt──▶ Pausing ──▶ Parked
+//!              │   ◀──── promote (resume_paused) ───┘
+//!              │ stints drain the queue
 //!              ▼
 //!        Finished(result)      — or, at shutdown —      Drained { checkpoint }
 //! ```
@@ -28,19 +26,26 @@
 //! # Invariants
 //!
 //! - Every submitted job resolves to **exactly one** terminal
-//!   [`JobOutcome`]; [`OutcomeCell::resolve`] panics on a second
-//!   resolution rather than masking a scheduler bug.
+//!   [`JobOutcome`]; a second resolution panics rather than masking a
+//!   scheduler bug.
 //! - Admission is checked before any expensive work: saturation returns
 //!   an explicit [`JobOutcome::Rejected`] with the violated limit in the
 //!   reason string — the supervisor never queues unboundedly or OOMs on
 //!   graph residency.
 //! - Shared graphs (same `graph_key`) are charged against the memory
 //!   budget once, matching their `Arc`-shared residency.
+//! - There is one retry loop, the engine's: a faulted task runs again in
+//!   place up to [`EngineConfig::max_retries`] times before it is
+//!   quarantined, and a job with a quarantined task ends `Degraded`.
+//! - No timer: workers wait on `work` and [`Supervisor::shutdown`] on
+//!   `quiet`, neither with a timeout. Whatever can give a worker something
+//!   to do notifies `work`, and every stint end that leaves its job with no
+//!   active stint notifies `quiet`.
 
-use crate::backoff::{fnv_mix, BackoffPolicy};
 use crate::observe::{job_lane, JobObserver};
+use crate::outcome::{JobHandle, JobOutcome, OutcomeCell};
 use fm_engine::{Checkpoint, CheckpointError};
-use fm_engine::{EngineConfig, JobCore, MiningResult, RunStatus, Stint};
+use fm_engine::{EngineConfig, JobCore, Stint};
 use fm_graph::CsrGraph;
 use fm_plan::ExecutionPlan;
 use fm_telemetry::MetricsDoc;
@@ -49,9 +54,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-/// Sizing and policy knobs for a [`Supervisor`].
+/// Sizing knobs for a [`Supervisor`].
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// Worker threads shared by all jobs.
@@ -67,11 +71,6 @@ pub struct SupervisorConfig {
     pub memory_budget_bytes: u64,
     /// Start-vertex tasks per stint — the preemption latency unit.
     pub stint_tasks: u64,
-    /// Default attempt ceiling for degraded jobs (first run counts as
-    /// attempt 1); [`JobSpec::max_attempts`] overrides per job.
-    pub max_attempts: u32,
-    /// Retry spacing for degraded jobs.
-    pub backoff: BackoffPolicy,
 }
 
 impl Default for SupervisorConfig {
@@ -82,15 +81,13 @@ impl Default for SupervisorConfig {
             max_running: 4,
             memory_budget_bytes: 4 << 30,
             stint_tasks: 64,
-            max_attempts: 3,
-            backoff: BackoffPolicy::default(),
         }
     }
 }
 
 /// One mining job submission.
 pub struct JobSpec {
-    /// Display name, echoed in outcomes and drain manifests.
+    /// Display name, echoed in outcomes and drain reports.
     pub name: String,
     /// Higher runs first; a strictly higher-priority arrival preempts the
     /// lowest-priority running job when all run slots are taken.
@@ -101,9 +98,9 @@ pub struct JobSpec {
     /// Identity for memory accounting; 0 means "unique to this job".
     pub graph_key: u64,
     pub plan: Arc<ExecutionPlan>,
+    /// The job's engine configuration; its `max_retries` is how often a
+    /// faulted task runs again before it is quarantined.
     pub config: EngineConfig,
-    /// Per-job override of [`SupervisorConfig::max_attempts`].
-    pub max_attempts: Option<u32>,
     /// Resume from a drained checkpoint (validated against graph, plan,
     /// and config fingerprints at admission).
     pub resume: Option<Checkpoint>,
@@ -116,126 +113,14 @@ impl JobSpec {
         plan: Arc<ExecutionPlan>,
         config: EngineConfig,
     ) -> JobSpec {
-        JobSpec {
-            name: name.into(),
-            priority: 0,
-            graph,
-            graph_key: 0,
-            plan,
-            config,
-            max_attempts: None,
-            resume: None,
-        }
-    }
-}
-
-/// The single terminal outcome of a submitted job.
-// `Finished` dwarfs the other variants, but one outcome exists per job
-// (not per task) and boxing would tax every consumer of the common case.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum JobOutcome {
-    /// The job ran to a final [`MiningResult`] (any [`RunStatus`],
-    /// including budget stops and cancellation).
-    Finished(MiningResult),
-    /// Admission control shed the job; `reason` names the violated limit.
-    Rejected { reason: String },
-    /// Shutdown drained the job mid-run; `checkpoint` is the durable
-    /// snapshot when a spool directory was given and the write succeeded.
-    Drained { checkpoint: Option<PathBuf> },
-}
-
-/// Write-once cell carrying a job's terminal outcome to its handle.
-#[derive(Default)]
-struct OutcomeCell {
-    slot: Mutex<Option<JobOutcome>>,
-    done: Condvar,
-}
-
-impl OutcomeCell {
-    fn resolve(&self, outcome: JobOutcome) {
-        let mut slot = self.slot.lock().expect("job outcome lock poisoned");
-        assert!(slot.is_none(), "job resolved twice — supervisor state machine bug");
-        *slot = Some(outcome);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> JobOutcome {
-        let mut slot = self.slot.lock().expect("job outcome lock poisoned");
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return outcome.clone();
-            }
-            slot = self.done.wait(slot).expect("job outcome lock poisoned");
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        let slot = self.slot.lock().expect("job outcome lock poisoned");
-        let (slot, _) = self
-            .done
-            .wait_timeout_while(slot, timeout, |s| s.is_none())
-            .expect("job outcome lock poisoned");
-        slot.clone()
-    }
-
-    fn try_get(&self) -> Option<JobOutcome> {
-        self.slot.lock().expect("job outcome lock poisoned").clone()
-    }
-
-    fn is_resolved(&self) -> bool {
-        self.slot.lock().expect("job outcome lock poisoned").is_some()
-    }
-}
-
-/// Caller-side handle to a submitted job. Clones wait on the same outcome.
-#[derive(Clone)]
-pub struct JobHandle {
-    id: u64,
-    name: String,
-    cell: Arc<OutcomeCell>,
-}
-
-impl JobHandle {
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Block until the job resolves.
-    pub fn wait(&self) -> JobOutcome {
-        self.cell.wait()
-    }
-
-    /// Block until the job resolves or `timeout` passes, whichever is
-    /// first: `None` means it is still unresolved. A resolution wakes the
-    /// caller at once; the timeout only bounds how long it goes without
-    /// looking at anything else (a termination latch, say).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        self.cell.wait_timeout(timeout)
-    }
-
-    /// The outcome if the job has already resolved.
-    pub fn try_outcome(&self) -> Option<JobOutcome> {
-        self.cell.try_get()
-    }
-
-    /// Whether the job has resolved — [`JobHandle::try_outcome`] without
-    /// the copy of the outcome.
-    pub fn is_resolved(&self) -> bool {
-        self.cell.is_resolved()
+        JobSpec { name: name.into(), priority: 0, graph, graph_key: 0, plan, config, resume: None }
     }
 }
 
 /// A job drained to (at most) a checkpoint by [`Supervisor::shutdown`].
 #[derive(Clone, Debug)]
 pub struct DrainedJob {
-    pub id: u64,
     pub name: String,
-    pub priority: i32,
     /// Durable snapshot path, when a spool directory was given and the
     /// atomic write succeeded.
     pub checkpoint: Option<PathBuf>,
@@ -250,11 +135,9 @@ pub struct SupervisorStats {
     pub submitted: u64,
     pub rejected: u64,
     pub preempted: u64,
-    pub retries: u64,
     pub completed: u64,
     pub drained: u64,
-    /// Admitted jobs waiting for a run slot (queued, parked, or backing
-    /// off).
+    /// Admitted jobs waiting for a run slot (queued or parked).
     pub queued: u64,
     /// Jobs holding a run slot (running or winding down a preemption).
     pub running: u64,
@@ -270,12 +153,10 @@ enum Phase {
     Queued,
     /// Holds a run slot; workers may claim stints.
     Ready,
-    /// Preempted or draining: pause requested, stints still yielding.
+    /// Preempted: pause requested, stints still yielding.
     Pausing,
     /// Paused with no active stints; needs `resume_paused` before Ready.
     Parked,
-    /// Degraded; retries at the instant.
-    Backoff(Instant),
 }
 
 struct Job {
@@ -283,7 +164,6 @@ struct Job {
     name: String,
     priority: i32,
     graph_key: u64,
-    max_attempts: u32,
     core: JobCore<'static>,
     cell: Arc<OutcomeCell>,
 }
@@ -291,8 +171,6 @@ struct Job {
 struct Slot {
     job: Arc<Job>,
     phase: Phase,
-    /// 1-based; the first run is attempt 1.
-    attempts: u32,
     /// Observer clock stamp at admission (observer enabled only).
     submitted_us: Option<u64>,
     /// Set once on the first Queued→Ready hand-off; the queue-wait
@@ -313,7 +191,6 @@ struct Stats {
     submitted: u64,
     rejected: u64,
     preempted: u64,
-    retries: u64,
     completed: u64,
     drained: u64,
 }
@@ -343,7 +220,7 @@ impl Default for State {
 struct Shared {
     cfg: SupervisorConfig,
     state: Mutex<State>,
-    /// Workers wait here for runnable stints (or backoff deadlines).
+    /// Workers wait here for runnable stints.
     work: Condvar,
     /// Shutdown waits here for in-flight stints to yield.
     quiet: Condvar,
@@ -360,15 +237,23 @@ impl Shared {
 
 /// CSR residency estimate matching `JobCore`'s accounting: offsets
 /// (`u64`) plus neighbor ids (`u32`), doubled when the plan orients the
-/// graph into a DAG copy.
-fn estimate_bytes(spec: &JobSpec) -> u64 {
-    let g = &spec.graph;
-    let base = (g.num_vertices() as u64 + 1) * 8 + g.num_directed_edges() as u64 * 4;
-    if spec.plan.orientation {
-        base * 2
+/// graph into a DAG copy. Saturates, so a bound no machine could hold
+/// reads as too big rather than wrapping to small.
+pub fn csr_bytes(vertices: u64, directed_edges: u64, oriented: bool) -> u64 {
+    let base = vertices
+        .saturating_add(1)
+        .saturating_mul(8)
+        .saturating_add(directed_edges.saturating_mul(4));
+    if oriented {
+        base.saturating_mul(2)
     } else {
         base
     }
+}
+
+fn estimate_bytes(spec: &JobSpec) -> u64 {
+    let g = &spec.graph;
+    csr_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, spec.plan.orientation)
 }
 
 fn release_memory(st: &mut State, graph_key: u64) {
@@ -381,9 +266,10 @@ fn release_memory(st: &mut State, graph_key: u64) {
     }
 }
 
-/// Records the preemption latency (pause request → parked) and the
-/// `parked` lifecycle event for a job that just parked.
-fn note_parked(slot: &mut Slot, obs: Option<&JobObserver>) {
+/// Parks a job whose pause has taken hold: records the preemption latency
+/// (pause request → parked) and the `parked` lifecycle event.
+fn park(slot: &mut Slot, obs: Option<&JobObserver>) {
+    slot.phase = Phase::Parked;
     let Some(obs) = obs else { return };
     if let Some(start) = slot.pause_us.take() {
         let now = obs.clock().now_us();
@@ -408,25 +294,12 @@ fn note_ready(slot: &mut Slot, was_parked: bool, obs: Option<&JobObserver>) {
     obs.event(slot.job.id, if was_parked { "resumed" } else { "running" }, String::new());
 }
 
-/// Drive the phase machine forward: wake due backoffs, fill free run
-/// slots by priority, and preempt (at most one victim per call) when a
-/// strictly higher-priority job is waiting behind a full slot table.
+/// Drive the phase machine forward: fill free run slots by priority, and
+/// preempt (at most one victim per call) when a strictly higher-priority
+/// job is waiting behind a full slot table.
 fn promote(cfg: &SupervisorConfig, st: &mut State, obs: Option<&JobObserver>) {
     if st.draining {
         return;
-    }
-    let now = Instant::now();
-    for slot in &mut st.slots {
-        if matches!(slot.phase, Phase::Backoff(at) if now >= at) {
-            slot.phase = Phase::Queued;
-        }
-        // A victim paused between stints (or whose in-flight stint missed
-        // the pause flag) has no worker left to report `Stint::Paused`;
-        // park it here or it holds its run slot forever.
-        if slot.phase == Phase::Pausing && slot.job.core.active_stints() == 0 {
-            slot.phase = Phase::Parked;
-            note_parked(slot, obs);
-        }
     }
     let mut preempted = false;
     loop {
@@ -443,7 +316,7 @@ fn promote(cfg: &SupervisorConfig, st: &mut State, obs: Option<&JobObserver>) {
         if running < cfg.max_running {
             if phase == Phase::Parked && !st.slots[idx].job.core.resume_paused() {
                 // A stale stint is still winding down; the worker that
-                // parks it will re-promote.
+                // ends it will re-promote.
                 break;
             }
             st.slots[idx].phase = Phase::Ready;
@@ -463,16 +336,17 @@ fn promote(cfg: &SupervisorConfig, st: &mut State, obs: Option<&JobObserver>) {
             .map(|(i, s)| (i, s.job.priority));
         match victim {
             Some((vidx, vpri)) if vpri < priority && !preempted => {
-                st.slots[vidx].job.core.pause();
-                st.slots[vidx].phase = Phase::Pausing;
+                let slot = &mut st.slots[vidx];
+                slot.job.core.pause();
+                slot.phase = Phase::Pausing;
                 st.stats.preempted += 1;
                 if let Some(obs) = obs {
-                    st.slots[vidx].pause_us = Some(obs.clock().now_us());
-                    obs.event(
-                        st.slots[vidx].job.id,
-                        "preempted",
-                        format!("by_priority={priority}"),
-                    );
+                    slot.pause_us = Some(obs.clock().now_us());
+                    obs.event(slot.job.id, "preempted", format!("by_priority={priority}"));
+                }
+                // With no stint in flight no worker is left to park it.
+                if slot.job.core.active_stints() == 0 {
+                    park(slot, obs);
                 }
                 preempted = true;
             }
@@ -501,60 +375,15 @@ fn pick(st: &State) -> Option<Arc<Job>> {
         .map(|s| Arc::clone(&s.job))
 }
 
-/// Earliest backoff deadline, for sizing worker waits.
-fn next_deadline(st: &State) -> Option<Instant> {
-    st.slots
-        .iter()
-        .filter_map(|s| match s.phase {
-            Phase::Backoff(at) => Some(at),
-            _ => None,
-        })
-        .min()
-}
-
-/// A job's queue ran dry (or it hit a terminal stop): either schedule a
-/// backoff retry of its quarantined tasks or resolve it. Idempotent —
-/// only slots still in a running phase settle, so racing stints cannot
-/// double-resolve.
-fn settle(cfg: &SupervisorConfig, shared: &Shared, st: &mut State, job: &Arc<Job>) {
-    let obs = shared.obs.as_deref();
-    let Some(pos) = st.slots.iter().position(|s| s.job.id == job.id) else { return };
-    if !matches!(st.slots[pos].phase, Phase::Ready | Phase::Pausing) {
-        return;
-    }
-    let attempts = st.slots[pos].attempts;
-    let result = job.core.result();
-    let retryable =
-        result.status == RunStatus::Degraded && attempts < job.max_attempts && !st.draining;
-    if retryable {
-        // A preemption may have landed just as the queue drained; clear
-        // the pause latch so the retry can run.
-        if job.core.is_paused() {
-            job.core.resume_paused();
-        }
-        if job.core.reattempt_quarantined() > 0 {
-            st.slots[pos].attempts = attempts + 1;
-            let delay = cfg.backoff.delay(attempts, fnv_mix(job.id, attempts as u64));
-            st.slots[pos].phase = Phase::Backoff(Instant::now() + delay);
-            st.stats.retries += 1;
-            if let Some(obs) = obs {
-                obs.event(
-                    job.id,
-                    "retry",
-                    format!("attempt={} delay_ms={}", attempts + 1, delay.as_millis()),
-                );
-            }
-            return;
-        }
-    }
-    let submitted_us = st.slots[pos].submitted_us;
-    st.slots.remove(pos);
+/// Resolves `Finished` a job that ran dry or stopped, whose slot is
+/// already out of the table.
+fn finish(st: &mut State, obs: Option<&JobObserver>, job: &Job, submitted_us: Option<u64>) {
     release_memory(st, job.graph_key);
     st.stats.completed += 1;
+    let result = job.core.result();
     if let Some(obs) = obs {
         if let Some(submitted) = submitted_us {
-            let now = obs.clock().now_us();
-            obs.record_e2e(now.saturating_sub(submitted));
+            obs.record_e2e(obs.clock().now_us().saturating_sub(submitted));
             obs.span("job", submitted, job_lane(job.id), Some(("id", job.id)));
         }
         let (spans, dropped) = job.core.take_spans();
@@ -562,35 +391,35 @@ fn settle(cfg: &SupervisorConfig, shared: &Shared, st: &mut State, job: &Arc<Job
         obs.event(job.id, "finished", format!("status={:?}", result.status));
     }
     job.cell.resolve(JobOutcome::Finished(result));
-    shared.quiet.notify_all();
+}
+
+/// A job's queue ran dry (or it hit a terminal stop): resolve it.
+/// Idempotent — only slots still in a running phase settle, so racing
+/// stints cannot double-resolve.
+fn settle(st: &mut State, obs: Option<&JobObserver>, job: &Job) {
+    let running = |s: &Slot| s.job.id == job.id && matches!(s.phase, Phase::Ready | Phase::Pausing);
+    let Some(pos) = st.slots.iter().position(running) else { return };
+    let slot = st.slots.remove(pos);
+    finish(st, obs, job, slot.submitted_us);
 }
 
 fn worker_loop(shared: Arc<Shared>, lane: u32) {
     let cfg = shared.cfg.clone();
+    let obs = shared.obs.as_deref();
     loop {
         let job = {
             let mut st = shared.lock();
             loop {
-                promote(&cfg, &mut st, shared.obs.as_deref());
+                promote(&cfg, &mut st, obs);
                 if let Some(job) = pick(&st) {
                     break job;
                 }
                 if st.draining && st.slots.iter().all(|s| s.job.core.active_stints() == 0) {
-                    shared.quiet.notify_all();
                     return;
                 }
-                let cap = Duration::from_millis(25);
-                let wait = next_deadline(&st)
-                    .map(|at| at.saturating_duration_since(Instant::now()))
-                    .map_or(cap, |d| d.min(cap));
-                let (guard, _) = shared
-                    .work
-                    .wait_timeout(st, wait.max(Duration::from_millis(1)))
-                    .expect("supervisor state lock poisoned");
-                st = guard;
+                st = shared.work.wait(st).expect("supervisor state lock poisoned");
             }
         };
-        let obs = shared.obs.as_deref();
         let stint_start = obs.map(|o| o.clock().now_us());
         let stint = job.core.run_stint_as(cfg.stint_tasks, lane);
         if let (Some(obs), Some(start)) = (obs, stint_start) {
@@ -610,36 +439,29 @@ fn worker_loop(shared: Arc<Shared>, lane: u32) {
             }
         }
         let mut st = shared.lock();
-        match stint {
-            Stint::Ran { drained: false, .. } => {}
-            Stint::Ran { drained: true, .. } | Stint::Stopped(_) => {
-                // Sibling stints may still be in flight; the last one out
-                // settles (checked under the state lock).
-                if job.core.active_stints() == 0 {
-                    settle(&cfg, &shared, &mut st, &job);
-                }
+        // Sibling stints may still be in flight; the last one out (checked
+        // under the state lock) settles a job that ran dry or stopped and
+        // parks one whose pause has taken hold — whether or not its own
+        // stint saw the pause flag.
+        if job.core.active_stints() == 0 {
+            if matches!(stint, Stint::Ran { drained: true, .. } | Stint::Stopped(_)) {
+                settle(&mut st, obs, &job);
+            } else if let Some(slot) =
+                st.slots.iter_mut().find(|s| s.job.id == job.id && s.phase == Phase::Pausing)
+            {
+                park(slot, obs);
             }
-            Stint::Paused { .. } => {
-                if job.core.active_stints() == 0 {
-                    if let Some(slot) = st.slots.iter_mut().find(|s| s.job.id == job.id) {
-                        if matches!(slot.phase, Phase::Ready | Phase::Pausing) {
-                            slot.phase = Phase::Parked;
-                            note_parked(slot, shared.obs.as_deref());
-                        }
-                    }
-                    shared.quiet.notify_all();
-                }
-            }
+            shared.quiet.notify_all();
         }
-        promote(&cfg, &mut st, shared.obs.as_deref());
+        promote(&cfg, &mut st, obs);
         drop(st);
         shared.work.notify_all();
     }
 }
 
 /// Multi-job scheduler: one worker pool, admission control, priority
-/// preemption, backoff retry, graceful drain. See the module docs for
-/// the lifecycle diagram.
+/// preemption, graceful drain. See the module docs for the lifecycle
+/// diagram.
 pub struct Supervisor {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -738,7 +560,7 @@ impl Supervisor {
             st.mem_in_use += charge;
             (id, key, obs.map(|o| o.clock().now_us()))
         };
-        let JobSpec { name, priority, graph, plan, config, max_attempts, resume, .. } = spec;
+        let JobSpec { name, priority, graph, plan, config, resume, .. } = spec;
         let built: Result<JobCore<'static>, CheckpointError> = match resume {
             None => Ok(JobCore::new(graph, plan, config)),
             Some(snapshot) => JobCore::resume(graph, plan, config, snapshot),
@@ -770,14 +592,12 @@ impl Supervisor {
                         name: name.clone(),
                         priority,
                         graph_key: key,
-                        max_attempts: max_attempts.unwrap_or(cfg.max_attempts).max(1),
                         core,
                         cell: Arc::clone(&cell),
                     });
                     st.slots.push(Slot {
                         job,
                         phase: Phase::Queued,
-                        attempts: 1,
                         submitted_us,
                         first_ready_us: None,
                         pause_us: None,
@@ -805,7 +625,7 @@ impl Supervisor {
         let st = self.shared.lock();
         let mut by_priority: BTreeMap<i32, u64> = BTreeMap::new();
         for s in &st.slots {
-            if matches!(s.phase, Phase::Queued | Phase::Parked | Phase::Backoff(_)) {
+            if matches!(s.phase, Phase::Queued | Phase::Parked) {
                 *by_priority.entry(s.job.priority).or_insert(0) += 1;
             }
         }
@@ -817,7 +637,6 @@ impl Supervisor {
             submitted: st.stats.submitted,
             rejected: st.stats.rejected,
             preempted: st.stats.preempted,
-            retries: st.stats.retries,
             completed: st.stats.completed,
             drained: st.stats.drained,
             queued,
@@ -840,7 +659,6 @@ impl Supervisor {
             "Preemptions of running jobs by higher-priority arrivals",
             s.preempted,
         );
-        doc.counter("fm_jobs_retries_total", "Backoff retries of degraded jobs", s.retries);
         doc.counter(
             "fm_jobs_completed_total",
             "Jobs resolved with a final mining result",
@@ -878,8 +696,8 @@ impl Supervisor {
 
     /// Requests cancellation of an unresolved job: it stops at its next
     /// stint boundary and resolves `Finished` with
-    /// [`RunStatus::Cancelled`] (exact partial counts). Returns false if
-    /// no such job is pending.
+    /// [`RunStatus::Cancelled`](fm_engine::RunStatus::Cancelled) (exact
+    /// partial counts). Returns false if no such job is pending.
     pub fn cancel(&self, id: u64) -> bool {
         let token = {
             let st = self.shared.lock();
@@ -918,12 +736,7 @@ impl Supervisor {
         {
             let mut st = self.shared.lock();
             while st.slots.iter().any(|s| s.job.core.active_stints() > 0) {
-                let (guard, _) = self
-                    .shared
-                    .quiet
-                    .wait_timeout(st, Duration::from_millis(10))
-                    .expect("supervisor state lock poisoned");
-                st = guard;
+                st = self.shared.quiet.wait(st).expect("supervisor state lock poisoned");
             }
         }
         self.shared.work.notify_all();
@@ -940,25 +753,15 @@ impl Supervisor {
         let mut st = self.shared.lock();
         let slots = std::mem::take(&mut st.slots);
         for slot in slots {
-            let submitted_us = slot.submitted_us;
             let job = slot.job;
+            if job.core.is_drained() || job.core.stop_status().is_some() {
+                finish(&mut st, obs, &job, slot.submitted_us);
+                continue;
+            }
             release_memory(&mut st, job.graph_key);
             if let Some(obs) = obs {
                 let (spans, dropped) = job.core.take_spans();
                 obs.absorb_spans(spans, dropped);
-            }
-            if job.core.is_drained() || job.core.stop_status().is_some() {
-                st.stats.completed += 1;
-                let result = job.core.result();
-                if let Some(obs) = obs {
-                    if let Some(submitted) = submitted_us {
-                        obs.record_e2e(obs.clock().now_us().saturating_sub(submitted));
-                        obs.span("job", submitted, job_lane(job.id), Some(("id", job.id)));
-                    }
-                    obs.event(job.id, "finished", format!("status={:?}", result.status));
-                }
-                job.cell.resolve(JobOutcome::Finished(result));
-                continue;
             }
             let (path, error) = match (&spool_ready, spool) {
                 (Some(Ok(())), Some(dir)) => {
@@ -980,13 +783,7 @@ impl Supervisor {
                 obs.event(job.id, "drained", detail);
             }
             job.cell.resolve(JobOutcome::Drained { checkpoint: path.clone() });
-            drained.push(DrainedJob {
-                id: job.id,
-                name: job.name.clone(),
-                priority: job.priority,
-                checkpoint: path,
-                error,
-            });
+            drained.push(DrainedJob { name: job.name.clone(), checkpoint: path, error });
         }
         drained
     }
@@ -1007,6 +804,7 @@ impl Drop for Supervisor {
 mod tests {
     use super::*;
     use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     fn handle() -> JobHandle {
         JobHandle { id: 7, name: "j".into(), cell: Arc::new(OutcomeCell::default()) }

@@ -125,7 +125,6 @@ fn memory_budget_charges_shared_graphs_once_then_sheds() {
         queue_capacity: 8,
         memory_budget_bytes: bytes,
         stint_tasks: 4,
-        ..Default::default()
     });
     let plan = cycle4();
     let cfg = EngineConfig { threads: 1, ..Default::default() };
@@ -247,7 +246,7 @@ fn shutdown_drains_to_checkpoints_and_restart_resumes_bit_for_bit() {
             }
         }
     }
-    assert_eq!(drained.len(), resumed, "manifest covers exactly the drained jobs");
+    assert_eq!(drained.len(), resumed, "the drain report covers exactly the drained jobs");
     for d in &drained {
         assert!(d.error.is_none(), "{}: spool error {:?}", d.name, d.error);
     }
@@ -288,7 +287,6 @@ fn metrics_doc_exports_supervisor_gauges() {
         "fm_jobs_submitted_total",
         "fm_jobs_rejected_total",
         "fm_jobs_preempted_total",
-        "fm_jobs_retries_total",
         "fm_jobs_completed_total",
         "fm_jobs_drained_total",
         "fm_jobs_queued",

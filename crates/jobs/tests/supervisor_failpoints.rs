@@ -1,24 +1,41 @@
 //! Fault-injection chaos for the supervisor: transient executor faults
-//! quarantine tasks, the supervisor re-queues them under capped backoff,
-//! and the healed result is bit-identical to an unfaulted run. Compiled
+//! are retried in place by the engine (`EngineConfig::max_retries`), and
+//! the healed result is bit-identical to an unfaulted run; a persistent
+//! fault spends every attempt and quarantines the task. The literal
+//! counts, work words and rosters were recorded when the supervisor still
+//! re-ran quarantined tasks itself, in backoff-spaced rounds. Compiled
 //! only with `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
 use fm_engine::failpoint::{self, Trigger};
-use fm_engine::{mine, EngineConfig, RunStatus};
+use fm_engine::{mine, EngineConfig, Fault, MiningResult, RunStatus};
 use fm_graph::generators;
-use fm_jobs::{BackoffPolicy, JobOutcome, JobSpec, Supervisor, SupervisorConfig};
+use fm_jobs::{JobOutcome, JobSpec, Supervisor, SupervisorConfig};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
 use std::sync::Arc;
-use std::time::Duration;
 
-fn fast_backoff() -> BackoffPolicy {
-    BackoffPolicy { base: Duration::from_millis(1), cap: Duration::from_millis(5) }
+fn one_lane() -> Supervisor {
+    Supervisor::new(SupervisorConfig {
+        workers: 1,
+        max_running: 1,
+        stint_tasks: 8,
+        ..Default::default()
+    })
 }
 
-/// A transient fault (fires once, then never again) degrades the first
-/// attempt; the supervisor's backoff retry re-runs the quarantined task
+fn finished(outcome: JobOutcome) -> MiningResult {
+    match outcome {
+        JobOutcome::Finished(r) => r,
+        other => panic!("expected Finished, got {other:?}"),
+    }
+}
+
+fn roster(faults: &[Fault]) -> Vec<(u32, u32)> {
+    faults.iter().map(|f| (f.vid, f.attempt)).collect()
+}
+
+/// A transient fault (fires once, then never again) is retried in place
 /// and the job heals to a result bit-identical with a clean run.
 #[test]
 fn transient_fault_heals_via_supervisor_backoff_retry() {
@@ -28,27 +45,17 @@ fn transient_fault_heals_via_supervisor_backoff_retry() {
     let reference = mine(&g, &plan, &cfg);
     assert_eq!(reference.status, RunStatus::Complete);
 
-    let sup = Supervisor::new(SupervisorConfig {
-        workers: 1,
-        max_running: 1,
-        stint_tasks: 8,
-        max_attempts: 3,
-        backoff: fast_backoff(),
-        ..Default::default()
-    });
+    let sup = one_lane();
     let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(3), "transient chaos");
-    let faulty = EngineConfig { failpoint_scope: fp.scope(), ..cfg };
-    let handle = sup.submit(JobSpec::new("healing", g, plan, faulty));
-    let r = match handle.wait() {
-        JobOutcome::Finished(r) => r,
-        other => panic!("expected Finished, got {other:?}"),
-    };
+    let faulty = EngineConfig { max_retries: 2, failpoint_scope: fp.scope(), ..cfg };
+    let r = finished(sup.submit(JobSpec::new("healing", g, plan, faulty)).wait());
     assert_eq!(r.status, RunStatus::Complete, "retry must heal the degradation");
-    assert_eq!(r.counts, reference.counts);
-    assert_eq!(r.work, reference.work);
+    assert_eq!(r.counts, [2418]);
+    assert_eq!(r.work.words(), [6548, 0, 3643, 590, 2568, 0, 0, 0, 0]);
+    assert_eq!((r.counts.clone(), r.work), (reference.counts, reference.work));
     // The failed attempt stays on the fault history.
-    assert_eq!(r.faults.len(), 1);
-    assert!(sup.stats().retries >= 1, "healing must go through the backoff path");
+    assert_eq!(roster(&r.faults), [(2, 0)]);
+    assert!(r.quarantined.is_empty());
 }
 
 /// A persistent fault exhausts the attempt budget: the job resolves
@@ -65,31 +72,25 @@ fn persistent_fault_exhausts_attempts_and_resolves_degraded() {
     let reference = mine(&g, &plan, &cfg);
     assert_eq!(reference.status, RunStatus::Degraded);
 
-    let sup = Supervisor::new(SupervisorConfig {
-        workers: 1,
-        max_running: 1,
-        stint_tasks: 8,
-        max_attempts: 2,
-        backoff: fast_backoff(),
-        ..Default::default()
-    });
-    let handle = sup.submit(JobSpec::new("doomed", g, plan, cfg));
-    let r = match handle.wait() {
-        JobOutcome::Finished(r) => r,
-        other => panic!("expected Finished, got {other:?}"),
-    };
-    assert_eq!(r.status, RunStatus::Degraded);
-    assert_eq!(r.quarantined.len(), 1);
-    assert_eq!(r.quarantined[0].vid, poisoned);
-    assert_eq!(r.counts, reference.counts);
-    assert_eq!(r.work, reference.work);
-    // Attempt 1 degraded, one retry, attempt 2 degraded, budget spent.
-    assert_eq!(sup.stats().retries, 1);
-    // Both failed attempts are on the fault roster, the retry numbered
-    // after the first, and the quarantine names the last.
-    let faults: Vec<(u32, u32)> = r.faults.iter().map(|f| (f.vid, f.attempt)).collect();
-    assert_eq!(faults, [(poisoned, 0), (poisoned, 1)]);
-    assert_eq!(r.quarantined[0].attempt, 1);
+    // An attempt budget of K is K - 1 retries; every budget ends the same
+    // way but for the length of the fault roster.
+    for attempts in 1..=4u32 {
+        let sup = one_lane();
+        let cfg = EngineConfig { max_retries: attempts - 1, ..cfg };
+        let r = finished(
+            sup.submit(JobSpec::new("doomed", Arc::clone(&g), Arc::clone(&plan), cfg)).wait(),
+        );
+        assert_eq!(r.status, RunStatus::Degraded);
+        assert_eq!(r.counts, [2203]);
+        assert_eq!(r.work.words(), [6312, 0, 3618, 586, 2352, 0, 0, 0, 0]);
+        assert_eq!((r.counts.clone(), r.work), (reference.counts.clone(), reference.work));
+        // Every failed attempt is on the fault roster, numbered in order,
+        // and the quarantine names the last.
+        let faults: Vec<(u32, u32)> = (0..attempts).map(|a| (poisoned, a)).collect();
+        assert_eq!(roster(&r.faults), faults);
+        assert_eq!(roster(&r.quarantined), [(poisoned, attempts - 1)]);
+        assert!(r.faults.iter().all(|f| f.payload.contains("persistent chaos")));
+    }
 }
 
 /// Chaos matrix: concurrent jobs with and without injected faults, over
@@ -102,8 +103,6 @@ fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
         workers: 4,
         max_running: 4,
         stint_tasks: 5,
-        max_attempts: 4,
-        backoff: fast_backoff(),
         ..Default::default()
     });
     let cases: Vec<_> = [1usize, 2, 1, 2]
@@ -117,15 +116,15 @@ fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
         })
         .collect();
     // One transient fault somewhere in the interleaving of the jobs, which
-    // share its scope; whichever job's task eats it will quarantine, retry,
-    // and heal.
+    // share its scope; whichever job's task eats it retries it and heals.
     let fp = failpoint::guard("start_vertex", Trigger::OnNthHit(17), "matrix chaos");
     let mut waits = Vec::new();
     for (g, cfg, reference, i) in cases {
-        let faulty = EngineConfig { failpoint_scope: fp.scope(), ..cfg };
+        let faulty = EngineConfig { max_retries: 3, failpoint_scope: fp.scope(), ..cfg };
         let handle = sup.submit(JobSpec::new(format!("chaos-{i}"), g, Arc::clone(&plan), faulty));
         waits.push((handle, reference, i));
     }
+    let mut faults = 0;
     for (handle, reference, i) in waits {
         let r = match handle.wait() {
             JobOutcome::Finished(r) => r,
@@ -134,7 +133,9 @@ fn concurrent_faulty_and_clean_jobs_all_resolve_exactly_once() {
         assert_eq!(r.status, RunStatus::Complete, "chaos-{i} must heal");
         assert_eq!(r.counts, reference.counts, "chaos-{i}: counts diverged");
         assert_eq!(r.work, reference.work, "chaos-{i}: work diverged");
+        faults += r.faults.len();
     }
+    assert_eq!(faults, 1, "exactly one task ate the fault");
     let s = sup.stats();
     assert_eq!(s.submitted, 4);
     assert_eq!(s.completed, 4);

@@ -12,7 +12,7 @@
 //! * **The flight recorder** — a fixed-size ring of the last N events,
 //!   dumped as JSONL on SIGUSR1, handler panic, or clean exit. The
 //!   journal records *outcomes*; the recorder records the queue /
-//!   preemption / retry context around an incident (DESIGN.md §9).
+//!   preemption / drain context around an incident (DESIGN.md §9).
 //!
 //! Publishing is cheap and lock-light: one `Mutex` around the ring and
 //! the subscriber list, atomics for sequence and drop accounting, and one
