@@ -860,6 +860,7 @@ impl ServeState {
 #[cfg(test)]
 mod tests {
     use super::transport::respond;
+    use super::wire::{dropped_line, ready_line, subscribed_line, too_large_line};
     use super::*;
     use fm_engine::RunStatus;
     use std::sync::mpsc;
@@ -1617,6 +1618,74 @@ mod tests {
         assert!(panicked.is_err());
         assert!(lock_recover(&st.graphs, "graph cache").is_empty());
         assert_eq!(st.graph_for(SPEC).unwrap().num_vertices(), 5);
+        st.sup.shutdown(None);
+    }
+
+    /// `line` with the number after the first `"<key>":` that follows
+    /// `after` replaced by `_`: the clock-driven values of a pinned line.
+    fn masked(line: &str, after: &str, key: &str) -> String {
+        let from = line.find(after).unwrap_or_else(|| panic!("no {after} in {line}"));
+        let needle = format!("\"{key}\":");
+        let at = from + line[from..].find(&needle).unwrap_or_else(|| panic!("no {key} in {line}"));
+        let start = at + needle.len();
+        let len = line[start..].find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(0);
+        format!("{}_{}", &line[..start], &line[start + len..])
+    }
+
+    #[test]
+    fn fixed_reply_lines_are_pinned() {
+        let st = state(ServeConfig::default());
+        assert_eq!(ready_line("socket"), r#"{"event":"ready","transport":"socket"}"#);
+        assert_eq!(subscribed_line(), r#"{"ok":true,"streaming":"events"}"#);
+        assert_eq!(dropped_line(7), r#"{"event":"dropped","dropped_total":7}"#);
+        assert_eq!(err_line("no \"op\"\n"), r#"{"ok":false,"error":"no \"op\"\n"}"#);
+        assert_eq!(
+            too_large_line(16),
+            r#"{"ok":false,"error":"request too large: line exceeded 16 bytes"}"#
+        );
+        assert_eq!(st.handle_line(r#"{"op":"cancel","id":99}"#), r#"{"ok":false}"#);
+        let submitted = st.handle_line(
+            r#"{"op":"submit","name":"t\"1","pattern":"triangle","graph":"gen:complete,n=5"}"#,
+        );
+        assert_eq!(submitted, r#"{"ok":true,"id":1,"name":"t\"1"}"#);
+        st.sup.shutdown(None);
+    }
+
+    /// The `metrics` op's JSON reply on a fresh server, every byte but the
+    /// uptime (`_` in the golden file).
+    #[test]
+    fn metrics_json_reply_is_pinned() {
+        let st = state(ServeConfig::default());
+        let reply = st.handle_line(r#"{"op":"metrics"}"#);
+        let reply = masked(&reply, "fm_serve_uptime_seconds", "value");
+        assert_eq!(reply, include_str!("../../tests/golden/serve_metrics_reply.txt").trim_end());
+        st.sup.shutdown(None);
+    }
+
+    /// `status` with jobs of two priorities queued behind a running one.
+    #[test]
+    fn status_with_two_priorities_queued_is_pinned() {
+        let st = state(ServeConfig {
+            supervisor: SupervisorConfig { workers: 1, max_running: 1, ..Default::default() },
+            ..Default::default()
+        });
+        // Seconds of mining: still running while the other two queue.
+        let graph = "gen:powerlaw,n=20000,m=8,closure=0.5,seed=1";
+        for (name, priority) in [("long", 10), ("mid", 1), ("low", -3)] {
+            let resp = st.handle_line(&format!(
+                r#"{{"op":"submit","name":"{name}","pattern":"house","graph":"{graph}","priority":{priority}}}"#
+            ));
+            assert!(resp.contains(r#""ok":true"#), "{resp}");
+        }
+        let status = st.handle_line(r#"{"op":"status"}"#);
+        let status = masked(&masked(&status, "", "uptime_seconds"), "", "events_published");
+        assert_eq!(
+            status,
+            r#"{"ok":true,"submitted":3,"rejected":0,"preempted":0,"completed":0,"drained":0,"queued":2,"queued_by_priority":{"-3":1,"1":1},"running":1,"memory_bytes":1439720,"memory_budget_bytes":4294967296,"uptime_seconds":_,"events_published":_,"events_dropped":0,"journal_records":0,"journal_replayed":0,"journal_truncated_bytes":0,"journal_recovered_jobs":0}"#
+        );
+        for id in 1..=3 {
+            st.handle_line(&format!(r#"{{"op":"cancel","id":{id}}}"#));
+        }
         st.sup.shutdown(None);
     }
 

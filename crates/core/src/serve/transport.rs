@@ -1,9 +1,9 @@
 //! The loop both transports run, the transports themselves — JSONL over
 //! stdio or a unix socket — and the socket's `subscribe` event stream.
 
-use super::wire::{err_line, int_field, too_large_line};
+use super::wire::{dropped_line, err_line, int_field, ready_line, subscribed_line, too_large_line};
 use super::{lock_recover, ServeConfig, ServeState, TICK};
-use fm_jobs::jsonl::{self, Json, ObjWriter};
+use fm_jobs::jsonl::{self, Json};
 use fm_jobs::signal;
 use std::io::Write;
 use std::path::Path;
@@ -69,8 +69,8 @@ fn should_exit(state: &ServeState, eof: bool) -> bool {
     idle_armed && state.jobs_all_resolved()
 }
 
-fn ready_line(transport: &str) {
-    println!("{}", ObjWriter::new().str("event", "ready").str("transport", transport).finish());
+fn announce_ready(transport: &str) {
+    println!("{}", ready_line(transport));
     let _ = std::io::stdout().flush();
 }
 
@@ -129,7 +129,7 @@ fn run_stdio(state: &Arc<ServeState>) -> Result<i32, String> {
             // Channel disconnect signals EOF to the main loop.
         })
         .map_err(|e| format!("spawn stdin reader: {e}"))?;
-    ready_line("stdio");
+    announce_ready("stdio");
     main_loop(state, &rx, |frame| {
         let reply = match frame {
             jsonl::Frame::Line(line) if line.trim().is_empty() => return false,
@@ -176,7 +176,7 @@ fn run_socket(state: &Arc<ServeState>, path: &Path) -> Result<i32, String> {
             }
         })
         .map_err(|e| format!("spawn acceptor: {e}"))?;
-    ready_line("socket");
+    announce_ready("socket");
     main_loop(state, &rx, |stream| {
         let st = Arc::clone(state);
         // Connection threads are detached; they die with the process
@@ -279,8 +279,7 @@ fn stream_events(
     buffer: usize,
 ) -> Result<(), String> {
     let sub = state.obs.bus().subscribe(buffer);
-    let ack = ObjWriter::new().bool("ok", true).str("streaming", "events").finish();
-    if writeln!(stream, "{ack}").is_err() {
+    if writeln!(stream, "{}", subscribed_line()).is_err() {
         return Ok(());
     }
     let mut reported_dropped = 0;
@@ -294,9 +293,7 @@ fn stream_events(
         let dropped = sub.dropped();
         if dropped > reported_dropped {
             reported_dropped = dropped;
-            let notice =
-                ObjWriter::new().str("event", "dropped").u64("dropped_total", dropped).finish();
-            if writeln!(stream, "{notice}").is_err() {
+            if writeln!(stream, "{}", dropped_line(dropped)).is_err() {
                 return Ok(());
             }
         }

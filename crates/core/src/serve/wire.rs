@@ -112,6 +112,21 @@ pub(super) fn too_large_line(limit: usize) -> String {
     err_line(&format!("request too large: line exceeded {limit} bytes"))
 }
 
+/// The banner a transport prints once it takes requests.
+pub(super) fn ready_line(transport: &str) -> String {
+    ObjWriter::new().str("event", "ready").str("transport", transport).finish()
+}
+
+/// The reply that turns a socket connection into an event stream.
+pub(super) fn subscribed_line() -> String {
+    ObjWriter::new().bool("ok", true).str("streaming", "events").finish()
+}
+
+/// The in-band notice that a subscriber has lost `total` events so far.
+pub(super) fn dropped_line(total: u64) -> String {
+    ObjWriter::new().str("event", "dropped").u64("dropped_total", total).finish()
+}
+
 /// `req[name]` read by `read`, `None` when the client left it out. A field
 /// that is present but not `what` is an error naming it: a typo must not
 /// silently run the job under a default the client did not ask for.

@@ -71,15 +71,22 @@ fn stdio_submit_wait_and_eof_exit() {
     let (code, out) = wait_exit(child, 60);
     assert_eq!(code, 0, "stdout: {out}");
     let lines: Vec<&str> = out.lines().collect();
-    assert!(lines[0].contains("\"event\":\"ready\""), "{out}");
-    assert!(lines[1].contains("\"ok\":true") && lines[1].contains("\"id\":1"), "{out}");
-    assert!(lines[2].contains("\"outcome\":\"finished\""), "{out}");
-    assert!(lines[2].contains("\"exit_code\":0"), "{out}");
+    assert_eq!(lines[0], r#"{"event":"ready","transport":"stdio"}"#, "{out}");
+    assert_eq!(lines[1], r#"{"ok":true,"id":1,"name":"tri"}"#, "{out}");
     // complete(8) holds C(8,3) = 56 triangles.
+    assert_eq!(
+        lines[2],
+        r#"{"ok":true,"id":1,"name":"tri","exit_code":0,"outcome":"finished","status":"Complete","counts":[56],"faults":0,"quarantined":0}"#,
+        "{out}"
+    );
     assert_eq!(counts_of(lines[2]), vec![56], "{out}");
     assert!(lines[3].contains("\"submitted\":1"), "{out}");
     let event = lines.iter().find(|l| l.contains("\"event\":\"job\"")).expect("summary line");
-    assert!(event.contains("\"name\":\"tri\"") && event.contains("\"exit_code\":0"), "{out}");
+    assert_eq!(
+        *event,
+        r#"{"event":"job","name":"tri","pattern":"triangle","graph":"gen:complete,n=8","exit_code":0,"outcome":"finished","status":"Complete","counts":[56],"faults":0,"quarantined":0}"#,
+        "{out}"
+    );
 }
 
 /// Per-job budget semantics end to end: a submit carrying a one-iteration

@@ -97,7 +97,7 @@ fn subscribe_streams_transitions_in_order() {
     let mut sub_reader = BufReader::new(sub.try_clone().unwrap());
     let mut ack = String::new();
     sub_reader.read_line(&mut ack).unwrap();
-    assert!(ack.contains("\"streaming\":\"events\""), "{ack}");
+    assert_eq!(ack, "{\"ok\":true,\"streaming\":\"events\"}\n");
 
     let mut ctl = connect(&sock, 5);
     let resp = request(
@@ -199,6 +199,12 @@ fn subscribe_slow_consumer_drops_are_bounded_and_counted() {
                 let is_event = str_field(&line, "kind").is_some();
                 let is_notice = line.contains("\"event\":\"dropped\"");
                 assert!(is_event || is_notice, "unexpected stream line: {line}");
+                if let Some(total) = u64_field(&line, "dropped_total") {
+                    assert_eq!(
+                        line,
+                        format!("{{\"event\":\"dropped\",\"dropped_total\":{total}}}\n")
+                    );
+                }
             }
         }
     }

@@ -508,6 +508,23 @@ mod tests {
     }
 
     #[test]
+    fn to_jsonl_bytes_are_pinned() {
+        let num = |ns: &[f64]| Json::Arr(ns.iter().map(|&n| Json::Num(n)).collect());
+        let v = Json::Obj(BTreeMap::from([
+            ("esc".to_string(), Json::Str("q\" b\\ n\n r\r t\t c\u{1} é".to_string())),
+            ("fractions".to_string(), num(&[0.1, -2.5, 60.5, 1.5e-7, 1.0 / 3.0])),
+            ("integers".to_string(), num(&[0.0, -3.0, 9e15, 2f64.powi(53), 2f64.powi(64)])),
+            ("non-finite".to_string(), num(&[f64::NAN, f64::NEG_INFINITY])),
+            ("rest".to_string(), Json::Arr(vec![Json::Null, Json::Bool(false)])),
+            ("empty".to_string(), Json::Arr(vec![Json::Obj(BTreeMap::new()), Json::Arr(vec![])])),
+        ]));
+        assert_eq!(
+            v.to_jsonl(),
+            r#"{"empty":[{},[]],"esc":"q\" b\\ n\n r\r t\t c\u0001 é","fractions":[0.1,-2.5,60.5,0.00000015,0.3333333333333333],"integers":[0,-3,9000000000000000,9007199254740992,18446744073709551616],"non-finite":[null,null],"rest":[null,false]}"#
+        );
+    }
+
+    #[test]
     fn read_frame_splits_caps_and_resyncs() {
         use std::io::BufReader;
         let mut input = Vec::new();

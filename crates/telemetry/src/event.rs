@@ -310,6 +310,21 @@ mod tests {
     }
 
     #[test]
+    fn an_event_is_one_pinned_line() {
+        let ev = JobEvent {
+            seq: 12,
+            ts_us: 3456,
+            job: 7,
+            kind: "finished",
+            detail: "status=\"Degraded\"\tfaults=2\n\u{1}".into(),
+        };
+        assert_eq!(
+            ev.to_json(),
+            r#"{"seq":12,"ts_us":3456,"job":7,"kind":"finished","detail":"status=\"Degraded\"\tfaults=2\n\u0001"}"#
+        );
+    }
+
+    #[test]
     fn ring_keeps_newest_and_counts_seen() {
         let b = bus(3);
         for i in 0..10u64 {

@@ -89,6 +89,9 @@ mod tests {
         assert_eq!(render(|o| json_f64(o, -2.0)), "-2");
         assert_eq!(render(|o| json_f64(o, 0.5)), "0.5");
         assert_eq!(render(|o| json_f64(o, 1.25)), "1.25");
+        // Six decimal places, not six significant digits.
+        assert_eq!(render(|o| json_f64(o, 1.5e-7)), "0");
+        assert_eq!(render(|o| json_f64(o, 2.0 / 3.0)), "0.666667");
         assert_eq!(render(|o| json_f64(o, f64::NAN)), "null");
         assert_eq!(render(|o| json_f64(o, f64::INFINITY)), "null");
     }

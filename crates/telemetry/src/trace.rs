@@ -254,4 +254,21 @@ mod tests {
         ));
         assert!(json.ends_with("]}"));
     }
+
+    #[test]
+    fn a_bare_span_and_counter_tracks_are_pinned_whole() {
+        let spans = [Span { ts_us: 3, dur_us: 0, tid: 2, name: "mine", cat: "engine", arg: None }];
+        let counters = [
+            CounterEvent {
+                ts_us: 9,
+                name: "pe \"0\"".into(),
+                series: vec![("busy".into(), 0.25), ("lost".into(), f64::NAN)],
+            },
+            CounterEvent { ts_us: 10, name: "idle".into(), series: vec![] },
+        ];
+        assert_eq!(
+            chrome_trace_json("fm\\run", &spans, &counters),
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"fm\\run"}},{"name":"mine","cat":"engine","ph":"X","ts":3,"dur":0,"pid":1,"tid":2},{"name":"pe \"0\"","ph":"C","ts":9,"pid":1,"args":{"busy":0.25,"lost":null}},{"name":"idle","ph":"C","ts":10,"pid":1,"args":{}}]}"#
+        );
+    }
 }
