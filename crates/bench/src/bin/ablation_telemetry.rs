@@ -20,7 +20,7 @@ use fm_engine::{
     mine_prepared, mine_prepared_observed, prepare, EngineConfig, JobCore, MiningResult,
     PreparedGraph, TelemetryOptions,
 };
-use fm_telemetry::{TraceClock, DEFAULT_SPAN_CAPACITY};
+use fm_telemetry::TraceClock;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,7 +107,7 @@ fn main() {
         let mut serve_spans = 0usize;
         let (t_job_on, job_traced) = time_min3(&mut || {
             let mut core = JobCore::new(Arc::clone(&shared_graph), Arc::clone(&shared_plan), cfg);
-            core.set_trace(TraceClock::start(), DEFAULT_SPAN_CAPACITY, true);
+            core.set_trace(TraceClock::start(), true);
             let result = run_job(&core);
             let (spans, dropped) = core.take_spans();
             assert_eq!(dropped, 0, "{}: serve trace ring overflowed", w.key.label());

@@ -3,7 +3,7 @@
 use fm_engine::{mine_prepared, prepare, EngineConfig, MiningResult};
 use fm_graph::CsrGraph;
 use fm_plan::ExecutionPlan;
-use fm_telemetry::json::{json_key, json_str, json_str_array};
+use fm_telemetry::json::{self, Arr};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -136,30 +136,21 @@ impl Table {
 
     /// Serializes the table as compact JSON (`{"id":"fig14",...}`).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        json_key(&mut out, "id");
-        json_str(&mut out, &self.id);
-        out.push(',');
-        json_key(&mut out, "title");
-        json_str(&mut out, &self.title);
-        out.push(',');
-        json_key(&mut out, "headers");
-        json_str_array(&mut out, &self.headers);
-        out.push(',');
-        json_key(&mut out, "rows");
-        out.push('[');
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let strings = |a: &mut Arr<'_>, items: &[String]| {
+            for s in items {
+                a.item().str(s);
             }
-            json_str_array(&mut out, row);
-        }
-        out.push_str("],");
-        json_key(&mut out, "notes");
-        json_str_array(&mut out, &self.notes);
-        out.push('}');
-        out
+        };
+        json::object(|o| {
+            o.str("id", &self.id).str("title", &self.title);
+            o.arr("headers", |a| strings(a, &self.headers));
+            o.arr("rows", |a| {
+                for row in &self.rows {
+                    a.item().arr(|a| strings(a, row));
+                }
+            });
+            o.arr("notes", |a| strings(a, &self.notes));
+        })
     }
 
     /// Writes the table as JSON into `dir/<id>.json` and prints the

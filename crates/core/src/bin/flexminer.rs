@@ -174,7 +174,6 @@ impl TelemetryFlags {
         Ok(TelemetryOptions {
             metrics: self.metrics_out.is_some(),
             trace: self.trace_out.is_some().then(TraceClock::start),
-            span_capacity: None,
             progress,
         })
     }
@@ -414,6 +413,13 @@ fn parse_threads(args: &[String]) -> Result<usize, String> {
     }
 }
 
+/// `v`, the value of `flag`, as a number of seconds. A negative, NaN,
+/// infinite or over-`u64::MAX` value is a bad value, not a panic.
+fn parse_secs(flag: &str, v: &str) -> Result<Duration, String> {
+    let secs: f64 = v.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    Duration::try_from_secs_f64(secs).map_err(|e| format!("bad {flag} {v}: {e}"))
+}
+
 fn load_graph(args: &[String]) -> Result<CsrGraph, String> {
     let input = flag_value(args, "--graph").ok_or("missing --graph <input>")?;
     graphspec::load(input)
@@ -476,9 +482,8 @@ fn cmd_count(args: &[String]) -> CliResult {
             // it a wall-clock period in seconds.
             job = match v.strip_suffix('s') {
                 Some(secs) => {
-                    let secs: f64 =
-                        secs.parse().map_err(|e| format!("bad --checkpoint-interval: {e}"))?;
-                    job.checkpoint_interval(None, Some(Duration::from_secs_f64(secs)))
+                    let every = parse_secs("--checkpoint-interval", secs)?;
+                    job.checkpoint_interval(None, Some(every))
                 }
                 None => {
                     let tasks: u64 =
@@ -495,13 +500,11 @@ fn cmd_count(args: &[String]) -> CliResult {
     }
     let telemetry = TelemetryFlags::parse(args)?;
     job = job.telemetry(telemetry.engine_options(args)?);
-    let timeout = flag_value(args, "--timeout")
-        .map(|v| v.parse::<f64>().map_err(|e| format!("bad --timeout: {e}")))
-        .transpose()?;
+    let timeout = flag_value(args, "--timeout").map(|v| parse_secs("--timeout", v)).transpose()?;
     let start = std::time::Instant::now();
     let outcome = match timeout {
         // Anchor the deadline at the run, after graph loading.
-        Some(secs) => job.run_with_deadline(Duration::from_secs_f64(secs)),
+        Some(timeout) => job.run_with_deadline(timeout),
         None => job.run(),
     }
     .map_err(|e| e.to_string())?;

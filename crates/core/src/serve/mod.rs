@@ -97,11 +97,11 @@ use crate::graphspec;
 use fm_engine::{Checkpoint, EngineConfig};
 use fm_graph::CsrGraph;
 use fm_jobs::journal::{self, Journal, JournalRecord, Replay, Reported};
-use fm_jobs::jsonl::{self, Json, ObjWriter};
+use fm_jobs::jsonl::{self, Json};
 use fm_jobs::{signal, JobHandle, JobObserver, JobOutcome, JobSpec, Supervisor, SupervisorConfig};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
-use fm_telemetry::{chrome_trace_json, TraceClock, DEFAULT_RECORDER_CAPACITY};
+use fm_telemetry::{chrome_trace_json, json, TraceClock, DEFAULT_RECORDER_CAPACITY};
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -199,9 +199,12 @@ struct JobMeta {
     max_attempts: Option<u32>,
     /// Set-op iteration cap, if the submit carried one.
     budget: Option<u64>,
-    /// Wall-clock allowance in seconds. The absolute deadline is anchored
-    /// at submit time, so this original span is what a resume replays.
+    /// Wall-clock allowance in seconds, as the client sent it: what the
+    /// canonical request journals and a resume replays.
     deadline_secs: Option<f64>,
+    /// The same allowance, checked at submit; it becomes an instant only
+    /// at admission ([`JobMeta::engine_config`]).
+    deadline: Option<Duration>,
     /// Fingerprint of the canonical submit request ([`canonical_req`]);
     /// pinned into the job's submitted, finished and drained records.
     fp: u64,
@@ -218,8 +221,7 @@ impl JobMeta {
     fn engine_config(&self) -> EngineConfig {
         let mut cfg = EngineConfig::with_threads(self.threads);
         cfg.budget.max_setop_iterations = self.budget;
-        cfg.budget.deadline =
-            self.deadline_secs.and_then(|s| Instant::now().checked_add(Duration::from_secs_f64(s)));
+        cfg.budget.deadline = self.deadline.and_then(|d| Instant::now().checked_add(d));
         cfg.max_retries = self.max_attempts.unwrap_or(DEFAULT_MAX_ATTEMPTS).saturating_sub(1);
         cfg
     }
@@ -535,11 +537,13 @@ impl ServeState {
         let max_attempts = int_field(req, "max_attempts", 0..=u32::MAX)?;
         let budget = int_field(req, "budget", 0..=u64::MAX)?;
         let deadline_secs = field(req, "deadline", "a number of seconds", Json::as_f64)?;
-        if let Some(s) = deadline_secs {
-            if !s.is_finite() || s <= 0.0 {
-                return Err(format!("deadline must be a positive number of seconds, got {s}"));
-            }
-        }
+        let deadline = deadline_secs
+            .map(|s| {
+                Duration::try_from_secs_f64(s).ok().filter(|_| s > 0.0).ok_or_else(|| {
+                    format!("deadline must be a positive number of seconds below 2^64, got {s}")
+                })
+            })
+            .transpose()?;
         let pattern: Pattern =
             pattern_spec.parse().map_err(|e| format!("bad pattern {pattern_spec:?}: {e}"))?;
         let plan = Arc::new(compile(&pattern, CompileOptions { induced, ..Default::default() }));
@@ -569,6 +573,7 @@ impl ServeState {
             max_attempts,
             budget,
             deadline_secs,
+            deadline,
             fp: 0,
             recovered: recover_id.is_some(),
             plan: Arc::clone(&plan),
@@ -617,21 +622,19 @@ impl ServeState {
         // surface them on the response instead of making callers wait.
         let (line, journaled) = match handle.try_outcome() {
             Some(JobOutcome::Rejected { reason }) => {
-                let line = ObjWriter::new()
-                    .bool("ok", false)
-                    .u64("id", id)
-                    .str("outcome", "rejected")
-                    .i64("exit_code", 8)
-                    .str("error", &reason)
-                    .finish();
+                let line = json::object(|o| {
+                    o.bool("ok", false).u64("id", id).str("outcome", "rejected");
+                    o.i64("exit_code", 8).str("error", &reason);
+                });
                 let outcome = Reported::Rejected { reason };
                 self.journal_append(&JournalRecord::Outcome { id, fp: meta.fp, outcome });
                 (line, true)
             }
             _ => {
-                let line =
-                    ObjWriter::new().bool("ok", true).u64("id", id).str("name", handle.name());
-                (line.finish(), false)
+                let line = json::object(|o| {
+                    o.bool("ok", true).u64("id", id).str("name", handle.name());
+                });
+                (line, false)
             }
         };
         let entry = Entry::Live { handle, meta: Arc::new(meta), journaled };
@@ -661,13 +664,17 @@ impl ServeState {
                         let outcome = Reported::Cancelled;
                         self.journal_append(&JournalRecord::Outcome { id, fp: 0, outcome });
                     }
-                    ObjWriter::new().bool("ok", ok).finish()
+                    json::object(|o| {
+                        o.bool("ok", ok);
+                    })
                 }
                 None => err_line("cancel needs an id"),
             },
             "shutdown" => {
                 signal::request_termination();
-                ObjWriter::new().bool("ok", true).finish()
+                json::object(|o| {
+                    o.bool("ok", true);
+                })
             }
             // Streaming subscriptions are handled by the socket transport
             // (`serve_connection` takes over the stream before `respond`);
@@ -713,35 +720,25 @@ impl ServeState {
 
     fn status(&self) -> String {
         let s = self.sup.stats();
-        // `{"<priority>":<queued>}`, priorities ascending — the status
-        // op's per-priority queue-depth breakdown.
-        let mut by_priority = String::from("{");
-        for (i, (priority, depth)) in s.queued_by_priority.iter().enumerate() {
-            if i > 0 {
-                by_priority.push(',');
+        json::object(|o| {
+            o.bool("ok", true).u64("submitted", s.submitted).u64("rejected", s.rejected);
+            o.u64("preempted", s.preempted).u64("completed", s.completed);
+            o.u64("drained", s.drained).u64("queued", s.queued);
+            // Per-priority queue depths, priorities ascending.
+            o.obj("queued_by_priority", |o| {
+                for (priority, depth) in &s.queued_by_priority {
+                    o.u64(&priority.to_string(), *depth);
+                }
+            });
+            o.u64("running", s.running).u64("memory_bytes", s.memory_bytes);
+            o.u64("memory_budget_bytes", s.memory_budget_bytes);
+            o.u64("uptime_seconds", self.started.elapsed().as_secs());
+            o.u64("events_published", self.obs.bus().published());
+            o.u64("events_dropped", self.obs.bus().dropped_total());
+            for (key, _, _, value) in self.gauges.list() {
+                o.u64(&format!("journal_{key}"), value);
             }
-            by_priority.push_str(&format!("\"{priority}\":{depth}"));
-        }
-        by_priority.push('}');
-        let mut w = ObjWriter::new()
-            .bool("ok", true)
-            .u64("submitted", s.submitted)
-            .u64("rejected", s.rejected)
-            .u64("preempted", s.preempted)
-            .u64("completed", s.completed)
-            .u64("drained", s.drained)
-            .u64("queued", s.queued)
-            .raw("queued_by_priority", &by_priority)
-            .u64("running", s.running)
-            .u64("memory_bytes", s.memory_bytes)
-            .u64("memory_budget_bytes", s.memory_budget_bytes)
-            .u64("uptime_seconds", self.started.elapsed().as_secs())
-            .u64("events_published", self.obs.bus().published())
-            .u64("events_dropped", self.obs.bus().dropped_total());
-        for (key, _, _, value) in self.gauges.list() {
-            w = w.u64(&format!("journal_{key}"), value);
-        }
-        w.finish()
+        })
     }
 
     fn metrics(&self, req: &Json) -> String {
@@ -755,11 +752,15 @@ impl ServeState {
         for (_, metric, help, value) in self.gauges.list() {
             doc.gauge(metric, help, value as f64);
         }
-        match req.get("format").and_then(Json::as_str).unwrap_or("json") {
-            "prometheus" => ObjWriter::new().bool("ok", true).str("body", &doc.to_prometheus()),
-            _ => ObjWriter::new().bool("ok", true).raw("body", &doc.to_json()),
-        }
-        .finish()
+        let prometheus = req.get("format").and_then(Json::as_str) == Some("prometheus");
+        json::object(|o| {
+            o.bool("ok", true);
+            if prometheus {
+                o.str("body", &doc.to_prometheus());
+            } else {
+                doc.write_json(o.field("body"));
+            }
+        })
     }
 
     /// Replays the journal folded by `new`: a job whose end was journaled
@@ -843,11 +844,13 @@ impl ServeState {
         if self.journal.is_some() {
             // One durability summary line so restart tooling can see the
             // journal/recovery counters without scraping the exporters.
-            let mut w = ObjWriter::new().str("event", "journal");
-            for (key, _, _, value) in self.gauges.list() {
-                w = w.u64(key, value);
-            }
-            let _ = writeln!(out, "{}", w.finish());
+            let line = json::object(|o| {
+                o.str("event", "journal");
+                for (key, _, _, value) in self.gauges.list() {
+                    o.u64(key, value);
+                }
+            });
+            let _ = writeln!(out, "{line}");
         }
         let _ = out.flush();
         drop(jobs);
@@ -889,6 +892,7 @@ mod tests {
             max_attempts: None,
             budget: None,
             deadline_secs: None,
+            deadline: None,
             fp: 0xabcd,
             recovered: false,
             plan: Arc::new(compile(&pattern, CompileOptions::default())),
@@ -1198,7 +1202,7 @@ mod tests {
     #[test]
     fn non_positive_deadlines_are_rejected_at_submit() {
         let st = state(ServeConfig::default());
-        for bad in ["0", "-2.5"] {
+        for bad in ["0", "-2.5", "1e20"] {
             let resp = st.handle_line(&format!(
                 r#"{{"op":"submit","pattern":"triangle","graph":"gen:complete,n=4","deadline":{bad}}}"#,
             ));

@@ -5,8 +5,9 @@
 use super::JobMeta;
 use fm_engine::RunStatus;
 use fm_jobs::journal::{self, Reported};
-use fm_jobs::jsonl::{self, Json, ObjWriter};
+use fm_jobs::jsonl::Json;
 use fm_jobs::JobOutcome;
+use fm_telemetry::json::{self, Obj};
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
@@ -66,45 +67,54 @@ fn work_digest(w: &fm_engine::WorkCounters) -> u64 {
 
 /// The one rendering of what a job reported, after the head of a `wait`
 /// reply or an exit summary line.
-fn outcome_fields(w: ObjWriter, reported: &Reported) -> ObjWriter {
-    let w = w.i64("exit_code", job_exit_code(reported)).str("outcome", reported.kind());
+fn outcome_fields(o: &mut Obj<'_>, reported: &Reported) {
+    o.i64("exit_code", job_exit_code(reported)).str("outcome", reported.kind());
     match reported {
-        Reported::Finished { status, counts, faults, quarantined, .. } => w
-            .str("status", status)
-            .raw("counts", &jsonl::u64_array(counts))
-            .u64("faults", *faults)
-            .u64("quarantined", *quarantined),
-        Reported::Rejected { reason } => w.str("error", reason),
-        Reported::Drained { checkpoint: Some(p) } => w.str("checkpoint", p),
-        Reported::Drained { checkpoint: None } | Reported::Cancelled => w,
+        Reported::Finished { status, counts, faults, quarantined, .. } => {
+            o.str("status", status);
+            o.arr("counts", |a| counts.iter().for_each(|&c| a.item().u64(c)));
+            o.u64("faults", *faults).u64("quarantined", *quarantined);
+        }
+        Reported::Rejected { reason } => {
+            o.str("error", reason);
+        }
+        Reported::Drained { checkpoint: Some(p) } => {
+            o.str("checkpoint", p);
+        }
+        Reported::Drained { checkpoint: None } | Reported::Cancelled => {}
     }
 }
 
 /// A `wait` reply; one answered from the journal ends `"replayed":true`.
 pub(super) fn wait_line(id: u64, name: &str, reported: &Reported, replayed: bool) -> String {
     let ok = !matches!(reported, Reported::Rejected { .. });
-    let w = ObjWriter::new().bool("ok", ok).u64("id", id).str("name", name);
-    let w = outcome_fields(w, reported);
-    if replayed { w.bool("replayed", true) } else { w }.finish()
+    json::object(|o| {
+        o.bool("ok", ok).u64("id", id).str("name", name);
+        outcome_fields(o, reported);
+        if replayed {
+            o.bool("replayed", true);
+        }
+    })
 }
 
 /// An exit summary line.
 pub(super) fn summary_line(meta: &JobMeta, reported: &Reported) -> String {
-    let mut w = ObjWriter::new()
-        .str("event", "job")
-        .str("name", &meta.name)
-        .str("pattern", &meta.pattern)
-        .str("graph", &meta.graph);
-    if meta.recovered {
-        // Journal replay resubmitted this job after a crash; tooling
-        // diffing runs can tell a recovered completion from a clean one.
-        w = w.bool("recovered", true);
-    }
-    outcome_fields(w, reported).finish()
+    json::object(|o| {
+        o.str("event", "job").str("name", &meta.name);
+        o.str("pattern", &meta.pattern).str("graph", &meta.graph);
+        if meta.recovered {
+            // Journal replay resubmitted this job after a crash; tooling
+            // diffing runs can tell a recovered completion from a clean one.
+            o.bool("recovered", true);
+        }
+        outcome_fields(o, reported);
+    })
 }
 
 pub(super) fn err_line(msg: &str) -> String {
-    ObjWriter::new().bool("ok", false).str("error", msg).finish()
+    json::object(|o| {
+        o.bool("ok", false).str("error", msg);
+    })
 }
 
 /// Structured reply for a frame over the `--max-request-bytes` cap.
@@ -114,17 +124,23 @@ pub(super) fn too_large_line(limit: usize) -> String {
 
 /// The banner a transport prints once it takes requests.
 pub(super) fn ready_line(transport: &str) -> String {
-    ObjWriter::new().str("event", "ready").str("transport", transport).finish()
+    json::object(|o| {
+        o.str("event", "ready").str("transport", transport);
+    })
 }
 
 /// The reply that turns a socket connection into an event stream.
 pub(super) fn subscribed_line() -> String {
-    ObjWriter::new().bool("ok", true).str("streaming", "events").finish()
+    json::object(|o| {
+        o.bool("ok", true).str("streaming", "events");
+    })
 }
 
 /// The in-band notice that a subscriber has lost `total` events so far.
 pub(super) fn dropped_line(total: u64) -> String {
-    ObjWriter::new().str("event", "dropped").u64("dropped_total", total).finish()
+    json::object(|o| {
+        o.str("event", "dropped").u64("dropped_total", total);
+    })
 }
 
 /// `req[name]` read by `read`, `None` when the client left it out. A field

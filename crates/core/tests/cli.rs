@@ -108,11 +108,31 @@ fn plan_prints_the_count_only_decision_per_leaf() {
     assert!(plan(&["5-cycle"]).contains("(5-cycle)") && plan(&["house"]).contains("(house)"));
 }
 
+/// A seconds value that is not a number, or is one no `Duration` holds
+/// (negative, NaN, infinite, over 2⁶⁴), is a bad value: exit 1, one line.
 #[test]
 fn bad_flag_values_exit_one() {
-    let out = flexminer(&["count", "triangle", "--graph", GRAPH, "--timeout", "soon"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --timeout"));
+    let ckpt = temp_ckpt("bad-interval");
+    let ckpt = ckpt.to_str().unwrap();
+    for secs in ["soon", "-1", "nan", "inf", "1e20"] {
+        let interval = format!("{secs}s");
+        for (flag, tail) in [
+            ("--timeout", vec!["--timeout", secs]),
+            (
+                "--checkpoint-interval",
+                vec!["--checkpoint", ckpt, "--checkpoint-interval", &interval],
+            ),
+        ] {
+            let args = [&["count", "triangle", "--graph", GRAPH][..], &tail].concat();
+            let out = flexminer(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+            assert!(stderr.contains(&format!("bad {flag}")), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed a count");
+        }
+    }
+    assert!(!std::path::Path::new(ckpt).exists(), "a refused run wrote a checkpoint");
 }
 
 #[test]

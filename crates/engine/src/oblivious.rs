@@ -70,7 +70,11 @@ pub fn count_induced(g: &CsrGraph, patterns: &[Pattern], threads: usize) -> Mini
             .collect();
         let mut total = MiningResult::empty(patterns.len());
         for h in handles {
-            total.merge(&h.join().expect("worker thread panicked"));
+            let part = h.join().expect("worker thread panicked");
+            for (count, c) in total.counts.iter_mut().zip(part.counts) {
+                *count += c;
+            }
+            total.work += part.work;
         }
         total
     })

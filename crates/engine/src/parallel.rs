@@ -25,7 +25,7 @@ use crate::telemetry::TelemetryOptions;
 use crate::EngineConfig;
 use fm_graph::CsrGraph;
 use fm_plan::ExecutionPlan;
-use fm_telemetry::Span;
+use fm_telemetry::{Span, DEFAULT_SPAN_CAPACITY};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
@@ -160,8 +160,9 @@ fn run(
         core.task_times = Some(Mutex::new(Vec::new()));
     }
     if telemetry.metrics || telemetry.trace.is_some() {
-        let cap = telemetry.span_capacity.unwrap_or(fm_telemetry::trace::DEFAULT_SPAN_CAPACITY);
-        core.observer = Some(Observer::new(telemetry.metrics, telemetry.trace, true, cap));
+        let observer =
+            Observer::new(telemetry.metrics, telemetry.trace, true, DEFAULT_SPAN_CAPACITY);
+        core.observer = Some(observer);
     }
     core.progress =
         telemetry.progress.as_ref().map(|p| Progress::new(core.remaining_tasks() as u64, p));

@@ -286,10 +286,9 @@ pub struct MiningResult {
     /// resume may replay more work than the interval promised.
     pub checkpoint_error: Option<String>,
     /// Total failed checkpoint-write attempts, including transient
-    /// failures that a later retry recovered from. Merging sums this, so
-    /// the count survives even when only the first error *message* is
-    /// kept — a non-zero count with `checkpoint_error == None` means
-    /// durability degraded transiently but recovered.
+    /// failures that a later retry recovered from — a non-zero count with
+    /// `checkpoint_error == None` means durability degraded transiently
+    /// but recovered.
     pub checkpoint_failures: u64,
     /// Merged telemetry (depth-resolved metrics, histograms, spans) when
     /// the run was observed via
@@ -304,54 +303,6 @@ impl MiningResult {
     /// Creates an empty result sized for `patterns` patterns.
     pub fn empty(patterns: usize) -> Self {
         MiningResult { counts: vec![0; patterns], ..MiningResult::default() }
-    }
-
-    /// Merges another result into this one (used by the parallel driver).
-    /// Counts and work add; statuses combine by severity. The `completed`
-    /// list is kept sorted and deduplicated — workers own disjoint start
-    /// vertices, so a duplicate would mean double-counted work (asserted
-    /// in debug builds) — and fault/quarantine ordering is canonicalized
-    /// to `(vid, attempt)` so merged reports are bit-identical across
-    /// thread counts and worker interleavings.
-    pub fn merge(&mut self, other: &MiningResult) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c = c.checked_add(*o).expect(crate::executor::COUNT_OVERFLOW);
-        }
-        self.work += other.work;
-        self.status = self.status.max(other.status);
-        self.completed.extend_from_slice(&other.completed);
-        self.completed.sort_unstable();
-        let before = self.completed.len();
-        self.completed.dedup();
-        debug_assert_eq!(
-            before,
-            self.completed.len(),
-            "workers must complete disjoint start-vertex sets"
-        );
-        self.faults.extend_from_slice(&other.faults);
-        self.faults.sort_unstable_by_key(|f| (f.vid, f.attempt));
-        self.quarantined.extend_from_slice(&other.quarantined);
-        self.quarantined.sort_unstable_by_key(|f| (f.vid, f.attempt));
-        self.stragglers.extend_from_slice(&other.stragglers);
-        // Keep the first error message, but never lose the *count*: every
-        // shard's failed attempts accumulate, so a merged result with one
-        // message still reports how many writes failed in total.
-        self.checkpoint_failures += other.checkpoint_failures;
-        if self.checkpoint_error.is_none() {
-            self.checkpoint_error = other.checkpoint_error.clone();
-        }
-        // Telemetry shards merge commutatively (element-wise sums plus
-        // canonical span ordering), preserving this method's
-        // order-independence guarantee.
-        if let Some(other_shard) = &other.telemetry {
-            match &mut self.telemetry {
-                Some(shard) => shard.merge(other_shard),
-                None => self.telemetry = Some(other_shard.clone()),
-            }
-        }
     }
 
     /// Unique embedding counts: raw counts divided by |Aut(P)| when the
@@ -399,94 +350,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_counts_and_work() {
-        let mut a = MiningResult {
-            counts: vec![1, 2],
-            work: WorkCounters { comparisons: 5, ..Default::default() },
-            ..Default::default()
-        };
-        let b = MiningResult {
-            counts: vec![10, 20],
-            work: WorkCounters { comparisons: 7, setop_iterations: 3, ..Default::default() },
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.counts, vec![11, 22]);
-        assert_eq!(a.work.comparisons, 12);
-        assert_eq!(a.work.setop_iterations, 3);
-        assert_eq!(a.total(), 33);
-        assert!(a.status.is_complete());
-    }
-
-    #[test]
-    fn merge_combines_status_by_severity() {
-        let mut a = MiningResult { status: RunStatus::Degraded, ..MiningResult::empty(1) };
-        let b = MiningResult { status: RunStatus::DeadlineExceeded, ..MiningResult::empty(1) };
-        a.merge(&b);
-        assert_eq!(a.status, RunStatus::DeadlineExceeded);
-        // A lower-severity merge does not downgrade.
-        a.merge(&MiningResult::empty(1));
-        assert_eq!(a.status, RunStatus::DeadlineExceeded);
-        assert!(a.status.is_partial());
-    }
-
-    #[test]
-    fn merge_combines_completed_and_faults() {
-        let mut a = MiningResult {
-            completed: vec![0, 2],
-            faults: vec![Fault { vid: 1, attempt: 0, payload: "boom".into() }],
-            ..MiningResult::empty(1)
-        };
-        let b = MiningResult { completed: vec![3], ..MiningResult::empty(1) };
-        a.merge(&b);
-        assert_eq!(a.completed, vec![0, 2, 3]);
-        assert_eq!(a.faults.len(), 1);
-        assert_eq!(a.faults[0].vid, 1);
-    }
-
-    /// ISSUE satellite: the merged completed list is sorted and the fault
-    /// roster is in canonical `(vid, attempt)` order regardless of the
-    /// order workers happened to report in, so resumed-run outputs are
-    /// stable across thread counts.
-    #[test]
-    fn merge_is_deterministic_across_worker_orderings() {
-        let w1 = MiningResult {
-            completed: vec![5, 9],
-            faults: vec![
-                Fault { vid: 7, attempt: 1, payload: "b".into() },
-                Fault { vid: 7, attempt: 0, payload: "a".into() },
-            ],
-            ..MiningResult::empty(1)
-        };
-        let w2 = MiningResult {
-            completed: vec![1, 3],
-            faults: vec![Fault { vid: 2, attempt: 0, payload: "c".into() }],
-            quarantined: vec![Fault { vid: 2, attempt: 2, payload: "c".into() }],
-            ..MiningResult::empty(1)
-        };
-        let mut ab = MiningResult::empty(1);
-        ab.merge(&w1);
-        ab.merge(&w2);
-        let mut ba = MiningResult::empty(1);
-        ba.merge(&w2);
-        ba.merge(&w1);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.completed, vec![1, 3, 5, 9]);
-        let order: Vec<(u32, u32)> = ab.faults.iter().map(|f| (f.vid, f.attempt)).collect();
-        assert_eq!(order, vec![(2, 0), (7, 0), (7, 1)]);
-        assert_eq!(ab.quarantined.len(), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "disjoint")]
-    fn merge_rejects_overlapping_completed_sets_in_debug() {
-        let mut a = MiningResult { completed: vec![4], ..MiningResult::empty(1) };
-        let b = MiningResult { completed: vec![4], ..MiningResult::empty(1) };
-        a.merge(&b);
-    }
-
-    #[test]
     fn straggler_detection_flags_outliers_deterministically() {
         let ms = Duration::from_millis;
         let nanos = |m: u64| m * 1_000_000;
@@ -510,64 +373,5 @@ mod tests {
         assert_eq!(out.len(), MAX_STRAGGLERS);
         assert!(out.windows(2).all(|w| w[0].elapsed >= w[1].elapsed));
         assert_eq!(out[0].vid, 190);
-    }
-
-    #[test]
-    fn merge_combines_telemetry_shards_commutatively() {
-        let shard = |iters: u64| {
-            let mut s = fm_telemetry::TelemetryShard::new();
-            fm_telemetry::shard::charge_depth(&mut s.depth_setop_iterations, 1, iters);
-            s.frontier_sizes.record(iters);
-            Some(Box::new(s))
-        };
-        let a = MiningResult { telemetry: shard(3), ..MiningResult::empty(1) };
-        let b = MiningResult { telemetry: shard(11), ..MiningResult::empty(1) };
-        let mut ab = MiningResult::empty(1);
-        ab.merge(&a);
-        ab.merge(&b);
-        let mut ba = MiningResult::empty(1);
-        ba.merge(&b);
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        let shard = ab.telemetry.expect("merged shard");
-        assert_eq!(shard.depth_setop_iterations, vec![0, 14]);
-        assert_eq!(shard.frontier_sizes.count, 2);
-        // Merging a telemetry-free result leaves the shard untouched.
-        let mut with = MiningResult { telemetry: Some(shard), ..MiningResult::empty(1) };
-        with.merge(&MiningResult::empty(1));
-        assert!(with.telemetry.is_some());
-    }
-
-    /// ISSUE satellite: merging used to keep only the first
-    /// `checkpoint_error` with no trace that later shards also failed;
-    /// the failure count now aggregates alongside the first message.
-    #[test]
-    fn merge_aggregates_checkpoint_failures_with_first_message() {
-        let mut a = MiningResult {
-            checkpoint_error: Some("disk full".into()),
-            checkpoint_failures: 3,
-            ..MiningResult::empty(1)
-        };
-        let b = MiningResult {
-            checkpoint_error: Some("permission denied".into()),
-            checkpoint_failures: 2,
-            ..MiningResult::empty(1)
-        };
-        a.merge(&b);
-        assert_eq!(a.checkpoint_error.as_deref(), Some("disk full"));
-        assert_eq!(a.checkpoint_failures, 5);
-        // Transient-only shards (count without a message) still surface.
-        let mut c = MiningResult::empty(1);
-        c.merge(&MiningResult { checkpoint_failures: 4, ..MiningResult::empty(1) });
-        assert_eq!(c.checkpoint_failures, 4);
-        assert!(c.checkpoint_error.is_none());
-    }
-
-    #[test]
-    fn merge_grows_count_vector() {
-        let mut a = MiningResult::empty(1);
-        let b = MiningResult { counts: vec![1, 2, 3], ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.counts, vec![1, 2, 3]);
     }
 }

@@ -55,7 +55,7 @@ use crate::telemetry::Collector;
 use crate::EngineConfig;
 use fm_graph::{CsrGraph, VertexId};
 use fm_plan::ExecutionPlan;
-use fm_telemetry::{Span, SpanRing, TelemetryShard, TraceClock};
+use fm_telemetry::{Span, SpanRing, TelemetryShard, TraceClock, DEFAULT_SPAN_CAPACITY};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -307,10 +307,12 @@ impl<'g> JobCore<'g> {
     /// Turns on stint (and optionally per-task) span tracing on `clock`,
     /// before the core is shared. Pass the serve session's clock so this
     /// job's spans land on the same timeline as the supervisor's. The job
-    /// retains at most `span_capacity` spans per configured thread between
-    /// [`take_spans`](Self::take_spans) calls and counts the rest dropped.
-    pub fn set_trace(&mut self, clock: TraceClock, span_capacity: usize, task_spans: bool) {
-        self.observer = Some(Observer::new(false, Some(clock), task_spans, span_capacity));
+    /// retains at most [`DEFAULT_SPAN_CAPACITY`] spans per configured
+    /// thread between [`take_spans`](Self::take_spans) calls and counts
+    /// the rest dropped.
+    pub fn set_trace(&mut self, clock: TraceClock, task_spans: bool) {
+        let observer = Observer::new(false, Some(clock), task_spans, DEFAULT_SPAN_CAPACITY);
+        self.observer = Some(observer);
     }
 
     /// Drains the collected spans: `(spans, dropped)`. Both reset, so the
@@ -739,7 +741,7 @@ mod tests {
         let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
         let reference = mine(&g, &plan, &EngineConfig::default());
         let mut traced = JobCore::new(g, plan, EngineConfig::default());
-        traced.set_trace(TraceClock::start(), 4096, true);
+        traced.set_trace(TraceClock::start(), true);
         drain(&traced, 16, 7);
         let r = traced.result();
         assert_eq!(r.counts, reference.counts);
@@ -762,7 +764,7 @@ mod tests {
         let g = Arc::new(generators::powerlaw_cluster(160, 4, 0.5, 53));
         let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
         let mut traced = JobCore::new(g, plan, EngineConfig::default());
-        traced.set_trace(TraceClock::start(), 50, true);
+        traced.observer = Some(Observer::new(false, Some(TraceClock::start()), true, 50));
         drain(&traced, 16, 0);
         let (spans, dropped) = traced.take_spans();
         assert_eq!(spans.len(), 50);
@@ -782,7 +784,7 @@ mod tests {
             let g = Arc::new(generators::powerlaw_cluster(120, 4, 0.5, seed));
             let plan = Arc::new(compile(&Pattern::triangle(), CompileOptions::default()));
             let mut core = JobCore::new(g, plan, EngineConfig::default());
-            core.set_trace(clock, 4096, false);
+            core.set_trace(clock, false);
             cores.push(core);
         }
         // Interleave stints of the two jobs, as supervisor workers would.

@@ -61,9 +61,6 @@ pub struct TelemetryOptions {
     /// prepare at the entry points) on this clock. One clock per run; the
     /// caller keeps a copy to close its own spans on the same time base.
     pub trace: Option<TraceClock>,
-    /// Per-worker span ring capacity (default
-    /// [`fm_telemetry::trace::DEFAULT_SPAN_CAPACITY`]).
-    pub span_capacity: Option<usize>,
     /// Live progress reporting to stderr (and optionally a heartbeat
     /// file).
     pub progress: Option<ProgressOptions>,

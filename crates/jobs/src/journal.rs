@@ -31,7 +31,8 @@
 //! unsupported version) is a hard [`JournalError`] — that file is not
 //! ours to truncate.
 
-use crate::jsonl::{self, Json, ObjWriter};
+use crate::jsonl::{self, Json};
+use fm_telemetry::json;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -190,20 +191,18 @@ impl JournalRecord {
 
     /// Canonical JSON payload for this record.
     pub fn encode(&self) -> String {
-        match self {
-            JournalRecord::Submitted { id, fp, req } => ObjWriter::new()
-                .str("rec", "submitted")
-                .u64("id", *id)
-                .str("fp", &hex64(*fp))
-                .raw("req", &req.to_jsonl())
-                .finish(),
+        json::object(|o| match self {
+            JournalRecord::Submitted { id, fp, req } => {
+                o.str("rec", "submitted").u64("id", *id).str("fp", &hex64(*fp));
+                req.write_json(o.field("req"));
+            }
             JournalRecord::Started { id } => {
-                ObjWriter::new().str("rec", "started").u64("id", *id).finish()
+                o.str("rec", "started").u64("id", *id);
             }
             JournalRecord::Outcome { id, fp, outcome } => {
-                let mut w = ObjWriter::new().str("rec", outcome.kind()).u64("id", *id);
+                o.str("rec", outcome.kind()).u64("id", *id);
                 if outcome.carries_fp() {
-                    w = w.str("fp", &hex64(*fp));
+                    o.str("fp", &hex64(*fp));
                 }
                 match outcome {
                     Reported::Finished {
@@ -213,20 +212,22 @@ impl JournalRecord {
                         faults,
                         quarantined,
                         work_digest,
-                    } => w
-                        .str("status", status)
-                        .i64("exit_code", *exit_code)
-                        .raw("counts", &jsonl::u64_array(counts))
-                        .u64("faults", *faults)
-                        .u64("quarantined", *quarantined)
-                        .str("work_digest", &hex64(*work_digest)),
-                    Reported::Rejected { reason } => w.str("reason", reason),
-                    Reported::Drained { checkpoint: Some(path) } => w.str("checkpoint", path),
-                    Reported::Drained { checkpoint: None } | Reported::Cancelled => w,
+                    } => {
+                        o.str("status", status).i64("exit_code", *exit_code);
+                        o.arr("counts", |a| counts.iter().for_each(|&c| a.item().u64(c)));
+                        o.u64("faults", *faults).u64("quarantined", *quarantined);
+                        o.str("work_digest", &hex64(*work_digest));
+                    }
+                    Reported::Rejected { reason } => {
+                        o.str("reason", reason);
+                    }
+                    Reported::Drained { checkpoint: Some(path) } => {
+                        o.str("checkpoint", path);
+                    }
+                    Reported::Drained { checkpoint: None } | Reported::Cancelled => {}
                 }
-                .finish()
             }
-        }
+        })
     }
 
     /// Decode one payload. Any defect is an `Err` (the scanner maps it to

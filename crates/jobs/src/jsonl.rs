@@ -1,12 +1,12 @@
 //! Hand-rolled JSONL codec for the serve protocol.
 //!
 //! The workspace is offline (no serde); the serve wire format is one JSON
-//! object per line, so a tiny recursive-descent parser plus an object
-//! writer built on [`fm_telemetry::json`]'s escaping covers everything the
-//! protocol needs. Numbers are held as `f64` — protocol fields are small
-//! integers and counts, all exactly representable.
+//! object per line, so a tiny recursive-descent parser covers everything
+//! the protocol reads, and [`fm_telemetry::json`] writes every line.
+//! Numbers are held as `f64` — protocol fields are small integers and
+//! counts, all exactly representable.
 
-use fm_telemetry::json::{json_f64, json_key, json_str};
+use fm_telemetry::json::Value;
 use std::collections::BTreeMap;
 
 /// A parsed JSON value. Objects keep sorted key order (`BTreeMap`) so that
@@ -75,40 +75,28 @@ impl Json {
     /// serialisation is stable under round-trips and safe to fingerprint.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_json(Value::new(&mut out));
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Writes [`to_jsonl`](Self::to_jsonl)'s text into `slot` of a larger
+    /// document (a journal record's `req`).
+    pub(crate) fn write_json(&self, slot: Value<'_>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            // The exporters' six decimals would not parse back equal, and
-            // this text is fingerprinted: a fraction keeps every digit.
-            Json::Num(n) if n.is_finite() && n.fract() != 0.0 => out.push_str(&format!("{n}")),
-            Json::Num(n) => json_f64(out, *n),
-            Json::Str(s) => json_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
+            Json::Null => slot.null(),
+            Json::Bool(b) => slot.bool(*b),
+            Json::Num(n) => slot.num(*n),
+            Json::Str(s) => slot.str(s),
+            Json::Arr(items) => slot.arr(|a| {
+                for item in items {
+                    item.write_json(a.item());
                 }
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json_key(out, k);
-                    v.write(out);
+            }),
+            Json::Obj(map) => slot.obj(|o| {
+                for (k, v) in map {
+                    v.write_json(o.field(k));
                 }
-                out.push('}');
-            }
+            }),
         }
     }
 }
@@ -380,90 +368,16 @@ impl Parser<'_> {
     }
 }
 
-/// Incremental writer for one JSON object (no trailing newline — the
-/// JSONL framing layer appends it).
-#[derive(Default)]
-pub struct ObjWriter {
-    buf: String,
-    any: bool,
-}
-
-impl ObjWriter {
-    pub fn new() -> ObjWriter {
-        ObjWriter { buf: String::from("{"), any: false }
-    }
-
-    fn key(&mut self, key: &str) {
-        if self.any {
-            self.buf.push(',');
-        }
-        self.any = true;
-        json_key(&mut self.buf, key);
-    }
-
-    pub fn str(mut self, key: &str, value: &str) -> ObjWriter {
-        self.key(key);
-        json_str(&mut self.buf, value);
-        self
-    }
-
-    pub fn u64(mut self, key: &str, value: u64) -> ObjWriter {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    pub fn i64(mut self, key: &str, value: i64) -> ObjWriter {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    pub fn bool(mut self, key: &str, value: bool) -> ObjWriter {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Insert pre-serialised JSON (an array or nested object) verbatim.
-    pub fn raw(mut self, key: &str, json: &str) -> ObjWriter {
-        self.key(key);
-        self.buf.push_str(json);
-        self
-    }
-
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// Serialise a list of u64s as a JSON array literal (for `raw`).
-pub fn u64_array(values: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn round_trips_protocol_shapes() {
-        let line = ObjWriter::new()
-            .str("op", "submit")
-            .u64("id", 7)
-            .i64("priority", -3)
-            .bool("resume", true)
-            .raw("counts", &u64_array(&[1, 2, 3]))
-            .finish();
+        let line = fm_telemetry::json::object(|o| {
+            o.str("op", "submit").u64("id", 7).i64("priority", -3).bool("resume", true);
+            o.arr("counts", |a| (1..=3).for_each(|c| a.item().u64(c)));
+        });
         let v = parse(&line).unwrap();
         assert_eq!(v.get("op").unwrap().as_str(), Some("submit"));
         assert_eq!(v.get("id").unwrap().as_u64(), Some(7));
@@ -477,7 +391,9 @@ mod tests {
     #[test]
     fn escapes_survive_round_trip() {
         let ugly = "quote \" slash \\ newline \n tab \t unicode é";
-        let line = ObjWriter::new().str("name", ugly).finish();
+        let line = fm_telemetry::json::object(|o| {
+            o.str("name", ugly);
+        });
         let v = parse(&line).unwrap();
         assert_eq!(v.get("name").unwrap().as_str(), Some(ugly));
     }

@@ -580,11 +580,7 @@ impl Supervisor {
                         // Same clock origin as the serve driver, so engine
                         // stint spans and supervisor lifecycle spans share
                         // one Perfetto timeline.
-                        core.set_trace(
-                            obs.clock(),
-                            fm_telemetry::trace::DEFAULT_SPAN_CAPACITY,
-                            obs.task_spans(),
-                        );
+                        core.set_trace(obs.clock(), obs.task_spans());
                         obs.event(id, "queued", String::new());
                     }
                     let job = Arc::new(Job {

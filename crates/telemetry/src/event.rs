@@ -21,7 +21,7 @@
 //! bus timestamps every event on the same [`TraceClock`] origin as the
 //! run's spans, so recorder dumps and Perfetto traces line up.
 
-use crate::json::{json_key, json_str};
+use crate::json::{self, Obj, Value};
 use crate::trace::TraceClock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,24 +46,12 @@ pub struct JobEvent {
 impl JobEvent {
     /// Renders the event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.detail.len());
-        out.push('{');
-        json_key(&mut out, "seq");
-        out.push_str(&self.seq.to_string());
-        out.push(',');
-        json_key(&mut out, "ts_us");
-        out.push_str(&self.ts_us.to_string());
-        out.push(',');
-        json_key(&mut out, "job");
-        out.push_str(&self.job.to_string());
-        out.push(',');
-        json_key(&mut out, "kind");
-        json_str(&mut out, self.kind);
-        out.push(',');
-        json_key(&mut out, "detail");
-        json_str(&mut out, &self.detail);
-        out.push('}');
-        out
+        json::object(|o| self.fields(o))
+    }
+
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.u64("seq", self.seq).u64("ts_us", self.ts_us).u64("job", self.job);
+        o.str("kind", self.kind).str("detail", &self.detail);
     }
 }
 
@@ -262,23 +250,15 @@ impl EventBus {
     pub fn recorder_dump(&self, reason: &str) -> String {
         let (events, seen) = self.recorder_snapshot();
         let mut out = String::with_capacity(64 + events.len() * 96);
-        out.push('{');
-        json_key(&mut out, "event");
-        json_str(&mut out, "recorder");
-        out.push(',');
-        json_key(&mut out, "reason");
-        json_str(&mut out, reason);
-        out.push(',');
-        json_key(&mut out, "dumped");
-        out.push_str(&events.len().to_string());
-        out.push(',');
-        json_key(&mut out, "seen");
-        out.push_str(&seen.to_string());
-        out.push_str("}\n");
+        Value::new(&mut out).obj(|o| {
+            o.str("event", "recorder").str("reason", reason);
+            o.u64("dumped", events.len() as u64).u64("seen", seen);
+        });
         for ev in &events {
-            out.push_str(&ev.to_json());
             out.push('\n');
+            Value::new(&mut out).obj(|o| ev.fields(o));
         }
+        out.push('\n');
         out
     }
 }

@@ -14,8 +14,9 @@
 //! * **Shard, then merge.** Per-worker [`TelemetryShard`]s are collected
 //!   without locks and merged commutatively, so results are independent of
 //!   worker interleaving (pinned by a property test).
-//! * **No dependencies.** The workspace builds offline; every exporter
-//!   writes its format by hand on top of [`json`].
+//! * **No dependencies.** The workspace builds offline; every JSON
+//!   document in the workspace, here and in the crates above, is written
+//!   through [`json`]'s one writer.
 
 pub mod event;
 pub mod hist;

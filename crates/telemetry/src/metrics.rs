@@ -7,7 +7,7 @@
 //! are pinned by golden-file tests.
 
 use crate::hist::Log2Histogram;
-use crate::json::{json_f64, json_key, json_str};
+use crate::json::{json_f64, Value};
 
 /// Prometheus metric kinds used by the exporters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -176,59 +176,37 @@ impl MetricsDoc {
     /// (`{"metrics":[{"name":...,"type":...,"samples":[...]},...]}`).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.metrics.len() * 96);
-        out.push('{');
-        json_key(&mut out, "metrics");
-        out.push('[');
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_key(&mut out, "name");
-            json_str(&mut out, &m.name);
-            out.push(',');
-            json_key(&mut out, "help");
-            json_str(&mut out, &m.help);
-            out.push(',');
-            json_key(&mut out, "type");
-            json_str(&mut out, m.kind.as_str());
-            out.push(',');
-            json_key(&mut out, "samples");
-            out.push('[');
-            for (j, s) in m.samples.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                json_key(&mut out, "labels");
-                out.push('{');
-                for (k, (lk, lv)) in s.labels.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    json_key(&mut out, lk);
-                    json_str(&mut out, lv);
-                }
-                out.push('}');
-                out.push(',');
-                json_key(&mut out, "value");
-                json_f64(&mut out, s.value);
-                out.push('}');
-            }
-            out.push(']');
-            if let Some((sum, count)) = m.hist_totals {
-                out.push(',');
-                json_key(&mut out, "sum");
-                json_f64(&mut out, sum);
-                out.push(',');
-                json_key(&mut out, "count");
-                out.push_str(&count.to_string());
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out.push('}');
+        self.write_json(Value::new(&mut out));
         out
+    }
+
+    /// Writes [`to_json`](Self::to_json)'s document into `slot` of a
+    /// larger one (the `serve` `metrics` reply's `body`).
+    pub fn write_json(&self, slot: Value<'_>) {
+        slot.obj(|o| {
+            o.arr("metrics", |a| {
+                for m in &self.metrics {
+                    a.item().obj(|o| {
+                        o.str("name", &m.name).str("help", &m.help).str("type", m.kind.as_str());
+                        o.arr("samples", |a| {
+                            for s in &m.samples {
+                                a.item().obj(|o| {
+                                    o.obj("labels", |o| {
+                                        for (k, v) in &s.labels {
+                                            o.str(k, v);
+                                        }
+                                    });
+                                    o.f64("value", s.value);
+                                });
+                            }
+                        });
+                        if let Some((sum, count)) = m.hist_totals {
+                            o.f64("sum", sum).u64("count", count);
+                        }
+                    });
+                }
+            });
+        });
     }
 }
 

@@ -5,7 +5,7 @@
 //! owns how a snapshot is parsed, formatted, and serialized so the CLI,
 //! the engine, and tests agree on one format.
 
-use crate::json::json_key;
+use crate::json;
 use std::time::Duration;
 
 /// How often to report progress: every N completed tasks, or every N
@@ -138,34 +138,16 @@ impl ProgressSnapshot {
 
     /// One JSONL heartbeat record (no trailing newline).
     pub fn heartbeat_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        json_key(&mut out, "elapsed_us");
-        out.push_str(&self.elapsed_us.to_string());
-        out.push(',');
-        json_key(&mut out, "done");
-        out.push_str(&self.done.to_string());
-        out.push(',');
-        json_key(&mut out, "total");
-        out.push_str(&self.total.to_string());
-        out.push(',');
-        json_key(&mut out, "setop_iterations");
-        out.push_str(&self.setop_iterations.to_string());
-        out.push(',');
-        json_key(&mut out, "quarantined");
-        out.push_str(&self.quarantined.to_string());
-        if let Some(n) = self.stragglers {
-            out.push(',');
-            json_key(&mut out, "stragglers");
-            out.push_str(&n.to_string());
-        }
-        if let Some(status) = self.status {
-            out.push(',');
-            json_key(&mut out, "status");
-            crate::json::json_str(&mut out, status);
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.u64("elapsed_us", self.elapsed_us).u64("done", self.done).u64("total", self.total);
+            o.u64("setop_iterations", self.setop_iterations).u64("quarantined", self.quarantined);
+            if let Some(n) = self.stragglers {
+                o.u64("stragglers", n);
+            }
+            if let Some(status) = self.status {
+                o.str("status", status);
+            }
+        })
     }
 }
 

@@ -13,7 +13,7 @@
 //! `trace_event` JSON format, which loads directly in `chrome://tracing`
 //! and [Perfetto](https://ui.perfetto.dev).
 
-use crate::json::{json_f64, json_key, json_str};
+use crate::json::Value;
 use std::time::Instant;
 
 /// Monotonic time base shared by every span of one run.
@@ -148,61 +148,40 @@ pub struct CounterEvent {
 /// tracks; the process is labelled `process` via a metadata event.
 pub fn chrome_trace_json(process: &str, spans: &[Span], counters: &[CounterEvent]) -> String {
     let mut out = String::with_capacity(256 + spans.len() * 96 + counters.len() * 64);
-    out.push('{');
-    json_key(&mut out, "displayTimeUnit");
-    json_str(&mut out, "ms");
-    out.push(',');
-    json_key(&mut out, "traceEvents");
-    out.push('[');
-    // Process-name metadata event.
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{");
-    json_key(&mut out, "name");
-    json_str(&mut out, process);
-    out.push_str("}}");
-    for s in spans {
-        out.push(',');
-        out.push('{');
-        json_key(&mut out, "name");
-        json_str(&mut out, s.name);
-        out.push(',');
-        json_key(&mut out, "cat");
-        json_str(&mut out, s.cat);
-        out.push_str(",\"ph\":\"X\",");
-        out.push_str(&format!(
-            "\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-            s.ts_us, s.dur_us, s.tid
-        ));
-        if let Some((k, v)) = s.arg {
-            out.push(',');
-            json_key(&mut out, "args");
-            out.push('{');
-            json_key(&mut out, k);
-            out.push_str(&v.to_string());
-            out.push('}');
-        }
-        out.push('}');
-    }
-    for c in counters {
-        out.push(',');
-        out.push('{');
-        json_key(&mut out, "name");
-        json_str(&mut out, &c.name);
-        out.push_str(",\"ph\":\"C\",");
-        out.push_str(&format!("\"ts\":{},\"pid\":1,", c.ts_us));
-        json_key(&mut out, "args");
-        out.push('{');
-        for (i, (band, v)) in c.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    Value::new(&mut out).obj(|o| {
+        o.str("displayTimeUnit", "ms").arr("traceEvents", |a| {
+            a.item().obj(|o| {
+                o.str("name", "process_name").str("ph", "M").u64("pid", 1).u64("tid", 0);
+                o.obj("args", |o| {
+                    o.str("name", process);
+                });
+            });
+            for s in spans {
+                a.item().obj(|o| {
+                    o.str("name", s.name).str("cat", s.cat).str("ph", "X");
+                    o.u64("ts", s.ts_us)
+                        .u64("dur", s.dur_us)
+                        .u64("pid", 1)
+                        .u64("tid", s.tid.into());
+                    if let Some((k, v)) = s.arg {
+                        o.obj("args", |o| {
+                            o.u64(k, v);
+                        });
+                    }
+                });
             }
-            json_key(&mut out, band);
-            json_f64(&mut out, *v);
-        }
-        out.push('}');
-        out.push('}');
-    }
-    out.push(']');
-    out.push('}');
+            for c in counters {
+                a.item().obj(|o| {
+                    o.str("name", &c.name).str("ph", "C").u64("ts", c.ts_us).u64("pid", 1);
+                    o.obj("args", |o| {
+                        for (band, v) in &c.series {
+                            o.f64(band, *v);
+                        }
+                    });
+                });
+            }
+        });
+    });
     out
 }
 
