@@ -537,13 +537,16 @@ impl ServeState {
         let max_attempts = int_field(req, "max_attempts", 0..=u32::MAX)?;
         let budget = int_field(req, "budget", 0..=u64::MAX)?;
         let deadline_secs = field(req, "deadline", "a number of seconds", Json::as_f64)?;
-        let deadline = deadline_secs
-            .map(|s| {
-                Duration::try_from_secs_f64(s).ok().filter(|_| s > 0.0).ok_or_else(|| {
-                    format!("deadline must be a positive number of seconds below 2^64, got {s}")
-                })
-            })
-            .transpose()?;
+        let deadline = match deadline_secs {
+            Some(s) if s <= 0.0 => {
+                return Err(format!("deadline must be a positive number of seconds, got {s}"));
+            }
+            Some(s) => Some(
+                Duration::try_from_secs_f64(s)
+                    .map_err(|_| format!("deadline must be below 2^64 seconds, got {s}"))?,
+            ),
+            None => None,
+        };
         let pattern: Pattern =
             pattern_spec.parse().map_err(|e| format!("bad pattern {pattern_spec:?}: {e}"))?;
         let plan = Arc::new(compile(&pattern, CompileOptions { induced, ..Default::default() }));
@@ -1202,13 +1205,16 @@ mod tests {
     #[test]
     fn non_positive_deadlines_are_rejected_at_submit() {
         let st = state(ServeConfig::default());
-        for bad in ["0", "-2.5", "1e20"] {
+        for (bad, needle) in [
+            ("0", "deadline must be a positive number of seconds, got 0"),
+            ("-2.5", "deadline must be a positive number of seconds, got -2.5"),
+            ("1e20", "deadline must be below 2^64 seconds, got 100000000000000000000"),
+            ("1e999", "deadline must be below 2^64 seconds, got inf"),
+        ] {
             let resp = st.handle_line(&format!(
                 r#"{{"op":"submit","pattern":"triangle","graph":"gen:complete,n=4","deadline":{bad}}}"#,
             ));
-            let v = jsonl::parse(&resp).unwrap();
-            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
-            assert!(resp.contains("deadline must be a positive number"), "{resp}");
+            assert_eq!(resp, err_line(needle));
         }
         st.sup.shutdown(None);
     }

@@ -27,6 +27,7 @@ pub fn object(body: impl FnOnce(&mut Obj<'_>)) -> String {
 }
 
 /// A slot for exactly one JSON value at the end of a buffer.
+#[must_use = "a member or element slot left unwritten is invalid JSON"]
 pub struct Value<'a>(&'a mut String);
 
 /// A JSON object being written: members in call order.
