@@ -267,8 +267,10 @@ serve protocol (JSONL, one object per line, over stdio or --socket):
    \"budget\":SETOP_ITERS,\"deadline\":SECS]}          admit a job
    (a faulted task runs at most K times, default 3; per-job
    budget/deadline stop with exit codes 4/3 and exact partial counts;
-   both survive a drain, the deadline re-anchors at resume; a gen: spec
-   sized over --memory-budget is refused before it is generated)
+   both survive a drain, the deadline re-anchors at resume; the graph
+   cache charges each graph it holds against --memory-budget, evicting
+   graphs no job holds, least recently used first, and a gen: spec that
+   does not fit beside the held ones is refused before it is generated)
   {\"op\":\"wait\",\"id\":N}    block until the job's terminal outcome
   {\"op\":\"status\"}          supervisor gauges   {\"op\":\"cancel\",\"id\":N}
   {\"op\":\"metrics\"[,\"format\":\"prometheus\"]}    exporter document
@@ -659,9 +661,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(v) = flag_value(args, "--queue-capacity") {
         sup.queue_capacity = v.parse().map_err(|e| format!("bad --queue-capacity: {e}"))?;
     }
-    if let Some(v) = flag_value(args, "--memory-budget") {
-        sup.memory_budget_bytes = v.parse().map_err(|e| format!("bad --memory-budget: {e}"))?;
-    }
     if let Some(v) = flag_value(args, "--stint-tasks") {
         sup.stint_tasks = v.parse().map_err(|e| format!("bad --stint-tasks: {e}"))?;
     }
@@ -677,6 +676,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
     };
     if let Some(v) = flag_value(args, "--recorder-cap") {
         cfg.recorder_cap = v.parse().map_err(|e| format!("bad --recorder-cap: {e}"))?;
+    }
+    if let Some(v) = flag_value(args, "--memory-budget") {
+        cfg.memory_budget_bytes = v.parse().map_err(|e| format!("bad --memory-budget: {e}"))?;
     }
     if let Some(v) = flag_value(args, "--max-request-bytes") {
         cfg.max_request_bytes = v.parse().map_err(|e| format!("bad --max-request-bytes: {e}"))?;

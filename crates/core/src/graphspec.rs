@@ -4,9 +4,10 @@
 //! SNAP-style) or an inline generator spec such as
 //! `gen:powerlaw,n=10000,m=6,closure=0.5,seed=42`,
 //! `gen:er,n=1000,p=0.05,seed=1`, or `gen:complete,n=32`. The spec
-//! string doubles as the identity key for the supervisor's resident-graph
-//! accounting: two jobs naming the same spec share one loaded copy and
-//! are charged for it once.
+//! string is also the key of `flexminer serve`'s graph cache: jobs naming
+//! the same spec share one loaded copy, which the cache charges against
+//! the memory budget once — [`csr_bytes`] of the built graph, and before
+//! a `gen:` spec is built, of its [`GenSpec::bounds`].
 
 use fm_graph::{generators, io, CsrGraph};
 use std::collections::HashMap;
@@ -131,11 +132,14 @@ impl GenSpec {
     }
 }
 
-/// Stable non-zero identity key for a spec string, used as the
-/// supervisor's shared-graph key so jobs naming the same input are
-/// charged for one resident copy (FNV-1a; 0 is reserved for "unique").
-pub fn fingerprint(input: &str) -> u64 {
-    fm_jobs::journal::fnv64(input.as_bytes()) | 1
+/// CSR residency estimate: offsets (`u64`) plus neighbor ids (`u32`),
+/// doubled when the plan orients the graph into a DAG copy. Saturates, so
+/// a bound no machine could hold reads as too big rather than wrapping to
+/// small.
+pub fn csr_bytes(vertices: u64, directed_edges: u64, oriented: bool) -> u64 {
+    let ids = directed_edges.saturating_mul(4);
+    let base = vertices.saturating_add(1).saturating_mul(8).saturating_add(ids);
+    base.saturating_mul(1 + u64::from(oriented))
 }
 
 #[cfg(test)]
@@ -165,14 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_nonzero_and_spec_sensitive() {
-        let a = fingerprint("gen:complete,n=5");
-        assert_eq!(a, fingerprint("gen:complete,n=5"));
-        assert_ne!(a, fingerprint("gen:complete,n=6"));
-        assert_ne!(a, 0);
-        // FNV-1a with the 64-bit prime 0x100000001b3. (The key lives only
-        // in one process's memory accounting; nothing persists it.)
-        assert_eq!(a, 0xfd17_63ad_b800_681b);
+    fn csr_bytes_counts_offsets_and_ids_and_saturates() {
+        // (9 + 1)·8 offsets + 72·4 ids, doubled for an oriented copy.
+        assert_eq!(csr_bytes(9, 72, false), 368);
+        assert_eq!(csr_bytes(9, 72, true), 736);
+        assert_eq!(csr_bytes(u64::MAX, 0, false), u64::MAX);
+        assert_eq!(csr_bytes(1, u64::MAX / 2, true), u64::MAX);
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! summary line and the journal record are all rendered, so a replayed
 //! `wait` is the live one plus `"replayed":true`. This file holds the
 //! table and its operations, `wire` the lines, `transport` the loops.
+//! A job runs in the supervisor under the id its client holds. The graph
+//! cache is the one account of graph memory (DESIGN.md §10).
 //!
 //! ## Who wakes whom
 //!
@@ -153,6 +155,10 @@ pub struct ServeConfig {
     pub recorder_out: Option<PathBuf>,
     /// Flight-recorder ring capacity in events (last N kept).
     pub recorder_cap: usize,
+    /// Bytes of graph the graph cache may hold (`--memory-budget`): each
+    /// cached graph is charged its CSR estimate, and a graph that does not
+    /// fit beside the ones running jobs hold is refused before it is built.
+    pub memory_budget_bytes: u64,
     /// Worker-pool and admission-control limits.
     pub supervisor: SupervisorConfig,
 }
@@ -169,6 +175,7 @@ impl Default for ServeConfig {
             trace_out: None,
             recorder_out: None,
             recorder_cap: DEFAULT_RECORDER_CAPACITY,
+            memory_budget_bytes: 4 << 30,
             supervisor: SupervisorConfig::default(),
         }
     }
@@ -229,8 +236,8 @@ impl JobMeta {
 
 /// One job of the table, keyed by the id its client holds.
 enum Entry {
-    /// Submitted to this process's supervisor. A job recovered from the
-    /// journal keeps its pre-crash key while its handle gets a fresh id.
+    /// Submitted to this process's supervisor, under the same id (a job
+    /// recovered from the journal under its pre-crash one).
     Live {
         handle: JobHandle,
         meta: Arc<JobMeta>,
@@ -250,11 +257,57 @@ impl Entry {
     }
 }
 
-/// A graph-cache entry: loaded, or being loaded by the one submit that
-/// found the spec missing (everyone else waits on `ServeState::graph_loaded`).
-enum CachedGraph {
-    Loading,
-    Ready(Arc<CsrGraph>),
+/// One cached graph — `None` while the submit that missed it loads it (the
+/// rest wait on `ServeState::graph_loaded`) — with its charge against the
+/// budget ([`graphspec::csr_bytes`] of the built graph, or of a loading
+/// `gen:` spec's bounds) and the cache clock at its last use.
+struct Cached {
+    graph: Option<Arc<CsrGraph>>,
+    bytes: u64,
+    used: u64,
+}
+
+/// The graph cache, keyed by spec: the one account of graph memory in
+/// `serve`, its charges within the budget.
+#[derive(Default)]
+struct GraphCache {
+    entries: HashMap<String, Cached>,
+    /// `--memory-budget`.
+    budget: u64,
+    /// Ticks once per lookup.
+    clock: u64,
+}
+
+impl GraphCache {
+    /// What the entries are charged: `memory_bytes` in `status`.
+    fn charged(&self) -> u64 {
+        self.entries.values().map(|c| c.bytes).sum()
+    }
+
+    /// Caches graph `g` for `spec` at `bytes`, first evicting graphs no job
+    /// holds (only the cache has them), least recently used first. Refuses
+    /// `spec`, evicting nothing, when what jobs hold and loads reserve
+    /// leave too little room anyway.
+    fn admit(&mut self, spec: &str, g: Option<Arc<CsrGraph>>, bytes: u64) -> Result<(), String> {
+        let budget = self.budget;
+        let idle = |c: &Cached| c.graph.as_ref().is_some_and(|g| Arc::strong_count(g) == 1);
+        let held: u64 = self.entries.values().filter(|c| !idle(c)).map(|c| c.bytes).sum();
+        if held.saturating_add(bytes) > budget {
+            let held = (bytes <= budget).then(|| format!(" less {held} B held by other jobs"));
+            let held = held.unwrap_or_default();
+            return Err(format!(
+                "graph {spec} needs up to {bytes} B, over the {budget} B memory budget{held}"
+            ));
+        }
+        let mut charged = self.charged();
+        while charged + bytes > budget {
+            let lru = self.entries.iter().filter(|(_, c)| idle(c)).min_by_key(|(_, c)| c.used);
+            let lru = lru.map(|(spec, _)| spec.clone()).expect("idle graphs cover the excess");
+            charged -= self.entries.remove(&lru).map_or(0, |c| c.bytes);
+        }
+        self.entries.insert(spec.to_string(), Cached { graph: g, bytes, used: self.clock });
+        Ok(())
+    }
 }
 
 #[derive(Default)]
@@ -315,8 +368,11 @@ struct ServeState {
     started: Instant,
     /// Every job, live or replayed, keyed by the id its client holds.
     jobs: Mutex<BTreeMap<u64, Entry>>,
-    graphs: Mutex<HashMap<String, CachedGraph>>,
-    /// Notified whenever a `CachedGraph::Loading` entry is settled.
+    /// The id the next fresh submit runs under: one past every id in the
+    /// journal, so a fresh job never takes a replayed or recovered one's.
+    next_id: AtomicU64,
+    graphs: Mutex<GraphCache>,
+    /// Notified whenever a loading entry of the graph cache is settled.
     graph_loaded: Condvar,
     /// Notified by every socket connection thread as it ends (the mutex
     /// guards nothing): what the acceptor waits for after a failed
@@ -344,6 +400,7 @@ impl ServeState {
             cfg.trace_out.is_some(),
         ));
         let sup = Supervisor::with_observer(cfg.supervisor.clone(), Some(Arc::clone(&obs)));
+        let graphs = GraphCache { budget: cfg.memory_budget_bytes, ..Default::default() };
         let mut journal_handle = None;
         let mut replay = Replay::default();
         let gauges = JournalGauges::default();
@@ -368,7 +425,8 @@ impl ServeState {
             obs,
             started: Instant::now(),
             jobs: Mutex::new(BTreeMap::new()),
-            graphs: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(replay.max_id + 1),
+            graphs: Mutex::new(graphs),
             graph_loaded: Condvar::new(),
             conn_closed: (Mutex::new(()), Condvar::new()),
             journal: journal_handle,
@@ -383,13 +441,6 @@ impl ServeState {
         jobs.values().filter_map(Entry::live).all(|(handle, _)| handle.is_resolved())
     }
 
-    /// The live job a client knows as `id`: its handle and metadata, taken
-    /// out of the table so the caller does not block holding its lock.
-    fn tracked(&self, id: u64) -> Option<(JobHandle, Arc<JobMeta>)> {
-        let jobs = lock_recover(&self.jobs, "job table");
-        jobs.get(&id).and_then(Entry::live).map(|(handle, meta)| (handle.clone(), Arc::clone(meta)))
-    }
-
     /// Blocks until the oldest unresolved job resolves, or a [`TICK`].
     fn wait_for_a_job(&self) {
         let pending = lock_recover(&self.jobs, "job table")
@@ -402,44 +453,58 @@ impl ServeState {
         }
     }
 
-    fn graph_for(&self, spec: &str) -> Result<Arc<CsrGraph>, String> {
-        self.graph_for_with(spec, graphspec::load)
-    }
-
-    /// The cached graph for `spec`, loading it with `load` on a miss.
-    /// Single-flight: of any number of concurrent submits of one
-    /// never-seen spec, one loads (outside the lock — file parses and
-    /// generators can be slow) and the rest wait for it. A failed load is
-    /// not cached; the next caller, waiting or later, tries again.
-    fn graph_for_with(
+    /// The cached graph for `spec`, loading it with `load` (in `serve`,
+    /// [`graphspec::load`]) on a miss and charging it as a plan that does
+    /// (or does not) orient it would hold it. Single-flight: of any number
+    /// of concurrent submits of one never-seen spec, one loads (outside the
+    /// lock — file parses and generators can be slow) and the rest wait for
+    /// it. A `gen:` spec reserves its bound before it is generated and is
+    /// refused, unbuilt, when that does not fit; a file is charged once
+    /// read. A failed or refused load is not cached; the next caller tries
+    /// again.
+    fn graph_for(
         &self,
         spec: &str,
+        oriented: bool,
         load: impl FnOnce(&str) -> Result<CsrGraph, String>,
     ) -> Result<Arc<CsrGraph>, String> {
         let mut cache = lock_recover(&self.graphs, "graph cache");
         loop {
-            match cache.get(spec) {
-                Some(CachedGraph::Ready(g)) => return Ok(Arc::clone(g)),
-                Some(CachedGraph::Loading) => {
-                    cache = self.graph_loaded.wait(cache).unwrap_or_else(|e| e.into_inner());
+            cache.clock += 1;
+            let now = cache.clock;
+            match cache.entries.get_mut(spec) {
+                Some(Cached { graph: Some(g), used, .. }) => {
+                    *used = now;
+                    return Ok(Arc::clone(g));
                 }
+                Some(_) => cache = self.graph_loaded.wait(cache).unwrap_or_else(|e| e.into_inner()),
                 None => break,
             }
         }
-        cache.insert(spec.to_string(), CachedGraph::Loading);
+        let reserve = match spec.strip_prefix("gen:") {
+            Some(gen) => {
+                let (vertices, edges) = graphspec::GenSpec::parse(gen)?.bounds();
+                graphspec::csr_bytes(vertices, edges, oriented)
+            }
+            None => 0,
+        };
+        cache.admit(spec, None, reserve)?;
         drop(cache);
-        // A panicking load must not leave `Loading` behind for every later
-        // submit of this spec to wait on.
+        // A panicking load must not leave its reservation behind for every
+        // later submit of this spec to wait on.
         let loaded =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| load(spec).map(Arc::new)));
         let mut cache = lock_recover(&self.graphs, "graph cache");
-        match &loaded {
-            Ok(Ok(g)) => cache.insert(spec.to_string(), CachedGraph::Ready(Arc::clone(g))),
-            _ => cache.remove(spec),
-        };
+        cache.entries.remove(spec);
+        let cached = loaded.map(|loaded| {
+            let g = loaded?;
+            let (vertices, edges) = (g.num_vertices() as u64, g.num_directed_edges() as u64);
+            let bytes = graphspec::csr_bytes(vertices, edges, oriented);
+            cache.admit(spec, Some(Arc::clone(&g)), bytes).map(|()| g)
+        });
         drop(cache);
         self.graph_loaded.notify_all();
-        loaded.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        cached.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     /// Appends one record, making it durable before the caller answers
@@ -550,19 +615,7 @@ impl ServeState {
         let pattern: Pattern =
             pattern_spec.parse().map_err(|e| format!("bad pattern {pattern_spec:?}: {e}"))?;
         let plan = Arc::new(compile(&pattern, CompileOptions { induced, ..Default::default() }));
-        // A generator spec is sized from its parameters before anything is
-        // generated: one too big for the whole budget never allocates.
-        if let Some(spec) = graph_spec.strip_prefix("gen:") {
-            let (vertices, edges) = graphspec::GenSpec::parse(spec)?.bounds();
-            let need = fm_jobs::csr_bytes(vertices, edges, plan.orientation);
-            let budget = self.cfg.supervisor.memory_budget_bytes;
-            if need > budget {
-                return Err(format!(
-                    "graph {graph_spec} needs up to {need} B, over the {budget} B memory budget"
-                ));
-            }
-        }
-        let graph = self.graph_for(graph_spec)?;
+        let graph = self.graph_for(graph_spec, plan.orientation, graphspec::load)?;
         let name = field(req, "name", "a string", Json::as_str)?
             .map(str::to_string)
             .unwrap_or_else(|| format!("{pattern_spec}@{graph_spec}"));
@@ -603,17 +656,17 @@ impl ServeState {
                 ));
             }
         }
+        // A recovered job keeps the id its pre-crash client was given; the
+        // supervisor runs every job under the id its client holds.
+        let id = recover_id.unwrap_or_else(|| self.next_id.fetch_add(1, Ordering::SeqCst));
         let spec = JobSpec {
             priority,
-            graph_key: graphspec::fingerprint(graph_spec),
+            id: Some(id),
             resume,
             ..JobSpec::new(name, graph, plan, meta.engine_config())
         };
         let handle = self.sup.submit(spec);
         self.submitted_any.store(true, Ordering::SeqCst);
-        // Fresh submissions are known to clients by their supervisor id;
-        // recovered ones keep the id the pre-crash client was given.
-        let id = recover_id.unwrap_or_else(|| handle.id());
         if recover_id.is_none() {
             // Journal the acceptance *before* answering the client: once a
             // client holds an id, a crash must not forget the job. (The
@@ -661,8 +714,7 @@ impl ServeState {
             "metrics" => self.metrics(&req),
             "cancel" => match req.get("id").and_then(Json::as_u64) {
                 Some(id) => {
-                    // Clients speak table ids; the cancel goes to the handle.
-                    let ok = self.tracked(id).is_some_and(|(h, _)| self.sup.cancel(h.id()));
+                    let ok = self.sup.cancel(id);
                     if ok {
                         let outcome = Reported::Cancelled;
                         self.journal_append(&JournalRecord::Outcome { id, fp: 0, outcome });
@@ -733,8 +785,8 @@ impl ServeState {
                     o.u64(&priority.to_string(), *depth);
                 }
             });
-            o.u64("running", s.running).u64("memory_bytes", s.memory_bytes);
-            o.u64("memory_budget_bytes", s.memory_budget_bytes);
+            o.u64("running", s.running).u64("memory_bytes", self.memory_bytes());
+            o.u64("memory_budget_bytes", self.cfg.memory_budget_bytes);
             o.u64("uptime_seconds", self.started.elapsed().as_secs());
             o.u64("events_published", self.obs.bus().published());
             o.u64("events_dropped", self.obs.bus().dropped_total());
@@ -744,8 +796,16 @@ impl ServeState {
         })
     }
 
+    fn memory_bytes(&self) -> u64 {
+        lock_recover(&self.graphs, "graph cache").charged()
+    }
+
     fn metrics(&self, req: &Json) -> String {
         let mut doc = self.sup.metrics();
+        let help = "Graph memory charged against the admission budget";
+        doc.gauge("fm_jobs_memory_bytes", help, self.memory_bytes() as f64);
+        let budget = self.cfg.memory_budget_bytes as f64;
+        doc.gauge("fm_jobs_memory_budget_bytes", "Admission-control memory budget", budget);
         doc.gauge(
             "fm_serve_uptime_seconds",
             "Seconds since the serve process started",
@@ -783,8 +843,6 @@ impl ServeState {
                 replay.orphans, replay.fp_mismatches
             );
         }
-        // New handle ids must never collide with journaled ids.
-        self.sup.reserve_ids(replay.max_id);
         for job in replay.jobs {
             let checkpoint = match job.outcome {
                 None => None,
@@ -1143,10 +1201,7 @@ mod tests {
 
     #[test]
     fn saturated_submit_reports_rejection_with_exit_code_8() {
-        let st = state(ServeConfig {
-            supervisor: SupervisorConfig { memory_budget_bytes: 1, ..Default::default() },
-            ..Default::default()
-        });
+        let st = state(ServeConfig { memory_budget_bytes: 1, ..Default::default() });
         // A generator spec is sized from its parameters and refused before
         // it is generated or given an id: (16 + 1)·8 + 240·4, doubled for
         // the oriented triangle plan.
@@ -1154,20 +1209,128 @@ mod tests {
             st.handle_line(r#"{"op":"submit","pattern":"triangle","graph":"gen:complete,n=16"}"#);
         let refused = "graph gen:complete,n=16 needs up to 2192 B, over the 1 B memory budget";
         assert_eq!(resp, err_line(refused));
-        assert_eq!(st.sup.stats().submitted, 0);
-        // An edge-list file is charged at admission, and shed there.
+        // An edge-list file is charged once read, and refused the same way:
+        // (3 + 1)·8 + 6·4, doubled.
         let path = std::env::temp_dir().join(format!("fm-serve-tri-{}.txt", std::process::id()));
         std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
         let resp = st.handle_line(&format!(
             r#"{{"op":"submit","pattern":"triangle","graph":"{}"}}"#,
             path.display()
         ));
+        let refused =
+            format!("graph {} needs up to 112 B, over the 1 B memory budget", path.display());
         let _ = std::fs::remove_file(&path);
-        let v = jsonl::parse(&resp).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
-        assert_eq!(v.get("outcome").and_then(Json::as_str), Some("rejected"), "{resp}");
-        assert_eq!(v.get("exit_code").and_then(Json::as_i64), Some(8), "{resp}");
-        assert!(resp.contains("memory budget"), "{resp}");
+        assert_eq!(resp, err_line(&refused));
+        assert_eq!(st.sup.stats().submitted, 0);
+        assert_eq!(st.memory_bytes(), 0);
+        st.sup.shutdown(None);
+        // A full job table sheds at admission, with the job's id and code 8.
+        let full = state(ServeConfig {
+            supervisor: SupervisorConfig { queue_capacity: 0, ..Default::default() },
+            ..Default::default()
+        });
+        let resp =
+            full.handle_line(r#"{"op":"submit","pattern":"triangle","graph":"gen:complete,n=4"}"#);
+        assert_eq!(
+            resp,
+            r#"{"ok":false,"id":1,"outcome":"rejected","exit_code":8,"error":"queue full: 0 jobs admitted (capacity 0)"}"#
+        );
+        full.sup.shutdown(None);
+    }
+
+    /// The graph cache is the one account of graph memory: it charges
+    /// what it holds, evicts what no job holds (least recently used
+    /// first), and refuses, unbuilt, a graph that cannot fit beside what
+    /// jobs hold.
+    #[test]
+    fn the_graph_cache_charges_what_it_holds_and_evicts_idle_graphs() {
+        let spec = |seed: u64| format!("gen:powerlaw,n=300,m=4,closure=0.5,seed={seed}");
+        // The triangle plan orients, so each graph is charged twice its CSR.
+        let charge = |seed: u64| {
+            let g = graphspec::load(&spec(seed)).unwrap();
+            graphspec::csr_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, true)
+        };
+        // Room for two graphs' bounds, not three.
+        let bound = graphspec::csr_bytes(300, 300 * 4 * 2, true);
+        let budget = 2 * bound;
+        // One worker: a job's last stint has let go of its graph before the
+        // next job starts, so the graph two jobs back is idle.
+        let st = state(ServeConfig {
+            memory_budget_bytes: budget,
+            supervisor: SupervisorConfig { workers: 1, ..Default::default() },
+            ..Default::default()
+        });
+        for seed in 1..=5u64 {
+            let resp = st.handle_line(&format!(
+                r#"{{"op":"submit","pattern":"triangle","graph":"{}"}}"#,
+                spec(seed)
+            ));
+            let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+            let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+            assert!(done.contains(r#""status":"Complete""#), "{done}");
+            let status = jsonl::parse(&st.handle_line(r#"{"op":"status"}"#)).unwrap();
+            let memory = status.get("memory_bytes").and_then(Json::as_u64).unwrap();
+            // The two most recent graphs are the cached ones.
+            let cached: u64 = (seed.saturating_sub(1).max(1)..=seed).map(charge).sum();
+            assert!(memory > 0 && memory <= budget, "after seed {seed}: {memory} of {budget}");
+            assert_eq!(memory, cached, "after seed {seed}");
+        }
+        let cache = lock_recover(&st.graphs, "graph cache");
+        let mut kept: Vec<&String> = cache.entries.keys().collect();
+        kept.sort();
+        assert_eq!(kept, [&spec(4), &spec(5)]);
+        drop(cache);
+        st.sup.shutdown(None);
+    }
+
+    #[test]
+    fn a_graph_a_job_holds_is_never_evicted() {
+        // Seconds of mining on a graph charged 1 439 720 B (the house plan
+        // does not orient): the job holds it throughout.
+        let big = "gen:powerlaw,n=20000,m=8,closure=0.5,seed=1";
+        let small = |seed: u64| format!("gen:powerlaw,n=300,m=4,closure=0.5,seed={seed}");
+        // Room for the held graph and two small ones. One worker: a job's
+        // last stint has let go of its graph before the next job starts.
+        let budget = 1_439_720 + 2 * graphspec::csr_bytes(300, 2400, false);
+        let st = state(ServeConfig {
+            memory_budget_bytes: budget,
+            supervisor: SupervisorConfig { workers: 1, max_running: 1, ..Default::default() },
+            ..Default::default()
+        });
+        let submit = |pattern: &str, graph: &str, priority: i32| {
+            st.handle_line(&format!(
+                r#"{{"op":"submit","pattern":"{pattern}","graph":"{graph}","priority":{priority}}}"#
+            ))
+        };
+        // Two jobs share the one cached copy and its one charge.
+        for _ in 0..2 {
+            assert!(submit("house", big, 0).contains(r#""ok":true"#));
+        }
+        assert_eq!(st.memory_bytes(), 1_439_720);
+        // Idle graphs make way, least recently used first; the held one
+        // stays. Each small job preempts the house jobs and runs to the end.
+        let cached =
+            |graph: &str| lock_recover(&st.graphs, "graph cache").entries.contains_key(graph);
+        for seed in 1..=4 {
+            let resp = submit("wedge", &small(seed), 1);
+            let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+            let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+            assert!(done.contains(r#""status":"Complete""#), "{done}");
+            assert!(cached(big) && cached(&small(seed)), "seed {seed}");
+            assert!(seed < 3 || !cached(&small(seed - 2)), "seed {seed}");
+            assert!(st.memory_bytes() <= budget);
+        }
+        // A graph that fits the budget but not beside the held one is
+        // refused before it is generated; nothing is evicted for it.
+        let other = "gen:powerlaw,n=20000,m=8,closure=0.5,seed=2";
+        let need = graphspec::csr_bytes(20000, 20000 * 8 * 2, false);
+        let refusal = format!(
+            "graph {other} needs up to {need} B, over the {budget} B memory budget less 1439720 B held by other jobs"
+        );
+        assert_eq!(submit("house", other, 0), err_line(&refusal));
+        let unbuilt = st.graph_for(other, false, |_| panic!("a refused graph is never built"));
+        assert_eq!(unbuilt.unwrap_err(), refusal);
+        assert!(cached(big) && cached(&small(3)) && cached(&small(4)) && !cached(other));
         st.sup.shutdown(None);
     }
 
@@ -1549,6 +1712,177 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A recovered job runs under the id its client holds, so its events,
+    /// recorder lines and trace lanes carry that id; a fresh job takes the
+    /// next id above every journaled one.
+    #[test]
+    fn a_recovered_job_runs_under_the_id_its_client_holds() {
+        let dir = std::env::temp_dir().join(format!("fm-serve-jrnl5-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("jobs.journal");
+        let req = |name: &str| {
+            jsonl::parse(&format!(
+                r#"{{"graph":"gen:complete,n=6","induced":false,"name":"{name}","op":"submit","pattern":"triangle","priority":0,"threads":1}}"#
+            ))
+            .unwrap()
+        };
+        let fp = |req: &Json| journal::fnv64(req.to_jsonl().as_bytes());
+        let done = Reported::Finished {
+            status: "Complete".into(),
+            exit_code: 0,
+            counts: vec![20],
+            faults: 0,
+            quarantined: 0,
+            work_digest: 0,
+        };
+        {
+            // Job 1 never ended; jobs 2 and 3 did.
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            let (cut, two, three) = (req("cut"), req("two"), req("three"));
+            for record in [
+                JournalRecord::Submitted { id: 1, fp: fp(&cut), req: cut.clone() },
+                JournalRecord::Submitted { id: 2, fp: fp(&two), req: two.clone() },
+                JournalRecord::Outcome { id: 2, fp: fp(&two), outcome: done.clone() },
+                JournalRecord::Submitted { id: 3, fp: fp(&three), req: three.clone() },
+                JournalRecord::Outcome { id: 3, fp: fp(&three), outcome: done },
+            ] {
+                journal.append(&record).unwrap();
+            }
+        }
+        let st = recovered(ServeConfig { journal: Some(path), ..Default::default() });
+        let cut = st.handle_line(r#"{"op":"wait","id":1}"#);
+        assert!(cut.contains(r#""counts":[20]"#) && !cut.contains("replayed"), "{cut}");
+        let fresh = st.handle_line(
+            r#"{"op":"submit","name":"fresh","pattern":"triangle","graph":"gen:complete,n=6"}"#,
+        );
+        assert_eq!(fresh, r#"{"ok":true,"id":4,"name":"fresh"}"#);
+        st.handle_line(r#"{"op":"wait","id":4}"#);
+        let (events, _) = st.obs.bus().recorder_snapshot();
+        let jobs = |kind: &str| {
+            events.iter().filter(|e| e.kind == kind).map(|e| e.job).collect::<Vec<u64>>()
+        };
+        assert_eq!(jobs("submitted"), [1, 4]);
+        assert_eq!(jobs("finished"), [1, 4]);
+        st.sup.shutdown(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pattern is compiled in the request handler, so the largest ones a
+    /// client can name must compile without listing their automorphism
+    /// groups (a 12-clique's is 479 001 600 vectors).
+    #[test]
+    fn the_largest_patterns_a_client_can_name_are_answered() {
+        let st = state(ServeConfig::default());
+        for pattern in ["12-clique", "16-clique", "15-star", "16-cycle", "16-path"] {
+            let resp = st.handle_line(&format!(
+                r#"{{"op":"submit","pattern":"{pattern}","graph":"gen:complete,n=2"}}"#
+            ));
+            let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+            let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+            assert!(done.contains(r#""counts":[0]"#), "{pattern}: {done}");
+        }
+        st.sup.shutdown(None);
+    }
+
+    /// Random mutations of valid submit lines — pattern names up to 16
+    /// vertices, `gen:` kinds, keys and values, the other fields' numbers,
+    /// and the bytes — each get one JSON object with `ok`, nothing panics,
+    /// and the graph cache never holds more than the budget. The
+    /// supervisor is drained first, so admitted jobs are shed rather than
+    /// mined: what is fuzzed is the handler, while a job's mining (a
+    /// 16-clique on a dense graph that fits the budget) is bounded only by
+    /// its own `budget` and `deadline`.
+    #[test]
+    fn mutated_submit_lines_get_one_structured_reply_within_the_budget() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const BUDGET: u64 = 1 << 20;
+        const NAMED: &[&str] = &["triangle", "wedge", "diamond", "house", "tailed-triangle", ""];
+        const SHAPES: &[&str] = &["clique", "cycle", "path", "star", "wheel"];
+        const KINDS: &[&str] = &["powerlaw", "pa", "er", "complete", "caveman", "warp", ""];
+        const KEYS: &[&str] =
+            &["n", "m", "p", "closure", "seed", "communities", "size", "bridges", "q"];
+        const NUMBERS: &[&str] = &[
+            "0",
+            "1",
+            "2",
+            "3",
+            "7",
+            "16",
+            "17",
+            "40",
+            "300",
+            "1000",
+            "65536",
+            "1048576",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+            "0.5",
+            "1e3",
+            "1e999",
+            "nan",
+            "",
+            "x",
+        ];
+        const FIELDS: &[&str] =
+            &["threads", "priority", "budget", "deadline", "max_attempts", "induced", "name"];
+        const VALUES: &[&str] = &[
+            "0",
+            "1",
+            "-1",
+            "2.5",
+            "1e20",
+            "1e999",
+            "18446744073709551616",
+            "\"3\"",
+            "true",
+            "null",
+        ];
+        let st = state(ServeConfig { memory_budget_bytes: BUDGET, ..Default::default() });
+        st.sup.shutdown(None);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let pick = |rng: &mut StdRng, from: &[&str]| from[rng.gen_range(0..from.len())].to_string();
+        for case in 0..400 {
+            let pattern = match rng.gen_range(0..3) {
+                0 => pick(&mut rng, NAMED),
+                1 => format!("{}-{}", rng.gen_range(0..=17u32), pick(&mut rng, SHAPES)),
+                _ => (0..rng.gen_range(1..6))
+                    .map(|_| format!("{}-{}", rng.gen_range(0..17u32), rng.gen_range(0..17u32)))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            };
+            let mut graph = format!("gen:{}", pick(&mut rng, KINDS));
+            for _ in 0..rng.gen_range(0..4) {
+                graph += &format!(",{}={}", pick(&mut rng, KEYS), pick(&mut rng, NUMBERS));
+            }
+            let mut line = format!(r#"{{"op":"submit","pattern":"{pattern}","graph":"{graph}""#);
+            for _ in 0..rng.gen_range(0..3) {
+                line += &format!(r#","{}":{}"#, pick(&mut rng, FIELDS), pick(&mut rng, VALUES));
+            }
+            line.push('}');
+            // One line in four also loses, gains or ends at a byte.
+            if rng.gen_bool(0.25) {
+                let mut bytes = line.into_bytes();
+                let at = rng.gen_range(0..bytes.len());
+                match rng.gen_range(0..3) {
+                    0 => drop(bytes.remove(at)),
+                    1 => bytes.insert(at, b"{}[]\",:\\0-e"[rng.gen_range(0..11usize)]),
+                    _ => bytes.truncate(at),
+                }
+                line = String::from_utf8(bytes).expect("the lines are ASCII");
+            }
+            let reply = st.handle_line(&line);
+            let v = jsonl::parse(&reply)
+                .unwrap_or_else(|e| panic!("case {case}: {line} -> {reply} is not JSON: {e}"));
+            assert!(
+                v.get("ok").and_then(Json::as_bool).is_some(),
+                "case {case}: {line} -> {reply}"
+            );
+            assert!(st.memory_bytes() <= BUDGET, "case {case}: {line}");
+        }
+    }
+
     #[test]
     fn wait_returns_when_the_job_finishes_not_a_poll_later() {
         let st = state(ServeConfig::default());
@@ -1594,9 +1928,9 @@ mod tests {
         };
         const SPEC: &str = "gen:complete,n=9";
         let (a, b) = std::thread::scope(|scope| {
-            let first = scope.spawn(|| st.graph_for_with(SPEC, load));
+            let first = scope.spawn(|| st.graph_for(SPEC, false, load));
             entered_rx.recv().unwrap();
-            let second = scope.spawn(|| st.graph_for_with(SPEC, load));
+            let second = scope.spawn(|| st.graph_for(SPEC, false, load));
             // The second caller either waits on the first (and never
             // reports in) or, were the load not single-flight, is in its
             // own load well within this.
@@ -1609,7 +1943,7 @@ mod tests {
         assert_eq!(loads.load(Ordering::SeqCst), 1);
         assert!(Arc::ptr_eq(&a, &b), "both submits share the one graph");
         // Cached from here on: no load at all.
-        let c = st.graph_for_with(SPEC, |_| panic!("a cached spec must not load")).unwrap();
+        let c = st.graph_for(SPEC, false, |_| panic!("a cached spec must not load")).unwrap();
         assert!(Arc::ptr_eq(&a, &c));
         st.sup.shutdown(None);
     }
@@ -1618,16 +1952,18 @@ mod tests {
     fn a_failed_graph_load_is_not_cached() {
         let st = state(ServeConfig::default());
         const SPEC: &str = "gen:complete,n=5";
-        let err = st.graph_for_with(SPEC, |_| Err("disk on fire".into())).unwrap_err();
+        let err = st.graph_for(SPEC, false, |_| Err("disk on fire".into())).unwrap_err();
         assert_eq!(err, "disk on fire");
         // A panicking load unwinds to the caller and leaves no marker for
-        // the next submit to wait on either.
+        // the next submit to wait on either, and no reservation.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            st.graph_for_with(SPEC, |_| panic!("loader bug"))
+            st.graph_for(SPEC, false, |_| panic!("loader bug"))
         }));
         assert!(panicked.is_err());
-        assert!(lock_recover(&st.graphs, "graph cache").is_empty());
-        assert_eq!(st.graph_for(SPEC).unwrap().num_vertices(), 5);
+        assert!(lock_recover(&st.graphs, "graph cache").entries.is_empty());
+        assert_eq!(st.memory_bytes(), 0);
+        assert_eq!(st.graph_for(SPEC, false, graphspec::load).unwrap().num_vertices(), 5);
+        assert_eq!(st.memory_bytes(), graphspec::csr_bytes(5, 20, false));
         st.sup.shutdown(None);
     }
 

@@ -205,8 +205,8 @@ pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
 /// *counts* are invariant under every knob (the differential suites prove
 /// it), but the resumed run must also reproduce `WorkCounters` totals
 /// bit-for-bit, so every knob that steers candidate generation or set-op
-/// dispatch participates. Threads, chunk size, scheduling order, budgets,
-/// retries, straggler thresholds, and every telemetry knob
+/// dispatch participates. Threads, scheduling order, budgets, retries and
+/// every telemetry knob
 /// ([`TelemetryOptions`](crate::TelemetryOptions)) are excluded: totals
 /// are order-independent, a resume may legitimately change them, and
 /// telemetry never perturbs counts or work — so turning observability on

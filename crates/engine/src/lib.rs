@@ -95,7 +95,6 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 /// | `hub_bitmap`    | on      | ignored (no probes)| composes with every other knob; inert when no vertex reaches `hub_degree_threshold` or `hub_memory_budget` is too tight |
 /// | `simd`          | on      | ignored (scalar merges) | replaces the merge tier with vectorized kernels when compiled in (`simd` cargo feature) and runnable on the host CPU; counts, `setop_iterations`, and `comparisons` are bit-identical to the scalar path — only the dispatch split shifts merge → `simd_dispatches`. With `gallop_ratio == 0` the gallop tier is disabled, so *every* non-probe dispatch lands on the SIMD tier — the split is merge+gallop → simd, not merge → simd |
 /// | `max_retries`   | 0       | same               | count-irrelevant (a retried task contributes exactly once); excluded from the checkpoint config fingerprint, so a resume may change it |
-/// | `straggler_*`   | 8 / 10ms| same               | observability only; never perturbs counts, work, or scheduling |
 ///
 /// `paper_faithful` pins candidate generation to unbounded merges and
 /// ignores `gallop_ratio` and `hub_bitmap` entirely (no dispatcher runs,
@@ -157,16 +156,6 @@ pub struct EngineConfig {
     /// degrade the run (the fault is still recorded in
     /// [`MiningResult::faults`](result::MiningResult::faults)).
     pub max_retries: u32,
-    /// Straggler surfacing: a completed task whose elapsed time is at
-    /// least `straggler_ratio ×` the running median (and at least
-    /// [`straggler_min_task`](Self::straggler_min_task)) is reported in
-    /// [`MiningResult::stragglers`](result::MiningResult::stragglers).
-    /// `0` disables tracking entirely (no per-task timing overhead).
-    pub straggler_ratio: u32,
-    /// Noise floor for straggler detection: tasks faster than this are
-    /// never flagged, however small the median — microsecond-scale jitter
-    /// on tiny inputs would otherwise flood the report.
-    pub straggler_min_task: std::time::Duration,
     /// Test plumbing, absent from default builds: the fault-injection
     /// scope this run belongs to (see [`failpoint::guard`]). `0` — the
     /// default — is never armed. Excluded from the checkpoint config
@@ -197,8 +186,6 @@ impl Default for EngineConfig {
             simd: true,
             budget: Budget::unlimited(),
             max_retries: 0,
-            straggler_ratio: 8,
-            straggler_min_task: std::time::Duration::from_millis(10),
             #[cfg(any(test, feature = "failpoints"))]
             failpoint_scope: 0,
         }

@@ -197,8 +197,8 @@ pub struct Fault {
 }
 
 /// One task flagged by the straggler detector: its elapsed wall-clock time
-/// exceeded [`EngineConfig::straggler_ratio`](crate::EngineConfig::straggler_ratio)
-/// times the median task time of the run.
+/// reached [`STRAGGLER_RATIO`] times the median task time of the run (and
+/// [`STRAGGLER_MIN_TASK`]).
 ///
 /// Purely observational — a straggler still completed and its counts are
 /// included. This is the hook for future work-splitting: the roster names
@@ -244,6 +244,15 @@ pub(crate) fn detect_stragglers(
 
 /// Upper bound on the straggler roster in one [`MiningResult`].
 pub const MAX_STRAGGLERS: usize = 32;
+
+/// A pool-run task is a straggler when it takes at least this many times
+/// the run's median task.
+pub const STRAGGLER_RATIO: u32 = 8;
+
+/// Noise floor for straggler detection: tasks faster than this are never
+/// flagged, however small the median — microsecond-scale jitter on tiny
+/// inputs would otherwise flood the report.
+pub const STRAGGLER_MIN_TASK: Duration = Duration::from_millis(10);
 
 /// The outcome of a mining run: one raw match count per plan pattern, plus
 /// work counters, plus the job-control verdict.

@@ -4,9 +4,11 @@
 //! preemptible stream of start-vertex stints; this crate schedules many
 //! such cores over one worker pool:
 //!
-//! - **Admission control** ([`Supervisor::submit`]): a bounded job table
-//!   and a resident-graph memory budget; saturation sheds with an
-//!   explicit [`JobOutcome::Rejected`] instead of unbounded queueing.
+//! - **Admission control** ([`Supervisor::submit`]): a bounded job table;
+//!   saturation sheds with an explicit [`JobOutcome::Rejected`] instead of
+//!   unbounded queueing. Graph memory is not the supervisor's to count: a
+//!   job arrives holding its graph, and `flexminer serve`'s graph cache
+//!   charges what it holds against the memory budget.
 //! - **Priority preemption**: a strictly higher-priority arrival pauses
 //!   the lowest-priority running job into an in-memory checkpoint; the
 //!   victim later resumes bit-identically.
@@ -38,6 +40,4 @@ mod supervisor;
 
 pub use observe::JobObserver;
 pub use outcome::{JobHandle, JobOutcome};
-pub use supervisor::{
-    csr_bytes, DrainedJob, JobSpec, Supervisor, SupervisorConfig, SupervisorStats,
-};
+pub use supervisor::{DrainedJob, JobSpec, Supervisor, SupervisorConfig, SupervisorStats};

@@ -27,13 +27,14 @@
 //!
 //! - Every submitted job resolves to **exactly one** terminal
 //!   [`JobOutcome`]; a second resolution panics rather than masking a
-//!   scheduler bug.
+//!   scheduler bug. An admitted job resolves only once the supervisor has
+//!   let go of it, so whoever the outcome wakes finds its graph released.
 //! - Admission is checked before any expensive work: saturation returns
 //!   an explicit [`JobOutcome::Rejected`] with the violated limit in the
-//!   reason string — the supervisor never queues unboundedly or OOMs on
-//!   graph residency.
-//! - Shared graphs (same `graph_key`) are charged against the memory
-//!   budget once, matching their `Arc`-shared residency.
+//!   reason string — the supervisor never queues unboundedly. It keeps no
+//!   account of graph memory: a job arrives holding its graph, and whoever
+//!   loaded the graph decided whether it fits (in `flexminer serve`, the
+//!   graph cache).
 //! - There is one retry loop, the engine's: a faulted task runs again in
 //!   place up to [`EngineConfig::max_retries`] times before it is
 //!   quarantined, and a job with a quarantined task ends `Degraded`.
@@ -50,7 +51,7 @@ use fm_graph::CsrGraph;
 use fm_plan::ExecutionPlan;
 use fm_telemetry::MetricsDoc;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -66,22 +67,13 @@ pub struct SupervisorConfig {
     /// Maximum number of jobs holding a run slot at once (the rest wait
     /// queued, preserving priority order).
     pub max_running: usize,
-    /// Admission budget for resident graph memory (CSR estimate, shared
-    /// graphs charged once).
-    pub memory_budget_bytes: u64,
     /// Start-vertex tasks per stint — the preemption latency unit.
     pub stint_tasks: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            workers: 4,
-            queue_capacity: 64,
-            max_running: 4,
-            memory_budget_bytes: 4 << 30,
-            stint_tasks: 64,
-        }
+        SupervisorConfig { workers: 4, queue_capacity: 64, max_running: 4, stint_tasks: 64 }
     }
 }
 
@@ -92,11 +84,12 @@ pub struct JobSpec {
     /// Higher runs first; a strictly higher-priority arrival preempts the
     /// lowest-priority running job when all run slots are taken.
     pub priority: i32,
-    /// The data graph; `Arc`-shared submissions with equal `graph_key`
-    /// are charged against the memory budget once.
+    /// The id the job runs under — in its handle, events, spans and drain
+    /// checkpoint name. `None` takes the next id above every one seen; a
+    /// caller that supplies ids keeps them unique.
+    pub id: Option<u64>,
+    /// The data graph, held until the job resolves.
     pub graph: Arc<CsrGraph>,
-    /// Identity for memory accounting; 0 means "unique to this job".
-    pub graph_key: u64,
     pub plan: Arc<ExecutionPlan>,
     /// The job's engine configuration; its `max_retries` is how often a
     /// faulted task runs again before it is quarantined.
@@ -113,7 +106,7 @@ impl JobSpec {
         plan: Arc<ExecutionPlan>,
         config: EngineConfig,
     ) -> JobSpec {
-        JobSpec { name: name.into(), priority: 0, graph, graph_key: 0, plan, config, resume: None }
+        JobSpec { name: name.into(), priority: 0, id: None, graph, plan, config, resume: None }
     }
 }
 
@@ -141,8 +134,6 @@ pub struct SupervisorStats {
     pub queued: u64,
     /// Jobs holding a run slot (running or winding down a preemption).
     pub running: u64,
-    pub memory_bytes: u64,
-    pub memory_budget_bytes: u64,
     /// `queued` broken down by job priority, ascending by priority.
     pub queued_by_priority: Vec<(i32, u64)>,
 }
@@ -163,7 +154,6 @@ struct Job {
     id: u64,
     name: String,
     priority: i32,
-    graph_key: u64,
     core: JobCore<'static>,
     cell: Arc<OutcomeCell>,
 }
@@ -181,11 +171,6 @@ struct Slot {
     pause_us: Option<u64>,
 }
 
-struct Resident {
-    bytes: u64,
-    refs: usize,
-}
-
 #[derive(Default)]
 struct Stats {
     submitted: u64,
@@ -195,26 +180,13 @@ struct Stats {
     drained: u64,
 }
 
+#[derive(Default)]
 struct State {
     slots: Vec<Slot>,
-    resident: HashMap<u64, Resident>,
-    mem_in_use: u64,
     draining: bool,
-    next_id: u64,
+    /// The largest id a job has run under; an unnamed job takes the next.
+    last_id: u64,
     stats: Stats,
-}
-
-impl Default for State {
-    fn default() -> State {
-        State {
-            slots: Vec::new(),
-            resident: HashMap::new(),
-            mem_in_use: 0,
-            draining: false,
-            next_id: 1,
-            stats: Stats::default(),
-        }
-    }
 }
 
 struct Shared {
@@ -232,37 +204,6 @@ struct Shared {
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("supervisor state lock poisoned")
-    }
-}
-
-/// CSR residency estimate matching `JobCore`'s accounting: offsets
-/// (`u64`) plus neighbor ids (`u32`), doubled when the plan orients the
-/// graph into a DAG copy. Saturates, so a bound no machine could hold
-/// reads as too big rather than wrapping to small.
-pub fn csr_bytes(vertices: u64, directed_edges: u64, oriented: bool) -> u64 {
-    let base = vertices
-        .saturating_add(1)
-        .saturating_mul(8)
-        .saturating_add(directed_edges.saturating_mul(4));
-    if oriented {
-        base.saturating_mul(2)
-    } else {
-        base
-    }
-}
-
-fn estimate_bytes(spec: &JobSpec) -> u64 {
-    let g = &spec.graph;
-    csr_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, spec.plan.orientation)
-}
-
-fn release_memory(st: &mut State, graph_key: u64) {
-    if let Some(r) = st.resident.get_mut(&graph_key) {
-        r.refs -= 1;
-        if r.refs == 0 {
-            st.mem_in_use -= r.bytes;
-            st.resident.remove(&graph_key);
-        }
     }
 }
 
@@ -376,9 +317,13 @@ fn pick(st: &State) -> Option<Arc<Job>> {
 }
 
 /// Resolves `Finished` a job that ran dry or stopped, whose slot is
-/// already out of the table.
-fn finish(st: &mut State, obs: Option<&JobObserver>, job: &Job, submitted_us: Option<u64>) {
-    release_memory(st, job.graph_key);
+/// already out of the table, returning the outcome for [`release`].
+fn finish(
+    st: &mut State,
+    obs: Option<&JobObserver>,
+    job: &Job,
+    submitted_us: Option<u64>,
+) -> JobOutcome {
     st.stats.completed += 1;
     let result = job.core.result();
     if let Some(obs) = obs {
@@ -390,17 +335,31 @@ fn finish(st: &mut State, obs: Option<&JobObserver>, job: &Job, submitted_us: Op
         obs.absorb_spans(spans, dropped);
         obs.event(job.id, "finished", format!("status={:?}", result.status));
     }
-    job.cell.resolve(JobOutcome::Finished(result));
+    JobOutcome::Finished(result)
 }
 
-/// A job's queue ran dry (or it hit a terminal stop): resolve it.
-/// Idempotent — only slots still in a running phase settle, so racing
-/// stints cannot double-resolve.
-fn settle(st: &mut State, obs: Option<&JobObserver>, job: &Job) {
+/// A job's queue ran dry (or it hit a terminal stop): take it out of the
+/// table and return its outcome. Idempotent — only slots still in a
+/// running phase settle, so racing stints cannot double-resolve.
+fn settle(st: &mut State, obs: Option<&JobObserver>, job: &Job) -> Option<JobOutcome> {
     let running = |s: &Slot| s.job.id == job.id && matches!(s.phase, Phase::Ready | Phase::Pausing);
-    let Some(pos) = st.slots.iter().position(running) else { return };
+    let pos = st.slots.iter().position(running)?;
     let slot = st.slots.remove(pos);
-    finish(st, obs, job, slot.submitted_us);
+    Some(finish(st, obs, job, slot.submitted_us))
+}
+
+/// Resolves a job that is out of the table once every worker has let go
+/// of it, so whoever the outcome wakes finds the job — and the graph it
+/// held — released. A worker still holding it is past its stint and
+/// needs only the state lock to let go, so the caller must not hold that
+/// lock while workers run.
+fn release(job: Arc<Job>, outcome: JobOutcome) {
+    while Arc::strong_count(&job) > 1 {
+        std::thread::yield_now();
+    }
+    let cell = Arc::clone(&job.cell);
+    drop(job);
+    cell.resolve(outcome);
 }
 
 fn worker_loop(shared: Arc<Shared>, lane: u32) {
@@ -443,9 +402,10 @@ fn worker_loop(shared: Arc<Shared>, lane: u32) {
         // under the state lock) settles a job that ran dry or stopped and
         // parks one whose pause has taken hold — whether or not its own
         // stint saw the pause flag.
+        let mut settled = None;
         if job.core.active_stints() == 0 {
             if matches!(stint, Stint::Ran { drained: true, .. } | Stint::Stopped(_)) {
-                settle(&mut st, obs, &job);
+                settled = settle(&mut st, obs, &job);
             } else if let Some(slot) =
                 st.slots.iter_mut().find(|s| s.job.id == job.id && s.phase == Phase::Pausing)
             {
@@ -456,6 +416,9 @@ fn worker_loop(shared: Arc<Shared>, lane: u32) {
         promote(&cfg, &mut st, obs);
         drop(st);
         shared.work.notify_all();
+        if let Some(outcome) = settled {
+            release(job, outcome);
+        }
     }
 }
 
@@ -517,11 +480,11 @@ impl Supervisor {
             }
             cell.resolve(JobOutcome::Rejected { reason });
         };
-        let (id, key, submitted_us) = {
+        let (id, submitted_us) = {
             let mut st = self.shared.lock();
             st.stats.submitted += 1;
-            let id = st.next_id;
-            st.next_id += 1;
+            let id = spec.id.unwrap_or(st.last_id + 1);
+            st.last_id = st.last_id.max(id);
             if let Some(obs) = obs {
                 obs.event(
                     id,
@@ -542,23 +505,7 @@ impl Supervisor {
                 reject(&mut st, id, reason);
                 return JobHandle { id, name: spec.name, cell };
             }
-            let bytes = estimate_bytes(&spec);
-            let key = if spec.graph_key != 0 { spec.graph_key } else { (1 << 63) | id };
-            let charge = if st.resident.contains_key(&key) { 0 } else { bytes };
-            if st.mem_in_use.saturating_add(charge) > cfg.memory_budget_bytes {
-                let reason = format!(
-                    "memory budget exhausted: {} B resident + {} B requested > {} B budget",
-                    st.mem_in_use, charge, cfg.memory_budget_bytes
-                );
-                reject(&mut st, id, reason);
-                return JobHandle { id, name: spec.name, cell };
-            }
-            st.resident
-                .entry(key)
-                .and_modify(|r| r.refs += 1)
-                .or_insert(Resident { bytes, refs: 1 });
-            st.mem_in_use += charge;
-            (id, key, obs.map(|o| o.clock().now_us()))
+            (id, obs.map(|o| o.clock().now_us()))
         };
         let JobSpec { name, priority, graph, plan, config, resume, .. } = spec;
         let built: Result<JobCore<'static>, CheckpointError> = match resume {
@@ -567,13 +514,9 @@ impl Supervisor {
         };
         let mut st = self.shared.lock();
         match built {
-            Err(e) => {
-                release_memory(&mut st, key);
-                reject(&mut st, id, format!("resume checkpoint rejected: {e}"));
-            }
+            Err(e) => reject(&mut st, id, format!("resume checkpoint rejected: {e}")),
             Ok(mut core) => {
                 if st.draining {
-                    release_memory(&mut st, key);
                     reject(&mut st, id, "supervisor is draining".to_string());
                 } else {
                     if let Some(obs) = obs {
@@ -587,7 +530,6 @@ impl Supervisor {
                         id,
                         name: name.clone(),
                         priority,
-                        graph_key: key,
                         core,
                         cell: Arc::clone(&cell),
                     });
@@ -605,15 +547,6 @@ impl Supervisor {
             }
         }
         JobHandle { id, name, cell }
-    }
-
-    /// Reserve every id up to and including `max_seen`: the next submitted
-    /// job gets an id strictly greater. Called by journal replay before
-    /// resubmitting recovered jobs, so fresh handle ids never collide with
-    /// ids already recorded in the journal.
-    pub fn reserve_ids(&self, max_seen: u64) {
-        let mut st = self.shared.lock();
-        st.next_id = st.next_id.max(max_seen + 1);
     }
 
     /// Point-in-time counters and gauges.
@@ -637,8 +570,6 @@ impl Supervisor {
             drained: st.stats.drained,
             queued,
             running,
-            memory_bytes: st.mem_in_use,
-            memory_budget_bytes: self.shared.cfg.memory_budget_bytes,
             queued_by_priority: by_priority.into_iter().collect(),
         }
     }
@@ -663,16 +594,6 @@ impl Supervisor {
         doc.counter("fm_jobs_drained_total", "Jobs drained to checkpoints at shutdown", s.drained);
         doc.gauge("fm_jobs_queued", "Admitted jobs waiting for a run slot", s.queued as f64);
         doc.gauge("fm_jobs_running", "Jobs currently holding a run slot", s.running as f64);
-        doc.gauge(
-            "fm_jobs_memory_bytes",
-            "Graph memory charged against the admission budget",
-            s.memory_bytes as f64,
-        );
-        doc.gauge(
-            "fm_jobs_memory_budget_bytes",
-            "Admission-control memory budget",
-            s.memory_budget_bytes as f64,
-        );
         let prio_keys: Vec<String> =
             s.queued_by_priority.iter().map(|(p, _)| p.to_string()).collect();
         let prio_labels: Vec<[(&str, &str); 1]> =
@@ -750,11 +671,12 @@ impl Supervisor {
         let slots = std::mem::take(&mut st.slots);
         for slot in slots {
             let job = slot.job;
+            // The workers are joined: nothing else holds a job here.
             if job.core.is_drained() || job.core.stop_status().is_some() {
-                finish(&mut st, obs, &job, slot.submitted_us);
+                let outcome = finish(&mut st, obs, &job, slot.submitted_us);
+                release(job, outcome);
                 continue;
             }
-            release_memory(&mut st, job.graph_key);
             if let Some(obs) = obs {
                 let (spans, dropped) = job.core.take_spans();
                 obs.absorb_spans(spans, dropped);
@@ -778,8 +700,8 @@ impl Supervisor {
                 };
                 obs.event(job.id, "drained", detail);
             }
-            job.cell.resolve(JobOutcome::Drained { checkpoint: path.clone() });
-            drained.push(DrainedJob { name: job.name.clone(), checkpoint: path, error });
+            drained.push(DrainedJob { name: job.name.clone(), checkpoint: path.clone(), error });
+            release(job, JobOutcome::Drained { checkpoint: path });
         }
         drained
     }

@@ -80,7 +80,6 @@ fn interleaved_jobs_match_solo_runs_bit_for_bit() {
     assert_eq!(s.submitted, 8);
     assert_eq!(s.completed, 8);
     assert_eq!(s.rejected, 0);
-    assert_eq!(s.memory_bytes, 0, "all residency released after completion");
 }
 
 /// A full job table sheds new arrivals with an explicit reason instead of
@@ -92,7 +91,6 @@ fn queue_saturation_sheds_with_explicit_rejection() {
         max_running: 2,
         queue_capacity: 2,
         stint_tasks: 4,
-        ..Default::default()
     });
     let g = graph(1200, 3);
     let plan = cycle4();
@@ -112,39 +110,18 @@ fn queue_saturation_sheds_with_explicit_rejection() {
     assert_eq!((s.submitted, s.completed, s.rejected), (3, 2, 1));
 }
 
-/// `Arc`-shared graphs with one `graph_key` are charged against the
-/// memory budget once; a distinct graph that would exceed the budget is
-/// shed explicitly.
+/// A caller-supplied id is the one the job runs under; an unnamed job
+/// takes the next id above every id seen, so the two never collide.
 #[test]
-fn memory_budget_charges_shared_graphs_once_then_sheds() {
-    let g = graph(800, 5);
-    let bytes = (g.num_vertices() as u64 + 1) * 8 + g.num_directed_edges() as u64 * 4;
-    let sup = Supervisor::new(SupervisorConfig {
-        workers: 1,
-        max_running: 1,
-        queue_capacity: 8,
-        memory_budget_bytes: bytes,
-        stint_tasks: 4,
-    });
-    let plan = cycle4();
-    let cfg = EngineConfig { threads: 1, ..Default::default() };
-    let shared = |name: &str| JobSpec {
-        graph_key: 0xfeed,
-        ..JobSpec::new(name, Arc::clone(&g), Arc::clone(&plan), cfg)
-    };
-    let a = sup.submit(shared("a"));
-    let b = sup.submit(shared("b"));
-    assert!(b.try_outcome().is_none(), "shared-graph job must be admitted, not rejected");
-    let c = sup.submit(JobSpec::new("c", graph(800, 6), Arc::clone(&plan), cfg));
-    match c.try_outcome() {
-        Some(JobOutcome::Rejected { reason }) => {
-            assert!(reason.contains("memory budget"), "reason: {reason}")
-        }
-        other => panic!("expected memory rejection, got {other:?}"),
+fn a_supplied_id_is_kept_and_later_ids_step_past_it() {
+    let sup = Supervisor::new(SupervisorConfig { workers: 1, ..Default::default() });
+    let (g, plan, cfg) = (graph(100, 5), triangle(), EngineConfig::default());
+    let spec = |id| JobSpec { id, ..JobSpec::new("j", Arc::clone(&g), Arc::clone(&plan), cfg) };
+    let handles = [sup.submit(spec(None)), sup.submit(spec(Some(7))), sup.submit(spec(None))];
+    assert_eq!(handles.iter().map(|h| h.id()).collect::<Vec<_>>(), [1, 7, 8]);
+    for h in handles {
+        finished(h.wait(), "job");
     }
-    finished(a.wait(), "job a");
-    finished(b.wait(), "job b");
-    assert_eq!(sup.stats().memory_bytes, 0);
 }
 
 /// A strictly higher-priority arrival preempts the running job; the
@@ -253,7 +230,6 @@ fn shutdown_drains_to_checkpoints_and_restart_resumes_bit_for_bit() {
     let s = sup.stats();
     assert_eq!(s.submitted, 3);
     assert_eq!(s.completed + s.drained + s.rejected, 3);
-    assert_eq!(s.memory_bytes, 0);
     let _ = std::fs::remove_dir_all(&spool);
 }
 
@@ -291,8 +267,6 @@ fn metrics_doc_exports_supervisor_gauges() {
         "fm_jobs_drained_total",
         "fm_jobs_queued",
         "fm_jobs_running",
-        "fm_jobs_memory_bytes",
-        "fm_jobs_memory_budget_bytes",
     ] {
         assert!(prom.contains(name), "missing {name} in Prometheus rendering");
         assert!(json.contains(name), "missing {name} in JSON rendering");

@@ -197,48 +197,99 @@ impl Pattern {
 
     /// All automorphisms of the pattern, each as a mapping `perm[u] = image
     /// of u`. The identity is always included.
+    ///
+    /// The group has up to `n!` members (an `n`-clique), so this is the
+    /// test reference only; [`stabilizer_orbits`](Self::stabilizer_orbits)
+    /// answers everything the compiler asks without listing it.
     pub fn automorphisms(&self) -> Vec<Vec<usize>> {
         let mut out = Vec::new();
         let mut perm = vec![usize::MAX; self.n];
-        let mut used = DepthSet::new();
-        self.automorphism_search(0, &mut perm, &mut used, &mut out);
+        self.automorphism_search(0, &mut perm, DepthSet::new(), &mut |phi| {
+            out.push(phi.to_vec());
+            false
+        });
         out
     }
 
+    /// Extends the partial automorphism `perm` (positions `0..u` assigned,
+    /// their images in `used`) in every consistent way, handing each full
+    /// one to `found`; stops as soon as `found` returns true, and returns
+    /// whether it did.
     fn automorphism_search(
         &self,
         u: usize,
-        perm: &mut Vec<usize>,
-        used: &mut DepthSet,
-        out: &mut Vec<Vec<usize>>,
-    ) {
+        perm: &mut [usize],
+        used: DepthSet,
+        found: &mut impl FnMut(&[usize]) -> bool,
+    ) -> bool {
         if u == self.n {
-            out.push(perm.clone());
-            return;
+            return found(perm);
         }
+        // A position assigned ahead of the walk (the one image an orbit
+        // search pins) only needs checking against the positions before it.
+        let pinned = perm[u] != usize::MAX;
         for cand in 0..self.n {
-            if used.contains(cand) || self.degree(cand) != self.degree(u) {
+            if pinned && cand != perm[u] {
+                continue;
+            }
+            if (!pinned && used.contains(cand)) || self.degree(cand) != self.degree(u) {
                 continue;
             }
             // Consistency with already-assigned vertices.
-            let ok = (0..u).all(|w| self.has_edge(u, w) == self.has_edge(cand, perm[w]));
-            if ok {
-                perm[u] = cand;
-                used.insert(cand);
-                self.automorphism_search(u + 1, perm, used, out);
-                used.remove(cand);
+            if !(0..u).all(|w| self.has_edge(u, w) == self.has_edge(cand, perm[w])) {
+                continue;
+            }
+            perm[u] = cand;
+            let mut next = used;
+            next.insert(cand);
+            if self.automorphism_search(u + 1, perm, next, found) {
+                return true;
+            }
+            if !pinned {
                 perm[u] = usize::MAX;
             }
         }
+        false
     }
 
-    /// Number of automorphisms (|Aut(P)|).
+    /// The orbit-stabilizer chain of the automorphism group: entry `u` is
+    /// the orbit of `u` under the automorphisms fixing each of `0..u`
+    /// (sorted, `u` included). |Aut(P)| is the product of the orbit sizes,
+    /// and the Grochow–Kellis symmetry order is read off the same orbits
+    /// ([`symmetry_pairs`](crate::symmetry::symmetry_pairs)).
+    ///
+    /// Each member of an orbit is found by one search that stops at the
+    /// first automorphism with that image, so a 16-clique costs a few
+    /// thousand steps where listing its group would take 16! vectors.
+    pub fn stabilizer_orbits(&self) -> Vec<Vec<usize>> {
+        let n = self.n;
+        let mut perm = vec![usize::MAX; n];
+        (0..n)
+            .map(|u| {
+                (u..n)
+                    .filter(|&image| {
+                        // Fix 0..u, pin u to `image`, and ask for any completion.
+                        for (w, p) in perm.iter_mut().enumerate() {
+                            *p = if w < u { w } else { usize::MAX };
+                        }
+                        perm[u] = image;
+                        let mut used = DepthSet::from_depths(0..u);
+                        used.insert(image);
+                        self.automorphism_search(u, &mut perm, used, &mut |_| true)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Number of automorphisms (|Aut(P)|): the product of the
+    /// [`stabilizer_orbits`](Self::stabilizer_orbits) sizes.
     ///
     /// Pattern-aware engines with symmetry breaking find each embedding
     /// once; without it (AutoMine mode) each embedding is found exactly
     /// `automorphism_count()` times.
     pub fn automorphism_count(&self) -> usize {
-        self.automorphisms().len()
+        self.stabilizer_orbits().iter().map(Vec::len).product()
     }
 
     /// A canonical encoding: the lexicographically smallest adjacency
@@ -482,6 +533,54 @@ mod tests {
         assert_eq!(Pattern::path(4).automorphism_count(), 2);
         assert_eq!(Pattern::star(3).automorphism_count(), 6); // S3 on leaves
         assert_eq!(Pattern::house().automorphism_count(), 2);
+    }
+
+    /// The orbit of `u` under the automorphisms fixing `0..u`, read off the
+    /// listed group.
+    fn listed_orbits(p: &Pattern) -> Vec<Vec<usize>> {
+        let auts = p.automorphisms();
+        (0..p.size())
+            .map(|u| {
+                let mut orbit: Vec<usize> = auts
+                    .iter()
+                    .filter(|phi| (0..u).all(|w| phi[w] == w))
+                    .map(|phi| phi[u])
+                    .collect();
+                orbit.sort_unstable();
+                orbit.dedup();
+                orbit
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stabilizer_orbits_match_the_listed_group() {
+        for p in [
+            Pattern::triangle(),
+            Pattern::wedge(),
+            Pattern::k_clique(5),
+            Pattern::cycle(4),
+            Pattern::cycle(6),
+            Pattern::diamond(),
+            Pattern::tailed_triangle(),
+            Pattern::path(5),
+            Pattern::star(4),
+            Pattern::house(),
+            Pattern::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]).unwrap(),
+            Pattern::from_edges(1, &[]).unwrap(),
+        ] {
+            assert_eq!(p.stabilizer_orbits(), listed_orbits(&p), "{p}");
+            assert_eq!(p.automorphism_count(), p.automorphisms().len(), "{p}");
+        }
+    }
+
+    #[test]
+    fn groups_too_big_to_list_are_still_counted() {
+        let factorial = |n: usize| (1..=n).product::<usize>();
+        assert_eq!(Pattern::k_clique(16).automorphism_count(), factorial(16));
+        assert_eq!(Pattern::star(15).automorphism_count(), factorial(15));
+        assert_eq!(Pattern::cycle(16).automorphism_count(), 32);
+        assert_eq!(Pattern::path(16).automorphism_count(), 2);
     }
 
     #[test]

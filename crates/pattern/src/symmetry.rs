@@ -9,13 +9,14 @@
 //! We implement the Grochow–Kellis construction used by GraphZero \[57\]:
 //! repeatedly pick the first pattern position moved by the remaining
 //! automorphism group, constrain it against its orbit, and descend into the
-//! stabilizer. The result is a set of `v_later < v_earlier` data-vertex-id
+//! stabilizer. The orbits come from [`Pattern::stabilizer_orbits`], which
+//! never lists the group (an n-clique's has n! members). The result is a
+//! set of `v_later < v_earlier` data-vertex-id
 //! constraints such that **exactly one labelling per automorphism class**
 //! satisfies all of them — verified by the `unique_representative_per_class`
 //! test below and by the cross-engine count tests in the workspace.
 
 use crate::pattern::Pattern;
-use std::collections::BTreeSet;
 
 /// One symmetry-order constraint: the data vertex matched at position
 /// `later` must have a smaller id than the one matched at position
@@ -52,21 +53,21 @@ pub struct SymmetryPair {
 /// ]);
 /// ```
 pub fn symmetry_pairs(p: &Pattern) -> Vec<SymmetryPair> {
-    let mut auts = p.automorphisms();
-    let mut pairs: Vec<SymmetryPair> = Vec::new();
-    while auts.len() > 1 {
-        let a = (0..p.size())
-            .find(|&u| auts.iter().any(|phi| phi[u] != u))
-            .expect("a non-identity group moves some vertex");
-        let orbit: BTreeSet<usize> = auts.iter().map(|phi| phi[a]).collect();
-        for &b in &orbit {
-            if b != a {
-                debug_assert!(b > a, "orbit members of the first moved position come later");
-                pairs.push(SymmetryPair { earlier: a, later: b });
-            }
-        }
-        auts.retain(|phi| phi[a] == a);
-    }
+    // The group left after fixing the positions constrained so far is the
+    // pointwise stabilizer of every earlier position (those it does not
+    // move are fixed already), so each position's constraints are its
+    // stabilizer orbit.
+    let pairs = p
+        .stabilizer_orbits()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(earlier, orbit)| {
+            orbit
+                .into_iter()
+                .filter(move |&later| later != earlier)
+                .map(move |later| SymmetryPair { earlier, later })
+        })
+        .collect();
     transitive_reduction(p.size(), pairs)
 }
 
@@ -196,6 +197,41 @@ mod tests {
             items.swap(at, i);
             permute_u32(items, at + 1, f);
             items.swap(at, i);
+        }
+    }
+
+    /// Grochow–Kellis over the listed group: the construction as first
+    /// written, which `symmetry_pairs` must reproduce without the list.
+    fn listed_group_pairs(p: &Pattern) -> Vec<SymmetryPair> {
+        let mut auts = p.automorphisms();
+        let mut pairs = Vec::new();
+        while auts.len() > 1 {
+            let a = (0..p.size()).find(|&u| auts.iter().any(|phi| phi[u] != u)).unwrap();
+            let orbit: std::collections::BTreeSet<usize> = auts.iter().map(|phi| phi[a]).collect();
+            pairs.extend(orbit.into_iter().filter(|&b| b != a).map(|b| pair(a, b)));
+            auts.retain(|phi| phi[a] == a);
+        }
+        transitive_reduction(p.size(), pairs)
+    }
+
+    #[test]
+    fn pairs_match_grochow_kellis_over_the_listed_group() {
+        for p in [
+            Pattern::triangle(),
+            Pattern::wedge(),
+            Pattern::cycle(4),
+            Pattern::cycle(6),
+            Pattern::diamond(),
+            Pattern::tailed_triangle(),
+            Pattern::k_clique(6),
+            Pattern::star(5),
+            Pattern::path(5),
+            Pattern::house(),
+            Pattern::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap(),
+            Pattern::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+                .unwrap(),
+        ] {
+            assert_eq!(symmetry_pairs(&p), listed_group_pairs(&p), "{p}");
         }
     }
 

@@ -32,6 +32,25 @@ proptest! {
         prop_assert_eq!(fact % p.automorphism_count(), 0);
     }
 
+    /// The stabilizer chain agrees with the listed group: each orbit is
+    /// what the automorphisms fixing the earlier positions do to `u`, so
+    /// |Aut| and the symmetry order (both read off the orbits) agree too.
+    #[test]
+    fn stabilizer_orbits_agree_with_the_listed_group(p in arb_pattern()) {
+        let auts = p.automorphisms();
+        prop_assert_eq!(p.automorphism_count(), auts.len());
+        for (u, orbit) in p.stabilizer_orbits().into_iter().enumerate() {
+            let mut listed: Vec<usize> = auts
+                .iter()
+                .filter(|phi| (0..u).all(|w| phi[w] == w))
+                .map(|phi| phi[u])
+                .collect();
+            listed.sort_unstable();
+            listed.dedup();
+            prop_assert_eq!(orbit, listed);
+        }
+    }
+
     /// Canonical codes are invariant under relabelling.
     #[test]
     fn canonical_code_is_relabel_invariant(p in arb_pattern(), seed in any::<u64>()) {

@@ -322,6 +322,23 @@ fn annotate_cmap_hints(plan: &mut ExecutionPlan) {
 mod tests {
     use super::*;
 
+    /// A pattern a client types is compiled inside the request handler, so
+    /// compiling the largest symmetric ones must stay cheap: listing a
+    /// 12-clique's group alone took gigabytes.
+    #[test]
+    fn the_largest_symmetric_patterns_compile_in_well_under_a_second() {
+        let factorial = |n: usize| (1..=n).product::<usize>();
+        for (pattern, automorphisms) in
+            [(Pattern::k_clique(16), factorial(16)), (Pattern::star(15), factorial(15))]
+        {
+            let started = std::time::Instant::now();
+            let plan = compile(&pattern, CompileOptions::default());
+            let took = started.elapsed();
+            assert_eq!(plan.patterns[0].automorphisms, automorphisms, "{pattern}");
+            assert!(took < std::time::Duration::from_secs(1), "{pattern}: {took:?}");
+        }
+    }
+
     #[test]
     fn four_cycle_plan_matches_listing_one() {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
