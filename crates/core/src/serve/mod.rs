@@ -368,9 +368,6 @@ struct ServeState {
     started: Instant,
     /// Every job, live or replayed, keyed by the id its client holds.
     jobs: Mutex<BTreeMap<u64, Entry>>,
-    /// The id the next fresh submit runs under: one past every id in the
-    /// journal, so a fresh job never takes a replayed or recovered one's.
-    next_id: AtomicU64,
     graphs: Mutex<GraphCache>,
     /// Notified whenever a loading entry of the graph cache is settled.
     graph_loaded: Condvar,
@@ -425,7 +422,6 @@ impl ServeState {
             obs,
             started: Instant::now(),
             jobs: Mutex::new(BTreeMap::new()),
-            next_id: AtomicU64::new(replay.max_id + 1),
             graphs: Mutex::new(graphs),
             graph_loaded: Condvar::new(),
             conn_closed: (Mutex::new(()), Condvar::new()),
@@ -656,16 +652,16 @@ impl ServeState {
                 ));
             }
         }
-        // A recovered job keeps the id its pre-crash client was given; the
-        // supervisor runs every job under the id its client holds.
-        let id = recover_id.unwrap_or_else(|| self.next_id.fetch_add(1, Ordering::SeqCst));
+        // The supervisor gives a fresh job its id; a recovered one keeps the
+        // id its pre-crash client was given.
         let spec = JobSpec {
             priority,
-            id: Some(id),
+            id: recover_id,
             resume,
             ..JobSpec::new(name, graph, plan, meta.engine_config())
         };
         let handle = self.sup.submit(spec);
+        let id = handle.id();
         self.submitted_any.store(true, Ordering::SeqCst);
         if recover_id.is_none() {
             // Journal the acceptance *before* answering the client: once a
@@ -843,6 +839,8 @@ impl ServeState {
                 replay.orphans, replay.fp_mismatches
             );
         }
+        // Fresh ids start above every id the journal holds.
+        self.sup.reserve_ids(replay.max_id);
         for job in replay.jobs {
             let checkpoint = match job.outcome {
                 None => None,
@@ -1289,9 +1287,18 @@ mod tests {
         // does not orient): the job holds it throughout.
         let big = "gen:powerlaw,n=20000,m=8,closure=0.5,seed=1";
         let small = |seed: u64| format!("gen:powerlaw,n=300,m=4,closure=0.5,seed={seed}");
-        // Room for the held graph and two small ones. One worker: a job's
+        // A triangle job queued behind the house jobs holds a small graph
+        // too, though its core mines only an oriented copy of it.
+        let queued = small(9);
+        let g = graphspec::load(&queued).unwrap();
+        let oriented =
+            graphspec::csr_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, true);
+        drop(g);
+        // Room for the held graphs and two small ones. One worker: a job's
         // last stint has let go of its graph before the next job starts.
-        let budget = 1_439_720 + 2 * graphspec::csr_bytes(300, 2400, false);
+        let budget = 1_439_720
+            + graphspec::csr_bytes(300, 2400, true)
+            + 2 * graphspec::csr_bytes(300, 2400, false);
         let st = state(ServeConfig {
             memory_budget_bytes: budget,
             supervisor: SupervisorConfig { workers: 1, max_running: 1, ..Default::default() },
@@ -1307,8 +1314,11 @@ mod tests {
             assert!(submit("house", big, 0).contains(r#""ok":true"#));
         }
         assert_eq!(st.memory_bytes(), 1_439_720);
-        // Idle graphs make way, least recently used first; the held one
-        // stays. Each small job preempts the house jobs and runs to the end.
+        let resp = submit("triangle", &queued, 0);
+        let tri = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+        assert_eq!(st.memory_bytes(), 1_439_720 + oriented);
+        // Idle graphs make way, least recently used first; the held ones
+        // stay. Each small job preempts the house jobs and runs to the end.
         let cached =
             |graph: &str| lock_recover(&st.graphs, "graph cache").entries.contains_key(graph);
         for seed in 1..=4 {
@@ -1316,21 +1326,26 @@ mod tests {
             let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
             let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
             assert!(done.contains(r#""status":"Complete""#), "{done}");
-            assert!(cached(big) && cached(&small(seed)), "seed {seed}");
+            assert!(cached(big) && cached(&queued) && cached(&small(seed)), "seed {seed}");
             assert!(seed < 3 || !cached(&small(seed - 2)), "seed {seed}");
             assert!(st.memory_bytes() <= budget);
         }
-        // A graph that fits the budget but not beside the held one is
+        let jobs = lock_recover(&st.jobs, "job table");
+        assert!(!jobs[&tri].live().unwrap().0.is_resolved(), "the triangle job ran too soon");
+        drop(jobs);
+        // A graph that fits the budget but not beside the held ones is
         // refused before it is generated; nothing is evicted for it.
         let other = "gen:powerlaw,n=20000,m=8,closure=0.5,seed=2";
         let need = graphspec::csr_bytes(20000, 20000 * 8 * 2, false);
+        let held = 1_439_720 + oriented;
         let refusal = format!(
-            "graph {other} needs up to {need} B, over the {budget} B memory budget less 1439720 B held by other jobs"
+            "graph {other} needs up to {need} B, over the {budget} B memory budget less {held} B held by other jobs"
         );
         assert_eq!(submit("house", other, 0), err_line(&refusal));
         let unbuilt = st.graph_for(other, false, |_| panic!("a refused graph is never built"));
         assert_eq!(unbuilt.unwrap_err(), refusal);
-        assert!(cached(big) && cached(&small(3)) && cached(&small(4)) && !cached(other));
+        assert!(cached(big) && cached(&queued) && cached(&small(3)) && cached(&small(4)));
+        assert!(!cached(other));
         st.sup.shutdown(None);
     }
 

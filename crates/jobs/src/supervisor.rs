@@ -27,8 +27,10 @@
 //!
 //! - Every submitted job resolves to **exactly one** terminal
 //!   [`JobOutcome`]; a second resolution panics rather than masking a
-//!   scheduler bug. An admitted job resolves only once the supervisor has
-//!   let go of it, so whoever the outcome wakes finds its graph released.
+//!   scheduler bug. An admitted job's outcome is delivered when the last
+//!   holder of the job (its slot or a worker) drops it, after its engine
+//!   state and its graph, so whoever the outcome wakes finds the graph
+//!   released.
 //! - Admission is checked before any expensive work: saturation returns
 //!   an explicit [`JobOutcome::Rejected`] with the violated limit in the
 //!   reason string — the supervisor never queues unboundedly. It keeps no
@@ -53,7 +55,7 @@ use fm_telemetry::MetricsDoc;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// Sizing knobs for a [`Supervisor`].
@@ -85,10 +87,12 @@ pub struct JobSpec {
     /// lowest-priority running job when all run slots are taken.
     pub priority: i32,
     /// The id the job runs under — in its handle, events, spans and drain
-    /// checkpoint name. `None` takes the next id above every one seen; a
-    /// caller that supplies ids keeps them unique.
+    /// checkpoint name. `None` takes the next fresh id (see
+    /// [`Supervisor::reserve_ids`]); `Some` is for a job that already has one,
+    /// such as a recovered job, and must not be in use.
     pub id: Option<u64>,
-    /// The data graph, held until the job resolves.
+    /// The data graph, held until the job resolves — also by a job whose
+    /// plan mines an oriented copy of it.
     pub graph: Arc<CsrGraph>,
     pub plan: Arc<ExecutionPlan>,
     /// The job's engine configuration; its `max_retries` is how often a
@@ -155,7 +159,36 @@ struct Job {
     name: String,
     priority: i32,
     core: JobCore<'static>,
+    /// The graph as submitted. An orienting plan's core mines its own
+    /// copy and drops this one, so the job keeps it: whoever counts the
+    /// holders of a graph (`serve`'s graph cache) sees every job on it.
+    _graph: Arc<CsrGraph>,
+    /// Declared last because fields drop in declaration order: the
+    /// outcome reaches the handle after the core and the graph are gone.
+    ending: Ending,
+}
+
+impl Job {
+    /// Records the job's one outcome, delivered when the job is dropped.
+    fn end(&self, outcome: JobOutcome) {
+        let first = self.ending.outcome.set(outcome).is_ok();
+        assert!(first, "job {} ended twice — supervisor state machine bug", self.id);
+    }
+}
+
+/// A job's outcome on its way to the handle: set once when the job ends,
+/// delivered by whichever thread drops the last `Arc<Job>`.
+struct Ending {
     cell: Arc<OutcomeCell>,
+    outcome: OnceLock<JobOutcome>,
+}
+
+impl Drop for Ending {
+    fn drop(&mut self) {
+        if let Some(outcome) = self.outcome.take() {
+            self.cell.resolve(outcome);
+        }
+    }
 }
 
 struct Slot {
@@ -172,21 +205,14 @@ struct Slot {
 }
 
 #[derive(Default)]
-struct Stats {
-    submitted: u64,
-    rejected: u64,
-    preempted: u64,
-    completed: u64,
-    drained: u64,
-}
-
-#[derive(Default)]
 struct State {
     slots: Vec<Slot>,
     draining: bool,
-    /// The largest id a job has run under; an unnamed job takes the next.
+    /// The largest id a job has run under or [`Supervisor::reserve_ids`]
+    /// reserved; a job submitted without an id takes the next.
     last_id: u64,
-    stats: Stats,
+    /// The counters; [`Supervisor::stats`] fills in the gauges.
+    stats: SupervisorStats,
 }
 
 struct Shared {
@@ -316,14 +342,9 @@ fn pick(st: &State) -> Option<Arc<Job>> {
         .map(|s| Arc::clone(&s.job))
 }
 
-/// Resolves `Finished` a job that ran dry or stopped, whose slot is
-/// already out of the table, returning the outcome for [`release`].
-fn finish(
-    st: &mut State,
-    obs: Option<&JobObserver>,
-    job: &Job,
-    submitted_us: Option<u64>,
-) -> JobOutcome {
+/// Ends `Finished` a job that ran dry or stopped, whose slot is already
+/// out of the table.
+fn finish(st: &mut State, obs: Option<&JobObserver>, job: &Job, submitted_us: Option<u64>) {
     st.stats.completed += 1;
     let result = job.core.result();
     if let Some(obs) = obs {
@@ -335,31 +356,18 @@ fn finish(
         obs.absorb_spans(spans, dropped);
         obs.event(job.id, "finished", format!("status={:?}", result.status));
     }
-    JobOutcome::Finished(result)
+    job.end(JobOutcome::Finished(result));
 }
 
 /// A job's queue ran dry (or it hit a terminal stop): take it out of the
-/// table and return its outcome. Idempotent — only slots still in a
-/// running phase settle, so racing stints cannot double-resolve.
-fn settle(st: &mut State, obs: Option<&JobObserver>, job: &Job) -> Option<JobOutcome> {
+/// table and end it. Idempotent — only slots still in a running phase
+/// settle, so racing stints cannot end a job twice.
+fn settle(st: &mut State, obs: Option<&JobObserver>, job: &Job) {
     let running = |s: &Slot| s.job.id == job.id && matches!(s.phase, Phase::Ready | Phase::Pausing);
-    let pos = st.slots.iter().position(running)?;
-    let slot = st.slots.remove(pos);
-    Some(finish(st, obs, job, slot.submitted_us))
-}
-
-/// Resolves a job that is out of the table once every worker has let go
-/// of it, so whoever the outcome wakes finds the job — and the graph it
-/// held — released. A worker still holding it is past its stint and
-/// needs only the state lock to let go, so the caller must not hold that
-/// lock while workers run.
-fn release(job: Arc<Job>, outcome: JobOutcome) {
-    while Arc::strong_count(&job) > 1 {
-        std::thread::yield_now();
+    if let Some(pos) = st.slots.iter().position(running) {
+        let slot = st.slots.remove(pos);
+        finish(st, obs, job, slot.submitted_us);
     }
-    let cell = Arc::clone(&job.cell);
-    drop(job);
-    cell.resolve(outcome);
 }
 
 fn worker_loop(shared: Arc<Shared>, lane: u32) {
@@ -401,11 +409,11 @@ fn worker_loop(shared: Arc<Shared>, lane: u32) {
         // Sibling stints may still be in flight; the last one out (checked
         // under the state lock) settles a job that ran dry or stopped and
         // parks one whose pause has taken hold — whether or not its own
-        // stint saw the pause flag.
-        let mut settled = None;
+        // stint saw the pause flag. An ended job's outcome goes out when
+        // the last of them drops it.
         if job.core.active_stints() == 0 {
             if matches!(stint, Stint::Ran { drained: true, .. } | Stint::Stopped(_)) {
-                settled = settle(&mut st, obs, &job);
+                settle(&mut st, obs, &job);
             } else if let Some(slot) =
                 st.slots.iter_mut().find(|s| s.job.id == job.id && s.phase == Phase::Pausing)
             {
@@ -416,9 +424,6 @@ fn worker_loop(shared: Arc<Shared>, lane: u32) {
         promote(&cfg, &mut st, obs);
         drop(st);
         shared.work.notify_all();
-        if let Some(outcome) = settled {
-            release(job, outcome);
-        }
     }
 }
 
@@ -509,8 +514,8 @@ impl Supervisor {
         };
         let JobSpec { name, priority, graph, plan, config, resume, .. } = spec;
         let built: Result<JobCore<'static>, CheckpointError> = match resume {
-            None => Ok(JobCore::new(graph, plan, config)),
-            Some(snapshot) => JobCore::resume(graph, plan, config, snapshot),
+            None => Ok(JobCore::new(Arc::clone(&graph), plan, config)),
+            Some(snapshot) => JobCore::resume(Arc::clone(&graph), plan, config, snapshot),
         };
         let mut st = self.shared.lock();
         match built {
@@ -531,7 +536,8 @@ impl Supervisor {
                         name: name.clone(),
                         priority,
                         core,
-                        cell: Arc::clone(&cell),
+                        _graph: graph,
+                        ending: Ending { cell: Arc::clone(&cell), outcome: OnceLock::new() },
                     });
                     st.slots.push(Slot {
                         job,
@@ -549,6 +555,14 @@ impl Supervisor {
         JobHandle { id, name, cell }
     }
 
+    /// Makes every fresh id (a [`JobSpec::id`] of `None`) exceed `max_seen`:
+    /// what a caller whose ids outlive the process (`serve`'s journal)
+    /// does once, with the largest id it handed out before.
+    pub fn reserve_ids(&self, max_seen: u64) {
+        let mut st = self.shared.lock();
+        st.last_id = st.last_id.max(max_seen);
+    }
+
     /// Point-in-time counters and gauges.
     pub fn stats(&self) -> SupervisorStats {
         let st = self.shared.lock();
@@ -563,14 +577,10 @@ impl Supervisor {
             st.slots.iter().filter(|s| matches!(s.phase, Phase::Ready | Phase::Pausing)).count()
                 as u64;
         SupervisorStats {
-            submitted: st.stats.submitted,
-            rejected: st.stats.rejected,
-            preempted: st.stats.preempted,
-            completed: st.stats.completed,
-            drained: st.stats.drained,
             queued,
             running,
             queued_by_priority: by_priority.into_iter().collect(),
+            ..st.stats.clone()
         }
     }
 
@@ -594,20 +604,15 @@ impl Supervisor {
         doc.counter("fm_jobs_drained_total", "Jobs drained to checkpoints at shutdown", s.drained);
         doc.gauge("fm_jobs_queued", "Admitted jobs waiting for a run slot", s.queued as f64);
         doc.gauge("fm_jobs_running", "Jobs currently holding a run slot", s.running as f64);
-        let prio_keys: Vec<String> =
-            s.queued_by_priority.iter().map(|(p, _)| p.to_string()).collect();
-        let prio_labels: Vec<[(&str, &str); 1]> =
-            prio_keys.iter().map(|p| [("priority", p.as_str())]).collect();
-        let prio_rows: Vec<(&[(&str, &str)], f64)> = prio_labels
+        let keys: Vec<String> = s.queued_by_priority.iter().map(|(p, _)| p.to_string()).collect();
+        let labels: Vec<[(&str, &str); 1]> = keys.iter().map(|p| [("priority", &p[..])]).collect();
+        let rows: Vec<(&[(&str, &str)], f64)> = labels
             .iter()
-            .zip(s.queued_by_priority.iter())
-            .map(|(labels, (_, n))| (&labels[..], *n as f64))
+            .zip(&s.queued_by_priority)
+            .map(|(l, (_, n))| (&l[..], *n as f64))
             .collect();
-        doc.gauge_vec(
-            "fm_jobs_queued_by_priority",
-            "Admitted jobs waiting for a run slot, by job priority",
-            &prio_rows,
-        );
+        let help = "Admitted jobs waiting for a run slot, by job priority";
+        doc.gauge_vec("fm_jobs_queued_by_priority", help, &rows);
         doc
     }
 
@@ -671,10 +676,10 @@ impl Supervisor {
         let slots = std::mem::take(&mut st.slots);
         for slot in slots {
             let job = slot.job;
-            // The workers are joined: nothing else holds a job here.
+            // The workers are joined: each job's outcome goes out as it is
+            // dropped here.
             if job.core.is_drained() || job.core.stop_status().is_some() {
-                let outcome = finish(&mut st, obs, &job, slot.submitted_us);
-                release(job, outcome);
+                finish(&mut st, obs, &job, slot.submitted_us);
                 continue;
             }
             if let Some(obs) = obs {
@@ -701,7 +706,7 @@ impl Supervisor {
                 obs.event(job.id, "drained", detail);
             }
             drained.push(DrainedJob { name: job.name.clone(), checkpoint: path.clone(), error });
-            release(job, JobOutcome::Drained { checkpoint: path });
+            job.end(JobOutcome::Drained { checkpoint: path });
         }
         drained
     }

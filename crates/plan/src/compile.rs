@@ -324,13 +324,47 @@ mod tests {
 
     /// A pattern a client types is compiled inside the request handler, so
     /// compiling the largest symmetric ones must stay cheap: listing a
-    /// 12-clique's group alone took gigabytes.
+    /// 12-clique's group alone took gigabytes. Regular 16-vertex patterns
+    /// are the other hard case: degrees prune no image, and every image
+    /// outside an orbit costs a search that fails — most of all when the
+    /// group is trivial.
     #[test]
     fn the_largest_symmetric_patterns_compile_in_well_under_a_second() {
         let factorial = |n: usize| (1..=n).product::<usize>();
-        for (pattern, automorphisms) in
-            [(Pattern::k_clique(16), factorial(16)), (Pattern::star(15), factorial(15))]
-        {
+        let regular = |adjacent: fn(usize, usize) -> bool| {
+            let edges: Vec<(usize, usize)> = (0..16)
+                .flat_map(|a| (a + 1..16).map(move |b| (a, b)))
+                .filter(|&(a, b)| adjacent(a, b))
+                .collect();
+            Pattern::from_edges(16, &edges).unwrap()
+        };
+        // Shrikhande: Z4 × Z4, adjacent when the difference is ±(0,1), ±(1,0) or ±(1,1).
+        let shrikhande = |a: usize, b: usize| {
+            let d = ((b / 4 + 4 - a / 4) % 4, (b % 4 + 4 - a % 4) % 4);
+            [(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)].contains(&d)
+        };
+        // Möbius–Kantor, the generalized Petersen graph GP(8, 3).
+        let moebius_kantor = |a: usize, b: usize| match (a < 8, b < 8) {
+            (true, true) => b - a == 1 || b - a == 7,
+            (true, false) => b == a + 8,
+            (false, false) => b - a == 3 || b - a == 5,
+            (false, true) => false,
+        };
+        // Cubic, with no automorphism but the identity.
+        let rigid: Pattern = "0-1,0-7,0-8,1-3,1-15,2-4,2-5,2-10,3-11,3-13,4-6,4-13,5-7,5-9,6-10,\
+            6-11,7-15,8-10,8-14,9-12,9-13,11-12,12-14,14-15"
+            .parse()
+            .unwrap();
+        for (pattern, automorphisms) in [
+            (Pattern::k_clique(16), factorial(16)),
+            (Pattern::star(15), factorial(15)),
+            (regular(|a, b| (a ^ b).count_ones() == 1), 384), // the 4-cube
+            (regular(|a, b| matches!((a ^ b).count_ones(), 1 | 4)), 1920), // Clebsch
+            (regular(|a, b| a / 4 == b / 4 || a % 4 == b % 4), 1152), // 4 × 4 rook's graph
+            (regular(shrikhande), 192),
+            (regular(moebius_kantor), 96),
+            (rigid, 1),
+        ] {
             let started = std::time::Instant::now();
             let plan = compile(&pattern, CompileOptions::default());
             let took = started.elapsed();
