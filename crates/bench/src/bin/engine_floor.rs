@@ -6,11 +6,15 @@
 //! against `mine_prepared` at one thread in the default configuration, on
 //! generator specs shaped like the benchmark's three CLI workloads
 //! (`cli-skew`, `cli-flat`, `cli-load`; `--quick` divides the vertex
-//! counts by 8). Counts are asserted equal; the ratio column is the price
-//! of interpreting the plan.
+//! counts by 8). Between the two sits the bare executor: `Executor::run_vertex`
+//! over every start vertex, with no `JobCore` (no task cursor, panic
+//! boundary, rollback copy or publication). Counts are asserted equal. The
+//! ratio column is the whole price of the engine, and it splits into
+//! `interp` (executor over loop: interpreting the plan) times `tasks`
+//! (engine over executor: the task loop around it).
 
 use fm_bench::harness::{fmt_secs, fmt_x, BenchArgs, Table};
-use fm_engine::{mine_prepared, prepare, EngineConfig};
+use fm_engine::{mine_prepared, prepare, EngineConfig, Executor};
 use fm_graph::{generators, orient_by_degree, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
@@ -108,7 +112,20 @@ fn main() {
     let mut table = Table::new(
         "engine_floor",
         "one-thread engine against a hand-written scalar merge loop on the oriented DAG",
-        &["graph", "pattern", "count", "naive", "engine", "naive-ms", "engine-ms", "ratio"],
+        &[
+            "graph",
+            "pattern",
+            "count",
+            "naive",
+            "executor",
+            "engine",
+            "naive-ms",
+            "executor-ms",
+            "engine-ms",
+            "interp",
+            "tasks",
+            "ratio",
+        ],
     );
     type Naive = fn(&CsrGraph) -> u64;
     let patterns: [(Pattern, Naive); 2] =
@@ -119,23 +136,38 @@ fn main() {
             let plan = compile(pattern, CompileOptions::default());
             let prepared = prepare(g, &plan, &cfg);
             let (naive_s, want) = best_of(|| naive(&dag));
+            let (executor_s, bare) = best_of(|| {
+                let mut ex = Executor::new(&prepared, &plan, &cfg);
+                for v in prepared.graph().vertices() {
+                    ex.run_vertex(v);
+                }
+                ex.finish().counts
+            });
             let (engine_s, got) = best_of(|| mine_prepared(&prepared, &plan, &cfg).counts);
             let label = &plan.patterns[0].name;
             assert_eq!(got, vec![want], "{name} {label}: the engine and the loop disagree");
+            assert_eq!(bare, vec![want], "{name} {label}: the executor and the loop disagree");
+            let ratio = |a: f64, b: f64| fmt_x(a / b.max(1e-12));
             table.push(vec![
                 name.to_string(),
                 label.clone(),
                 want.to_string(),
                 fmt_secs(naive_s),
+                fmt_secs(executor_s),
                 fmt_secs(engine_s),
                 format!("{:.2}", naive_s * 1e3),
+                format!("{:.2}", executor_s * 1e3),
                 format!("{:.2}", engine_s * 1e3),
-                fmt_x(engine_s / naive_s.max(1e-12)),
+                ratio(executor_s, naive_s),
+                ratio(engine_s, executor_s),
+                ratio(engine_s, naive_s),
             ]);
         }
     }
     table.note(format!("one thread, best of {RUNS}, prepare excluded, default EngineConfig"));
     table.note("naive: scalar merge loops, no counters; engine: mine_prepared with every counter");
+    table.note("executor: Executor::run_vertex over every start vertex, no JobCore");
+    table.note("interp = executor / naive; tasks = engine / executor; ratio = engine / naive");
     if args.quick {
         table.note("--quick: vertex counts divided by 8");
     }

@@ -19,7 +19,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, CheckpointSink};
 use crate::control::{CancelToken, Progress};
 use crate::executor::{payload_string, prepare, Held, PreparedGraph};
-use crate::result::{detect_stragglers, MiningResult, STRAGGLER_MIN_TASK, STRAGGLER_RATIO};
+use crate::result::MiningResult;
 use crate::stream::{JobCore, Observer};
 use crate::telemetry::TelemetryOptions;
 use crate::EngineConfig;
@@ -156,7 +156,7 @@ fn run(
     if let Some(token) = cancel {
         core.cancel = token;
     }
-    core.task_times = Some(Mutex::new(Vec::new()));
+    core.task_times = Some(Mutex::default());
     if telemetry.metrics || telemetry.trace.is_some() {
         let observer =
             Observer::new(telemetry.metrics, telemetry.trace, true, DEFAULT_SPAN_CAPACITY);
@@ -188,8 +188,7 @@ fn run(
     }
     let mut total = core.result();
     if let Some(times) = core.task_times.take() {
-        let mut times = times.into_inner().expect("task-time lock poisoned");
-        total.stragglers = detect_stragglers(&mut times, STRAGGLER_RATIO, STRAGGLER_MIN_TASK);
+        total.stragglers = times.into_inner().expect("task-time lock poisoned").stragglers();
     }
     (total.checkpoint_error, total.checkpoint_failures) = core.finish_sink();
     if let Some(mut shard) = core.take_telemetry() {

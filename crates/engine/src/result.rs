@@ -1,6 +1,7 @@
 //! Mining results and work counters.
 
 use fm_plan::ExecutionPlan;
+use fm_telemetry::Log2Histogram;
 use std::ops::AddAssign;
 use std::time::Duration;
 
@@ -209,38 +210,88 @@ pub struct Straggler {
     pub vid: u32,
     /// Wall-clock time of the task (all retry attempts included).
     pub elapsed: Duration,
-    /// Median task time of the whole run, for scale.
+    /// Median task time of the whole run, for scale: the upper bound of
+    /// the power-of-two histogram bucket that holds it, so at most twice
+    /// the exact median. While that bound stays at or below 1.25 ms
+    /// ([`STRAGGLER_MIN_TASK`] / [`STRAGGLER_RATIO`]) the floor alone sets
+    /// the threshold, and the roster is the one the exact median gives.
     pub median: Duration,
 }
 
-/// Flags tasks whose elapsed time (`(vid, nanoseconds)`) is at least
-/// `ratio`× the run's median task time (and at least `min_task`, filtering
-/// timer noise on microsecond-scale tasks). Returns the stragglers sorted
-/// slowest-first, capped at [`MAX_STRAGGLERS`] entries so the report stays
-/// bounded on pathological inputs. Reorders `times`.
-pub(crate) fn detect_stragglers(
-    times: &mut [(u32, u64)],
-    ratio: u32,
-    min_task: Duration,
-) -> Vec<Straggler> {
-    if ratio == 0 || times.is_empty() {
-        return Vec::new();
-    }
-    let (_, &mut (_, median), _) =
-        times.select_nth_unstable_by_key(times.len() / 2, |&(_, nanos)| nanos);
-    let min_task = u64::try_from(min_task.as_nanos()).unwrap_or(u64::MAX);
-    let threshold = median.saturating_mul(u64::from(ratio)).max(min_task);
-    let median = Duration::from_nanos(median);
-    let mut out: Vec<Straggler> = times
-        .iter()
-        .filter(|&&(_, nanos)| nanos >= threshold && nanos > 0)
-        .map(|&(vid, nanos)| Straggler { vid, elapsed: Duration::from_nanos(nanos), median })
-        .collect();
-    // Ties on duration keep the report deterministic by vid order.
-    out.sort_unstable_by(|a, b| b.elapsed.cmp(&a.elapsed).then(a.vid.cmp(&b.vid)));
-    out.truncate(MAX_STRAGGLERS);
-    out
+/// Task times of a run in constant memory: a [`Log2Histogram`] of every
+/// task, for the median, and the slowest tasks of at least
+/// [`STRAGGLER_MIN_TASK`], at most [`MAX_STRAGGLERS`] of them. Each stint
+/// fills its own and merges it into the run's once.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TaskTimes {
+    hist: Log2Histogram,
+    /// `(vid, nanoseconds)`, in no order.
+    slowest: Vec<(u32, u64)>,
 }
+
+impl TaskTimes {
+    pub(crate) fn record(&mut self, vid: u32, nanos: u64) {
+        self.hist.record(nanos);
+        if nanos >= MIN_TASK_NANOS {
+            self.keep(vid, nanos);
+        }
+    }
+
+    pub(crate) fn merge(&mut self, other: TaskTimes) {
+        self.hist.merge(&other.hist);
+        for (vid, nanos) in other.slowest {
+            self.keep(vid, nanos);
+        }
+    }
+
+    /// Keeps the [`MAX_STRAGGLERS`] first tasks in roster order: slowest
+    /// first, ties by vid.
+    fn keep(&mut self, vid: u32, nanos: u64) {
+        let rank = |&(vid, nanos): &(u32, u64)| (std::cmp::Reverse(nanos), vid);
+        if self.slowest.len() < MAX_STRAGGLERS {
+            self.slowest.push((vid, nanos));
+        } else if let Some(last) = self.slowest.iter_mut().max_by_key(|t| rank(t)) {
+            if rank(&(vid, nanos)) < rank(last) {
+                *last = (vid, nanos);
+            }
+        }
+    }
+
+    /// The roster: every kept task of at least [`STRAGGLER_RATIO`] times
+    /// the median bucket's bound (and [`STRAGGLER_MIN_TASK`]), slowest
+    /// first, ties by vid.
+    pub(crate) fn stragglers(self) -> Vec<Straggler> {
+        let Some(median) = self.median_bound() else { return Vec::new() };
+        let threshold = median.saturating_mul(u64::from(STRAGGLER_RATIO)).max(MIN_TASK_NANOS);
+        let median = Duration::from_nanos(median);
+        let mut out: Vec<Straggler> = self
+            .slowest
+            .into_iter()
+            .filter(|&(_, nanos)| nanos >= threshold)
+            .map(|(vid, nanos)| Straggler { vid, elapsed: Duration::from_nanos(nanos), median })
+            .collect();
+        out.sort_unstable_by(|a, b| b.elapsed.cmp(&a.elapsed).then(a.vid.cmp(&b.vid)));
+        out
+    }
+
+    /// The inclusive upper bound of the bucket holding task
+    /// `count / 2` in time order; `None` before any task.
+    fn median_bound(&self) -> Option<u64> {
+        if self.hist.is_empty() {
+            return None;
+        }
+        let middle = self.hist.count / 2;
+        let mut seen = 0;
+        let bucket = self.hist.buckets.iter().position(|&n| {
+            seen += n;
+            seen > middle
+        })?;
+        Some(Log2Histogram::bucket_le(bucket))
+    }
+}
+
+/// [`STRAGGLER_MIN_TASK`] in the histogram's unit (10⁷ fits a `u64`).
+const MIN_TASK_NANOS: u64 = STRAGGLER_MIN_TASK.as_nanos() as u64;
 
 /// Upper bound on the straggler roster in one [`MiningResult`].
 pub const MAX_STRAGGLERS: usize = 32;
@@ -358,29 +409,51 @@ impl MiningResult {
 mod tests {
     use super::*;
 
+    fn times(tasks: impl IntoIterator<Item = (u32, u64)>) -> TaskTimes {
+        let mut t = TaskTimes::default();
+        for (vid, nanos) in tasks {
+            t.record(vid, nanos);
+        }
+        t
+    }
+
     #[test]
     fn straggler_detection_flags_outliers_deterministically() {
         let ms = Duration::from_millis;
         let nanos = |m: u64| m * 1_000_000;
-        let mut times =
-            vec![(0, nanos(10)), (1, nanos(11)), (2, nanos(9)), (3, nanos(200)), (4, nanos(10))];
-        let out = detect_stragglers(&mut times, 8, Duration::ZERO);
+        let run = [(0, nanos(10)), (1, nanos(11)), (2, nanos(9)), (3, nanos(200)), (4, nanos(10))];
+        let out = times(run).stragglers();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].vid, 3);
         assert_eq!(out[0].elapsed, ms(200));
-        assert_eq!(out[0].median, ms(10));
-        // Ratio 0 disables detection entirely.
-        assert!(detect_stragglers(&mut times, 0, Duration::ZERO).is_empty());
-        // The floor suppresses timer noise: everything below min_task is
-        // ignored even when the ratio would flag it.
-        let mut tiny = vec![(0, nanos(1)), (1, nanos(1)), (2, nanos(3))];
-        assert!(detect_stragglers(&mut tiny, 2, ms(50)).is_empty());
+        // The median is its bucket's bound: 10 ms lies in [2^23, 2^24) ns.
+        assert_eq!(out[0].median, Duration::from_nanos((1 << 24) - 1));
+        assert!(TaskTimes::default().stragglers().is_empty());
+        // The floor suppresses timer noise: nothing below it is flagged,
+        // however small the median.
+        assert!(times([(0, nanos(1)), (1, nanos(1)), (2, nanos(3))]).stragglers().is_empty());
         // Slowest-first ordering with vid tiebreak, capped at MAX_STRAGGLERS.
-        let mut many: Vec<(u32, u64)> = (0..190).map(|v| (v, nanos(1))).collect();
-        many.extend((190..230).map(|v| (v, nanos(100))));
-        let out = detect_stragglers(&mut many, 4, Duration::ZERO);
+        let many = (0..190).map(|v| (v, nanos(1))).chain((190..230).map(|v| (v, nanos(100))));
+        let out = times(many).stragglers();
         assert_eq!(out.len(), MAX_STRAGGLERS);
         assert!(out.windows(2).all(|w| w[0].elapsed >= w[1].elapsed));
         assert_eq!(out[0].vid, 190);
+        assert_eq!(out.last().map(|s| s.vid), Some(190 + MAX_STRAGGLERS as u32 - 1));
+    }
+
+    #[test]
+    fn merged_stints_report_what_one_stint_reports() {
+        let nanos = |m: u64| m * 1_000_000;
+        // Every fifth task is slow, more of them than the roster holds, with
+        // ties on duration.
+        let slow = |v: u32| if v.is_multiple_of(5) { 20 + u64::from(v % 17) } else { 1 };
+        let run: Vec<(u32, u64)> = (0..300).map(|v| (v, nanos(slow(v)))).collect();
+        let whole = times(run.iter().copied()).stragglers();
+        let mut merged = TaskTimes::default();
+        for stint in run.chunks(37) {
+            merged.merge(times(stint.iter().copied()));
+        }
+        assert_eq!(merged.stragglers(), whole);
+        assert_eq!(whole.len(), MAX_STRAGGLERS);
     }
 }

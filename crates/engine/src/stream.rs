@@ -50,7 +50,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointSink};
 use crate::control::{CancelToken, Progress};
 use crate::executor::{Executor, Held, PreparedGraph};
-use crate::result::{Fault, MiningResult, RunStatus};
+use crate::result::{Fault, MiningResult, RunStatus, TaskTimes};
 use crate::telemetry::Collector;
 use crate::EngineConfig;
 use fm_graph::{CsrGraph, VertexId};
@@ -226,10 +226,10 @@ pub struct JobCore<'g> {
     /// Metrics and spans, off (`None`) by default so unobserved jobs pay
     /// one null check per stint.
     pub(crate) observer: Option<Observer>,
-    /// Per-task elapsed times `(vid, nanoseconds)` for straggler
-    /// detection, published one batch per stint. `None` — no per-task
-    /// clock read, no lock — unless a driver reports stragglers.
-    pub(crate) task_times: Option<Mutex<Vec<(u32, u64)>>>,
+    /// Task times for straggler detection, merged once per stint, in
+    /// constant memory. `None` — no per-task clock read, no lock — unless
+    /// a driver reports stragglers.
+    pub(crate) task_times: Option<Mutex<TaskTimes>>,
     /// Live progress reporting, off by default.
     pub(crate) progress: Option<Progress>,
     /// Durable checkpointing: while attached, every finished task is
@@ -488,7 +488,7 @@ impl<'g> JobCore<'g> {
             let ring = o.span_capacity.min(usize::try_from(most).unwrap_or(usize::MAX));
             ex.set_telemetry(Collector::new(o.metrics, task_clock, lane, ring));
         }
-        let mut times = self.task_times.is_some().then(Vec::new);
+        let mut times = self.task_times.is_some().then(TaskTimes::default);
         // One clock read per task boundary: inside a stint the end of one
         // task is the start of the next, so a task's time includes the
         // bookkeeping between it and its predecessor.
@@ -519,7 +519,7 @@ impl<'g> JobCore<'g> {
                     let elapsed = now - started;
                     boundary = Some(now);
                     if let Some(times) = times.as_mut() {
-                        times.push((v, elapsed.as_nanos() as u64));
+                        times.record(v, elapsed.as_nanos() as u64);
                     }
                     if let Some(t) = ex.telemetry() {
                         t.record_task(v, span_start, elapsed);
@@ -549,7 +549,7 @@ impl<'g> JobCore<'g> {
             }
         }
         if let (Some(shared), Some(times)) = (&self.task_times, times) {
-            shared.lock().expect("task-time lock poisoned").extend(times);
+            shared.lock().expect("task-time lock poisoned").merge(times);
         }
         let stint =
             preempted.unwrap_or_else(|| Stint::Ran { tasks: ran, drained: self.is_drained() });

@@ -176,32 +176,44 @@ pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> CsrGraph {
 ///
 /// Panics if `m == 0` or `n < m + 1`.
 pub fn powerlaw_cluster(n: usize, m: usize, closure: f64, seed: u64) -> CsrGraph {
-    let mut adj = powerlaw_cluster_adjacency(n, m, closure, seed);
+    let (mut adj, mut log) = powerlaw_cluster_growth(n, m, closure, seed);
     // Row `u` is already in CSR order but for its head: the (at most) `m`
     // targets `u` chose itself, all below `u` and in draw order, are
     // followed by the later vertices that attached to `u`, ascending. (A
     // seed-clique row is ascending throughout.) Sorting the head is the
-    // whole build; no edge is re-emitted or scattered.
+    // whole build; no edge is re-emitted or scattered. The endpoint log
+    // holds both ends of every edge, as many entries as the rows together,
+    // so its buffer becomes the neighbour array.
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0);
-    let mut neighbors = Vec::with_capacity(adj.iter().map(Vec::len).sum());
+    log.clear();
     for row in &mut adj {
         let own = row.len().min(m);
         row[..own].sort_unstable();
-        neighbors.extend(row.iter().map(|&v| VertexId(v)));
-        offsets.push(neighbors.len());
+        log.extend_from_slice(row);
+        offsets.push(log.len());
     }
-    CsrGraph::from_parts(offsets, neighbors).expect("powerlaw cluster graph is always valid")
+    // `VertexId` is a transparent `u32`: collected in place.
+    let neighbors = log.into_iter().map(VertexId).collect();
+    CsrGraph::from_valid_parts(offsets, neighbors)
 }
 
 /// The growth process behind [`powerlaw_cluster`]: every vertex's
-/// neighbours in the order the edges were added.
-fn powerlaw_cluster_adjacency(n: usize, m: usize, closure: f64, seed: u64) -> Vec<Vec<u32>> {
+/// neighbours in the order the edges were added, and the endpoint log the
+/// degree-proportional draws sample from.
+fn powerlaw_cluster_growth(
+    n: usize,
+    m: usize,
+    closure: f64,
+    seed: u64,
+) -> (Vec<Vec<u32>>, Vec<u32>) {
     assert!(m >= 1, "each new vertex must attach at least one edge");
     assert!(n > m, "need at least m+1 vertices for the seed clique");
     let mut rng = StdRng::seed_from_u64(seed);
+    // The endpoint log ends holding both ends of the seed clique's edges
+    // and of the `m` edges of every later vertex.
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut endpoints: Vec<u32> = Vec::new();
+    let mut endpoints: Vec<u32> = Vec::with_capacity(m * (m + 1) + 2 * m * (n - m - 1));
     let add = |adj: &mut Vec<Vec<u32>>, endpoints: &mut Vec<u32>, a: u32, b: u32| {
         adj[a as usize].push(b);
         adj[b as usize].push(a);
@@ -231,11 +243,14 @@ fn powerlaw_cluster_adjacency(n: usize, m: usize, closure: f64, seed: u64) -> Ve
                 prev = None; // avoid livelock on saturated neighborhoods
             }
         }
+        // A row is empty until its vertex names its `m` targets; it is
+        // sized then, beside the rows allocated before it.
+        adj[u as usize] = Vec::with_capacity(m);
         for &t in &targets {
             add(&mut adj, &mut endpoints, u, t);
         }
     }
-    adj
+    (adj, endpoints)
 }
 
 /// Appends `hubs` new high-degree vertices, each adjacent to every
@@ -441,7 +456,7 @@ mod tests {
             (41, 40, 0.5, 4),
         ] {
             let mut b = GraphBuilder::new().vertices(n);
-            for (u, list) in powerlaw_cluster_adjacency(n, m, closure, seed).iter().enumerate() {
+            for (u, list) in powerlaw_cluster_growth(n, m, closure, seed).0.iter().enumerate() {
                 for &v in list.iter().filter(|&&v| (u as u32) < v) {
                     b = b.edge(u as u32, v);
                 }
