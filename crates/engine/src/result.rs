@@ -257,12 +257,12 @@ impl TaskTimes {
         }
     }
 
-    /// The roster: every kept task of at least [`STRAGGLER_RATIO`] times
-    /// the median bucket's bound (and [`STRAGGLER_MIN_TASK`]), slowest
-    /// first, ties by vid.
+    /// The roster: every kept task (so of at least [`STRAGGLER_MIN_TASK`])
+    /// of at least [`STRAGGLER_RATIO`] times the median bucket's bound,
+    /// slowest first, ties by vid.
     pub(crate) fn stragglers(self) -> Vec<Straggler> {
         let Some(median) = self.median_bound() else { return Vec::new() };
-        let threshold = median.saturating_mul(u64::from(STRAGGLER_RATIO)).max(MIN_TASK_NANOS);
+        let threshold = median.saturating_mul(u64::from(STRAGGLER_RATIO));
         let median = Duration::from_nanos(median);
         let mut out: Vec<Straggler> = self
             .slowest
@@ -430,8 +430,10 @@ mod tests {
         assert_eq!(out[0].median, Duration::from_nanos((1 << 24) - 1));
         assert!(TaskTimes::default().stragglers().is_empty());
         // The floor suppresses timer noise: nothing below it is flagged,
-        // however small the median.
-        assert!(times([(0, nanos(1)), (1, nanos(1)), (2, nanos(3))]).stragglers().is_empty());
+        // however small the median. Here the median is about 1 µs, so the
+        // ratio alone would flag the 3 ms task.
+        let tiny = (0..99).map(|v| (v, 1_000)).chain([(99, nanos(3))]);
+        assert!(times(tiny).stragglers().is_empty());
         // Slowest-first ordering with vid tiebreak, capped at MAX_STRAGGLERS.
         let many = (0..190).map(|v| (v, nanos(1))).chain((190..230).map(|v| (v, nanos(100))));
         let out = times(many).stragglers();

@@ -81,6 +81,8 @@ pub(crate) fn read_blocks<R: Read>(
     } else {
         let (work, queue) = mpsc::sync_channel::<(usize, Block)>(workers);
         let queue = Mutex::new(queue);
+        // Parsed blocks' buffers come back to the reader: fresh buffers
+        // left `cli-load`'s peak RSS 4.6 MB higher at the same speed.
         let (recycle, spare) = mpsc::channel();
         // Only tells the reader to stop early: the results themselves come
         // back through `join`.
