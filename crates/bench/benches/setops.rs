@@ -40,7 +40,7 @@ fn bench_intersections(c: &mut Criterion) {
             let mut w = WorkCounters::default();
             bench.iter(|| {
                 out.clear();
-                setops::intersect(&a, &b, None, 1, None, None, &mut out, &mut w);
+                setops::intersect(&a, &b, None, 1, None, &mut out, &mut w);
                 out.len()
             });
         });
@@ -50,7 +50,7 @@ fn bench_intersections(c: &mut Criterion) {
             let bound = Some(a[a.len() / 2]);
             bench.iter(|| {
                 out.clear();
-                setops::intersect(&a, &b, bound, 0, None, None, &mut out, &mut w);
+                setops::intersect(&a, &b, bound, 0, None, &mut out, &mut w);
                 out.len()
             });
         });
@@ -78,7 +78,7 @@ fn bench_asymmetric(c: &mut Criterion) {
         let mut w = WorkCounters::default();
         bench.iter(|| {
             out.clear();
-            setops::intersect(&small, &large, None, 1, None, None, &mut out, &mut w);
+            setops::intersect(&small, &large, None, 1, None, &mut out, &mut w);
             out.len()
         });
     });

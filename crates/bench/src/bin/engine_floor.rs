@@ -2,7 +2,7 @@
 //!
 //! A report, not a gate: the triangle and the 4-clique counted by the
 //! dozen lines of scalar merge loop anyone would write over the
-//! degree-oriented DAG — no plan, no dispatcher, no SIMD, no counters —
+//! degree-oriented DAG — no plan, no dispatcher, no counters —
 //! against `mine_prepared` at one thread in the default configuration, on
 //! generator specs shaped like the benchmark's three CLI workloads
 //! (`cli-skew`, `cli-flat`, `cli-load`; `--quick` divides the vertex

@@ -206,7 +206,6 @@ commands:
         [--induced] [--threads N] [--no-symmetry]
         [--timeout SECS] [--budget SETOP_ITERS]
         [--no-hub-bitmap] [--hub-threshold DEGREE] [--hub-budget BYTES]
-        [--no-simd]
         [--checkpoint PATH] [--checkpoint-interval N|SECSs] [--resume PATH]
         [--max-retries K]
         [--metrics-out PATH] [--trace-out PATH] [--progress N|Ns]
@@ -333,7 +332,6 @@ const COUNT_FLAGS: Flags = &[
     ("--no-hub-bitmap", false),
     ("--hub-threshold", true),
     ("--hub-budget", true),
-    ("--no-simd", false),
     ("--checkpoint", true),
     ("--checkpoint-interval", true),
     ("--resume", true),
@@ -453,9 +451,6 @@ fn cmd_count(args: &[String]) -> CliResult {
     let mut cfg = EngineConfig::with_threads(threads);
     if has_flag(args, "--no-hub-bitmap") {
         cfg.hub_bitmap = false;
-    }
-    if has_flag(args, "--no-simd") {
-        cfg.simd = false;
     }
     if let Some(v) = flag_value(args, "--hub-threshold") {
         cfg.hub_degree_threshold = v.parse().map_err(|e| format!("bad --hub-threshold: {e}"))?;

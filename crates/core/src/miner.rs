@@ -350,19 +350,6 @@ impl<'g> Miner<'g> {
         self
     }
 
-    /// Toggles the vectorized set-op kernel tier on the software backend
-    /// (see [`EngineConfig::simd`]). Counts, status, and all non-dispatch
-    /// work counters are identical either way; merge-tier dispatches are
-    /// relabeled as SIMD dispatches when on. No-op for the accelerator
-    /// backend, whose merge datapath is cycle-modeled, not executed.
-    #[must_use]
-    pub fn simd(mut self, enabled: bool) -> Self {
-        if let Backend::Software(cfg) = &mut self.backend {
-            cfg.simd = enabled;
-        }
-        self
-    }
-
     /// Sets the hub selection degree threshold and memory budget in bytes
     /// (software backend only; see [`EngineConfig::hub_degree_threshold`]
     /// and [`EngineConfig::hub_memory_budget`]).
@@ -666,28 +653,6 @@ mod tests {
         assert_eq!(off.work().unwrap().probe_dispatches, 0);
         // The accelerator backend has no probe port; the toggle is a no-op.
         let hw = job.backend(Backend::accelerator()).hub_bitmap(true).run().unwrap();
-        assert_eq!(hw.counts(), on.counts());
-    }
-
-    #[test]
-    fn simd_toggle_relabels_merge_dispatches_only() {
-        let g = generators::powerlaw_cluster(150, 4, 0.5, 8);
-        let job = Miner::new(&g).pattern(Pattern::diamond());
-        let on = job.clone().simd(true).run().unwrap();
-        let off = job.clone().simd(false).run().unwrap();
-        assert_eq!(on.counts(), off.counts());
-        let (won, woff) = (on.work().unwrap(), off.work().unwrap());
-        if fm_engine::simd::runtime_available() {
-            assert_eq!(won.simd_dispatches, woff.merge_dispatches);
-            assert_eq!(won.merge_dispatches, 0);
-        }
-        assert!(woff.merge_dispatches > 0, "the diamond must reach the merge tier");
-        assert_eq!(woff.simd_dispatches, 0);
-        assert_eq!(won.setop_iterations, woff.setop_iterations);
-        assert_eq!(won.comparisons, woff.comparisons);
-        // The accelerator backend cycle-models its merges; the toggle is a
-        // no-op there.
-        let hw = job.backend(Backend::accelerator()).simd(true).run().unwrap();
         assert_eq!(hw.counts(), on.counts());
     }
 

@@ -106,7 +106,6 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
                 (&[("tier", "merge")], w.merge_dispatches),
                 (&[("tier", "gallop")], w.gallop_dispatches),
                 (&[("tier", "probe")], w.probe_dispatches),
-                (&[("tier", "simd")], w.simd_dispatches),
             ],
         );
     }
@@ -140,12 +139,6 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
             "fm_depth_probe_dispatches",
             "Probe-tier dispatches by DFS depth",
             &shard.depth_probe,
-        );
-        depth_counter(
-            &mut doc,
-            "fm_depth_simd_dispatches",
-            "SIMD-tier dispatches by DFS depth",
-            &shard.depth_simd,
         );
         doc.log2_histogram(
             "fm_task_wall_time_us",
@@ -317,7 +310,7 @@ mod tests {
         assert!(prom.contains("fm_pattern_count{pattern=\"4-clique\"}"), "{prom}");
         assert!(prom.contains("fm_depth_setop_iterations{depth=\"1\"}"), "{prom}");
         assert!(prom.contains("fm_dispatches{tier=\"merge\"}"), "{prom}");
-        assert!(prom.contains("fm_dispatches{tier=\"simd\"}"), "{prom}");
+        assert!(!prom.contains("simd"), "{prom}");
         assert!(prom.contains("fm_task_wall_time_us_count"), "{prom}");
         assert!(prom.contains("fm_checkpoint_write_failures 0"), "{prom}");
         assert!(prom.contains("fm_progress_dropped 0"), "{prom}");
@@ -327,7 +320,7 @@ mod tests {
         // dispatch-tier invariant).
         let w = outcome.work().unwrap();
         assert_eq!(
-            w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches + w.simd_dispatches,
+            w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches,
             w.setop_invocations
         );
         // JSON encoding parses under the same document.

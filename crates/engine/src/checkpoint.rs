@@ -58,10 +58,11 @@ const CKPT_MAGIC: &[u8; 8] = b"FMCKPT\x01\x00";
 /// to what the stored work words *mean* (version 5: closed-form leaves
 /// charge differently from the enumeration a version-4 file's words
 /// recorded, so the two may not be added; version 6: nine work words, the
-/// four c-map words of a version-5 body are gone); readers reject every
+/// four c-map words of a version-5 body are gone; version 7: eight work
+/// words, the SIMD tier's dispatch word is gone); readers reject every
 /// other version with [`CheckpointError::UnsupportedVersion`] instead of
 /// misparsing or miscounting it.
-const CKPT_VERSION: u32 = 6;
+const CKPT_VERSION: u32 = 7;
 
 /// Elements preallocated up front when reading untrusted length headers:
 /// larger lists grow on demand as
@@ -220,7 +221,6 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
         h.u64(cfg.hub_degree_threshold as u64);
         h.u64(cfg.hub_memory_budget as u64);
     }
-    h.u64(u64::from(cfg.simd_active()));
     h.finish()
 }
 
@@ -942,6 +942,19 @@ mod tests {
                 CheckpointError::UnsupportedVersion(u32::from(old))
             );
         }
+    }
+
+    /// A version-6 body carries nine work words, the last the SIMD tier's
+    /// dispatch count: read as eight it would shift every field after the
+    /// work block, so it is refused by number.
+    #[test]
+    fn a_version_6_file_is_refused_by_number() {
+        let mut bytes = sample().encode();
+        assert_eq!(bytes[8], 7, "this build writes version 7");
+        bytes[8] = 6;
+        let err = Checkpoint::decode(&bytes).unwrap_err();
+        assert_eq!(err, CheckpointError::UnsupportedVersion(6));
+        assert!(err.to_string().contains("this build reads 7"), "{err}");
     }
 
     /// ISSUE satellite: corruption, truncation, and huge declared headers

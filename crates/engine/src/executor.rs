@@ -12,8 +12,7 @@ use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
 use crate::setops::{self, Count};
 use crate::telemetry::Collector;
 use crate::EngineConfig;
-use fm_graph::block::BLOCK;
-use fm_graph::{orient_by_degree, BlockSummaries, CsrGraph, HubBitmaps, HubRow, VertexId};
+use fm_graph::{orient_by_degree, CsrGraph, HubBitmaps, HubRow, VertexId};
 use fm_pattern::DepthSet;
 use fm_plan::lowering::{lower, LowerOptions, Program};
 use fm_plan::{count_leaves, CountOptions, CountRule, ExecutionPlan, FrontierHint, Survivors};
@@ -56,24 +55,22 @@ impl<T> std::ops::Deref for Held<'_, T> {
 }
 
 /// A data graph fully preprocessed for mining: the (possibly oriented)
-/// graph plus the optional auxiliary indexes built over it — the
-/// hub-bitmap index for the probe tier and the per-block adjacency
-/// summaries for the SIMD tier's block skipping.
+/// graph plus the one optional index built over it, the hub bitmaps of the
+/// probe tier.
 ///
-/// [`prepare`] is the one place the indexes are built; every
-/// [`Executor`] — each worker of a parallel run, every stint of a
-/// [`JobCore`](crate::JobCore) — borrows them from here. Construction is
+/// [`prepare`] is the one place the index is built; every [`Executor`] —
+/// each worker of a parallel run, every stint of a
+/// [`JobCore`](crate::JobCore) — borrows it from here. Construction is
 /// governed by the config and the plan: [`EngineConfig::hub_bitmap_active`]
-/// / [`EngineConfig::simd_active`] decide whether each index may be built
-/// at all, neither is built for a plan whose count-only program hands no
-/// two lists to a set-op kernel (the only reader of either; the joined
-/// 4-cycle is such a plan), and an index that comes back empty (no vertex
-/// reaches the degree threshold, the memory budget is too tight, or the
-/// graph has no edges) is dropped so the dispatcher never consults it.
+/// decides whether it may be built at all, it is not built for a plan whose
+/// count-only program hands no two lists to a set-op kernel (its only
+/// reader; the joined 4-cycle is such a plan), and an index that comes back
+/// empty (no vertex reaches the degree threshold, the memory budget is too
+/// tight, or the graph has no edges) is dropped so the dispatcher never
+/// consults it.
 pub struct PreparedGraph<'g> {
     graph: Held<'g, CsrGraph>,
     hubs: Option<Arc<HubBitmaps>>,
-    blocks: Option<Arc<BlockSummaries>>,
 }
 
 impl<'g> PreparedGraph<'g> {
@@ -87,11 +84,6 @@ impl<'g> PreparedGraph<'g> {
         self.hubs.as_deref()
     }
 
-    /// The block summaries, if they were built and came back non-empty.
-    pub fn blocks(&self) -> Option<&BlockSummaries> {
-        self.blocks.as_deref()
-    }
-
     pub(crate) fn build(
         input: Held<'g, CsrGraph>,
         plan: &ExecutionPlan,
@@ -99,29 +91,21 @@ impl<'g> PreparedGraph<'g> {
     ) -> PreparedGraph<'g> {
         let graph =
             if plan.orientation { Held::Arc(Arc::new(orient_by_degree(&input))) } else { input };
-        let mut prepared = PreparedGraph { graph, hubs: None, blocks: None };
-        let probed = (cfg.hub_bitmap_active() || cfg.simd_active())
-            && Resolved::new(&prepared, &count_program(plan, cfg), cfg).dispatches_set_ops();
-        if probed && cfg.hub_bitmap_active() {
+        let mut prepared = PreparedGraph { graph, hubs: None };
+        if cfg.hub_bitmap_active()
+            && Resolved::new(&prepared, &count_program(plan, cfg), cfg).dispatches_set_ops()
+        {
             let (threshold, budget) = (cfg.hub_degree_threshold, cfg.hub_memory_budget);
             let idx = HubBitmaps::build(&prepared.graph, threshold, budget);
             prepared.hubs = (!idx.is_empty()).then(|| Arc::new(idx));
-        }
-        if probed && cfg.simd_active() {
-            let bl = BlockSummaries::build(&prepared.graph);
-            prepared.blocks = (!bl.is_empty()).then(|| Arc::new(bl));
         }
         prepared
     }
 
     /// A second handle on the same prepared data: the graph by reference,
-    /// the indexes by the `Arc`s this one already holds.
+    /// the index by the `Arc` this one already holds.
     pub(crate) fn reborrow(&self) -> PreparedGraph<'_> {
-        PreparedGraph {
-            graph: Held::Ref(&self.graph),
-            hubs: self.hubs.clone(),
-            blocks: self.blocks.clone(),
-        }
+        PreparedGraph { graph: Held::Ref(&self.graph), hubs: self.hubs.clone() }
     }
 }
 
@@ -132,11 +116,10 @@ impl std::ops::Deref for PreparedGraph<'_> {
     }
 }
 
-/// [`prepare_graph`] plus auxiliary-index construction (hub bitmaps,
-/// block summaries): the preprocessing step shared by every mining entry
-/// point, so single-threaded, parallel, stinted and
-/// re-run-the-completed-set executions all see the same indexes and
-/// charge identical work.
+/// [`prepare_graph`] plus the hub-bitmap build: the preprocessing step
+/// shared by every mining entry point, so single-threaded, parallel,
+/// stinted and re-run-the-completed-set executions all see the same index
+/// and charge identical work.
 pub fn prepare<'g>(
     graph: &'g CsrGraph,
     plan: &ExecutionPlan,
@@ -259,8 +242,6 @@ struct Resolved<'g> {
     hubs: Option<&'g HubBitmaps>,
     /// The shortest list `hubs` can hold a row for; `usize::MAX` without one.
     hub_min: usize,
-    blocks: Option<&'g BlockSummaries>,
-    simd: bool,
     gallop_ratio: usize,
     /// Unbounded scalar merges and no dispatcher (`paper_faithful`).
     faithful: bool,
@@ -333,8 +314,6 @@ impl<'g> Resolved<'g> {
             g: g.graph(),
             hubs: g.hubs(),
             hub_min: g.hubs().map_or(usize::MAX, HubBitmaps::degree_threshold),
-            blocks: g.blocks(),
-            simd: cfg.simd_active(),
             gallop_ratio: cfg.gallop_ratio,
             faithful: cfg.paper_faithful,
             observed: false,
@@ -351,9 +330,9 @@ impl<'g> Resolved<'g> {
     }
 
     /// Whether a count-only run ever calls a set-op kernel, the one place
-    /// the hub bitmaps and the block summaries are read, over the nodes it
-    /// reaches: a pair join or a tail answers for everything below it, and
-    /// a `Reuse` or a copy calls none.
+    /// the hub bitmaps are read, over the nodes it reaches: a pair join or a
+    /// tail answers for everything below it, and a `Reuse` or a copy calls
+    /// none.
     /// [`Executor::collect_matches`] reaches more; a set op without an index
     /// is the same set op on the merge or gallop tier.
     fn dispatches_set_ops(&self) -> bool {
@@ -366,18 +345,16 @@ impl<'g> Resolved<'g> {
         self.children(&self.nodes[0]).iter().any(|&c| stepped(self, c))
     }
 
-    /// The hub row and (SIMD tier on) block-summary row a dispatch against
-    /// `v`'s `len`-element list can use. Exact, and lean: a hub row exists
-    /// only for `len ≥ hub_min` and summary words only for a list longer
-    /// than a block, so a short list — most of them — consults neither index.
+    /// The hub row a dispatch against `v`'s `len`-element list can use.
+    /// Exact, and lean: a hub row exists only for `len ≥ hub_min`, so a
+    /// short list — most of them — does not consult the index.
     #[inline(always)]
-    fn rows(&self, v: VertexId, len: usize) -> (Option<HubRow<'g>>, Option<&'g [u64]>) {
-        let hub = if len >= self.hub_min { self.hubs.and_then(|h| h.row(v)) } else { None };
-        let summary = match self.blocks {
-            Some(blocks) if len > BLOCK => blocks.row(v),
-            _ => &[],
-        };
-        (hub, self.simd.then_some(summary))
+    fn hub_row(&self, v: VertexId, len: usize) -> Option<HubRow<'g>> {
+        if len >= self.hub_min {
+            self.hubs.and_then(|h| h.row(v))
+        } else {
+            None
+        }
     }
 
     /// Starts the loads the survivors after `list[i]` will wait on, so
@@ -434,18 +411,14 @@ pub struct Executor<'g> {
 
 impl<'g> Executor<'g> {
     /// Creates an executor over `g`, borrowing its graph and whatever
-    /// auxiliary indexes [`prepare`] built — `cfg` must be the config `g`
-    /// was prepared under (or one that activates the same indexes). The
+    /// hub index [`prepare`] built, if any — `cfg` must be the config `g`
+    /// was prepared under (or one that activates the same index). The
     /// count program is resolved here, once, into the form the walk runs.
     pub fn new(g: &'g PreparedGraph<'_>, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
         cfg.debug_validate();
         debug_assert!(
             g.hubs.is_none() || cfg.hub_bitmap_active(),
             "a hub index must not reach a config that excludes probes (paper_faithful)"
-        );
-        debug_assert!(
-            g.blocks.is_none() || cfg.simd_active(),
-            "block summaries must not reach a config that excludes the SIMD tier"
         );
         let program = count_program(plan, cfg);
         let state = State::new(program.depth, plan.patterns.len());
@@ -730,9 +703,8 @@ fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize)
         _ => &frontiers[core],
     };
     let adj = run.g.neighbors(v);
-    let (hub, simd) = run.rows(v, adj.len());
-    let ratio = run.gallop_ratio;
-    let Count(common) = setops::intersect(prefix, adj, bound, ratio, hub, simd, Count(0), work);
+    let (hub, ratio) = (run.hub_row(v, adj.len()), run.gallop_ratio);
+    let Count(common) = setops::intersect(prefix, adj, bound, ratio, hub, Count(0), work);
     if let (Some(t), Some(before)) = (telemetry, before) {
         t.charge_setops(leaf.depth, before, *work);
     }
@@ -757,15 +729,15 @@ fn set_op(
     work: &mut WorkCounters,
 ) {
     let adj = run.g.neighbors(v);
-    let (hub, simd) = run.rows(v, adj.len()); // no rows under `faithful`
+    let hub = run.hub_row(v, adj.len()); // no rows under `faithful`
     match (run.faithful, keep) {
         (true, true) => setops::intersect_into(cur, adj, out, work),
         (true, false) => setops::difference_into(cur, adj, out, work),
         (false, true) => {
-            setops::intersect(cur, adj, bound, run.gallop_ratio, hub, simd, out, work);
+            setops::intersect(cur, adj, bound, run.gallop_ratio, hub, out, work);
         }
         (false, false) => {
-            setops::difference(cur, adj, bound, hub, simd, out, work);
+            setops::difference(cur, adj, bound, hub, out, work);
         }
     }
 }

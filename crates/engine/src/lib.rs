@@ -21,9 +21,10 @@
 //!   strategy of Gramer \[90\] (§III).
 //!
 //! There is one candidate generator: the plan's frontier-memoization hints
-//! are always honored, and connectivity is answered by set operations (and
-//! the hub bitmaps behind their dispatcher). The c-map of §VI is the
-//! accelerator's; its functional store lives in `fm-sim`.
+//! are always honored, and connectivity is answered by set operations — a
+//! scalar merge, galloping, or a probe of the hub bitmaps, the engine's one
+//! auxiliary index. The c-map of §VI is the accelerator's; its functional
+//! store lives in `fm-sim`.
 //!
 //! All engines report [`WorkCounters`] (set-operation iterations,
 //! comparisons, dispatch tiers) used by the motivation study (Fig. 7 and
@@ -52,7 +53,6 @@ pub mod oblivious;
 pub mod parallel;
 pub mod result;
 pub mod setops;
-pub mod simd;
 pub mod stream;
 pub mod telemetry;
 
@@ -91,9 +91,8 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 ///
 /// | knob            | default | `paper_faithful()` | composition |
 /// |-----------------|---------|--------------------|-------------|
-/// | `gallop_ratio`  | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge/simd) — tests rely on it to force specific tiers |
+/// | `gallop_ratio`  | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge) — tests rely on it to force specific tiers |
 /// | `hub_bitmap`    | on      | ignored (no probes)| composes with every other knob; inert when no vertex reaches `hub_degree_threshold` or `hub_memory_budget` is too tight |
-/// | `simd`          | on      | ignored (scalar merges) | replaces the merge tier with vectorized kernels when compiled in (`simd` cargo feature) and runnable on the host CPU; counts, `setop_iterations`, and `comparisons` are bit-identical to the scalar path — only the dispatch split shifts merge → `simd_dispatches`. With `gallop_ratio == 0` the gallop tier is disabled, so *every* non-probe dispatch lands on the SIMD tier — the split is merge+gallop → simd, not merge → simd |
 /// | `max_retries`   | 0       | same               | count-irrelevant (a retried task contributes exactly once); excluded from the checkpoint config fingerprint, so a resume may change it |
 ///
 /// `paper_faithful` pins candidate generation to unbounded merges and
@@ -132,17 +131,6 @@ pub struct EngineConfig {
     /// per-vertex row map). The index silently shrinks — possibly to
     /// empty — rather than failing when the budget is tight.
     pub hub_memory_budget: usize,
-    /// Let the adaptive dispatcher route merge-tier set ops to the
-    /// vectorized (SSE2/AVX2) kernels instead of the scalar merge, and
-    /// build per-block adjacency summaries in [`prepare`] for operand
-    /// block skipping. Effective only when the `simd` cargo feature is
-    /// compiled in and the host can run the kernels (see
-    /// [`simd_active`](Self::simd_active)); ignored under
-    /// [`paper_faithful`](Self::paper_faithful) — the Fig. 9 merge FSM
-    /// is strictly scalar. Counts and charged work are bit-identical
-    /// either way; only wall-clock and the merge/simd dispatch split
-    /// change.
-    pub simd: bool,
     /// Wall-clock deadline and set-op iteration cap for the run, polled at
     /// start-vertex granularity. Unlimited by default; see
     /// [`Budget`] and [`MiningResult::status`](result::MiningResult::status)
@@ -183,7 +171,6 @@ impl Default for EngineConfig {
             // 6 k-vertex Mi stand-in (EXPERIMENTS.md "ISSUE 19").
             hub_degree_threshold: 32,
             hub_memory_budget: 8 << 20,
-            simd: true,
             budget: Budget::unlimited(),
             max_retries: 0,
             #[cfg(any(test, feature = "failpoints"))]
@@ -211,15 +198,6 @@ impl EngineConfig {
         self.hub_bitmap && !self.paper_faithful
     }
 
-    /// Whether this configuration routes merge-tier set ops to the
-    /// vectorized kernels: [`simd`](Self::simd) requested, not overridden
-    /// by [`paper_faithful`](Self::paper_faithful), and the kernels are
-    /// compiled in and runnable on this host
-    /// ([`simd::runtime_available`]).
-    pub fn simd_active(&self) -> bool {
-        self.simd && !self.paper_faithful && simd::runtime_available()
-    }
-
     /// Debug-asserts the structural invariants of the supported knob
     /// matrix (see the type docs) — the full matrix, one assertion per
     /// faithful-exclusion row, so a future knob that forgets its
@@ -231,10 +209,6 @@ impl EngineConfig {
         debug_assert!(
             !(self.paper_faithful && self.hub_bitmap_active()),
             "paper_faithful excludes the hub-bitmap probe tier"
-        );
-        debug_assert!(
-            !(self.paper_faithful && self.simd_active()),
-            "paper_faithful excludes the SIMD kernel tier"
         );
     }
 }

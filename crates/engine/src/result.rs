@@ -13,16 +13,15 @@ use std::time::Duration;
 ///
 /// # Dispatch-tier invariant
 ///
-/// The four dispatch counters — [`merge_dispatches`], [`gallop_dispatches`],
-/// [`probe_dispatches`] and [`simd_dispatches`] — are charged *only* by the
+/// The three dispatch counters — [`merge_dispatches`], [`gallop_dispatches`]
+/// and [`probe_dispatches`] — are charged *only* by the
 /// dispatcher behind [`setops::intersect`](crate::setops::intersect) and
 /// [`setops::difference`](crate::setops::difference), at the one site that
 /// also charges [`setop_invocations`]: one of each per dispatched op. So
 /// for any span of work routed through the dispatcher:
 ///
 /// ```text
-/// merge_dispatches + gallop_dispatches + probe_dispatches
-///     + simd_dispatches == setop_invocations
+/// merge_dispatches + gallop_dispatches + probe_dispatches == setop_invocations
 /// ```
 ///
 /// This holds globally for the default plan-driven executor, where every
@@ -36,7 +35,6 @@ use std::time::Duration;
 /// [`merge_dispatches`]: WorkCounters::merge_dispatches
 /// [`gallop_dispatches`]: WorkCounters::gallop_dispatches
 /// [`probe_dispatches`]: WorkCounters::probe_dispatches
-/// [`simd_dispatches`]: WorkCounters::simd_dispatches
 /// [`setop_invocations`]: WorkCounters::setop_invocations
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkCounters {
@@ -59,15 +57,12 @@ pub struct WorkCounters {
     pub gallop_dispatches: u64,
     /// Candidate-generation ops dispatched to a hub-bitmap probe kernel
     /// (the third dispatch tier; see the dispatch-tier invariant in the
-    /// type docs — the four dispatch counters partition
+    /// type docs — the three dispatch counters partition
     /// [`setop_invocations`](Self::setop_invocations) in adaptive mode).
     pub probe_dispatches: u64,
-    /// Candidate-generation ops dispatched to the vectorized (SSE2/AVX2)
-    /// kernels — the fourth dispatch tier, which *replaces* the merge
-    /// tier when [`EngineConfig::simd_active`](crate::EngineConfig::simd_active):
-    /// a scalar run's `merge_dispatches` equals the same run's
-    /// `simd_dispatches` under SIMD, with every other counter
-    /// bit-identical.
+    /// Always 0, outside [`words`](Self::words): the vectorized kernel tier
+    /// it counted is gone. Read only by `benchmark/`
+    /// (`engine.simd_dispatches`); goes when that line is retired.
     pub simd_dispatches: u64,
     /// Always 0, outside [`words`](Self::words). Read only by `benchmark/`
     /// (`engine.reuse_hits`); goes when that line is retired.
@@ -82,12 +77,12 @@ pub struct WorkCounters {
 
 impl WorkCounters {
     /// How many words [`words`](Self::words) has.
-    pub const WORDS: usize = 9;
+    pub const WORDS: usize = 8;
 
     /// Every counter, in the order a checkpoint body and `serve`'s work
     /// digest store them (so a change here is a `CKPT_VERSION` bump): the
     /// one statement of the word list, which `-`, `+=` and both
-    /// serializers walk. All nine are flows — none is a high-water
+    /// serializers walk. All eight are flows — none is a high-water
     /// mark — so both operators are component-wise.
     pub fn words_mut(&mut self) -> [&mut u64; Self::WORDS] {
         [
@@ -99,7 +94,6 @@ impl WorkCounters {
             &mut self.merge_dispatches,
             &mut self.gallop_dispatches,
             &mut self.probe_dispatches,
-            &mut self.simd_dispatches,
         ]
     }
 

@@ -22,20 +22,16 @@
 //!   lists let a kernel stop at the first element that reaches it (the
 //!   paper's bounded `pruneBy`, pushed into the loop).
 //! * **membership**: "is `x` in `b`" is answered by merging against `b`,
-//!   galloping (binary search) into it, probing its hub bitmap row, or the
-//!   vector merge of [`crate::simd`] with `b`'s block summaries — picked per
-//!   operation and recorded in one tier counter.
+//!   galloping (binary search) into it, or probing its hub bitmap row —
+//!   picked per operation and recorded in one tier counter.
 //!
-//! The charging rule, stated once: a scalar kernel charges one
+//! The charging rule, stated once: every kernel charges one
 //! `setop_iterations` per loop iteration and one `comparisons` per executed
 //! compare — bound checks and a probe's word test included — so a probe over
 //! `|a|` elements and a merge that advances `|a| + |b|` cursors are priced in
-//! the same unit. The vector merge is charged what the scalar merge *would
-//! have*, in closed form from the operand data (`charge_exit`), so swapping
-//! it in moves no counter but the tier's.
+//! the same unit, as they walk.
 
 use crate::result::WorkCounters;
-use crate::simd;
 use fm_graph::{HubRow, VertexId};
 use std::cmp::Ordering;
 
@@ -121,27 +117,12 @@ pub fn bounded_prefix<'a>(
 pub trait Sink {
     /// Takes the next kept element (ascending).
     fn push(&mut self, v: VertexId);
-    /// How many elements this sink has taken.
-    fn taken(&self) -> u64;
-    /// Takes `list[base + l]` for every bit `l` set in `mask`, in lane
-    /// order (a vector round's match mask over the block at `base`).
-    #[inline]
-    fn push_lanes(&mut self, list: &[VertexId], base: usize, mut mask: u32) {
-        while mask != 0 {
-            self.push(list[base + mask.trailing_zeros() as usize]);
-            mask &= mask - 1;
-        }
-    }
 }
 
 impl Sink for &mut Vec<VertexId> {
     #[inline]
     fn push(&mut self, v: VertexId) {
         Vec::push(self, v);
-    }
-    #[inline]
-    fn taken(&self) -> u64 {
-        self.len() as u64
     }
 }
 
@@ -153,14 +134,6 @@ impl Sink for Count {
     #[inline]
     fn push(&mut self, _: VertexId) {
         self.0 += 1;
-    }
-    #[inline]
-    fn taken(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn push_lanes(&mut self, _: &[VertexId], _: usize, mask: u32) {
-        self.0 += u64::from(mask.count_ones());
     }
 }
 
@@ -271,90 +244,6 @@ fn probe<const KEEP: bool, S: Sink>(
     out
 }
 
-/// The vector merge of [`crate::simd`], charged what [`merge`] would have.
-/// The bound truncates up front exactly the lists the scalar loop bounds:
-/// both operands of an intersection, only the minuend of a difference.
-/// `b`'s block summaries stay valid for a prefix: a full block's packed
-/// maximum over-approximates the truncated block's, which only skips less.
-fn vector<const KEEP: bool, S: Sink>(
-    a: &[VertexId],
-    b: &[VertexId],
-    bound: Option<VertexId>,
-    b_blocks: &[u64],
-    out: S,
-    work: &mut WorkCounters,
-) -> S {
-    let below = |s: &[VertexId]| bound.map_or(s.len(), |bd| s.partition_point(|&x| x < bd));
-    let (a_p, b_p) = (below(a), if KEEP { below(b) } else { b.len() });
-    let before = out.taken();
-    let out = if KEEP {
-        simd::intersect_raw(&a[..a_p], &b[..b_p], b_blocks, out)
-    } else {
-        simd::difference_raw(&a[..a_p], b, b_blocks, out)
-    };
-    let kept = out.taken() - before;
-    let matches = if KEEP { kept } else { a_p as u64 - kept };
-    charge_exit::<KEEP>(a, b, (a_p, b_p), bound.is_some(), matches, work);
-    out
-}
-
-/// Elements of `s` that are `<= t` — the resting point of a merge cursor
-/// that stopped at the first element past `t`.
-#[inline]
-fn cursor_at(s: &[VertexId], t: VertexId) -> usize {
-    s.partition_point(|&x| x <= t)
-}
-
-/// Charges what [`merge`] would have for operands whose below-bound
-/// prefixes are `a_p` / `b_p` long and share `matches` elements. The
-/// scalar walk's exit state is a function of the operand data alone:
-///
-/// * Over the prefixes the loop is the unbounded merge, which runs until a
-///   cursor passes `t` — the smaller of the two last elements for an
-///   intersection, the minuend's last for a difference (whose loop runs
-///   `a` out) — so one cursor ends at its prefix's end and the other where
-///   `t` falls, after `i_f + j_f - matches` iterations (a match moves both).
-/// * Each iteration pays the merge compare, plus the bound checks when
-///   bounded (two for an intersection, one for a difference) — except a
-///   difference's push-only tail after `b` ran out, which only checks the bound.
-/// * Unless a whole operand was consumed (the loop condition ends the walk),
-///   one more iteration trips on the bound: after one comparison when the
-///   minuend's prefix ended, after two when the other side's did.
-///
-/// The unbounded case is the bounded one with nothing cut: prefixes are the
-/// operands, no bound check is paid and nothing trips.
-fn charge_exit<const KEEP: bool>(
-    a: &[VertexId],
-    b: &[VertexId],
-    (a_p, b_p): (usize, usize),
-    bounded: bool,
-    matches: u64,
-    work: &mut WorkCounters,
-) {
-    let (ap, bp) = (&a[..a_p], &b[..b_p]);
-    let (i_f, j_f) = match (ap.last(), bp.last()) {
-        (Some(&a_last), Some(&b_last)) if !KEEP || a_last <= b_last => (a_p, cursor_at(bp, a_last)),
-        (Some(_), Some(&b_last)) => (cursor_at(ap, b_last), b_p),
-        _ => (if KEEP { 0 } else { a_p }, 0),
-    };
-    let walked = (i_f + j_f) as u64 - matches;
-    let uncompared = match bp.last() {
-        _ if KEEP || j_f < b_p => 0,
-        Some(&b_last) => a_p - cursor_at(ap, b_last),
-        None => a_p,
-    };
-    let trip = if i_f == a.len() || (KEEP && j_f == b.len()) {
-        0 // a whole operand consumed: nothing left to trip on
-    } else if i_f == a_p {
-        1 // the next minuend element trips the first bound check
-    } else {
-        2 // the minuend survives; `b`'s next element trips the second
-    };
-    let checks = if bounded { 1 + u64::from(KEEP) } else { 0 };
-    work.setop_iterations += walked + u64::from(trip > 0);
-    work.comparisons += (1 + checks) * walked - uncompared as u64 + trip;
-}
-
 /// How one dispatched operation answers "is `x` in `b`" — the tier whose
 /// counter it bumps.
 enum Tier<'a> {
@@ -362,22 +251,16 @@ enum Tier<'a> {
     Gallop,
     /// With `b`'s hub bitmap row.
     Probe(HubRow<'a>),
-    /// The merge tier under SIMD, with `b`'s block-summary row: [`vector`]
-    /// when both operands fill a vector. Shorter ones would fall through to
-    /// the vector kernels' scalar tail and then be charged in closed form, a
-    /// few binary searches later; [`merge`] charges as it walks — same
-    /// output, same counters — so the tier runs that for them.
-    Simd(&'a [u64]),
 }
 
 /// One set operation of the default engine — `a ∩ b` (`KEEP`) or `a \ b`
 /// below `bound` into `out` — and the one site that charges
 /// `setop_invocations` and a tier counter for the kernels behind it, one of
-/// each per call: the four tier counters partition `setop_invocations` over
+/// each per call: the three tier counters partition `setop_invocations` over
 /// any span of dispatched work by construction, and `paper_faithful` runs,
 /// which call the reference merges instead, keep them at zero.
 ///
-/// The four-tier rule: probe wins whenever `b` is an indexed hub and — for
+/// The three-tier rule: probe wins whenever `b` is an indexed hub and — for
 /// an intersection — at least as long as `a`: the probe streams exactly
 /// `|a|` elements while a merge advances at least `min(|a|,|b|) = |a|`
 /// cursors (a difference's merge always streams all of `a`), so the probe
@@ -389,12 +272,7 @@ enum Tier<'a> {
 /// is `gallop_ratio` times the other (`0`: never; and never for a
 /// difference, whose merge already touches each minuend element once) —
 /// the bound then truncates both inputs up front via [`bounded_prefix`],
-/// which charges the two searches — else merge. SIMD *replaces* the merge
-/// tier wholesale when enabled (the same merge, wider), which keeps the
-/// routing — and every charged counter — identical between scalar and SIMD
-/// runs: a scalar run's `merge_dispatches` equals the SIMD run's
-/// `simd_dispatches`.
-#[allow(clippy::too_many_arguments)]
+/// which charges the two searches — else merge.
 #[inline(always)]
 fn dispatch<const KEEP: bool, S: Sink>(
     a: &[VertexId],
@@ -402,7 +280,6 @@ fn dispatch<const KEEP: bool, S: Sink>(
     bound: Option<VertexId>,
     gallop_ratio: usize,
     hub: Option<HubRow<'_>>,
-    simd: Option<&[u64]>,
     out: S,
     work: &mut WorkCounters,
 ) -> S {
@@ -412,14 +289,13 @@ fn dispatch<const KEEP: bool, S: Sink>(
         _ if KEEP && gallop_ratio > 0 && small.saturating_mul(gallop_ratio) <= large => {
             Tier::Gallop
         }
-        _ => simd.map_or(Tier::Merge, Tier::Simd),
+        _ => Tier::Merge,
     };
     work.setop_invocations += 1;
     *match tier {
         Tier::Merge => &mut work.merge_dispatches,
         Tier::Gallop => &mut work.gallop_dispatches,
         Tier::Probe(_) => &mut work.probe_dispatches,
-        Tier::Simd(_) => &mut work.simd_dispatches,
     } += 1;
     match tier {
         Tier::Probe(row) => probe::<KEEP, S>(a, row, bound, out, work),
@@ -427,25 +303,17 @@ fn dispatch<const KEEP: bool, S: Sink>(
             Some(bd) => gallop(bounded_prefix(a, bd, work), bounded_prefix(b, bd, work), out, work),
             None => gallop(a, b, out, work),
         },
-        Tier::Simd(b_blocks) if small >= simd::LANES => {
-            vector::<KEEP, S>(a, b, bound, b_blocks, out, work)
-        }
-        Tier::Merge | Tier::Simd(_) => merge::<KEEP, S>(a, b, bound, out, work),
+        Tier::Merge => merge::<KEEP, S>(a, b, bound, out, work),
     }
 }
 
 /// `a ∩ b` below `bound` into `out` — `&mut` a list, or a [`Count`] — which
 /// is handed back: galloping when one input is at least `gallop_ratio` times
 /// smaller than the other (`0` disables it), a bitmap probe when `hub`
-/// carries `b`'s bitset row and `|b| ≥ |a|`, and the vector merge in place
-/// of the scalar one when the run activated it
-/// ([`EngineConfig::simd_active`](crate::EngineConfig::simd_active)):
-/// `simd` is then `b`'s per-64-element summary row for block skipping
-/// (empty: none indexed, or `b` fits one block). Output and counts are
-/// identical across tiers, and charged work across the tiers that replace
-/// each other. Out of line, like [`difference`]: the kernels' loops get
-/// their own registers, and the executor's walk around the call stays small.
-#[allow(clippy::too_many_arguments)]
+/// carries `b`'s bitset row and `|b| ≥ |a|`, else the merge. Output and
+/// counts are identical across tiers. Out of line, like [`difference`]: the
+/// kernels' loops get their own registers, and the executor's walk around
+/// the call stays small.
 #[inline(never)]
 pub fn intersect<S: Sink>(
     a: &[VertexId],
@@ -453,27 +321,24 @@ pub fn intersect<S: Sink>(
     bound: Option<VertexId>,
     gallop_ratio: usize,
     hub: Option<HubRow<'_>>,
-    simd: Option<&[u64]>,
     out: S,
     work: &mut WorkCounters,
 ) -> S {
-    dispatch::<true, S>(a, b, bound, gallop_ratio, hub, simd, out, work)
+    dispatch::<true, S>(a, b, bound, gallop_ratio, hub, out, work)
 }
 
 /// `a \ b` below `bound` into `out`, which is handed back: a probe whenever
-/// `hub` carries `b`'s bitset row, else the merge tier (scalar, or vector
-/// under `simd`, as for [`intersect`]).
+/// `hub` carries `b`'s bitset row, else the merge.
 #[inline(never)]
 pub fn difference<S: Sink>(
     a: &[VertexId],
     b: &[VertexId],
     bound: Option<VertexId>,
     hub: Option<HubRow<'_>>,
-    simd: Option<&[u64]>,
     out: S,
     work: &mut WorkCounters,
 ) -> S {
-    dispatch::<false, S>(a, b, bound, 0, hub, simd, out, work)
+    dispatch::<false, S>(a, b, bound, 0, hub, out, work)
 }
 
 #[cfg(test)]
@@ -494,20 +359,18 @@ mod tests {
     }
 
     /// One dispatch of `op` through its public entry point.
-    #[allow(clippy::too_many_arguments)]
     fn set_op<S: Sink>(
         op: Op,
         (a, b): (&[VertexId], &[VertexId]),
         bound: Option<VertexId>,
         gallop_ratio: usize,
         hub: Option<HubRow<'_>>,
-        simd: Option<&[u64]>,
         out: S,
         work: &mut WorkCounters,
     ) -> S {
         match op {
-            Intersect => intersect(a, b, bound, gallop_ratio, hub, simd, out, work),
-            Difference => difference(a, b, bound, hub, simd, out, work),
+            Intersect => intersect(a, b, bound, gallop_ratio, hub, out, work),
+            Difference => difference(a, b, bound, hub, out, work),
         }
     }
 
@@ -518,10 +381,9 @@ mod tests {
         bound: Option<VertexId>,
         gallop_ratio: usize,
         hub: Option<HubRow<'_>>,
-        simd: Option<&[u64]>,
     ) -> (Vec<VertexId>, WorkCounters) {
         let (mut out, mut w) = (Vec::new(), WorkCounters::default());
-        set_op(op, operands, bound, gallop_ratio, hub, simd, &mut out, &mut w);
+        set_op(op, operands, bound, gallop_ratio, hub, &mut out, &mut w);
         (out, w)
     }
 
@@ -532,10 +394,9 @@ mod tests {
         bound: Option<VertexId>,
         gallop_ratio: usize,
         hub: Option<HubRow<'_>>,
-        simd: Option<&[u64]>,
     ) -> (u64, WorkCounters) {
         let mut w = WorkCounters::default();
-        let Count(n) = set_op(op, operands, bound, gallop_ratio, hub, simd, Count(0), &mut w);
+        let Count(n) = set_op(op, operands, bound, gallop_ratio, hub, Count(0), &mut w);
         (n, w)
     }
 
@@ -551,14 +412,12 @@ mod tests {
 
     /// The membership axis of the table, forced through the dispatcher's own
     /// arguments: ratio 0 keeps the merge tier, ratio 1 gallops any shape, a
-    /// hub row probes (an intersection only when `|b| >= |a|`), a summary row
-    /// turns the merge tier into the SIMD tier.
+    /// hub row probes (an intersection only when `|b| >= |a|`).
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum How {
         Merge,
         Gallop,
         Probe,
-        Simd,
     }
 
     /// `s`'s elements below `bound`.
@@ -577,17 +436,15 @@ mod tests {
         how: How,
         (a, b): (&[VertexId], &[VertexId]),
         row: Option<HubRow<'_>>,
-        b_blocks: &[u64],
     ) {
         let ctx = format!("{op:?} {how:?} bound={bound:?} |a|={} |b|={}", a.len(), b.len());
-        let (ratio, hub, simd) = match how {
-            How::Merge => (0, None, None),
-            How::Gallop => (1, None, None),
-            How::Probe => (0, Some(row.expect("a probe cell needs b's hub row")), None),
-            How::Simd => (0, None, Some(b_blocks)),
+        let (ratio, hub) = match how {
+            How::Merge => (0, None),
+            How::Gallop => (1, None),
+            How::Probe => (0, Some(row.expect("a probe cell needs b's hub row"))),
         };
-        let (out, w) = list(op, (a, b), bound, ratio, hub, simd);
-        let (n, wc) = count(op, (a, b), bound, ratio, hub, simd);
+        let (out, w) = list(op, (a, b), bound, ratio, hub);
+        let (n, wc) = count(op, (a, b), bound, ratio, hub);
         assert_eq!(n, out.len() as u64, "count sink: {ctx}");
         assert_eq!(wc, w, "the sink never changes a charge: {ctx}");
 
@@ -596,9 +453,8 @@ mod tests {
         let expect: Vec<VertexId> = below(a, bound).iter().filter(keep).copied().collect();
         assert_eq!(out, expect, "output: {ctx}");
 
-        let tiers =
-            [w.merge_dispatches, w.gallop_dispatches, w.probe_dispatches, w.simd_dispatches];
-        let forced = [How::Merge, How::Gallop, How::Probe, How::Simd].map(|h| u64::from(h == how));
+        let tiers = [w.merge_dispatches, w.gallop_dispatches, w.probe_dispatches];
+        let forced = [How::Merge, How::Gallop, How::Probe].map(|h| u64::from(h == how));
         assert_eq!((w.setop_invocations, tiers), (1, forced), "one tier, one invocation: {ctx}");
 
         let (a_p, b_p) = (below(a, bound), below(b, bound));
@@ -620,15 +476,10 @@ mod tests {
                     assert_eq!(trip, 0, "nothing cut, nothing trips: {ctx}");
                 }
             }
-            // The merge tier's charges exactly, whichever kernel ran.
-            How::Simd => {
-                let (_, scalar) = count(op, (a, b), bound, 0, None, None);
-                assert_eq!(charged, (scalar.setop_iterations, scalar.comparisons), "{ctx}");
-            }
             // The unbounded gallop over the prefixes plus the two searches
             // that found them.
             How::Gallop => {
-                let (_, inner) = count(op, (a_p, b_p), None, 1, None, None);
+                let (_, inner) = count(op, (a_p, b_p), None, 1, None);
                 let mut searches = WorkCounters::default();
                 if let Some(bd) = bound {
                     bounded_prefix(a, bd, &mut searches);
@@ -655,10 +506,9 @@ mod tests {
         bounds: &[Option<VertexId>],
         row: Option<HubRow<'_>>,
     ) {
-        let b_blocks = blocks_of(b);
         for op in [Intersect, Difference] {
             for &bound in bounds {
-                for how in [How::Merge, How::Gallop, How::Probe, How::Simd] {
+                for how in [How::Merge, How::Gallop, How::Probe] {
                     let unforceable = match how {
                         How::Gallop => op == Difference,
                         How::Probe => row.is_none() || (op == Intersect && b.len() < a.len()),
@@ -667,10 +517,7 @@ mod tests {
                     if unforceable {
                         continue;
                     }
-                    check_cell(op, bound, how, (a, b), row, &[]);
-                    if how == How::Simd {
-                        check_cell(op, bound, how, (a, b), row, &b_blocks);
-                    }
+                    check_cell(op, bound, how, (a, b), row);
                 }
             }
         }
@@ -709,12 +556,7 @@ mod tests {
         out
     }
 
-    /// Packs a [`fm_graph::BlockSummaries`]-layout row for `b`.
-    fn blocks_of(b: &[VertexId]) -> Vec<u64> {
-        b.chunks(64).map(|c| (u64::from(c[c.len() - 1].0) << 32) | u64::from(c[0].0)).collect()
-    }
-
-    /// The four dispatch-tier counters partition `setop_invocations`
+    /// The three dispatch-tier counters partition `setop_invocations`
     /// across any mix of dispatches — the invariant documented on
     /// [`WorkCounters`], which holds by construction: `dispatch` bumps one
     /// of each at one site.
@@ -730,31 +572,26 @@ mod tests {
         let mut w = WorkCounters::default();
         let mut out = Vec::new();
         // Probe tier: hub row present and |b| >= |a|.
-        set_op(Intersect, (&small, &large), None, 16, Some(row), None, &mut out, &mut w);
+        set_op(Intersect, (&small, &large), None, 16, Some(row), &mut out, &mut w);
         // Gallop tier: heavily skewed sizes, no hub.
-        set_op(Intersect, (&small, &large), None, 16, None, None, &mut out, &mut w);
+        set_op(Intersect, (&small, &large), None, 16, None, &mut out, &mut w);
         // Merge tier: balanced sizes (with a bound, which charges extra
         // comparisons but no extra invocation).
-        set_op(Intersect, (&small, &small), Some(VertexId(4)), 16, None, None, &mut out, &mut w);
+        set_op(Intersect, (&small, &small), Some(VertexId(4)), 16, None, &mut out, &mut w);
         // The counting sink and the difference uphold the same rule.
-        set_op(Intersect, (&small, &large), None, 16, None, None, Count(0), &mut w);
-        set_op(Difference, (&small, &large), None, 16, Some(row), None, &mut out, &mut w);
-        set_op(Difference, (&small, &small), None, 16, None, None, &mut out, &mut w);
-        // SIMD replaces the merge tier (and only it) when enabled.
-        set_op(Intersect, (&small, &small), None, 16, None, Some(&[]), &mut out, &mut w);
-        set_op(Difference, (&small, &small), None, 16, None, Some(&[]), Count(0), &mut w);
-        set_op(Intersect, (&small, &large), None, 16, Some(row), Some(&[]), &mut out, &mut w);
-        set_op(Intersect, (&small, &large), None, 16, None, Some(&[]), &mut out, &mut w);
+        set_op(Intersect, (&small, &large), None, 16, None, Count(0), &mut w);
+        set_op(Difference, (&small, &large), None, 16, Some(row), &mut out, &mut w);
+        set_op(Difference, (&small, &small), None, 16, None, Count(0), &mut w);
 
-        assert_eq!(w.setop_invocations, 10);
+        assert_eq!(w.setop_invocations, 6);
         assert_eq!(
-            w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches + w.simd_dispatches,
+            w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches,
             w.setop_invocations
         );
-        assert_eq!(w.probe_dispatches, 3, "probe outranks simd");
-        assert_eq!(w.gallop_dispatches, 3, "gallop outranks simd");
+        assert_eq!(w.probe_dispatches, 2);
+        assert_eq!(w.gallop_dispatches, 2);
         assert_eq!(w.merge_dispatches, 2);
-        assert_eq!(w.simd_dispatches, 2);
+        assert_eq!(w.simd_dispatches, 0, "a frozen word no tier charges");
     }
 
     #[test]
@@ -771,7 +608,7 @@ mod tests {
     #[test]
     fn bounded_intersection_stops_early() {
         let a = v(&[1, 3, 5, 7, 9]);
-        let (out, w) = list(Intersect, (&a, &a), Some(VertexId(6)), 0, None, None);
+        let (out, w) = list(Intersect, (&a, &a), Some(VertexId(6)), 0, None);
         assert_eq!(out, v(&[1, 3, 5]));
         // Early exit: at most 4 iterations for 3 results + the bound check.
         assert!(w.setop_iterations <= 4);
@@ -780,7 +617,7 @@ mod tests {
     #[test]
     fn bounded_intersection_charges_executed_comparisons() {
         let bounded = |a: &[u32], b: &[u32], bound| {
-            list(Intersect, (&v(a), &v(b)), Some(VertexId(bound)), 0, None, None)
+            list(Intersect, (&v(a), &v(b)), Some(VertexId(bound)), 0, None)
         };
         // First element already at the bound: the loop runs one iteration
         // and executes exactly one comparison before breaking.
@@ -797,27 +634,25 @@ mod tests {
         assert_eq!(w.comparisons, 3);
     }
 
-    /// Both ways a bound can end the closed form's walk, on operands long
-    /// enough for the vector kernel: the minuend's prefix ends first (one
-    /// comparison in the tripping iteration), or `b`'s does (two).
+    /// Both ways a bound can end the merge's walk: the minuend's prefix ends
+    /// first (one comparison in the tripping iteration), or `b`'s does (two).
     #[test]
-    fn bounded_closed_form_charges_both_trip_cases() {
+    fn bounded_merge_charges_both_trip_cases() {
         let evens: Vec<VertexId> = (0..16).step_by(2).chain([100]).map(VertexId).collect();
         let dense: Vec<VertexId> = (0..16).chain([200]).map(VertexId).collect();
         let bound = Some(VertexId(50));
         // Either way the prefixes' walk advances 15 cursors past 8 matches.
         for (a, b, trip_comparisons) in [(&evens, &dense, 1), (&dense, &evens, 2)] {
-            assert!(a.len().min(b.len()) >= simd::LANES);
-            let (n, w) = count(Intersect, (a, b), bound, 0, None, Some(&[]));
+            let (n, w) = count(Intersect, (a, b), bound, 0, None);
             assert_eq!(n, 8);
             assert_eq!((w.setop_iterations, w.comparisons), (16, 3 * 15 + trip_comparisons));
-            check_cell(Intersect, bound, How::Simd, (a, b), None, &[]);
+            check_cell(Intersect, bound, How::Merge, (a, b), None);
         }
         // A difference bounds only its minuend: one trip case, one comparison.
-        let (n, w) = count(Difference, (&dense, &evens), bound, 0, None, Some(&[]));
+        let (n, w) = count(Difference, (&dense, &evens), bound, 0, None);
         assert_eq!(n, 8);
         assert_eq!((w.setop_iterations, w.comparisons), (16 + 1, 2 * 16 + 1));
-        check_cell(Difference, bound, How::Simd, (&dense, &evens), None, &[]);
+        check_cell(Difference, bound, How::Merge, (&dense, &evens), None);
     }
 
     #[test]
@@ -825,11 +660,11 @@ mod tests {
         let a = v(&[1, 2, 3, 4, 5, 8, 9]);
         let b = v(&[2, 4, 6]);
         let (mut full, _) = walk(Difference, &a, &b);
-        let (bounded, _) = list(Difference, (&a, &b), Some(VertexId(6)), 0, None, None);
+        let (bounded, _) = list(Difference, (&a, &b), Some(VertexId(6)), 0, None);
         full.retain(|&x| x < VertexId(6));
         assert_eq!(bounded, full);
         // Unreachable bound degenerates to the plain difference.
-        let (unbounded, _) = list(Difference, (&a, &b), Some(VertexId(100)), 0, None, None);
+        let (unbounded, _) = list(Difference, (&a, &b), Some(VertexId(100)), 0, None);
         assert_eq!(unbounded, v(&[1, 3, 5, 8, 9]));
     }
 
@@ -849,19 +684,19 @@ mod tests {
         let large: Vec<VertexId> = (0..200).filter(|x| x % 3 == 0).map(VertexId).collect();
         for bound in [None, Some(VertexId(80))] {
             // ratio 0 forces the merge kernel; a tiny ratio forces gallop.
-            let (merged, _) = list(Intersect, (&small, &large), bound, 0, None, None);
-            let (galloped, _) = list(Intersect, (&small, &large), bound, 1, None, None);
+            let (merged, _) = list(Intersect, (&small, &large), bound, 0, None);
+            let (galloped, _) = list(Intersect, (&small, &large), bound, 1, None);
             assert_eq!(merged, galloped, "bound {bound:?}");
         }
         // Skew within the ratio dispatches to galloping (|small| iters);
         // beyond it the merge kernel runs (≈|a|+|b| iters).
         let one = v(&[50]);
         let big: Vec<VertexId> = (0..100).map(VertexId).collect();
-        let (out, w) = list(Intersect, (&one, &big), None, 16, None, None);
+        let (out, w) = list(Intersect, (&one, &big), None, 16, None);
         assert_eq!(out, one);
         assert_eq!(w.setop_iterations, 1, "galloped: one probe for the single element");
         assert_eq!((w.merge_dispatches, w.gallop_dispatches, w.probe_dispatches), (0, 1, 0));
-        let (out, w) = list(Intersect, (&one, &big), None, 200, None, None);
+        let (out, w) = list(Intersect, (&one, &big), None, 200, None);
         assert_eq!(out, one);
         assert!(w.setop_iterations > 10, "ratio not met: merge kernel runs");
         assert_eq!((w.merge_dispatches, w.gallop_dispatches, w.probe_dispatches), (1, 0, 0));
@@ -875,16 +710,16 @@ mod tests {
         let a: Vec<VertexId> = (0..80).filter(|x| x % 3 == 0).map(VertexId).collect();
 
         let (merged, _) = walk(Intersect, &a, &adj);
-        let (probed, pw) = list(Intersect, (&a, &adj), None, 0, Some(row), None);
+        let (probed, pw) = list(Intersect, (&a, &adj), None, 0, Some(row));
         assert_eq!(probed, merged);
         // Probe cost is exactly |a| iterations, one comparison each.
         assert_eq!(pw.setop_iterations, a.len() as u64);
         assert_eq!(pw.comparisons, a.len() as u64);
-        let (n, _) = count(Intersect, (&a, &adj), None, 0, Some(row), None);
+        let (n, _) = count(Intersect, (&a, &adj), None, 0, Some(row));
         assert_eq!(n, merged.len() as u64);
 
         let (merged, _) = walk(Difference, &a, &adj);
-        let (probed, _) = list(Difference, (&a, &adj), None, 0, Some(row), None);
+        let (probed, _) = list(Difference, (&a, &adj), None, 0, Some(row));
         assert_eq!(probed, merged);
     }
 
@@ -896,17 +731,17 @@ mod tests {
         let a: Vec<VertexId> = (1..50).map(VertexId).collect();
         let bd = Some(VertexId(20));
 
-        let (out, w) = list(Intersect, (&a, &adj), bd, 0, Some(row), None);
+        let (out, w) = list(Intersect, (&a, &adj), bd, 0, Some(row));
         let expect: Vec<VertexId> = (1..20).step_by(2).map(VertexId).collect();
         assert_eq!(out, expect);
         // 19 surviving elements plus the element that trips the bound.
         assert_eq!(w.setop_iterations, 20);
         // probe × bounded × count: the same walk without the write.
-        let (n, w2) = count(Intersect, (&a, &adj), bd, 0, Some(row), None);
+        let (n, w2) = count(Intersect, (&a, &adj), bd, 0, Some(row));
         assert_eq!(n, expect.len() as u64, "count sink disagrees");
         assert_eq!(w2, w);
 
-        let (out, _) = list(Difference, (&a, &adj), bd, 0, Some(row), None);
+        let (out, _) = list(Difference, (&a, &adj), bd, 0, Some(row));
         let expect: Vec<VertexId> = (2..20).step_by(2).map(VertexId).collect();
         assert_eq!(out, expect);
         check_all_cells((&a, &adj), &[bd], Some(row));
@@ -919,14 +754,14 @@ mod tests {
         let adj = odds(99);
         // |a| <= |adj|: the probe tier fires.
         let a: Vec<VertexId> = (0..30).map(VertexId).collect();
-        let (out, w) = list(Intersect, (&a, &adj), None, 16, Some(row), None);
+        let (out, w) = list(Intersect, (&a, &adj), None, 16, Some(row));
         assert_eq!(w.probe_dispatches, 1);
         assert_eq!(w.setop_iterations, a.len() as u64);
         let expect: Vec<VertexId> = (1..30).step_by(2).map(VertexId).collect();
         assert_eq!(out, expect);
         // |a| > |adj|: falls back to the size rule even with a hub row.
         let long: Vec<VertexId> = (0..200).map(VertexId).collect();
-        let (_, w) = list(Intersect, (&long, &adj), None, 16, Some(row), None);
+        let (_, w) = list(Intersect, (&long, &adj), None, 16, Some(row));
         assert_eq!(w.probe_dispatches, 0);
         assert_eq!(w.merge_dispatches + w.gallop_dispatches, 1);
     }
@@ -941,13 +776,11 @@ mod tests {
             for hub in [None, Some(row)] {
                 for bound in [None, Some(VertexId(33))] {
                     for ratio in [0, 2, 16] {
-                        for simd in [None, Some(&[][..])] {
-                            let (out, wi) = list(op, (&a, &adj), bound, ratio, hub, simd);
-                            let (n, wc) = count(op, (&a, &adj), bound, ratio, hub, simd);
-                            let ctx = format!("{op:?} hub {} ratio {ratio}", hub.is_some());
-                            assert_eq!(n, out.len() as u64, "{ctx} bound {bound:?}");
-                            assert_eq!(wi, wc, "work parity: {ctx}");
-                        }
+                        let (out, wi) = list(op, (&a, &adj), bound, ratio, hub);
+                        let (n, wc) = count(op, (&a, &adj), bound, ratio, hub);
+                        let ctx = format!("{op:?} hub {} ratio {ratio}", hub.is_some());
+                        assert_eq!(n, out.len() as u64, "{ctx} bound {bound:?}");
+                        assert_eq!(wi, wc, "work parity: {ctx}");
                     }
                 }
             }
@@ -962,9 +795,9 @@ mod tests {
         let a: Vec<VertexId> = (0..40).map(VertexId).collect();
         for bound in [None, Some(VertexId(25))] {
             // A difference never gallops, whatever the skew allows.
-            let (merged, w) = list(Difference, (&a, &adj), bound, 1, None, None);
+            let (merged, w) = list(Difference, (&a, &adj), bound, 1, None);
             assert_eq!((w.merge_dispatches, w.probe_dispatches), (1, 0));
-            let (probed, w) = list(Difference, (&a, &adj), bound, 1, Some(row), None);
+            let (probed, w) = list(Difference, (&a, &adj), bound, 1, Some(row));
             assert_eq!((w.merge_dispatches, w.probe_dispatches), (0, 1));
             assert_eq!(probed, merged, "bound {bound:?}");
         }
@@ -990,7 +823,7 @@ mod tests {
         let a = v(&[0, 2, 4, 6, 8, 10]);
         let b = v(&[3, 4, 5, 6, 7]);
         let (out, w) = walk(Intersect, &a, &b);
-        let (n, wc) = count(Intersect, (&a, &b), None, 0, None, None);
+        let (n, wc) = count(Intersect, (&a, &b), None, 0, None);
         assert_eq!(n, out.len() as u64);
         assert_eq!((wc.setop_iterations, wc.comparisons), (w.setop_iterations, w.comparisons));
     }
@@ -999,12 +832,12 @@ mod tests {
     fn galloping_agrees_with_merge() {
         let a = v(&[5, 100, 250]);
         let b: Vec<VertexId> = (0..300).map(VertexId).collect();
-        let (galloped, w) = list(Intersect, (&a, &b), None, 1, None, None);
+        let (galloped, w) = list(Intersect, (&a, &b), None, 1, None);
         assert_eq!(galloped, walk(Intersect, &a, &b).0);
         assert_eq!(w.gallop_dispatches, 1);
         // gallop × bound: both operands are cut first, and both searches
         // are charged.
-        check_cell(Intersect, Some(VertexId(120)), How::Gallop, (&a, &b), None, &[]);
+        check_cell(Intersect, Some(VertexId(120)), How::Gallop, (&a, &b), None);
     }
 
     #[test]
@@ -1016,27 +849,22 @@ mod tests {
         check_all_cells((&[], &[]), &bounds, None);
     }
 
-    /// The closed-form charging of the vector merge reproduces the scalar
-    /// merge's counters bit-for-bit — outputs AND `WorkCounters`, both
-    /// sinks — across operand shapes that straddle the vector width (7 / 8 /
-    /// 9 around [`simd::LANES`]) and the 64-element blocks, with and
-    /// without block summaries.
+    /// The merge tier against the walking merges and a `BTreeSet` — outputs
+    /// AND `WorkCounters`, both sinks — across operand shapes from empty to
+    /// 130 elements, under every bound form.
     #[test]
-    fn scalar_charging_parity_is_closed_form() {
+    fn merge_tier_holds_across_operand_shapes() {
         let lens = [0usize, 1, 2, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 130];
         for (ai, &al) in lens.iter().enumerate() {
             for (bi, &bl) in lens.iter().enumerate() {
                 let a = gen_list(ai as u64 + 3, al, 7);
                 let b = gen_list(bi as u64 * 5 + 1, bl, 5);
-                let full_blocks = blocks_of(&b);
                 let mut bounds = vec![None, Some(VertexId(0)), Some(VertexId(u32::MAX))];
                 bounds.extend(a.get(a.len() / 2).copied().map(Some));
                 bounds.extend(b.get(b.len() / 2).copied().map(Some));
                 for op in [Intersect, Difference] {
                     for &bound in &bounds {
-                        check_cell(op, bound, How::Merge, (&a, &b), None, &[]);
-                        check_cell(op, bound, How::Simd, (&a, &b), None, &[]);
-                        check_cell(op, bound, How::Simd, (&a, &b), None, &full_blocks);
+                        check_cell(op, bound, How::Merge, (&a, &b), None);
                     }
                 }
             }
@@ -1074,43 +902,16 @@ mod tests {
 
     /// `gallop_ratio == 0` is the documented sentinel that disables the
     /// gallop tier outright — even pathologically skewed operands stay on
-    /// the merge (or SIMD) tier.
+    /// the merge tier.
     #[test]
     fn gallop_ratio_zero_is_a_disable_sentinel() {
         let one = v(&[901]);
         let big: Vec<VertexId> = (0..1000).map(VertexId).collect();
-        let (out, w) = list(Intersect, (&one, &big), None, 0, None, None);
+        let (out, w) = list(Intersect, (&one, &big), None, 0, None);
         assert_eq!(out, one);
         assert_eq!((w.gallop_dispatches, w.merge_dispatches), (0, 1));
-        let (_, w) = list(Intersect, (&one, &big), None, 0, None, Some(&[]));
-        assert_eq!((w.gallop_dispatches, w.simd_dispatches), (0, 1));
         // Any non-zero ratio met by the skew re-enables galloping.
-        let (_, w) = list(Intersect, (&one, &big), None, 1, None, None);
+        let (_, w) = list(Intersect, (&one, &big), None, 1, None);
         assert_eq!(w.gallop_dispatches, 1);
-    }
-
-    /// Runs identical inputs through the dispatcher with SIMD off and on:
-    /// every counter matches except the merge→simd dispatch relabeling, so
-    /// telemetry partitions carry over unchanged.
-    #[test]
-    fn simd_tier_relabels_merge_dispatches_only() {
-        let a = gen_list(21, 70, 3);
-        let b = gen_list(22, 90, 4);
-        let blocks = blocks_of(&b);
-        for bound in [None, Some(VertexId(120))] {
-            let (mut off_out, mut on_out) = (Vec::new(), Vec::new());
-            let mut off = WorkCounters::default();
-            let mut on = WorkCounters::default();
-            for op in [Intersect, Difference] {
-                set_op(op, (&a, &b), bound, 16, None, None, &mut off_out, &mut off);
-                set_op(op, (&a, &b), bound, 16, None, Some(&blocks), &mut on_out, &mut on);
-            }
-            assert_eq!(off_out, on_out, "bound {bound:?}");
-            assert_eq!(off.merge_dispatches, on.simd_dispatches);
-            assert_eq!(on.merge_dispatches, 0);
-            let relabeled =
-                WorkCounters { merge_dispatches: 0, simd_dispatches: off.merge_dispatches, ..off };
-            assert_eq!(relabeled, on, "bound {bound:?}");
-        }
     }
 }

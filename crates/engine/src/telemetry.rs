@@ -118,7 +118,6 @@ impl Collector {
         charge_depth(&mut self.shard.depth_merge, depth, w.merge_dispatches);
         charge_depth(&mut self.shard.depth_gallop, depth, w.gallop_dispatches);
         charge_depth(&mut self.shard.depth_probe, depth, w.probe_dispatches);
-        charge_depth(&mut self.shard.depth_simd, depth, w.simd_dispatches);
     }
 
     /// Records a materialized frontier's size.
@@ -179,7 +178,7 @@ mod tests {
             setop_iterations: 10,
             setop_invocations: 3,
             gallop_dispatches: 2,
-            simd_dispatches: 1,
+            probe_dispatches: 1,
             ..Default::default()
         };
         c.charge_setops(2, before, after);
@@ -187,8 +186,11 @@ mod tests {
         c.finish_into(&mut shard);
         assert_eq!(shard.depth_setop_iterations, vec![0, 0, 10]);
         assert_eq!(shard.depth_gallop, vec![0, 0, 2]);
-        assert_eq!(shard.depth_simd, vec![0, 0, 1]);
+        assert_eq!(shard.depth_probe, vec![0, 0, 1]);
         assert!(shard.depth_merge.is_empty());
+        // The three tiers partition the invocations (merge charged none).
+        let tiers = shard.depth_gallop[2] + shard.depth_probe[2];
+        assert_eq!(tiers, shard.depth_setop_invocations[2]);
     }
 
     #[test]

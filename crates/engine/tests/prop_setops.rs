@@ -24,7 +24,7 @@ proptest! {
         let mut w = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut out, &mut w);
         prop_assert_eq!(&out, &expected);
-        let Count(n) = setops::intersect(&a, &b, None, 0, None, None, Count(0), &mut w);
+        let Count(n) = setops::intersect(&a, &b, None, 0, None, Count(0), &mut w);
         prop_assert_eq!(n, expected.len() as u64);
         // Merge cost bound: at most |a| + |b| iterations.
         let mut w2 = WorkCounters::default();
@@ -41,7 +41,7 @@ proptest! {
         let mut w = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut merge, &mut w);
         // A ratio of 1 gallops any shape.
-        setops::intersect(&a, &b, None, 1, None, None, &mut gallop, &mut w);
+        setops::intersect(&a, &b, None, 1, None, &mut gallop, &mut w);
         prop_assert_eq!(w.gallop_dispatches, 1);
         prop_assert_eq!(merge, gallop);
     }
@@ -56,7 +56,7 @@ proptest! {
         let mut w = WorkCounters::default();
         setops::intersect_into(&a, &b, &mut full, &mut w);
         let bd = Some(VertexId(bound));
-        setops::intersect(&a, &b, bd, 0, None, None, &mut bounded, &mut w);
+        setops::intersect(&a, &b, bd, 0, None, &mut bounded, &mut w);
         let expected: Vec<VertexId> =
             full.into_iter().take_while(|&v| v < VertexId(bound)).collect();
         prop_assert_eq!(bounded, expected);

@@ -1,25 +1,17 @@
-//! Per-block adjacency range summaries for vectorized set-op skipping.
+//! Per-block adjacency range summaries, kept for the benchmark alone.
 //!
-//! The SIMD kernel tier in `fm-engine::setops` streams adjacency lists in
-//! vector-width chunks, and on skewed operand pairs most of the larger
-//! list's blocks cannot contain a match at all. [`BlockSummaries`] gives
-//! the kernels a one-word-per-block index to detect that without touching
-//! the block: for every 64-neighbor block of every adjacency list longer
-//! than one block it packs the block's id range into a single `u64`
-//! (`last << 32 | first`). A kernel positioned at value `x` skips whole
-//! blocks while `block_last < x` — one word load per skipped block instead
-//! of up to 64 element comparisons. A list that fits one block has nothing
-//! to skip to, so it gets no words and reads as the empty no-skip row. This is the software analogue of the block-metadata
-//! skipping in vectorized GPM intersection kernels (IntersectX's segment
-//! summaries, G²Miner's warp-level bounds checks).
+//! [`BlockSummaries`] packs, for every 64-neighbor block of every adjacency
+//! list longer than one block, the block's id range into a single `u64`
+//! (`last << 32 | first`), so a kernel positioned at value `x` could skip
+//! whole blocks while `block_last < x`. A list that fits one block gets no
+//! words and reads as the empty row.
 //!
-//! The index is immutable after [`BlockSummaries::build`] and shared across
-//! worker threads via `Arc`, like [`HubBitmaps`](crate::HubBitmaps). It is
-//! an *optimization hint* only: kernels produce identical output and
-//! identical charged work counters with or without it (skipped blocks are
-//! exactly the ones the vector loop would have discarded after a compare),
-//! so the engine builds it opportunistically and drops it when the SIMD
-//! tier is disabled.
+//! It was the skip index of the engine's vectorized set-op tier. That tier
+//! is gone (DESIGN.md §6b) and the engine builds no summaries; the type
+//! stays, with no engine caller, because `benchmark/` still times
+//! [`BlockSummaries::build`] and reports [`BlockSummaries::bytes`]
+//! (`graph.block_build_ms`, `graph.block_bytes`). It goes when those lines
+//! are retired.
 
 use crate::csr::CsrGraph;
 use crate::vertex::VertexId;

@@ -20,8 +20,8 @@
 //! * [`hub`] — degree-thresholded hub adjacency bitmaps ([`HubBitmaps`]),
 //!   the auxiliary index backing the engine's probe-based set-op kernels.
 //! * [`block`] — per-64-neighbor-block id-range summaries
-//!   ([`BlockSummaries`]), the skip index consumed by the engine's SIMD
-//!   set-op kernel tier.
+//!   ([`BlockSummaries`]); no engine caller, kept for the benchmark's
+//!   `graph.block_*` lines.
 //! * [`stats`] — degree statistics used to reproduce Table I.
 //! * [`io`] — plain-text edge-list serialization.
 //!

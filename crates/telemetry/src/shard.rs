@@ -29,8 +29,6 @@ pub struct TelemetryShard {
     pub depth_gallop: Vec<u64>,
     /// Adaptive dispatches resolved to the hub-bitmap probe tier, per depth.
     pub depth_probe: Vec<u64>,
-    /// Adaptive dispatches resolved to the SIMD tier, per depth.
-    pub depth_simd: Vec<u64>,
     /// Sizes of materialized frontiers (log2 buckets).
     pub frontier_sizes: Log2Histogram,
     /// Start-vertex task wall times in microseconds (log2 buckets).
@@ -96,7 +94,6 @@ impl TelemetryShard {
         add_resized(&mut self.depth_merge, &other.depth_merge);
         add_resized(&mut self.depth_gallop, &other.depth_gallop);
         add_resized(&mut self.depth_probe, &other.depth_probe);
-        add_resized(&mut self.depth_simd, &other.depth_simd);
         self.frontier_sizes.merge(&other.frontier_sizes);
         self.task_micros.merge(&other.task_micros);
         self.spans.extend(other.spans.iter().copied());
@@ -114,7 +111,6 @@ impl TelemetryShard {
             self.depth_merge.len(),
             self.depth_gallop.len(),
             self.depth_probe.len(),
-            self.depth_simd.len(),
         ]
         .into_iter()
         .max()

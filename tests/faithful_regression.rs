@@ -71,7 +71,6 @@ fn paper_faithful_ignores_hub_knobs_bit_for_bit() {
             hub_degree_threshold: 1,
             hub_memory_budget: usize::MAX,
             gallop_ratio: 1,
-            simd: true,
             ..EngineConfig::paper_faithful()
         };
         let twiddled = faithful(&g, &pattern, &knobs);

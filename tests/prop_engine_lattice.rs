@@ -2,17 +2,17 @@
 //! knobs must be invisible to results. One property draws a graph (ER |
 //! power-law | hub-attached power-law) and a point of the lattice
 //! {`gallop_ratio` ∈ {0, 1, 16}, `hub_bitmap` off / default budget / tight
-//! budget} and walks `simd` × threads {1, 3} under it, for every stock
+//! budget} and walks threads {1, 3} under it, for every stock
 //! pattern compiled edge-induced and vertex-induced, against two
 //! references: `paper_faithful`, and the *plain* engine (bounded merges,
 //! every dispatch knob off).
 //!
 //! - Unique counts equal the faithful engine's and, for vertex-induced
 //!   plans, the pattern-oblivious ESU oracle's; every run is `Complete`.
-//! - The dispatch knobs (`gallop_ratio`, `hub_bitmap`, `simd`, threads)
-//!   choose *how* a candidate set is derived, never *which*: `extensions`,
+//! - The dispatch knobs (`gallop_ratio`, `hub_bitmap`, threads) choose
+//!   *how* a candidate set is derived, never *which*: `extensions`,
 //!   `candidates_checked` and `setop_invocations` equal the plain engine's,
-//!   and the four tier counters partition the invocations.
+//!   and the three tier counters partition the invocations.
 //! - Bound pushdown only removes work: plain ≤ faithful `setop_iterations`;
 //!   so do probes, where no gallop can undercut them (`gallop_ratio == 0`)
 //!   and no bound can stop the merge they replace first (a plan without
@@ -23,8 +23,7 @@
 //!   stop after one step, the sweep walks both — so a joined plan is held
 //!   to its own ceiling: it never streams more than every core vertex's
 //!   adjacency below the leaf's bound.
-//! - SIMD charges what the scalar merge would have: every counter equal
-//!   but the merge → simd relabel; thread count moves no counter at all.
+//! - Thread count moves no counter at all.
 //!
 //! Beside it: partial results under a tight iteration budget replay
 //! exactly over their completed set, the default engine agrees with the
@@ -35,7 +34,7 @@
 //! diamond and 3-motif census to what their closed forms charge.
 
 use fm_engine::{
-    count_program, mine, oblivious, prepare, simd, Budget, EngineConfig, Executor, RunStatus,
+    count_program, mine, oblivious, prepare, Budget, EngineConfig, Executor, RunStatus,
     WorkCounters,
 };
 use fm_graph::{generators, CsrGraph, VertexId};
@@ -83,31 +82,15 @@ fn plain() -> EngineConfig {
         gallop_ratio: 0,
         hub_bitmap: false,
         hub_degree_threshold: 4,
-        simd: false,
         ..EngineConfig::default()
     }
 }
 
 /// `hub` 0 = no index, 1 = the default budget, 2 = a budget too tight for
 /// more than a row or two (the index shrinks, possibly to nothing).
-fn knobbed(
-    base: EngineConfig,
-    gallop_ratio: usize,
-    hub: u8,
-    simd: bool,
-    threads: usize,
-) -> EngineConfig {
+fn knobbed(base: EngineConfig, gallop_ratio: usize, hub: u8, threads: usize) -> EngineConfig {
     let hub_memory_budget = if hub == 2 { 64 } else { base.hub_memory_budget };
-    EngineConfig { gallop_ratio, hub_bitmap: hub != 0, hub_memory_budget, simd, threads, ..base }
-}
-
-/// `scalar` with its merge dispatches relabelled as SIMD — what the same
-/// run reports with the vector kernels on, if this host can run them.
-fn simd_relabel(scalar: WorkCounters) -> WorkCounters {
-    if !simd::runtime_available() {
-        return scalar;
-    }
-    WorkCounters { merge_dispatches: 0, simd_dispatches: scalar.merge_dispatches, ..scalar }
+    EngineConfig { gallop_ratio, hub_bitmap: hub != 0, hub_memory_budget, threads, ..base }
 }
 
 /// The counters a dispatch knob must not move.
@@ -122,7 +105,7 @@ fn unbounded(plan: &ExecutionPlan) -> bool {
 }
 
 fn tiers(w: &WorkCounters) -> u64 {
-    w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches + w.simd_dispatches
+    w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches
 }
 
 /// The most the 4-cycle's pair join can stream: under every start vertex
@@ -189,14 +172,13 @@ proptest! {
                         "pushdown added merge work: {}", &ctx
                     );
                 }
-                let scalar = mine(&g, &plan, &knobbed(base, gallop_ratio, hub, false, 1)).work;
-                for (simd, threads) in [(false, 1), (true, 1), (false, 3), (true, 3)] {
-                    let r = mine(&g, &plan, &knobbed(base, gallop_ratio, hub, simd, threads));
-                    let ctx = format!("{ctx} simd={simd} threads={threads}");
+                let scalar = mine(&g, &plan, &knobbed(base, gallop_ratio, hub, 1)).work;
+                for threads in [1, 3] {
+                    let r = mine(&g, &plan, &knobbed(base, gallop_ratio, hub, threads));
+                    let ctx = format!("{ctx} threads={threads}");
                     prop_assert_eq!(&r.unique_counts(&plan), &expected, "counts: {}", &ctx);
                     prop_assert_eq!(r.status, RunStatus::Complete, "status: {}", &ctx);
-                    let want = if simd { simd_relabel(scalar) } else { scalar };
-                    prop_assert_eq!(r.work, want, "simd/thread parity: {}", &ctx);
+                    prop_assert_eq!(r.work, scalar, "thread parity: {}", &ctx);
                 }
                 prop_assert_eq!(search_words(&scalar), search_words(&plain.work), "{}", &ctx);
                 prop_assert_eq!(tiers(&scalar), scalar.setop_invocations, "partition: {}", &ctx);
@@ -220,11 +202,11 @@ proptest! {
     fn tight_budget_partials_replay_exactly(
         g in arb_graph(),
         hub in 0u8..3,
-        (simd, gallop_pick) in (any::<bool>(), 0usize..3),
+        gallop_pick in 0usize..3,
     ) {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         for threads in [1usize, 3] {
-            let cfg = knobbed(plain(), [0, 1, 16][gallop_pick], hub, simd, threads);
+            let cfg = knobbed(plain(), [0, 1, 16][gallop_pick], hub, threads);
             let full = mine(&g, &plan, &cfg).work.setop_iterations;
             // Too cheap to cut strictly.
             if full < 9 {
@@ -271,7 +253,9 @@ fn default_agrees_with_faithful_on_powerlaw_and_mesh() {
 /// that tier left the default engine exactly there, and so does deciding
 /// their leaves' counting rule ahead of time. The 4-cycle (pair join),
 /// diamond (binomial tail) and 3-motif (count-only difference) rows were
-/// re-recorded when those rules landed; the counts never moved.
+/// re-recorded when those rules landed; the counts never moved. Each row
+/// carried a ninth word, the SIMD tier's dispatches, until that tier went;
+/// they are on the merge tier here.
 #[test]
 fn default_engine_reproduces_the_parents_reuse_off_counters() {
     let g = generators::powerlaw_cluster(2000, 8, 0.4, 1);
@@ -279,32 +263,23 @@ fn default_engine_reproduces_the_parents_reuse_off_counters() {
     #[rustfmt::skip]
     let pins: [(ExecutionPlan, &[u64], [u64; WorkCounters::WORDS]); 6] = [
         (single(Pattern::triangle()), &[9920],
-         [165975, 15964, 165979, 25884, 27884, 0, 225, 0, 15739]),
+         [165975, 15964, 165979, 25884, 27884, 15739, 225, 0]),
         (single(Pattern::k_clique(4)), &[1993],
-         [220648, 25884, 220720, 27877, 29877, 0, 954, 0, 24930]),
+         [220648, 25884, 220720, 27877, 29877, 24930, 954, 0]),
         (single(Pattern::k_clique(5)), &[848],
-         [225550, 27877, 225626, 28725, 30725, 0, 1546, 0, 26331]),
+         [225550, 27877, 225626, 28725, 30725, 26331, 1546, 0]),
         (single(Pattern::cycle(4)), &[118809],
-         [465797, 0, 107104, 15964, 120809, 0, 0, 0, 0]),
+         [465797, 0, 107104, 15964, 120809, 0, 0, 0]),
         (single(Pattern::diamond()), &[62590],
-         [378179, 15964, 378179, 47332, 80554, 0, 0, 7696, 8268]),
+         [378179, 15964, 378179, 47332, 80554, 8268, 0, 7696]),
         (compile_multi(&motifs::motifs(3), CompileOptions::induced()), &[491869, 9920],
-         [698710, 47892, 2187314, 549681, 551681, 0, 541, 16737, 30614]),
+         [698710, 47892, 2187314, 549681, 551681, 30614, 541, 16737]),
     ];
     for (plan, counts, words) in pins {
-        // Recorded on a host with the vector kernels; a scalar host
-        // reports the same dispatches on the merge tier.
-        let want = if simd::runtime_available() {
-            words
-        } else {
-            let mut w = words;
-            (w[5], w[8]) = (w[8], 0);
-            w
-        };
         for threads in [1usize, 3] {
             let r = mine(&g, &plan, &EngineConfig::with_threads(threads));
             assert_eq!(r.unique_counts(&plan), counts, "{plan}");
-            assert_eq!(r.work.words(), want, "{plan} threads={threads}");
+            assert_eq!(r.work.words(), words, "{plan} threads={threads}");
         }
     }
 }

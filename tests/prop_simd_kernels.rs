@@ -1,21 +1,22 @@
-//! Differential property tests for the SIMD set-op kernel tier: every
-//! cell of the dispatcher's op × sink × bound table must be bit-identical
-//! between the merge tier and the SIMD tier that replaces it — same
-//! output lists, same bounded truncation, and the same `WorkCounters`
-//! (the closed-form charging reproduces the scalar walk exactly) — and
-//! agree with the two reference walking merges and a `BTreeSet`, over
-//! adversarial operands: empty sides, identical lists, disjoint lists,
-//! bounds of 0 and past-the-end, and lengths straddling the 4/8-lane
-//! vector-width tails. End to end, flipping `EngineConfig::simd` must be
-//! invisible to mining results across threads, c-map, and hub modes
-//! except for the merge→simd dispatch relabeling.
+//! What is left of the vectorized kernel tier: the checks that outlived it.
 //!
-//! Also built as an `fm-engine` test target, so CI's scalar-fallback step
-//! (`--no-default-features`) runs the same table against the engine
-//! without the vector kernels.
+//! The engine once had a fourth dispatch tier of SSE2/AVX2 merges beside
+//! the scalar merge. It is gone (DESIGN.md §6b, "tried and removed"), and
+//! these two properties now guard what it left behind:
+//!
+//! - **The merge tier is the walking merge.** Every cell of the
+//!   dispatcher's op × sink × bound table on the merge tier agrees with the
+//!   two reference walking merges and a `BTreeSet` — same output lists,
+//!   same bounded truncation, and, unbounded, the same `WorkCounters` —
+//!   over adversarial operands: empty sides, identical lists, disjoint
+//!   lists, and bounds of 0 and past the end.
+//! - **The frozen word stays frozen.** End to end, on arbitrary graphs ×
+//!   threads × hub index, `WorkCounters::simd_dispatches` stays 0 (the
+//!   benchmark still reads it), the three remaining tiers partition
+//!   `setop_invocations`, and the counts are `paper_faithful`'s.
 
 use fm_engine::setops::{self, Count, Sink};
-use fm_engine::{mine, simd, EngineConfig, WorkCounters};
+use fm_engine::{mine, EngineConfig, WorkCounters};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions};
@@ -29,16 +30,9 @@ fn sorted(mut raw: Vec<u32>) -> Vec<VertexId> {
     raw.into_iter().map(VertexId).collect()
 }
 
-/// Packs the [`fm_graph::BlockSummaries`]-layout row for `b`: one
-/// `last << 32 | first` word per 64-neighbor block.
-fn blocks_of(b: &[VertexId]) -> Vec<u64> {
-    b.chunks(64).map(|c| (u64::from(c[c.len() - 1].0) << 32) | u64::from(c[0].0)).collect()
-}
-
 /// Operand pairs biased toward the adversarial shapes: `b` is either
 /// independent fuzz, a copy of `a` (all-equal), a strided subset, or
-/// shifted fully disjoint. Lengths run 0..160, straddling both the SSE2
-/// 4-lane and AVX2 8-lane block boundaries and their scalar tails.
+/// shifted fully disjoint. Lengths run 0..160.
 fn arb_pair() -> impl Strategy<Value = (Vec<VertexId>, Vec<VertexId>)> {
     (prop::collection::vec(0u32..600, 0..160), prop::collection::vec(0u32..600, 0..160), 0u8..4)
         .prop_map(|(a_raw, b_raw, mode)| {
@@ -60,19 +54,17 @@ enum Op {
     Difference,
 }
 
-/// One merge-tier dispatch (no gallop, no hub) into `out`: the scalar
-/// merge, or with `simd` the tier that replaces it.
+/// One merge-tier dispatch (no gallop, no hub) into `out`.
 fn merge_tier<S: Sink>(
     op: Op,
     (a, b): (&[VertexId], &[VertexId]),
     bound: Option<VertexId>,
-    simd: Option<&[u64]>,
     out: S,
 ) -> (S, WorkCounters) {
     let mut w = WorkCounters::default();
     let out = match op {
-        Op::Intersect => setops::intersect(a, b, bound, 0, None, simd, out, &mut w),
-        Op::Difference => setops::difference(a, b, bound, None, simd, out, &mut w),
+        Op::Intersect => setops::intersect(a, b, bound, 0, None, out, &mut w),
+        Op::Difference => setops::difference(a, b, bound, None, out, &mut w),
     };
     (out, w)
 }
@@ -80,18 +72,16 @@ fn merge_tier<S: Sink>(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Kernel-level differential over the op × sink × bound table: the
-    /// SIMD tier agrees with the merge tier on outputs AND charged work,
-    /// with and without block summaries, for unbounded and bounded (0,
-    /// interior, past-the-end) forms; the counting sink charges what the
-    /// list sink does; and the unbounded merge tier is the reference
-    /// walking merge.
+    /// Kernel-level table over op × sink × bound on the merge tier:
+    /// outputs against a `BTreeSet` for unbounded and bounded (0, interior,
+    /// past-the-end) forms; the counting sink charges what the list sink
+    /// does; and the unbounded merge tier is the reference walking merge,
+    /// output and charges both.
     #[test]
     fn simd_wrappers_are_bit_identical_to_scalar_kernels(
         (a, b) in arb_pair(),
         bound_pick in 0u8..4,
     ) {
-        let blocks_full = blocks_of(&b);
         let bound = match bound_pick {
             0 => VertexId(0),
             1 => VertexId(a.get(a.len() / 2).map_or(300, |x| x.0)),
@@ -101,15 +91,18 @@ proptest! {
         let in_b: BTreeSet<VertexId> = b.iter().copied().collect();
         for op in [Op::Intersect, Op::Difference] {
             for bound in [None, Some(bound)] {
+                let ctx = format!("{op:?} |a|={} |b|={} bound={bound:?}", a.len(), b.len());
                 let mut so = Vec::new();
-                let (_, ws) = merge_tier(op, (&a, &b), bound, None, &mut so);
+                let (_, ws) = merge_tier(op, (&a, &b), bound, &mut so);
                 let expect: Vec<VertexId> = a
                     .iter()
                     .filter(|x| bound.is_none_or(|bd| **x < bd))
                     .filter(|x| in_b.contains(*x) == (op == Op::Intersect))
                     .copied()
                     .collect();
-                prop_assert_eq!(&so, &expect, "{:?} bound={:?}", op, bound);
+                prop_assert_eq!(&so, &expect, "output {}", &ctx);
+                let one_merge = WorkCounters { setop_invocations: 1, merge_dispatches: 1, ..ws };
+                prop_assert_eq!(ws, one_merge, "one merge dispatch {}", &ctx);
                 if bound.is_none() {
                     let (mut out, mut w) = (Vec::new(), WorkCounters::default());
                     match op {
@@ -117,21 +110,10 @@ proptest! {
                         Op::Difference => setops::difference_into(&a, &b, &mut out, &mut w),
                     }
                     let walked = WorkCounters { merge_dispatches: 1, ..w };
-                    prop_assert_eq!((&out, walked), (&so, ws), "{:?} vs the walking merge", op);
+                    prop_assert_eq!((&out, walked), (&so, ws), "the walking merge {}", &ctx);
                 }
-                let (n, wn) = merge_tier(op, (&a, &b), bound, None, Count(0));
-                prop_assert_eq!((n.0, wn), (so.len() as u64, ws), "scalar count {:?}", op);
-                let relabeled = WorkCounters { merge_dispatches: 0, simd_dispatches: 1, ..ws };
-                for blocks in [&[][..], &blocks_full[..]] {
-                    let ctx = format!("{op:?} |a|={} |b|={} bound={bound:?} blocks={}",
-                        a.len(), b.len(), !blocks.is_empty());
-                    let mut vo = Vec::new();
-                    let (_, wv) = merge_tier(op, (&a, &b), bound, Some(blocks), &mut vo);
-                    prop_assert_eq!(&so, &vo, "output {}", &ctx);
-                    prop_assert_eq!(relabeled, wv, "charges {}", &ctx);
-                    let (n, wn) = merge_tier(op, (&a, &b), bound, Some(blocks), Count(0));
-                    prop_assert_eq!((n.0, wn), (vo.len() as u64, wv), "count {}", &ctx);
-                }
+                let (n, wn) = merge_tier(op, (&a, &b), bound, Count(0));
+                prop_assert_eq!((n.0, wn), (so.len() as u64, ws), "count {}", &ctx);
             }
         }
     }
@@ -151,22 +133,13 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (any::<bool>(), hubbed, er).prop_map(|(pick, h, e)| if pick { h } else { e })
 }
 
-/// `r_off`'s counters with its merge dispatches relabeled as SIMD — what
-/// an otherwise-identical SIMD run must report.
-fn relabeled(off: WorkCounters) -> WorkCounters {
-    WorkCounters {
-        merge_dispatches: 0,
-        simd_dispatches: off.merge_dispatches + off.simd_dispatches,
-        ..off
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// End-to-end differential: `simd` on/off is result-invisible across
-    /// patterns × threads {1,4} × hub — identical counts, status,
-    /// and every work counter except the merge→simd relabeling.
+    /// End to end across patterns × threads {1, 4} × hub: no dispatch is
+    /// charged to the frozen `simd_dispatches` word, the three tiers
+    /// partition `setop_invocations`, and the counts and status are
+    /// `paper_faithful`'s.
     #[test]
     fn simd_toggle_is_result_invisible(
         g in arb_graph(),
@@ -179,26 +152,22 @@ proptest! {
             Pattern::k_clique(4),
         ] {
             let plan = compile(&pattern, CompileOptions::default());
+            let faithful = mine(&g, &plan, &EngineConfig::paper_faithful());
             for threads in [1usize, 4] {
-                let on = EngineConfig {
+                let cfg = EngineConfig {
                     threads,
                     hub_bitmap: hub,
                     hub_degree_threshold: 4,
-                    simd: true,
                     ..EngineConfig::default()
                 };
-                let off = EngineConfig { simd: false, ..on };
-                let r_on = mine(&g, &plan, &on);
-                let r_off = mine(&g, &plan, &off);
+                let r = mine(&g, &plan, &cfg);
                 let ctx = format!("{pattern} threads={threads} hub={hub}");
-                prop_assert_eq!(&r_on.counts, &r_off.counts, "counts: {}", &ctx);
-                prop_assert_eq!(r_on.status, r_off.status, "status: {}", &ctx);
-                prop_assert_eq!(r_off.work.simd_dispatches, 0, "simd off must never dispatch");
-                if simd::runtime_available() {
-                    prop_assert_eq!(r_on.work, relabeled(r_off.work), "work: {}", &ctx);
-                } else {
-                    prop_assert_eq!(r_on.work, r_off.work, "work (fallback): {}", &ctx);
-                }
+                prop_assert_eq!(&r.counts, &faithful.counts, "counts: {}", &ctx);
+                prop_assert_eq!(r.status, faithful.status, "status: {}", &ctx);
+                prop_assert_eq!(r.work.simd_dispatches, 0, "the frozen word moved: {}", &ctx);
+                let w = r.work;
+                let tiers = w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches;
+                prop_assert_eq!(tiers, w.setop_invocations, "three tiers partition: {}", &ctx);
             }
         }
     }

@@ -3,28 +3,30 @@
 //!
 //! - **Pins.** Unique counts and every [`WorkCounters`] word of the six
 //!   stock requests and `motifs 4`, on a power-law and a caveman graph,
-//!   under the default, `hub_bitmap: false`, `simd: false` and
-//!   `paper_faithful` configs, as the commit before the resolved program
-//!   produced them (1 and 2 threads agree): resolving the program once,
-//!   fusing the last level, looking index rows up lazily and prefetching
-//!   move no counter. (The rows carried four software-c-map words until
-//!   that engine mode went; they were 0 in every row kept here.)
+//!   under the default, `hub_bitmap: false` and `paper_faithful` configs,
+//!   as the commit before the resolved program produced them (1 and 2
+//!   threads agree): resolving the program once, fusing the last level,
+//!   looking index rows up lazily and prefetching move no counter. (The
+//!   rows carried four software-c-map words until that engine mode went;
+//!   they were 0 in every row kept here. They carried a ninth word, the
+//!   SIMD tier's dispatches, until that tier went: its dispatches are on
+//!   the merge tier here, word for word the rows the parent recorded with
+//!   the tier switched off.)
 //! - **Per task.** On arbitrary patterns and graphs, after each
 //!   `run_vertex(v)` the fused executor's counts equal those of one forced
 //!   to enumerate (`collect_matches`), and an observed run reports the
 //!   same counters as an unobserved one, its depth series partitioning
 //!   them.
 //! - **The lazy-row rule is exact.** A hub row exists only for a vertex of
-//!   at least `degree_threshold()` neighbours (under a tight budget too)
-//!   and a block row only for a list longer than one block, so skipping
-//!   the lookup for shorter lists skips nothing.
+//!   at least `degree_threshold()` neighbours (under a tight budget too),
+//!   so skipping the lookup for shorter lists skips nothing.
 //! - **Faults.** A `csr_read` failpoint that fires between two survivors
 //!   of the fused loop rolls the task back to exactly nothing.
 
 use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{
-    count_program, mine, mine_prepared, mine_prepared_observed, prepare, simd, EngineConfig,
-    Executor, RunStatus, TelemetryOptions, WorkCounters,
+    count_program, mine, mine_prepared, mine_prepared_observed, prepare, EngineConfig, Executor,
+    RunStatus, TelemetryOptions, WorkCounters,
 };
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::{motifs, Pattern};
@@ -50,7 +52,6 @@ fn config(name: &str) -> EngineConfig {
     match name {
         "default" => d,
         "no_hub" => EngineConfig { hub_bitmap: false, ..d },
-        "no_simd" => EngineConfig { simd: false, ..d },
         "faithful" => EngineConfig::paper_faithful(),
         other => panic!("unknown config {other}"),
     }
@@ -61,124 +62,96 @@ type Pin = (&'static str, &'static str, &'static [u64], [u64; WorkCounters::WORD
 
 /// Recorded at the parent commit on `powerlaw_cluster(2000, 8, 0.4, 7)`.
 #[rustfmt::skip]
-const POWERLAW: [Pin; 28] = [
+const POWERLAW: [Pin; 21] = [
     ("triangle", "default", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 217, 0, 15747]),
+     [166564, 15964, 166564, 26022, 28022, 15747, 217, 0]),
     ("triangle", "no_hub", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 217, 0, 15747]),
-    ("triangle", "no_simd", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 15747, 217, 0, 0]),
+     [166564, 15964, 166564, 26022, 28022, 15747, 217, 0]),
     ("triangle", "faithful", &[10058],
-     [166564, 15964, 166564, 26022, 28022, 0, 0, 0, 0]),
+     [166564, 15964, 166564, 26022, 28022, 0, 0, 0]),
     ("4-clique", "default", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 862, 0, 25160]),
+     [221937, 26022, 221937, 27987, 29987, 25160, 862, 0]),
     ("4-clique", "no_hub", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 862, 0, 25160]),
-    ("4-clique", "no_simd", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 25160, 862, 0, 0]),
+     [221937, 26022, 221937, 27987, 29987, 25160, 862, 0]),
     ("4-clique", "faithful", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 0, 0, 0, 0]),
+     [221937, 26022, 221937, 27987, 29987, 0, 0, 0]),
     ("5-clique", "default", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 1259, 0, 26728]),
+     [227061, 27987, 227061, 28661, 30661, 26728, 1259, 0]),
     ("5-clique", "no_hub", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 1259, 0, 26728]),
-    ("5-clique", "no_simd", &[674],
-     [227061, 27987, 227061, 28661, 30661, 26728, 1259, 0, 0]),
+     [227061, 27987, 227061, 28661, 30661, 26728, 1259, 0]),
     ("5-clique", "faithful", &[674],
-     [227061, 27987, 227061, 28661, 30661, 0, 0, 0, 0]),
+     [227061, 27987, 227061, 28661, 30661, 0, 0, 0]),
     ("4-cycle", "default", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0]),
+     [470093, 0, 106685, 15964, 126212, 0, 0, 0]),
     ("4-cycle", "no_hub", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0]),
-    ("4-cycle", "no_simd", &[124212],
-     [470093, 0, 106685, 15964, 126212, 0, 0, 0, 0]),
+     [470093, 0, 106685, 15964, 126212, 0, 0, 0]),
     ("4-cycle", "faithful", &[124212],
-     [5426784, 55832, 5426784, 269417, 198008, 0, 0, 0, 0]),
+     [5426784, 55832, 5426784, 269417, 198008, 0, 0, 0]),
     ("diamond", "default", &[65880],
-     [380962, 15964, 380962, 47751, 83844, 0, 0, 7481, 8483]),
+     [380962, 15964, 380962, 47751, 83844, 8483, 0, 7481]),
     ("diamond", "no_hub", &[65880],
-     [890389, 15964, 923584, 47751, 83844, 0, 569, 0, 15395]),
-    ("diamond", "no_simd", &[65880],
-     [380962, 15964, 380962, 47751, 83844, 8483, 0, 7481, 0]),
+     [890389, 15964, 923584, 47751, 83844, 15395, 569, 0]),
     ("diamond", "faithful", &[65880],
-     [982866, 15964, 982866, 143805, 114018, 0, 0, 0, 0]),
+     [982866, 15964, 982866, 143805, 114018, 0, 0, 0]),
     ("motifs 3", "default", &[495751, 10058],
-     [696212, 47892, 2185190, 553701, 555701, 0, 636, 16200, 31056]),
+     [696212, 47892, 2185190, 553701, 555701, 31056, 636, 16200]),
     ("motifs 3", "no_hub", &[495751, 10058],
-     [729944, 47892, 2409318, 553701, 555701, 0, 8339, 0, 39553]),
-    ("motifs 3", "no_simd", &[495751, 10058],
-     [696212, 47892, 2185190, 553701, 555701, 31056, 636, 16200, 0]),
+     [729944, 47892, 2409318, 553701, 555701, 39553, 8339, 0]),
     ("motifs 3", "faithful", &[495751, 10058],
-     [3019336, 47892, 2948598, 596081, 555701, 0, 0, 0, 0]),
+     [3019336, 47892, 2948598, 596081, 555701, 0, 0, 0]),
     ("motifs 4", "default", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [57114034, 1251867, 80638465, 29047260, 29033296, 0, 3295, 406787, 841785]),
+     [57114034, 1251867, 80638465, 29047260, 29033296, 841785, 3295, 406787]),
     ("motifs 4", "no_hub", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [67983961, 1251867, 92956705, 29047260, 29033296, 0, 13955, 0, 1237912]),
-    ("motifs 4", "no_simd", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [57114034, 1251867, 80638465, 29047260, 29033296, 841785, 3295, 406787, 0]),
+     [67983961, 1251867, 92956705, 29047260, 29033296, 1237912, 13955, 0]),
     ("motifs 4", "faithful", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
-     [126892626, 1251867, 122919810, 29722336, 29033296, 0, 0, 0, 0]),
+     [126892626, 1251867, 122919810, 29722336, 29033296, 0, 0, 0]),
 ];
 
 /// Recorded at the parent commit on `caveman(200, 11, 1000, 7)`.
 #[rustfmt::skip]
-const CAVEMAN: [Pin; 28] = [
+const CAVEMAN: [Pin; 21] = [
     ("triangle", "default", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 1270, 0, 10726]),
+     [72363, 11996, 72363, 44999, 47199, 10726, 1270, 0]),
     ("triangle", "no_hub", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 1270, 0, 10726]),
-    ("triangle", "no_simd", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 10726, 1270, 0, 0]),
+     [72363, 11996, 72363, 44999, 47199, 10726, 1270, 0]),
     ("triangle", "faithful", &[33003],
-     [72363, 11996, 72363, 44999, 47199, 0, 0, 0, 0]),
+     [72363, 11996, 72363, 44999, 47199, 0, 0, 0]),
     ("4-clique", "default", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 5637, 0, 39362]),
+     [212186, 44999, 212186, 110999, 113199, 39362, 5637, 0]),
     ("4-clique", "no_hub", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 5637, 0, 39362]),
-    ("4-clique", "no_simd", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 39362, 5637, 0, 0]),
+     [212186, 44999, 212186, 110999, 113199, 39362, 5637, 0]),
     ("4-clique", "faithful", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 0, 0, 0, 0]),
+     [212186, 44999, 212186, 110999, 113199, 0, 0, 0]),
     ("5-clique", "default", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 17277, 0, 93722]),
+     [418511, 110999, 418511, 203399, 205599, 93722, 17277, 0]),
     ("5-clique", "no_hub", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 17277, 0, 93722]),
-    ("5-clique", "no_simd", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 93722, 17277, 0, 0]),
+     [418511, 110999, 418511, 203399, 205599, 93722, 17277, 0]),
     ("5-clique", "faithful", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 0, 0, 0, 0]),
+     [418511, 110999, 418511, 203399, 205599, 0, 0, 0]),
     ("4-cycle", "default", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0]),
+     [81189, 0, 62266, 11996, 200255, 0, 0, 0]),
     ("4-cycle", "no_hub", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0]),
-    ("4-cycle", "no_simd", &[198055],
-     [81189, 0, 62266, 11996, 200255, 0, 0, 0, 0]),
+     [81189, 0, 62266, 11996, 200255, 0, 0, 0]),
     ("4-cycle", "faithful", &[198055],
-     [499322, 38082, 499322, 300273, 250333, 0, 0, 0, 0]),
+     [499322, 38082, 499322, 300273, 250333, 0, 0, 0]),
     ("diamond", "default", &[396027],
-     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 11996]),
+     [151371, 11996, 151371, 113067, 410223, 11996, 0, 0]),
     ("diamond", "no_hub", &[396027],
-     [151371, 11996, 151371, 113067, 410223, 0, 0, 0, 11996]),
-    ("diamond", "no_simd", &[396027],
-     [151371, 11996, 151371, 113067, 410223, 11996, 0, 0, 0]),
+     [151371, 11996, 151371, 113067, 410223, 11996, 0, 0]),
     ("diamond", "faithful", &[396027],
-     [151371, 11996, 151371, 608103, 509232, 0, 0, 0, 0]),
+     [151371, 11996, 151371, 608103, 509232, 0, 0, 0]),
     ("motifs 3", "default", &[20863, 33003],
-     [193077, 35988, 668811, 89854, 92054, 0, 2208, 0, 33780]),
+     [193077, 35988, 668811, 89854, 92054, 33780, 2208, 0]),
     ("motifs 3", "no_hub", &[20863, 33003],
-     [193077, 35988, 668811, 89854, 92054, 0, 2208, 0, 33780]),
-    ("motifs 3", "no_simd", &[20863, 33003],
-     [193077, 35988, 668811, 89854, 92054, 33780, 2208, 0, 0]),
+     [193077, 35988, 668811, 89854, 92054, 33780, 2208, 0]),
     ("motifs 3", "faithful", &[20863, 33003],
-     [467469, 35988, 454113, 126713, 92054, 0, 0, 0, 0]),
+     [467469, 35988, 454113, 126713, 92054, 0, 0, 0]),
     ("motifs 4", "default", &[9810, 128348, 89627, 28, 27, 66000],
-     [4830404, 597000, 7420214, 520264, 510468, 0, 11, 0, 596989]),
+     [4830404, 597000, 7420214, 520264, 510468, 596989, 11, 0]),
     ("motifs 4", "no_hub", &[9810, 128348, 89627, 28, 27, 66000],
-     [4830404, 597000, 7420214, 520264, 510468, 0, 11, 0, 596989]),
-    ("motifs 4", "no_simd", &[9810, 128348, 89627, 28, 27, 66000],
-     [4830404, 597000, 7420214, 520264, 510468, 596989, 11, 0, 0]),
+     [4830404, 597000, 7420214, 520264, 510468, 596989, 11, 0]),
     ("motifs 4", "faithful", &[9810, 128348, 89627, 28, 27, 66000],
-     [7155524, 597000, 7000343, 763320, 510468, 0, 0, 0, 0]),
+     [7155524, 597000, 7000343, 763320, 510468, 0, 0, 0]),
 ];
 
 #[test]
@@ -191,18 +164,13 @@ fn counts_and_counters_are_the_parent_commits() {
     for (graph, g, pins) in &graphs {
         for &(request, cfg_name, counts, words) in pins.iter() {
             let plan = &plans.iter().find(|(name, _)| *name == request).expect("a stock request").1;
-            // Recorded on a host with the vector kernels; a scalar host
-            // reports the same dispatches on the merge tier.
-            let mut want = words;
-            if !simd::runtime_available() {
-                (want[5], want[8]) = (want[5] + want[8], 0);
-            }
             for threads in [1usize, 2] {
                 let r = mine(g, plan, &EngineConfig { threads, ..config(cfg_name) });
                 let ctx = format!("{graph} {request} {cfg_name} threads={threads}");
                 assert_eq!(r.status, RunStatus::Complete, "{ctx}");
                 assert_eq!(r.unique_counts(plan), counts, "{ctx}");
-                assert_eq!(r.work.words(), want, "{ctx}");
+                assert_eq!(r.work.words(), words, "{ctx}");
+                assert_eq!(r.work.simd_dispatches, 0, "{ctx}");
             }
         }
     }
@@ -337,23 +305,24 @@ proptest! {
                 (&shard.depth_merge, w.merge_dispatches),
                 (&shard.depth_gallop, w.gallop_dispatches),
                 (&shard.depth_probe, w.probe_dispatches),
-                (&shard.depth_simd, w.simd_dispatches),
             ] {
                 prop_assert_eq!(sum(series), word, "a depth series lost work: {}", &ctx);
             }
+            let tiers = w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches;
+            prop_assert_eq!(tiers, w.setop_invocations, "three tiers partition: {}", &ctx);
         }
     }
 }
 
-/// The two lookups the dispatcher skips for short lists would have found
+/// The lookup the dispatcher skips for short lists would have found
 /// nothing: no hub row below the index's own threshold, whatever the
-/// budget kept, and no summary words for a list that fits one block.
+/// budget kept.
 #[test]
 fn short_lists_have_no_rows_to_look_up() {
     let body = generators::powerlaw_cluster(600, 6, 0.5, 3);
     let g = generators::attach_hubs(&body, 6, 300, 5);
     // The diamond's plan dispatches set ops on the unoriented graph, so
-    // its prepare holds both indexes over `g` itself.
+    // its prepare holds the index over `g` itself.
     let plan = compile(&Pattern::diamond(), CompileOptions::default());
     let roomy = EngineConfig::default();
     // Room for the row map and three rows: the budget evicts hubs.
@@ -370,11 +339,6 @@ fn short_lists_have_no_rows_to_look_up() {
             }
         }
         kept.push(hubs.num_hubs());
-        if let Some(blocks) = prepared.blocks() {
-            for v in g.vertices() {
-                assert_eq!(blocks.row(v).is_empty(), g.degree(v) <= 64, "{v:?}");
-            }
-        }
     }
     assert!(kept[0] > 3 && kept[1] == 3, "the tight budget must evict: {kept:?}");
     // And the runs agree on everything but how many probes there were to make.

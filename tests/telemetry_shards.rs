@@ -54,6 +54,9 @@ fn shard_merge_is_thread_count_invariant() {
         let work = single.work().expect("software backend reports work");
         assert_eq!(baseline.0[0].iter().sum::<u64>(), work.setop_iterations);
         assert_eq!(baseline.0[1].iter().sum::<u64>(), work.setop_invocations);
+        // And the three tier series partition the invocations.
+        let tiers: u64 = baseline.0[2..5].iter().flatten().sum();
+        assert_eq!(tiers, work.setop_invocations);
     }
 }
 
