@@ -1,9 +1,10 @@
 //! How far the plan-driven engine is from a loop written by hand.
 //!
-//! A report, not a gate: the triangle and the 4-clique counted by the
-//! dozen lines of scalar merge loop anyone would write over the
-//! degree-oriented DAG — no plan, no dispatcher, no counters —
-//! against `mine_prepared` at one thread in the default configuration, on
+//! A report, not a gate: the triangle and the 4-clique (and on `cli-flat`
+//! the 5-clique, whose loop is three merges deep) counted by the dozen
+//! lines of scalar merge loop anyone would write over the degree-oriented
+//! DAG — no plan, no dispatcher, no counters — against `mine_prepared` at
+//! one thread in the default configuration, on
 //! generator specs shaped like the benchmark's three CLI workloads
 //! (`cli-skew`, `cli-flat`, `cli-load`; `--quick` divides the vertex
 //! counts by 8). Between the two sits the bare executor: `Executor::run_vertex`
@@ -81,6 +82,24 @@ fn naive_four_cliques(dag: &CsrGraph) -> u64 {
     found
 }
 
+fn naive_five_cliques(dag: &CsrGraph) -> u64 {
+    let mut found = 0;
+    let (mut two, mut three) = (Vec::new(), Vec::new());
+    for u in dag.vertices() {
+        let a = dag.neighbors(u);
+        for &v in a {
+            merge_into(a, dag.neighbors(v), &mut two);
+            for &w in &two {
+                merge_into(&two, dag.neighbors(w), &mut three);
+                for &x in &three {
+                    found += merge_count(&three, dag.neighbors(x));
+                }
+            }
+        }
+    }
+    found
+}
+
 /// The fastest of [`RUNS`] calls, in seconds, and what the call returned.
 fn best_of<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -128,11 +147,15 @@ fn main() {
         ],
     );
     type Naive = fn(&CsrGraph) -> u64;
-    let patterns: [(Pattern, Naive); 2] =
-        [(Pattern::triangle(), naive_triangles), (Pattern::k_clique(4), naive_four_cliques)];
+    let patterns: [(Pattern, Naive); 3] = [
+        (Pattern::triangle(), naive_triangles),
+        (Pattern::k_clique(4), naive_four_cliques),
+        (Pattern::k_clique(5), naive_five_cliques),
+    ];
     for (name, g) in &graphs {
         let dag = orient_by_degree(g);
-        for (pattern, naive) in &patterns {
+        let deepest = if *name == "cli-flat" { 3 } else { 2 };
+        for (pattern, naive) in &patterns[..deepest] {
             let plan = compile(pattern, CompileOptions::default());
             let prepared = prepare(g, &plan, &cfg);
             let (naive_s, want) = best_of(|| naive(&dag));

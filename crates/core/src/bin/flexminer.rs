@@ -242,6 +242,14 @@ durability (count only):
   --max-retries K              retry a faulted task K times before
                                quarantining it (default 0)
 
+job control (count only):
+  --timeout SECS               stop SECS after the graph is loaded, inside
+                               a running task if need be: that task is
+                               rolled back, and the counts cover the tasks
+                               that completed (exit 3)
+  --budget SETOP_ITERS         stop once the job has spent that many set-op
+                               iterations, the same way (exit 4)
+
 telemetry (off by default; defaults stay bit-identical):
   --metrics-out PATH           write run metrics: Prometheus text for .prom
                                or .txt extensions, JSON otherwise. count
@@ -265,7 +273,8 @@ serve protocol (JSONL, one object per line, over stdio or --socket):
    \"threads\":N,\"priority\":N,\"max_attempts\":K,
    \"budget\":SETOP_ITERS,\"deadline\":SECS]}          admit a job
    (a faulted task runs at most K times, default 3; per-job
-   budget/deadline stop with exit codes 4/3 and exact partial counts;
+   budget/deadline stop, inside a running task if need be, with exit
+   codes 4/3 and exact partial counts;
    both survive a drain, the deadline re-anchors at resume; the graph
    cache charges each graph it holds against --memory-budget, evicting
    graphs no job holds, least recently used first, and a gen: spec that

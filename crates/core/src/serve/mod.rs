@@ -20,13 +20,13 @@
 //! ([`EngineConfig::max_retries`]) before quarantining it. 0 means 1 (a
 //! job always gets its first attempt) and the default is 3.
 //! `budget` caps the job's set-op iterations and `deadline` gives it a
-//! wall-clock allowance in (fractional) seconds; either stop surfaces as
-//! an exact partial result with the `count` command's exit-code semantics
-//! (4 budget exhausted, 3 deadline exceeded) on the `wait` response and
-//! summary line. Both survive a drain in the journaled request; the
-//! deadline is re-anchored when the restarted process resubmits the job
-//! (the allowance is per attempt — wall time the old process spent does
-//! not count against the new one).
+//! wall-clock allowance in (fractional) seconds; either stops the job,
+//! inside a running task too, as an exact partial result with the `count`
+//! command's exit-code semantics (4 budget exhausted, 3 deadline exceeded)
+//! on the `wait` response and summary line. Both survive a drain in the
+//! journaled request; the deadline is re-anchored when the restarted
+//! process resubmits the job (the allowance is per attempt — wall time
+//! the old process spent does not count against the new one).
 //!
 //! On SIGTERM/SIGINT (or the `shutdown` op — both arm the same
 //! [`fm_jobs::signal`] latch) the supervisor drains every unfinished job
@@ -194,6 +194,28 @@ fn lock_recover<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
         poisoned.into_inner()
     })
 }
+
+/// Hands the free memory a graph load leaves behind back to the OS. A
+/// generator's scratch — one adjacency row per vertex, freed once the CSR
+/// is built — otherwise stays resident in the loading thread's malloc
+/// arena for the life of the server whenever a later allocation pins the
+/// arena's top, which depends on thread timing: on `serve-mix` that was
+/// 1.2 MB of an 11–12.5 MB peak in some runs and not in others
+/// (EXPERIMENTS.md "One loop per task").
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` only returns free pages to the OS; live
+    // allocations are untouched.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_memory() {}
 
 /// Everything needed to report a job and to resubmit it after a drain.
 struct JobMeta {
@@ -490,6 +512,7 @@ impl ServeState {
         // later submit of this spec to wait on.
         let loaded =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| load(spec).map(Arc::new)));
+        release_free_memory();
         let mut cache = lock_recover(&self.graphs, "graph cache");
         cache.entries.remove(spec);
         let cached = loaded.map(|loaded| {
@@ -1803,10 +1826,10 @@ mod tests {
     /// vertices, `gen:` kinds, keys and values, the other fields' numbers,
     /// and the bytes — each get one JSON object with `ok`, nothing panics,
     /// and the graph cache never holds more than the budget. The
-    /// supervisor is drained first, so admitted jobs are shed rather than
-    /// mined: what is fuzzed is the handler, while a job's mining (a
-    /// 16-clique on a dense graph that fits the budget) is bounded only by
-    /// its own `budget` and `deadline`.
+    /// supervisor is live, so admitted jobs are mined, a 16-clique on a
+    /// dense graph that fits the budget among them: the drain's pause
+    /// stops a running task inside, so the final drain still returns
+    /// within 2 s.
     #[test]
     fn mutated_submit_lines_get_one_structured_reply_within_the_budget() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1855,7 +1878,6 @@ mod tests {
             "null",
         ];
         let st = state(ServeConfig { memory_budget_bytes: BUDGET, ..Default::default() });
-        st.sup.shutdown(None);
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let pick = |rng: &mut StdRng, from: &[&str]| from[rng.gen_range(0..from.len())].to_string();
         for case in 0..400 {
@@ -1896,6 +1918,31 @@ mod tests {
             );
             assert!(st.memory_bytes() <= BUDGET, "case {case}: {line}");
         }
+        let drain = Instant::now();
+        st.sup.shutdown(None);
+        assert!(drain.elapsed() < Duration::from_secs(2), "drained in {:?}", drain.elapsed());
+    }
+
+    /// A deadline stops a job inside its first task: no task of a
+    /// 16-clique on K₃₀₀ ever ends, yet the job is answered `deadline`
+    /// about when its allowance runs out (target 0.2 s; 1 s of slack for a
+    /// loaded host).
+    #[test]
+    fn a_deadline_stops_a_sixteen_clique_inside_its_first_task() {
+        let st = state(ServeConfig::default());
+        let submitted = Instant::now();
+        let resp = st.handle_line(
+            r#"{"op":"submit","pattern":"16-clique","graph":"gen:complete,n=300","deadline":0.1}"#,
+        );
+        let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+        let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+        let took = submitted.elapsed();
+        let d = jsonl::parse(&done).unwrap();
+        assert_eq!(d.get("status").and_then(Json::as_str), Some("DeadlineExceeded"), "{done}");
+        assert_eq!(d.get("exit_code").and_then(Json::as_i64), Some(3), "{done}");
+        assert!(done.contains(r#""counts":[0]"#), "nothing of the task is counted: {done}");
+        assert!(took < Duration::from_secs(1), "answered after {took:?}");
+        st.sup.shutdown(None);
     }
 
     #[test]

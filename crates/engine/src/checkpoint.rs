@@ -30,7 +30,8 @@
 //!   their contribution is taken from the snapshot; per-vertex counts are
 //!   deterministic, so a run interrupted and resumed any number of times
 //!   produces counts (and `WorkCounters` totals) bit-identical to an
-//!   uninterrupted run.
+//!   uninterrupted run. A task stopped inside is not in the snapshot: the
+//!   resume runs it whole.
 //! * **Quarantine is not forever.** Quarantined vertices are *not* in the
 //!   completed bitmap, so a resumed run retries them — a process restart
 //!   is the classic cure for environmental faults. Their fault history is

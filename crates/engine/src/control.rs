@@ -3,10 +3,11 @@
 //! Mining jobs on real inputs run for minutes to hours (§VII-D evaluates
 //! graphs with billions of edges), so a production service needs a way to
 //! stop a job without killing the process and to get *exact* partial
-//! results back. The control plane here is deliberately coarse: state is
-//! polled once per start-vertex task — the natural quantum of both the
-//! software driver and the hardware scheduler (Fig. 8) — so the hot
-//! per-candidate loops stay untouched.
+//! results back. State is polled before every start-vertex task — the
+//! natural quantum of both the software driver and the hardware scheduler
+//! (Fig. 8) — and every 1 024 dispatches inside one, so a stop does not
+//! wait for a long subtree; a task stopped inside is rolled back and left
+//! for a resume to run whole.
 //!
 //! Three independent stop conditions are supported:
 //!
@@ -33,8 +34,8 @@ use std::time::{Duration, Instant};
 /// A cheap, shareable cancellation handle.
 ///
 /// Cloning shares the underlying flag; any clone can cancel the job and
-/// every worker observes it at its next start-vertex boundary. Polling is
-/// one relaxed atomic load.
+/// every worker observes it at its next poll, inside a task if need be
+/// (see [`Budget::deadline`]). Polling is one atomic load.
 ///
 /// # Examples
 ///
@@ -77,13 +78,14 @@ impl CancelToken {
 /// costs one clock read only when a deadline is actually set.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Budget {
-    /// Wall-clock deadline. Polled at start-vertex granularity: the run
-    /// stops before the *next* task once the deadline has passed, so a
-    /// long-running subtree overshoots by at most one task.
+    /// Wall-clock deadline, polled before every task and every 1 024
+    /// dispatches inside one: a task still running when it passes is
+    /// stopped, rolled back and left off `completed`, so overshoot is
+    /// bounded by 1 024 dispatches, not by a subtree.
     pub deadline: Option<Instant>,
     /// Cap on cumulative set-operation merge iterations across all
-    /// workers. Workers publish their consumption at task boundaries, so
-    /// the cap is enforced with the same one-task slack as the deadline.
+    /// workers, polled like the deadline: workers publish what finished
+    /// tasks spent, and a running task adds its own so far.
     pub max_setop_iterations: Option<u64>,
 }
 
@@ -109,11 +111,10 @@ impl Budget {
     }
 }
 
-/// Shared live-progress state, off by default; like the stop conditions,
-/// progress is observed at start-vertex granularity. Workers touch two
-/// relaxed atomics per task; the report itself is emitted under a
-/// `try_lock` that is simply skipped on contention, so no worker ever
-/// blocks on reporting.
+/// Shared live-progress state, off by default, observed at start-vertex
+/// granularity. Workers touch two relaxed atomics per task; the report
+/// itself is emitted under a `try_lock` that is simply skipped on
+/// contention, so no worker ever blocks on reporting.
 pub(crate) struct Progress {
     total: u64,
     done: AtomicU64,

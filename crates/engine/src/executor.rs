@@ -10,6 +10,7 @@ use crate::checkpoint::Checkpoint;
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
 use crate::setops::{self, Count};
+use crate::stream::Stint;
 use crate::telemetry::Collector;
 use crate::EngineConfig;
 use fm_graph::{orient_by_degree, CsrGraph, HubBitmaps, HubRow, VertexId};
@@ -35,10 +36,8 @@ pub fn prepare_graph<'g>(graph: &'g CsrGraph, plan: &ExecutionPlan) -> Cow<'g, C
     }
 }
 
-/// A `T` its holder either borrows from the caller or co-owns. This is
-/// what lets one [`JobCore`](crate::JobCore) run over a caller's stack
-/// (the `mine*` entry points) or outlive it (`serve`), without a copy in
-/// the first case or a borrow in the second.
+/// A `T` its holder either borrows or co-owns, so that a
+/// [`JobCore`](crate::JobCore) can run over a caller's stack or outlive it.
 pub(crate) enum Held<'a, T> {
     Ref(&'a T),
     Arc(Arc<T>),
@@ -55,19 +54,13 @@ impl<T> std::ops::Deref for Held<'_, T> {
 }
 
 /// A data graph fully preprocessed for mining: the (possibly oriented)
-/// graph plus the one optional index built over it, the hub bitmaps of the
-/// probe tier.
+/// graph plus the hub bitmaps of the probe tier, if any.
 ///
-/// [`prepare`] is the one place the index is built; every [`Executor`] —
-/// each worker of a parallel run, every stint of a
-/// [`JobCore`](crate::JobCore) — borrows it from here. Construction is
-/// governed by the config and the plan: [`EngineConfig::hub_bitmap_active`]
-/// decides whether it may be built at all, it is not built for a plan whose
-/// count-only program hands no two lists to a set-op kernel (its only
-/// reader; the joined 4-cycle is such a plan), and an index that comes back
-/// empty (no vertex reaches the degree threshold, the memory budget is too
-/// tight, or the graph has no edges) is dropped so the dispatcher never
-/// consults it.
+/// [`prepare`] is the one place the index is built, and every [`Executor`]
+/// borrows it from here. It is built only if
+/// [`EngineConfig::hub_bitmap_active`] and the plan's count-only program
+/// hands two lists to a set-op kernel (its only reader; the joined 4-cycle
+/// does not), and dropped if it comes back empty.
 pub struct PreparedGraph<'g> {
     graph: Held<'g, CsrGraph>,
     hubs: Option<Arc<HubBitmaps>>,
@@ -116,10 +109,8 @@ impl std::ops::Deref for PreparedGraph<'_> {
     }
 }
 
-/// [`prepare_graph`] plus the hub-bitmap build: the preprocessing step
-/// shared by every mining entry point, so single-threaded, parallel,
-/// stinted and re-run-the-completed-set executions all see the same index
-/// and charge identical work.
+/// [`prepare_graph`] plus the hub-bitmap build: the one preprocessing step
+/// of every mining entry point, so all see the same index.
 pub fn prepare<'g>(
     graph: &'g CsrGraph,
     plan: &ExecutionPlan,
@@ -128,10 +119,9 @@ pub fn prepare<'g>(
     PreparedGraph::build(Held::Ref(graph), plan, cfg)
 }
 
-/// The program a count-only run of `plan` executes under `cfg`: the plan
-/// lowered with its frontier hints honoured (the default), then every leaf's
-/// counting rule decided ([`count_leaves`]). `paper_faithful` keeps the
-/// scan — the one rule that charges exactly what enumeration does.
+/// The program a count-only run of `plan` executes under `cfg`: lowered,
+/// then every leaf's counting rule decided ([`count_leaves`]);
+/// `paper_faithful` keeps the scan, which charges what enumeration does.
 pub fn count_program(plan: &ExecutionPlan, cfg: &EngineConfig) -> Program {
     let options = LowerOptions { bounded_pushdown: !cfg.paper_faithful, ..Default::default() };
     let mut program = lower(plan, options);
@@ -141,58 +131,101 @@ pub fn count_program(plan: &ExecutionPlan, cfg: &EngineConfig) -> Program {
 
 /// Mutable per-worker state.
 #[derive(Default)]
-struct State {
+struct State<'g> {
     emb: Vec<VertexId>,
+    /// The enumerating levels of the running task, innermost last.
+    frames: Vec<Frame>,
     /// Materialized core (candidate) lists, one buffer per depth.
     frontiers: Vec<Vec<VertexId>>,
-    /// `core_at[d]` = depth index whose buffer holds the core for level d
-    /// (differs from `d` for `Reuse` ops).
-    core_at: Vec<usize>,
+    /// `cores[d]` = where the core of level d is: its own buffer, an
+    /// ancestor's (for `Reuse` ops) or a borrowed CSR row (`Copy`).
+    cores: Vec<Core<'g>>,
     /// The merge pipeline's previous stage.
     scratch: Vec<VertexId>,
-    /// The pair join's count map: one counter per data vertex, all zero
-    /// between joins. Empty until this worker's first join, so a plan
-    /// without one never pays for it.
+    /// The pair join's count map, one counter per data vertex, all zero
+    /// between joins (empty until this worker's first join), and the
+    /// vertices the running join has bumped.
     pair_counts: Vec<u32>,
-    /// The vertices whose counter the running join has bumped — what it
-    /// replays to zero the map again.
     touched: Vec<VertexId>,
     counts: Vec<u64>,
-    /// `counts` as the running task found them, for its rollback: kept
-    /// here so that isolating a task allocates nothing.
+    /// `counts` as the running task found them, for its rollback.
     counts_before: Vec<u64>,
     work: WorkCounters,
+    /// Dispatches left before the next stop poll, across tasks.
+    tick: u32,
     /// Filled only under [`Executor::collect_matches`].
     matches: Vec<(usize, Vec<VertexId>)>,
-    /// Start vertices completed via the isolated path (see
-    /// [`Executor::run_vertex_isolated`]); untracked fast-path runs leave
-    /// this empty.
+    /// Start vertices completed through [`Executor::run_vertex_isolated`].
     completed: Vec<u32>,
-    /// Start vertices whose tasks panicked and were rolled back (one
-    /// record per attempt).
+    /// One record per panicking attempt, and per vertex out of retries.
     faults: Vec<Fault>,
-    /// Start vertices abandoned after exhausting the configured retries
-    /// (one record per vertex: its final failed attempt).
     quarantined: Vec<Fault>,
-    /// Per-worker telemetry collection, unless the run is unobserved.
-    /// Depth metrics charge work as it happens, so a
-    /// faulted-then-rolled-back attempt's work stays visible in telemetry
-    /// even though the result counters exclude it — telemetry measures
-    /// work performed, results report work kept.
+    /// Per-worker telemetry, unless the run is unobserved. It charges work
+    /// as it happens, so a rolled-back attempt's work stays visible here
+    /// though the result counters exclude it.
     telemetry: Option<Box<Collector>>,
 }
 
-impl State {
-    fn new(depth: usize, patterns: usize) -> State {
+impl State<'_> {
+    fn new(depth: usize, patterns: usize) -> Self {
         State {
             emb: Vec::with_capacity(depth),
             frontiers: vec![Vec::new(); depth],
-            core_at: vec![0; depth],
+            cores: vec![Core::Row(&[]); depth],
             counts: vec![0; patterns],
             counts_before: vec![0; patterns],
+            tick: POLL_EVERY,
             ..State::default()
         }
     }
+}
+
+/// Where a level's core is: a buffer of [`State::frontiers`], or a `Copy`
+/// level's CSR row (its bounded prefix), borrowed, not copied.
+#[derive(Clone, Copy)]
+enum Core<'g> {
+    Buf(usize),
+    Row(&'g [VertexId]),
+}
+
+/// The candidates `core` names.
+#[inline(always)]
+fn list<'a>(frontiers: &'a [Vec<VertexId>], core: Core<'a>) -> &'a [VertexId] {
+    match core {
+        Core::Buf(d) => &frontiers[d],
+        Core::Row(row) => row,
+    }
+}
+
+/// One enumerating level of the running task: its node, its next
+/// candidate, where the bound cuts its core, and the next child to step
+/// under its survivor (`usize::MAX` before the first).
+#[derive(Clone, Copy)]
+struct Frame {
+    node: usize,
+    at: usize,
+    end: usize,
+    child: usize,
+}
+
+/// Dispatches between two stop polls inside a task: a poll is an atomic
+/// load or two and, under a deadline, a clock read, noise against 1 024
+/// set operations, which take about 1 ms on a 16-clique on K₃₀₀.
+const POLL_EVERY: u32 = 1024;
+
+/// What a task asks, with the set-op iterations it has spent so far,
+/// whether to go on: `Some` is how its stint ends, paused or stopped.
+pub(crate) type Stop<'a> = &'a mut dyn FnMut(u64) -> Option<Stint>;
+
+/// Counts a dispatch and, every [`POLL_EVERY`]th, asks `stop`.
+#[inline(always)]
+fn poll(tick: &mut u32, stop: Stop<'_>, work: &WorkCounters, spent: u64) -> Result<(), Stint> {
+    *tick -= 1;
+    if *tick != 0 {
+        return Ok(());
+    }
+    *tick = POLL_EVERY;
+    stop(work.setop_iterations - spent).map_or(Ok(()), Err)
 }
 
 /// How a node's core candidate list comes to be.
@@ -215,8 +248,10 @@ struct Node {
     /// Back on `Enumerate` everywhere under [`Executor::collect_matches`].
     count: CountRule,
     /// `count` enumerates and every child is a counting kernel: one loop
-    /// over the survivors counts them ([`fused`]).
+    /// over the survivors counts them ([`fused`]); `lean`, over one plain
+    /// kernel (unbounded, `k = 1`) with no filter or pattern of its own.
     fused: bool,
+    lean: bool,
     /// The pattern the leaf of a counted branch completes.
     leaf_pattern: usize,
     /// Symmetry-order upper bounds: the smallest vertex at these levels.
@@ -225,8 +260,7 @@ struct Node {
     distinct: DepthSet,
     connected: DepthSet,
     disconnected: DepthSet,
-    /// The bound also cuts the core while it is built: the lowering proved
-    /// that invisible, and this run's kernels have a bound port.
+    /// The bound also cuts the core while it is built (proved invisible).
     bounded: bool,
     /// The pattern completed at this node, if any.
     pattern: Option<usize>,
@@ -234,9 +268,23 @@ struct Node {
     children: Range<usize>,
 }
 
-/// The count program as one executor runs it (DESIGN.md §6g): what
-/// [`enter`] and [`step`] would otherwise re-derive per candidate from the
-/// config, the prepared graph and the lowered nodes, decided once.
+impl Node {
+    /// The symmetry bound: the smallest vertex at the bound levels.
+    #[inline(always)]
+    fn bound(&self, emb: &[VertexId]) -> Option<VertexId> {
+        self.bounds.iter().map(|l| emb[l]).min()
+    }
+
+    /// Whether `w` is in the embedding at a level it could collide with.
+    #[inline(always)]
+    fn taken(&self, emb: &[VertexId], w: VertexId) -> bool {
+        !self.distinct.is_empty() && self.distinct.iter().any(|l| emb[l] == w)
+    }
+}
+
+/// The count program as one executor runs it (DESIGN.md §6g): what the
+/// task loop ([`run_task`]) would otherwise re-derive per candidate from
+/// the config, the prepared graph and the lowered nodes, decided once.
 struct Resolved<'g> {
     g: &'g CsrGraph,
     hubs: Option<&'g HubBitmaps>,
@@ -257,7 +305,7 @@ struct Resolved<'g> {
 }
 
 /// How far ahead of the survivor in hand [`Resolved::prefetch`] fetches a
-/// row, and — further, the row's address is read from them — its offsets.
+/// row, and (further) its offsets.
 const ROW_AHEAD: usize = 1;
 const OFFSETS_AHEAD: usize = 3;
 
@@ -291,6 +339,7 @@ impl<'g> Resolved<'g> {
                 op,
                 count: n.count,
                 fused: false,
+                lean: false,
                 leaf_pattern,
                 bounds: set(&n.upper_bounds),
                 distinct: set(&n.injectivity),
@@ -309,6 +358,16 @@ impl<'g> Resolved<'g> {
                 && kids.iter().all(|&c| {
                     matches!(nodes[c].count, CountRule::Tail { survivors, .. } if kernel(survivors))
                 });
+            // A `k = 1` tail's leaf is the node itself.
+            let plain = |c: usize| {
+                let kernel = CountRule::Tail { leaf: c, k: 1, survivors: Survivors::Intersect };
+                nodes[c].count == kernel && nodes[c].bounds.is_empty()
+            };
+            let Node { fused, distinct, pattern, .. } = nodes[i];
+            nodes[i].lean = fused
+                && distinct.is_empty()
+                && pattern.is_none()
+                && matches!(kids, &[c] if plain(c));
         }
         Resolved {
             g: g.graph(),
@@ -329,12 +388,9 @@ impl<'g> Resolved<'g> {
         &self.children[node.children.clone()]
     }
 
-    /// Whether a count-only run ever calls a set-op kernel, the one place
-    /// the hub bitmaps are read, over the nodes it reaches: a pair join or a
-    /// tail answers for everything below it, and a `Reuse` or a copy calls
-    /// none.
-    /// [`Executor::collect_matches`] reaches more; a set op without an index
-    /// is the same set op on the merge or gallop tier.
+    /// Whether a count-only run ever calls a set-op kernel (the one reader
+    /// of the hub bitmaps) over the nodes it reaches: a pair join or a tail
+    /// answers for everything below it, and a `Reuse` or a copy calls none.
     fn dispatches_set_ops(&self) -> bool {
         fn stepped(run: &Resolved<'_>, n: usize) -> bool {
             let node = &run.nodes[n];
@@ -345,9 +401,8 @@ impl<'g> Resolved<'g> {
         self.children(&self.nodes[0]).iter().any(|&c| stepped(self, c))
     }
 
-    /// The hub row a dispatch against `v`'s `len`-element list can use.
-    /// Exact, and lean: a hub row exists only for `len ≥ hub_min`, so a
-    /// short list — most of them — does not consult the index.
+    /// The hub row a dispatch against `v`'s `len`-element list can use:
+    /// rows exist only for `len ≥ hub_min`, so a short list skips the index.
     #[inline(always)]
     fn hub_row(&self, v: VertexId, len: usize) -> Option<HubRow<'g>> {
         if len >= self.hub_min {
@@ -357,9 +412,8 @@ impl<'g> Resolved<'g> {
         }
     }
 
-    /// Starts the loads the survivors after `list[i]` will wait on, so
-    /// their misses overlap the work in hand: the CPU's stand-in for the
-    /// many PEs that hide edge-list latency (§IV).
+    /// Starts the loads the survivors after `list[i]` will wait on: the
+    /// CPU's stand-in for the many PEs that hide edge-list latency (§IV).
     #[inline(always)]
     fn prefetch(&self, list: &[VertexId], i: usize) {
         let offsets = self.g.offsets();
@@ -398,22 +452,18 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A single-threaded, plan-driven mining executor over a prepared graph.
-///
-/// Most callers want [`crate::mine`] (which handles graph preparation and
-/// threading); `Executor` is the building block exposed for the task loop,
-/// the benchmarks and differential tests.
+/// A single-threaded, plan-driven mining executor over a prepared graph:
+/// the task loop's building block, exposed for benchmarks and differential
+/// tests (most callers want [`crate::mine`]).
 pub struct Executor<'g> {
     run: Resolved<'g>,
     cfg: EngineConfig,
-    state: State,
+    state: State<'g>,
 }
 
 impl<'g> Executor<'g> {
-    /// Creates an executor over `g`, borrowing its graph and whatever
-    /// hub index [`prepare`] built, if any — `cfg` must be the config `g`
-    /// was prepared under (or one that activates the same index). The
-    /// count program is resolved here, once, into the form the walk runs.
+    /// Creates an executor over `g` (prepared under `cfg`), resolving the
+    /// count program, once, into the form the walk runs.
     pub fn new(g: &'g PreparedGraph<'_>, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
         cfg.debug_validate();
         debug_assert!(
@@ -425,14 +475,12 @@ impl<'g> Executor<'g> {
         Executor { run: Resolved::new(g, &program, cfg), cfg: *cfg, state }
     }
 
-    /// Enables recording of complete matches (pattern index + embedding).
-    /// Intended for tests and small listings; counting stays exact either
-    /// way. A match has to be entered to be recorded, so this puts every
-    /// node back on enumeration.
+    /// Records every complete match (pattern index + embedding), for tests
+    /// and small listings: every node goes back on enumeration.
     pub fn collect_matches(&mut self) {
         self.run.collect = true;
         for node in &mut self.run.nodes {
-            (node.count, node.fused) = (CountRule::Enumerate, false);
+            (node.count, node.fused, node.lean) = (CountRule::Enumerate, false, false);
         }
     }
 
@@ -443,79 +491,85 @@ impl<'g> Executor<'g> {
     /// Panics if `v` is out of range for the graph.
     pub fn run_vertex(&mut self, v: VertexId) {
         fail_point!(self.cfg, "start_vertex", v.0 as u64);
-        enter(&self.run, &mut self.state, 0, v);
-        debug_assert!(self.state.emb.is_empty());
+        let _ = run_task(&self.run, &mut self.state, v, &mut |_| None);
     }
 
     /// Runs the subtree of `v` inside a panic boundary, retrying up to
-    /// [`EngineConfig::max_retries`] times before quarantining, and
-    /// recording the outcome instead of unwinding further.
-    ///
-    /// On success `v` joins the result's `completed` list — including
-    /// success on a retry, which leaves the failed attempts in the fault
-    /// roster but does *not* degrade the run (transient faults self-heal).
-    /// Every panicking attempt rolls back *all* of its effects — counts
-    /// and work counters are restored to their pre-task snapshot and the
-    /// embedding stack and the pair join's count map are reset — so a
-    /// poisoned attempt contributes exactly nothing, and a retry starts
-    /// from the same state the first attempt saw; the panic payload is
-    /// recorded as a [`Fault`] tagged with the attempt index. A vertex
-    /// that exhausts its retries is moved to the quarantine roster, which
-    /// is what makes the run [`RunStatus::Degraded`]. This is the
-    /// FlexMiner analogue of the c-map's own graceful-degradation
-    /// precedent (overflow falls back to SIU/SDU, §IV-C): one bad task
-    /// degrades the run, never the job.
-    ///
-    /// Returns whether the task (eventually) completed.
+    /// [`EngineConfig::max_retries`] times, and returns whether it
+    /// completed (`v` then joins `completed`). A panicking attempt rolls
+    /// back all its effects and is recorded as a [`Fault`]; a vertex out of
+    /// retries is quarantined, which degrades the run, never the job.
     pub fn run_vertex_isolated(&mut self, v: VertexId) -> bool {
+        self.run_vertex_until(v, &mut |_| None) == Ok(true)
+    }
+
+    /// [`run_vertex_isolated`](Self::run_vertex_isolated), asking `stop`
+    /// inside the task whether to go on: a halt is rolled back like a
+    /// fault, but records none, leaves `v` off `completed`, and is `Err`.
+    /// It undoes the whole task, so the faults of its earlier attempts go
+    /// too: the task runs again from its first attempt.
+    pub(crate) fn run_vertex_until(&mut self, v: VertexId, stop: Stop<'_>) -> Result<bool, Stint> {
+        let faults = self.state.faults.len();
         for attempt in 0..=self.cfg.max_retries {
-            if self.run_vertex_attempt(v, attempt) {
-                self.state.completed.push(v.0);
-                return true;
+            match self.run_vertex_attempt(v, attempt, stop) {
+                Ok(true) => {
+                    self.state.completed.push(v.0);
+                    return Ok(true);
+                }
+                Ok(false) => {}
+                Err(halt) => {
+                    self.state.faults.truncate(faults);
+                    return Err(halt);
+                }
             }
         }
         let last = self.state.faults.last().cloned().expect("a failed attempt records a fault");
         self.state.quarantined.push(last);
-        false
+        Ok(false)
     }
 
     /// One isolated attempt: panic boundary plus full rollback.
-    fn run_vertex_attempt(&mut self, v: VertexId, attempt: u32) -> bool {
+    fn run_vertex_attempt(
+        &mut self,
+        v: VertexId,
+        attempt: u32,
+        stop: Stop<'_>,
+    ) -> Result<bool, Stint> {
         self.state.counts_before.copy_from_slice(&self.state.counts);
         let work_snapshot = self.state.work;
         let matches_snapshot = self.state.matches.len();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_vertex(v)));
-        match outcome {
-            Ok(()) => true,
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            fail_point!(self.cfg, "start_vertex", v.0 as u64);
+            run_task(&self.run, &mut self.state, v, stop)
+        }));
+        let s = &mut self.state;
+        let stopped = match outcome {
+            Ok(Ok(())) => return Ok(true),
+            Ok(Err(status)) => Some(status),
             Err(payload) => {
-                let s = &mut self.state;
-                s.counts.copy_from_slice(&s.counts_before);
-                s.work = work_snapshot;
-                s.matches.truncate(matches_snapshot);
-                // The DFS state is mid-subtree garbage: reset everything
-                // the next task reads before writing.
-                s.emb.clear();
-                for w in s.touched.drain(..) {
-                    s.pair_counts[w.index()] = 0;
-                }
                 s.faults.push(Fault { vid: v.0, attempt, payload: payload_string(&*payload) });
-                false
+                None
             }
+        };
+        s.counts.copy_from_slice(&s.counts_before);
+        s.work = work_snapshot;
+        s.matches.truncate(matches_snapshot);
+        // The count map is the one state a task leaves dirty.
+        for w in s.touched.drain(..) {
+            s.pair_counts[w.index()] = 0;
         }
+        stopped.map_or(Ok(false), Err)
     }
 
-    /// Set-operation iterations consumed since the last
-    /// [`drain_into`](Self::drain_into) (budget accounting).
-    pub(crate) fn setop_iterations(&self) -> u64 {
-        self.state.work.setop_iterations
+    /// The work kept since the last [`drain_into`](Self::drain_into):
+    /// set-op iterations for the budget, and with extensions for timing.
+    pub(crate) fn work(&self) -> &WorkCounters {
+        &self.state.work
     }
 
-    /// Moves everything accumulated since the last call — counts, work,
-    /// completed start vertices, fault and quarantine records — into
-    /// `snap` and leaves this executor's totals at zero, so the two never
-    /// hold the same task's contribution at once. Returns how many tasks
-    /// (completed or quarantined) moved. This is the one per-task delta
-    /// the task loop publishes.
+    /// Moves everything accumulated since the last call into `snap`,
+    /// leaving zero here; returns how many tasks (completed or
+    /// quarantined) moved.
     pub(crate) fn drain_into(&mut self, snap: &mut Checkpoint) -> u64 {
         let s = &mut self.state;
         for (slot, count) in snap.counts.iter_mut().zip(&mut s.counts) {
@@ -540,15 +594,12 @@ impl<'g> Executor<'g> {
     }
 
     /// Hands this executor the (all-zero) count map an earlier stint of
-    /// the same job gave back, sparing its first pair join the O(|V|)
-    /// allocation — a job's stints are many and short.
+    /// the same job gave back, sparing its first pair join the allocation.
     pub(crate) fn adopt_pair_counts(&mut self, map: Vec<u32>) {
         self.state.pair_counts = map;
     }
 
-    /// The count map for the job's next stint: empty if this executor
-    /// never joined, otherwise all zero, because no join is in flight
-    /// between tasks.
+    /// The count map for the job's next stint: empty, or all zero.
     pub(crate) fn release_pair_counts(&mut self) -> Vec<u32> {
         debug_assert!(self.state.touched.is_empty(), "a join undoes its bumps before it returns");
         std::mem::take(&mut self.state.pair_counts)
@@ -570,11 +621,9 @@ impl<'g> Executor<'g> {
         self.state.telemetry.take()
     }
 
-    /// Consumes the executor and returns counts and work counters. The
-    /// status is [`RunStatus::Degraded`] if any start vertex exhausted its
-    /// retries and was quarantined (a fault that healed on a retry does
-    /// not degrade), [`RunStatus::Complete`] otherwise; drivers that
-    /// stopped early override it with the stop reason.
+    /// Consumes the executor and returns counts and work counters,
+    /// [`RunStatus::Degraded`] if a start vertex was quarantined and
+    /// [`RunStatus::Complete`] otherwise.
     pub fn finish(self) -> MiningResult {
         let status = if self.state.quarantined.is_empty() {
             RunStatus::Complete
@@ -598,43 +647,99 @@ impl<'g> Executor<'g> {
     }
 }
 
-/// Pushes `w` as the vertex for node `n`, handles counting, steps the
-/// children, and unwinds.
-fn enter(run: &Resolved<'_>, state: &mut State, n: usize, w: VertexId) {
-    let node = &run.nodes[n];
-    debug_assert_eq!(state.emb.len(), node.depth);
-    state.emb.push(w);
-    state.work.extensions += 1;
-    if let Some(pi) = node.pattern {
-        state.counts[pi] += 1;
-        if run.collect {
-            state.matches.push((pi, state.emb.clone()));
+/// Runs the task of start vertex `v`: the depth-first walk of Fig. 10 as
+/// one loop over a stack of [`Frame`]s, one per enumerating level
+/// (DESIGN.md §6g). The top frame steps its next child — an enumerating
+/// child is materialized and pushed, any other counted ([`count`]) — or
+/// enters its next survivor, or is popped. A stop returns mid-subtree; the
+/// caller rolls the task back.
+fn run_task<'g>(
+    run: &Resolved<'g>,
+    s: &mut State<'g>,
+    v: VertexId,
+    stop: Stop<'_>,
+) -> Result<(), Stint> {
+    let spent = s.work.setop_iterations;
+    s.emb.clear();
+    s.frames.clear();
+    enter(run, s, &run.nodes[0], v);
+    s.frames.push(Frame { node: 0, at: 0, end: 0, child: 0 });
+    'walk: while let Some(&Frame { node: n, mut at, end, child }) = s.frames.last() {
+        let top = s.frames.len() - 1;
+        let (node, kids) = (&run.nodes[n], run.children(&run.nodes[n]));
+        if let Some(&c) = kids.get(child) {
+            s.frames[top].child = child + 1;
+            let kid = &run.nodes[c];
+            let enumerates = kid.count == CountRule::Enumerate && !kid.fused;
+            if enumerates {
+                let bound = kid.bound(&s.emb);
+                let core = materialize(run, s, kid, bound);
+                let end = cut(list(&s.frontiers, core), bound, &mut s.work);
+                s.frames.push(Frame { node: c, at: 0, end, child: usize::MAX });
+            } else {
+                count(run, s, kid, stop, spent)?;
+            }
+            poll(&mut s.tick, stop, &s.work, spent)?;
+            if enumerates || child + 1 < kids.len() {
+                continue;
+            }
         }
+        // No child left under the survivor: leave it for the next one.
+        if s.emb.len() > node.depth {
+            s.emb.pop();
+        }
+        let core = list(&s.frontiers, s.cores[node.depth]);
+        while at < end {
+            let w = core[at];
+            at += 1;
+            if !kids.is_empty() {
+                run.prefetch(core, at - 1);
+            }
+            if !node.taken(&s.emb, w) {
+                s.frames[top] = Frame { node: n, at, end, child: 0 };
+                enter(run, s, node, w);
+                continue 'walk;
+            }
+        }
+        s.frames.pop();
     }
-    for &child in run.children(node) {
-        step(run, state, child);
-    }
-    state.emb.pop();
+    Ok(())
 }
 
-/// Generates the candidates of node `n` and counts the subtree below them
-/// the way the program decided ([`CountRule`]): entering each survivor, or
-/// — in a count-only run, where the lowering proved it equivalent — by one
-/// of the closed forms of DESIGN.md §6f.
-fn step(run: &Resolved<'_>, state: &mut State, n: usize) {
-    let node = &run.nodes[n];
-    let bound = node.bounds.iter().map(|l| state.emb[l]).min();
+/// Pushes `w` as the vertex of `node` and counts the pattern it completes.
+#[inline(always)]
+fn enter(run: &Resolved<'_>, s: &mut State<'_>, node: &Node, w: VertexId) {
+    debug_assert_eq!(s.emb.len(), node.depth);
+    s.emb.push(w);
+    s.work.extensions += 1;
+    if let Some(pi) = node.pattern {
+        s.counts[pi] += 1;
+        if run.collect {
+            s.matches.push((pi, s.emb.clone()));
+        }
+    }
+}
+
+/// Counts the subtree below `node`'s candidates without entering one, as
+/// the program decided ([`CountRule`]): a fused level, a pair join or a
+/// closed form (DESIGN.md §6f).
+fn count<'g>(
+    run: &Resolved<'g>,
+    s: &mut State<'g>,
+    node: &Node,
+    stop: Stop<'_>,
+    spent: u64,
+) -> Result<(), Stint> {
+    let bound = node.bound(&s.emb);
     let (k, survivors) = match node.count {
         CountRule::Enumerate => {
-            let core = materialize(run, state, node, bound);
-            if node.fused {
-                return fused(run, state, node, core, bound);
-            }
-            return walk(run, state, node, core, bound, |state, w| enter(run, state, n, w));
+            let core = materialize(run, s, node, bound);
+            return fused(run, s, node, core, bound, stop, spent);
         }
         CountRule::PairJoin { leaf } => {
-            materialize(run, state, node, bound);
-            return pair_join(run, state, node, &run.nodes[leaf], bound);
+            let core = materialize(run, s, node, bound);
+            pair_join(run, s, node, &run.nodes[leaf], core, bound);
+            return Ok(());
         }
         CountRule::Tail { k, survivors, .. } => (k, survivors),
     };
@@ -644,63 +749,107 @@ fn step(run: &Resolved<'_>, state: &mut State, n: usize) {
         // the FlexMiner reducer does the same in hardware: every counter is
         // charged as entering each survivor would.
         Survivors::Scan => {
-            let core = materialize(run, state, node, bound);
-            let mut found = 0u64;
-            walk(run, state, node, core, bound, |_, _| found += 1);
-            found
+            let core = materialize(run, s, node, bound);
+            let core = list(&s.frontiers, core);
+            let below = &core[..cut(core, bound, &mut s.work)];
+            below.iter().filter(|&&w| !node.taken(&s.emb, w)).count() as u64
         }
         Survivors::Search => {
-            let core = materialize(run, state, node, bound);
-            let (_, m) =
-                surviving(&state.frontiers[core], bound, node, &state.emb, &mut state.work);
-            state.work.candidates_checked += m;
+            let core = materialize(run, s, node, bound);
+            let (_, m) = surviving(list(&s.frontiers, core), bound, node, &s.emb, &mut s.work);
+            s.work.candidates_checked += m;
             m
         }
         Survivors::Intersect | Survivors::Difference => {
-            let core = state.core_at[node.depth - 1];
-            kernel_count(run, state, node, core)
+            let core = s.cores[node.depth - 1];
+            let State { frontiers, emb, work, telemetry, .. } = s;
+            kernel_count(run, emb, work, telemetry, node, list(frontiers, core))
         }
     };
-    credit(state, node.leaf_pattern, choose(m, k));
+    credit(&mut s.counts, &mut s.work, node.leaf_pattern, choose(m, k));
+    Ok(())
 }
 
 /// The fused last level (DESIGN.md §6g): every child of `node` is a
-/// counting kernel over `node`'s own core, so the walk that filters the
-/// survivors also runs each child's kernel and credits `C(m, k)` — one
-/// loop, charging what [`enter`] and [`step`] charge per survivor.
-fn fused(run: &Resolved<'_>, state: &mut State, node: &Node, core: usize, bound: Option<VertexId>) {
-    walk(run, state, node, core, bound, |state, w| {
-        state.work.extensions += 1;
-        if let Some(pi) = node.pattern {
-            state.counts[pi] += 1;
+/// counting kernel over `node`'s own core, so one loop filters the
+/// survivors and runs each child's kernel, charging what entering each
+/// survivor would. A `lean` node's loop only sums its one kernel and
+/// charges the entries and the credit once, at the end.
+fn fused(
+    run: &Resolved<'_>,
+    s: &mut State<'_>,
+    node: &Node,
+    core: Core<'_>,
+    bound: Option<VertexId>,
+    stop: Stop<'_>,
+    spent: u64,
+) -> Result<(), Stint> {
+    let State { frontiers, emb, work, counts, telemetry, tick, .. } = s;
+    let core = list(frontiers, core);
+    let end = cut(core, bound, work);
+    if end == 0 {
+        return Ok(());
+    }
+    if node.lean && !run.observed {
+        let mut found = 0;
+        for (i, &w) in core[..end].iter().enumerate() {
+            run.prefetch(core, i);
+            fail_point!(run, "frontier_alloc", emb[0].0 as u64);
+            fail_point!(run, "csr_read", emb[0].0 as u64);
+            let adj = run.g.neighbors(w);
+            let (hub, ratio) = (run.hub_row(w, adj.len()), run.gallop_ratio);
+            found += setops::intersect(core, adj, None, ratio, hub, Count(0), work).0;
+            poll(tick, stop, work, spent)?;
         }
-        state.emb.push(w);
+        work.candidates_checked += found;
+        work.extensions += end as u64;
+        let leaf = run.nodes[run.children(node)[0]].leaf_pattern;
+        credit(counts, work, leaf, found);
+        return Ok(());
+    }
+    for (i, &w) in core[..end].iter().enumerate() {
+        run.prefetch(core, i);
+        if node.taken(emb, w) {
+            continue;
+        }
+        work.extensions += 1;
+        if let Some(pi) = node.pattern {
+            counts[pi] += 1;
+        }
+        emb.push(w);
         for &leaf in run.children(node) {
             let leaf = &run.nodes[leaf];
             let CountRule::Tail { k, .. } = leaf.count else { unreachable!("fused over tails") };
-            let m = kernel_count(run, state, leaf, core);
-            credit(state, leaf.leaf_pattern, choose(m, k));
+            let m = kernel_count(run, emb, work, telemetry, leaf, core);
+            credit(counts, work, leaf.leaf_pattern, choose(m, k));
         }
-        state.emb.pop();
-    });
+        emb.pop();
+        poll(tick, stop, work, spent)?;
+    }
+    Ok(())
 }
 
-/// How many of the parent's core (buffer `core`) below `leaf`'s bound are
-/// — for a difference, are not — adjacent to the parent's vertex, the last
-/// of `emb`: the dispatcher's kernel into the counting sink, same tier rule
-/// and charges as the merge it replaces, minus the frontier write. A
-/// difference counts what it would keep as what the intersection would drop.
+/// How many of the parent's `core` below `leaf`'s bound are — for a
+/// difference, are not — adjacent to the parent's vertex, the last of
+/// `emb`: the dispatcher's kernel into the counting sink, charged as the
+/// merge it replaces.
 #[inline(always)]
-fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize) -> u64 {
-    let State { frontiers, emb, work, telemetry, .. } = state;
+fn kernel_count(
+    run: &Resolved<'_>,
+    emb: &[VertexId],
+    work: &mut WorkCounters,
+    telemetry: &mut Option<Box<Collector>>,
+    leaf: &Node,
+    core: &[VertexId],
+) -> u64 {
     fail_point!(run, "frontier_alloc", emb[0].0 as u64);
     fail_point!(run, "csr_read", emb[0].0 as u64);
     let diff = matches!(leaf.count, CountRule::Tail { survivors: Survivors::Difference, .. });
-    let (v, bound) = (emb[leaf.depth - 1], leaf.bounds.iter().map(|l| emb[l]).min());
+    let (v, bound) = (emb[leaf.depth - 1], leaf.bound(emb));
     let before = run.observed.then_some(*work);
     let prefix = match (diff, bound) {
-        (true, Some(b)) => setops::bounded_prefix(&frontiers[core], b, work),
-        _ => &frontiers[core],
+        (true, Some(b)) => setops::bounded_prefix(core, b, work),
+        _ => core,
     };
     let adj = run.g.neighbors(v);
     let (hub, ratio) = (run.hub_row(v, adj.len()), run.gallop_ratio);
@@ -714,10 +863,8 @@ fn kernel_count(run: &Resolved<'_>, state: &mut State, leaf: &Node, core: usize)
 }
 
 /// One stage of candidate generation: `cur ∩ N(v)` (`keep`) or `cur \ N(v)`
-/// into `out`. Faithful mode: full (unbounded) scalar merges, as in
-/// GraphZero's generated code and the SIU of Fig. 9 (bounds apply while
-/// the sorted core is walked). Otherwise `bound` is pushed into the kernel
-/// and the dispatcher picks the tier.
+/// into `out`: the unbounded reference merges under `faithful` (Fig. 9),
+/// else the dispatcher with `bound` pushed in.
 #[inline]
 fn set_op(
     run: &Resolved<'_>,
@@ -742,96 +889,74 @@ fn set_op(
     }
 }
 
-/// Materializes (or locates) the core candidate list of `node`, leaving
-/// its buffer index in `state.core_at[depth]` — and returning it — with
-/// the telemetry an observed run keeps of it.
-fn materialize(
-    run: &Resolved<'_>,
-    state: &mut State,
+/// Materializes (or locates) the core of `node` into `s.cores[depth]`, and
+/// returns it; a `Copy` core is the CSR row itself.
+fn materialize<'g>(
+    run: &Resolved<'g>,
+    s: &mut State<'g>,
     node: &Node,
     bound: Option<VertexId>,
-) -> usize {
+) -> Core<'g> {
     let d = node.depth;
-    let before = run.observed.then_some(state.work);
-    if node.op == Op::Reuse {
-        state.core_at[d] = state.core_at[d - 1];
-    } else {
-        fail_point!(run, "frontier_alloc", state.emb[0].0 as u64);
-        fail_point!(run, "csr_read", state.emb[0].0 as u64);
-        let cut = if node.bounded { bound } else { None };
-        let mut out = std::mem::take(&mut state.frontiers[d]);
-        out.clear();
-        match node.op {
-            Op::Reuse => unreachable!(),
-            Op::Extend { keep } => {
-                let src = &state.frontiers[state.core_at[d - 1]];
-                set_op(run, keep, src, state.emb[d - 1], cut, &mut out, &mut state.work);
-            }
-            Op::Copy { ext } => {
-                let src = run.g.neighbors(state.emb[ext]);
-                out.extend_from_slice(match cut {
-                    Some(b) => setops::bounded_prefix(src, b, &mut state.work),
-                    None => src,
-                });
-            }
-            // The first stage reads the extender's adjacency; every later
-            // one reads its predecessor's output, swapped into the scratch.
-            Op::Pipeline { ext } => {
-                let mut prev = std::mem::take(&mut state.scratch);
-                let stages = node.connected.iter().map(|l| (l, true));
-                let stages = stages.chain(node.disconnected.iter().map(|l| (l, false)));
-                for (i, (l, keep)) in stages.enumerate() {
-                    std::mem::swap(&mut out, &mut prev);
-                    out.clear();
-                    let cur = if i == 0 { run.g.neighbors(state.emb[ext]) } else { &prev[..] };
-                    set_op(run, keep, cur, state.emb[l], cut, &mut out, &mut state.work);
-                }
-                state.scratch = prev;
-            }
-        }
-        state.frontiers[d] = out;
-        state.core_at[d] = d;
+    let before = run.observed.then_some(s.work);
+    if node.op != Op::Reuse {
+        fail_point!(run, "frontier_alloc", s.emb[0].0 as u64);
+        fail_point!(run, "csr_read", s.emb[0].0 as u64);
     }
-    let core = state.core_at[d];
-    // Observed runs: charge this level's candidate-generation delta (all
-    // arms — merges, gallops, probes) to depth `d`, and sample the size of
-    // any newly materialized frontier.
-    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), before) {
-        t.charge_setops(d, before, state.work);
+    let cut = if node.bounded { bound } else { None };
+    let core = match node.op {
+        Op::Reuse => s.cores[d - 1],
+        Op::Copy { ext } => {
+            let row = run.g.neighbors(s.emb[ext]);
+            Core::Row(match cut {
+                Some(b) => setops::bounded_prefix(row, b, &mut s.work),
+                None => row,
+            })
+        }
+        Op::Extend { keep } => {
+            let mut out = std::mem::take(&mut s.frontiers[d]);
+            out.clear();
+            let src = list(&s.frontiers, s.cores[d - 1]);
+            set_op(run, keep, src, s.emb[d - 1], cut, &mut out, &mut s.work);
+            s.frontiers[d] = out;
+            Core::Buf(d)
+        }
+        // The first stage reads the extender's adjacency; every later one
+        // reads its predecessor's output, swapped into the scratch.
+        Op::Pipeline { ext } => {
+            let mut out = std::mem::take(&mut s.frontiers[d]);
+            let mut prev = std::mem::take(&mut s.scratch);
+            let stages = node.connected.iter().map(|l| (l, true));
+            let stages = stages.chain(node.disconnected.iter().map(|l| (l, false)));
+            for (i, (l, keep)) in stages.enumerate() {
+                std::mem::swap(&mut out, &mut prev);
+                out.clear();
+                let cur = if i == 0 { run.g.neighbors(s.emb[ext]) } else { &prev[..] };
+                set_op(run, keep, cur, s.emb[l], cut, &mut out, &mut s.work);
+            }
+            s.scratch = prev;
+            s.frontiers[d] = out;
+            Core::Buf(d)
+        }
+    };
+    s.cores[d] = core;
+    // Observed runs: this level's set-op delta, and the new frontier's size.
+    if let (Some(t), Some(before)) = (s.telemetry.as_deref_mut(), before) {
+        t.charge_setops(d, before, s.work);
         if node.op != Op::Reuse {
-            t.record_frontier(state.frontiers[core].len());
+            t.record_frontier(list(&s.frontiers, core).len());
         }
     }
     core
 }
 
-/// Walks `node`'s materialized core the way enumeration does — one
-/// `candidates_checked` per element, up to and including the one that
-/// trips the bound — handing each survivor to `visit`, and prefetching the
-/// next ones' adjacency where children are about to read it.
-#[inline]
-fn walk(
-    run: &Resolved<'_>,
-    state: &mut State,
-    node: &Node,
-    core: usize,
-    bound: Option<VertexId>,
-    mut visit: impl FnMut(&mut State, VertexId),
-) {
-    for i in 0..state.frontiers[core].len() {
-        let w = state.frontiers[core][i];
-        state.work.candidates_checked += 1;
-        if bound.is_some_and(|b| w >= b) {
-            break; // cores are sorted ascending
-        }
-        if !node.children.is_empty() {
-            run.prefetch(&state.frontiers[core], i);
-        }
-        if node.distinct.iter().any(|l| state.emb[l] == w) {
-            continue;
-        }
-        visit(state, w);
-    }
+/// Where `bound` cuts the sorted `core`, charging the walk up to it: one
+/// `candidates_checked` per candidate, the one reaching the bound included.
+#[inline(always)]
+fn cut(core: &[VertexId], bound: Option<VertexId>, work: &mut WorkCounters) -> usize {
+    let end = bound.map_or(core.len(), |b| core.partition_point(|&w| w < b));
+    work.candidates_checked += (end + usize::from(end < core.len())) as u64;
+    end
 }
 
 /// Where `node`'s bound cuts its sorted `core`, and how many candidates
@@ -855,9 +980,8 @@ fn surviving(
 ///
 /// # Panics
 ///
-/// Panics when the value does not fit a `u64`: a closed form reaches
-/// counts no enumeration ever could, and a wrapped count must never be
-/// printed. Inside a task the panic is isolated like any other fault.
+/// Panics when the value does not fit a `u64` (a closed form reaches counts
+/// no enumeration could): the task's fault, never a wrapped count.
 fn choose(m: u64, k: usize) -> u64 {
     let k = k as u64;
     if k == 1 {
@@ -884,65 +1008,69 @@ fn choose(m: u64, k: usize) -> u64 {
 /// Adds `found` matches of pattern `pi`, each charged as the one search
 /// leaf it stands for.
 #[inline]
-fn credit(state: &mut State, pi: usize, found: u64) {
-    state.counts[pi] = state.counts[pi].checked_add(found).expect(COUNT_OVERFLOW);
-    state.work.extensions = state.work.extensions.checked_add(found).expect(COUNT_OVERFLOW);
+fn credit(counts: &mut [u64], work: &mut WorkCounters, pi: usize, found: u64) {
+    counts[pi] = counts[pi].checked_add(found).expect(COUNT_OVERFLOW);
+    work.extensions = work.extensions.checked_add(found).expect(COUNT_OVERFLOW);
 }
 
-/// The pair join at `x` (DESIGN.md §6f): every unordered pair of `x`'s
-/// surviving candidates stands for an (X, Y) the enumerating plan would
-/// enter, and `z`'s candidates below such a pair are the common neighbours
-/// that pass `z`'s own filters — which mention only levels above `x`, so
-/// one sweep serves all pairs. Streams each survivor's adjacency up to
-/// `z`'s bound bumping the worker's count map, credits `Σ C(cnt, 2)`, and
-/// undoes the map by replaying the touched keys. One `setop_iterations`
-/// per streamed element (the probe tier's price), no invocation and no
-/// tier: nothing was dispatched.
-fn pair_join(run: &Resolved<'_>, state: &mut State, x: &Node, z: &Node, bound: Option<VertexId>) {
-    let core = state.core_at[x.depth];
-    let (end, survivors) = surviving(&state.frontiers[core], bound, x, &state.emb, &mut state.work);
-    state.work.candidates_checked += end as u64;
+/// The pair join at `x` (DESIGN.md §6f): each unordered pair of `x`'s
+/// survivors stands for an (X, Y), and `z`'s candidates below it are the
+/// common neighbours that pass `z`'s filters, so one sweep bumping a count
+/// map over each survivor's adjacency (up to `z`'s bound) serves all
+/// pairs: credit `Σ C(cnt, 2)`, then replay the touched keys to zero it.
+/// One `setop_iterations` per streamed element; nothing is dispatched.
+fn pair_join(
+    run: &Resolved<'_>,
+    s: &mut State<'_>,
+    x: &Node,
+    z: &Node,
+    core: Core<'_>,
+    bound: Option<VertexId>,
+) {
+    let State { frontiers, emb, work, pair_counts, touched, counts, telemetry, .. } = s;
+    let core = list(frontiers, core);
+    let (end, survivors) = surviving(core, bound, x, emb, work);
+    work.candidates_checked += end as u64;
     if survivors < 2 {
         return;
     }
-    if state.pair_counts.is_empty() {
-        state.pair_counts = vec![0; run.g.num_vertices()];
+    if pair_counts.is_empty() {
+        *pair_counts = vec![0; run.g.num_vertices()];
     }
-    let z_bound = z.bounds.iter().map(|l| state.emb[l]).min();
-    let before = run.observed.then_some(state.work);
-    for i in 0..end {
-        let xv = state.frontiers[core][i];
-        if x.distinct.iter().any(|l| state.emb[l] == xv) {
+    let z_bound = z.bound(emb);
+    let before = run.observed.then_some(*work);
+    for &xv in &core[..end] {
+        if x.taken(emb, xv) {
             continue;
         }
-        fail_point!(run, "csr_read", state.emb[0].0 as u64);
+        fail_point!(run, "csr_read", emb[0].0 as u64);
         let adj = match z_bound {
-            Some(b) => setops::bounded_prefix(run.g.neighbors(xv), b, &mut state.work),
+            Some(b) => setops::bounded_prefix(run.g.neighbors(xv), b, work),
             None => run.g.neighbors(xv),
         };
-        state.work.setop_iterations += adj.len() as u64;
+        work.setop_iterations += adj.len() as u64;
         for &w in adj {
-            let cnt = &mut state.pair_counts[w.index()];
+            let cnt = &mut pair_counts[w.index()];
             if *cnt == 0 {
-                state.touched.push(w);
+                touched.push(w);
             }
             *cnt += 1;
         }
     }
-    if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), before) {
-        t.charge_setops(z.depth, before, state.work);
+    if let (Some(t), Some(before)) = (telemetry, before) {
+        t.charge_setops(z.depth, before, *work);
     }
     // An embedding vertex `z` may not repeat closes no pair; those its
     // bound excludes were never streamed.
     for l in z.distinct.difference(z.bounds) {
-        state.pair_counts[state.emb[l].index()] = 0;
+        pair_counts[emb[l].index()] = 0;
     }
     let mut found: u128 = 0;
-    for w in state.touched.drain(..) {
-        let cnt = u128::from(std::mem::take(&mut state.pair_counts[w.index()]));
+    for w in touched.drain(..) {
+        let cnt = u128::from(std::mem::take(&mut pair_counts[w.index()]));
         found += cnt * cnt.saturating_sub(1) / 2;
     }
-    credit(state, x.leaf_pattern, u64::try_from(found).expect(COUNT_OVERFLOW));
+    credit(counts, work, x.leaf_pattern, u64::try_from(found).expect(COUNT_OVERFLOW));
 }
 
 #[cfg(test)]

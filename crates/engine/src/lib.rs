@@ -7,8 +7,8 @@
 //! Engines provided:
 //!
 //! * **GraphZero model** — plan with symmetry breaking + frontier-list
-//!   memoization, merge-based set intersection/difference
-//!   ([`setops`]), recursive DFS ([`executor`]), one task per start
+//!   memoization, merge-based set intersection/difference ([`setops`]),
+//!   a DFS loop over a frame stack ([`executor`]), one task per start
 //!   vertex handed to whichever worker is idle ([`stream`], driven by a
 //!   thread pool in [`parallel`]). This is the paper's CPU baseline
 //!   (§VII-A).
@@ -131,8 +131,8 @@ pub struct EngineConfig {
     /// per-vertex row map). The index silently shrinks — possibly to
     /// empty — rather than failing when the budget is tight.
     pub hub_memory_budget: usize,
-    /// Wall-clock deadline and set-op iteration cap for the run, polled at
-    /// start-vertex granularity. Unlimited by default; see
+    /// Wall-clock deadline and set-op iteration cap for the run, polled
+    /// between and inside tasks. Unlimited by default; see
     /// [`Budget`] and [`MiningResult::status`](result::MiningResult::status)
     /// for the partial-result semantics when a limit fires.
     pub budget: Budget,

@@ -85,10 +85,10 @@ pub fn mine_prepared_observed(
 /// [`mine`].
 #[derive(Default)]
 pub struct MineOptions {
-    /// Observed at start-vertex granularity: any clone of the token stops
-    /// the job at the next task boundary and the result reports
-    /// [`RunStatus::Cancelled`](crate::RunStatus::Cancelled) with exact counts for the start vertices
-    /// already finished.
+    /// Polled like [`Budget::deadline`](crate::Budget::deadline): any clone
+    /// of the token stops the job, inside a task if need be, and the result
+    /// reports [`RunStatus::Cancelled`](crate::RunStatus::Cancelled) with
+    /// exact counts for the start vertices already finished.
     pub cancel: Option<CancelToken>,
     /// Write periodic [`Checkpoint`] snapshots per this cadence, at
     /// start-vertex granularity, and a final one on exit. A resumed run

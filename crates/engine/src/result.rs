@@ -215,15 +215,47 @@ pub struct Straggler {
 /// Task times of a run in constant memory: a [`Log2Histogram`] of every
 /// task, for the median, and the slowest tasks of at least
 /// [`STRAGGLER_MIN_TASK`], at most [`MAX_STRAGGLERS`] of them. Each stint
-/// fills its own and merges it into the run's once.
+/// fills its own and merges it into the run's once. The clock is read
+/// once the tasks since the last reading have done [`TIMED_WORK`]: a task
+/// that large is timed all but alone, and a flat graph's short tasks pay
+/// one clock read per hundred or so.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TaskTimes {
     hist: Log2Histogram,
     /// `(vid, nanoseconds)`, in no order.
     slowest: Vec<(u32, u64)>,
+    /// Since the last reading: `(tasks, work)`, and the latest task's
+    /// `(vid, work)`.
+    unread: (u64, u64),
+    last: (u32, u64),
 }
 
+/// Work (set-op iterations plus extensions) between two clock readings.
+pub(crate) const TIMED_WORK: u64 = 1 << 12;
+
 impl TaskTimes {
+    /// Takes a finished task and the work it kept; true once the clock is
+    /// due to be read and [shared](Self::share).
+    pub(crate) fn task(&mut self, vid: u32, work: u64) -> bool {
+        let work = work + 1; // a task that kept nothing still took time
+        self.unread = (self.unread.0 + 1, self.unread.1 + work);
+        self.last = (vid, work);
+        self.unread.1 >= TIMED_WORK
+    }
+
+    /// Shares `nanos`, the time since the last reading: the latest task
+    /// gets its work's share, and the ones before it — small by
+    /// construction, so never stragglers — split the rest evenly.
+    pub(crate) fn share(&mut self, nanos: u64) {
+        let ((tasks, work), (vid, own)) = (std::mem::take(&mut self.unread), self.last);
+        if tasks > 0 {
+            let latest = (u128::from(nanos) * u128::from(own) / u128::from(work)) as u64;
+            self.record(vid, latest);
+            let each = (nanos - latest) / (tasks - 1).max(1);
+            (1..tasks).for_each(|_| self.hist.record(each));
+        }
+    }
+
     pub(crate) fn record(&mut self, vid: u32, nanos: u64) {
         self.hist.record(nanos);
         if nanos >= MIN_TASK_NANOS {
@@ -232,6 +264,7 @@ impl TaskTimes {
     }
 
     pub(crate) fn merge(&mut self, other: TaskTimes) {
+        debug_assert!(other.unread.0 == 0, "a stint shares its last reading before it merges");
         self.hist.merge(&other.hist);
         for (vid, nanos) in other.slowest {
             self.keep(vid, nanos);

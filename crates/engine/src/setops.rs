@@ -244,15 +244,6 @@ fn probe<const KEEP: bool, S: Sink>(
     out
 }
 
-/// How one dispatched operation answers "is `x` in `b`" — the tier whose
-/// counter it bumps.
-enum Tier<'a> {
-    Merge,
-    Gallop,
-    /// With `b`'s hub bitmap row.
-    Probe(HubRow<'a>),
-}
-
 /// One set operation of the default engine — `a ∩ b` (`KEEP`) or `a \ b`
 /// below `bound` into `out` — and the one site that charges
 /// `setop_invocations` and a tier counter for the kernels behind it, one of
@@ -272,7 +263,10 @@ enum Tier<'a> {
 /// is `gallop_ratio` times the other (`0`: never; and never for a
 /// difference, whose merge already touches each minuend element once) —
 /// the bound then truncates both inputs up front via [`bounded_prefix`],
-/// which charges the two searches — else merge.
+/// which charges the two searches — else merge. The merge of operands with
+/// no hub row that do not gallop — all of a flat graph's short lists —
+/// runs right here, inlined into the caller's loop; the other tiers are
+/// one call away ([`tiered`]).
 #[inline(always)]
 fn dispatch<const KEEP: bool, S: Sink>(
     a: &[VertexId],
@@ -284,26 +278,47 @@ fn dispatch<const KEEP: bool, S: Sink>(
     work: &mut WorkCounters,
 ) -> S {
     let (small, large) = if a.len() <= b.len() { (a.len(), b.len()) } else { (b.len(), a.len()) };
-    let tier = match hub {
-        Some(row) if !KEEP || b.len() >= a.len() => Tier::Probe(row),
-        _ if KEEP && gallop_ratio > 0 && small.saturating_mul(gallop_ratio) <= large => {
-            Tier::Gallop
-        }
-        _ => Tier::Merge,
-    };
+    let gallops = KEEP && gallop_ratio > 0 && small.saturating_mul(gallop_ratio) <= large;
     work.setop_invocations += 1;
-    *match tier {
-        Tier::Merge => &mut work.merge_dispatches,
-        Tier::Gallop => &mut work.gallop_dispatches,
-        Tier::Probe(_) => &mut work.probe_dispatches,
-    } += 1;
-    match tier {
-        Tier::Probe(row) => probe::<KEEP, S>(a, row, bound, out, work),
-        Tier::Gallop => match bound {
-            Some(bd) => gallop(bounded_prefix(a, bd, work), bounded_prefix(b, bd, work), out, work),
-            None => gallop(a, b, out, work),
-        },
-        Tier::Merge => merge::<KEEP, S>(a, b, bound, out, work),
+    match hub {
+        None if !gallops => {
+            work.merge_dispatches += 1;
+            merge::<KEEP, S>(a, b, bound, out, work)
+        }
+        _ => tiered::<KEEP, S>(a, b, bound, gallops, hub, out, work),
+    }
+}
+
+/// The tiers past the inline merge: a probe, a gallop, or the merge of an
+/// operand longer than the hub row it could have probed.
+#[inline(never)]
+fn tiered<const KEEP: bool, S: Sink>(
+    a: &[VertexId],
+    b: &[VertexId],
+    bound: Option<VertexId>,
+    gallops: bool,
+    hub: Option<HubRow<'_>>,
+    out: S,
+    work: &mut WorkCounters,
+) -> S {
+    match hub {
+        Some(row) if !KEEP || b.len() >= a.len() => {
+            work.probe_dispatches += 1;
+            probe::<KEEP, S>(a, row, bound, out, work)
+        }
+        _ if gallops => {
+            work.gallop_dispatches += 1;
+            match bound {
+                Some(bd) => {
+                    gallop(bounded_prefix(a, bd, work), bounded_prefix(b, bd, work), out, work)
+                }
+                None => gallop(a, b, out, work),
+            }
+        }
+        _ => {
+            work.merge_dispatches += 1;
+            merge::<KEEP, S>(a, b, bound, out, work)
+        }
     }
 }
 
@@ -311,10 +326,8 @@ fn dispatch<const KEEP: bool, S: Sink>(
 /// is handed back: galloping when one input is at least `gallop_ratio` times
 /// smaller than the other (`0` disables it), a bitmap probe when `hub`
 /// carries `b`'s bitset row and `|b| ≥ |a|`, else the merge. Output and
-/// counts are identical across tiers. Out of line, like [`difference`]: the
-/// kernels' loops get their own registers, and the executor's walk around
-/// the call stays small.
-#[inline(never)]
+/// counts are identical across tiers.
+#[inline]
 pub fn intersect<S: Sink>(
     a: &[VertexId],
     b: &[VertexId],
@@ -329,7 +342,7 @@ pub fn intersect<S: Sink>(
 
 /// `a \ b` below `bound` into `out`, which is handed back: a probe whenever
 /// `hub` carries `b`'s bitset row, else the merge.
-#[inline(never)]
+#[inline]
 pub fn difference<S: Sink>(
     a: &[VertexId],
     b: &[VertexId],

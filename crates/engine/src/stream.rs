@@ -32,8 +32,8 @@
 //! * Every claimed task either runs to its boundary — and its delta is in
 //!   the snapshot when the stint that ran it returns (at once, while a
 //!   durable checkpoint sink is attached) — or is returned to the
-//!   scheduler untouched: a pause can never strand or double-run a start
-//!   vertex.
+//!   scheduler untouched: unrun, or stopped inside and rolled back. A
+//!   pause can never strand or double-run a start vertex.
 //! * The snapshot only ever changes by whole tasks under one lock, so it
 //!   is always a consistent {bitmap, counts, work, faults} tuple: taking
 //!   it at any instant and resuming (in-process or from the serialized
@@ -57,7 +57,7 @@ use fm_graph::{CsrGraph, VertexId};
 use fm_plan::ExecutionPlan;
 use fm_telemetry::{Span, SpanRing, TelemetryShard, TraceClock, DEFAULT_SPAN_CAPACITY};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -120,6 +120,11 @@ impl TaskCursor {
 /// and coarse chunks would serialize them.
 const GRAIN: usize = 4;
 
+/// [`JobCore::pause`]'s request: yield at the next task boundary.
+const PAUSE: u8 = 1;
+/// [`JobCore::pause_now`]'s: yield at the next poll, inside a task too.
+const PAUSE_NOW: u8 = 2;
+
 /// How one call to [`JobCore::run_stint`] ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stint {
@@ -132,8 +137,9 @@ pub enum Stint {
         /// Whether the pending queue is now empty.
         drained: bool,
     },
-    /// A pause request preempted the stint at a task boundary; unclaimed
-    /// and unrun work was returned to the scheduler.
+    /// A pause request preempted the stint at a task boundary — or, under
+    /// [`JobCore::pause_now`], inside a task, rolled back; unclaimed and
+    /// unrun work was returned to the scheduler.
     Paused {
         /// Start-vertex tasks completed before yielding.
         tasks: u64,
@@ -209,11 +215,12 @@ pub struct JobCore<'g> {
     /// Accumulated progress: the same snapshot type the durable layer
     /// writes, changed only by whole tasks under this lock.
     snap: Mutex<Checkpoint>,
-    /// Preemption request; observed at start-vertex boundaries.
-    pause: AtomicBool,
+    /// Pause request: [`PAUSE`], observed at start-vertex boundaries, or
+    /// [`PAUSE_NOW`], also inside a task.
+    pause: AtomicU8,
     pub(crate) cancel: CancelToken,
     /// Set-op iterations published at task boundaries, for the iteration
-    /// budget (enforced with one task of slack) and progress reports.
+    /// budget (a running task adds its own) and progress reports.
     pub(crate) spent_iters: AtomicU64,
     /// Terminal stop, once a stop condition has fired (max severity wins).
     stopped: Mutex<Option<RunStatus>>,
@@ -291,7 +298,7 @@ impl<'g> JobCore<'g> {
             cfg,
             sched: Mutex::new(Sched { pending: Arc::new(pending), cursor, leftover: Vec::new() }),
             snap: Mutex::new(snap),
-            pause: AtomicBool::new(false),
+            pause: AtomicU8::new(0),
             cancel: CancelToken::new(),
             spent_iters: AtomicU64::new(0),
             stopped: Mutex::new(None),
@@ -339,7 +346,7 @@ impl<'g> JobCore<'g> {
     }
 
     /// A clone of this job's cancellation token; cancelling it stops the
-    /// job terminally at the next task boundary.
+    /// job terminally at its next poll, inside a task if need be.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -347,12 +354,21 @@ impl<'g> JobCore<'g> {
     /// Requests preemption: every active stint yields at its next task
     /// boundary, returning unrun claims to the scheduler. Idempotent.
     pub fn pause(&self) {
-        self.pause.store(true, Ordering::Release);
+        self.pause.fetch_max(PAUSE, Ordering::AcqRel);
+    }
+
+    /// [`pause`](Self::pause), but a running task also stops at its next
+    /// poll and is rolled back to run whole after the resume: a drain's
+    /// pause, which must not wait for a long subtree. A preemption uses
+    /// `pause`, so a job preempted over and over still finishes the task
+    /// it is in each time. Idempotent.
+    pub fn pause_now(&self) {
+        self.pause.fetch_max(PAUSE_NOW, Ordering::AcqRel);
     }
 
     /// Whether a pause is currently requested.
     pub fn is_paused(&self) -> bool {
-        self.pause.load(Ordering::Acquire)
+        self.pause.load(Ordering::Acquire) != 0
     }
 
     /// Stints currently executing inside [`run_stint`](Self::run_stint).
@@ -397,28 +413,33 @@ impl<'g> JobCore<'g> {
         pending.extend_from_slice(&s.pending[claimed..]);
         s.cursor = Arc::new(TaskCursor::new(pending.len(), GRAIN));
         s.pending = Arc::new(pending);
-        self.pause.store(false, Ordering::Release);
+        self.pause.store(0, Ordering::Release);
         true
     }
 
-    /// The stop condition in effect, if any: cancellation over deadline
-    /// over budget. The deadline clock is read only when a deadline is set.
-    fn should_stop(&self) -> Option<RunStatus> {
-        if self.cancel.is_cancelled() {
-            return Some(RunStatus::Cancelled);
-        }
-        if self.cfg.budget.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(RunStatus::DeadlineExceeded);
-        }
-        if self
-            .cfg
-            .budget
+    /// How a stint ends here, if it must: paused, or stopped for good —
+    /// cancellation over deadline over budget. `running` is `None` between
+    /// tasks; inside one it is the set-op iterations the task has spent and
+    /// not yet published, and only [`PAUSE_NOW`] pauses it. The deadline
+    /// clock is read only when a deadline is set.
+    fn halt(&self, running: Option<u64>) -> Option<Stint> {
+        let budget = &self.cfg.budget;
+        let pause = self.pause.load(Ordering::Acquire);
+        let status = if pause == PAUSE_NOW || (pause == PAUSE && running.is_none()) {
+            return Some(Stint::Paused { tasks: 0 });
+        } else if self.cancel.is_cancelled() {
+            RunStatus::Cancelled
+        } else if budget.deadline.is_some_and(|d| Instant::now() >= d) {
+            RunStatus::DeadlineExceeded
+        } else if budget
             .max_setop_iterations
-            .is_some_and(|m| self.spent_iters.load(Ordering::Relaxed) >= m)
+            .is_some_and(|m| self.spent_iters.load(Ordering::Relaxed) + running.unwrap_or(0) >= m)
         {
-            return Some(RunStatus::BudgetExhausted);
-        }
-        None
+            RunStatus::BudgetExhausted
+        } else {
+            return None;
+        };
+        Some(Stint::Stopped(self.record_stop(status)))
     }
 
     fn record_stop(&self, status: RunStatus) -> RunStatus {
@@ -452,8 +473,9 @@ impl<'g> JobCore<'g> {
     /// Runs up to `max_tasks` start-vertex tasks (rounded up to the chunk
     /// grain) on the calling thread. Re-entrant: concurrent stints claim
     /// disjoint chunks of the same queue. Pause and stop conditions are
-    /// observed at every task boundary; a preempted stint returns its
-    /// unrun claims to the scheduler before yielding.
+    /// observed at every task boundary and polled inside each (DESIGN.md
+    /// §8); a halted stint returns its unrun claims — a task stopped
+    /// inside, rolled back, among them — to the scheduler before yielding.
     pub fn run_stint(&self, max_tasks: u64) -> Stint {
         self.run_stint_as(max_tasks, 0)
     }
@@ -489,44 +511,55 @@ impl<'g> JobCore<'g> {
             ex.set_telemetry(Collector::new(o.metrics, task_clock, lane, ring));
         }
         let mut times = self.task_times.is_some().then(TaskTimes::default);
-        // One clock read per task boundary: inside a stint the end of one
-        // task is the start of the next, so a task's time includes the
-        // bookkeeping between it and its predecessor.
-        let mut boundary = (times.is_some() || ex.telemetry().is_some()).then(Instant::now);
+        // Inside a stint the end of one task is the start of the next, so
+        // a task's time includes the bookkeeping between it and its
+        // predecessor. Telemetry reads the clock after every task; the
+        // straggler roster, once `TaskTimes` asks.
+        let every_task = ex.telemetry().is_some();
+        let mut boundary = (times.is_some() || every_task).then(Instant::now);
         let track_iters = self.cfg.budget.max_setop_iterations.is_some() || self.progress.is_some();
+        let mut stop = |running| self.halt(Some(running));
         let mut ran = 0u64;
         let mut preempted = None;
         'stint: while ran < max_tasks {
             let Some(range) = cursor.claim() else { break };
             for idx in range.clone() {
-                preempted = if self.is_paused() {
-                    Some(Stint::Paused { tasks: ran })
-                } else {
-                    self.should_stop().map(|status| Stint::Stopped(self.record_stop(status)))
-                };
-                if preempted.is_some() {
-                    // Claimed but unrun: back to the scheduler, untouched.
-                    let unrun = &pending[idx..range.end];
-                    self.sched.lock().expect("job sched lock poisoned").leftover.extend(unrun);
-                    break 'stint;
-                }
                 let v = pending[idx];
                 let span_start = task_clock.map(|c| c.now_us());
-                let iters_before = ex.setop_iterations();
-                let ok = ex.run_vertex_isolated(VertexId(v));
-                if let Some(started) = boundary {
+                let before = (ex.work().setop_iterations, ex.work().extensions);
+                let task = match self.halt(None) {
+                    Some(halt) => Err(halt),
+                    None => ex.run_vertex_until(VertexId(v), &mut stop),
+                };
+                let ok = match task {
+                    Ok(ok) => ok,
+                    Err(halt) => {
+                        // Claimed but unrun — or stopped inside and rolled
+                        // back: back to the scheduler, untouched.
+                        preempted = Some(match halt {
+                            Stint::Paused { .. } => Stint::Paused { tasks: ran },
+                            stop => stop,
+                        });
+                        let unrun = &pending[idx..range.end];
+                        self.sched.lock().expect("job sched lock poisoned").leftover.extend(unrun);
+                        break 'stint;
+                    }
+                };
+                let spent = ex.work().setop_iterations - before.0;
+                let work = spent + ex.work().extensions - before.1;
+                let due = times.as_mut().is_some_and(|t| t.task(v, work)) || every_task;
+                if let Some(started) = boundary.filter(|_| due) {
                     let now = Instant::now();
                     let elapsed = now - started;
                     boundary = Some(now);
                     if let Some(times) = times.as_mut() {
-                        times.record(v, elapsed.as_nanos() as u64);
+                        times.share(elapsed.as_nanos() as u64);
                     }
                     if let Some(t) = ex.telemetry() {
                         t.record_task(v, span_start, elapsed);
                     }
                 }
                 if track_iters {
-                    let spent = ex.setop_iterations() - iters_before;
                     self.spent_iters.fetch_add(spent, Ordering::Relaxed);
                 }
                 if self.sink.is_some() {
@@ -548,7 +581,8 @@ impl<'g> JobCore<'g> {
                 maps.push(map);
             }
         }
-        if let (Some(shared), Some(times)) = (&self.task_times, times) {
+        if let (Some(shared), Some(mut times)) = (&self.task_times, times) {
+            times.share(boundary.map_or(0, |at| at.elapsed().as_nanos() as u64));
             shared.lock().expect("task-time lock poisoned").merge(times);
         }
         let stint =

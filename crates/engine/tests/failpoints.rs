@@ -5,7 +5,9 @@
 #![cfg(feature = "failpoints")]
 
 use fm_engine::failpoint::{self, Trigger};
-use fm_engine::{mine, prepare, EngineConfig, Executor, JobCore, MiningResult, RunStatus, Stint};
+use fm_engine::{
+    mine, prepare, Budget, EngineConfig, Executor, JobCore, MiningResult, RunStatus, Stint,
+};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
@@ -137,6 +139,46 @@ fn job_core_reattempts_quarantine_and_heals_bit_identically() {
     assert_eq!(roster(&spent.faults), [(3, 0), (3, 1), (3, 2)]);
     assert_eq!(roster(&spent.quarantined), [(3, 2)]);
     assert_eq!(spent.counts, counts_without(&g, &plan, &cfg, 3));
+}
+
+/// A task that faults on its first attempt and is stopped inside its
+/// second is rolled back whole, the first attempt's fault with it: the
+/// resume runs the task again from attempt 0, and the roster holds one
+/// record per attempt that faulted, not the cut's fault beside the
+/// resume's own.
+#[test]
+fn a_task_stopped_after_a_faulted_attempt_keeps_no_fault_of_it() {
+    let g = Arc::new(generators::complete(20));
+    // No symmetry: vertex 0, the first task of one lane, is thousands of
+    // dispatches long, so the budget stops it inside.
+    let options = CompileOptions { symmetry: false, ..Default::default() };
+    let plan = Arc::new(compile(&Pattern::k_clique(5), options));
+    let reference = mine(&g, &plan, &EngineConfig::default());
+    let roster = |faults: &[fm_engine::Fault]| -> Vec<(u32, u32)> {
+        faults.iter().map(|f| (f.vid, f.attempt)).collect()
+    };
+    let first_attempt = || failpoint::guard("start_vertex", Trigger::OnNthHit(1), "first attempt");
+    let fp = first_attempt();
+    let cfg = EngineConfig {
+        threads: 1,
+        max_retries: 1,
+        budget: Budget::with_max_setop_iterations(1),
+        failpoint_scope: fp.scope(),
+        ..Default::default()
+    };
+    let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg);
+    assert_eq!(core.run_stint(u64::MAX), Stint::Stopped(RunStatus::BudgetExhausted));
+    let cut = core.result();
+    assert_eq!((cut.counts, cut.completed), (vec![0], vec![]));
+    assert_eq!(roster(&cut.faults), []);
+    let fp = first_attempt();
+    let cfg = EngineConfig { budget: Budget::unlimited(), failpoint_scope: fp.scope(), ..cfg };
+    let resumed = JobCore::resume(g, plan, cfg, core.snapshot()).expect("same job");
+    assert_eq!(resumed.run_stint(u64::MAX), Stint::Ran { tasks: 20, drained: true });
+    let r = resumed.result();
+    assert_eq!((r.status, r.counts), (RunStatus::Complete, reference.counts));
+    assert_eq!(r.work, reference.work);
+    assert_eq!(roster(&r.faults), [(0, 0)]);
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! degree. Vertex ID is used when there is a tie."
 
 use crate::csr::CsrGraph;
+use crate::vertex::VertexId;
 
 /// Converts a symmetric graph into a DAG by keeping, for each undirected
 /// edge `{u, v}`, only the direction from the "smaller" endpoint to the
@@ -33,18 +34,27 @@ use crate::csr::CsrGraph;
 /// assert_eq!(dag.num_directed_edges(), 6);
 /// ```
 pub fn orient_by_degree(g: &CsrGraph) -> CsrGraph {
-    // One compact array: ranking a neighbour is one load, not two offsets.
+    // One compact array: ranking a neighbour is one load, and its packed
+    // rank `(degree << 32) | id` orders as the pair does, in one compare.
     let degree: Vec<u32> = g.offsets().windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+    let rank = |v: VertexId| u64::from(degree[v.index()]) << 32 | u64::from(v.0);
     let mut offsets = Vec::with_capacity(degree.len() + 1);
     offsets.push(0);
-    let mut neighbors = Vec::with_capacity(g.num_undirected_edges());
+    // Every neighbour is written and only a kept one advances the cursor,
+    // so the rank test is an add, not a branch; a dropped neighbour is
+    // overwritten by the next (the spare slot takes the last one). Rows
+    // stay sorted by id: the kept ones keep their relative order.
+    let mut neighbors = vec![VertexId(0); g.num_undirected_edges() + 1];
+    let mut kept = 0;
     for u in g.vertices() {
-        let rank_u = (degree[u.index()], u);
-        // Adjacency stays sorted by id; the filter preserves relative order.
-        neighbors
-            .extend(g.neighbors(u).iter().copied().filter(|&v| rank_u < (degree[v.index()], v)));
-        offsets.push(neighbors.len());
+        let rank_u = rank(u);
+        for &v in g.neighbors(u) {
+            neighbors[kept] = v;
+            kept += usize::from(rank_u < rank(v));
+        }
+        offsets.push(kept);
     }
+    neighbors.truncate(kept);
     // A subsequence of each valid row is a valid row.
     CsrGraph::from_valid_parts(offsets, neighbors)
 }
@@ -54,7 +64,6 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::generators;
-    use crate::vertex::VertexId;
 
     /// Checks acyclicity by verifying all edges increase the (degree, id)
     /// rank — a topological order by construction.
@@ -114,6 +123,31 @@ mod tests {
         for v in dag.vertices() {
             let ns = dag.neighbors(v);
             assert!(ns.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    /// The packed, branch-free pass writes the arrays the `(degree, id)`
+    /// filter writes, ties and hubs included.
+    #[test]
+    fn packed_ranks_keep_what_the_pair_order_keeps() {
+        let graphs = [
+            generators::powerlaw_cluster(300, 4, 0.5, 5),
+            generators::caveman(20, 6, 30, 2),
+            generators::complete(9),
+            generators::star(40),
+            GraphBuilder::new().vertices(4).build().unwrap(),
+        ];
+        for g in &graphs {
+            let dag = orient_by_degree(g);
+            let mut offsets = vec![0];
+            let mut neighbors = Vec::new();
+            for u in g.vertices() {
+                let rank_u = (g.degree(u), u);
+                neighbors.extend(g.neighbors(u).iter().filter(|&&v| rank_u < (g.degree(v), v)));
+                offsets.push(neighbors.len());
+            }
+            assert_eq!(dag.offsets(), &offsets[..]);
+            assert_eq!(dag.neighbor_array(), &neighbors[..]);
         }
     }
 }

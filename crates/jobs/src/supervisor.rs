@@ -617,7 +617,7 @@ impl Supervisor {
     }
 
     /// Requests cancellation of an unresolved job: it stops at its next
-    /// stint boundary and resolves `Finished` with
+    /// poll, inside a task if need be, and resolves `Finished` with
     /// [`RunStatus::Cancelled`](fm_engine::RunStatus::Cancelled) (exact
     /// partial counts). Returns false if no such job is pending.
     pub fn cancel(&self, id: u64) -> bool {
@@ -638,20 +638,21 @@ impl Supervisor {
         }
     }
 
-    /// Graceful drain: stop admitting, pause every job at the next stint
-    /// boundary, wait for in-flight stints to yield, then resolve every
-    /// remaining job — `Finished` if it actually ran dry, otherwise
-    /// `Drained` with a durable checkpoint in `spool` (when given). The
-    /// worker pool is joined before this returns; a restarted process
-    /// resubmits the returned checkpoints via [`JobSpec::resume`] and
-    /// every job picks up bit-for-bit where it left off. Idempotent — a
-    /// second call is a no-op returning an empty list.
+    /// Graceful drain: stop admitting, pause every job at its next poll
+    /// ([`JobCore::pause_now`]: a running task is rolled back, to run
+    /// whole after a resume), wait for in-flight stints to yield, then
+    /// resolve every remaining job — `Finished` if it actually ran dry,
+    /// otherwise `Drained` with a durable checkpoint in `spool` (when
+    /// given). The worker pool is joined before this returns; a restarted
+    /// process resubmits the returned checkpoints via [`JobSpec::resume`]
+    /// and every job picks up bit-for-bit where it left off. Idempotent —
+    /// a second call is a no-op returning an empty list.
     pub fn shutdown(&self, spool: Option<&Path>) -> Vec<DrainedJob> {
         {
             let mut st = self.shared.lock();
             st.draining = true;
             for slot in &st.slots {
-                slot.job.core.pause();
+                slot.job.core.pause_now();
             }
         }
         self.shared.work.notify_all();

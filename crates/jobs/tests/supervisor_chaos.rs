@@ -10,7 +10,7 @@ use fm_jobs::{JobOutcome, JobSpec, Supervisor, SupervisorConfig};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn graph(n: usize, seed: u64) -> Arc<CsrGraph> {
     Arc::new(generators::powerlaw_cluster(n, 4, 0.5, seed))
@@ -159,7 +159,41 @@ fn preemption_pauses_victim_and_both_finish_bit_identically() {
     assert!(sup.stats().preempted >= 1, "expected at least one preemption");
 }
 
-/// SIGTERM-style drain: shutdown pauses every job at a stint boundary and
+/// A preemption lets its victim finish the task it is in, so a job whose
+/// every task outlasts the gap between higher-priority arrivals still
+/// finishes while they keep coming; stopping the task at each arrival
+/// would roll it back every time.
+#[test]
+fn a_job_preempted_over_and_over_still_finishes() {
+    let sup = Supervisor::new(SupervisorConfig {
+        workers: 1,
+        max_running: 1,
+        stint_tasks: 1,
+        ..Default::default()
+    });
+    let cfg = EngineConfig { threads: 1, ..Default::default() };
+    // Without symmetry every task of K₂₄'s 5-cliques is the same walk.
+    let options = CompileOptions { symmetry: false, ..Default::default() };
+    let g = Arc::new(generators::complete(24));
+    let plan = Arc::new(compile(&Pattern::k_clique(5), options));
+    let started = Instant::now();
+    let reference = mine(&g, &plan, &cfg);
+    let task = started.elapsed() / g.num_vertices() as u32;
+    let lo = sup.submit(JobSpec::new("lo", Arc::clone(&g), Arc::clone(&plan), cfg));
+    let (g_hi, plan_hi) = (graph(40, 1), triangle());
+    let mut arrivals = 0;
+    while !lo.is_resolved() && arrivals < 4 * g.num_vertices() {
+        std::thread::sleep(task / 4);
+        let hi = JobSpec::new("hi", Arc::clone(&g_hi), Arc::clone(&plan_hi), cfg);
+        finished(sup.submit(JobSpec { priority: 10, ..hi }).wait(), "hi");
+        arrivals += 1;
+    }
+    assert!(lo.is_resolved(), "lo still running after {arrivals} higher-priority arrivals");
+    assert_same_mining(&finished(lo.wait(), "lo"), &reference, "lo");
+    assert!(sup.stats().preempted >= 1, "expected at least one preemption");
+}
+
+/// SIGTERM-style drain: shutdown pauses every job at its next poll and
 /// spools durable checkpoints; a fresh supervisor (the "restarted
 /// process") resumes each drained job to a bit-identical final result.
 #[test]

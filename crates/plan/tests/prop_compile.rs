@@ -5,20 +5,11 @@ use fm_plan::lowering::{lower, LowerOptions};
 use fm_plan::{compile, compile_multi, CompileOptions, Extender, FrontierHint};
 use proptest::prelude::*;
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 fn arb_pattern() -> impl Strategy<Value = Pattern> {
-    (2usize..=6, any::<u64>()).prop_map(|(n, bits)| {
-        let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-        let mut b = 0;
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if (bits >> (b % 64)) & 1 == 1 {
-                    edges.push((u, v));
-                }
-                b += 1;
-            }
-        }
-        Pattern::from_edges(n, &edges).expect("connected")
-    })
+    common::arb_connected_pattern(2..=6)
 }
 
 fn arb_options() -> impl Strategy<Value = CompileOptions> {

@@ -36,6 +36,9 @@ use fm_plan::{compile, compile_multi, CompileOptions, CountRule, ExecutionPlan};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod common;
+use common::copies;
+
 /// ER, power-law, or a power-law body with two explicit hubs attached —
 /// the graphs `prop_engine_lattice.rs` draws.
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
@@ -257,30 +260,6 @@ fn prepare_builds_indexes_only_for_programs_that_probe_them() {
         joined.counts,
         mine_prepared(&prepare(&g, &probing[0].1, &cfg), &cycle, &cfg).counts
     );
-}
-
-/// Calls `visit` with every arrangement of `items[at..]` after the fixed
-/// prefix `items[..at]`.
-fn permutations(items: &mut Vec<usize>, at: usize, visit: &mut impl FnMut(&[usize])) {
-    if at == items.len() {
-        return visit(items);
-    }
-    for i in at..items.len() {
-        items.swap(at, i);
-        permutations(items, at + 1, visit);
-        items.swap(at, i);
-    }
-}
-
-/// How many subgraphs of `h` (on all its vertices) are copies of `p`: the
-/// vertex bijections that keep `p`'s edges, up to `p`'s own symmetries.
-fn copies(p: &Pattern, h: &Pattern) -> u64 {
-    assert_eq!(p.size(), h.size());
-    let mut maps = 0u64;
-    permutations(&mut (0..p.size()).collect(), 0, &mut |to| {
-        maps += u64::from(p.edges().iter().all(|&(u, v)| h.has_edge(to[u], to[v])));
-    });
-    maps / p.automorphism_count() as u64
 }
 
 #[test]
