@@ -34,14 +34,14 @@ fn bench_engine_patterns(c: &mut Criterion) {
                 mine(
                     &g,
                     plan,
-                    &EngineConfig { gallop_ratio: 0, hub_bitmap: false, ..Default::default() },
+                    &EngineConfig { gallop_ratio: 0, hub_memory_budget: 0, ..Default::default() },
                 )
                 .counts
             })
         });
         group.bench_with_input(BenchmarkId::new("bounded-gallop", name), &plan, |b, plan| {
             b.iter(|| {
-                mine(&g, plan, &EngineConfig { hub_bitmap: false, ..Default::default() }).counts
+                mine(&g, plan, &EngineConfig { hub_memory_budget: 0, ..Default::default() }).counts
             })
         });
         group.bench_with_input(BenchmarkId::new("bitmap", name), &plan, |b, plan| {

@@ -31,11 +31,11 @@ fn main() {
     let bounded = EngineConfig {
         threads: args.threads,
         gallop_ratio: 0,
-        hub_bitmap: false,
+        hub_memory_budget: 0,
         ..EngineConfig::default()
     };
     let adaptive =
-        EngineConfig { threads: args.threads, hub_bitmap: false, ..EngineConfig::default() };
+        EngineConfig { threads: args.threads, hub_memory_budget: 0, ..EngineConfig::default() };
 
     let mut table = Table::new(
         "ablation_bounded",

@@ -205,7 +205,6 @@ commands:
   count <pattern> --graph <input> [flags]   mine with the software engine
         [--induced] [--threads N] [--no-symmetry]
         [--timeout SECS] [--budget SETOP_ITERS]
-        [--no-hub-bitmap] [--hub-threshold DEGREE] [--hub-budget BYTES]
         [--checkpoint PATH] [--checkpoint-interval N|SECSs] [--resume PATH]
         [--max-retries K]
         [--metrics-out PATH] [--trace-out PATH] [--progress N|Ns]
@@ -338,9 +337,6 @@ const COUNT_FLAGS: Flags = &[
     ("--no-symmetry", false),
     ("--timeout", true),
     ("--budget", true),
-    ("--no-hub-bitmap", false),
-    ("--hub-threshold", true),
-    ("--hub-budget", true),
     ("--checkpoint", true),
     ("--checkpoint-interval", true),
     ("--resume", true),
@@ -458,15 +454,6 @@ fn cmd_count(args: &[String]) -> CliResult {
     let threads = parse_threads(args)?;
     let g = load_graph(args)?;
     let mut cfg = EngineConfig::with_threads(threads);
-    if has_flag(args, "--no-hub-bitmap") {
-        cfg.hub_bitmap = false;
-    }
-    if let Some(v) = flag_value(args, "--hub-threshold") {
-        cfg.hub_degree_threshold = v.parse().map_err(|e| format!("bad --hub-threshold: {e}"))?;
-    }
-    if let Some(v) = flag_value(args, "--hub-budget") {
-        cfg.hub_memory_budget = v.parse().map_err(|e| format!("bad --hub-budget: {e}"))?;
-    }
     if let Some(v) = flag_value(args, "--max-retries") {
         cfg.max_retries = v.parse().map_err(|e| format!("bad --max-retries: {e}"))?;
     }

@@ -167,7 +167,7 @@ impl MiningOutcome {
 
     /// Every isolated task panic, one record per attempt (software backend
     /// only). Non-empty on a *complete* run only when a transient fault
-    /// healed on a retry (see [`Miner::max_retries`]).
+    /// healed on a retry (see [`EngineConfig::max_retries`]).
     pub fn faults(&self) -> &[Fault] {
         &self.faults
     }
@@ -332,32 +332,13 @@ impl<'g> Miner<'g> {
         self
     }
 
-    /// Shorthand: software backend with `n` threads.
+    /// Sets the software backend's worker threads, keeping the rest of
+    /// its configuration. No-op for the accelerator backend, whose
+    /// parallelism is [`SimConfig::num_pes`].
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
-        self.backend = Backend::software(n);
-        self
-    }
-
-    /// Toggles the hub-bitmap probe index on the software backend (see
-    /// [`EngineConfig::hub_bitmap`]). No-op for the accelerator backend —
-    /// the simulated SIU/SDU merge datapath has no probe port.
-    #[must_use]
-    pub fn hub_bitmap(mut self, enabled: bool) -> Self {
         if let Backend::Software(cfg) = &mut self.backend {
-            cfg.hub_bitmap = enabled;
-        }
-        self
-    }
-
-    /// Sets the hub selection degree threshold and memory budget in bytes
-    /// (software backend only; see [`EngineConfig::hub_degree_threshold`]
-    /// and [`EngineConfig::hub_memory_budget`]).
-    #[must_use]
-    pub fn hub_limits(mut self, degree_threshold: usize, memory_budget: usize) -> Self {
-        if let Backend::Software(cfg) = &mut self.backend {
-            cfg.hub_degree_threshold = degree_threshold;
-            cfg.hub_memory_budget = memory_budget;
+            cfg.threads = n;
         }
         self
     }
@@ -408,20 +389,6 @@ impl<'g> Miner<'g> {
         self
     }
 
-    /// Retries a faulted start-vertex task up to `k` times before
-    /// quarantining it (software backend only; see
-    /// [`EngineConfig::max_retries`]). With the default `0` a single fault
-    /// degrades the run; with retries a transient fault self-heals and the
-    /// run stays [`RunStatus::Complete`], the attempt still recorded in
-    /// [`MiningOutcome::faults`].
-    #[must_use]
-    pub fn max_retries(mut self, k: u32) -> Self {
-        if let Backend::Software(cfg) = &mut self.backend {
-            cfg.max_retries = k;
-        }
-        self
-    }
-
     /// Enables telemetry collection on the software backend (see
     /// [`TelemetryOptions`]): depth/tier metrics and histograms, Chrome
     /// trace spans, and/or live progress reporting. The default (all off)
@@ -442,15 +409,6 @@ impl<'g> Miner<'g> {
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = merge_budgets(self.budget, budget);
         self
-    }
-
-    /// Shorthand: wall-clock deadline `timeout` from now. Note the
-    /// deadline starts ticking *here*, not at [`run`](Self::run); prefer
-    /// [`run_with_deadline`](Self::run_with_deadline) unless the build and
-    /// run happen together.
-    #[must_use]
-    pub fn timeout(self, timeout: Duration) -> Self {
-        self.budget(Budget::with_timeout(timeout))
     }
 
     /// Attaches a cancellation handle (software backend only). Keep a
@@ -585,8 +543,8 @@ impl<'g> Miner<'g> {
 
     /// Runs the job with a wall-clock deadline of `timeout` from *now*.
     ///
-    /// Equivalent to `self.clone().timeout(timeout).run()`, with the
-    /// deadline anchored at the call instead of at builder time.
+    /// Equivalent to `self.clone().budget(Budget::with_timeout(timeout)).run()`,
+    /// with the deadline anchored at the call instead of at builder time.
     ///
     /// # Errors
     ///
@@ -641,19 +599,34 @@ mod tests {
     }
 
     #[test]
-    fn hub_bitmap_toggle_preserves_counts_and_is_inert_on_accelerator() {
+    fn hub_index_preserves_counts_and_is_inert_on_accelerator() {
         let g = generators::attach_hubs(&generators::powerlaw_cluster(150, 4, 0.5, 8), 3, 90, 5);
         // The diamond intersects against v1's adjacency at every (v0, v1);
         // the joined 4-cycle dispatches no set op for a hub to serve.
-        let job = Miner::new(&g).pattern(Pattern::diamond()).hub_limits(32, 1 << 22);
-        let on = job.clone().hub_bitmap(true).run().unwrap();
-        let off = job.clone().hub_bitmap(false).run().unwrap();
+        let job = Miner::new(&g).pattern(Pattern::diamond());
+        let sw = |hub_memory_budget| {
+            let cfg = EngineConfig { hub_memory_budget, ..EngineConfig::default() };
+            job.clone().backend(Backend::Software(cfg)).run().unwrap()
+        };
+        let (on, off) = (sw(1 << 22), sw(0));
         assert_eq!(on.counts(), off.counts());
         assert!(on.work().unwrap().probe_dispatches > 0, "hubs of degree 90 must probe");
         assert_eq!(off.work().unwrap().probe_dispatches, 0);
-        // The accelerator backend has no probe port; the toggle is a no-op.
-        let hw = job.backend(Backend::accelerator()).hub_bitmap(true).run().unwrap();
+        // The accelerator backend has no probe port.
+        let hw = job.backend(Backend::accelerator()).run().unwrap();
         assert_eq!(hw.counts(), on.counts());
+    }
+
+    #[test]
+    fn threads_keeps_the_backend_it_is_given() {
+        let g = generators::powerlaw_cluster(150, 4, 0.5, 2);
+        let job = Miner::new(&g).pattern(Pattern::triangle());
+        let hw = job.clone().backend(Backend::accelerator()).threads(2).run().unwrap();
+        assert!(hw.sim_report().is_some(), "threads must not swap in the software engine");
+        let budget = Budget::with_max_setop_iterations(1);
+        let cfg = EngineConfig { budget, ..EngineConfig::default() };
+        let sw = job.backend(Backend::Software(cfg)).threads(2).run().unwrap();
+        assert_eq!(sw.status(), fm_engine::RunStatus::BudgetExhausted);
     }
 
     #[test]
@@ -731,7 +704,7 @@ mod tests {
         let job = Miner::new(&g)
             .pattern(Pattern::triangle())
             .backend(Backend::accelerator())
-            .timeout(Duration::from_secs(60));
+            .budget(Budget::with_timeout(Duration::from_secs(60)));
         assert_eq!(job.run().unwrap_err(), MineError::ControlUnsupported);
         let token = fm_engine::CancelToken::new();
         let job = Miner::new(&g)

@@ -217,12 +217,15 @@ fn a_closed_stdout_pipe_ends_quietly_with_status_zero() {
 #[test]
 fn unknown_flags_missing_values_and_zero_threads_exit_two() {
     let count = ["count", "triangle", "--graph", GRAPH];
-    let cases: [(&[&str], &[&str], &str); 13] = [
+    let cases: [(&[&str], &[&str], &str); 16] = [
         (&count, &["--no-resue", "--bogus", "7"], "unknown flag --no-resue"),
         (&count, &["--bogus", "7"], "unknown flag --bogus"),
         (&count, &["--no-reuse"], "unknown flag --no-reuse"),
         (&count, &["--reuse-budget", "1"], "unknown flag --reuse-budget"),
         (&count, &["--no-simd"], "unknown flag --no-simd"),
+        (&count, &["--no-hub-bitmap"], "unknown flag --no-hub-bitmap"),
+        (&count, &["--hub-threshold", "8"], "unknown flag --hub-threshold"),
+        (&count, &["--hub-budget", "1"], "unknown flag --hub-budget"),
         (&count, &["--threads"], "--threads needs a value"),
         (&count, &["--threads", "--induced"], "--threads needs a value"),
         (&count, &["--threads", "0"], "--threads must be at least 1"),

@@ -217,8 +217,12 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     let mut h = Fnv::new();
     h.u64(u64::from(cfg.paper_faithful));
     h.u64(cfg.gallop_ratio as u64);
-    h.u64(u64::from(cfg.hub_bitmap_active()));
-    if cfg.hub_bitmap_active() {
+    // Whether the config allows a hub index: the word the index's former
+    // on/off flag contributed, so the default and faithful fingerprints
+    // (and the checkpoints written under them) are unchanged.
+    let hubs = !cfg.paper_faithful && cfg.hub_memory_budget > 0;
+    h.u64(u64::from(hubs));
+    if hubs {
         h.u64(cfg.hub_degree_threshold as u64);
         h.u64(cfg.hub_memory_budget as u64);
     }
@@ -1005,7 +1009,7 @@ mod tests {
         let plan = compile(&Pattern::triangle(), CompileOptions::default());
         let plan2 = compile(&Pattern::cycle(4), CompileOptions::default());
         let cfg = EngineConfig::default();
-        let cfg2 = EngineConfig { hub_bitmap: false, ..cfg };
+        let cfg2 = EngineConfig { hub_memory_budget: 0, ..cfg };
         let c = Checkpoint::empty(&g, &plan, &cfg, 1);
         assert_eq!(c.validate(&g, &plan, &cfg), Ok(()));
         assert!(matches!(c.validate(&g2, &plan, &cfg), Err(CheckpointError::GraphMismatch { .. })));
@@ -1017,6 +1021,15 @@ mod tests {
         // Order-irrelevant knobs do NOT invalidate a resume.
         let retuned = EngineConfig { threads: 7, max_retries: 5, ..cfg };
         assert_eq!(c.validate(&g, &plan, &retuned), Ok(()));
+    }
+
+    /// Checkpoints written before the hub index lost its on/off flag
+    /// still resume: the default and faithful fingerprints are the
+    /// literals the flagged config hashed to.
+    #[test]
+    fn stock_config_fingerprints_are_stable() {
+        assert_eq!(config_fingerprint(&EngineConfig::default()), 0xdb29_83af_f930_8e54);
+        assert_eq!(config_fingerprint(&EngineConfig::paper_faithful()), 0x4b0b_f31c_7423_bcb4);
     }
 
     /// ISSUE satellite: transient write failures back off and retry

@@ -56,11 +56,14 @@ impl<T> std::ops::Deref for Held<'_, T> {
 /// A data graph fully preprocessed for mining: the (possibly oriented)
 /// graph plus the hub bitmaps of the probe tier, if any.
 ///
-/// [`prepare`] is the one place the index is built, and every [`Executor`]
-/// borrows it from here. It is built only if
-/// [`EngineConfig::hub_bitmap_active`] and the plan's count-only program
-/// hands two lists to a set-op kernel (its only reader; the joined 4-cycle
-/// does not), and dropped if it comes back empty.
+/// [`prepare`] is the one place that decides whether the index exists, and
+/// every [`Executor`] borrows it from here. It is built only if the run is
+/// not [`paper_faithful`](EngineConfig::paper_faithful) and the plan's
+/// count-only program hands two lists to a set-op kernel (its only reader;
+/// the joined 4-cycle does not), and dropped if it comes back empty under
+/// [`hub_degree_threshold`](EngineConfig::hub_degree_threshold) and
+/// [`hub_memory_budget`](EngineConfig::hub_memory_budget) — a budget of
+/// `0` is the off switch.
 pub struct PreparedGraph<'g> {
     graph: Held<'g, CsrGraph>,
     hubs: Option<Arc<HubBitmaps>>,
@@ -85,7 +88,7 @@ impl<'g> PreparedGraph<'g> {
         let graph =
             if plan.orientation { Held::Arc(Arc::new(orient_by_degree(&input))) } else { input };
         let mut prepared = PreparedGraph { graph, hubs: None };
-        if cfg.hub_bitmap_active()
+        if !cfg.paper_faithful
             && Resolved::new(&prepared, &count_program(plan, cfg), cfg).dispatches_set_ops()
         {
             let (threshold, budget) = (cfg.hub_degree_threshold, cfg.hub_memory_budget);
@@ -465,9 +468,9 @@ impl<'g> Executor<'g> {
     /// Creates an executor over `g` (prepared under `cfg`), resolving the
     /// count program, once, into the form the walk runs.
     pub fn new(g: &'g PreparedGraph<'_>, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
-        cfg.debug_validate();
+        debug_assert!(cfg.threads >= 1, "threads must be at least 1");
         debug_assert!(
-            g.hubs.is_none() || cfg.hub_bitmap_active(),
+            g.hubs.is_none() || !cfg.paper_faithful,
             "a hub index must not reach a config that excludes probes (paper_faithful)"
         );
         let program = count_program(plan, cfg);

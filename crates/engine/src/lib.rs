@@ -85,18 +85,16 @@ pub use telemetry::{ProgressOptions, TelemetryOptions};
 ///
 /// # Supported knob matrix
 ///
-/// This is the single normative statement of how the mode knobs compose
-/// (structural invariants are asserted by [`EngineConfig::debug_validate`]
-/// on every executor construction):
+/// This is the single normative statement of how the mode knobs compose:
 ///
-/// | knob            | default | `paper_faithful()` | composition |
-/// |-----------------|---------|--------------------|-------------|
-/// | `gallop_ratio`  | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge) — tests rely on it to force specific tiers |
-/// | `hub_bitmap`    | on      | ignored (no probes)| composes with every other knob; inert when no vertex reaches `hub_degree_threshold` or `hub_memory_budget` is too tight |
-/// | `max_retries`   | 0       | same               | count-irrelevant (a retried task contributes exactly once); excluded from the checkpoint config fingerprint, so a resume may change it |
+/// | knob                | default | `paper_faithful()` | composition |
+/// |---------------------|---------|--------------------|-------------|
+/// | `gallop_ratio`      | 16      | ignored            | any value; `0` is the documented sentinel that disables galloping entirely (every skew dispatches merge) — tests rely on it to force specific tiers |
+/// | `hub_memory_budget` | 8 MiB   | ignored (no probes)| `0` is the one off switch of the hub index; otherwise [`PreparedGraph`] builds it only for a program that dispatches a set op, and drops it when no vertex reaches `hub_degree_threshold` within the budget |
+/// | `max_retries`       | 0       | same               | count-irrelevant (a retried task contributes exactly once); excluded from the checkpoint config fingerprint, so a resume may change it |
 ///
 /// `paper_faithful` pins candidate generation to unbounded merges and
-/// ignores `gallop_ratio` and `hub_bitmap` entirely (no dispatcher runs,
+/// ignores `gallop_ratio` and the hub knobs entirely (no dispatcher runs,
 /// so the dispatch counters stay zero), keeping its work counters
 /// bit-identical to the recorded figure artifacts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -117,19 +115,16 @@ pub struct EngineConfig {
     /// `0` disables galloping; ignored under
     /// [`paper_faithful`](Self::paper_faithful).
     pub gallop_ratio: usize,
-    /// Build a degree-thresholded hub-bitmap index over the prepared graph
-    /// and let the adaptive dispatcher answer set ops against hub
-    /// adjacency lists with bitmap probes (third tier after merge and
-    /// galloping). The index is built once and shared across workers;
-    /// ignored under [`paper_faithful`](Self::paper_faithful) — the Fig. 9
-    /// merge FSM has no probe port.
-    pub hub_bitmap: bool,
     /// Minimum degree for a vertex to be indexed as a hub. See
     /// [`fm_graph::HubBitmaps::build`] for the selection policy.
     pub hub_degree_threshold: usize,
-    /// Hard cap, in bytes, on the hub index footprint (rows plus the
-    /// per-vertex row map). The index silently shrinks — possibly to
-    /// empty — rather than failing when the budget is tight.
+    /// Hard cap, in bytes, on the footprint (rows plus the per-vertex row
+    /// map) of the hub-bitmap index the adaptive dispatcher probes as its
+    /// third tier after merge and galloping. The index silently shrinks —
+    /// possibly to empty — rather than failing when the budget is tight;
+    /// `0` turns it off. Ignored under
+    /// [`paper_faithful`](Self::paper_faithful): the Fig. 9 merge FSM has
+    /// no probe port.
     pub hub_memory_budget: usize,
     /// Wall-clock deadline and set-op iteration cap for the run, polled
     /// between and inside tasks. Unlimited by default; see
@@ -158,7 +153,6 @@ impl Default for EngineConfig {
             threads: 1,
             paper_faithful: false,
             gallop_ratio: 16,
-            hub_bitmap: true,
             // The dispatcher only probes rows at least as long as the
             // streamed side, so the threshold bounds index size rather
             // than gating profitability: 32 ≈ the smallest row whose
@@ -189,26 +183,5 @@ impl EngineConfig {
     /// (see [`paper_faithful`](Self::paper_faithful)).
     pub fn paper_faithful() -> Self {
         EngineConfig { paper_faithful: true, ..Self::default() }
-    }
-
-    /// Whether this configuration builds and probes a hub-bitmap index:
-    /// [`hub_bitmap`](Self::hub_bitmap) requested and not overridden by
-    /// [`paper_faithful`](Self::paper_faithful).
-    pub fn hub_bitmap_active(&self) -> bool {
-        self.hub_bitmap && !self.paper_faithful
-    }
-
-    /// Debug-asserts the structural invariants of the supported knob
-    /// matrix (see the type docs) — the full matrix, one assertion per
-    /// faithful-exclusion row, so a future knob that forgets its
-    /// `paper_faithful` override fails loudly here rather than silently
-    /// perturbing the pinned figure artifacts. Called on every executor
-    /// construction; compiles to nothing in release builds.
-    pub fn debug_validate(&self) {
-        debug_assert!(self.threads >= 1, "threads must be at least 1");
-        debug_assert!(
-            !(self.paper_faithful && self.hub_bitmap_active()),
-            "paper_faithful excludes the hub-bitmap probe tier"
-        );
     }
 }

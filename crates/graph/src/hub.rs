@@ -103,12 +103,18 @@ impl HubBitmaps {
         // raw argument (a threshold of 0 would otherwise claim every
         // isolated vertex is a hub).
         let threshold = degree_threshold.max(1);
+        let empty = HubBitmaps { degree_threshold: threshold, ..HubBitmaps::default() };
+        // A budget that cannot hold one row (a budget of 0 among them)
+        // costs no degree scan.
+        if capacity == 0 {
+            return empty;
+        }
         let mut hubs: Vec<u32> =
             (0..n as u32).filter(|&v| g.degree(VertexId(v)) >= threshold).collect();
         hubs.sort_by_key(|&v| (std::cmp::Reverse(g.degree(VertexId(v))), v));
         hubs.truncate(capacity);
         if hubs.is_empty() {
-            return HubBitmaps { degree_threshold: threshold, ..HubBitmaps::default() };
+            return empty;
         }
         let mut row_of = vec![NOT_A_HUB; n];
         let mut rows = vec![0u64; hubs.len() * words_per_row];

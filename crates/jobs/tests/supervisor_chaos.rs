@@ -60,9 +60,10 @@ fn interleaved_jobs_match_solo_runs_bit_for_bit() {
     let mut case = 0u64;
     for threads in [1usize, 4] {
         for gallop_ratio in [0, 16] {
-            for hub_bitmap in [false, true] {
+            for hub_memory_budget in [0, 8 << 20] {
                 case += 1;
-                let cfg = EngineConfig { threads, gallop_ratio, hub_bitmap, ..Default::default() };
+                let cfg =
+                    EngineConfig { threads, gallop_ratio, hub_memory_budget, ..Default::default() };
                 let g = graph(150 + case as usize * 10, case);
                 let plan = if case.is_multiple_of(2) { cycle4() } else { triangle() };
                 let reference = mine(&g, &plan, &cfg);

@@ -59,21 +59,21 @@ fn assert_bit_identical(resumed: &MiningResult, full: &MiningResult, ctx: &str) 
 
 /// Budget-interrupted run, checkpointed every task, resumed without the
 /// budget: counts and work counters must match the uninterrupted
-/// reference bit for bit — across threads {1, 4} × hub-bitmap on/off.
+/// reference bit for bit — across threads {1, 4} × hub index on/off.
 #[test]
 fn budget_interrupt_then_resume_is_bit_identical_across_backends() {
     let g = generators::powerlaw_cluster(300, 5, 0.5, 21);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     for threads in [1usize, 4] {
-        for hub_bitmap in [false, true] {
-            let base = EngineConfig { threads, hub_bitmap, ..Default::default() };
+        for hub_memory_budget in [0, 8 << 20] {
+            let base = EngineConfig { threads, hub_memory_budget, ..Default::default() };
             let full = mine(&g, &plan, &base);
             let budget_cfg = EngineConfig {
                 budget: Budget::with_max_setop_iterations(full.work.setop_iterations / 3),
                 ..base
             };
             let path = temp_ckpt("matrix");
-            let ctx = format!("threads={threads} hub={hub_bitmap}");
+            let ctx = format!("threads={threads} hub budget={hub_memory_budget}");
             let opts = MineOptions { checkpoint: Some(every_task(&path)), ..Default::default() };
             let cut = mine_with(&g, &plan, &budget_cfg, opts).unwrap();
             assert_eq!(cut.status, RunStatus::BudgetExhausted, "{ctx}");
@@ -101,11 +101,11 @@ fn faulted_run_checkpoints_and_resume_heals_quarantine() {
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let poisoned = 11u32;
     for threads in [1usize, 4] {
-        for hub_bitmap in [false, true] {
-            let base = EngineConfig { threads, hub_bitmap, ..Default::default() };
+        for hub_memory_budget in [0, 8 << 20] {
+            let base = EngineConfig { threads, hub_memory_budget, ..Default::default() };
             let full = mine(&g, &plan, &base);
             let path = temp_ckpt("heal");
-            let ctx = format!("threads={threads} hub={hub_bitmap}");
+            let ctx = format!("threads={threads} hub budget={hub_memory_budget}");
             {
                 let fp = failpoint::guard(
                     "start_vertex",
@@ -188,7 +188,7 @@ fn fingerprint_mismatches_are_structured_errors() {
     let err = resume_from_file(&g, &other_plan, &cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::PlanMismatch { .. }), "{err}");
 
-    let other_cfg = EngineConfig { hub_bitmap: !cfg.hub_bitmap, ..cfg };
+    let other_cfg = EngineConfig { hub_memory_budget: 0, ..cfg };
     let err = resume_from_file(&g, &plan, &other_cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::ConfigMismatch { .. }), "{err}");
 

@@ -67,7 +67,6 @@ fn paper_faithful_ignores_hub_knobs_bit_for_bit() {
     for (name, pattern) in golden_patterns() {
         let base = faithful(&g, &pattern, &EngineConfig::paper_faithful());
         let knobs = EngineConfig {
-            hub_bitmap: true,
             hub_degree_threshold: 1,
             hub_memory_budget: usize::MAX,
             gallop_ratio: 1,

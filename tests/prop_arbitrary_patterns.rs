@@ -123,15 +123,17 @@ proptest! {
             let want = vec![if induced { vertex_induced } else { edge_induced }];
             let at = format!("{p} induced={induced} symmetry={symmetry}");
             for threads in [1, 3] {
-                for hub_bitmap in [false, true] {
+                for hub_memory_budget in [0, 8 << 20] {
                     let cfg = EngineConfig {
                         threads,
-                        hub_bitmap,
+                        hub_memory_budget,
                         hub_degree_threshold: 4,
                         ..EngineConfig::default()
                     };
                     let got = mine(&g, &plan, &cfg).unique_counts(&plan);
-                    prop_assert_eq!(&got, &want, "{} threads={} hub={}", at, threads, hub_bitmap);
+                    prop_assert_eq!(
+                        &got, &want, "{} threads={} hub budget={}", at, threads, hub_memory_budget
+                    );
                 }
             }
             let cfg = EngineConfig { hub_degree_threshold: 4, ..EngineConfig::default() };

@@ -1,15 +1,15 @@
 //! The knob-lattice differential suite: every way of turning the engine's
 //! knobs must be invisible to results. One property draws a graph (ER |
 //! power-law | hub-attached power-law) and a point of the lattice
-//! {`gallop_ratio` ∈ {0, 1, 16}, `hub_bitmap` off / default budget / tight
-//! budget} and walks threads {1, 3} under it, for every stock
+//! {`gallop_ratio` ∈ {0, 1, 16}, `hub_memory_budget` 0 (no index) / default /
+//! tight} and walks threads {1, 3} under it, for every stock
 //! pattern compiled edge-induced and vertex-induced, against two
 //! references: `paper_faithful`, and the *plain* engine (bounded merges,
 //! every dispatch knob off).
 //!
 //! - Unique counts equal the faithful engine's and, for vertex-induced
 //!   plans, the pattern-oblivious ESU oracle's; every run is `Complete`.
-//! - The dispatch knobs (`gallop_ratio`, `hub_bitmap`, threads) choose
+//! - The dispatch knobs (`gallop_ratio`, `hub_memory_budget`, threads) choose
 //!   *how* a candidate set is derived, never *which*: `extensions`,
 //!   `candidates_checked` and `setop_invocations` equal the plain engine's,
 //!   and the three tier counters partition the invocations.
@@ -76,11 +76,11 @@ fn stock_patterns() -> Vec<Pattern> {
 
 /// The plain engine: bounded merges, every dispatch on the scalar merge
 /// tier, one thread. The hub threshold is low so small graphs have rows
-/// once `hub_bitmap` is switched on.
+/// once the index has a budget.
 fn plain() -> EngineConfig {
     EngineConfig {
         gallop_ratio: 0,
-        hub_bitmap: false,
+        hub_memory_budget: 0,
         hub_degree_threshold: 4,
         ..EngineConfig::default()
     }
@@ -89,8 +89,8 @@ fn plain() -> EngineConfig {
 /// `hub` 0 = no index, 1 = the default budget, 2 = a budget too tight for
 /// more than a row or two (the index shrinks, possibly to nothing).
 fn knobbed(base: EngineConfig, gallop_ratio: usize, hub: u8, threads: usize) -> EngineConfig {
-    let hub_memory_budget = if hub == 2 { 64 } else { base.hub_memory_budget };
-    EngineConfig { gallop_ratio, hub_bitmap: hub != 0, hub_memory_budget, threads, ..base }
+    let hub_memory_budget = [0, EngineConfig::default().hub_memory_budget, 64][hub as usize];
+    EngineConfig { gallop_ratio, hub_memory_budget, threads, ..base }
 }
 
 /// The counters a dispatch knob must not move.

@@ -42,17 +42,17 @@ fn stock_patterns() -> Vec<Pattern> {
     ]
 }
 
-/// A config pair differing only in `hub_bitmap`; the threshold is low so
-/// small random graphs actually exercise the probe tier.
+/// A config pair with and without a hub index (a budget of 0 is the off
+/// switch); the threshold is low so small random graphs actually exercise
+/// the probe tier.
 fn cfg_pair(threads: usize, hub_memory_budget: usize) -> [EngineConfig; 2] {
     let on = EngineConfig {
         threads,
-        hub_bitmap: true,
         hub_degree_threshold: 4,
         hub_memory_budget,
         ..EngineConfig::default()
     };
-    let off = EngineConfig { hub_bitmap: false, ..on };
+    let off = EngineConfig { hub_memory_budget: 0, ..on };
     [on, off]
 }
 
@@ -103,7 +103,7 @@ fn replay(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, completed: &[u
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// hub_bitmap on/off is result-invisible: identical counts and
+    /// The hub index on/off is result-invisible: identical counts and
     /// identical `RunStatus` for every stock pattern × threads {1,4},
     /// with both a roomy and an over-tight memory budget
     /// (the latter silently degrades to no index). Every plan without a
@@ -158,12 +158,12 @@ proptest! {
                 let r = mine(&g, &plan, &cfg);
                 prop_assert_eq!(
                     r.status, RunStatus::BudgetExhausted,
-                    "threads={} hub={}", threads, cfg.hub_bitmap
+                    "threads={} hub budget={}", threads, cfg.hub_memory_budget
                 );
                 let replayed = replay(&g, &plan, &cfg, &r.completed);
                 prop_assert_eq!(
                     &r.counts, &replayed,
-                    "partial not exact: threads={} hub={}", threads, cfg.hub_bitmap
+                    "partial not exact: threads={} hub budget={}", threads, cfg.hub_memory_budget
                 );
             }
         }

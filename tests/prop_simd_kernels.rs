@@ -156,7 +156,7 @@ proptest! {
             for threads in [1usize, 4] {
                 let cfg = EngineConfig {
                     threads,
-                    hub_bitmap: hub,
+                    hub_memory_budget: if hub { 8 << 20 } else { 0 },
                     hub_degree_threshold: 4,
                     ..EngineConfig::default()
                 };

@@ -3,7 +3,7 @@
 //!
 //! - **Pins.** Unique counts and every [`WorkCounters`] word of the six
 //!   stock requests and `motifs 4`, on a power-law and a caveman graph,
-//!   under the default, `hub_bitmap: false` and `paper_faithful` configs,
+//!   under the default, `hub_memory_budget: 0` and `paper_faithful` configs,
 //!   as the commit before the resolved program produced them (1 and 2
 //!   threads agree): resolving the program once, fusing the last level,
 //!   looking index rows up lazily and prefetching move no counter. (The
@@ -51,7 +51,7 @@ fn config(name: &str) -> EngineConfig {
     let d = EngineConfig::default();
     match name {
         "default" => d,
-        "no_hub" => EngineConfig { hub_bitmap: false, ..d },
+        "no_hub" => EngineConfig { hub_memory_budget: 0, ..d },
         "faithful" => EngineConfig::paper_faithful(),
         other => panic!("unknown config {other}"),
     }
