@@ -1,6 +1,7 @@
 //! The paper's four GPM applications as one-call functions (§II-A).
 
 use crate::miner::{Backend, MineError, Miner, MiningOutcome};
+use fm_engine::RunStatus;
 use fm_graph::CsrGraph;
 use fm_pattern::{motifs, Pattern};
 
@@ -47,26 +48,72 @@ pub fn subgraph_count(g: &CsrGraph, pattern: &Pattern, backend: Backend) -> Resu
 }
 
 /// k-motif counting (k-MC): counts vertex-induced occurrences of every
-/// connected k-vertex pattern simultaneously (multi-pattern mining).
+/// connected k-vertex pattern.
 ///
 /// Returns `(motif name, count)` pairs in the deterministic motif order of
 /// [`fm_pattern::motifs::motifs`].
 ///
+/// The software backend counts each motif *edge-induced*, one job each,
+/// where cliques run on the degree-oriented DAG and stars, tails and pair
+/// joins by their closed forms. It then solves the containment identity
+/// `edge(P) = Σ_H copies(P in H) · ind(H)` for the induced counts by
+/// back-substitution ([`motifs::copies`]). The accelerator backend and
+/// [`paper_faithful`](fm_engine::EngineConfig::paper_faithful) run the
+/// paper's k-MC instead: one vertex-induced multi-pattern plan (§V-B).
+///
 /// # Errors
 ///
-/// Propagates [`MineError`].
+/// Propagates [`MineError`]. A run that stops early or loses a task is
+/// [`MineError::PartialUnnormalizable`]: a partial census is not the
+/// census of anything. A solve that leaves 64-bit range is
+/// [`MineError::CensusOverflow`].
 ///
 /// # Panics
 ///
-/// Panics if `k > 6` (motif enumeration limit).
+/// Panics if `k == 0` or `k > 6` (motif enumeration limit).
 pub fn motif_census(
     g: &CsrGraph,
     k: usize,
     backend: Backend,
 ) -> Result<Vec<(String, u64)>, MineError> {
     let ms = motifs::motifs(k);
-    let outcome: MiningOutcome = Miner::new(g).patterns(ms).induced(true).backend(backend).run()?;
-    Ok(outcome.per_pattern().iter().map(|p| (p.name.clone(), p.count)).collect())
+    let complete = |outcome: MiningOutcome| match outcome.status() {
+        RunStatus::Complete => Ok(outcome),
+        status => Err(MineError::PartialUnnormalizable { status }),
+    };
+    let counts = match &backend {
+        Backend::Software(cfg) if !cfg.paper_faithful => {
+            let mut edge = Vec::with_capacity(ms.len());
+            for p in &ms {
+                let job = Miner::new(g).pattern(p.clone()).backend(backend.clone());
+                edge.push(complete(job.run()?)?.count());
+            }
+            census_by_containment(&ms, &edge)?
+        }
+        _ => complete(
+            Miner::new(g).patterns(ms.iter().cloned()).induced(true).backend(backend).run()?,
+        )?
+        .counts(),
+    };
+    Ok(ms.iter().map(motifs::motif_name).zip(counts).collect())
+}
+
+/// Solves `edge[i] = Σ_j copies(ms[i] in ms[j]) · ind[j]` for the induced
+/// census `ind`. Over [`motifs::motifs`] order the matrix is unit
+/// upper-triangular, so back-substitution from the clique down gives
+/// `ind[i] = edge[i] − Σ_{j>i} copies[i][j] · ind[j]`, in checked
+/// arithmetic: exact counts never leave `0..=u64::MAX` on the way.
+fn census_by_containment(ms: &[Pattern], edge: &[u64]) -> Result<Vec<u64>, MineError> {
+    let mut ind = vec![0u64; ms.len()];
+    for i in (0..ms.len()).rev() {
+        let mut n = Some(edge[i]);
+        for j in i + 1..ms.len() {
+            n = n.and_then(|n| n.checked_sub(motifs::copies(&ms[i], &ms[j]).checked_mul(ind[j])?));
+        }
+        ind[i] =
+            n.ok_or_else(|| MineError::CensusOverflow { motif: motifs::motif_name(&ms[i]) })?;
+    }
+    Ok(ind)
 }
 
 /// The default backend used by examples: the software engine on all
@@ -113,6 +160,17 @@ mod tests {
             fm_engine::oblivious::count_induced(&g, &[Pattern::wedge(), Pattern::triangle()], 1);
         assert_eq!(by_name["wedge"], oracle.counts[0]);
         assert_eq!(by_name["triangle"], oracle.counts[1]);
+    }
+
+    /// Counts that no graph has are an error, never a wrapped census.
+    #[test]
+    fn the_solve_rejects_counts_outside_64_bits() {
+        let ms = motifs::motifs(3);
+        let wedge = || Err(MineError::CensusOverflow { motif: "wedge".into() });
+        // Three wedges per triangle, subtracted from fewer wedges.
+        assert_eq!(census_by_containment(&ms, &[2, 1]), wedge());
+        assert_eq!(census_by_containment(&ms, &[u64::MAX, u64::MAX]), wedge());
+        assert_eq!(census_by_containment(&ms, &[u64::MAX, 5]), Ok(vec![u64::MAX - 15, 5]));
     }
 
     #[test]

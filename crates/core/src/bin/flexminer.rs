@@ -214,7 +214,7 @@ commands:
         [--watchdog CYCLES]
         [--metrics-out PATH] [--trace-out PATH]
         [--log-level error|warn|info|debug]
-  motifs <k> --graph <input> [--threads N]  k-motif census (vertex-induced)
+  motifs <k> --graph <input> [--threads N]  k-motif census (vertex-induced), 1 <= k <= 6
   generate <spec> --out <file>              write a synthetic graph as an edge list
   stats --graph <input>                     print graph statistics
   serve [flags]                             multi-job supervisor speaking JSONL
@@ -612,6 +612,10 @@ fn cmd_sim(args: &[String]) -> CliResult {
 
 fn cmd_motifs(args: &[String]) -> CliResult {
     let k: usize = args.first().ok_or("missing <k>")?.parse().map_err(|e| format!("bad k: {e}"))?;
+    // `motifs::motifs` lists the connected shapes on 1 to 6 vertices.
+    if !(1..=6).contains(&k) {
+        usage(&format!("motif size {k} is outside 1..=6"));
+    }
     let threads = parse_threads(args)?;
     let g = load_graph(args)?;
     let census =

@@ -74,10 +74,19 @@ pub enum MineError {
     /// A partial run's raw counts cannot be normalized into unique counts:
     /// with symmetry breaking disabled each embedding is found |Aut(P)|
     /// times, and an early stop can cut through an automorphism class.
-    /// Retry with symmetry breaking on, or without a budget.
+    /// Retry with symmetry breaking on, or without a budget. A motif
+    /// census ([`crate::apps::motif_census`]) reports any run that did not
+    /// complete this way.
     PartialUnnormalizable {
         /// How the run actually stopped.
         status: RunStatus,
+    },
+    /// A motif census's containment solve left 64-bit range at `motif`:
+    /// its edge-induced count is smaller than what the motifs above it
+    /// account for, or a product overflowed. Exact counts never do either.
+    CensusOverflow {
+        /// The motif whose induced count could not be solved for.
+        motif: String,
     },
     /// A resume checkpoint could not be loaded, or records a different
     /// graph/plan/config than this job (the engine refuses to produce a
@@ -108,11 +117,10 @@ impl fmt::Display for MineError {
                 )
             }
             MineError::PartialUnnormalizable { status } => {
-                write!(
-                    f,
-                    "partial run ({status:?}) cannot be normalized by |Aut(P)| without \
-                     symmetry breaking"
-                )
+                write!(f, "partial run ({status:?}) cannot be normalized into unique counts")
+            }
+            MineError::CensusOverflow { motif } => {
+                write!(f, "motif census: the containment solve for {motif} leaves 64-bit range")
             }
             MineError::Checkpoint(e) => write!(f, "{e}"),
         }

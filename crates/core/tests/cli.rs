@@ -217,7 +217,7 @@ fn a_closed_stdout_pipe_ends_quietly_with_status_zero() {
 #[test]
 fn unknown_flags_missing_values_and_zero_threads_exit_two() {
     let count = ["count", "triangle", "--graph", GRAPH];
-    let cases: [(&[&str], &[&str], &str); 16] = [
+    let cases: [(&[&str], &[&str], &str); 18] = [
         (&count, &["--no-resue", "--bogus", "7"], "unknown flag --no-resue"),
         (&count, &["--bogus", "7"], "unknown flag --bogus"),
         (&count, &["--no-reuse"], "unknown flag --no-reuse"),
@@ -231,6 +231,8 @@ fn unknown_flags_missing_values_and_zero_threads_exit_two() {
         (&count, &["--threads", "0"], "--threads must be at least 1"),
         (&count, &["extra"], "unexpected argument extra"),
         (&["motifs", "3", "--graph", GRAPH], &["--threads", "0"], "--threads must be at least 1"),
+        (&["motifs", "0", "--graph", GRAPH], &[], "motif size 0 is outside 1..=6"),
+        (&["motifs", "7", "--graph", GRAPH], &[], "motif size 7 is outside 1..=6"),
         (&["sim", "triangle", "--graph", GRAPH], &["--threads", "2"], "unknown flag --threads"),
         (&["plan", "triangle"], &["--graph", GRAPH], "unknown flag --graph"),
         (&["serve"], &["--exit-when-idel"], "unknown flag --exit-when-idel"),

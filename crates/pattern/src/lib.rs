@@ -21,7 +21,9 @@
 //!   `v_later < v_earlier` id constraints with the property that exactly one
 //!   member of every automorphism class satisfies them.
 //! * [`motifs`] — enumeration of all connected k-vertex patterns (the
-//!   3-motifs and 4-motifs of Fig. 3), used by k-motif counting.
+//!   3-motifs and 4-motifs of Fig. 3), used by k-motif counting, and the
+//!   containment coefficients that turn edge-induced counts into the
+//!   induced census.
 //!
 //! # Examples
 //!

@@ -1,4 +1,5 @@
-//! Enumeration of k-vertex motifs.
+//! Enumeration of k-vertex motifs, and how many copies of one sit in
+//! another.
 //!
 //! A *motif* is a connected pattern with k vertices; k-motif counting
 //! (k-MC, §II-A) counts vertex-induced occurrences of every k-motif
@@ -63,6 +64,49 @@ pub fn motifs(k: usize) -> Vec<Pattern> {
     }
     out.sort_by_key(|p| (p.edge_count(), p.canonical_code()));
     out
+}
+
+/// How many subgraphs of `h` on all of its vertices are copies of `p`:
+/// the one-to-one maps of `p`'s vertices onto `h`'s that keep every edge
+/// of `p`, up to `p`'s own automorphisms.
+///
+/// These are the coefficients of the containment identity
+/// `#P = Σ_H copies(P in H) · ind(H)`, which turns the vertex-induced
+/// census of the k-motifs into their edge-induced counts, and back. Over
+/// [`motifs`] order the matrix is unit upper-triangular: a copy of `p` in
+/// `h` needs at least as many edges in `h`, and as many only if `h` is `p`.
+///
+/// # Panics
+///
+/// Panics if `p` and `h` differ in size.
+///
+/// # Examples
+///
+/// ```
+/// use fm_pattern::{motifs::copies, Pattern};
+///
+/// // A triangle holds three wedges; a wedge holds no triangle.
+/// assert_eq!(copies(&Pattern::wedge(), &Pattern::triangle()), 3);
+/// assert_eq!(copies(&Pattern::triangle(), &Pattern::wedge()), 0);
+/// ```
+pub fn copies(p: &Pattern, h: &Pattern) -> u64 {
+    assert_eq!(p.size(), h.size(), "containment is between patterns of one size");
+    /// Maps `u..` onto the vertices of `h` not in `used`, every way that
+    /// keeps `p`'s edges back to `0..u`.
+    fn maps(p: &Pattern, h: &Pattern, to: &mut [usize], u: usize, used: u32) -> u64 {
+        if u == p.size() {
+            return 1;
+        }
+        let mut n = 0;
+        for x in (0..h.size()).filter(|&x| used & (1 << x) == 0) {
+            if (0..u).all(|w| !p.has_edge(u, w) || h.has_edge(x, to[w])) {
+                to[u] = x;
+                n += maps(p, h, to, u + 1, used | 1 << x);
+            }
+        }
+        n
+    }
+    maps(p, h, &mut vec![0; p.size()], 0, 0) / p.automorphism_count() as u64
 }
 
 /// A short human-readable name: the one the pattern parser reads back as

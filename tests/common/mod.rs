@@ -1,8 +1,5 @@
 //! Test helpers shared by the property suites: arbitrary connected
-//! patterns, and the containment coefficients that turn an induced census
-//! into edge-induced counts. Included by path from `fm-plan`'s tests too.
-
-#![allow(dead_code)] // each suite uses its own subset
+//! patterns. Included by path from `fm-plan`'s tests too.
 
 use fm_pattern::Pattern;
 use proptest::prelude::*;
@@ -24,27 +21,4 @@ pub fn arb_connected_pattern(sizes: RangeInclusive<usize>) -> impl Strategy<Valu
         }
         Pattern::from_edges(n, &edges).expect("connected")
     })
-}
-
-/// Visits every permutation of `items[at..]`, in place.
-pub fn permutations(items: &mut Vec<usize>, at: usize, visit: &mut impl FnMut(&[usize])) {
-    if at == items.len() {
-        return visit(items);
-    }
-    for i in at..items.len() {
-        items.swap(at, i);
-        permutations(items, at + 1, visit);
-        items.swap(at, i);
-    }
-}
-
-/// How many subgraphs of `h` (on all its vertices) are copies of `p`: the
-/// vertex bijections that keep `p`'s edges, up to `p`'s own symmetries.
-pub fn copies(p: &Pattern, h: &Pattern) -> u64 {
-    assert_eq!(p.size(), h.size());
-    let mut maps = 0u64;
-    permutations(&mut (0..p.size()).collect(), 0, &mut |to| {
-        maps += u64::from(p.edges().iter().all(|&(u, v)| h.has_edge(to[u], to[v])));
-    });
-    maps / p.automorphism_count() as u64
 }

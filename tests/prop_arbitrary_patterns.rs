@@ -30,14 +30,15 @@ use fm_engine::{
     EngineConfig, Executor, JobCore, MineOptions, MiningResult, RunStatus, Stint,
 };
 use fm_graph::{generators, CsrGraph, VertexId};
-use fm_pattern::{motifs, Pattern};
+use fm_pattern::motifs::{self, copies};
+use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 mod common;
-use common::{arb_connected_pattern, copies};
+use common::arb_connected_pattern;
 
 /// Small sparse graphs, so that the census of 6-vertex subgraphs stays
 /// cheap in a debug build, with vertices of degree ≥ 4 for the hub index.

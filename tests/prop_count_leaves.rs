@@ -16,7 +16,7 @@
 //! - **An oracle no plan produced.** Edge-induced counts of every 3- and
 //!   4-vertex pattern follow from the ESU census of *induced* subgraphs by
 //!   the containment identity `#P = Σ_H copies(P in H) · ind(H)`, with the
-//!   coefficients brute-forced over vertex permutations.
+//!   coefficients of `fm_pattern::motifs::copies`.
 //! - **Faults.** A panic between two bumps of the pair join's count map
 //!   leaves the next task's count exact.
 //! - **Declined plans are untouched.** The plans the pass declines charge,
@@ -31,13 +31,11 @@ use fm_engine::{
     Executor, JobCore, RunStatus, Stint, TelemetryOptions, WorkCounters,
 };
 use fm_graph::{generators, CsrGraph, VertexId};
-use fm_pattern::{motifs, Pattern};
+use fm_pattern::motifs::{self, copies};
+use fm_pattern::Pattern;
 use fm_plan::{compile, compile_multi, CompileOptions, CountRule, ExecutionPlan};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-mod common;
-use common::copies;
 
 /// ER, power-law, or a power-law body with two explicit hubs attached —
 /// the graphs `prop_engine_lattice.rs` draws.
@@ -271,6 +269,12 @@ fn containment_coefficients_match_the_textbook() {
     assert_eq!(copies(&Pattern::wedge(), &Pattern::triangle()), 3);
     assert_eq!(copies(&Pattern::path(4), &k4), 12);
     assert_eq!(copies(&diamond, &k4), 6);
+    // The 4-MC rows the census solve subtracts.
+    let (star, tailed, path) = (Pattern::star(3), Pattern::tailed_triangle(), Pattern::path(4));
+    assert_eq!((copies(&star, &tailed), copies(&star, &diamond), copies(&star, &k4)), (1, 2, 4));
+    assert_eq!((copies(&tailed, &diamond), copies(&tailed, &k4)), (4, 12));
+    assert_eq!((copies(&path, &tailed), copies(&path, &c4)), (2, 4));
+    assert_eq!(copies(&path, &diamond), 6);
 }
 
 /// The pair join's count map is dirty between its first bump and its last
