@@ -57,9 +57,9 @@ impl GenSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown kinds, unparsable parameters, and
-    /// parameters outside a generator's documented preconditions
-    /// (`bad gen spec: …`).
+    /// Returns a message for unknown kinds, unparsable parameters,
+    /// parameters outside a generator's documented preconditions and more
+    /// vertices than a `u32` id can name (`bad gen spec: …`).
     pub fn parse(spec: &str) -> Result<GenSpec, String> {
         let mut parts = spec.split(',');
         let kind = parts.next().ok_or("empty generator spec")?;
@@ -76,7 +76,7 @@ impl GenSpec {
         let need = |ok: bool, what: &str| -> Result<(), String> {
             ok.then_some(()).ok_or_else(|| format!("bad gen spec: {kind} needs {what}"))
         };
-        Ok(match kind {
+        let gen = match kind {
             "powerlaw" | "pa" => {
                 let (n, m) = (get_u("n", 10_000)?, get_u("m", 5)?);
                 need(m >= 1 && n > m, "m >= 1 and n > m")?;
@@ -94,7 +94,11 @@ impl GenSpec {
                 GenSpec::Caveman { communities, size, bridges: get_u("bridges", 100)?, seed }
             }
             other => return Err(format!("unknown generator kind {other}")),
-        })
+        };
+        // Vertex ids are `u32`: a graph they cannot name is refused here,
+        // before a generator truncates an id or allocates for it.
+        need(gen.bounds().0 <= u64::from(u32::MAX), "at most 4294967295 vertices")?;
+        Ok(gen)
     }
 
     /// Upper bounds on the built graph's vertex and directed edge counts
@@ -196,7 +200,27 @@ mod tests {
         // than wrapping to a size that would pass a budget.
         assert_eq!(GenSpec::parse("complete,n=9").unwrap().bounds(), (9, 72));
         assert_eq!(GenSpec::parse("complete,n=200000").unwrap().bounds().1, 200_000 * 199_999);
-        let huge = GenSpec::parse("caveman,communities=18446744073709551615,size=4294967296");
-        assert_eq!(huge.unwrap().bounds(), (u64::MAX, u64::MAX));
+        let huge = GenSpec::Caveman { communities: usize::MAX, size: 1 << 32, bridges: 1, seed: 1 };
+        assert_eq!(huge.bounds(), (u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn parse_refuses_more_vertices_than_a_u32_id_names() {
+        for spec in [
+            "powerlaw,n=4294967296,m=4",
+            "pa,n=18446744073709551615,m=4",
+            "er,n=4294967296,p=0",
+            "complete,n=4294967296",
+            "caveman,communities=65536,size=65536,bridges=0",
+            "caveman,communities=18446744073709551615,size=4294967296",
+        ] {
+            let err = GenSpec::parse(spec).unwrap_err();
+            assert!(err.starts_with("bad gen spec: "), "{spec}: {err}");
+            assert!(err.ends_with("needs at most 4294967295 vertices"), "{spec}: {err}");
+        }
+        // The largest nameable graph parses (and is never built here).
+        for spec in ["complete,n=4294967295", "caveman,communities=65535,size=65537"] {
+            assert_eq!(GenSpec::parse(spec).unwrap().bounds().0, u64::from(u32::MAX), "{spec}");
+        }
     }
 }

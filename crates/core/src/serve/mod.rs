@@ -196,12 +196,13 @@ fn lock_recover<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
 }
 
 /// Hands the free memory a graph load leaves behind back to the OS. A
-/// generator's scratch — one adjacency row per vertex, freed once the CSR
-/// is built — otherwise stays resident in the loading thread's malloc
-/// arena for the life of the server whenever a later allocation pins the
-/// arena's top, which depends on thread timing: on `serve-mix` that was
-/// 1.2 MB of an 11–12.5 MB peak in some runs and not in others
-/// (EXPERIMENTS.md "One loop per task").
+/// load's freed scratch otherwise stays resident in the loading thread's
+/// malloc arena for the life of the server whenever a later allocation
+/// pins the arena's top. It still pays with the generators writing their
+/// CSR directly: without it, peaks were 10.68 against 10.19 MB on
+/// `serve-mix` and 14.53 against 14.35 MB on `serve-small`, higher in
+/// 10 of 10 pairs each (EXPERIMENTS.md, "Grow the generated graphs
+/// straight into CSR").
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 fn release_free_memory() {
     extern "C" {
@@ -216,6 +217,29 @@ fn release_free_memory() {
 
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn release_free_memory() {}
+
+/// Fixes glibc's mmap threshold at its initial 128 KiB for the life of the
+/// server. Left dynamic, freeing a mapped block raises the threshold to
+/// that block's size: once a generator's scratch (640 KB on `serve-mix`'s
+/// graph) is freed, later allocations between 128 KiB and that size come
+/// from the heap, where freed ones stay resident, and `serve-mix`'s peak
+/// rose 4–7 % (EXPERIMENTS.md, "Grow the generated graphs straight into
+/// CSR").
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_MMAP_THRESHOLD: i32 = -3;
+    // SAFETY: `mallopt` only changes the allocator's tuning, under the
+    // allocator's own lock; live allocations are untouched.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_mmap_threshold() {}
 
 /// Everything needed to report a job and to resubmit it after a drain.
 struct JobMeta {

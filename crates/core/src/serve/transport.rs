@@ -23,6 +23,7 @@ const MAX_SUBSCRIBE_BUFFER: usize = 1 << 16;
 /// Fails on transport setup problems (socket bind, spool creation); once
 /// the loop is up, per-request problems become error responses instead.
 pub fn run(cfg: ServeConfig) -> Result<i32, String> {
+    super::pin_mmap_threshold();
     signal::install_termination_latch();
     signal::install_usr1_latch();
     if let Some(spool) = cfg.spool.as_ref() {

@@ -6,9 +6,16 @@
 //!    (complete graphs, cycles, bipartite graphs, grids) used by the test
 //!    suite to validate every mining engine.
 //! 2. **Dataset stand-ins** — the paper evaluates on SNAP graphs we do not
-//!    ship; the bench harness builds scaled power-law stand-ins from
-//!    [`preferential_attachment`] and [`erdos_renyi`] with matched density
-//!    regimes (see `DESIGN.md` §4).
+//!    ship; the benchmark's workloads generate a hub-skewed
+//!    [`powerlaw_cluster`] graph and a flat [`caveman`] graph, and the
+//!    figure binaries build scaled power-law stand-ins with matched
+//!    density regimes from [`powerlaw_cluster`] or
+//!    [`preferential_attachment`] plus [`attach_hubs`] (see `DESIGN.md`
+//!    §4).
+//!
+//! Most generators list their edges into a [`GraphBuilder`];
+//! [`powerlaw_cluster`] and [`caveman`], which every benchmark CLI process
+//! re-runs, write their CSR rows directly and produce the same bytes.
 //!
 //! All generators are deterministic given their arguments (including the
 //! RNG seed), so experiments are exactly reproducible.
@@ -176,81 +183,108 @@ pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> CsrGraph {
 ///
 /// Panics if `m == 0` or `n < m + 1`.
 pub fn powerlaw_cluster(n: usize, m: usize, closure: f64, seed: u64) -> CsrGraph {
-    let (mut adj, mut log) = powerlaw_cluster_growth(n, m, closure, seed);
-    // Row `u` is already in CSR order but for its head: the (at most) `m`
-    // targets `u` chose itself, all below `u` and in draw order, are
-    // followed by the later vertices that attached to `u`, ascending. (A
-    // seed-clique row is ascending throughout.) Sorting the head is the
-    // whole build; no edge is re-emitted or scattered. The endpoint log
-    // holds both ends of every edge, as many entries as the rows together,
-    // so its buffer becomes the neighbour array.
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    log.clear();
-    for row in &mut adj {
-        let own = row.len().min(m);
-        row[..own].sort_unstable();
-        log.extend_from_slice(row);
-        offsets.push(log.len());
-    }
-    // `VertexId` is a transparent `u32`: collected in place.
-    let neighbors = log.into_iter().map(VertexId).collect();
-    CsrGraph::from_valid_parts(offsets, neighbors)
-}
-
-/// The growth process behind [`powerlaw_cluster`]: every vertex's
-/// neighbours in the order the edges were added, and the endpoint log the
-/// degree-proportional draws sample from.
-fn powerlaw_cluster_growth(
-    n: usize,
-    m: usize,
-    closure: f64,
-    seed: u64,
-) -> (Vec<Vec<u32>>, Vec<u32>) {
     assert!(m >= 1, "each new vertex must attach at least one edge");
     assert!(n > m, "need at least m+1 vertices for the seed clique");
     let mut rng = StdRng::seed_from_u64(seed);
-    // The endpoint log ends holding both ends of the seed clique's edges
-    // and of the `m` edges of every later vertex.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut endpoints: Vec<u32> = Vec::with_capacity(m * (m + 1) + 2 * m * (n - m - 1));
-    let add = |adj: &mut Vec<Vec<u32>>, endpoints: &mut Vec<u32>, a: u32, b: u32| {
-        adj[a as usize].push(b);
-        adj[b as usize].push(a);
-        endpoints.push(a);
-        endpoints.push(b);
-    };
-    for u in 0..=(m as u32) {
-        for v in (u + 1)..=(m as u32) {
-            add(&mut adj, &mut endpoints, u, v);
-        }
-    }
-    let mut targets: Vec<u32> = Vec::with_capacity(m);
+    // Two views of the edges added so far are drawn from, and neither is
+    // stored as such. The endpoint log — both ends of every edge, the seed
+    // clique's pairs first, then `(u, t)` for each target `t` of each later
+    // vertex `u` — keeps only the targets: grown edge `k` starts at
+    // `m + 1 + k / m`. A vertex's neighbours in the order their edges were
+    // added are its own `m` targets (ascending in the seed clique, a block
+    // of the log in draw order after it), then the later vertices that
+    // attached to it, ascending: the first `m` in its slab, the rest in its
+    // spill list.
+    let clique: Vec<u32> =
+        (0..=m as u32).flat_map(|u| (u + 1..=m as u32).flat_map(move |v| [u, v])).collect();
+    let edges = clique.len() / 2 + m * (n - m - 1);
+    // Sized for the neighbour array the log turns into.
+    let mut log: Vec<u32> = Vec::with_capacity(2 * edges);
+    let mut slab = vec![0u32; n * m];
+    let mut attached = vec![0u32; n];
+    let mut spill_of = vec![u32::MAX; n];
+    let mut spill: Vec<Vec<u32>> = Vec::new();
     for u in (m as u32 + 1)..(n as u32) {
-        targets.clear();
+        // `u`'s own edges join both views only once all `m` are drawn.
+        let block = log.len();
         let mut prev: Option<u32> = None;
-        while targets.len() < m {
+        while log.len() - block < m {
             let candidate = match prev {
-                Some(p) if rng.gen_bool(closure.clamp(0.0, 1.0)) && !adj[p as usize].is_empty() => {
-                    adj[p as usize][rng.gen_range(0..adj[p as usize].len())]
+                Some(p) if rng.gen_bool(closure.clamp(0.0, 1.0)) => {
+                    let p = p as usize;
+                    let i = rng.gen_range(0..m + attached[p] as usize);
+                    if i >= 2 * m {
+                        spill[spill_of[p] as usize][i - 2 * m]
+                    } else if i >= m {
+                        slab[p * m + i - m]
+                    } else if p <= m {
+                        i as u32 + u32::from(i >= p)
+                    } else {
+                        log[(p - m - 1) * m + i]
+                    }
                 }
-                _ => endpoints[rng.gen_range(0..endpoints.len())],
+                _ => {
+                    let i = rng.gen_range(0..clique.len() + 2 * block);
+                    match i.checked_sub(clique.len()) {
+                        None => clique[i],
+                        Some(j) if j % 2 == 0 => (m + 1 + j / 2 / m) as u32,
+                        Some(j) => log[j / 2],
+                    }
+                }
             };
-            if candidate != u && !targets.contains(&candidate) {
-                targets.push(candidate);
+            if candidate != u && !log[block..].contains(&candidate) {
+                log.push(candidate);
                 prev = Some(candidate);
             } else {
                 prev = None; // avoid livelock on saturated neighborhoods
             }
         }
-        // A row is empty until its vertex names its `m` targets; it is
-        // sized then, beside the rows allocated before it.
-        adj[u as usize] = Vec::with_capacity(m);
-        for &t in &targets {
-            add(&mut adj, &mut endpoints, u, t);
+        for &t in &log[block..] {
+            let (t, a) = (t as usize, attached[t as usize] as usize);
+            if a < m {
+                slab[t * m + a] = u;
+            } else {
+                if a == m {
+                    spill_of[t] = spill.len() as u32;
+                    spill.push(Vec::new());
+                }
+                spill[spill_of[t] as usize].push(u);
+            }
+            attached[t] += 1;
         }
     }
-    (adj, endpoints)
+    // Row `p` is its own targets, sorted, then its attachers: every own
+    // target is below `p` and every attacher above. The rows are written
+    // into the log's own buffer from the last down. Row `p` starts at
+    // `offsets[p] >= m·p`, past the end `(p − m)·m` of `p`'s block, and the
+    // blocks of the rows below lie lower still, so no block is overwritten
+    // before it is read.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for p in 0..n {
+        offsets.push(offsets[p] + m + attached[p] as usize);
+    }
+    let mut neighbors = log;
+    neighbors.resize(2 * edges, 0);
+    for p in (0..n).rev() {
+        let (row, head, a) = (offsets[p], offsets[p] + m, attached[p] as usize);
+        neighbors[head..head + a.min(m)].copy_from_slice(&slab[p * m..p * m + a.min(m)]);
+        if a > m {
+            neighbors[head + m..head + a].copy_from_slice(&spill[spill_of[p] as usize]);
+        }
+        if p <= m {
+            for (i, w) in neighbors[row..head].iter_mut().enumerate() {
+                *w = i as u32 + u32::from(i >= p);
+            }
+        } else {
+            let block = (p - m - 1) * m;
+            neighbors.copy_within(block..block + m, row);
+            neighbors[row..head].sort_unstable();
+        }
+    }
+    // `VertexId` is a transparent `u32`: collected in place.
+    let neighbors = neighbors.into_iter().map(VertexId).collect();
+    CsrGraph::from_valid_parts(offsets, neighbors)
 }
 
 /// Appends `hubs` new high-degree vertices, each adjacent to every
@@ -309,25 +343,55 @@ pub fn attach_hubs(g: &CsrGraph, hubs: usize, degree: usize, seed: u64) -> CsrGr
 pub fn caveman(communities: usize, community_size: usize, bridges: usize, seed: u64) -> CsrGraph {
     assert!(communities >= 1, "need at least one community");
     assert!(community_size >= 2, "communities need at least two members");
-    let n = communities * community_size;
+    let (n, size) = (communities * community_size, community_size);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new().vertices(n);
-    for c in 0..communities {
-        let base = (c * community_size) as u32;
-        for i in 0..community_size as u32 {
-            for j in (i + 1)..community_size as u32 {
-                b = b.edge(base + i, base + j);
-            }
+    // Both ends of every bridge, bucketed by endpoint (a counting sort):
+    // `ends[start[v]..start[v + 1]]` are `v`'s bridge partners. Each
+    // bucket is filled from its end, so `start[v]` ends at its beginning.
+    let draws: Vec<(u32, u32)> = (0..bridges)
+        .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+        .filter(|&(u, v)| u != v)
+        .collect();
+    let mut start = vec![0usize; n + 1];
+    for &(u, v) in &draws {
+        start[u as usize] += 1;
+        start[v as usize] += 1;
+    }
+    for v in 1..=n {
+        start[v] += start[v - 1];
+    }
+    let mut ends = vec![0u32; 2 * draws.len()];
+    for &(u, v) in &draws {
+        for (a, b) in [(u, v), (v, u)] {
+            start[a as usize] -= 1;
+            ends[start[a as usize]] = b;
         }
     }
-    for _ in 0..bridges {
-        let u = rng.gen_range(0..n as u32);
-        let v = rng.gen_range(0..n as u32);
-        if u != v {
-            b = b.edge(u, v);
+    // Row `v` is its clique minus itself, already ascending; only a row a
+    // bridge touches is sorted and deduplicated (a bridge may repeat or
+    // land on a clique edge).
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut neighbors: Vec<u32> = Vec::with_capacity(n * (size - 1) + ends.len());
+    let mut row = Vec::new();
+    for v in 0..n {
+        let clique = (v / size * size) as u32..((v / size + 1) * size) as u32;
+        let partners = &ends[start[v]..start[v + 1]];
+        if partners.is_empty() {
+            neighbors.extend(clique.filter(|&w| w != v as u32));
+        } else {
+            row.clear();
+            row.extend(clique.filter(|&w| w != v as u32));
+            row.extend_from_slice(partners);
+            row.sort_unstable();
+            row.dedup();
+            neighbors.extend_from_slice(&row);
         }
+        offsets.push(neighbors.len());
     }
-    b.build().expect("caveman graph is always valid")
+    // `VertexId` is a transparent `u32`: collected in place.
+    let neighbors = neighbors.into_iter().map(VertexId).collect();
+    CsrGraph::from_valid_parts(offsets, neighbors)
 }
 
 /// Relabels all vertices with a seeded random permutation.
@@ -444,8 +508,78 @@ mod tests {
         assert_eq!(g, powerlaw_cluster(200, 3, 0.6, 9));
     }
 
-    /// The rows [`powerlaw_cluster`] writes straight from its adjacency
-    /// lists against the same lists fed edge by edge through the builder.
+    /// The growth process behind [`powerlaw_cluster`] in its first form,
+    /// kept as its oracle: every vertex's neighbours in the order the edges
+    /// were added, and the endpoint log of both ends the degree-proportional
+    /// draws sample from.
+    fn powerlaw_cluster_growth(
+        n: usize,
+        m: usize,
+        closure: f64,
+        seed: u64,
+    ) -> (Vec<Vec<u32>>, Vec<u32>) {
+        assert!(m >= 1, "each new vertex must attach at least one edge");
+        assert!(n > m, "need at least m+1 vertices for the seed clique");
+        let mut rng = StdRng::seed_from_u64(seed);
+        // The endpoint log ends holding both ends of the seed clique's edges
+        // and of the `m` edges of every later vertex.
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut endpoints: Vec<u32> = Vec::with_capacity(m * (m + 1) + 2 * m * (n - m - 1));
+        let add = |adj: &mut Vec<Vec<u32>>, endpoints: &mut Vec<u32>, a: u32, b: u32| {
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
+            endpoints.push(a);
+            endpoints.push(b);
+        };
+        for u in 0..=(m as u32) {
+            for v in (u + 1)..=(m as u32) {
+                add(&mut adj, &mut endpoints, u, v);
+            }
+        }
+        let mut targets: Vec<u32> = Vec::with_capacity(m);
+        for u in (m as u32 + 1)..(n as u32) {
+            targets.clear();
+            let mut prev: Option<u32> = None;
+            while targets.len() < m {
+                let candidate = match prev {
+                    Some(p)
+                        if rng.gen_bool(closure.clamp(0.0, 1.0)) && !adj[p as usize].is_empty() =>
+                    {
+                        adj[p as usize][rng.gen_range(0..adj[p as usize].len())]
+                    }
+                    _ => endpoints[rng.gen_range(0..endpoints.len())],
+                };
+                if candidate != u && !targets.contains(&candidate) {
+                    targets.push(candidate);
+                    prev = Some(candidate);
+                } else {
+                    prev = None; // avoid livelock on saturated neighborhoods
+                }
+            }
+            // A row is empty until its vertex names its `m` targets; it is
+            // sized then, beside the rows allocated before it.
+            adj[u as usize] = Vec::with_capacity(m);
+            for &t in &targets {
+                add(&mut adj, &mut endpoints, u, t);
+            }
+        }
+        (adj, endpoints)
+    }
+
+    /// The oracle's rows fed edge by edge through the builder.
+    fn powerlaw_cluster_oracle(n: usize, m: usize, closure: f64, seed: u64) -> CsrGraph {
+        let mut b = GraphBuilder::new().vertices(n);
+        for (u, list) in powerlaw_cluster_growth(n, m, closure, seed).0.iter().enumerate() {
+            for &v in list.iter().filter(|&&v| (u as u32) < v) {
+                b = b.edge(u as u32, v);
+            }
+        }
+        b.build().expect("simple graph")
+    }
+
+    /// [`powerlaw_cluster`]'s rows, grown in flat arrays, against the
+    /// oracle: m = 1, closure at both ends, n = m + 1, a saturated seed
+    /// clique and hubs far past their slab of `m` attachers.
     #[test]
     fn powerlaw_cluster_rows_equal_the_builder_path() {
         for (n, m, closure, seed) in [
@@ -454,15 +588,90 @@ mod tests {
             (300, 5, 1.0, 2),
             (64, 1, 0.3, 3),
             (41, 40, 0.5, 4),
+            (2, 1, 0.5, 5),
+            (9, 8, 1.0, 6),
+            (300, 1, 1.0, 7),
+            (60, 20, 0.9, 8),
+            (3_000, 2, 0.0, 10),
         ] {
-            let mut b = GraphBuilder::new().vertices(n);
-            for (u, list) in powerlaw_cluster_growth(n, m, closure, seed).0.iter().enumerate() {
-                for &v in list.iter().filter(|&&v| (u as u32) < v) {
-                    b = b.edge(u as u32, v);
+            let g = powerlaw_cluster(n, m, closure, seed);
+            assert_eq!(g, powerlaw_cluster_oracle(n, m, closure, seed), "{n} {m} {closure} {seed}");
+        }
+        // The last graph's hubs hold tens of times their slab.
+        assert!(powerlaw_cluster(3_000, 2, 0.0, 10).max_degree() > 40);
+    }
+
+    /// [`caveman`]'s oracle: the same cliques and bridge draws, fed edge by
+    /// edge through the builder.
+    fn caveman_oracle(communities: usize, size: usize, bridges: usize, seed: u64) -> CsrGraph {
+        let n = communities * size;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new().vertices(n);
+        for c in 0..communities {
+            let base = (c * size) as u32;
+            for i in 0..size as u32 {
+                for j in (i + 1)..size as u32 {
+                    b = b.edge(base + i, base + j);
                 }
             }
-            let oracle = b.build().expect("simple graph");
-            assert_eq!(powerlaw_cluster(n, m, closure, seed), oracle, "{n} {m} {closure} {seed}");
+        }
+        for _ in 0..bridges {
+            let u = rng.gen_range(0..n as u32);
+            let v = rng.gen_range(0..n as u32);
+            if u != v {
+                b = b.edge(u, v);
+            }
+        }
+        b.build().expect("caveman graph is always valid")
+    }
+
+    #[test]
+    fn caveman_rows_equal_the_builder_path() {
+        // Dense bridges on few vertices: repeated bridges, bridges on
+        // clique edges and draws with u == v all occur.
+        for (communities, size, bridges, seed) in [
+            (3, 4, 200, 1),
+            (2, 2, 50, 2),
+            (1, 6, 40, 3),
+            (1, 2, 0, 4),
+            (40, 5, 0, 5),
+            (300, 11, 1_500, 13),
+            (50, 3, 400, 6),
+        ] {
+            assert_eq!(
+                caveman(communities, size, bridges, seed),
+                caveman_oracle(communities, size, bridges, seed),
+                "{communities} {size} {bridges} {seed}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn powerlaw_cluster_matches_its_oracle(
+            n in 2usize..=400,
+            m in 1usize..=12,
+            percent in 0u32..=100,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (n, closure) = (n.max(m + 1), f64::from(percent) / 100.0);
+            proptest::prop_assert_eq!(
+                powerlaw_cluster(n, m, closure, seed),
+                powerlaw_cluster_oracle(n, m, closure, seed)
+            );
+        }
+
+        #[test]
+        fn caveman_matches_its_oracle(
+            communities in 1usize..=30,
+            size in 2usize..=8,
+            bridges in 0usize..=300,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            proptest::prop_assert_eq!(
+                caveman(communities, size, bridges, seed),
+                caveman_oracle(communities, size, bridges, seed)
+            );
         }
     }
 
