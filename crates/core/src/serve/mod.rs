@@ -97,12 +97,12 @@ pub use wire::{job_exit_code, status_exit_code};
 
 use crate::graphspec;
 use fm_engine::{Checkpoint, EngineConfig};
-use fm_graph::CsrGraph;
+use fm_graph::{rank_order, CsrGraph, VertexId};
 use fm_jobs::journal::{self, Journal, JournalRecord, Replay, Reported};
 use fm_jobs::jsonl::{self, Json};
 use fm_jobs::{signal, JobHandle, JobObserver, JobOutcome, JobSpec, Supervisor, SupervisorConfig};
 use fm_pattern::Pattern;
-use fm_plan::{compile, CompileOptions, ExecutionPlan};
+use fm_plan::{compile, CompileOptions, CountRule, ExecutionPlan};
 use fm_telemetry::{chrome_trace_json, json, TraceClock, DEFAULT_RECORDER_CAPACITY};
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
@@ -303,21 +303,52 @@ impl Entry {
     }
 }
 
+/// A graph as jobs mine it: the input as loaded, or its copy renumbered
+/// by degree rank ([`rank_order`]) with the input id of each vertex.
+#[derive(Clone, Debug)]
+struct Loaded {
+    graph: Arc<CsrGraph>,
+    labels: Option<Arc<[VertexId]>>,
+}
+
+/// Whether the jobs of `plan` mine the ranked copy of their graph: one
+/// whose count program joins pairs (the 4-cycle), and one that orients
+/// (the cliques), whose DAG on the ranked copy is its DAG on the input
+/// renumbered — so the cliques and the 4-cycles of a spec share one copy.
+/// On the ranked copy a symmetry bound `v < u` is a degree bound, and the
+/// join walks the rows of the start vertex's lower-degree neighbours only.
+/// The other plans keep the input: they expand the start vertex's own
+/// neighbourhood, which ranking makes the largest of the match, and the
+/// house, the 5-cycle and the diamond ran 1.3–17× slower on it (DESIGN.md
+/// §10a).
+fn mines_ranked(plan: &ExecutionPlan) -> bool {
+    let program = fm_engine::count_program(plan, &EngineConfig::default());
+    let joins = program.nodes.iter().any(|node| matches!(node.count, CountRule::PairJoin { .. }));
+    plan.orientation || joins
+}
+
+/// What the cache charges a graph: its CSR, twice when a plan orients it
+/// ([`graphspec::csr_bytes`]), and a ranked copy's labels, a `u32` each.
+fn graph_bytes(vertices: u64, directed_edges: u64, oriented: bool, ranked: bool) -> u64 {
+    let labels = if ranked { vertices.saturating_mul(4) } else { 0 };
+    graphspec::csr_bytes(vertices, directed_edges, oriented).saturating_add(labels)
+}
+
 /// One cached graph — `None` while the submit that missed it loads it (the
 /// rest wait on `ServeState::graph_loaded`) — with its charge against the
-/// budget ([`graphspec::csr_bytes`] of the built graph, or of a loading
-/// `gen:` spec's bounds) and the cache clock at its last use.
+/// budget ([`graph_bytes`] of the built graph, or of a loading `gen:`
+/// spec's bounds) and the cache clock at its last use.
 struct Cached {
-    graph: Option<Arc<CsrGraph>>,
+    graph: Option<Loaded>,
     bytes: u64,
     used: u64,
 }
 
-/// The graph cache, keyed by spec: the one account of graph memory in
-/// `serve`, its charges within the budget.
+/// The graph cache, keyed by spec and by whether the copy is ranked: the
+/// one account of graph memory in `serve`, its charges within the budget.
 #[derive(Default)]
 struct GraphCache {
-    entries: HashMap<String, Cached>,
+    entries: HashMap<(String, bool), Cached>,
     /// `--memory-budget`.
     budget: u64,
     /// Ticks once per lookup.
@@ -330,17 +361,18 @@ impl GraphCache {
         self.entries.values().map(|c| c.bytes).sum()
     }
 
-    /// Caches graph `g` for `spec` at `bytes`, first evicting graphs no job
-    /// holds (only the cache has them), least recently used first. Refuses
-    /// `spec`, evicting nothing, when what jobs hold and loads reserve
-    /// leave too little room anyway.
-    fn admit(&mut self, spec: &str, g: Option<Arc<CsrGraph>>, bytes: u64) -> Result<(), String> {
+    /// Caches graph `g` under `key` at `bytes`, first evicting graphs no
+    /// job holds (only the cache has them), least recently used first.
+    /// Refuses the spec, evicting nothing, when what jobs hold and loads
+    /// reserve leave too little room anyway.
+    fn admit(&mut self, key: &(String, bool), g: Option<Loaded>, bytes: u64) -> Result<(), String> {
         let budget = self.budget;
-        let idle = |c: &Cached| c.graph.as_ref().is_some_and(|g| Arc::strong_count(g) == 1);
+        let idle = |c: &Cached| c.graph.as_ref().is_some_and(|g| Arc::strong_count(&g.graph) == 1);
         let held: u64 = self.entries.values().filter(|c| !idle(c)).map(|c| c.bytes).sum();
         if held.saturating_add(bytes) > budget {
             let held = (bytes <= budget).then(|| format!(" less {held} B held by other jobs"));
             let held = held.unwrap_or_default();
+            let spec = &key.0;
             return Err(format!(
                 "graph {spec} needs up to {bytes} B, over the {budget} B memory budget{held}"
             ));
@@ -348,10 +380,10 @@ impl GraphCache {
         let mut charged = self.charged();
         while charged + bytes > budget {
             let lru = self.entries.iter().filter(|(_, c)| idle(c)).min_by_key(|(_, c)| c.used);
-            let lru = lru.map(|(spec, _)| spec.clone()).expect("idle graphs cover the excess");
+            let lru = lru.map(|(key, _)| key.clone()).expect("idle graphs cover the excess");
             charged -= self.entries.remove(&lru).map_or(0, |c| c.bytes);
         }
-        self.entries.insert(spec.to_string(), Cached { graph: g, bytes, used: self.clock });
+        self.entries.insert(key.clone(), Cached { graph: g, bytes, used: self.clock });
         Ok(())
     }
 }
@@ -495,29 +527,32 @@ impl ServeState {
         }
     }
 
-    /// The cached graph for `spec`, loading it with `load` (in `serve`,
-    /// [`graphspec::load`]) on a miss and charging it as a plan that does
-    /// (or does not) orient it would hold it. Single-flight: of any number
-    /// of concurrent submits of one never-seen spec, one loads (outside the
-    /// lock — file parses and generators can be slow) and the rest wait for
-    /// it. A `gen:` spec reserves its bound before it is generated and is
-    /// refused, unbuilt, when that does not fit; a file is charged once
-    /// read. A failed or refused load is not cached; the next caller tries
-    /// again.
+    /// The cached graph for `spec` — its ranked copy when `ranked` — loading
+    /// it with `load` (in `serve`, [`graphspec::load`]) and ranking it on a
+    /// miss, and charging it as a plan that does (or does not) orient it
+    /// would hold it. Single-flight: of any number of concurrent submits of
+    /// one never-seen spec, one loads (outside the lock — file parses and
+    /// generators can be slow) and the rest wait for it. A `gen:` spec
+    /// reserves its bound before it is generated — for a ranked copy, two
+    /// CSRs and the labels, what ranking holds at once — and is refused,
+    /// unbuilt, when that does not fit; a file is charged once read. A
+    /// failed or refused load is not cached; the next caller tries again.
     fn graph_for(
         &self,
         spec: &str,
         oriented: bool,
+        ranked: bool,
         load: impl FnOnce(&str) -> Result<CsrGraph, String>,
-    ) -> Result<Arc<CsrGraph>, String> {
+    ) -> Result<Loaded, String> {
+        let key = (spec.to_string(), ranked);
         let mut cache = lock_recover(&self.graphs, "graph cache");
         loop {
             cache.clock += 1;
             let now = cache.clock;
-            match cache.entries.get_mut(spec) {
+            match cache.entries.get_mut(&key) {
                 Some(Cached { graph: Some(g), used, .. }) => {
                     *used = now;
-                    return Ok(Arc::clone(g));
+                    return Ok(g.clone());
                 }
                 Some(_) => cache = self.graph_loaded.wait(cache).unwrap_or_else(|e| e.into_inner()),
                 None => break,
@@ -526,24 +561,33 @@ impl ServeState {
         let reserve = match spec.strip_prefix("gen:") {
             Some(gen) => {
                 let (vertices, edges) = graphspec::GenSpec::parse(gen)?.bounds();
-                graphspec::csr_bytes(vertices, edges, oriented)
+                graph_bytes(vertices, edges, oriented || ranked, ranked)
             }
             None => 0,
         };
-        cache.admit(spec, None, reserve)?;
+        cache.admit(&key, None, reserve)?;
         drop(cache);
         // A panicking load must not leave its reservation behind for every
-        // later submit of this spec to wait on.
-        let loaded =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| load(spec).map(Arc::new)));
+        // later submit of this spec to wait on. A ranked copy's input is
+        // dropped once ranked, before the free memory is released.
+        let loaded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let input = load(spec)?;
+            Ok::<_, String>(if ranked {
+                let (graph, labels) = rank_order(&input);
+                Loaded { graph: Arc::new(graph), labels: Some(labels.into()) }
+            } else {
+                Loaded { graph: Arc::new(input), labels: None }
+            })
+        }));
         release_free_memory();
         let mut cache = lock_recover(&self.graphs, "graph cache");
-        cache.entries.remove(spec);
+        cache.entries.remove(&key);
         let cached = loaded.map(|loaded| {
             let g = loaded?;
-            let (vertices, edges) = (g.num_vertices() as u64, g.num_directed_edges() as u64);
-            let bytes = graphspec::csr_bytes(vertices, edges, oriented);
-            cache.admit(spec, Some(Arc::clone(&g)), bytes).map(|()| g)
+            let (vertices, edges) =
+                (g.graph.num_vertices() as u64, g.graph.num_directed_edges() as u64);
+            let bytes = graph_bytes(vertices, edges, oriented, ranked);
+            cache.admit(&key, Some(g.clone()), bytes).map(|()| g)
         });
         drop(cache);
         self.graph_loaded.notify_all();
@@ -658,7 +702,9 @@ impl ServeState {
         let pattern: Pattern =
             pattern_spec.parse().map_err(|e| format!("bad pattern {pattern_spec:?}: {e}"))?;
         let plan = Arc::new(compile(&pattern, CompileOptions { induced, ..Default::default() }));
-        let graph = self.graph_for(graph_spec, plan.orientation, graphspec::load)?;
+        let ranked = mines_ranked(&plan);
+        let Loaded { graph, labels } =
+            self.graph_for(graph_spec, plan.orientation, ranked, graphspec::load)?;
         let name = field(req, "name", "a string", Json::as_str)?
             .map(str::to_string)
             .unwrap_or_else(|| format!("{pattern_spec}@{graph_spec}"));
@@ -699,13 +745,28 @@ impl ServeState {
                 ));
             }
         }
+        // A drained checkpoint of another graph — one an older build wrote
+        // before this job's graph was ranked — would be refused at
+        // admission, leaving the client an id that never runs: such a job
+        // starts over instead.
+        let config = meta.engine_config();
+        let resume = resume.and_then(|checkpoint| {
+            checkpoint
+                .resumable(&graph, &plan, &config)
+                .map_err(|e| {
+                    let id = recover_id.unwrap_or_default();
+                    eprintln!("journal: job {id} cannot resume ({e}); it restarts from scratch");
+                })
+                .ok()
+        });
         // The supervisor gives a fresh job its id; a recovered one keeps the
         // id its pre-crash client was given.
         let spec = JobSpec {
             priority,
             id: recover_id,
             resume,
-            ..JobSpec::new(name, graph, plan, meta.engine_config())
+            labels,
+            ..JobSpec::new(name, graph, plan, config)
         };
         let handle = self.sup.submit(spec);
         let id = handle.id();
@@ -874,7 +935,9 @@ impl ServeState {
     /// record — never a recomputation, never a fabricated count); an
     /// unresolved or drained one is resubmitted under its original id,
     /// resuming from its journaled drain checkpoint when one loads cleanly
-    /// and from scratch otherwise — mining is deterministic, so either
+    /// and matches the job's graph, plan and configuration, and from
+    /// scratch otherwise (`submit` checks the match) — mining and ranking
+    /// are deterministic, so either
     /// path converges to the bit-identical counts of an uninterrupted run.
     /// No new `Submitted` record is written for a recovered job: the
     /// original record stays the marker, so a second crash *during*
@@ -1143,6 +1206,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The vertex ids `serve` reports are the input's, not those of the
+    /// ranked copy a 4-cycle job mines. On a wheel whose hub is vertex 0
+    /// ranking moves every id: the rim 1..=6 becomes 0..=5 and the hub 6.
+    /// Tasks run in rank order, and a one-iteration budget stops the job
+    /// after the first that spends one, before the hub's: rim vertex 1,
+    /// ranked 0, is always among the tasks that ran, and the hub never.
+    #[test]
+    fn task_spans_report_input_vertex_ids() {
+        let dir = std::env::temp_dir().join(format!("fm-serve-vid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (graph, out) = (dir.join("wheel.txt"), dir.join("trace.json"));
+        let rim = (1..=6).map(|v| format!("0 {v}\n{v} {}\n", v % 6 + 1));
+        std::fs::write(&graph, rim.collect::<String>()).unwrap();
+        let st = state(ServeConfig {
+            trace_out: Some(out.clone()),
+            supervisor: SupervisorConfig { workers: 1, ..Default::default() },
+            ..Default::default()
+        });
+        let resp = st.handle_line(&format!(
+            r#"{{"op":"submit","pattern":"4-cycle","graph":"{}","budget":1}}"#,
+            graph.display()
+        ));
+        let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+        let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+        assert!(done.contains(r#""status":"BudgetExhausted""#), "{done}");
+        st.sup.shutdown(None);
+        st.write_trace();
+        let trace = jsonl::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let vids: Vec<u64> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("start-vertex-task"))
+            .map(|e| e.get("args").and_then(|a| a.get("vid")).and_then(Json::as_u64).unwrap())
+            .collect();
+        assert!(vids.contains(&1) && !vids.contains(&0), "{vids:?}");
+        assert!(vids.iter().all(|v| (1..=6).contains(v)), "{vids:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn protocol_errors_are_responses_not_crashes() {
         let st = state(ServeConfig::default());
@@ -1249,13 +1352,14 @@ mod tests {
         let st = state(ServeConfig { memory_budget_bytes: 1, ..Default::default() });
         // A generator spec is sized from its parameters and refused before
         // it is generated or given an id: (16 + 1)·8 + 240·4, doubled for
-        // the oriented triangle plan.
+        // the oriented triangle plan, plus 16·4 for the labels of the ranked
+        // copy it mines.
         let resp =
             st.handle_line(r#"{"op":"submit","pattern":"triangle","graph":"gen:complete,n=16"}"#);
-        let refused = "graph gen:complete,n=16 needs up to 2192 B, over the 1 B memory budget";
+        let refused = "graph gen:complete,n=16 needs up to 2256 B, over the 1 B memory budget";
         assert_eq!(resp, err_line(refused));
         // An edge-list file is charged once read, and refused the same way:
-        // (3 + 1)·8 + 6·4, doubled.
+        // (3 + 1)·8 + 6·4, doubled, plus 3·4.
         let path = std::env::temp_dir().join(format!("fm-serve-tri-{}.txt", std::process::id()));
         std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
         let resp = st.handle_line(&format!(
@@ -1263,7 +1367,7 @@ mod tests {
             path.display()
         ));
         let refused =
-            format!("graph {} needs up to 112 B, over the 1 B memory budget", path.display());
+            format!("graph {} needs up to 124 B, over the 1 B memory budget", path.display());
         let _ = std::fs::remove_file(&path);
         assert_eq!(resp, err_line(&refused));
         assert_eq!(st.sup.stats().submitted, 0);
@@ -1290,13 +1394,14 @@ mod tests {
     #[test]
     fn the_graph_cache_charges_what_it_holds_and_evicts_idle_graphs() {
         let spec = |seed: u64| format!("gen:powerlaw,n=300,m=4,closure=0.5,seed={seed}");
-        // The triangle plan orients, so each graph is charged twice its CSR.
+        // The triangle plan orients, so each graph is charged twice its CSR,
+        // and mines the ranked copy, whose labels are charged too.
         let charge = |seed: u64| {
             let g = graphspec::load(&spec(seed)).unwrap();
-            graphspec::csr_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, true)
+            graph_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, true, true)
         };
         // Room for two graphs' bounds, not three.
-        let bound = graphspec::csr_bytes(300, 300 * 4 * 2, true);
+        let bound = graph_bytes(300, 300 * 4 * 2, true, true);
         let budget = 2 * bound;
         // One worker: a job's last stint has let go of its graph before the
         // next job starts, so the graph two jobs back is idle.
@@ -1321,9 +1426,9 @@ mod tests {
             assert_eq!(memory, cached, "after seed {seed}");
         }
         let cache = lock_recover(&st.graphs, "graph cache");
-        let mut kept: Vec<&String> = cache.entries.keys().collect();
+        let mut kept: Vec<&(String, bool)> = cache.entries.keys().collect();
         kept.sort();
-        assert_eq!(kept, [&spec(4), &spec(5)]);
+        assert_eq!(kept, [&(spec(4), true), &(spec(5), true)]);
         drop(cache);
         st.sup.shutdown(None);
     }
@@ -1339,12 +1444,12 @@ mod tests {
         let queued = small(9);
         let g = graphspec::load(&queued).unwrap();
         let oriented =
-            graphspec::csr_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, true);
+            graph_bytes(g.num_vertices() as u64, g.num_directed_edges() as u64, true, true);
         drop(g);
         // Room for the held graphs and two small ones. One worker: a job's
         // last stint has let go of its graph before the next job starts.
         let budget = 1_439_720
-            + graphspec::csr_bytes(300, 2400, true)
+            + graph_bytes(300, 2400, true, true)
             + 2 * graphspec::csr_bytes(300, 2400, false);
         let st = state(ServeConfig {
             memory_budget_bytes: budget,
@@ -1366,8 +1471,13 @@ mod tests {
         assert_eq!(st.memory_bytes(), 1_439_720 + oriented);
         // Idle graphs make way, least recently used first; the held ones
         // stay. Each small job preempts the house jobs and runs to the end.
-        let cached =
-            |graph: &str| lock_recover(&st.graphs, "graph cache").entries.contains_key(graph);
+        // The triangle job's graph is a ranked copy, the others the input.
+        let cached = |graph: &str| {
+            let ranked = graph == queued;
+            lock_recover(&st.graphs, "graph cache")
+                .entries
+                .contains_key(&(graph.to_string(), ranked))
+        };
         for seed in 1..=4 {
             let resp = submit("wedge", &small(seed), 1);
             let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
@@ -1389,7 +1499,8 @@ mod tests {
             "graph {other} needs up to {need} B, over the {budget} B memory budget less {held} B held by other jobs"
         );
         assert_eq!(submit("house", other, 0), err_line(&refusal));
-        let unbuilt = st.graph_for(other, false, |_| panic!("a refused graph is never built"));
+        let unbuilt =
+            st.graph_for(other, false, false, |_| panic!("a refused graph is never built"));
         assert_eq!(unbuilt.unwrap_err(), refusal);
         assert!(cached(big) && cached(&queued) && cached(&small(3)) && cached(&small(4)));
         assert!(!cached(other));
@@ -2014,9 +2125,9 @@ mod tests {
         };
         const SPEC: &str = "gen:complete,n=9";
         let (a, b) = std::thread::scope(|scope| {
-            let first = scope.spawn(|| st.graph_for(SPEC, false, load));
+            let first = scope.spawn(|| st.graph_for(SPEC, false, true, load));
             entered_rx.recv().unwrap();
-            let second = scope.spawn(|| st.graph_for(SPEC, false, load));
+            let second = scope.spawn(|| st.graph_for(SPEC, false, true, load));
             // The second caller either waits on the first (and never
             // reports in) or, were the load not single-flight, is in its
             // own load well within this.
@@ -2027,10 +2138,10 @@ mod tests {
             (first.join().unwrap().unwrap(), second.join().unwrap().unwrap())
         });
         assert_eq!(loads.load(Ordering::SeqCst), 1);
-        assert!(Arc::ptr_eq(&a, &b), "both submits share the one graph");
+        assert!(Arc::ptr_eq(&a.graph, &b.graph), "both submits share the one graph");
         // Cached from here on: no load at all.
-        let c = st.graph_for(SPEC, false, |_| panic!("a cached spec must not load")).unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
+        let c = st.graph_for(SPEC, false, true, |_| panic!("a cached spec must not load")).unwrap();
+        assert!(Arc::ptr_eq(&a.graph, &c.graph));
         st.sup.shutdown(None);
     }
 
@@ -2038,17 +2149,20 @@ mod tests {
     fn a_failed_graph_load_is_not_cached() {
         let st = state(ServeConfig::default());
         const SPEC: &str = "gen:complete,n=5";
-        let err = st.graph_for(SPEC, false, |_| Err("disk on fire".into())).unwrap_err();
+        let err = st.graph_for(SPEC, false, false, |_| Err("disk on fire".into())).unwrap_err();
         assert_eq!(err, "disk on fire");
         // A panicking load unwinds to the caller and leaves no marker for
         // the next submit to wait on either, and no reservation.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            st.graph_for(SPEC, false, |_| panic!("loader bug"))
+            st.graph_for(SPEC, false, false, |_| panic!("loader bug"))
         }));
         assert!(panicked.is_err());
         assert!(lock_recover(&st.graphs, "graph cache").entries.is_empty());
         assert_eq!(st.memory_bytes(), 0);
-        assert_eq!(st.graph_for(SPEC, false, graphspec::load).unwrap().num_vertices(), 5);
+        assert_eq!(
+            st.graph_for(SPEC, false, false, graphspec::load).unwrap().graph.num_vertices(),
+            5
+        );
         assert_eq!(st.memory_bytes(), graphspec::csr_bytes(5, 20, false));
         st.sup.shutdown(None);
     }
@@ -2175,5 +2289,119 @@ mod tests {
         assert_eq!(resumed == 1, !line.contains(r#""replayed":true"#), "{line}");
         second.sup.shutdown(None);
         let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// A drained checkpoint that loads but belongs to another graph — the
+    /// input ids an older build mined a 4-cycle job on, before `serve`
+    /// ranked its graph — does not strand the job's id: the job runs again
+    /// from scratch, to the count of a clean run.
+    #[test]
+    fn a_drained_checkpoint_of_another_graph_restarts_from_scratch() {
+        let dir = std::env::temp_dir().join(format!("fm-serve-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, ckpt) = (dir.join("jobs.journal"), dir.join("job-1.ckpt"));
+        const GRAPH: &str = "gen:powerlaw,n=400,m=4,closure=0.5,seed=7";
+        let clean = state(ServeConfig::default());
+        let resp = clean.handle_line(&format!(
+            r#"{{"op":"submit","name":"old","pattern":"4-cycle","graph":"{GRAPH}"}}"#
+        ));
+        let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+        let reference = clean.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+        assert!(reference.contains(r#""status":"Complete""#), "{reference}");
+        let meta = Arc::clone(&metas(&clean)[0]);
+        clean.sup.shutdown(None);
+        // The same job drained part way through on the input graph.
+        let input = Arc::new(graphspec::load(GRAPH).unwrap());
+        let core = fm_engine::JobCore::new(input, Arc::clone(&meta.plan), meta.engine_config());
+        assert!(matches!(core.run_stint(8), fm_engine::Stint::Ran { drained: false, .. }));
+        core.snapshot().write_atomic(&ckpt).unwrap();
+        {
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            let drained = Reported::Drained { checkpoint: Some(ckpt.display().to_string()) };
+            for record in [
+                JournalRecord::Submitted { id: 1, fp: meta.fp, req: canonical_req(&meta) },
+                JournalRecord::Outcome { id: 1, fp: meta.fp, outcome: drained },
+            ] {
+                journal.append(&record).unwrap();
+            }
+        }
+        let st = recovered(ServeConfig { journal: Some(path), ..Default::default() });
+        assert_eq!(st.gauges.recovered_jobs.load(Ordering::SeqCst), 1);
+        let line = st.handle_line(r#"{"op":"wait","id":1}"#);
+        let counts = |line: &str| jsonl::parse(line).unwrap().get("counts").cloned();
+        assert!(line.contains(r#""status":"Complete""#), "{line}");
+        assert_eq!(counts(&line), counts(&reference));
+        st.sup.shutdown(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Orienting and pair-join plans mine the ranked copy of their graph
+    /// and every other plan the input, each copy cached and charged on its
+    /// own; both count what the engine counts on the input.
+    #[test]
+    fn orienting_and_pair_join_plans_mine_the_ranked_copy() {
+        let plan = |p: &str| compile(&p.parse().unwrap(), CompileOptions::default());
+        for p in ["4-cycle", "triangle", "4-clique"] {
+            assert!(mines_ranked(&plan(p)), "{p}");
+        }
+        for p in ["diamond", "house", "5-cycle", "wedge", "4-path"] {
+            assert!(!mines_ranked(&plan(p)), "{p}");
+        }
+        const GRAPH: &str = "gen:powerlaw,n=300,m=4,closure=0.5,seed=3";
+        let input = graphspec::load(GRAPH).unwrap();
+        let st = state(ServeConfig::default());
+        for p in ["4-cycle", "diamond"] {
+            let resp =
+                st.handle_line(&format!(r#"{{"op":"submit","pattern":"{p}","graph":"{GRAPH}"}}"#));
+            let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64).expect(&resp);
+            let done = st.handle_line(&format!(r#"{{"op":"wait","id":{id}}}"#));
+            let want = fm_engine::mine(&input, &plan(p), &EngineConfig::default());
+            let want = format!(r#""counts":[{}]"#, want.unique_counts(&plan(p))[0]);
+            assert!(done.contains(&want), "{p}: {done} against {want}");
+        }
+        let (n, m) = (input.num_vertices() as u64, input.num_directed_edges() as u64);
+        let cache = lock_recover(&st.graphs, "graph cache");
+        let mut kept: Vec<_> = cache.entries.iter().map(|(k, c)| (k.1, c.bytes)).collect();
+        kept.sort();
+        assert_eq!(
+            kept,
+            [(false, graph_bytes(n, m, false, false)), (true, graph_bytes(n, m, false, true))]
+        );
+        drop(cache);
+        st.sup.shutdown(None);
+    }
+
+    /// A `gen:` spec's ranked copy reserves what ranking holds at once — the
+    /// generated graph, its renumbered copy and the labels — whether or not
+    /// its plan orients; once ranked it is charged what it keeps.
+    #[test]
+    fn a_ranked_gen_spec_reserves_the_ranking_transient() {
+        const SPEC: &str = "gen:complete,n=16";
+        // (16 + 1)·8 + 240·4 = 1 096 B a CSR, 64 B of labels.
+        let (csr, labels) = (1_096, 64);
+        assert_eq!(graphspec::csr_bytes(16, 240, false), csr);
+        let reserve = 2 * csr + labels;
+        for (oriented, kept) in [(false, csr + labels), (true, 2 * csr + labels)] {
+            // One byte short of the reservation is refused, unbuilt.
+            let st = state(ServeConfig { memory_budget_bytes: reserve - 1, ..Default::default() });
+            let refused = st.graph_for(SPEC, oriented, true, |_| panic!("never built"));
+            let over = reserve - 1;
+            let want =
+                format!("graph {SPEC} needs up to {reserve} B, over the {over} B memory budget");
+            assert_eq!(refused.unwrap_err(), want);
+            st.sup.shutdown(None);
+            // At the reservation it is built, and charged what it keeps.
+            let st = state(ServeConfig { memory_budget_bytes: reserve, ..Default::default() });
+            let mut seen = 0;
+            let loaded = st.graph_for(SPEC, oriented, true, |spec| {
+                // While it is built the whole reservation stands.
+                seen = st.memory_bytes();
+                graphspec::load(spec)
+            });
+            assert_eq!(loaded.unwrap().labels.map(|l| l.len()), Some(16));
+            assert_eq!((seen, st.memory_bytes()), (reserve, kept));
+            st.sup.shutdown(None);
+        }
     }
 }

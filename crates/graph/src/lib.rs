@@ -16,7 +16,8 @@
 //!   both as test oracles and as stand-ins for the SNAP datasets the paper
 //!   evaluates (see `DESIGN.md` §4 for the substitution rationale).
 //! * [`orientation`] — the degree-based DAG orientation preprocessing the
-//!   FlexMiner compiler applies for k-clique mining (§V-C of the paper).
+//!   FlexMiner compiler applies for k-clique mining (§V-C of the paper),
+//!   and [`rank_order`], which renumbers a graph by that order.
 //! * [`hub`] — degree-thresholded hub adjacency bitmaps ([`HubBitmaps`]),
 //!   the auxiliary index backing the engine's probe-based set-op kernels.
 //! * [`block`] — per-64-neighbor-block id-range summaries
@@ -60,6 +61,6 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use hub::{HubBitmaps, HubRow};
-pub use orientation::orient_by_degree;
+pub use orientation::{orient_by_degree, rank_order};
 pub use stats::GraphStats;
 pub use vertex::VertexId;

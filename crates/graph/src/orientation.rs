@@ -59,6 +59,69 @@ pub fn orient_by_degree(g: &CsrGraph) -> CsrGraph {
     CsrGraph::from_valid_parts(offsets, neighbors)
 }
 
+/// Renumbers the vertices of a symmetric graph by the orientation's total
+/// order `(degree, id)`, ascending: new id `i` is the `i`-th vertex in that
+/// order. Returns the renumbered graph, its rows sorted, and `labels`, where
+/// `labels[new]` is the input id.
+///
+/// Degrees are non-decreasing in the new ids, so on the result the
+/// orientation's order is the id order: [`orient_by_degree`] keeps `u → v`
+/// exactly when `v > u`, and every symmetry bound `v < u` of a plan is a
+/// degree bound. Any total order is a valid symmetry order, so every plan
+/// counts the same on the result as on the input; what moves is which
+/// vertices a bounded extension or a pair join expands — low-degree ones.
+///
+/// # Examples
+///
+/// ```
+/// use fm_graph::{generators, rank_order, VertexId};
+///
+/// // A star's hub has the largest degree, so it takes the last id.
+/// let (ranked, labels) = rank_order(&generators::star(3));
+/// assert_eq!(labels, [VertexId(1), VertexId(2), VertexId(3), VertexId(0)]);
+/// assert_eq!(ranked.degree(VertexId(3)), 3);
+/// ```
+pub fn rank_order(g: &CsrGraph) -> (CsrGraph, Vec<VertexId>) {
+    debug_assert!(g.is_symmetric(), "rank_order renumbers symmetric graphs");
+    let n = g.num_vertices();
+    let degree = |v: usize| g.offsets()[v + 1] - g.offsets()[v];
+    // Counting sort by degree, visiting ids ascending: stable, so ties
+    // keep their id order. `next[d]` is the next new id of degree `d`.
+    let mut next = vec![0usize; (0..n).map(degree).max().map_or(1, |d| d + 2)];
+    for v in 0..n {
+        next[degree(v) + 1] += 1;
+    }
+    for d in 1..next.len() {
+        next[d] += next[d - 1];
+    }
+    let mut labels = vec![VertexId(0); n];
+    let mut rank = vec![0u32; n];
+    for v in 0..n {
+        let slot = &mut next[degree(v)];
+        labels[*slot] = VertexId(v as u32);
+        rank[v] = *slot as u32;
+        *slot += 1;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for &v in &labels {
+        offsets.push(offsets[offsets.len() - 1] + degree(v.index()));
+    }
+    // `u` is in `v`'s row exactly when `v` is in `u`'s, so appending each
+    // vertex, new ids ascending, to the rows of its neighbours fills every
+    // row in ascending order: no row is sorted afterwards.
+    let mut cursor = offsets[..n].to_vec();
+    let mut neighbors = vec![VertexId(0); g.num_directed_edges()];
+    for (new, &v) in labels.iter().enumerate() {
+        for &u in g.neighbors(v) {
+            let at = &mut cursor[rank[u.index()] as usize];
+            neighbors[*at] = VertexId(new as u32);
+            *at += 1;
+        }
+    }
+    (CsrGraph::from_valid_parts(offsets, neighbors), labels)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +211,90 @@ mod tests {
             }
             assert_eq!(dag.offsets(), &offsets[..]);
             assert_eq!(dag.neighbor_array(), &neighbors[..]);
+        }
+    }
+
+    /// The definition: sort the vertices by `(degree, id)`, rename every
+    /// neighbour, sort every row.
+    fn rank_order_oracle(g: &CsrGraph) -> (CsrGraph, Vec<VertexId>) {
+        let mut labels: Vec<VertexId> = g.vertices().collect();
+        labels.sort_by_key(|&v| (g.degree(v), v));
+        let mut rank = vec![0; g.num_vertices()];
+        for (new, v) in labels.iter().enumerate() {
+            rank[v.index()] = new as u32;
+        }
+        let mut offsets = vec![0];
+        let mut neighbors = Vec::new();
+        for &v in &labels {
+            let mut row: Vec<VertexId> =
+                g.neighbors(v).iter().map(|u| VertexId(rank[u.index()])).collect();
+            row.sort_unstable();
+            neighbors.extend(row);
+            offsets.push(neighbors.len());
+        }
+        (CsrGraph::from_parts(offsets, neighbors).expect("a valid graph"), labels)
+    }
+
+    /// What a renumbering by rank must be, whatever computes it: a
+    /// permutation under which degrees never fall, rows stay sorted and
+    /// every edge is an input edge and the other way round.
+    fn assert_ranked(g: &CsrGraph, ranked: &CsrGraph, labels: &[VertexId]) {
+        let n = g.num_vertices();
+        assert_eq!((ranked.num_vertices(), labels.len()), (n, n));
+        let mut seen = vec![false; n];
+        for v in labels {
+            assert!(!std::mem::replace(&mut seen[v.index()], true), "{v:?} labelled twice");
+        }
+        let rank: Vec<_> =
+            ranked.vertices().map(|v| (ranked.degree(v), labels[v.index()])).collect();
+        assert!(rank.windows(2).all(|w| w[0] < w[1]), "not in (degree, id) order");
+        for v in ranked.vertices() {
+            assert!(ranked.neighbors(v).windows(2).all(|w| w[0] < w[1]), "row {v:?} unsorted");
+            assert_eq!(ranked.degree(v), g.degree(labels[v.index()]));
+        }
+        assert_eq!(ranked.num_directed_edges(), g.num_directed_edges());
+        assert!(ranked.edges().all(|(u, v)| g.has_edge(labels[u.index()], labels[v.index()])));
+    }
+
+    #[test]
+    fn rank_order_renumbers_every_generator_by_degree_then_id() {
+        let graphs = [
+            generators::powerlaw_cluster(400, 4, 0.5, 5),
+            generators::preferential_attachment(300, 3, 2),
+            generators::erdos_renyi(200, 0.05, 9),
+            generators::complete(9),
+            generators::caveman(20, 6, 30, 2),
+            // A hub at id 0 and isolated vertices.
+            generators::star(40),
+            GraphBuilder::new().vertices(4).build().unwrap(),
+            CsrGraph::default(),
+        ];
+        for g in &graphs {
+            let (ranked, labels) = rank_order(g);
+            assert_ranked(g, &ranked, &labels);
+            assert_eq!((ranked, labels), rank_order_oracle(g));
+        }
+        // Equal degrees keep their id order: ranking a regular graph is the
+        // identity.
+        let k9 = generators::complete(9);
+        assert_eq!(rank_order(&k9), (k9.clone(), k9.vertices().collect()));
+        // Ranking a ranked graph changes nothing.
+        let (ranked, _) = rank_order(&graphs[0]);
+        assert_eq!(rank_order(&ranked).0, ranked);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rank_order_equals_its_oracle(
+            edges in proptest::prop::collection::vec((0u32..50, 0u32..50), 0..300),
+            isolated in 0usize..8,
+        ) {
+            // Ids past 49 are isolated.
+            let built = GraphBuilder::new().edges(edges).vertices(50 + isolated).build();
+            let g = built.expect("a valid graph");
+            let (ranked, labels) = rank_order(&g);
+            assert_ranked(&g, &ranked, &labels);
+            proptest::prop_assert_eq!((ranked, labels), rank_order_oracle(&g));
         }
     }
 }

@@ -49,7 +49,7 @@ use crate::observe::{job_lane, JobObserver};
 use crate::outcome::{JobHandle, JobOutcome, OutcomeCell};
 use fm_engine::{Checkpoint, CheckpointError};
 use fm_engine::{EngineConfig, JobCore, Stint};
-use fm_graph::CsrGraph;
+use fm_graph::{CsrGraph, VertexId};
 use fm_plan::ExecutionPlan;
 use fm_telemetry::MetricsDoc;
 use std::cmp::Reverse;
@@ -101,6 +101,10 @@ pub struct JobSpec {
     /// Resume from a drained checkpoint (validated against graph, plan,
     /// and config fingerprints at admission).
     pub resume: Option<Checkpoint>,
+    /// The input id of each vertex of `graph`, when `graph` is a renumbered
+    /// copy (`labels[v]` for vertex `v`): the vertex ids the job's spans
+    /// report are mapped back through it. `None` reports `graph`'s own.
+    pub labels: Option<Arc<[VertexId]>>,
 }
 
 impl JobSpec {
@@ -110,7 +114,8 @@ impl JobSpec {
         plan: Arc<ExecutionPlan>,
         config: EngineConfig,
     ) -> JobSpec {
-        JobSpec { name: name.into(), priority: 0, id: None, graph, plan, config, resume: None }
+        let name = name.into();
+        JobSpec { name, priority: 0, id: None, graph, plan, config, resume: None, labels: None }
     }
 }
 
@@ -163,6 +168,8 @@ struct Job {
     /// copy and drops this one, so the job keeps it: whoever counts the
     /// holders of a graph (`serve`'s graph cache) sees every job on it.
     _graph: Arc<CsrGraph>,
+    /// [`JobSpec::labels`].
+    labels: Option<Arc<[VertexId]>>,
     /// Declared last because fields drop in declaration order: the
     /// outcome reaches the handle after the core and the graph are gone.
     ending: Ending,
@@ -173,6 +180,19 @@ impl Job {
     fn end(&self, outcome: JobOutcome) {
         let first = self.ending.outcome.set(outcome).is_ok();
         assert!(first, "job {} ended twice — supervisor state machine bug", self.id);
+    }
+
+    /// Hands the core's spans to the observer, each vertex id an input id.
+    fn absorb_spans(&self, obs: &JobObserver) {
+        let (mut spans, dropped) = self.core.take_spans();
+        if let Some(labels) = &self.labels {
+            for span in &mut spans {
+                if let Some(("vid", vid)) = &mut span.arg {
+                    *vid = u64::from(labels[*vid as usize].0);
+                }
+            }
+        }
+        obs.absorb_spans(spans, dropped);
     }
 }
 
@@ -352,8 +372,7 @@ fn finish(st: &mut State, obs: Option<&JobObserver>, job: &Job, submitted_us: Op
             obs.record_e2e(obs.clock().now_us().saturating_sub(submitted));
             obs.span("job", submitted, job_lane(job.id), Some(("id", job.id)));
         }
-        let (spans, dropped) = job.core.take_spans();
-        obs.absorb_spans(spans, dropped);
+        job.absorb_spans(obs);
         obs.event(job.id, "finished", format!("status={:?}", result.status));
     }
     job.end(JobOutcome::Finished(result));
@@ -512,7 +531,7 @@ impl Supervisor {
             }
             (id, obs.map(|o| o.clock().now_us()))
         };
-        let JobSpec { name, priority, graph, plan, config, resume, .. } = spec;
+        let JobSpec { name, priority, graph, plan, config, resume, labels, .. } = spec;
         let built: Result<JobCore<'static>, CheckpointError> = match resume {
             None => Ok(JobCore::new(Arc::clone(&graph), plan, config)),
             Some(snapshot) => JobCore::resume(Arc::clone(&graph), plan, config, snapshot),
@@ -537,6 +556,7 @@ impl Supervisor {
                         priority,
                         core,
                         _graph: graph,
+                        labels,
                         ending: Ending { cell: Arc::clone(&cell), outcome: OnceLock::new() },
                     });
                     st.slots.push(Slot {
@@ -684,8 +704,7 @@ impl Supervisor {
                 continue;
             }
             if let Some(obs) = obs {
-                let (spans, dropped) = job.core.take_spans();
-                obs.absorb_spans(spans, dropped);
+                job.absorb_spans(obs);
             }
             let (path, error) = match (&spool_ready, spool) {
                 (Some(Ok(())), Some(dir)) => {

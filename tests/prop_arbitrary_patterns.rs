@@ -15,7 +15,10 @@
 //!   (every match entered);
 //! - 1 and 3 threads, the hub index on and off;
 //! - `JobCore` stints on one thread against the pool;
-//! - a run stopped by its set-op budget, then resumed from its snapshot.
+//! - a run stopped by its set-op budget, then resumed from its snapshot;
+//! - the graph renumbered by degree rank ([`rank_order`]), on which every
+//!   symmetry bound is a degree bound (`serve` mines orienting and
+//!   pair-join plans on it).
 //!
 //! A task polls the budget, cancellation and the deadline inside itself.
 //! A stopped task is rolled back and left off `completed`, so the resume
@@ -29,7 +32,7 @@ use fm_engine::{
     mine, mine_with, oblivious, prepare, Budget, CancelToken, Checkpoint, CheckpointConfig,
     EngineConfig, Executor, JobCore, MineOptions, MiningResult, RunStatus, Stint,
 };
-use fm_graph::{generators, CsrGraph, VertexId};
+use fm_graph::{generators, rank_order, CsrGraph, VertexId};
 use fm_pattern::motifs::{self, copies};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
@@ -117,6 +120,7 @@ proptest! {
         p in arb_connected_pattern(3..=6),
     ) {
         let (vertex_induced, edge_induced) = oracle(&g, &p);
+        let ranked = rank_order(&g).0;
         let g = Arc::new(g);
         for (induced, symmetry) in [(false, true), (false, false), (true, true), (true, false)] {
             let options = CompileOptions { induced, symmetry, orientation: symmetry };
@@ -138,6 +142,8 @@ proptest! {
                 }
             }
             let cfg = EngineConfig { hub_degree_threshold: 4, ..EngineConfig::default() };
+            let got = mine(&ranked, &plan, &cfg).unique_counts(&plan);
+            prop_assert_eq!(&got, &want, "{} ranked", at);
             prop_assert_eq!(&collected(&g, &plan, &cfg), &want, "{} collected", at);
             let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), cfg);
             let drained = matches!(drive(&core), Stint::Ran { drained: true, .. });
