@@ -1,7 +1,7 @@
 //! The paper's four GPM applications as one-call functions (§II-A).
 
-use crate::miner::{Backend, MineError, Miner, MiningOutcome};
-use fm_engine::RunStatus;
+use crate::miner::{MineError, Miner, MiningOutcome};
+use fm_engine::{EngineConfig, RunStatus};
 use fm_graph::CsrGraph;
 use fm_pattern::{motifs, Pattern};
 
@@ -10,11 +10,12 @@ use fm_pattern::{motifs, Pattern};
 /// # Examples
 ///
 /// ```
-/// use flexminer::apps;
+/// use flexminer::{apps, EngineConfig};
 /// use fm_graph::generators;
 ///
 /// let g = generators::complete(6);
-/// assert_eq!(apps::triangle_count(&g, apps::default_backend())?, 20);
+/// let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+/// assert_eq!(apps::triangle_count(&g, EngineConfig::with_threads(threads))?, 20);
 /// # Ok::<(), flexminer::MineError>(())
 /// ```
 ///
@@ -22,8 +23,8 @@ use fm_pattern::{motifs, Pattern};
 ///
 /// Propagates [`MineError`] from the underlying job (never fails for this
 /// fixed single-pattern job in practice).
-pub fn triangle_count(g: &CsrGraph, backend: Backend) -> Result<u64, MineError> {
-    Ok(Miner::new(g).pattern(Pattern::triangle()).backend(backend).run()?.count())
+pub fn triangle_count(g: &CsrGraph, cfg: EngineConfig) -> Result<u64, MineError> {
+    Ok(Miner::new(g).pattern(Pattern::triangle()).config(cfg).run()?.count())
 }
 
 /// k-clique listing (k-CL): counts all k-cliques, using the degree-
@@ -33,8 +34,8 @@ pub fn triangle_count(g: &CsrGraph, backend: Backend) -> Result<u64, MineError> 
 ///
 /// Propagates [`MineError`]; panics upstream if `k` exceeds the pattern
 /// size limit.
-pub fn k_clique_count(g: &CsrGraph, k: usize, backend: Backend) -> Result<u64, MineError> {
-    Ok(Miner::new(g).pattern(Pattern::k_clique(k)).backend(backend).run()?.count())
+pub fn k_clique_count(g: &CsrGraph, k: usize, cfg: EngineConfig) -> Result<u64, MineError> {
+    Ok(Miner::new(g).pattern(Pattern::k_clique(k)).config(cfg).run()?.count())
 }
 
 /// Subgraph listing (SL): counts edge-induced embeddings of an arbitrary
@@ -43,8 +44,12 @@ pub fn k_clique_count(g: &CsrGraph, k: usize, backend: Backend) -> Result<u64, M
 /// # Errors
 ///
 /// Propagates [`MineError`].
-pub fn subgraph_count(g: &CsrGraph, pattern: &Pattern, backend: Backend) -> Result<u64, MineError> {
-    Ok(Miner::new(g).pattern(pattern.clone()).backend(backend).run()?.count())
+pub fn subgraph_count(
+    g: &CsrGraph,
+    pattern: &Pattern,
+    cfg: EngineConfig,
+) -> Result<u64, MineError> {
+    Ok(Miner::new(g).pattern(pattern.clone()).config(cfg).run()?.count())
 }
 
 /// k-motif counting (k-MC): counts vertex-induced occurrences of every
@@ -53,13 +58,14 @@ pub fn subgraph_count(g: &CsrGraph, pattern: &Pattern, backend: Backend) -> Resu
 /// Returns `(motif name, count)` pairs in the deterministic motif order of
 /// [`fm_pattern::motifs::motifs`].
 ///
-/// The software backend counts each motif *edge-induced*, one job each,
+/// The default engine counts each motif *edge-induced*, one job each,
 /// where cliques run on the degree-oriented DAG and stars, tails and pair
 /// joins by their closed forms. It then solves the containment identity
 /// `edge(P) = Σ_H copies(P in H) · ind(H)` for the induced counts by
-/// back-substitution ([`motifs::copies`]). The accelerator backend and
-/// [`paper_faithful`](fm_engine::EngineConfig::paper_faithful) run the
-/// paper's k-MC instead: one vertex-induced multi-pattern plan (§V-B).
+/// back-substitution ([`motifs::copies`]). Under
+/// [`paper_faithful`](fm_engine::EngineConfig::paper_faithful) it runs the
+/// paper's k-MC instead: one vertex-induced multi-pattern plan (§V-B), the
+/// plan the accelerator runs.
 ///
 /// # Errors
 ///
@@ -74,26 +80,22 @@ pub fn subgraph_count(g: &CsrGraph, pattern: &Pattern, backend: Backend) -> Resu
 pub fn motif_census(
     g: &CsrGraph,
     k: usize,
-    backend: Backend,
+    cfg: EngineConfig,
 ) -> Result<Vec<(String, u64)>, MineError> {
     let ms = motifs::motifs(k);
-    let complete = |outcome: MiningOutcome| match outcome.status() {
+    let complete = |outcome: MiningOutcome| match outcome.result.status {
         RunStatus::Complete => Ok(outcome),
         status => Err(MineError::PartialUnnormalizable { status }),
     };
-    let counts = match &backend {
-        Backend::Software(cfg) if !cfg.paper_faithful => {
-            let mut edge = Vec::with_capacity(ms.len());
-            for p in &ms {
-                let job = Miner::new(g).pattern(p.clone()).backend(backend.clone());
-                edge.push(complete(job.run()?)?.count());
-            }
-            census_by_containment(&ms, &edge)?
+    let counts = if cfg.paper_faithful {
+        complete(Miner::new(g).patterns(ms.iter().cloned()).induced(true).config(cfg).run()?)?
+            .counts()
+    } else {
+        let mut edge = Vec::with_capacity(ms.len());
+        for p in &ms {
+            edge.push(complete(Miner::new(g).pattern(p.clone()).config(cfg).run()?)?.count());
         }
-        _ => complete(
-            Miner::new(g).patterns(ms.iter().cloned()).induced(true).backend(backend).run()?,
-        )?
-        .counts(),
+        census_by_containment(&ms, &edge)?
     };
     Ok(ms.iter().map(motifs::motif_name).zip(counts).collect())
 }
@@ -116,12 +118,6 @@ fn census_by_containment(ms: &[Pattern], edge: &[u64]) -> Result<Vec<u64>, MineE
     Ok(ind)
 }
 
-/// The default backend used by examples: the software engine on all
-/// available host threads.
-pub fn default_backend() -> Backend {
-    Backend::software(std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,29 +125,31 @@ mod tests {
 
     #[test]
     fn triangle_count_on_oracles() {
-        assert_eq!(triangle_count(&generators::complete(7), Backend::default()).unwrap(), 35);
-        assert_eq!(triangle_count(&generators::cycle(8), Backend::default()).unwrap(), 0);
-        assert_eq!(triangle_count(&generators::grid(4, 4), Backend::default()).unwrap(), 0);
+        let count = |g| triangle_count(&g, EngineConfig::default()).unwrap();
+        assert_eq!(count(generators::complete(7)), 35);
+        assert_eq!(count(generators::cycle(8)), 0);
+        assert_eq!(count(generators::grid(4, 4)), 0);
     }
 
     #[test]
     fn clique_counts_on_complete_graph() {
         let g = generators::complete(9);
-        assert_eq!(k_clique_count(&g, 4, Backend::default()).unwrap(), 126); // C(9,4)
-        assert_eq!(k_clique_count(&g, 5, Backend::default()).unwrap(), 126); // C(9,5)
+        let count = |k| k_clique_count(&g, k, EngineConfig::default()).unwrap();
+        assert_eq!(count(4), 126); // C(9,4)
+        assert_eq!(count(5), 126); // C(9,5)
     }
 
     #[test]
     fn subgraph_count_four_cycles_in_bipartite() {
         let g = generators::complete_bipartite(4, 4);
-        let n = subgraph_count(&g, &Pattern::cycle(4), Backend::default()).unwrap();
+        let n = subgraph_count(&g, &Pattern::cycle(4), EngineConfig::default()).unwrap();
         assert_eq!(n, 36); // C(4,2)^2
     }
 
     #[test]
     fn motif_census_sums_to_subset_counts() {
         let g = generators::erdos_renyi(40, 0.3, 7);
-        let census = motif_census(&g, 3, Backend::default()).unwrap();
+        let census = motif_census(&g, 3, EngineConfig::default()).unwrap();
         assert_eq!(census.len(), 2);
         let by_name: std::collections::HashMap<_, _> = census.into_iter().collect();
         // Wedges + triangles as induced counts must match the oblivious
@@ -176,8 +174,9 @@ mod tests {
     #[test]
     fn accelerator_backend_works_in_apps() {
         let g = generators::powerlaw_cluster(100, 4, 0.5, 4);
-        let sw = triangle_count(&g, Backend::default()).unwrap();
-        let hw = triangle_count(&g, Backend::accelerator()).unwrap();
-        assert_eq!(sw, hw);
+        let sw = triangle_count(&g, EngineConfig::default()).unwrap();
+        let plan = Miner::new(&g).pattern(Pattern::triangle()).plan().unwrap();
+        let hw = fm_sim::simulate(&g, &plan, &fm_sim::SimConfig::default());
+        assert_eq!(hw.counts, vec![sw]);
     }
 }

@@ -19,8 +19,8 @@ use flexminer::jobs::SupervisorConfig;
 use flexminer::serve::{self, ServeConfig};
 use flexminer::telemetry::{parse_cadence, LogLevel, TraceClock};
 use flexminer::{
-    apps, graphspec, report, Backend, Budget, EngineConfig, MineError, Miner, Pattern,
-    ProgressOptions, RunStatus, SimConfig, TelemetryOptions,
+    apps, graphspec, report, EngineConfig, Miner, Pattern, PatternCount, ProgressOptions,
+    RunStatus, SimConfig, TelemetryOptions,
 };
 use fm_graph::{generators, io, CsrGraph, GraphStats};
 use fm_sim::EnergyModel;
@@ -93,26 +93,26 @@ fn exit_code(status: RunStatus) -> i32 {
 /// human. `level` is the CLI verbosity (`--log-level`): warnings about
 /// truncated results print at `warn` and above, straggler/healed-fault
 /// advisories at `info` and above.
-fn report_status(outcome: &flexminer::MiningOutcome, level: LogLevel) {
+fn report_status(result: &flexminer::engine::MiningResult, level: LogLevel) {
     let warn = level.allows(LogLevel::Warn);
     let info = level.allows(LogLevel::Info);
-    if let Some(err) = outcome.checkpoint_error() {
+    if let Some(err) = &result.checkpoint_error {
         if warn {
             eprintln!("warning: checkpointing stopped: {err}");
         }
     }
     if info {
-        for s in outcome.stragglers() {
+        for s in &result.stragglers {
             eprintln!(
                 "straggler: start vertex {} took {:.3?} (run median {:.3?})",
                 s.vid, s.elapsed, s.median
             );
         }
     }
-    if outcome.is_complete() {
+    if result.status.is_complete() {
         // A retried-then-healed fault leaves a record on a complete run.
         if info {
-            for f in outcome.faults() {
+            for f in &result.faults {
                 eprintln!(
                     "fault (healed on retry): start vertex {} attempt {}: {}",
                     f.vid, f.attempt, f.payload
@@ -126,13 +126,13 @@ fn report_status(outcome: &flexminer::MiningOutcome, level: LogLevel) {
     }
     eprintln!(
         "warning: run ended {:?}; counts cover {} completed start vertices",
-        outcome.status(),
-        outcome.completed_start_vertices().len()
+        result.status,
+        result.completed.len()
     );
-    for f in outcome.faults() {
+    for f in &result.faults {
         eprintln!("fault: start vertex {} attempt {}: {}", f.vid, f.attempt, f.payload);
     }
-    for f in outcome.quarantined() {
+    for f in &result.quarantined {
         eprintln!("quarantined: start vertex {} after {} attempt(s)", f.vid, f.attempt + 1);
     }
 }
@@ -457,16 +457,16 @@ fn cmd_count(args: &[String]) -> CliResult {
     if let Some(v) = flag_value(args, "--max-retries") {
         cfg.max_retries = v.parse().map_err(|e| format!("bad --max-retries: {e}"))?;
     }
-    let mut job = Miner::new(&g).pattern(pattern).backend(Backend::Software(cfg));
+    if let Some(v) = flag_value(args, "--budget") {
+        let iters = v.parse().map_err(|e| format!("bad --budget: {e}"))?;
+        cfg.budget.max_setop_iterations = Some(iters);
+    }
+    let mut job = Miner::new(&g).pattern(pattern).config(cfg);
     if has_flag(args, "--induced") {
         job = job.induced(true);
     }
     if has_flag(args, "--no-symmetry") {
         job = job.symmetry(false);
-    }
-    if let Some(v) = flag_value(args, "--budget") {
-        let iters: u64 = v.parse().map_err(|e| format!("bad --budget: {e}"))?;
-        job = job.budget(Budget::with_max_setop_iterations(iters));
     }
     if let Some(path) = flag_value(args, "--checkpoint") {
         job = job.checkpoint_to(path);
@@ -501,15 +501,15 @@ fn cmd_count(args: &[String]) -> CliResult {
         None => job.run(),
     }
     .map_err(|e| e.to_string())?;
-    for pc in outcome.per_pattern() {
+    for pc in &outcome.per_pattern {
         outln!("{}: {}", pc.name, pc.count);
     }
     telemetry.export(|| report::engine_metrics(&outcome), || report::engine_trace(&outcome))?;
-    report_status(&outcome, telemetry.level);
+    report_status(&outcome.result, telemetry.level);
     if telemetry.level.allows(LogLevel::Info) {
         eprintln!("[{} threads, {:.3?}]", threads, start.elapsed());
     }
-    Ok(exit_code(outcome.status()))
+    Ok(exit_code(outcome.result.status))
 }
 
 fn cmd_sim(args: &[String]) -> CliResult {
@@ -536,40 +536,43 @@ fn cmd_sim(args: &[String]) -> CliResult {
         // granularity).
         cfg.timeline_every = cfg.epoch;
     }
-    let mut job = Miner::new(&g).pattern(pattern).backend(Backend::Accelerator(cfg));
-    if has_flag(args, "--induced") {
-        job = job.induced(true);
-    }
-    let outcome = match job.run() {
-        Ok(outcome) => outcome,
-        Err(MineError::WatchdogTripped(dump)) => {
+    let plan = Miner::new(&g)
+        .pattern(pattern)
+        .induced(has_flag(args, "--induced"))
+        .plan()
+        .map_err(|e| e.to_string())?;
+    let start = std::time::Instant::now();
+    let report = fm_sim::simulate(&g, &plan, &cfg);
+    let elapsed = start.elapsed();
+    if let Some(dump) = &report.watchdog {
+        eprintln!(
+            "error: watchdog tripped at {} cycles with {} PE(s) still working:",
+            dump.cap,
+            dump.stuck_pes().count()
+        );
+        for pe in &dump.pes {
             eprintln!(
-                "error: watchdog tripped at {} cycles with {} PE(s) still working:",
-                dump.cap,
-                dump.stuck_pes().count()
+                "  PE {}: cycle {}, {} frame(s), top {}, embedding {:?}, {} task(s) claimed{}",
+                pe.pe,
+                pe.cycle,
+                pe.stack_depth,
+                pe.top_frame.as_deref().unwrap_or("<between tasks>"),
+                pe.embedding,
+                pe.tasks_claimed,
+                if pe.done { " [done]" } else { "" }
             );
-            for pe in &dump.pes {
-                eprintln!(
-                    "  PE {}: cycle {}, {} frame(s), top {}, embedding {:?}, {} task(s) claimed{}",
-                    pe.pe,
-                    pe.cycle,
-                    pe.stack_depth,
-                    pe.top_frame.as_deref().unwrap_or("<between tasks>"),
-                    pe.embedding,
-                    pe.tasks_claimed,
-                    if pe.done { " [done]" } else { "" }
-                );
-            }
-            return Ok(7);
         }
-        Err(e) => return Err(e.to_string()),
-    };
-    let report = outcome.sim_report().expect("accelerator backend always reports");
-    for pc in outcome.per_pattern() {
+        return Ok(7);
+    }
+    // The plan breaks symmetry, so the raw counts are the unique ones.
+    let per_pattern = PatternCount::named(&plan, report.counts.iter().copied());
+    for pc in &per_pattern {
         outln!("{}: {}", pc.name, pc.count);
     }
-    telemetry.export(|| report::sim_metrics(&outcome, &cfg), || report::sim_trace(report))?;
-    report_status(&outcome, telemetry.level);
+    telemetry.export(
+        || report::sim_metrics(&report, &per_pattern, elapsed, &cfg),
+        || report::sim_trace(&report),
+    )?;
     outln!("cycles:            {}", report.cycles);
     outln!("simulated time:    {:.6} s", report.seconds(&cfg));
     outln!("PEs:               {}", cfg.num_pes);
@@ -593,7 +596,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
     outln!("DRAM accesses:     {}", report.dram_accesses);
     outln!("load imbalance:    {:.3}", report.imbalance());
     if has_flag(args, "--energy") {
-        let e = EnergyModel::default().estimate(report, &cfg);
+        let e = EnergyModel::default().estimate(&report, &cfg);
         outln!(
             "energy estimate:   {:.3} mJ (pe {:.3}, siu {:.3}, cmap {:.3}, l1 {:.3}, l2 {:.3}, noc {:.3}, dram {:.3}, static {:.3})",
             e.total_mj(),
@@ -618,8 +621,8 @@ fn cmd_motifs(args: &[String]) -> CliResult {
     }
     let threads = parse_threads(args)?;
     let g = load_graph(args)?;
-    let census =
-        apps::motif_census(&g, k, Backend::software(threads)).map_err(|e| e.to_string())?;
+    let census = apps::motif_census(&g, k, EngineConfig::with_threads(threads))
+        .map_err(|e| e.to_string())?;
     for (name, count) in census {
         outln!("{name}: {count}");
     }

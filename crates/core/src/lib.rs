@@ -6,11 +6,13 @@
 //! FlexMiner's promise is that the user "only needs to specify the
 //! pattern(s) of interest, same as state-of-the-art software GPM
 //! frameworks" (§I). Accordingly, a mining job here is: a data graph, one
-//! or more patterns, an induced/edge-induced mode, and a backend — either
-//! the multithreaded software engine (the GraphZero-model CPU baseline) or
-//! the cycle-level accelerator simulator. Everything else (pattern
-//! analysis, matching/symmetry orders, execution-plan compilation, c-map
-//! hints, k-clique orientation) happens automatically.
+//! or more patterns and an induced/edge-induced mode, compiled into one
+//! [`ExecutionPlan`]. That plan configures both engines: [`Miner`] runs it
+//! on the multithreaded software engine (the GraphZero-model CPU
+//! baseline), and [`fm_sim::simulate`] on the cycle-level accelerator
+//! simulator. Everything else (pattern analysis, matching/symmetry
+//! orders, execution-plan compilation, c-map hints, k-clique orientation)
+//! happens automatically.
 //!
 //! ```text
 //! pattern(s) ──► fm-pattern analysis ──► fm-plan compiler ──► ExecutionPlan
@@ -23,20 +25,17 @@
 //! # Examples
 //!
 //! Count triangles with the software engine and on the simulated
-//! accelerator, and check they agree:
+//! accelerator, from the same plan, and check they agree:
 //!
 //! ```
-//! use flexminer::{Backend, Miner, Pattern};
+//! use flexminer::{Miner, Pattern, SimConfig};
 //! use fm_graph::generators;
 //!
 //! let g = generators::powerlaw_cluster(200, 4, 0.5, 1);
-//! let sw = Miner::new(&g).pattern(Pattern::triangle()).run()?;
-//! let hw = Miner::new(&g)
-//!     .pattern(Pattern::triangle())
-//!     .backend(Backend::accelerator())
-//!     .run()?;
-//! assert_eq!(sw.counts(), hw.counts());
-//! let report = hw.sim_report().expect("accelerator runs produce a report");
+//! let job = Miner::new(&g).pattern(Pattern::triangle());
+//! let sw = job.run()?;
+//! let report = flexminer::sim::simulate(&g, &job.plan()?, &SimConfig::default());
+//! assert_eq!(sw.counts(), report.counts);
 //! assert!(report.cycles > 0);
 //! # Ok::<(), flexminer::MineError>(())
 //! ```
@@ -68,4 +67,4 @@ pub use fm_graph::{CsrGraph, GraphBuilder, GraphError, VertexId};
 pub use fm_pattern::{motifs, Pattern, PatternError};
 pub use fm_plan::{CompileOptions, ExecutionPlan};
 pub use fm_sim::{PeFsmState, SimConfig, SimReport, TimelineSample, WatchdogDump, FSM_STATE_NAMES};
-pub use miner::{Backend, MineError, Miner, MiningOutcome, PatternCount};
+pub use miner::{MineError, Miner, MiningOutcome, PatternCount};

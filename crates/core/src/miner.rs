@@ -1,59 +1,15 @@
 //! The mining job builder.
 
 use fm_engine::{
-    Budget, CancelToken, Checkpoint, CheckpointConfig, CheckpointError, EngineConfig, Fault,
-    MineOptions, MiningResult, RunStatus, Straggler, TelemetryOptions, WorkCounters,
+    Budget, CancelToken, Checkpoint, CheckpointConfig, CheckpointError, EngineConfig, MineOptions,
+    MiningResult, RunStatus, TelemetryOptions,
 };
 use fm_graph::CsrGraph;
 use fm_pattern::Pattern;
 use fm_plan::{compile_multi, CompileOptions, ExecutionPlan};
-use fm_sim::{simulate, SimConfig, SimReport, WatchdogDump};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Combines two budgets: each limit is the tighter of the pair.
-fn merge_budgets(a: Budget, b: Budget) -> Budget {
-    fn tighter<T: Ord>(x: Option<T>, y: Option<T>) -> Option<T> {
-        match (x, y) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        }
-    }
-    Budget {
-        deadline: tighter(a.deadline, b.deadline),
-        max_setop_iterations: tighter(a.max_setop_iterations, b.max_setop_iterations),
-    }
-}
-
-/// Where a mining job executes.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Backend {
-    /// The plan-driven software engine (the paper's GraphZero-model CPU
-    /// baseline) with the given configuration.
-    Software(EngineConfig),
-    /// The cycle-level FlexMiner accelerator simulator.
-    Accelerator(SimConfig),
-}
-
-impl Backend {
-    /// Software engine with `threads` worker threads.
-    pub fn software(threads: usize) -> Backend {
-        Backend::Software(EngineConfig::with_threads(threads))
-    }
-
-    /// Accelerator simulator with the paper's default configuration
-    /// (20 PEs, 8 kB c-map, 32 kB private caches, 4 MB shared cache).
-    pub fn accelerator() -> Backend {
-        Backend::Accelerator(SimConfig::default())
-    }
-}
-
-impl Default for Backend {
-    fn default() -> Self {
-        Backend::Software(EngineConfig::default())
-    }
-}
 
 /// Error from assembling or running a mining job.
 #[derive(Debug, PartialEq, Eq)]
@@ -63,14 +19,6 @@ pub enum MineError {
     /// Vertex-induced multi-pattern jobs need patterns of one size
     /// (k-motif counting); mixed sizes are ambiguous.
     MixedInducedSizes,
-    /// A deadline, budget, cancel token, checkpoint path, or resume
-    /// snapshot was supplied for the accelerator backend, whose only
-    /// supported control is the watchdog cycle cap
-    /// ([`SimConfig::watchdog_cycles`]).
-    ControlUnsupported,
-    /// The accelerator watchdog tripped before the simulation drained;
-    /// per-PE FSM state is attached for diagnosis.
-    WatchdogTripped(Box<WatchdogDump>),
     /// A partial run's raw counts cannot be normalized into unique counts:
     /// with symmetry breaking disabled each embedding is found |Aut(P)|
     /// times, and an early stop can cut through an automorphism class.
@@ -101,21 +49,6 @@ impl fmt::Display for MineError {
             MineError::MixedInducedSizes => {
                 write!(f, "vertex-induced jobs require patterns of a single size")
             }
-            MineError::ControlUnsupported => {
-                write!(
-                    f,
-                    "the accelerator backend does not support deadlines, budgets, \
-                     cancellation, or checkpoint/resume; use the watchdog cycle cap instead"
-                )
-            }
-            MineError::WatchdogTripped(dump) => {
-                write!(
-                    f,
-                    "accelerator watchdog tripped at {} cycles with {} PE(s) still working",
-                    dump.cap,
-                    dump.stuck_pes().count()
-                )
-            }
             MineError::PartialUnnormalizable { status } => {
                 write!(f, "partial run ({status:?}) cannot be normalized into unique counts")
             }
@@ -138,77 +71,40 @@ pub struct PatternCount {
     pub count: u64,
 }
 
-/// The result of a mining job.
+impl PatternCount {
+    /// Names each of `plan`'s patterns with its unique count, in plan
+    /// order. The counts are the engine's
+    /// [`try_unique_counts`](MiningResult::try_unique_counts), or a
+    /// simulator's raw counts under a symmetry-breaking plan (every plan
+    /// [`Miner::plan`] compiles with its default options), where raw and
+    /// unique agree.
+    pub fn named(plan: &ExecutionPlan, counts: impl IntoIterator<Item = u64>) -> Vec<PatternCount> {
+        plan.patterns
+            .iter()
+            .zip(counts)
+            .map(|(meta, count)| PatternCount { name: meta.name.clone(), count })
+            .collect()
+    }
+}
+
+/// The result of a mining job: the engine's [`MiningResult`] as it
+/// returned it, plus what that lacks.
 #[derive(Clone, Debug)]
 pub struct MiningOutcome {
-    per_pattern: Vec<PatternCount>,
-    work: Option<WorkCounters>,
-    sim: Option<SimReport>,
-    elapsed: Duration,
-    status: RunStatus,
-    completed: Vec<u32>,
-    faults: Vec<Fault>,
-    quarantined: Vec<Fault>,
-    stragglers: Vec<Straggler>,
-    checkpoint_error: Option<String>,
-    checkpoint_failures: u64,
-    telemetry: Option<Box<fm_telemetry::TelemetryShard>>,
+    /// The engine's result: raw counts, work counters, how the run ended
+    /// ([`RunStatus`]; anything but `Complete` means the counts are exact
+    /// over [`completed`](MiningResult::completed) only), the fault,
+    /// quarantine and straggler rosters, checkpoint-write failures and
+    /// the telemetry shard.
+    pub result: MiningResult,
+    /// Per-pattern names and unique counts, in pattern order.
+    pub per_pattern: Vec<PatternCount>,
+    /// Host wall-clock time of the run: the baseline measurement the
+    /// paper compares against.
+    pub elapsed: Duration,
 }
 
 impl MiningOutcome {
-    /// How the run ended. Anything but [`RunStatus::Complete`] means the
-    /// counts are exact over a subset of start vertices only.
-    pub fn status(&self) -> RunStatus {
-        self.status
-    }
-
-    /// Whether every start vertex was mined without faults.
-    pub fn is_complete(&self) -> bool {
-        self.status.is_complete()
-    }
-
-    /// Start vertices whose subtrees completed, ascending. Empty on a
-    /// fault-free complete run (meaning: all of them).
-    pub fn completed_start_vertices(&self) -> &[u32] {
-        &self.completed
-    }
-
-    /// Every isolated task panic, one record per attempt (software backend
-    /// only). Non-empty on a *complete* run only when a transient fault
-    /// healed on a retry (see [`EngineConfig::max_retries`]).
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// Start vertices abandoned after exhausting the retry budget
-    /// (software backend only). Non-empty iff the run is
-    /// [`RunStatus::Degraded`] (or a harsher stop masked it).
-    pub fn quarantined(&self) -> &[Fault] {
-        &self.quarantined
-    }
-
-    /// Tasks that ran far slower than the run's median task — the
-    /// load-imbalance observability report (software backend only; see
-    /// [`fm_engine::Straggler`]).
-    pub fn stragglers(&self) -> &[Straggler] {
-        &self.stragglers
-    }
-
-    /// Last periodic checkpoint-write failure, if any. Mining never stops
-    /// because durability did, but a resume may replay more work than the
-    /// configured interval promised.
-    pub fn checkpoint_error(&self) -> Option<&str> {
-        self.checkpoint_error.as_deref()
-    }
-
-    /// Total checkpoint-write attempts that failed over the run, counting
-    /// every retry of the capped-backoff write path — non-zero even when
-    /// a later retry succeeded and [`checkpoint_error`](Self::checkpoint_error)
-    /// is clear.
-    pub fn checkpoint_failures(&self) -> u64 {
-        self.checkpoint_failures
-    }
-
     /// Unique embedding counts, in pattern order.
     pub fn counts(&self) -> Vec<u64> {
         self.per_pattern.iter().map(|p| p.count).collect()
@@ -218,56 +114,27 @@ impl MiningOutcome {
     pub fn count(&self) -> u64 {
         self.per_pattern.first().map_or(0, |p| p.count)
     }
-
-    /// Per-pattern names and counts.
-    pub fn per_pattern(&self) -> &[PatternCount] {
-        &self.per_pattern
-    }
-
-    /// Software work counters (software backend only).
-    pub fn work(&self) -> Option<&WorkCounters> {
-        self.work.as_ref()
-    }
-
-    /// The accelerator simulation report (accelerator backend only).
-    pub fn sim_report(&self) -> Option<&SimReport> {
-        self.sim.as_ref()
-    }
-
-    /// The merged telemetry shard (software backend with
-    /// [`Miner::telemetry`] enabled only): depth-resolved work metrics,
-    /// task/frontier histograms, and trace spans.
-    pub fn telemetry(&self) -> Option<&fm_telemetry::TelemetryShard> {
-        self.telemetry.as_deref()
-    }
-
-    /// Host wall-clock time of the run. For the software backend this is
-    /// the baseline measurement the paper compares against; for the
-    /// accelerator backend prefer
-    /// [`SimReport::seconds`](fm_sim::SimReport::seconds) (simulated time).
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
 }
 
-/// Builder for mining jobs.
+/// Builder for mining jobs on the software engine (the paper's
+/// GraphZero-model CPU baseline). The accelerator takes the same plan:
+/// hand [`plan`](Miner::plan) to [`fm_sim::simulate`].
 ///
 /// # Examples
 ///
-/// 3-motif counting on the accelerator:
+/// 3-motif counting, on the engine and on the accelerator:
 ///
 /// ```
-/// use flexminer::{Backend, Miner};
+/// use flexminer::{Miner, SimConfig};
 /// use fm_graph::generators;
 /// use fm_pattern::motifs;
 ///
 /// let g = generators::erdos_renyi(60, 0.15, 3);
-/// let outcome = Miner::new(&g)
-///     .patterns(motifs::motifs(3))
-///     .induced(true)
-///     .backend(Backend::accelerator())
-///     .run()?;
-/// assert_eq!(outcome.per_pattern().len(), 2); // wedge + triangle
+/// let job = Miner::new(&g).patterns(motifs::motifs(3)).induced(true);
+/// let outcome = job.run()?;
+/// assert_eq!(outcome.per_pattern.len(), 2); // wedge + triangle
+/// let report = fm_sim::simulate(&g, &job.plan()?, &SimConfig::default());
+/// assert_eq!(report.counts, outcome.counts());
 /// # Ok::<(), flexminer::MineError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -275,28 +142,24 @@ pub struct Miner<'g> {
     graph: &'g CsrGraph,
     patterns: Vec<Pattern>,
     options: CompileOptions,
-    backend: Backend,
-    budget: Budget,
-    cancel: Option<CancelToken>,
-    checkpoint: Option<CheckpointConfig>,
+    config: EngineConfig,
+    /// Cancellation, checkpointing and telemetry; `resume` stays `None`
+    /// here and is filled from [`Miner::resume_from`]'s path by `run`.
+    control: MineOptions,
     resume: Option<PathBuf>,
-    telemetry: TelemetryOptions,
 }
 
 impl<'g> Miner<'g> {
-    /// Starts a mining job on `graph` (software backend, one thread,
-    /// edge-induced, symmetry breaking on, unlimited budget).
+    /// Starts a mining job on `graph` (one thread, edge-induced, symmetry
+    /// breaking on, unlimited budget).
     pub fn new(graph: &'g CsrGraph) -> Miner<'g> {
         Miner {
             graph,
             patterns: Vec::new(),
             options: CompileOptions::default(),
-            backend: Backend::default(),
-            budget: Budget::unlimited(),
-            cancel: None,
-            checkpoint: None,
+            config: EngineConfig::default(),
+            control: MineOptions::default(),
             resume: None,
-            telemetry: TelemetryOptions::default(),
         }
     }
 
@@ -333,35 +196,34 @@ impl<'g> Miner<'g> {
         self
     }
 
-    /// Selects the execution backend.
+    /// Sets the engine configuration: threads, [`Budget`], retries, the
+    /// hub index's budget and the mode ([`EngineConfig::paper_faithful`]).
+    /// The budget is the job's one budget: a deadline or set-op cap set
+    /// here stops the run as [`run_with_deadline`](Self::run_with_deadline)'s
+    /// deadline does.
     #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+    pub fn config(mut self, config: EngineConfig) -> Self {
+        self.config = config;
         self
     }
 
-    /// Sets the software backend's worker threads, keeping the rest of
-    /// its configuration. No-op for the accelerator backend, whose
-    /// parallelism is [`SimConfig::num_pes`].
+    /// Sets the engine's worker threads, keeping the rest of its
+    /// configuration.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
-        if let Backend::Software(cfg) = &mut self.backend {
-            cfg.threads = n;
-        }
+        self.config.threads = n;
         self
     }
 
-    /// Writes periodic durable [`Checkpoint`](fm_engine::Checkpoint)
-    /// snapshots to `path` (software backend only; the accelerator backend
-    /// rejects it with [`MineError::ControlUnsupported`]). The default
-    /// cadence — every 256 completed start-vertex tasks or 10 seconds,
-    /// whichever fires first — can be changed with
+    /// Writes periodic durable [`Checkpoint`] snapshots to `path`. The
+    /// default cadence — every 256 completed start-vertex tasks or 10
+    /// seconds, whichever fires first — can be changed with
     /// [`checkpoint_interval`](Self::checkpoint_interval). Snapshots are
     /// written atomically (temp file + fsync + rename), so an interrupted
     /// job can always [`resume_from`](Self::resume_from) the last one.
     #[must_use]
     pub fn checkpoint_to(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(CheckpointConfig::new(path));
+        self.control.checkpoint = Some(CheckpointConfig::new(path));
         self
     }
 
@@ -376,18 +238,18 @@ impl<'g> Miner<'g> {
         every_tasks: Option<u64>,
         every_wall: Option<Duration>,
     ) -> Self {
-        if let Some(ckpt) = &mut self.checkpoint {
+        if let Some(ckpt) = &mut self.control.checkpoint {
             ckpt.every_tasks = every_tasks.unwrap_or(0);
             ckpt.every_wall = every_wall;
         }
         self
     }
 
-    /// Resumes from the checkpoint file at `path` (software backend only):
-    /// already-completed start vertices are skipped and their contribution
-    /// seeded from the snapshot, so the final counts are bit-identical to
-    /// an uninterrupted run. The snapshot must record the same graph,
-    /// plan, and count-relevant engine knobs — a mismatch fails with
+    /// Resumes from the checkpoint file at `path`: already-completed start
+    /// vertices are skipped and their contribution seeded from the
+    /// snapshot, so the final counts are bit-identical to an uninterrupted
+    /// run. The snapshot must record the same graph, plan, and
+    /// count-relevant engine knobs — a mismatch fails with
     /// [`MineError::Checkpoint`], never a wrong count. Combine with
     /// [`checkpoint_to`](Self::checkpoint_to) (typically the same path) so
     /// the resumed run keeps checkpointing.
@@ -397,35 +259,24 @@ impl<'g> Miner<'g> {
         self
     }
 
-    /// Enables telemetry collection on the software backend (see
-    /// [`TelemetryOptions`]): depth/tier metrics and histograms, Chrome
-    /// trace spans, and/or live progress reporting. The default (all off)
+    /// Enables telemetry collection (see [`TelemetryOptions`]): depth/tier
+    /// metrics and histograms, Chrome trace spans, and/or live progress
+    /// reporting. The default (all off)
     /// keeps the run bit-identical to an uninstrumented one; the merged
-    /// shard is returned via [`MiningOutcome::telemetry`]. No-op for the
-    /// accelerator backend, whose observability lives in
-    /// [`SimReport`] (set [`SimConfig::timeline_every`] for timelines).
+    /// shard is returned in the outcome's
+    /// [`result.telemetry`](MiningResult::telemetry).
     #[must_use]
     pub fn telemetry(mut self, options: TelemetryOptions) -> Self {
-        self.telemetry = options;
+        self.control.telemetry = options;
         self
     }
 
-    /// Applies a resource [`Budget`] (software backend only). Limits
-    /// combine with any already set — each takes the tighter value — so a
-    /// budget on the job and one on the `EngineConfig` both hold.
-    #[must_use]
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = merge_budgets(self.budget, budget);
-        self
-    }
-
-    /// Attaches a cancellation handle (software backend only). Keep a
-    /// clone of the token; calling [`CancelToken::cancel`] from any thread
-    /// stops the job at its next start-vertex boundary with exact partial
-    /// counts.
+    /// Attaches a cancellation handle. Keep a clone of the token; calling
+    /// [`CancelToken::cancel`] from any thread stops the job at its next
+    /// start-vertex boundary with exact partial counts.
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.control.cancel = Some(token);
         self
     }
 
@@ -463,103 +314,56 @@ impl<'g> Miner<'g> {
     ///
     /// A run stopped early by a deadline, budget, cancellation, or an
     /// isolated task panic still returns `Ok`: the outcome's
-    /// [`status`](MiningOutcome::status) reports how it ended and the
-    /// counts are exact over
-    /// [`completed_start_vertices`](MiningOutcome::completed_start_vertices).
+    /// [`result.status`](MiningResult::status) reports how it ended and
+    /// the counts are exact over
+    /// [`result.completed`](MiningResult::completed).
     ///
     /// # Errors
     ///
     /// Returns [`MineError::NoPatterns`] for an empty job,
     /// [`MineError::MixedInducedSizes`] for invalid induced jobs,
-    /// [`MineError::ControlUnsupported`] when a budget or cancel token is
-    /// combined with the accelerator backend,
-    /// [`MineError::WatchdogTripped`] when the accelerator watchdog fires,
-    /// and [`MineError::PartialUnnormalizable`] when a partial
-    /// non-symmetry run cannot be normalized into unique counts.
+    /// [`MineError::Checkpoint`] for a resume snapshot that cannot be
+    /// loaded or does not match, and [`MineError::PartialUnnormalizable`]
+    /// when a partial non-symmetry run cannot be normalized into unique
+    /// counts.
     pub fn run(&self) -> Result<MiningOutcome, MineError> {
         let plan = self.plan()?;
         let start = std::time::Instant::now();
-        let (result, work, sim): (MiningResult, Option<WorkCounters>, Option<SimReport>) =
-            match &self.backend {
-                Backend::Software(cfg) => {
-                    let mut cfg = *cfg;
-                    cfg.budget = merge_budgets(cfg.budget, self.budget);
-                    // One funnel for every software job: resume snapshots
-                    // load here, then cancellation, recovery and telemetry
-                    // ride together through `mine_with` (the engine's
-                    // fully-general entry point — identical to `mine` when
-                    // all are off).
-                    let resume = self
-                        .resume
-                        .as_deref()
-                        .map(Checkpoint::load)
-                        .transpose()
-                        .map_err(MineError::Checkpoint)?;
-                    let opts = MineOptions {
-                        cancel: self.cancel.clone(),
-                        checkpoint: self.checkpoint.clone(),
-                        resume,
-                        telemetry: self.telemetry.clone(),
-                    };
-                    let result = fm_engine::mine_with(self.graph, &plan, &cfg, opts)
-                        .map_err(MineError::Checkpoint)?;
-                    let work = result.work;
-                    (result, Some(work), None)
-                }
-                Backend::Accelerator(cfg) => {
-                    if self.budget.is_limited()
-                        || self.cancel.is_some()
-                        || self.checkpoint.is_some()
-                        || self.resume.is_some()
-                    {
-                        return Err(MineError::ControlUnsupported);
-                    }
-                    let report = simulate(self.graph, &plan, cfg);
-                    if let Some(dump) = &report.watchdog {
-                        return Err(MineError::WatchdogTripped(Box::new(dump.clone())));
-                    }
-                    let result =
-                        MiningResult { counts: report.counts.clone(), ..Default::default() };
-                    (result, None, Some(report))
-                }
-            };
+        // Resume snapshots load here; cancellation, recovery and telemetry
+        // then ride together through `mine_with` (the engine's
+        // fully-general entry point — identical to `mine` when all are
+        // off).
+        let resume = self
+            .resume
+            .as_deref()
+            .map(Checkpoint::load)
+            .transpose()
+            .map_err(MineError::Checkpoint)?;
+        let opts = MineOptions { resume, ..self.control.clone() };
+        let result = fm_engine::mine_with(self.graph, &plan, &self.config, opts)
+            .map_err(MineError::Checkpoint)?;
         let elapsed = start.elapsed();
-        let raw = result
+        let unique = result
             .try_unique_counts(&plan)
             .ok_or(MineError::PartialUnnormalizable { status: result.status })?;
-        let per_pattern = plan
-            .patterns
-            .iter()
-            .zip(raw)
-            .map(|(meta, count)| PatternCount { name: meta.name.clone(), count })
-            .collect();
-        Ok(MiningOutcome {
-            per_pattern,
-            work,
-            sim,
-            elapsed,
-            status: result.status,
-            completed: result.completed,
-            faults: result.faults,
-            quarantined: result.quarantined,
-            stragglers: result.stragglers,
-            checkpoint_error: result.checkpoint_error,
-            checkpoint_failures: result.checkpoint_failures,
-            telemetry: result.telemetry,
-        })
+        Ok(MiningOutcome { per_pattern: PatternCount::named(&plan, unique), result, elapsed })
     }
 
-    /// Runs the job with a wall-clock deadline of `timeout` from *now*.
-    ///
-    /// Equivalent to `self.clone().budget(Budget::with_timeout(timeout)).run()`,
-    /// with the deadline anchored at the call instead of at builder time.
+    /// Runs the job with a wall-clock deadline of `timeout` from *now*,
+    /// anchored into the configuration's [`Budget`] at the call instead
+    /// of at builder time. A deadline the configuration already holds
+    /// stays if it is the earlier one.
     ///
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
     pub fn run_with_deadline(&self, timeout: Duration) -> Result<MiningOutcome, MineError> {
         let mut job = self.clone();
-        job.budget = merge_budgets(job.budget, Budget::with_timeout(timeout));
+        let budget = &mut job.config.budget;
+        budget.deadline = match (budget.deadline, Budget::with_timeout(timeout).deadline) {
+            (Some(held), Some(now)) => Some(held.min(now)),
+            (held, now) => held.or(now),
+        };
         job.run()
     }
 }
@@ -568,6 +372,7 @@ impl<'g> Miner<'g> {
 mod tests {
     use super::*;
     use fm_graph::generators;
+    use fm_sim::{simulate, SimConfig};
 
     #[test]
     fn empty_job_is_rejected() {
@@ -597,13 +402,13 @@ mod tests {
     fn backends_agree_and_report_their_extras() {
         let g = generators::powerlaw_cluster(150, 4, 0.5, 2);
         let job = Miner::new(&g).pattern(Pattern::diamond());
-        let sw = job.clone().run().unwrap();
-        let hw = job.clone().backend(Backend::accelerator()).run().unwrap();
+        let sw = job.run().unwrap();
+        let hw = simulate(&g, &job.plan().unwrap(), &SimConfig::default());
         let par = job.clone().threads(4).run().unwrap();
-        assert_eq!(sw.counts(), hw.counts());
+        assert_eq!(sw.counts(), hw.counts);
         assert_eq!(sw.counts(), par.counts());
-        assert!(sw.work().is_some() && sw.sim_report().is_none());
-        assert!(hw.work().is_none() && hw.sim_report().is_some());
+        assert!(sw.result.work.setop_invocations > 0);
+        assert!(hw.cycles > 0 && hw.watchdog.is_none());
     }
 
     #[test]
@@ -614,27 +419,46 @@ mod tests {
         let job = Miner::new(&g).pattern(Pattern::diamond());
         let sw = |hub_memory_budget| {
             let cfg = EngineConfig { hub_memory_budget, ..EngineConfig::default() };
-            job.clone().backend(Backend::Software(cfg)).run().unwrap()
+            job.clone().config(cfg).run().unwrap()
         };
         let (on, off) = (sw(1 << 22), sw(0));
         assert_eq!(on.counts(), off.counts());
-        assert!(on.work().unwrap().probe_dispatches > 0, "hubs of degree 90 must probe");
-        assert_eq!(off.work().unwrap().probe_dispatches, 0);
-        // The accelerator backend has no probe port.
-        let hw = job.backend(Backend::accelerator()).run().unwrap();
-        assert_eq!(hw.counts(), on.counts());
+        assert!(on.result.work.probe_dispatches > 0, "hubs of degree 90 must probe");
+        assert_eq!(off.result.work.probe_dispatches, 0);
+        // The accelerator has no probe port.
+        let hw = simulate(&g, &job.plan().unwrap(), &SimConfig::default());
+        assert_eq!(hw.counts, on.counts());
     }
 
+    /// The outcome is the engine's result, unedited: a budget-stopped
+    /// triangle and a complete 4-cycle read the same through `Miner::run`
+    /// as through `mine_with` on the same configuration.
     #[test]
-    fn threads_keeps_the_backend_it_is_given() {
-        let g = generators::powerlaw_cluster(150, 4, 0.5, 2);
-        let job = Miner::new(&g).pattern(Pattern::triangle());
-        let hw = job.clone().backend(Backend::accelerator()).threads(2).run().unwrap();
-        assert!(hw.sim_report().is_some(), "threads must not swap in the software engine");
-        let budget = Budget::with_max_setop_iterations(1);
-        let cfg = EngineConfig { budget, ..EngineConfig::default() };
-        let sw = job.backend(Backend::Software(cfg)).threads(2).run().unwrap();
-        assert_eq!(sw.status(), fm_engine::RunStatus::BudgetExhausted);
+    fn the_facade_drops_nothing() {
+        let g = generators::powerlaw_cluster(200, 4, 0.5, 3);
+        let stopped = EngineConfig {
+            budget: Budget::with_max_setop_iterations(300),
+            ..EngineConfig::default()
+        };
+        for (pattern, cfg, status) in [
+            (Pattern::triangle(), stopped, RunStatus::BudgetExhausted),
+            (Pattern::cycle(4), EngineConfig::default(), RunStatus::Complete),
+        ] {
+            // `threads` keeps the rest of the configuration, budget too.
+            let job = Miner::new(&g).pattern(pattern).config(cfg).threads(1);
+            let outcome = job.run().unwrap();
+            let plan = job.plan().unwrap();
+            let engine = fm_engine::mine_with(&g, &plan, &cfg, MineOptions::default()).unwrap();
+            let (got, want) = (&outcome.result, &engine);
+            assert_eq!(got.status, status);
+            assert_eq!(got.counts, want.counts);
+            assert_eq!(got.work, want.work);
+            assert_eq!(got.status, want.status);
+            assert_eq!(got.completed, want.completed);
+            assert_eq!(got.faults, want.faults);
+            assert_eq!(got.quarantined, want.quarantined);
+            assert_eq!(Some(outcome.counts()), want.try_unique_counts(&plan));
+        }
     }
 
     #[test]
@@ -656,26 +480,19 @@ mod tests {
     #[test]
     fn outcome_accessors() {
         let g = generators::complete(5);
-        let outcome = Miner::new(&g).pattern(Pattern::triangle()).run().unwrap();
+        let job = Miner::new(&g).pattern(Pattern::triangle());
+        let outcome = job.run().unwrap();
         assert_eq!(outcome.count(), 10);
-        assert_eq!(outcome.per_pattern()[0].name, "triangle");
+        assert_eq!(outcome.per_pattern[0].name, "triangle");
         assert_eq!(outcome.counts(), vec![10]);
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.status(), fm_engine::RunStatus::Complete);
-        assert!(outcome.faults().is_empty());
-        assert!(outcome.completed_start_vertices().is_empty());
-    }
-
-    #[test]
-    fn merged_budgets_take_the_tighter_limit() {
-        let a = Budget::with_max_setop_iterations(100);
-        let b = Budget::with_max_setop_iterations(7);
-        assert_eq!(merge_budgets(a, b).max_setop_iterations, Some(7));
-        assert_eq!(merge_budgets(b, Budget::unlimited()).max_setop_iterations, Some(7));
-        let t = Budget::with_timeout(Duration::from_secs(1));
-        let merged = merge_budgets(t, b);
-        assert_eq!(merged.deadline, t.deadline);
-        assert_eq!(merged.max_setop_iterations, Some(7));
+        assert!(outcome.result.status.is_complete());
+        assert_eq!(outcome.result.status, RunStatus::Complete);
+        assert!(outcome.result.faults.is_empty());
+        assert!(outcome.result.completed.is_empty());
+        // The accelerator's report names nothing: the plan does.
+        let plan = job.plan().unwrap();
+        let report = simulate(&g, &plan, &SimConfig::default());
+        assert_eq!(PatternCount::named(&plan, report.counts), outcome.per_pattern);
     }
 
     #[test]
@@ -688,10 +505,27 @@ mod tests {
                 .threads(threads)
                 .run_with_deadline(Duration::ZERO)
                 .unwrap();
-            assert_eq!(partial.status(), fm_engine::RunStatus::DeadlineExceeded);
-            assert!(!partial.is_complete());
+            assert_eq!(partial.result.status, RunStatus::DeadlineExceeded);
+            assert!(!partial.result.status.is_complete());
             assert!(partial.count() <= full.count());
         }
+    }
+
+    /// `run_with_deadline` keeps whichever deadline comes first: its own or
+    /// the one the configuration already holds.
+    #[test]
+    fn the_earlier_deadline_holds() {
+        let g = generators::powerlaw_cluster(200, 4, 0.5, 6);
+        let job = Miner::new(&g).pattern(Pattern::triangle());
+        let (now, later) = (Duration::ZERO, Duration::from_secs(600));
+        let run = |held, timeout| {
+            let cfg =
+                EngineConfig { budget: Budget::with_timeout(held), ..EngineConfig::default() };
+            job.clone().config(cfg).run_with_deadline(timeout).unwrap().result.status
+        };
+        assert_eq!(run(now, later), RunStatus::DeadlineExceeded);
+        assert_eq!(run(later, now), RunStatus::DeadlineExceeded);
+        assert_eq!(run(later, later), RunStatus::Complete);
     }
 
     #[test]
@@ -701,42 +535,8 @@ mod tests {
         token.cancel();
         let outcome =
             Miner::new(&g).pattern(Pattern::triangle()).cancel_token(token).run().unwrap();
-        assert_eq!(outcome.status(), fm_engine::RunStatus::Cancelled);
+        assert_eq!(outcome.result.status, RunStatus::Cancelled);
         assert_eq!(outcome.count(), 0);
-        assert!(outcome.completed_start_vertices().is_empty());
-    }
-
-    #[test]
-    fn accelerator_rejects_software_job_control() {
-        let g = generators::complete(4);
-        let job = Miner::new(&g)
-            .pattern(Pattern::triangle())
-            .backend(Backend::accelerator())
-            .budget(Budget::with_timeout(Duration::from_secs(60)));
-        assert_eq!(job.run().unwrap_err(), MineError::ControlUnsupported);
-        let token = fm_engine::CancelToken::new();
-        let job = Miner::new(&g)
-            .pattern(Pattern::triangle())
-            .backend(Backend::accelerator())
-            .cancel_token(token);
-        assert_eq!(job.run().unwrap_err(), MineError::ControlUnsupported);
-    }
-
-    #[test]
-    fn accelerator_watchdog_trip_is_a_structured_error() {
-        let g = generators::powerlaw_cluster(300, 5, 0.5, 17);
-        let cfg = fm_sim::SimConfig { watchdog_cycles: 1, num_pes: 1, ..Default::default() };
-        let err = Miner::new(&g)
-            .pattern(Pattern::k_clique(4))
-            .backend(Backend::Accelerator(cfg))
-            .run()
-            .unwrap_err();
-        match err {
-            MineError::WatchdogTripped(dump) => {
-                assert_eq!(dump.cap, 1);
-                assert!(dump.stuck_pes().count() > 0);
-            }
-            other => panic!("expected WatchdogTripped, got {other:?}"),
-        }
+        assert!(outcome.result.completed.is_empty());
     }
 }

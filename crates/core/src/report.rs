@@ -1,16 +1,19 @@
 //! Unified run reports: one metrics document and one Chrome-trace JSON
-//! per run, for both backends.
+//! per run, for both engines.
 //!
 //! Every machine-readable export of the workspace funnels through
 //! [`fm_telemetry`]: the CLI's `--metrics-out` writes a [`MetricsDoc`]
 //! (Prometheus text or JSON by file extension), `--trace-out` writes
 //! `chrome://tracing` / Perfetto JSON. The builders here are pure — they
-//! read a finished [`MiningOutcome`] and never touch the mining path.
+//! read a finished [`MiningOutcome`] or [`SimReport`] and never touch the
+//! mining path.
 
-use crate::miner::MiningOutcome;
+use crate::miner::{MiningOutcome, PatternCount};
+use fm_engine::MiningResult;
 use fm_sim::{SimConfig, SimReport, FSM_STATE_NAMES};
 use fm_telemetry::{chrome_trace_json, CounterEvent, MetricsDoc};
 use std::path::Path;
+use std::time::Duration;
 
 /// Adds a depth-labelled counter vector (`{depth="0"}, {depth="1"}, …`).
 fn depth_counter(doc: &mut MetricsDoc, name: &str, help: &str, values: &[u64]) {
@@ -22,94 +25,86 @@ fn depth_counter(doc: &mut MetricsDoc, name: &str, help: &str, values: &[u64]) {
 }
 
 /// Shared run-outcome metrics (counts, status, robustness rosters) added
-/// to both backends' documents.
-fn outcome_metrics(doc: &mut MetricsDoc, outcome: &MiningOutcome) {
-    let names: Vec<&str> = outcome.per_pattern().iter().map(|p| p.name.as_str()).collect();
+/// to both engines' documents.
+fn outcome_metrics(
+    doc: &mut MetricsDoc,
+    per_pattern: &[PatternCount],
+    result: &MiningResult,
+    elapsed: Duration,
+) {
+    let names: Vec<&str> = per_pattern.iter().map(|p| p.name.as_str()).collect();
     let pairs: Vec<[(&str, &str); 1]> = names.iter().map(|n| [("pattern", *n)]).collect();
     let rows: Vec<(&[(&str, &str)], u64)> =
-        pairs.iter().zip(outcome.per_pattern()).map(|(p, pc)| (p.as_slice(), pc.count)).collect();
+        pairs.iter().zip(per_pattern).map(|(p, pc)| (p.as_slice(), pc.count)).collect();
     doc.counter_vec("fm_pattern_count", "Unique embeddings found per pattern", &rows);
     doc.gauge_vec(
         "fm_run_status",
         "Run status (1 on the label matching how the run ended)",
-        &[(&[("status", outcome.status().as_str())], 1.0)],
+        &[(&[("status", result.status.as_str())], 1.0)],
     );
     doc.gauge("fm_run_complete", "1 iff every start vertex completed fault-free", {
-        if outcome.is_complete() {
+        if result.status.is_complete() {
             1.0
         } else {
             0.0
         }
     });
-    doc.gauge(
-        "fm_run_elapsed_seconds",
-        "Host wall-clock time of the run",
-        outcome.elapsed().as_secs_f64(),
-    );
-    doc.counter(
-        "fm_faults",
-        "Isolated task panics (one per attempt)",
-        outcome.faults().len() as u64,
-    );
+    doc.gauge("fm_run_elapsed_seconds", "Host wall-clock time of the run", elapsed.as_secs_f64());
+    doc.counter("fm_faults", "Isolated task panics (one per attempt)", result.faults.len() as u64);
     doc.counter(
         "fm_quarantined_tasks",
         "Start vertices abandoned after exhausting retries",
-        outcome.quarantined().len() as u64,
+        result.quarantined.len() as u64,
     );
     doc.counter(
         "fm_stragglers",
         "Tasks flagged far slower than the run median",
-        outcome.stragglers().len() as u64,
+        result.stragglers.len() as u64,
     );
     doc.gauge(
         "fm_checkpoint_write_failed",
         "1 iff periodic checkpointing stopped on a write error",
-        if outcome.checkpoint_error().is_some() { 1.0 } else { 0.0 },
+        if result.checkpoint_error.is_some() { 1.0 } else { 0.0 },
     );
     doc.counter(
         "fm_checkpoint_write_failures",
         "Failed checkpoint-write attempts (including retries that later healed)",
-        outcome.checkpoint_failures(),
+        result.checkpoint_failures,
     );
     doc.counter(
         "fm_progress_dropped",
         "Progress reports skipped because the emitter lock was contended",
-        outcome.telemetry().map_or(0, |s| s.progress_dropped),
+        result.telemetry.as_ref().map_or(0, |s| s.progress_dropped),
     );
     doc.counter(
         "fm_heartbeat_errors_total",
         "Heartbeat-file failures (the open that disabled the sink plus failed writes)",
-        outcome.telemetry().map_or(0, |s| s.heartbeat_errors),
+        result.telemetry.as_ref().map_or(0, |s| s.heartbeat_errors),
     );
 }
 
-/// Builds the metrics document for a software-backend run: outcome and
+/// Builds the metrics document for a software-engine run: outcome and
 /// aggregate [`WorkCounters`](fm_engine::WorkCounters) always; depth- and
 /// tier-resolved series plus task/frontier histograms when the run was
 /// executed with [`TelemetryOptions::metrics`](fm_engine::TelemetryOptions)
 /// enabled.
 pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
     let mut doc = MetricsDoc::new();
-    outcome_metrics(&mut doc, outcome);
-    if let Some(w) = outcome.work() {
-        doc.counter("fm_extensions", "Embedding extensions (search-tree edges)", w.extensions);
-        doc.counter("fm_setop_iterations", "Set-operation loop iterations", w.setop_iterations);
-        doc.counter(
-            "fm_setop_invocations",
-            "Set-operation kernel invocations",
-            w.setop_invocations,
-        );
-        doc.counter_vec(
-            "fm_dispatches",
-            "Adaptive dispatcher routing by kernel tier (partitions setop invocations)",
-            &[
-                (&[("tier", "merge")], w.merge_dispatches),
-                (&[("tier", "gallop")], w.gallop_dispatches),
-                (&[("tier", "probe")], w.probe_dispatches),
-            ],
-        );
-    }
-    if let Some(shard) = outcome.telemetry() {
+    outcome_metrics(&mut doc, &outcome.per_pattern, &outcome.result, outcome.elapsed);
+    let w = &outcome.result.work;
+    doc.counter("fm_extensions", "Embedding extensions (search-tree edges)", w.extensions);
+    doc.counter("fm_setop_iterations", "Set-operation loop iterations", w.setop_iterations);
+    doc.counter("fm_setop_invocations", "Set-operation kernel invocations", w.setop_invocations);
+    doc.counter_vec(
+        "fm_dispatches",
+        "Adaptive dispatcher routing by kernel tier (partitions setop invocations)",
+        &[
+            (&[("tier", "merge")], w.merge_dispatches),
+            (&[("tier", "gallop")], w.gallop_dispatches),
+            (&[("tier", "probe")], w.probe_dispatches),
+        ],
+    );
+    if let Some(shard) = &outcome.result.telemetry {
         depth_counter(
             &mut doc,
             "fm_depth_setop_iterations",
@@ -168,13 +163,19 @@ pub fn engine_metrics(outcome: &MiningOutcome) -> MetricsDoc {
     doc
 }
 
-/// Builds the metrics document for an accelerator-backend run: counts,
-/// cycle/traffic totals, and per-PE FSM-state occupancy
-/// ([`FSM_STATE_NAMES`]).
-pub fn sim_metrics(outcome: &MiningOutcome, cfg: &SimConfig) -> MetricsDoc {
-    let report = outcome.sim_report().expect("sim_metrics needs an accelerator outcome");
+/// Builds the metrics document for an accelerator run: counts
+/// (`per_pattern`, named from the plan), host time, cycle/traffic totals,
+/// and per-PE FSM-state occupancy ([`FSM_STATE_NAMES`]). The run-outcome
+/// series read as a complete run's: the simulator has no budget, retry
+/// or checkpoint, and a tripped watchdog is no report to export.
+pub fn sim_metrics(
+    report: &SimReport,
+    per_pattern: &[PatternCount],
+    elapsed: Duration,
+    cfg: &SimConfig,
+) -> MetricsDoc {
     let mut doc = MetricsDoc::new();
-    outcome_metrics(&mut doc, outcome);
+    outcome_metrics(&mut doc, per_pattern, &MiningResult::default(), elapsed);
     doc.counter("fm_sim_cycles", "Simulated execution time in PE cycles", report.cycles);
     doc.gauge(
         "fm_sim_seconds",
@@ -238,7 +239,7 @@ pub fn sim_metrics(outcome: &MiningOutcome, cfg: &SimConfig) -> MetricsDoc {
 /// (open in `chrome://tracing` or Perfetto). Runs without tracing enabled
 /// render an empty-but-valid trace.
 pub fn engine_trace(outcome: &MiningOutcome) -> String {
-    let spans = outcome.telemetry().map(|s| s.spans.as_slice()).unwrap_or(&[]);
+    let spans = outcome.result.telemetry.as_ref().map_or(&[][..], |s| s.spans.as_slice());
     chrome_trace_json("fm-engine", spans, &[])
 }
 
@@ -292,7 +293,7 @@ pub fn write_metrics(path: &Path, doc: &MetricsDoc) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::{Backend, Miner};
+    use crate::miner::Miner;
     use fm_engine::TelemetryOptions;
     use fm_graph::generators;
     use fm_pattern::Pattern;
@@ -318,7 +319,7 @@ mod tests {
         assert!(prom.contains("fm_trace_dropped_spans 0"), "{prom}");
         // The tier rows partition the invocation counter (satellite of the
         // dispatch-tier invariant).
-        let w = outcome.work().unwrap();
+        let w = &outcome.result.work;
         assert_eq!(
             w.merge_dispatches + w.gallop_dispatches + w.probe_dispatches,
             w.setop_invocations
@@ -331,12 +332,10 @@ mod tests {
     fn sim_metrics_expose_per_pe_occupancy() {
         let g = generators::powerlaw_cluster(120, 4, 0.5, 9);
         let cfg = fm_sim::SimConfig { num_pes: 3, timeline_every: 4096, ..Default::default() };
-        let outcome = Miner::new(&g)
-            .pattern(Pattern::cycle(4))
-            .backend(Backend::Accelerator(cfg))
-            .run()
-            .unwrap();
-        let doc = sim_metrics(&outcome, &cfg);
+        let plan = Miner::new(&g).pattern(Pattern::cycle(4)).plan().unwrap();
+        let report = fm_sim::simulate(&g, &plan, &cfg);
+        let per_pattern = PatternCount::named(&plan, report.counts.iter().copied());
+        let doc = sim_metrics(&report, &per_pattern, Duration::ZERO, &cfg);
         let prom = doc.to_prometheus();
         assert!(
             prom.contains("fm_sim_pe_occupancy_cycles{pe=\"0\",state=\"IteratingEdges\"}"),
@@ -344,7 +343,9 @@ mod tests {
         );
         assert!(prom.contains("fm_sim_pe_occupancy_cycles{pe=\"2\",state=\"Idle\"}"), "{prom}");
         assert!(prom.contains("fm_sim_cycles"), "{prom}");
-        let trace = sim_trace(outcome.sim_report().unwrap());
+        assert!(prom.contains("fm_pattern_count{pattern=\"4-cycle\"}"), "{prom}");
+        assert!(prom.contains("fm_run_status{status=\"Complete\"} 1"), "{prom}");
+        let trace = sim_trace(&report);
         assert!(trace.contains("pe_utilization"), "{trace}");
         assert!(trace.contains("\"ph\":\"C\""), "{trace}");
     }

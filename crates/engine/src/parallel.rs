@@ -83,7 +83,7 @@ pub fn mine_prepared_observed(
 
 /// Everything optional about a [`mine_with`] run. The default is a plain
 /// [`mine`].
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MineOptions {
     /// Polled like [`Budget::deadline`](crate::Budget::deadline): any clone
     /// of the token stops the job, inside a task if need be, and the result

@@ -11,7 +11,8 @@
 //! cargo run --release --example protein_motifs
 //! ```
 
-use flexminer::apps::{default_backend, motif_census};
+use flexminer::apps::motif_census;
+use flexminer::EngineConfig;
 use fm_graph::generators;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,8 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ppi.max_degree()
     );
 
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     for k in [3usize, 4] {
-        let census = motif_census(&ppi, k, default_backend())?;
+        let census = motif_census(&ppi, k, EngineConfig::with_threads(threads))?;
         let total: u64 = census.iter().map(|(_, c)| c).sum();
         println!("\n{k}-motif census ({total} induced subgraphs):");
         for (name, count) in &census {

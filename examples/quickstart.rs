@@ -1,10 +1,10 @@
-//! Quickstart: build a graph, compile a pattern, mine it on both backends.
+//! Quickstart: build a graph, compile a pattern, mine it on both engines.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use flexminer::{Backend, Miner, Pattern};
+use flexminer::{EngineConfig, Miner, Pattern, SimConfig};
 use fm_graph::GraphBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,20 +22,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sw = job.clone().run()?;
     println!("software engine: {} triangles", sw.count());
 
-    // 3. Mine on the simulated FlexMiner accelerator and read its report.
-    let hw = job.backend(Backend::accelerator()).run()?;
-    let report = hw.sim_report().expect("accelerator runs produce a report");
+    // 3. Run the same plan on the simulated FlexMiner accelerator and read
+    //    its report.
+    let report = fm_sim::simulate(&graph, &job.plan()?, &SimConfig::default());
     println!(
         "accelerator: {} triangles in {} cycles ({} PEs, {} NoC requests)",
-        hw.count(),
+        report.counts[0],
         report.cycles,
         report.pe_finish_cycles.len(),
         report.noc_traffic(),
     );
-    assert_eq!(sw.count(), hw.count());
+    assert_eq!(vec![sw.count()], report.counts);
 
-    // 4. Diamonds, edge-induced, multithreaded.
-    let diamonds = Miner::new(&graph).pattern(Pattern::diamond()).threads(4).run()?;
+    // 4. Diamonds, edge-induced, on every host thread.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cfg = EngineConfig::with_threads(threads);
+    let diamonds = Miner::new(&graph).pattern(Pattern::diamond()).config(cfg).run()?;
     println!("diamonds: {}", diamonds.count());
     Ok(())
 }

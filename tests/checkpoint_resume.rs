@@ -223,32 +223,33 @@ fn unreadable_snapshots_fail_loudly_through_every_layer() {
 }
 
 /// The same interrupt-and-resume loop end to end through the `Miner`
-/// facade builders, including quarantine/straggler accessors on the
-/// outcome.
+/// facade builders, reading the quarantine roster and checkpoint error off
+/// the outcome's engine result.
 #[test]
 fn miner_facade_checkpoints_and_resumes() {
     let g = generators::powerlaw_cluster(300, 5, 0.5, 37);
     let path = temp_ckpt("miner");
     let full = flexminer::Miner::new(&g).pattern(Pattern::cycle(4)).run().unwrap();
+    let budget = Budget::with_max_setop_iterations(500);
     let cut = flexminer::Miner::new(&g)
         .pattern(Pattern::cycle(4))
+        .config(EngineConfig { budget, ..EngineConfig::default() })
         .threads(4)
-        .budget(Budget::with_max_setop_iterations(500))
         .checkpoint_to(&path)
         .checkpoint_interval(Some(1), None)
         .run()
         .unwrap();
-    assert_eq!(cut.status(), RunStatus::BudgetExhausted);
+    assert_eq!(cut.result.status, RunStatus::BudgetExhausted);
     let resumed = flexminer::Miner::new(&g)
         .pattern(Pattern::cycle(4))
         .threads(4)
         .resume_from(&path)
         .run()
         .unwrap();
-    assert!(resumed.is_complete());
+    assert!(resumed.result.status.is_complete());
     assert_eq!(resumed.counts(), full.counts());
-    assert!(resumed.quarantined().is_empty());
-    assert_eq!(resumed.checkpoint_error(), None);
+    assert!(resumed.result.quarantined.is_empty());
+    assert_eq!(resumed.result.checkpoint_error, None);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -5,7 +5,7 @@
 //! because the root package's dev-dependencies enable the `failpoints`
 //! feature; release builds never compile it.
 
-use flexminer::{Backend, Budget, CancelToken, Miner, Pattern, RunStatus};
+use flexminer::{Budget, CancelToken, Miner, Pattern, RunStatus};
 use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{
     mine, mine_with, prepare, Checkpoint, CheckpointConfig, EngineConfig, Executor, JobCore,
@@ -100,14 +100,14 @@ fn cancel_from_another_thread_yields_exact_partial_counts() {
     // The race decides how far the run got; either way the counts must be
     // exactly reproducible from the completed start-vertex set.
     let plan = compile(&Pattern::k_clique(4), CompileOptions::default());
-    if outcome.is_complete() {
-        assert!(outcome.completed_start_vertices().is_empty());
+    if outcome.result.status.is_complete() {
+        assert!(outcome.result.completed.is_empty());
     } else {
-        assert_eq!(outcome.status(), RunStatus::Cancelled);
+        assert_eq!(outcome.result.status, RunStatus::Cancelled);
         let cfg = EngineConfig::default();
         let prepared = prepare(&g, &plan, &cfg);
         let mut ex = Executor::new(&prepared, &plan, &cfg);
-        for &v in outcome.completed_start_vertices() {
+        for &v in &outcome.result.completed {
             ex.run_vertex(VertexId(v));
         }
         assert_eq!(outcome.counts(), ex.finish().counts);
@@ -115,22 +115,23 @@ fn cancel_from_another_thread_yields_exact_partial_counts() {
 }
 
 /// A set-operation budget stops the run with `BudgetExhausted` and the
-/// same exactness guarantee, via the `Miner` budget builder.
+/// same exactness guarantee, via the budget of the `Miner`'s configuration.
 #[test]
 fn setop_budget_stops_with_exact_partial_counts() {
     let g = generators::powerlaw_cluster(400, 5, 0.5, 12);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
+    let budget = Budget::with_max_setop_iterations(200);
     let outcome = Miner::new(&g)
         .pattern(Pattern::cycle(4))
+        .config(EngineConfig { budget, ..EngineConfig::default() })
         .threads(4)
-        .budget(Budget::with_max_setop_iterations(200))
         .run()
         .unwrap();
-    assert_eq!(outcome.status(), RunStatus::BudgetExhausted);
+    assert_eq!(outcome.result.status, RunStatus::BudgetExhausted);
     let cfg = EngineConfig::default();
     let prepared = prepare(&g, &plan, &cfg);
     let mut ex = Executor::new(&prepared, &plan, &cfg);
-    for &v in outcome.completed_start_vertices() {
+    for &v in &outcome.result.completed {
         ex.run_vertex(VertexId(v));
     }
     assert_eq!(outcome.counts(), ex.finish().counts);
@@ -155,20 +156,6 @@ fn fault_and_deadline_compose_by_severity() {
     let r = mine(&g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::DeadlineExceeded);
     assert!(r.faults.is_empty());
-}
-
-/// Accelerator runs ignore software job control structurally: attaching a
-/// budget is a structured error, not silent truncation.
-#[test]
-fn accelerator_backend_rejects_budgets() {
-    let g = generators::complete(5);
-    let err = Miner::new(&g)
-        .pattern(Pattern::triangle())
-        .backend(Backend::accelerator())
-        .budget(Budget::with_max_setop_iterations(5))
-        .run()
-        .unwrap_err();
-    assert_eq!(err, flexminer::MineError::ControlUnsupported);
 }
 
 /// `mine_with` with a pre-cancelled token does no work at all.

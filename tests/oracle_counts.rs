@@ -4,7 +4,7 @@
 //! pinpoints an algorithmic bug rather than a differential one.
 
 use flexminer::apps;
-use flexminer::{Backend, Miner, Pattern};
+use flexminer::{EngineConfig, Miner, Pattern, SimConfig};
 use fm_graph::generators;
 
 fn count(g: &fm_graph::CsrGraph, p: Pattern) -> u64 {
@@ -88,7 +88,7 @@ fn caveman_clique_counts() {
     let g = generators::caveman(7, 8, 0, 3);
     for k in 3..=6 {
         assert_eq!(
-            apps::k_clique_count(&g, k, Backend::default()).expect("valid"),
+            apps::k_clique_count(&g, k, EngineConfig::default()).expect("valid"),
             7 * choose(8, k as u64),
             "k = {k}"
         );
@@ -98,15 +98,9 @@ fn caveman_clique_counts() {
 #[test]
 fn accelerator_matches_oracles_too() {
     let g = generators::complete_bipartite(4, 6);
-    assert_eq!(
-        Miner::new(&g)
-            .pattern(Pattern::cycle(4))
-            .backend(Backend::accelerator())
-            .run()
-            .expect("valid")
-            .count(),
-        choose(4, 2) * choose(6, 2)
-    );
+    let plan = Miner::new(&g).pattern(Pattern::cycle(4)).plan().expect("valid");
+    let report = fm_sim::simulate(&g, &plan, &SimConfig::default());
+    assert_eq!(report.counts, vec![choose(4, 2) * choose(6, 2)]);
 }
 
 #[test]
@@ -115,7 +109,7 @@ fn motif_census_totals_match_subset_enumeration() {
     // 3-subsets: wedges + triangles = sum over v of C(deg(v),2) - 2*triangles...
     // Simpler invariant: wedge_count_edge_induced = induced_wedges + 3*triangles.
     let g = generators::powerlaw_cluster(120, 4, 0.6, 2);
-    let census = apps::motif_census(&g, 3, Backend::default()).expect("valid");
+    let census = apps::motif_census(&g, 3, EngineConfig::default()).expect("valid");
     let by_name: std::collections::HashMap<_, _> = census.into_iter().collect();
     let edge_induced_wedges = count(&g, Pattern::wedge());
     let triangles = count(&g, Pattern::triangle());

@@ -2,14 +2,14 @@
 //!
 //! `apps::motif_census` takes two routes. By default it counts every
 //! k-motif *edge-induced* and solves the containment identity
-//! `edge(P) = Σ_H copies(P in H) · ind(H)` for the induced census; the
-//! accelerator backend and `paper_faithful` run one vertex-induced
-//! multi-pattern plan. Both must equal the pattern-oblivious ESU census
+//! `edge(P) = Σ_H copies(P in H) · ind(H)` for the induced census; under
+//! `paper_faithful` it runs one vertex-induced multi-pattern plan, the
+//! plan the accelerator runs. Both must equal the pattern-oblivious ESU census
 //! ([`oblivious::count_induced`]), at any thread count, and neither may
 //! report a census that a lost task left partial.
 
 use flexminer::apps::motif_census;
-use flexminer::{Backend, MineError};
+use flexminer::MineError;
 use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{oblivious, EngineConfig, RunStatus};
 use fm_graph::{generators, CsrGraph};
@@ -48,7 +48,7 @@ fn census_matches_esu(g: &CsrGraph, k: usize, threads: &[usize]) -> Result<(), T
     let names: Vec<String> = ms.iter().map(motifs::motif_name).collect();
     for &t in threads {
         for cfg in configs(t) {
-            let census = motif_census(g, k, Backend::Software(cfg)).expect("a complete run");
+            let census = motif_census(g, k, cfg).expect("a complete run");
             let (got_names, got): (Vec<String>, Vec<u64>) = census.into_iter().unzip();
             prop_assert_eq!(&got_names, &names);
             prop_assert_eq!(&got, &esu, "k={} threads={} faithful={}", k, t, cfg.paper_faithful);
@@ -87,7 +87,7 @@ fn a_lost_task_makes_the_census_an_error() {
             let fp = failpoint::guard("start_vertex", Trigger::OnContext(0), "injected");
             let cfg = EngineConfig { failpoint_scope: fp.scope(), ..cfg };
             assert_eq!(
-                motif_census(&g, k, Backend::Software(cfg)),
+                motif_census(&g, k, cfg),
                 Err(MineError::PartialUnnormalizable { status: RunStatus::Degraded }),
                 "k={k} faithful={}",
                 cfg.paper_faithful

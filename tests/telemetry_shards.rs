@@ -5,14 +5,14 @@
 //! count must report identical deterministic components (wall-clock parts
 //! — task-time histograms and span timestamps — are exempt by design).
 
-use flexminer::{Backend, EngineConfig, Miner, MiningOutcome, Pattern, TelemetryOptions};
+use flexminer::{EngineConfig, Miner, MiningOutcome, Pattern, TelemetryOptions};
 use fm_graph::generators;
 use proptest::prelude::*;
 
 fn observed(g: &fm_graph::CsrGraph, pattern: Pattern, threads: usize) -> MiningOutcome {
     Miner::new(g)
         .pattern(pattern)
-        .backend(Backend::Software(EngineConfig::with_threads(threads)))
+        .config(EngineConfig::with_threads(threads))
         .telemetry(TelemetryOptions { metrics: true, ..Default::default() })
         .run()
         .expect("observed run")
@@ -20,7 +20,7 @@ fn observed(g: &fm_graph::CsrGraph, pattern: Pattern, threads: usize) -> MiningO
 
 /// The deterministic projection of a shard, for cross-thread comparison.
 fn deterministic_parts(outcome: &MiningOutcome) -> (Vec<Vec<u64>>, [u64; 64], u64, u64) {
-    let s = outcome.telemetry().expect("metrics were enabled");
+    let s = outcome.result.telemetry.as_ref().expect("metrics were enabled");
     (
         vec![
             s.depth_setop_iterations.clone(),
@@ -51,7 +51,7 @@ fn shard_merge_is_thread_count_invariant() {
             );
         }
         // The depth series partition the aggregate counters exactly.
-        let work = single.work().expect("software backend reports work");
+        let work = &single.result.work;
         assert_eq!(baseline.0[0].iter().sum::<u64>(), work.setop_iterations);
         assert_eq!(baseline.0[1].iter().sum::<u64>(), work.setop_invocations);
         // And the three tier series partition the invocations.
