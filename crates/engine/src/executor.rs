@@ -9,7 +9,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
-use crate::setops::{self, Count};
+use crate::setops::{self, Count, Sink};
 use crate::stream::Stint;
 use crate::telemetry::Collector;
 use crate::EngineConfig;
@@ -150,6 +150,11 @@ struct State<'g> {
     /// vertices the running join has bumped.
     pair_counts: Vec<u32>,
     touched: Vec<VertexId>,
+    /// The local clique graph of the running task ([`local_cliques`]): `d`
+    /// bit rows of `⌈d/64⌉` words, and one candidate set per level between
+    /// `v2` and the leaf. Overwritten by each task, never rolled back.
+    rows: Vec<u64>,
+    sets: Vec<u64>,
     counts: Vec<u64>,
     /// `counts` as the running task found them, for its rollback.
     counts_before: Vec<u64>,
@@ -331,7 +336,9 @@ impl<'g> Resolved<'g> {
             };
             let leaf_pattern = match n.count {
                 CountRule::Enumerate => 0, // never read
-                CountRule::PairJoin { leaf } | CountRule::Tail { leaf, .. } => program.nodes[leaf]
+                CountRule::PairJoin { leaf }
+                | CountRule::Tail { leaf, .. }
+                | CountRule::Clique { leaf, .. } => program.nodes[leaf]
                     .pattern_index
                     .expect("a counted branch ends in a pattern leaf"),
             };
@@ -393,11 +400,13 @@ impl<'g> Resolved<'g> {
 
     /// Whether a count-only run ever calls a set-op kernel (the one reader
     /// of the hub bitmaps) over the nodes it reaches: a pair join or a tail
-    /// answers for everything below it, and a `Reuse` or a copy calls none.
+    /// answers for everything below it, a local clique graph builds its rows
+    /// by dispatch, and a `Reuse` or a copy calls none.
     fn dispatches_set_ops(&self) -> bool {
         fn stepped(run: &Resolved<'_>, n: usize) -> bool {
             let node = &run.nodes[n];
             matches!(node.op, Op::Extend { .. } | Op::Pipeline { .. })
+                || matches!(node.count, CountRule::Clique { .. })
                 || (node.count == CountRule::Enumerate
                     && run.children(node).iter().any(|&c| stepped(run, c)))
         }
@@ -725,7 +734,7 @@ fn enter(run: &Resolved<'_>, s: &mut State<'_>, node: &Node, w: VertexId) {
 
 /// Counts the subtree below `node`'s candidates without entering one, as
 /// the program decided ([`CountRule`]): a fused level, a pair join or a
-/// closed form (DESIGN.md §6f).
+/// closed form, or a local clique graph (DESIGN.md §6f).
 fn count<'g>(
     run: &Resolved<'g>,
     s: &mut State<'g>,
@@ -744,6 +753,7 @@ fn count<'g>(
             pair_join(run, s, node, &run.nodes[leaf], core, bound);
             return Ok(());
         }
+        CountRule::Clique { k, .. } => return local_cliques(run, s, node, k, stop, spent),
         CountRule::Tail { k, survivors, .. } => (k, survivors),
     };
     // `m`: how many candidates survive this node's bound and injectivity.
@@ -1074,6 +1084,145 @@ fn pair_join(
         found += cnt * cnt.saturating_sub(1) / 2;
     }
     credit(counts, work, x.leaf_pattern, u64::try_from(found).expect(COUNT_OVERFLOW));
+}
+
+/// The `(k−1)`-cliques of the DAG `v0`'s out-neighbours `a` (= `v1`'s
+/// `core`) induce (DESIGN.md §6f). Row `i` holds, as bits over positions in
+/// `a`, `a ∩ out(a[i])`: one ordinary dispatch per row, charged and polled
+/// as `v2`'s core always was. Below `v2` every level is a word `AND` of its
+/// parent's candidate set with a row, and a popcount. Every candidate of a
+/// level is charged as enumeration charges it — entered, or at the leaf
+/// credited — and an `AND` one `setop_iterations` per candidate it keeps:
+/// never more than the merge it stands for, and enough for a budget to
+/// bite. `stop` is polled after every row and every `AND`. An observed run
+/// charges rows and search to `v2`'s depth when the search ends, as the
+/// pair join its sweep: an attempt stopped inside leaves no depth charge.
+/// Out of line and copying `v1`'s core itself, it is one call in the task
+/// loop: with that copy inlined there, the triangle read × 1.02–1.09.
+#[inline(never)]
+fn local_cliques<'g>(
+    run: &Resolved<'g>,
+    s: &mut State<'g>,
+    v1: &Node,
+    k: usize,
+    stop: Stop<'_>,
+    spent: u64,
+) -> Result<(), Stint> {
+    let core = materialize(run, s, v1, None);
+    let State { frontiers, work, counts, telemetry, tick, rows, sets, .. } = s;
+    let a = list(frontiers, core);
+    let d = cut(a, None, work);
+    work.extensions += d as u64;
+    if d == 0 {
+        return Ok(());
+    }
+    let words = d.div_ceil(64);
+    rows.clear();
+    rows.resize(d * words, 0);
+    let before = run.observed.then_some(*work);
+    let mut entered = 0;
+    for (i, row) in rows.chunks_exact_mut(words).enumerate() {
+        run.prefetch(a, i);
+        fail_point!(run, "frontier_alloc", s.emb[0].0 as u64);
+        fail_point!(run, "csr_read", s.emb[0].0 as u64);
+        let adj = run.g.neighbors(a[i]);
+        let hub = run.hub_row(a[i], adj.len());
+        setops::intersect(a, adj, None, run.gallop_ratio, hub, Bits { a, at: 0, row }, work);
+        entered += row.iter().map(|b| u64::from(b.count_ones())).sum::<u64>();
+        poll(tick, stop, work, spent)?;
+    }
+    sets.clear();
+    sets.resize((k - 4) * words, 0);
+    let mut local = Local { rows, stop, spent, work, tick, entered, found: 0 };
+    for cand in rows.chunks_exact(words) {
+        match words {
+            1 => local.below::<1>(cand, sets, k - 3)?,
+            _ => local.below::<0>(cand, sets, k - 3)?,
+        }
+    }
+    let Local { entered, found, .. } = local;
+    if let (Some(t), Some(before)) = (telemetry.as_deref_mut(), before) {
+        t.charge_setops(v1.depth + 1, before, *work);
+    }
+    work.extensions += entered;
+    work.candidates_checked += entered + found;
+    credit(counts, work, v1.leaf_pattern, found);
+    Ok(())
+}
+
+/// A set-op sink writing a bit row over the sorted list `a` the kept
+/// vertices come from: each push sets its position's bit, found by a cursor
+/// that only moves forward, as the kept vertices ascend.
+struct Bits<'a> {
+    a: &'a [VertexId],
+    at: usize,
+    row: &'a mut [u64],
+}
+
+impl Sink for Bits<'_> {
+    #[inline]
+    fn push(&mut self, v: VertexId) {
+        while self.a[self.at] != v {
+            self.at += 1;
+        }
+        self.row[self.at / 64] |= 1 << (self.at % 64);
+        self.at += 1;
+    }
+}
+
+/// One task's search below `v2` of its local clique graph, and what it
+/// found so far: candidates entered below `v1`, and leaves.
+struct Local<'a, 'b> {
+    rows: &'a [u64],
+    stop: Stop<'b>,
+    spent: u64,
+    work: &'a mut WorkCounters,
+    tick: &'a mut u32,
+    entered: u64,
+    found: u64,
+}
+
+impl Local<'_, '_> {
+    /// Counts below the candidate set `cand` of a level `left` levels above
+    /// the leaf, each deeper level's set in the next `words` of `sets`.
+    /// `WORDS` is the row width where it is fixed at compile time, else 0:
+    /// one search, compiled once more for the common one-word rows.
+    fn below<const WORDS: usize>(
+        &mut self,
+        cand: &[u64],
+        sets: &mut [u64],
+        left: usize,
+    ) -> Result<(), Stint> {
+        let words = if WORDS > 0 { WORDS } else { cand.len() };
+        let (next, deeper) = sets.split_at_mut(if left > 1 { words } else { 0 });
+        for (i, &word) in cand.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let j = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let row = &self.rows[j * words..(j + 1) * words];
+                let mut kept = 0;
+                for w in 0..words {
+                    let both = cand[w] & row[w];
+                    kept += u64::from(both.count_ones());
+                    if left > 1 {
+                        next[w] = both;
+                    }
+                }
+                self.work.setop_iterations += kept;
+                poll(self.tick, self.stop, self.work, self.spent)?;
+                if left == 1 {
+                    self.found += kept;
+                } else {
+                    self.entered += kept;
+                    if kept > 0 {
+                        self.below::<WORDS>(next, deeper, left - 1)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

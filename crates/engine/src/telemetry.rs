@@ -8,7 +8,7 @@
 //! added — pinned by `tests/faithful_regression.rs` and the
 //! `ablation_telemetry` overhead gate.
 //!
-//! When enabled, each worker owns a private [`Collector`] (depth/tier
+//! When enabled, each worker owns a private `Collector` (depth/tier
 //! metric shard plus span ring); collectors never share state, and their
 //! shards merge commutatively into
 //! [`MiningResult::telemetry`](crate::MiningResult::telemetry) at join

@@ -31,6 +31,17 @@
 //!   survivors' adjacency lists bumping a count map (DwarvesGraph's cut at
 //!   `{v0, v3}` for the 4-cycle, with GraphZero's restrictions still in
 //!   force inside the sweep).
+//!
+//! One more shape is recognised by what it computes rather than by twins:
+//!
+//! * **Local clique graph** ([`CountRule::Clique`]). On the oriented DAG, a
+//!   branch whose levels `v1 … v(k−1)` are `out(v0)` and then a chain of
+//!   unbounded `Extend` intersections, nothing filtered or completed on the
+//!   way, counts the `(k−1)`-cliques of the DAG induced on `out(v0)`. With
+//!   `d = |out(v0)| ≤ √(2m)` that graph fits `d` bit rows of `⌈d/64⌉` words,
+//!   and every level below `v2` is a word `AND` (GraphMini's pruned
+//!   auxiliary graph, specialised to the one pattern where it is dense and
+//!   tiny). `k ≥ 4`: a triangle's local graph is only its row sizes.
 
 use crate::ir::FrontierHint;
 use crate::lowering::{parent_index, ProgNode, Program};
@@ -39,9 +50,10 @@ use crate::lowering::{parent_index, ProgNode, Program};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CountOptions {
     /// Allow the rules that change what a run *charges*: the counting
-    /// kernels, binomial tails and the pair join. Off for engines pinned to
-    /// the paper's work counters, which keep [`Survivors::Scan`] leaves —
-    /// charge-identical to enumeration — and nothing else.
+    /// kernels, binomial tails, the pair join and the local clique graph.
+    /// Off for engines pinned to the paper's work counters, which keep
+    /// [`Survivors::Scan`] leaves — charge-identical to enumeration — and
+    /// nothing else.
     pub closed_forms: bool,
 }
 
@@ -66,6 +78,15 @@ pub enum CountRule {
     PairJoin {
         /// Arena index of `Z`.
         leaf: usize,
+    },
+    /// This node is `v1` of an oriented `k`-clique chain ending at arena
+    /// node `leaf`: the subtree holds the `(k−1)`-cliques of the DAG that
+    /// `v0`'s out-neighbours induce.
+    Clique {
+        /// Arena index of the pattern leaf, at depth `k − 1`.
+        leaf: usize,
+        /// Vertices in the clique, `v0` included (at least 4).
+        k: usize,
     },
 }
 
@@ -99,6 +120,8 @@ pub fn count_leaves(prog: &mut Program, options: CountOptions) {
         }
         let (at, rule) = if !options.closed_forms {
             (leaf, CountRule::Tail { leaf, k: 1, survivors: Survivors::Scan })
+        } else if let Some(v1) = clique_head(prog, &parents, leaf) {
+            (v1, CountRule::Clique { leaf, k: prog.nodes[leaf].depth + 1 })
         } else if let Some(x) = pair_join_head(&prog.nodes, &parents, leaf) {
             (x, CountRule::PairJoin { leaf })
         } else {
@@ -160,6 +183,36 @@ fn pair_join_head(nodes: &[ProgNode], parents: &[Option<usize>], z: usize) -> Op
         && above_x(&zn.upper_bounds)
         && above_x(&zn.injectivity);
     joins.then_some(x)
+}
+
+/// `v1` of the clique chain whose leaf is `leaf`, if the program is
+/// oriented and the branch has that shape (module docs): every level below
+/// `v1` intersects its parent's core with the parent vertex's row, and no
+/// level bounds, skips or completes anything but the leaf at depth ≥ 3.
+fn clique_head(prog: &Program, parents: &[Option<usize>], leaf: usize) -> Option<usize> {
+    let nodes = &prog.nodes;
+    let plain = |n: &ProgNode| {
+        n.upper_bounds.is_empty() && n.injectivity.is_empty() && n.disconnected.is_empty()
+    };
+    if !prog.oriented || nodes[leaf].depth < 3 {
+        return None;
+    }
+    let mut at = leaf;
+    while nodes[at].depth >= 2 {
+        let n = &nodes[at];
+        let inner = at == leaf || passes_through(n);
+        if !(inner && plain(n) && n.frontier == FrontierHint::Extend) {
+            return None;
+        }
+        at = parents[at]?;
+    }
+    let v1 = &nodes[at];
+    let copies_v0 = v1.frontier == FrontierHint::None
+        && v1.extender == Some(0)
+        && v1.connected.is_empty()
+        && plain(v1)
+        && passes_through(v1);
+    copies_v0.then_some(at)
 }
 
 /// The cheapest sound way for `head` to count its survivors. The counting
@@ -226,7 +279,6 @@ mod tests {
     fn single_leaves_keep_the_two_paths_they_had() {
         let d = CompileOptions::default();
         assert_eq!(rules(&Pattern::triangle(), d, FUSED)[2], tail(2, 1, Survivors::Intersect));
-        assert_eq!(rules(&Pattern::k_clique(5), d, FUSED)[4], tail(4, 1, Survivors::Intersect));
         for p in [Pattern::cycle(5), Pattern::house(), Pattern::tailed_triangle(), Pattern::path(4)]
         {
             let got = rules(&p, d, FUSED);
@@ -275,13 +327,60 @@ mod tests {
                 .iter()
                 .filter_map(|n| match n.count {
                     CountRule::Enumerate => None,
-                    CountRule::Tail { leaf, .. } | CountRule::PairJoin { leaf } => Some(leaf),
+                    CountRule::Tail { leaf, .. }
+                    | CountRule::PairJoin { leaf }
+                    | CountRule::Clique { leaf, .. } => Some(leaf),
                 })
                 .collect();
             decided.sort_unstable();
             let leaves: Vec<usize> =
                 (0..prog.nodes.len()).filter(|&i| prog.nodes[i].children.is_empty()).collect();
             assert_eq!(decided, leaves, "{k}-motifs");
+        }
+    }
+
+    #[test]
+    fn oriented_cliques_from_four_count_in_the_local_graph() {
+        let d = CompileOptions::default();
+        for k in 4..=7 {
+            let got = rules(&Pattern::k_clique(k), d, FUSED);
+            let mut want = vec![E; k];
+            want[1] = CountRule::Clique { leaf: k - 1, k };
+            assert_eq!(got, want, "{k}-clique");
+        }
+        // Faithful engines keep the scan; the triangle keeps its kernel.
+        let faithful = CountOptions { closed_forms: false };
+        assert_eq!(rules(&Pattern::k_clique(4), d, faithful)[3], tail(3, 1, Survivors::Scan));
+        assert_eq!(rules(&Pattern::triangle(), d, FUSED)[1], E);
+        // Unoriented cliques (AutoMine's chain, or the symmetry order) may
+        // start at a hub: their local graph has no size bound.
+        for options in [CompileOptions::automine(), CompileOptions { orientation: false, ..d }] {
+            let got = rules(&Pattern::k_clique(4), options, FUSED);
+            assert!(!got.iter().any(|r| matches!(r, CountRule::Clique { .. })), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn near_misses_of_the_clique_chain_are_declined() {
+        let clique = || {
+            let plan = compile(&Pattern::k_clique(5), CompileOptions::default());
+            lower(&plan, LowerOptions::default())
+        };
+        let local = |p| decided(p).iter().any(|r| matches!(r, CountRule::Clique { .. }));
+        assert!(local(clique()));
+        let breaks: [fn(&mut Program); 7] = [
+            |p| p.oriented = false,
+            |p| p.nodes[2].upper_bounds = vec![1],
+            |p| p.nodes[3].injectivity = vec![0],
+            |p| p.nodes[4].disconnected = vec![0],
+            |p| p.nodes[2].pattern_index = Some(0),
+            |p| p.nodes[3].frontier = FrontierHint::Reuse,
+            |p| p.nodes[1].connected = vec![0],
+        ];
+        for (i, broken) in breaks.iter().enumerate() {
+            let mut p = clique();
+            broken(&mut p);
+            assert!(!local(p), "near miss {i}");
         }
     }
 

@@ -56,6 +56,10 @@ pub fn count_listing(prog: &Program) -> String {
                 let y = node.children[0];
                 format!("pair-join {},{} → {} (count map)", names[i], names[y], names[leaf])
             }
+            CountRule::Clique { leaf, k } => {
+                let v0 = format!("v{}", node.depth - 1);
+                format!("{}-cliques of {v0}.N's local graph → {}", k - 1, names[leaf])
+            }
             CountRule::Tail { leaf, k, survivors } => {
                 let merged = || format!("|prefix ∩ v{}.N|", node.depth - 1);
                 let m = match survivors {
@@ -165,6 +169,14 @@ mod tests {
         assert_eq!(counting(&Pattern::diamond(), d), "count: choose(|prefix ∩ v1.N|, 2) → v3\n");
         assert_eq!(counting(&Pattern::star(3), d), "count: choose(|core(v1)|, 3) → v3\n");
         assert_eq!(counting(&Pattern::triangle(), d), "count: |prefix ∩ v1.N| → v2\n");
+        assert_eq!(
+            counting(&Pattern::k_clique(4), d),
+            "count: 3-cliques of v0.N's local graph → v3\n"
+        );
+        assert_eq!(
+            counting(&Pattern::k_clique(6), d),
+            "count: 5-cliques of v0.N's local graph → v5\n"
+        );
         assert_eq!(
             counting(&Pattern::wedge(), CompileOptions::induced()),
             "count: |prefix| − |prefix ∩ v1.N| → v2\n"

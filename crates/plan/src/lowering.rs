@@ -20,9 +20,10 @@ pub struct LowerOptions {
     /// Push symmetry bounds down into candidate generation: mark an op
     /// [`bounded_build`](ProgNode::bounded_build) whenever truncating its
     /// materialized core at the vid bound is provably invisible to every
-    /// transitive frontier consumer (see [`bound_is_covered`]). When
-    /// disabled, only ops whose core no descendant consumes are marked —
-    /// the conservative rule matching the paper's SIU, whose merge FSM
+    /// transitive frontier consumer: each consumer's own bounds reach the
+    /// truncating level through the order its ancestors' bounds establish.
+    /// When disabled, only ops whose core no descendant consumes are marked
+    /// — the conservative rule matching the paper's SIU, whose merge FSM
     /// (Fig. 9) has no bound port. The cycle-accurate simulator and
     /// `paper_faithful` engine runs lower with this off.
     pub bounded_pushdown: bool,
@@ -43,6 +44,10 @@ pub struct Program {
     pub nodes: Vec<ProgNode>,
     /// Number of DFS levels.
     pub depth: usize,
+    /// The program runs on the degree-oriented DAG
+    /// ([`ExecutionPlan::orientation`]): no vertex has more than `√(2m)`
+    /// out-neighbours.
+    pub oriented: bool,
     /// Always empty. Read only by `benchmark/` (`plan.reuse_prefixes`
     /// prints its `.len()`); goes when that line is retired.
     pub prefixes: [(); 0],
@@ -135,7 +140,7 @@ pub fn lower(plan: &ExecutionPlan, options: LowerOptions) -> Program {
     let mut nodes = Vec::with_capacity(plan.node_count());
     flatten(&plan.root, options, true, &mut nodes);
     annotate(&mut nodes, options);
-    Program { nodes, depth: plan.depth(), prefixes: [] }
+    Program { nodes, depth: plan.depth(), oriented: plan.orientation, prefixes: [] }
 }
 
 fn flatten(

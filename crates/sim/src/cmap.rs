@@ -138,8 +138,8 @@ impl HwCmap {
         (self.store.len() + additional) as f64 > threshold * self.entries as f64
     }
 
-    /// Expected probe cycles at the current occupancy (see
-    /// [`probe_cycles`]). Constant between an insertion and the next
+    /// Expected probe cycles at the current occupancy (the module's
+    /// `probe_cycles` model). Constant between an insertion and the next
     /// insertion or invalidation, so a stream of queries may read it once.
     #[inline]
     pub fn access_cycles(&self) -> u64 {

@@ -183,8 +183,13 @@ fn cut_and_resume(
     assert!(cut.faults.is_empty(), "a stop is not a fault: {:?}", cut.faults);
     let prepared = prepare(g, plan, cfg);
     let mut replay = Executor::new(&prepared, plan, cfg);
-    for &v in &cut.completed {
-        replay.run_vertex(VertexId(v));
+    // `completed` is empty on a fault-free complete run, meaning all of them.
+    let completed = match cut.status {
+        RunStatus::Complete if cut.completed.is_empty() => prepared.vertices().collect(),
+        _ => cut.completed.iter().map(|&v| VertexId(v)).collect::<Vec<_>>(),
+    };
+    for v in completed {
+        replay.run_vertex(v);
     }
     assert_eq!(replay.finish().counts, cut.counts, "exact over the completed tasks");
     let resume = Some(Checkpoint::load(&path).expect("the final snapshot"));

@@ -28,10 +28,11 @@
 //! Beside it: partial results under a tight iteration budget replay
 //! exactly over their completed set, the default engine agrees with the
 //! faithful one on a hub-heavy power-law graph and on a mesh, and the
-//! default engine's counters on a fixed graph are pinned: the plans whose
-//! leaves count as they did (triangle, 4-clique, 5-clique) to the numbers
-//! PR 19's parent produced with its reuse tier switched off, the 4-cycle,
-//! diamond and 3-motif census to what their closed forms charge.
+//! default engine's counters on a fixed graph are pinned: the triangle to
+//! the numbers the engine produced with its reuse tier switched off, before
+//! that tier was deleted, the 4-cycle, diamond, 3-motif census and the
+//! local clique graph of the 4- and 5-clique to what their closed forms
+//! charge.
 
 use fm_engine::{
     count_program, mine, oblivious, prepare, Budget, EngineConfig, Executor, RunStatus,
@@ -248,11 +249,12 @@ fn default_agrees_with_faithful_on_powerlaw_and_mesh() {
 
 /// Unique counts and `WorkCounters::words()` on
 /// `gen:powerlaw,n=2000,m=8,closure=0.4,seed=1` (1 and 3 threads agree).
-/// The triangle and clique rows are PR 19's parent with
-/// `EngineConfig { reuse: false, .. }` and have not moved since: deleting
+/// The triangle row is the engine before the reuse tier's deletion with
+/// `EngineConfig { reuse: false, .. }` and has not moved since: deleting
 /// that tier left the default engine exactly there, and so does deciding
-/// their leaves' counting rule ahead of time. The 4-cycle (pair join),
-/// diamond (binomial tail) and 3-motif (count-only difference) rows were
+/// its leaf's counting rule ahead of time. The 4-cycle (pair join),
+/// diamond (binomial tail), 3-motif (count-only difference) and clique
+/// (local clique graph: only the set-op words moved) rows were
 /// re-recorded when those rules landed; the counts never moved. Each row
 /// carried a ninth word, the SIMD tier's dispatches, until that tier went;
 /// they are on the merge tier here.
@@ -265,9 +267,9 @@ fn default_engine_reproduces_the_parents_reuse_off_counters() {
         (single(Pattern::triangle()), &[9920],
          [165975, 15964, 165979, 25884, 27884, 15739, 225, 0]),
         (single(Pattern::k_clique(4)), &[1993],
-         [220648, 25884, 220720, 27877, 29877, 24930, 954, 0]),
+         [167968, 15964, 165979, 27877, 29877, 15739, 225, 0]),
         (single(Pattern::k_clique(5)), &[848],
-         [225550, 27877, 225626, 28725, 30725, 26331, 1546, 0]),
+         [168816, 15964, 165979, 28725, 30725, 15739, 225, 0]),
         (single(Pattern::cycle(4)), &[118809],
          [465797, 0, 107104, 15964, 120809, 0, 0, 0]),
         (single(Pattern::diamond()), &[62590],

@@ -11,7 +11,10 @@
 //!   they were 0 in every row kept here. They carried a ninth word, the
 //!   SIMD tier's dispatches, until that tier went: its dispatches are on
 //!   the merge tier here, word for word the rows the parent recorded with
-//!   the tier switched off.)
+//!   the tier switched off.) The `default` and `no_hub` rows of the 4- and
+//!   5-clique were re-recorded when those plans moved to the local clique
+//!   graph (DESIGN.md §6f): their counts, `candidates_checked` and
+//!   `extensions` are the enumeration's, and only the set-op words moved.
 //! - **Per task.** On arbitrary patterns and graphs, after each
 //!   `run_vertex(v)` the fused executor's counts equal those of one forced
 //!   to enumerate (`collect_matches`), and an observed run reports the
@@ -70,15 +73,15 @@ const POWERLAW: [Pin; 21] = [
     ("triangle", "faithful", &[10058],
      [166564, 15964, 166564, 26022, 28022, 0, 0, 0]),
     ("4-clique", "default", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 25160, 862, 0]),
+     [168529, 15964, 166564, 27987, 29987, 15747, 217, 0]),
     ("4-clique", "no_hub", &[1965],
-     [221937, 26022, 221937, 27987, 29987, 25160, 862, 0]),
+     [168529, 15964, 166564, 27987, 29987, 15747, 217, 0]),
     ("4-clique", "faithful", &[1965],
      [221937, 26022, 221937, 27987, 29987, 0, 0, 0]),
     ("5-clique", "default", &[674],
-     [227061, 27987, 227061, 28661, 30661, 26728, 1259, 0]),
+     [169203, 15964, 166564, 28661, 30661, 15747, 217, 0]),
     ("5-clique", "no_hub", &[674],
-     [227061, 27987, 227061, 28661, 30661, 26728, 1259, 0]),
+     [169203, 15964, 166564, 28661, 30661, 15747, 217, 0]),
     ("5-clique", "faithful", &[674],
      [227061, 27987, 227061, 28661, 30661, 0, 0, 0]),
     ("4-cycle", "default", &[124212],
@@ -117,15 +120,15 @@ const CAVEMAN: [Pin; 21] = [
     ("triangle", "faithful", &[33003],
      [72363, 11996, 72363, 44999, 47199, 0, 0, 0]),
     ("4-clique", "default", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 39362, 5637, 0]),
+     [138363, 11996, 72363, 110999, 113199, 10726, 1270, 0]),
     ("4-clique", "no_hub", &[66000],
-     [212186, 44999, 212186, 110999, 113199, 39362, 5637, 0]),
+     [138363, 11996, 72363, 110999, 113199, 10726, 1270, 0]),
     ("4-clique", "faithful", &[66000],
      [212186, 44999, 212186, 110999, 113199, 0, 0, 0]),
     ("5-clique", "default", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 93722, 17277, 0]),
+     [230763, 11996, 72363, 203399, 205599, 10726, 1270, 0]),
     ("5-clique", "no_hub", &[92400],
-     [418511, 110999, 418511, 203399, 205599, 93722, 17277, 0]),
+     [230763, 11996, 72363, 203399, 205599, 10726, 1270, 0]),
     ("5-clique", "faithful", &[92400],
      [418511, 110999, 418511, 203399, 205599, 0, 0, 0]),
     ("4-cycle", "default", &[198055],
@@ -245,9 +248,17 @@ fn the_stock_plans_fuse_where_the_design_says() {
     let plans = requests();
     let fused: Vec<&str> =
         plans.iter().filter(|(_, plan)| fuses(plan, &cfg)).map(|(name, _)| *name).collect();
-    // The joined 4-cycle dispatches nothing; everything else ends in a
+    // The joined 4-cycle dispatches nothing, the oriented cliques from four
+    // vertices count in their local graph; everything else ends in a
     // counting kernel one level below an enumerated node.
-    assert_eq!(fused, ["triangle", "4-clique", "5-clique", "diamond", "motifs 3", "motifs 4"]);
+    assert_eq!(fused, ["triangle", "diamond", "motifs 3", "motifs 4"]);
+    for (name, plan) in &plans {
+        let local = count_program(plan, &cfg)
+            .nodes
+            .iter()
+            .any(|n| matches!(n.count, CountRule::Clique { .. }));
+        assert_eq!(local, name.ends_with("-clique"), "{name}");
+    }
     // Nothing fuses where the leaves scan: `paper_faithful`.
     assert!(plans.iter().all(|(_, plan)| !fuses(plan, &EngineConfig::paper_faithful())));
 }
