@@ -17,24 +17,9 @@ use fm_graph::{orient_by_degree, CsrGraph, HubBitmaps, HubRow, VertexId};
 use fm_pattern::DepthSet;
 use fm_plan::lowering::{lower, LowerOptions, Program};
 use fm_plan::{count_leaves, CountOptions, CountRule, ExecutionPlan, FrontierHint, Survivors};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// Applies the plan's preprocessing directive to the data graph: k-clique
-/// plans run on the degree-oriented DAG (§V-C), everything else on the
-/// symmetric graph.
-///
-/// "The preprocessing time is usually less than 1% of the execution time,
-/// and once converted, the graph can be used for any k-CL."
-pub fn prepare_graph<'g>(graph: &'g CsrGraph, plan: &ExecutionPlan) -> Cow<'g, CsrGraph> {
-    if plan.orientation {
-        Cow::Owned(orient_by_degree(graph))
-    } else {
-        Cow::Borrowed(graph)
-    }
-}
 
 /// A `T` its holder either borrows or co-owns, so that a
 /// [`JobCore`](crate::JobCore) can run over a caller's stack or outlive it.
@@ -112,8 +97,13 @@ impl std::ops::Deref for PreparedGraph<'_> {
     }
 }
 
-/// [`prepare_graph`] plus the hub-bitmap build: the one preprocessing step
-/// of every mining entry point, so all see the same index.
+/// The one preprocessing step of every mining entry point and of the
+/// simulator, so all see the same graph and index: k-clique plans run on
+/// the degree-oriented DAG (§V-C), everything else on the symmetric graph,
+/// and the hub bitmaps are built as [`PreparedGraph`] says.
+///
+/// "The preprocessing time is usually less than 1% of the execution time,
+/// and once converted, the graph can be used for any k-CL."
 pub fn prepare<'g>(
     graph: &'g CsrGraph,
     plan: &ExecutionPlan,
@@ -255,11 +245,6 @@ struct Node {
     op: Op,
     /// Back on `Enumerate` everywhere under [`Executor::collect_matches`].
     count: CountRule,
-    /// `count` enumerates and every child is a counting kernel: one loop
-    /// over the survivors counts them ([`fused`]); `lean`, over one plain
-    /// kernel (unbounded, `k = 1`) with no filter or pattern of its own.
-    fused: bool,
-    lean: bool,
     /// The pattern the leaf of a counted branch completes.
     leaf_pattern: usize,
     /// Symmetry-order upper bounds: the smallest vertex at these levels.
@@ -348,8 +333,6 @@ impl<'g> Resolved<'g> {
                 depth: n.depth,
                 op,
                 count: n.count,
-                fused: false,
-                lean: false,
                 leaf_pattern,
                 bounds: set(&n.upper_bounds),
                 distinct: set(&n.injectivity),
@@ -359,25 +342,6 @@ impl<'g> Resolved<'g> {
                 pattern: n.pattern_index,
                 children: first_child..children.len(),
             });
-        }
-        for i in 0..nodes.len() {
-            let kernel = |s| matches!(s, Survivors::Intersect | Survivors::Difference);
-            let kids = &children[nodes[i].children.clone()];
-            nodes[i].fused = nodes[i].count == CountRule::Enumerate
-                && !kids.is_empty()
-                && kids.iter().all(|&c| {
-                    matches!(nodes[c].count, CountRule::Tail { survivors, .. } if kernel(survivors))
-                });
-            // A `k = 1` tail's leaf is the node itself.
-            let plain = |c: usize| {
-                let kernel = CountRule::Tail { leaf: c, k: 1, survivors: Survivors::Intersect };
-                nodes[c].count == kernel && nodes[c].bounds.is_empty()
-            };
-            let Node { fused, distinct, pattern, .. } = nodes[i];
-            nodes[i].lean = fused
-                && distinct.is_empty()
-                && pattern.is_none()
-                && matches!(kids, &[c] if plain(c));
         }
         Resolved {
             g: g.graph(),
@@ -492,7 +456,7 @@ impl<'g> Executor<'g> {
     pub fn collect_matches(&mut self) {
         self.run.collect = true;
         for node in &mut self.run.nodes {
-            (node.count, node.fused, node.lean) = (CountRule::Enumerate, false, false);
+            node.count = CountRule::Enumerate;
         }
     }
 
@@ -682,7 +646,7 @@ fn run_task<'g>(
         if let Some(&c) = kids.get(child) {
             s.frames[top].child = child + 1;
             let kid = &run.nodes[c];
-            let enumerates = kid.count == CountRule::Enumerate && !kid.fused;
+            let enumerates = kid.count == CountRule::Enumerate;
             if enumerates {
                 let bound = kid.bound(&s.emb);
                 let core = materialize(run, s, kid, bound);
@@ -733,8 +697,8 @@ fn enter(run: &Resolved<'_>, s: &mut State<'_>, node: &Node, w: VertexId) {
 }
 
 /// Counts the subtree below `node`'s candidates without entering one, as
-/// the program decided ([`CountRule`]): a fused level, a pair join or a
-/// closed form, or a local clique graph (DESIGN.md §6f).
+/// the program decided ([`CountRule`]): a pair join, a closed form, or a
+/// local clique graph (DESIGN.md §6f).
 fn count<'g>(
     run: &Resolved<'g>,
     s: &mut State<'g>,
@@ -744,10 +708,7 @@ fn count<'g>(
 ) -> Result<(), Stint> {
     let bound = node.bound(&s.emb);
     let (k, survivors) = match node.count {
-        CountRule::Enumerate => {
-            let core = materialize(run, s, node, bound);
-            return fused(run, s, node, core, bound, stop, spent);
-        }
+        CountRule::Enumerate => unreachable!("an enumerating node is entered, not counted"),
         CountRule::PairJoin { leaf } => {
             let core = materialize(run, s, node, bound);
             pair_join(run, s, node, &run.nodes[leaf], core, bound);
@@ -773,106 +734,34 @@ fn count<'g>(
             s.work.candidates_checked += m;
             m
         }
+        // How many of the parent's core below the bound are — for a
+        // difference, are not — adjacent to the parent's vertex: the
+        // dispatcher's kernel into the counting sink, charged as the merge
+        // it replaces.
         Survivors::Intersect | Survivors::Difference => {
-            let core = s.cores[node.depth - 1];
-            let State { frontiers, emb, work, telemetry, .. } = s;
-            kernel_count(run, emb, work, telemetry, node, list(frontiers, core))
+            fail_point!(run, "frontier_alloc", s.emb[0].0 as u64);
+            fail_point!(run, "csr_read", s.emb[0].0 as u64);
+            let diff = survivors == Survivors::Difference;
+            let (core, v) = (list(&s.frontiers, s.cores[node.depth - 1]), s.emb[node.depth - 1]);
+            let before = run.observed.then_some(s.work);
+            let prefix = match (diff, bound) {
+                (true, Some(b)) => setops::bounded_prefix(core, b, &mut s.work),
+                _ => core,
+            };
+            let adj = run.g.neighbors(v);
+            let (hub, ratio) = (run.hub_row(v, adj.len()), run.gallop_ratio);
+            let Count(common) =
+                setops::intersect(prefix, adj, bound, ratio, hub, Count(0), &mut s.work);
+            if let (Some(t), Some(before)) = (s.telemetry.as_deref_mut(), before) {
+                t.charge_setops(node.depth, before, s.work);
+            }
+            let m = if diff { prefix.len() as u64 - common } else { common };
+            s.work.candidates_checked += m;
+            m
         }
     };
     credit(&mut s.counts, &mut s.work, node.leaf_pattern, choose(m, k));
     Ok(())
-}
-
-/// The fused last level (DESIGN.md §6g): every child of `node` is a
-/// counting kernel over `node`'s own core, so one loop filters the
-/// survivors and runs each child's kernel, charging what entering each
-/// survivor would. A `lean` node's loop only sums its one kernel and
-/// charges the entries and the credit once, at the end.
-fn fused(
-    run: &Resolved<'_>,
-    s: &mut State<'_>,
-    node: &Node,
-    core: Core<'_>,
-    bound: Option<VertexId>,
-    stop: Stop<'_>,
-    spent: u64,
-) -> Result<(), Stint> {
-    let State { frontiers, emb, work, counts, telemetry, tick, .. } = s;
-    let core = list(frontiers, core);
-    let end = cut(core, bound, work);
-    if end == 0 {
-        return Ok(());
-    }
-    if node.lean && !run.observed {
-        let mut found = 0;
-        for (i, &w) in core[..end].iter().enumerate() {
-            run.prefetch(core, i);
-            fail_point!(run, "frontier_alloc", emb[0].0 as u64);
-            fail_point!(run, "csr_read", emb[0].0 as u64);
-            let adj = run.g.neighbors(w);
-            let (hub, ratio) = (run.hub_row(w, adj.len()), run.gallop_ratio);
-            found += setops::intersect(core, adj, None, ratio, hub, Count(0), work).0;
-            poll(tick, stop, work, spent)?;
-        }
-        work.candidates_checked += found;
-        work.extensions += end as u64;
-        let leaf = run.nodes[run.children(node)[0]].leaf_pattern;
-        credit(counts, work, leaf, found);
-        return Ok(());
-    }
-    for (i, &w) in core[..end].iter().enumerate() {
-        run.prefetch(core, i);
-        if node.taken(emb, w) {
-            continue;
-        }
-        work.extensions += 1;
-        if let Some(pi) = node.pattern {
-            counts[pi] += 1;
-        }
-        emb.push(w);
-        for &leaf in run.children(node) {
-            let leaf = &run.nodes[leaf];
-            let CountRule::Tail { k, .. } = leaf.count else { unreachable!("fused over tails") };
-            let m = kernel_count(run, emb, work, telemetry, leaf, core);
-            credit(counts, work, leaf.leaf_pattern, choose(m, k));
-        }
-        emb.pop();
-        poll(tick, stop, work, spent)?;
-    }
-    Ok(())
-}
-
-/// How many of the parent's `core` below `leaf`'s bound are — for a
-/// difference, are not — adjacent to the parent's vertex, the last of
-/// `emb`: the dispatcher's kernel into the counting sink, charged as the
-/// merge it replaces.
-#[inline(always)]
-fn kernel_count(
-    run: &Resolved<'_>,
-    emb: &[VertexId],
-    work: &mut WorkCounters,
-    telemetry: &mut Option<Box<Collector>>,
-    leaf: &Node,
-    core: &[VertexId],
-) -> u64 {
-    fail_point!(run, "frontier_alloc", emb[0].0 as u64);
-    fail_point!(run, "csr_read", emb[0].0 as u64);
-    let diff = matches!(leaf.count, CountRule::Tail { survivors: Survivors::Difference, .. });
-    let (v, bound) = (emb[leaf.depth - 1], leaf.bound(emb));
-    let before = run.observed.then_some(*work);
-    let prefix = match (diff, bound) {
-        (true, Some(b)) => setops::bounded_prefix(core, b, work),
-        _ => core,
-    };
-    let adj = run.g.neighbors(v);
-    let (hub, ratio) = (run.hub_row(v, adj.len()), run.gallop_ratio);
-    let Count(common) = setops::intersect(prefix, adj, bound, ratio, hub, Count(0), work);
-    if let (Some(t), Some(before)) = (telemetry, before) {
-        t.charge_setops(leaf.depth, before, *work);
-    }
-    let m = if diff { prefix.len() as u64 - common } else { common };
-    work.candidates_checked += m;
-    m
 }
 
 /// One stage of candidate generation: `cur ∩ N(v)` (`keep`) or `cur \ N(v)`
@@ -1094,11 +983,13 @@ fn pair_join(
 /// level is charged as enumeration charges it — entered, or at the leaf
 /// credited — and an `AND` one `setop_iterations` per candidate it keeps:
 /// never more than the merge it stands for, and enough for a budget to
-/// bite. `stop` is polled after every row and every `AND`. An observed run
-/// charges rows and search to `v2`'s depth when the search ends, as the
-/// pair join its sweep: an attempt stopped inside leaves no depth charge.
-/// Out of line and copying `v1`'s core itself, it is one call in the task
-/// loop: with that copy inlined there, the triangle read × 1.02–1.09.
+/// bite. `stop` is polled after every row and every `AND`. At `k = 3` the
+/// rows are the leaves: each is only counted, and no bit row is built. An
+/// observed run charges rows and search to `v2`'s depth when the search
+/// ends, as the pair join its sweep: an attempt stopped inside leaves no
+/// depth charge. Out of line and copying `v1`'s core itself, it is one call
+/// in the task loop: with that copy inlined there, the triangle read
+/// × 1.02–1.09.
 #[inline(never)]
 fn local_cliques<'g>(
     run: &Resolved<'g>,
@@ -1116,31 +1007,37 @@ fn local_cliques<'g>(
     if d == 0 {
         return Ok(());
     }
-    let words = d.div_ceil(64);
-    rows.clear();
-    rows.resize(d * words, 0);
     let before = run.observed.then_some(*work);
-    let mut entered = 0;
-    for (i, row) in rows.chunks_exact_mut(words).enumerate() {
-        run.prefetch(a, i);
-        fail_point!(run, "frontier_alloc", s.emb[0].0 as u64);
-        fail_point!(run, "csr_read", s.emb[0].0 as u64);
-        let adj = run.g.neighbors(a[i]);
-        let hub = run.hub_row(a[i], adj.len());
-        setops::intersect(a, adj, None, run.gallop_ratio, hub, Bits { a, at: 0, row }, work);
-        entered += row.iter().map(|b| u64::from(b.count_ones())).sum::<u64>();
-        poll(tick, stop, work, spent)?;
-    }
-    sets.clear();
-    sets.resize((k - 4) * words, 0);
-    let mut local = Local { rows, stop, spent, work, tick, entered, found: 0 };
-    for cand in rows.chunks_exact(words) {
-        match words {
-            1 => local.below::<1>(cand, sets, k - 3)?,
-            _ => local.below::<0>(cand, sets, k - 3)?,
+    let (mut entered, mut found) = (0, 0);
+    if k == 3 {
+        for i in 0..d {
+            fail_point!(run, "frontier_alloc", s.emb[0].0 as u64);
+            fail_point!(run, "csr_read", s.emb[0].0 as u64);
+            found += local_row(run, a, i, Count(0), work).0;
+            poll(tick, stop, work, spent)?;
         }
+    } else {
+        let words = d.div_ceil(64);
+        rows.clear();
+        rows.resize(d * words, 0);
+        for (i, row) in rows.chunks_exact_mut(words).enumerate() {
+            fail_point!(run, "frontier_alloc", s.emb[0].0 as u64);
+            fail_point!(run, "csr_read", s.emb[0].0 as u64);
+            local_row(run, a, i, Bits { row }, work);
+            entered += row.iter().map(|b| u64::from(b.count_ones())).sum::<u64>();
+            poll(tick, stop, work, spent)?;
+        }
+        sets.clear();
+        sets.resize((k - 4) * words, 0);
+        let mut local = Local { rows, stop, spent, work, tick, entered, found };
+        for cand in rows.chunks_exact(words) {
+            match words {
+                1 => local.below::<1>(cand, sets, k - 3)?,
+                _ => local.below::<0>(cand, sets, k - 3)?,
+            }
+        }
+        (entered, found) = (local.entered, local.found);
     }
-    let Local { entered, found, .. } = local;
     if let (Some(t), Some(before)) = (telemetry.as_deref_mut(), before) {
         t.charge_setops(v1.depth + 1, before, *work);
     }
@@ -1150,23 +1047,31 @@ fn local_cliques<'g>(
     Ok(())
 }
 
-/// A set-op sink writing a bit row over the sorted list `a` the kept
-/// vertices come from: each push sets its position's bit, found by a cursor
-/// that only moves forward, as the kept vertices ascend.
+/// Row `i` of a local clique graph, `a ∩ out(a[i])`, into `row`.
+#[inline(always)]
+fn local_row<S: Sink>(
+    run: &Resolved<'_>,
+    a: &[VertexId],
+    i: usize,
+    row: S,
+    work: &mut WorkCounters,
+) -> S {
+    run.prefetch(a, i);
+    let adj = run.g.neighbors(a[i]);
+    let hub = run.hub_row(a[i], adj.len());
+    setops::intersect(a, adj, None, run.gallop_ratio, hub, row, work)
+}
+
+/// A set-op sink writing a bit row over the positions in the list `a` the
+/// kept vertices come from, which the kernel hands over with each.
 struct Bits<'a> {
-    a: &'a [VertexId],
-    at: usize,
     row: &'a mut [u64],
 }
 
 impl Sink for Bits<'_> {
     #[inline]
-    fn push(&mut self, v: VertexId) {
-        while self.a[self.at] != v {
-            self.at += 1;
-        }
-        self.row[self.at / 64] |= 1 << (self.at % 64);
-        self.at += 1;
+    fn push(&mut self, at: usize, _: VertexId) {
+        self.row[at / 64] |= 1 << (at % 64);
     }
 }
 

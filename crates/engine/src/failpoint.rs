@@ -12,11 +12,11 @@
 //! | site             | fires in                                           |
 //! |------------------|----------------------------------------------------|
 //! | `start_vertex`   | [`Executor::run_vertex`] entry                     |
-//! | `frontier_alloc` | candidate-core materialization (`materialize`) and |
-//! |                  | each counting kernel, fused loop or not            |
-//! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline   |
-//! |                  | and the counting kernels, and each survivor's      |
-//! |                  | stream in a pair join's sweep                      |
+//! | `frontier_alloc` | candidate-core materialization (`materialize`),    |
+//! |                  | each counting kernel and each local clique row     |
+//! | `csr_read`       | adjacency (CSR) reads feeding the merge pipeline,  |
+//! |                  | the counting kernels and the local clique rows,    |
+//! |                  | and each survivor's stream in a pair join's sweep  |
 //!
 //! Injection is scoped to a run, not to the process: [`guard`] hands out a
 //! fresh scope id, the test puts it in the run's

@@ -16,8 +16,9 @@
 //!
 //! * **op**: keep the elements of `a` found in `b`, or the ones not found —
 //!   Fig. 9's one loop with two output conditions (`KEEP`).
-//! * **sink** ([`Sink`]): kept elements are appended to a list or only
-//!   counted ([`Count`]). The sink never changes a charge.
+//! * **sink** ([`Sink`]): kept elements, each with its position in `a`, are
+//!   appended to a list or only counted ([`Count`]). The sink never changes
+//!   a charge.
 //! * **bound**: an exclusive vid upper bound from the symmetry order; sorted
 //!   lists let a kernel stop at the first element that reaches it (the
 //!   paper's bounded `pruneBy`, pushed into the loop).
@@ -115,13 +116,13 @@ pub fn bounded_prefix<'a>(
 /// by value and hand it back: a borrowed list costs one pointer, and a
 /// [`Count`] stays in a register while the loop runs.
 pub trait Sink {
-    /// Takes the next kept element (ascending).
-    fn push(&mut self, v: VertexId);
+    /// Takes the next kept element (ascending), `a[at]`.
+    fn push(&mut self, at: usize, v: VertexId);
 }
 
 impl Sink for &mut Vec<VertexId> {
     #[inline]
-    fn push(&mut self, v: VertexId) {
+    fn push(&mut self, _: usize, v: VertexId) {
         Vec::push(self, v);
     }
 }
@@ -132,7 +133,7 @@ pub struct Count(pub u64);
 
 impl Sink for Count {
     #[inline]
-    fn push(&mut self, _: VertexId) {
+    fn push(&mut self, _: usize, _: VertexId) {
         self.0 += 1;
     }
 }
@@ -174,7 +175,7 @@ fn merge<const KEEP: bool, S: Sink>(
             Ordering::Less // the subtrahend ran out: the push-only tail
         };
         if order == (if KEEP { Ordering::Equal } else { Ordering::Less }) {
-            out.push(a[i]);
+            out.push(i, a[i]);
         }
         i += usize::from(order != Ordering::Greater);
         j += usize::from(order != Ordering::Less);
@@ -191,10 +192,11 @@ fn merge<const KEEP: bool, S: Sink>(
 /// that is used in GraphZero to make fair comparison", §VII-B).
 #[inline]
 fn gallop<S: Sink>(a: &[VertexId], b: &[VertexId], mut out: S, work: &mut WorkCounters) -> S {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let a_small = a.len() <= b.len();
+    let (small, large) = if a_small { (a, b) } else { (b, a) };
     let (mut iterations, mut comparisons) = (0u64, 0u64);
     let mut lo = 0usize;
-    for &x in small {
+    for (i, &x) in small.iter().enumerate() {
         if lo >= large.len() {
             break;
         }
@@ -202,7 +204,7 @@ fn gallop<S: Sink>(a: &[VertexId], b: &[VertexId], mut out: S, work: &mut WorkCo
         comparisons += u64::from((large.len() - lo).ilog2()) + 1;
         match large[lo..].binary_search(&x) {
             Ok(pos) => {
-                out.push(x);
+                out.push(if a_small { i } else { lo + pos }, x);
                 lo += pos + 1;
             }
             Err(pos) => lo += pos,
@@ -226,7 +228,7 @@ fn probe<const KEEP: bool, S: Sink>(
     work: &mut WorkCounters,
 ) -> S {
     let (mut iterations, mut comparisons) = (0u64, 0u64);
-    for &x in a {
+    for (i, &x) in a.iter().enumerate() {
         iterations += 1;
         if let Some(bound) = bound {
             comparisons += 1;
@@ -236,7 +238,7 @@ fn probe<const KEEP: bool, S: Sink>(
         }
         comparisons += 1;
         if row.contains(x) == KEEP {
-            out.push(x);
+            out.push(i, x);
         }
     }
     work.setop_iterations += iterations;
@@ -413,6 +415,15 @@ mod tests {
         (n, w)
     }
 
+    /// A sink that keeps the positions in `a` a kernel hands over.
+    struct At(Vec<usize>);
+
+    impl Sink for &mut At {
+        fn push(&mut self, at: usize, _: VertexId) {
+            self.0.push(at);
+        }
+    }
+
     /// A reference walking merge into a fresh list.
     fn walk(op: Op, a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, WorkCounters) {
         let (mut out, mut w) = (Vec::new(), WorkCounters::default());
@@ -440,7 +451,8 @@ mod tests {
 
     /// One cell of the op × sink × bound × membership table on one operand
     /// pair: the list sink against a `BTreeSet`, the counting sink against
-    /// the list sink (same count, same charges), exactly one tier counter
+    /// the list sink (same count, same charges), each kept element's
+    /// position in `a` as the kernel hands it over, exactly one tier counter
     /// and one invocation, and the charges against the reference walking
     /// merges by the one charging rule. `row` must be `b`'s hub row.
     fn check_cell(
@@ -460,6 +472,10 @@ mod tests {
         let (n, wc) = count(op, (a, b), bound, ratio, hub);
         assert_eq!(n, out.len() as u64, "count sink: {ctx}");
         assert_eq!(wc, w, "the sink never changes a charge: {ctx}");
+        let mut at = At(Vec::new());
+        set_op(op, (a, b), bound, ratio, hub, &mut at, &mut WorkCounters::default());
+        let kept: Vec<VertexId> = at.0.iter().map(|&i| a[i]).collect();
+        assert_eq!(kept, out, "positions in a: {ctx}");
 
         let in_b: BTreeSet<_> = b.iter().copied().collect();
         let keep = |x: &&VertexId| in_b.contains(*x) == (op == Intersect);

@@ -34,14 +34,16 @@
 //!
 //! One more shape is recognised by what it computes rather than by twins:
 //!
-//! * **Local clique graph** ([`CountRule::Clique`]). On the oriented DAG, a
-//!   branch whose levels `v1 … v(k−1)` are `out(v0)` and then a chain of
-//!   unbounded `Extend` intersections, nothing filtered or completed on the
-//!   way, counts the `(k−1)`-cliques of the DAG induced on `out(v0)`. With
-//!   `d = |out(v0)| ≤ √(2m)` that graph fits `d` bit rows of `⌈d/64⌉` words,
-//!   and every level below `v2` is a word `AND` (GraphMini's pruned
+//! * **Local clique graph** ([`CountRule::Clique`]). A branch whose levels
+//!   `v1 … v(k−1)` are `v0`'s row and then a chain of unbounded `Extend`
+//!   intersections, nothing filtered or completed on the way, counts the
+//!   `(k−1)`-cliques of the graph induced on that row (GraphMini's pruned
 //!   auxiliary graph, specialised to the one pattern where it is dense and
-//!   tiny). `k ≥ 4`: a triangle's local graph is only its row sizes.
+//!   tiny). At `k = 3` that is the sum of the row sizes, one counting kernel
+//!   per row, and any program qualifies. From `k = 4` the rows are built as
+//!   bits and every level below `v2` is a word `AND`: only on the oriented
+//!   DAG, where `d = |out(v0)| ≤ √(2m)` bounds the `d` rows of `⌈d/64⌉`
+//!   words.
 
 use crate::ir::FrontierHint;
 use crate::lowering::{parent_index, ProgNode, Program};
@@ -79,13 +81,13 @@ pub enum CountRule {
         /// Arena index of `Z`.
         leaf: usize,
     },
-    /// This node is `v1` of an oriented `k`-clique chain ending at arena
-    /// node `leaf`: the subtree holds the `(k−1)`-cliques of the DAG that
-    /// `v0`'s out-neighbours induce.
+    /// This node is `v1` of a `k`-clique chain ending at arena node `leaf`
+    /// (oriented when `k ≥ 4`): the subtree holds the `(k−1)`-cliques of the
+    /// graph that `v0`'s row induces.
     Clique {
         /// Arena index of the pattern leaf, at depth `k − 1`.
         leaf: usize,
-        /// Vertices in the clique, `v0` included (at least 4).
+        /// Vertices in the clique, `v0` included (at least 3).
         k: usize,
     },
 }
@@ -185,16 +187,18 @@ fn pair_join_head(nodes: &[ProgNode], parents: &[Option<usize>], z: usize) -> Op
     joins.then_some(x)
 }
 
-/// `v1` of the clique chain whose leaf is `leaf`, if the program is
-/// oriented and the branch has that shape (module docs): every level below
-/// `v1` intersects its parent's core with the parent vertex's row, and no
-/// level bounds, skips or completes anything but the leaf at depth ≥ 3.
+/// `v1` of the clique chain whose leaf is `leaf`, if the branch has that
+/// shape (module docs): every level below `v1` intersects its parent's core
+/// with the parent vertex's row, and no level bounds, skips or completes
+/// anything but the leaf at depth ≥ 2 — at depth ≥ 3 only if the program
+/// is oriented.
 fn clique_head(prog: &Program, parents: &[Option<usize>], leaf: usize) -> Option<usize> {
     let nodes = &prog.nodes;
     let plain = |n: &ProgNode| {
         n.upper_bounds.is_empty() && n.injectivity.is_empty() && n.disconnected.is_empty()
     };
-    if !prog.oriented || nodes[leaf].depth < 3 {
+    let depth = nodes[leaf].depth;
+    if depth < 2 || (depth > 2 && !prog.oriented) {
         return None;
     }
     let mut at = leaf;
@@ -278,7 +282,10 @@ mod tests {
     #[test]
     fn single_leaves_keep_the_two_paths_they_had() {
         let d = CompileOptions::default();
-        assert_eq!(rules(&Pattern::triangle(), d, FUSED)[2], tail(2, 1, Survivors::Intersect));
+        // The triangle's leaf is under `v1`'s local clique graph, whose rows
+        // are its counting kernels.
+        let triangle = rules(&Pattern::triangle(), d, FUSED);
+        assert_eq!(triangle, [E, CountRule::Clique { leaf: 2, k: 3 }, E]);
         for p in [Pattern::cycle(5), Pattern::house(), Pattern::tailed_triangle(), Pattern::path(4)]
         {
             let got = rules(&p, d, FUSED);
@@ -342,22 +349,30 @@ mod tests {
     #[test]
     fn oriented_cliques_from_four_count_in_the_local_graph() {
         let d = CompileOptions::default();
-        for k in 4..=7 {
+        for k in 3..=7 {
             let got = rules(&Pattern::k_clique(k), d, FUSED);
             let mut want = vec![E; k];
             want[1] = CountRule::Clique { leaf: k - 1, k };
             assert_eq!(got, want, "{k}-clique");
         }
-        // Faithful engines keep the scan; the triangle keeps its kernel.
+        // Faithful engines keep the scan.
         let faithful = CountOptions { closed_forms: false };
         assert_eq!(rules(&Pattern::k_clique(4), d, faithful)[3], tail(3, 1, Survivors::Scan));
-        assert_eq!(rules(&Pattern::triangle(), d, FUSED)[1], E);
+        assert_eq!(rules(&Pattern::triangle(), d, faithful)[2], tail(2, 1, Survivors::Scan));
         // Unoriented cliques (AutoMine's chain, or the symmetry order) may
-        // start at a hub: their local graph has no size bound.
+        // start at a hub: from four vertices their local graph has no size
+        // bound. The triangle builds no bit rows: AutoMine's chain counts in
+        // its local graph too, and the symmetry order's bounded `v1` is no
+        // copy of `v0`'s row.
         for options in [CompileOptions::automine(), CompileOptions { orientation: false, ..d }] {
             let got = rules(&Pattern::k_clique(4), options, FUSED);
             assert!(!got.iter().any(|r| matches!(r, CountRule::Clique { .. })), "{got:?}");
         }
+        let automine = rules(&Pattern::triangle(), CompileOptions::automine(), FUSED);
+        assert_eq!(automine, [E, CountRule::Clique { leaf: 2, k: 3 }, E]);
+        let symmetric =
+            rules(&Pattern::triangle(), CompileOptions { orientation: false, ..d }, FUSED);
+        assert_eq!(symmetric[2], tail(2, 1, Survivors::Intersect));
     }
 
     #[test]

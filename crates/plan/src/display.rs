@@ -168,7 +168,10 @@ mod tests {
         assert_eq!(counting(&Pattern::cycle(4), d), "count: pair-join v1,v2 → v3 (count map)\n");
         assert_eq!(counting(&Pattern::diamond(), d), "count: choose(|prefix ∩ v1.N|, 2) → v3\n");
         assert_eq!(counting(&Pattern::star(3), d), "count: choose(|core(v1)|, 3) → v3\n");
-        assert_eq!(counting(&Pattern::triangle(), d), "count: |prefix ∩ v1.N| → v2\n");
+        assert_eq!(
+            counting(&Pattern::triangle(), d),
+            "count: 2-cliques of v0.N's local graph → v2\n"
+        );
         assert_eq!(
             counting(&Pattern::k_clique(4), d),
             "count: 3-cliques of v0.N's local graph → v3\n"

@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::mem::MemorySystem;
 use crate::pe::Pe;
 use crate::stats::{SimReport, TimelineSample, WatchdogDump};
-use fm_engine::executor::prepare_graph;
+use fm_engine::{prepare, EngineConfig};
 use fm_graph::CsrGraph;
 use fm_plan::lowering::{lower, LowerOptions};
 use fm_plan::ExecutionPlan;
@@ -72,8 +72,10 @@ pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimR
     if let Err(e) = cfg.validate() {
         panic!("unsupported SimConfig: {e}");
     }
-    let prepared = prepare_graph(graph, plan);
-    let g: &CsrGraph = &prepared;
+    // The engine's own preprocessing, so both orient alike; under
+    // `paper_faithful` it builds no hub index.
+    let prepared = prepare(graph, plan, &EngineConfig::paper_faithful());
+    let g = prepared.graph();
     let map = AddressMap::for_graph(g);
     // `bounded_pushdown` stays off: the SIU merge FSM (Fig. 9) has no
     // bound port, so the cycle model must charge full unbounded merges to

@@ -11,7 +11,7 @@
 //! the engine:
 //!
 //! - edge- and vertex-induced, with symmetry breaking on and off;
-//! - count-only (closed forms, fused kernels) and `collect_matches`
+//! - count-only (closed forms, counting kernels) and `collect_matches`
 //!   (every match entered);
 //! - 1 and 3 threads, the hub index on and off;
 //! - `JobCore` stints on one thread against the pool;

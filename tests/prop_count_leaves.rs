@@ -3,8 +3,8 @@
 //! a closed form — a pair join, a binomial tail, a counting kernel — and
 //! the claim is stronger than "the totals agree":
 //!
-//! - **Per task.** After *each* `run_vertex(v)` the fused executor's
-//!   counts equal the un-fused executor's (the same program with every
+//! - **Per task.** After *each* `run_vertex(v)` the counting executor's
+//!   counts equal the enumerating executor's (the same program with every
 //!   node back on `Enumerate`, which is what `collect_matches` runs). That
 //!   is what keeps partial results, checkpoints and drained `serve` jobs
 //!   exact, and it is checked for every stock pattern, K₂,₃ and both motif
@@ -135,8 +135,8 @@ proptest! {
         let cfg = EngineConfig::default();
         for (ctx, plan) in plans() {
             let prepared = prepare(&g, &plan, &cfg);
-            // One un-fused executor walks every task and keeps what it
-            // found; a fresh fused one per task shows that task alone.
+            // One enumerating executor walks every task and keeps what it
+            // found; a fresh counting one per task shows that task alone.
             let mut walker = Executor::new(&prepared, &plan, &cfg);
             walker.collect_matches();
             let mut total = vec![0u64; plan.patterns.len()];
@@ -147,10 +147,10 @@ proptest! {
                 for (pi, _) in &walker.matches()[seen..] {
                     walked[*pi] += 1;
                 }
-                let mut fused = Executor::new(&prepared, &plan, &cfg);
-                fused.run_vertex(v);
-                let fused = fused.finish();
-                prop_assert_eq!(&fused.counts, &walked, "start vertex {}: {}", v.0, &ctx);
+                let mut counting = Executor::new(&prepared, &plan, &cfg);
+                counting.run_vertex(v);
+                let counting = counting.finish();
+                prop_assert_eq!(&counting.counts, &walked, "start vertex {}: {}", v.0, &ctx);
                 for (t, c) in total.iter_mut().zip(&walked) {
                     *t += c;
                 }

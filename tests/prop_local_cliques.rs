@@ -1,10 +1,11 @@
-//! The local clique graph (DESIGN.md §6f): an oriented k-clique plan,
-//! k ≥ 4, counts each start vertex's `(k−1)`-cliques in `d` bit rows of
+//! The local clique graph (DESIGN.md §6f): a k-clique plan counts each
+//! start vertex's `(k−1)`-cliques among its DAG row's `d` vertices, the
+//! triangle by one counting kernel per row, from k = 4 in `d` bit rows of
 //! `⌈d/64⌉` words. Checked against the code it stands for:
 //!
 //! - **Per task, at the word boundaries.** On graphs built so that a start
 //!   vertex's DAG row has exactly 0, k−2, 63, 64, 65 or 128 entries, for
-//!   k = 4…7, and on arbitrary edge lists, each `run_vertex(v)` counts —
+//!   k = 3…7, and on arbitrary edge lists, each `run_vertex(v)` counts —
 //!   and charges `extensions` — what an executor forced to enumerate
 //!   (`collect_matches`) and a `paper_faithful` one do for that task.
 //! - **Deterministic work.** 1 and 2 threads, observed or not, charge the
@@ -120,7 +121,7 @@ proptest! {
 
     #[test]
     fn rows_at_every_word_boundary_count_what_enumeration_counts(
-        k in 4usize..=7,
+        k in 3usize..=7,
         pick in 0usize..6,
         p in prop::sample::select(vec![0.15, 0.3]),
         seed in any::<u64>(),
@@ -137,7 +138,7 @@ proptest! {
 
     #[test]
     fn arbitrary_graphs_count_what_enumeration_counts(
-        k in 4usize..=7,
+        k in 3usize..=7,
         n in 8u32..40,
         edges in prop::collection::vec((0u32..40, 0u32..40), 0..300),
     ) {

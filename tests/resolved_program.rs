@@ -1,12 +1,13 @@
-//! The resolved program and the fused last level (DESIGN.md §6g), checked
+//! The resolved program and its one survivor loop (DESIGN.md §6g), checked
 //! against the code they replaced rather than against themselves.
 //!
 //! - **Pins.** Unique counts and every [`WorkCounters`] word of the six
-//!   stock requests and `motifs 4`, on a power-law and a caveman graph,
-//!   under the default, `hub_memory_budget: 0` and `paper_faithful` configs,
-//!   as the commit before the resolved program produced them (1 and 2
-//!   threads agree): resolving the program once, fusing the last level,
-//!   looking index rows up lazily and prefetching move no counter. (The
+//!   stock requests, `motifs 4` and the `--no-symmetry` triangle and
+//!   4-clique, on a power-law and a caveman graph, under the default,
+//!   `hub_memory_budget: 0` and `paper_faithful` configs, as the commit
+//!   before the resolved program produced them (1 and 2 threads agree):
+//!   resolving the program once, fusing the last level and then unfusing
+//!   it, looking index rows up lazily and prefetching move no counter. (The
 //!   rows carried four software-c-map words until that engine mode went;
 //!   they were 0 in every row kept here. They carried a ninth word, the
 //!   SIMD tier's dispatches, until that tier went: its dispatches are on
@@ -15,16 +16,18 @@
 //!   5-clique were re-recorded when those plans moved to the local clique
 //!   graph (DESIGN.md §6f): their counts, `candidates_checked` and
 //!   `extensions` are the enumeration's, and only the set-op words moved.
+//!   The `--no-symmetry` rows were recorded at the commit before the fused
+//!   level went, whose lean loop counted them.
 //! - **Per task.** On arbitrary patterns and graphs, after each
-//!   `run_vertex(v)` the fused executor's counts equal those of one forced
+//!   `run_vertex(v)` the counting executor's counts equal those of one forced
 //!   to enumerate (`collect_matches`), and an observed run reports the
 //!   same counters as an unobserved one, its depth series partitioning
 //!   them.
 //! - **The lazy-row rule is exact.** A hub row exists only for a vertex of
 //!   at least `degree_threshold()` neighbours (under a tight budget too),
 //!   so skipping the lookup for shorter lists skips nothing.
-//! - **Faults.** A `csr_read` failpoint that fires between two survivors
-//!   of the fused loop rolls the task back to exactly nothing.
+//! - **Faults.** A `csr_read` failpoint that fires between two counting
+//!   kernels of one task rolls the task back to exactly nothing.
 
 use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{
@@ -36,9 +39,11 @@ use fm_pattern::{motifs, Pattern};
 use fm_plan::{compile, compile_multi, CompileOptions, CountRule, ExecutionPlan, Survivors};
 use proptest::prelude::*;
 
-/// The six stock requests of the benchmark's CLI workloads, plus `motifs 4`.
+/// The six stock requests of the benchmark's CLI workloads, `motifs 4`,
+/// and two of AutoMine's chains (`count --no-symmetry`).
 fn requests() -> Vec<(&'static str, ExecutionPlan)> {
     let single = |p: Pattern| compile(&p, CompileOptions::default());
+    let automine = |p: Pattern| compile(&p, CompileOptions::automine());
     vec![
         ("triangle", single(Pattern::triangle())),
         ("4-clique", single(Pattern::k_clique(4))),
@@ -47,6 +52,8 @@ fn requests() -> Vec<(&'static str, ExecutionPlan)> {
         ("diamond", single(Pattern::diamond())),
         ("motifs 3", compile_multi(&motifs::motifs(3), CompileOptions::induced())),
         ("motifs 4", compile_multi(&motifs::motifs(4), CompileOptions::induced())),
+        ("triangle --no-symmetry", automine(Pattern::triangle())),
+        ("4-clique --no-symmetry", automine(Pattern::k_clique(4))),
     ]
 }
 
@@ -65,7 +72,7 @@ type Pin = (&'static str, &'static str, &'static [u64], [u64; WorkCounters::WORD
 
 /// Recorded at the parent commit on `powerlaw_cluster(2000, 8, 0.4, 7)`.
 #[rustfmt::skip]
-const POWERLAW: [Pin; 21] = [
+const POWERLAW: [Pin; 27] = [
     ("triangle", "default", &[10058],
      [166564, 15964, 166564, 26022, 28022, 15747, 217, 0]),
     ("triangle", "no_hub", &[10058],
@@ -108,11 +115,23 @@ const POWERLAW: [Pin; 21] = [
      [67983961, 1251867, 92956705, 29047260, 29033296, 1237912, 13955, 0]),
     ("motifs 4", "faithful", &[13791218, 12754502, 1532594, 64227, 54090, 1965],
      [126892626, 1251867, 122919810, 29722336, 29033296, 0, 0, 0]),
+    ("triangle --no-symmetry", "default", &[10058],
+     [1258963, 31928, 1292158, 92276, 94276, 23682, 569, 7677]),
+    ("triangle --no-symmetry", "no_hub", &[10058],
+     [1780778, 31928, 1847168, 92276, 94276, 30790, 1138, 0]),
+    ("triangle --no-symmetry", "faithful", &[10058],
+     [1965732, 31928, 1965732, 92276, 94276, 0, 0, 0]),
+    ("4-clique --no-symmetry", "default", &[1965],
+     [1865427, 92276, 1910518, 139436, 141436, 51450, 3543, 37283]),
+    ("4-clique --no-symmetry", "no_hub", &[1965],
+     [2961566, 92276, 3400678, 139436, 141436, 68518, 23758, 0]),
+    ("4-clique --no-symmetry", "faithful", &[1965],
+     [4222300, 92276, 4222300, 139436, 141436, 0, 0, 0]),
 ];
 
 /// Recorded at the parent commit on `caveman(200, 11, 1000, 7)`.
 #[rustfmt::skip]
-const CAVEMAN: [Pin; 21] = [
+const CAVEMAN: [Pin; 27] = [
     ("triangle", "default", &[33003],
      [72363, 11996, 72363, 44999, 47199, 10726, 1270, 0]),
     ("triangle", "no_hub", &[33003],
@@ -155,6 +174,18 @@ const CAVEMAN: [Pin; 21] = [
      [4830404, 597000, 7420214, 520264, 510468, 596989, 11, 0]),
     ("motifs 4", "faithful", &[9810, 128348, 89627, 28, 27, 66000],
      [7155524, 597000, 7000343, 763320, 510468, 0, 0, 0]),
+    ("triangle --no-symmetry", "default", &[33003],
+     [302742, 23992, 302742, 222010, 224210, 23992, 0, 0]),
+    ("triangle --no-symmetry", "no_hub", &[33003],
+     [302742, 23992, 302742, 222010, 224210, 23992, 0, 0]),
+    ("triangle --no-symmetry", "faithful", &[33003],
+     [302742, 23992, 302742, 222010, 224210, 0, 0, 0]),
+    ("4-clique --no-symmetry", "default", &[66000],
+     [2518606, 222010, 2518606, 1806010, 1808210, 222010, 0, 0]),
+    ("4-clique --no-symmetry", "no_hub", &[66000],
+     [2518606, 222010, 2518606, 1806010, 1808210, 222010, 0, 0]),
+    ("4-clique --no-symmetry", "faithful", &[66000],
+     [2518606, 222010, 2518606, 1806010, 1808210, 0, 0, 0]),
 ];
 
 #[test]
@@ -195,8 +226,9 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-/// Whether a count-only run of `plan` under `cfg` has a fused level: a node
-/// it enumerates whose children are all counting kernels.
+/// Whether a count-only run of `plan` under `cfg` has what used to be a
+/// fused level: a node it enumerates whose children are all counting
+/// kernels. The task loop enters its survivors and runs each kernel there.
 fn fuses(plan: &ExecutionPlan, cfg: &EngineConfig) -> bool {
     let prog = count_program(plan, cfg);
     let kernel = |c: &usize| {
@@ -211,8 +243,9 @@ fn fuses(plan: &ExecutionPlan, cfg: &EngineConfig) -> bool {
 }
 
 /// Single patterns compiled three ways and both motif censuses: plans that
-/// fuse one leaf (triangle, cliques, diamond, tailed triangle), two (the
-/// 3-motif census), some of several (4-motifs) and none (4-cycle, paths).
+/// count one leaf by a kernel (diamond, tailed triangle, unoriented
+/// cliques), two (the 3-motif census), some of several (4-motifs), in a
+/// local clique graph (triangle, oriented cliques) or none (4-cycle, paths).
 fn arb_pattern() -> impl Strategy<Value = (String, ExecutionPlan)> {
     let singles = [
         Pattern::triangle(),
@@ -248,16 +281,18 @@ fn the_stock_plans_fuse_where_the_design_says() {
     let plans = requests();
     let fused: Vec<&str> =
         plans.iter().filter(|(_, plan)| fuses(plan, &cfg)).map(|(name, _)| *name).collect();
-    // The joined 4-cycle dispatches nothing, the oriented cliques from four
-    // vertices count in their local graph; everything else ends in a
-    // counting kernel one level below an enumerated node.
-    assert_eq!(fused, ["triangle", "diamond", "motifs 3", "motifs 4"]);
+    // The joined 4-cycle dispatches nothing; the triangle, with or without
+    // symmetry breaking, and the oriented cliques count in their local
+    // graph; everything else ends in a counting kernel one level below an
+    // enumerated node.
+    assert_eq!(fused, ["diamond", "motifs 3", "motifs 4", "4-clique --no-symmetry"]);
     for (name, plan) in &plans {
         let local = count_program(plan, &cfg)
             .nodes
             .iter()
             .any(|n| matches!(n.count, CountRule::Clique { .. }));
-        assert_eq!(local, name.ends_with("-clique"), "{name}");
+        let clique = name.ends_with("-clique") || name.starts_with("triangle");
+        assert_eq!(local, clique, "{name}");
     }
     // Nothing fuses where the leaves scan: `paper_faithful`.
     assert!(plans.iter().all(|(_, plan)| !fuses(plan, &EngineConfig::paper_faithful())));
@@ -274,11 +309,12 @@ proptest! {
         let cfg = EngineConfig::default();
         let prepared = prepare(&g, &plan, &cfg);
         // One enumerating executor walks every task and keeps what it
-        // found; a fresh fused one per task shows that task alone, and one
-        // fused executor across all tasks (what `mine` runs) the total.
+        // found; a fresh counting one per task shows that task alone, and
+        // one counting executor across all tasks (what `mine` runs) the
+        // total.
         let mut walker = Executor::new(&prepared, &plan, &cfg);
         walker.collect_matches();
-        let mut fused = Executor::new(&prepared, &plan, &cfg);
+        let mut counting = Executor::new(&prepared, &plan, &cfg);
         let mut total = vec![0u64; plan.patterns.len()];
         for v in prepared.vertices() {
             let seen = walker.matches().len();
@@ -288,19 +324,19 @@ proptest! {
                 walked[*pi] += 1;
                 total[*pi] += 1;
             }
-            fused.run_vertex(v);
+            counting.run_vertex(v);
             let mut alone = Executor::new(&prepared, &plan, &cfg);
             alone.run_vertex(v);
             prop_assert_eq!(&alone.finish().counts, &walked, "start vertex {}: {}", v.0, &ctx);
         }
-        let fused = fused.finish();
-        prop_assert_eq!(&fused.counts, &total, "{}", &ctx);
+        let counting = counting.finish();
+        prop_assert_eq!(&counting.counts, &total, "{}", &ctx);
         prop_assert_eq!(&walker.finish().counts, &total, "{}", &ctx);
 
         // Observed or not, the same counters; the depth series partition them.
         let plain = mine_prepared(&prepared, &plan, &cfg);
         prop_assert_eq!(&plain.counts, &total, "{}", &ctx);
-        prop_assert_eq!(plain.work, fused.work, "the pool moved a counter: {}", &ctx);
+        prop_assert_eq!(plain.work, counting.work, "the pool moved a counter: {}", &ctx);
         let metrics = TelemetryOptions { metrics: true, ..Default::default() };
         for threads in [1usize, 2] {
             let cfg = EngineConfig { threads, ..cfg };
@@ -358,19 +394,21 @@ fn short_lists_have_no_rows_to_look_up() {
     assert!(a.work.probe_dispatches > b.work.probe_dispatches && b.work.probe_dispatches > 0);
 }
 
-/// The fused loop hits `csr_read` once per survivor, where `step` hit it
-/// once per entered candidate. Armed on the third hit of a task — one for
-/// `v1`'s core, one for the first survivor's kernel, the third between two
-/// survivors, after the first has been credited — the fault must roll the
-/// task back to nothing: counts *and* counters of a run that retries it
-/// later equal a clean run's.
+/// The diamond's kernels and the triangle's rows hit `csr_read` once per
+/// survivor of `v1`. Armed on the third hit of a task — one for `v1`'s
+/// core, one for the first survivor's kernel, the third between two
+/// survivors, after the first has been charged (for the diamond, credited
+/// too) — the fault must roll the task back to nothing: counts *and*
+/// counters of a run that retries it later equal a clean run's.
 #[test]
 fn a_fault_inside_the_fused_loop_rolls_the_task_back() {
     let g = generators::powerlaw_cluster(300, 5, 0.4, 23);
-    for pattern in [Pattern::triangle(), Pattern::diamond()] {
+    for (pattern, local) in [(Pattern::triangle(), true), (Pattern::diamond(), false)] {
         let plan = compile(&pattern, CompileOptions::default());
         let clean_cfg = EngineConfig::default();
-        assert!(fuses(&plan, &clean_cfg), "{pattern}");
+        let v1 = count_program(&plan, &clean_cfg).nodes[1].count;
+        assert_eq!(v1 == (CountRule::Clique { leaf: 2, k: 3 }), local, "{pattern}");
+        assert_eq!(fuses(&plan, &clean_cfg), !local, "{pattern}");
         let prepared = prepare(&g, &plan, &clean_cfg);
         let per_task = |v: VertexId| {
             let mut ex = Executor::new(&prepared, &plan, &clean_cfg);
