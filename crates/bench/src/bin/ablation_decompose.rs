@@ -42,7 +42,7 @@ fn main() {
         let sim = |pes: usize, cmap: usize| {
             let cfg = SimConfig { num_pes: pes, cmap_bytes: cmap, ..Default::default() };
             let r = simulate(&d.graph, &plan, &cfg);
-            r.seconds(&cfg)
+            r.seconds()
         };
         let sim1 = sim(1, 0);
         let sim40 = sim(40, 0);

@@ -35,7 +35,7 @@ fn main() {
                 let cfg = SimConfig { num_pes: pes, cmap_bytes: 0, ..Default::default() };
                 let report = simulate(&d.graph, &plan, &cfg);
                 assert_eq!(report.counts, base.counts, "sim/engine mismatch");
-                let x = base_secs / report.seconds(&cfg);
+                let x = base_secs / report.seconds();
                 speedups[i].push(x);
                 last = x;
                 row.push(fmt_x(x));

@@ -47,7 +47,7 @@ fn main() {
                 last = scale;
                 row.push(fmt_x(scale));
                 if n == 64 {
-                    let x = base_secs / report.seconds(&cfg);
+                    let x = base_secs / report.seconds();
                     final_speedups.push(x);
                     row.push(fmt_x(x));
                     row.push(fmt_x(x / 20.0));

@@ -25,9 +25,9 @@ fn main() {
     );
     table.push(vec!["triangles".into(), report.counts[0].to_string()]);
     table.push(vec![format!("GraphZero-{}T wall time", args.threads), fmt_secs(base_secs)]);
-    table.push(vec!["FlexMiner 20-PE simulated time".into(), fmt_secs(report.seconds(&cfg))]);
-    table.push(vec!["speedup (1-core baseline)".into(), fmt_x(base_secs / report.seconds(&cfg))]);
-    table.push(vec!["speedup vs ideal 20T".into(), fmt_x(base_secs / 20.0 / report.seconds(&cfg))]);
+    table.push(vec!["FlexMiner 20-PE simulated time".into(), fmt_secs(report.seconds())]);
+    table.push(vec!["speedup (1-core baseline)".into(), fmt_x(base_secs / report.seconds())]);
+    table.push(vec!["speedup vs ideal 20T".into(), fmt_x(base_secs / 20.0 / report.seconds())]);
     table.push(vec!["L2 miss rate".into(), format!("{:.1}%", 100.0 * report.l2_miss_rate())]);
     table.note("paper: 2.5x speedup for 20-PE FlexMiner over GraphZero-20T on Or");
     table.emit(&args.out).expect("write large_graph");

@@ -29,9 +29,9 @@ fn main() {
             k.to_string(),
             report.counts[0].to_string(),
             fmt_secs(base_secs),
-            fmt_secs(report.seconds(&cfg)),
-            fmt_x(base_secs / report.seconds(&cfg)),
-            fmt_x(base_secs / 20.0 / report.seconds(&cfg)),
+            fmt_secs(report.seconds()),
+            fmt_x(base_secs / report.seconds()),
+            fmt_x(base_secs / 20.0 / report.seconds()),
             report.totals.cmap_overflows.to_string(),
         ]);
     }

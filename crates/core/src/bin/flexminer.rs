@@ -23,7 +23,6 @@ use flexminer::{
     RunStatus, SimConfig, TelemetryOptions,
 };
 use fm_graph::{generators, io, CsrGraph, GraphStats};
-use fm_sim::EnergyModel;
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
@@ -570,11 +569,11 @@ fn cmd_sim(args: &[String]) -> CliResult {
         outln!("{}: {}", pc.name, pc.count);
     }
     telemetry.export(
-        || report::sim_metrics(&report, &per_pattern, elapsed, &cfg),
+        || report::sim_metrics(&report, &per_pattern, elapsed),
         || report::sim_trace(&report),
     )?;
     outln!("cycles:            {}", report.cycles);
-    outln!("simulated time:    {:.6} s", report.seconds(&cfg));
+    outln!("simulated time:    {:.6} s", report.seconds());
     outln!("PEs:               {}", cfg.num_pes);
     outln!("tasks:             {}", report.totals.tasks);
     outln!("extensions:        {}", report.totals.extensions);
@@ -596,7 +595,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
     outln!("DRAM accesses:     {}", report.dram_accesses);
     outln!("load imbalance:    {:.3}", report.imbalance());
     if has_flag(args, "--energy") {
-        let e = EnergyModel::default().estimate(&report, &cfg);
+        let e = fm_sim::energy::estimate(&report, &cfg);
         outln!(
             "energy estimate:   {:.3} mJ (pe {:.3}, siu {:.3}, cmap {:.3}, l1 {:.3}, l2 {:.3}, noc {:.3}, dram {:.3}, static {:.3})",
             e.total_mj(),

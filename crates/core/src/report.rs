@@ -10,7 +10,7 @@
 
 use crate::miner::{MiningOutcome, PatternCount};
 use fm_engine::MiningResult;
-use fm_sim::{SimConfig, SimReport, FSM_STATE_NAMES};
+use fm_sim::{SimReport, FSM_STATE_NAMES};
 use fm_telemetry::{chrome_trace_json, CounterEvent, MetricsDoc};
 use std::path::Path;
 use std::time::Duration;
@@ -172,7 +172,6 @@ pub fn sim_metrics(
     report: &SimReport,
     per_pattern: &[PatternCount],
     elapsed: Duration,
-    cfg: &SimConfig,
 ) -> MetricsDoc {
     let mut doc = MetricsDoc::new();
     outcome_metrics(&mut doc, per_pattern, &MiningResult::default(), elapsed);
@@ -180,7 +179,7 @@ pub fn sim_metrics(
     doc.gauge(
         "fm_sim_seconds",
         "Simulated execution time at the configured clock",
-        report.seconds(cfg),
+        report.seconds(),
     );
     doc.counter("fm_sim_tasks", "Scheduler tasks dispatched", report.totals.tasks);
     doc.counter("fm_sim_extensions", "Embedding extensions", report.totals.extensions);
@@ -248,7 +247,8 @@ pub fn engine_trace(outcome: &MiningOutcome) -> String {
 /// trace's microsecond field (1 cycle = 1 µs on the viewer's axis) — the
 /// paper's figures are all in cycles, and Perfetto's counter tracks only
 /// need a monotone axis. Requires
-/// [`SimConfig::timeline_every`] > 0 for a non-empty trace.
+/// [`SimConfig::timeline_every`](fm_sim::SimConfig::timeline_every) > 0 for a
+/// non-empty trace.
 pub fn sim_trace(report: &SimReport) -> String {
     let pes = report.pe_finish_cycles.len().max(1) as f64;
     let mut counters: Vec<CounterEvent> = Vec::with_capacity(report.timeline.len());
@@ -335,7 +335,7 @@ mod tests {
         let plan = Miner::new(&g).pattern(Pattern::cycle(4)).plan().unwrap();
         let report = fm_sim::simulate(&g, &plan, &cfg);
         let per_pattern = PatternCount::named(&plan, report.counts.iter().copied());
-        let doc = sim_metrics(&report, &per_pattern, Duration::ZERO, &cfg);
+        let doc = sim_metrics(&report, &per_pattern, Duration::ZERO);
         let prom = doc.to_prometheus();
         assert!(
             prom.contains("fm_sim_pe_occupancy_cycles{pe=\"0\",state=\"IteratingEdges\"}"),

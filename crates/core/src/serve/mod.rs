@@ -386,6 +386,20 @@ impl GraphCache {
         self.entries.insert(key.clone(), Cached { graph: g, bytes, used: self.clock });
         Ok(())
     }
+
+    /// Raises cached graph `g`'s charge to `bytes`, admitting the whole of
+    /// it as [`admit`](Self::admit) would a load; refused, the entry keeps
+    /// its old charge.
+    fn recharge(&mut self, key: &(String, bool), g: Loaded, bytes: u64) -> Result<Loaded, String> {
+        let old = self.entries.remove(key).expect("a cached graph is recharged");
+        match self.admit(key, Some(g.clone()), bytes) {
+            Ok(()) => Ok(g),
+            Err(e) => {
+                self.entries.insert(key.clone(), old);
+                Err(e)
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -530,7 +544,10 @@ impl ServeState {
     /// The cached graph for `spec` — its ranked copy when `ranked` — loading
     /// it with `load` (in `serve`, [`graphspec::load`]) and ranking it on a
     /// miss, and charging it as a plan that does (or does not) orient it
-    /// would hold it. Single-flight: of any number of concurrent submits of
+    /// would hold it. An orienting plan that hits a copy loaded by one that
+    /// does not raises its charge to include the oriented copy, admitted
+    /// as a load is; each concurrent orienting job still builds a copy of
+    /// its own, charged once. Single-flight: of any number of concurrent submits of
     /// one never-seen spec, one loads (outside the lock — file parses and
     /// generators can be slow) and the rest wait for it. A `gen:` spec
     /// reserves its bound before it is generated — for a ranked copy, two
@@ -550,9 +567,16 @@ impl ServeState {
             cache.clock += 1;
             let now = cache.clock;
             match cache.entries.get_mut(&key) {
-                Some(Cached { graph: Some(g), used, .. }) => {
+                Some(Cached { graph: Some(g), used, bytes }) => {
                     *used = now;
-                    return Ok(g.clone());
+                    let g = g.clone();
+                    let (vertices, edges) =
+                        (g.graph.num_vertices() as u64, g.graph.num_directed_edges() as u64);
+                    let full = graph_bytes(vertices, edges, true, ranked);
+                    if oriented && *bytes < full {
+                        return cache.recharge(&key, g, full);
+                    }
+                    return Ok(g);
                 }
                 Some(_) => cache = self.graph_loaded.wait(cache).unwrap_or_else(|e| e.into_inner()),
                 None => break,
@@ -2369,6 +2393,52 @@ mod tests {
             [(false, graph_bytes(n, m, false, false)), (true, graph_bytes(n, m, false, true))]
         );
         drop(cache);
+        st.sup.shutdown(None);
+    }
+
+    /// A ranked copy is charged its oriented copy once an orienting plan
+    /// mines it, whichever plan loaded it: a 4-cycle then a triangle holds
+    /// what a triangle then a 4-cycle holds.
+    #[test]
+    fn a_ranked_graph_is_charged_its_oriented_copy_in_either_order() {
+        const GRAPH: &str = "gen:powerlaw,n=300,m=4,closure=0.5,seed=3";
+        let mut held = Vec::new();
+        for order in [["4-cycle", "triangle"], ["triangle", "4-cycle"]] {
+            let st = state(ServeConfig::default());
+            for p in order {
+                let submit = format!(r#"{{"op":"submit","pattern":"{p}","graph":"{GRAPH}"}}"#);
+                let resp = st.handle_line(&submit);
+                let id = jsonl::parse(&resp).unwrap().get("id").and_then(Json::as_u64);
+                let done = st.handle_line(&format!(r#"{{"op":"wait","id":{}}}"#, id.expect(&resp)));
+                assert!(done.contains(r#""status":"Complete""#), "{p}: {done}");
+            }
+            held.push(st.memory_bytes());
+            st.sup.shutdown(None);
+        }
+        let input = graphspec::load(GRAPH).unwrap();
+        let (n, m) = (input.num_vertices() as u64, input.num_directed_edges() as u64);
+        assert_eq!(held, [graph_bytes(n, m, true, true); 2]);
+    }
+
+    /// Raising a cached copy's charge is admitted as a load: over the
+    /// budget the orienting submit is refused and the copy stays cached at
+    /// its old charge.
+    #[test]
+    fn a_refused_recharge_keeps_the_old_charge() {
+        const SPEC: &str = "k16.txt";
+        let (csr, labels) = (1_096, 64);
+        let st = state(ServeConfig { memory_budget_bytes: csr + labels, ..Default::default() });
+        let load = |_: &str| Ok(fm_graph::generators::complete(16));
+        assert!(st.graph_for(SPEC, false, true, load).is_ok());
+        let refused = st.graph_for(SPEC, true, true, |_| panic!("a cached spec must not load"));
+        let want = format!(
+            "graph {SPEC} needs up to {} B, over the {} B memory budget",
+            2 * csr + labels,
+            csr + labels
+        );
+        assert_eq!(refused.unwrap_err(), want);
+        assert_eq!(st.memory_bytes(), csr + labels);
+        assert!(st.graph_for(SPEC, false, true, |_| panic!("still cached")).is_ok());
         st.sup.shutdown(None);
     }
 

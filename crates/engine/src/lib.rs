@@ -78,7 +78,7 @@ pub use control::{Budget, CancelToken};
 pub use executor::{count_program, prepare, Executor, PreparedGraph};
 pub use parallel::{mine, mine_prepared, mine_prepared_observed, mine_with, MineOptions};
 pub use result::{Fault, MiningResult, RunStatus, Straggler, WorkCounters};
-pub use stream::{JobCore, Stint, TaskCursor};
+pub use stream::{JobCore, Stint};
 pub use telemetry::{ProgressOptions, TelemetryOptions};
 
 /// Configuration of the software mining engines.

@@ -18,7 +18,7 @@
 //!
 //! Building blocks:
 //!
-//! * [`TaskCursor`] — the lock-free chunk claimer: check-then-advance
+//! * `TaskCursor` — the lock-free chunk claimer: check-then-advance
 //!   CAS, so the cursor never overshoots and a drained queue reads
 //!   exactly `len`.
 //! * [`JobCore`] — one mining job as shareable state: the prepared graph
@@ -67,9 +67,9 @@ use std::time::Instant;
 /// check-then-advance CAS loop: once the cursor reaches `len`, claimers
 /// exit without pushing it further, so a drained cursor reads exactly
 /// `len` — deterministic under any interleaving — instead of overshooting
-/// by up to `threads * chunk`. Both the thread-pool driver and [`JobCore`]
-/// schedule through this type.
-pub struct TaskCursor {
+/// by up to `threads * chunk`. [`JobCore`] schedules through it; the
+/// thread-pool driver runs `JobCore` stints, so it has no cursor of its own.
+pub(crate) struct TaskCursor {
     cursor: AtomicUsize,
     len: usize,
     chunk: usize,

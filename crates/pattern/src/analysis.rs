@@ -137,13 +137,20 @@ fn order_ancestor_bits(p: &Pattern, order: &[usize]) -> Vec<u64> {
         .collect()
 }
 
-/// Picks the best matching order for `p` (original labels).
+/// Picks the best matching order for `p` (original labels): the most
+/// constraints, then the shallowest ancestors, then the lexicographically
+/// smallest order.
 pub fn best_matching_order(p: &Pattern) -> Vec<usize> {
-    if p.size() <= 8 {
-        best_order_exhaustive(p)
-    } else {
-        greedy_order(p)
+    if p.size() > 8 {
+        return greedy_order(p);
     }
+    let mut best: Option<(OrderKey, Vec<usize>)> = None;
+    each_order(p, &mut |key, order| {
+        if best.as_ref().is_none_or(|(b, _)| key > *b) {
+            best = Some((key, order.to_vec()));
+        }
+    });
+    best.expect("a connected pattern always has a connected order").1
 }
 
 /// All matching orders achieving the maximal constraint-count score,
@@ -159,78 +166,43 @@ pub fn top_matching_orders(p: &Pattern) -> Vec<Vec<usize>> {
     if p.size() > 8 {
         return vec![greedy_order(p)];
     }
-    let mut all: Vec<(OrderKey, Vec<usize>)> = Vec::new();
-    let mut order: Vec<usize> = Vec::with_capacity(p.size());
-    let mut seen = DepthSet::new();
-    collect_orders(p, &mut order, &mut seen, &mut all);
-    let best_score =
-        all.iter().map(|(k, _)| k.0.clone()).max().expect("connected pattern has an order");
-    let mut top: Vec<(OrderKey, Vec<usize>)> =
-        all.into_iter().filter(|(k, _)| k.0 == best_score).collect();
+    let mut top: Vec<(OrderKey, Vec<usize>)> = Vec::new();
+    each_order(p, &mut |key, order| {
+        let score = top.first().map(|(k, _)| key.0.cmp(&k.0));
+        if score == Some(std::cmp::Ordering::Greater) {
+            top.clear();
+        }
+        if score != Some(std::cmp::Ordering::Less) {
+            top.push((key, order.to_vec()));
+        }
+    });
+    assert!(!top.is_empty(), "connected pattern has an order");
     top.sort_by(|a, b| b.0.cmp(&a.0));
     top.into_iter().map(|(_, o)| o).collect()
 }
 
-fn collect_orders(
-    p: &Pattern,
-    order: &mut Vec<usize>,
-    seen: &mut DepthSet,
-    out: &mut Vec<(OrderKey, Vec<usize>)>,
-) {
-    let n = p.size();
-    if order.len() == n {
-        let key: OrderKey = (
-            order_score(p, order),
-            std::cmp::Reverse(order_ancestor_bits(p, order)),
-            std::cmp::Reverse(order.clone()),
-        );
-        out.push((key, order.clone()));
-        return;
-    }
-    for u in 0..n {
-        if seen.contains(u) {
-            continue;
-        }
-        if !order.is_empty() && p.neighbors(u).intersection(*seen).is_empty() {
-            continue;
-        }
-        order.push(u);
-        seen.insert(u);
-        collect_orders(p, order, seen, out);
-        seen.remove(u);
-        order.pop();
-    }
-}
-
+/// How [`each_order`] ranks an order, larger first: maximal constraint
+/// counts, then shallow ancestors, then the lexicographically smallest
+/// order, for determinism.
 type OrderKey = (Vec<usize>, std::cmp::Reverse<Vec<u64>>, std::cmp::Reverse<Vec<usize>>);
 
-fn best_order_exhaustive(p: &Pattern) -> Vec<usize> {
-    let n = p.size();
-    let mut best: Option<(OrderKey, Vec<usize>)> = None;
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut seen = DepthSet::new();
-    fn rec(
+/// Calls `visit` with every connected matching order of `p` (each vertex
+/// after the first adjacent to an earlier one) and its key.
+fn each_order(p: &Pattern, visit: &mut impl FnMut(OrderKey, &[usize])) {
+    fn walk(
         p: &Pattern,
         order: &mut Vec<usize>,
         seen: &mut DepthSet,
-        best: &mut Option<(OrderKey, Vec<usize>)>,
+        visit: &mut impl FnMut(OrderKey, &[usize]),
     ) {
         let n = p.size();
         if order.len() == n {
-            // Maximize constraint counts, then prefer shallow ancestors,
-            // then the lexicographically smallest order, for determinism.
             let key: OrderKey = (
                 order_score(p, order),
                 std::cmp::Reverse(order_ancestor_bits(p, order)),
                 std::cmp::Reverse(order.clone()),
             );
-            let better = match best {
-                None => true,
-                Some((bk, _)) => key > *bk,
-            };
-            if better {
-                *best = Some((key, order.clone()));
-            }
+            visit(key, order);
             return;
         }
         for u in 0..n {
@@ -242,13 +214,12 @@ fn best_order_exhaustive(p: &Pattern) -> Vec<usize> {
             }
             order.push(u);
             seen.insert(u);
-            rec(p, order, seen, best);
+            walk(p, order, seen, visit);
             seen.remove(u);
             order.pop();
         }
     }
-    rec(p, &mut order, &mut seen, &mut best);
-    best.expect("a connected pattern always has a connected order").1
+    walk(p, &mut Vec::with_capacity(p.size()), &mut DepthSet::new(), visit);
 }
 
 /// Greedy fallback for large patterns: start at a max-degree vertex, then

@@ -6,6 +6,7 @@
 //! for materialized frontier lists (which live in the private cache and
 //! spill to the shared cache on eviction, §IV-A).
 
+use crate::config::LINE_SHIFT;
 use fm_graph::{CsrGraph, VertexId};
 
 /// Byte layout of one graph in accelerator memory.
@@ -45,57 +46,46 @@ impl AddressMap {
     }
 }
 
-/// `log2(line_bytes)`: line numbers are taken with a shift, never a
-/// division.
-///
-/// # Panics
-///
-/// Panics unless `line_bytes` is a power of two;
-/// [`SimConfig::validate`](crate::SimConfig::validate) reports that for a
-/// whole configuration before anything is built.
-pub fn line_shift(line_bytes: usize) -> u32 {
-    assert!(line_bytes.is_power_of_two(), "line size {line_bytes} B is not a power of two");
-    line_bytes.trailing_zeros()
-}
-
-/// Splits a byte range into the addresses of the `1 << line_shift`-byte
-/// cache lines it touches.
-pub fn lines(base: u64, bytes: usize, line_shift: u32) -> impl Iterator<Item = u64> {
-    let first = base >> line_shift;
-    let last = if bytes == 0 { first } else { ((base + bytes as u64 - 1) >> line_shift) + 1 };
-    (first..last).map(move |l| l << line_shift)
+/// Splits a byte range into the addresses of the
+/// [`LINE_BYTES`](crate::config::LINE_BYTES)-byte cache lines it touches.
+/// Line numbers are taken with a shift, never a division.
+pub fn lines(base: u64, bytes: usize) -> impl Iterator<Item = u64> {
+    let first = base >> LINE_SHIFT;
+    let last = if bytes == 0 { first } else { ((base + bytes as u64 - 1) >> LINE_SHIFT) + 1 };
+    (first..last).map(|l| l << LINE_SHIFT)
 }
 
 /// Line-interleaved placement over `ways` equal targets (cache sets, L2
 /// banks): line `n` lands on target `n mod ways`, taken with a mask.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Interleave {
-    line_shift: u32,
     mask: u64,
 }
 
 impl Interleave {
-    /// Placement of `line_bytes`-byte lines over `ways` targets.
+    /// Placement of lines over `ways` targets.
     ///
     /// # Panics
     ///
-    /// Panics unless `line_bytes` and `ways` are powers of two (see
-    /// [`line_shift`]).
-    pub fn new(line_bytes: usize, ways: usize) -> Interleave {
+    /// Panics unless `ways` is a power of two;
+    /// [`SimConfig::validate`](crate::SimConfig::validate) reports that for
+    /// a whole configuration before anything is built.
+    pub fn new(ways: usize) -> Interleave {
         assert!(ways.is_power_of_two(), "{ways} interleaved targets is not a power of two");
-        Interleave { line_shift: line_shift(line_bytes), mask: ways as u64 - 1 }
+        Interleave { mask: ways as u64 - 1 }
     }
 
     /// The target holding the line at `addr`.
     #[inline]
     pub fn index(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) & self.mask) as usize
+        ((addr >> LINE_SHIFT) & self.mask) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LINE_BYTES;
     use fm_graph::generators;
 
     #[test]
@@ -113,13 +103,13 @@ mod tests {
 
     #[test]
     fn line_splitting() {
-        let ls: Vec<u64> = lines(0, 64, 6).collect();
+        let ls: Vec<u64> = lines(0, 64).collect();
         assert_eq!(ls, vec![0]);
-        let ls: Vec<u64> = lines(60, 8, 6).collect();
+        let ls: Vec<u64> = lines(60, 8).collect();
         assert_eq!(ls, vec![0, 64]);
-        let ls: Vec<u64> = lines(128, 0, 6).collect();
+        let ls: Vec<u64> = lines(128, 0).collect();
         assert!(ls.is_empty());
-        let ls: Vec<u64> = lines(0, 129, 6).collect();
+        let ls: Vec<u64> = lines(0, 129).collect();
         assert_eq!(ls, vec![0, 64, 128]);
     }
 
@@ -143,13 +133,11 @@ mod tests {
         // Set and bank counts of every geometry the suites build: 1 set
         // for the 256 B L1, 8 for 2 kB, 128 for 32 kB, 4096 L2 sets, 1 and
         // 8 L2 banks.
-        for line_bytes in [32usize, 64, 128] {
-            for ways in [1usize, 2, 8, 16, 128, 4096] {
-                let il = Interleave::new(line_bytes, ways);
-                for &addr in &sample_addresses() {
-                    let reference = ((addr / line_bytes as u64) % ways as u64) as usize;
-                    assert_eq!(il.index(addr), reference, "{line_bytes} B lines, {ways} ways");
-                }
+        for ways in [1usize, 2, 8, 16, 128, 4096] {
+            let il = Interleave::new(ways);
+            for &addr in &sample_addresses() {
+                let reference = ((addr / LINE_BYTES as u64) % ways as u64) as usize;
+                assert_eq!(il.index(addr), reference, "{ways} ways");
             }
         }
     }
@@ -158,30 +146,21 @@ mod tests {
     fn shifted_line_splitting_equals_the_dividing_form() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        for line_bytes in [32usize, 64, 128] {
-            let lb = line_bytes as u64;
-            for &base in &sample_addresses()[..500] {
-                let bytes: usize =
-                    [0, 1, 4, 16, 64, rng.gen_range(0..5_000)][rng.gen_range(0..6usize)];
-                let first = base / lb;
-                let last = if bytes == 0 { first } else { (base + bytes as u64 - 1) / lb + 1 };
-                let reference: Vec<u64> = (first..last).map(|l| l * lb).collect();
-                let got: Vec<u64> = lines(base, bytes, line_shift(line_bytes)).collect();
-                assert_eq!(got, reference, "base {base} bytes {bytes} line {line_bytes}");
-            }
+        let lb = LINE_BYTES as u64;
+        for &base in &sample_addresses()[..500] {
+            let bytes: usize = [0, 1, 4, 16, 64, rng.gen_range(0..5_000)][rng.gen_range(0..6usize)];
+            let first = base / lb;
+            let last = if bytes == 0 { first } else { (base + bytes as u64 - 1) / lb + 1 };
+            let reference: Vec<u64> = (first..last).map(|l| l * lb).collect();
+            let got: Vec<u64> = lines(base, bytes).collect();
+            assert_eq!(got, reference, "base {base} bytes {bytes}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "line size 48 B is not a power of two")]
-    fn odd_line_size_is_refused() {
-        line_shift(48);
     }
 
     #[test]
     #[should_panic(expected = "6 interleaved targets is not a power of two")]
     fn odd_target_count_is_refused() {
-        Interleave::new(64, 6);
+        Interleave::new(6);
     }
 
     #[test]

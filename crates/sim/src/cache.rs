@@ -7,6 +7,7 @@
 //! data" (§IV-A).
 
 use crate::addr::Interleave;
+use crate::config::LINE_BYTES;
 
 /// Result of a cache access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,20 +36,21 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates a cache of `capacity_bytes` with the given associativity and
-    /// line size. Capacity is rounded down to a whole number of sets; a
-    /// capacity smaller than one way still provides a single direct-mapped
-    /// set (failure-injection configurations rely on this).
+    /// Creates a cache of `capacity_bytes` of [`LINE_BYTES`]-byte lines
+    /// with the given associativity. Capacity is rounded down to a whole
+    /// number of sets; a capacity smaller than one way still provides a
+    /// single direct-mapped set (failure-injection configurations rely on
+    /// this).
     ///
     /// # Panics
     ///
-    /// Panics unless the line size and the resulting set count are powers
-    /// of two (the set index is a shift and a mask).
-    pub fn new(capacity_bytes: usize, assoc: usize, line_bytes: usize) -> SetAssocCache {
+    /// Panics unless the resulting set count is a power of two (the set
+    /// index is a shift and a mask).
+    pub fn new(capacity_bytes: usize, assoc: usize) -> SetAssocCache {
         let assoc = assoc.max(1);
-        let sets = Self::sets_for(capacity_bytes, assoc, line_bytes);
+        let sets = Self::sets_for(capacity_bytes, assoc);
         SetAssocCache {
-            sets: Interleave::new(line_bytes, sets),
+            sets: Interleave::new(sets),
             assoc,
             ways: vec![Way::default(); sets * assoc],
             tick: 0,
@@ -56,9 +58,9 @@ impl SetAssocCache {
     }
 
     /// Sets of a `capacity_bytes` cache: whole sets only, at least one.
-    pub(crate) fn sets_for(capacity_bytes: usize, assoc: usize, line_bytes: usize) -> usize {
+    pub(crate) fn sets_for(capacity_bytes: usize, assoc: usize) -> usize {
         let assoc = assoc.max(1);
-        ((capacity_bytes / line_bytes).max(assoc) / assoc).max(1)
+        ((capacity_bytes / LINE_BYTES).max(assoc) / assoc).max(1)
     }
 
     fn set_of(&self, line_addr: u64) -> usize {
@@ -115,10 +117,10 @@ mod tests {
 
     #[test]
     fn geometry() {
-        let c = SetAssocCache::new(32 * 1024, 4, 64);
+        let c = SetAssocCache::new(32 * 1024, 4);
         assert_eq!(c.num_sets(), 128);
         // Degenerate tiny cache still works.
-        let t = SetAssocCache::new(64, 4, 64);
+        let t = SetAssocCache::new(64, 4);
         assert_eq!(t.num_sets(), 1);
     }
 
@@ -130,7 +132,7 @@ mod tests {
         for (bytes, assoc) in
             [(32 << 10, 4), (4 << 20, 16), (2048, 4), (256, 4), (64, 4), (1024, 16), (128, 16)]
         {
-            let c = SetAssocCache::new(bytes, assoc, 64);
+            let c = SetAssocCache::new(bytes, assoc);
             let sets = c.num_sets();
             assert_eq!(sets, ((bytes / 64).max(assoc) / assoc).max(1));
             for line in (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20 << 6) {
@@ -141,7 +143,7 @@ mod tests {
 
     #[test]
     fn hit_after_install() {
-        let mut c = SetAssocCache::new(1024, 2, 64);
+        let mut c = SetAssocCache::new(1024, 2);
         assert!(!c.access(0, false).hit);
         assert!(c.access(0, false).hit);
         assert!(c.contains(0));
@@ -151,7 +153,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         // 2-way, map three conflicting lines to one set.
-        let mut c = SetAssocCache::new(128, 2, 64); // 1 set, 2 ways
+        let mut c = SetAssocCache::new(128, 2); // 1 set, 2 ways
         c.access(0, false);
         c.access(64, false);
         c.access(0, false); // refresh 0
@@ -162,7 +164,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_reports_writeback() {
-        let mut c = SetAssocCache::new(128, 2, 64);
+        let mut c = SetAssocCache::new(128, 2);
         c.access(0, true); // dirty
         c.access(64, false);
         let r = c.access(128, false); // evicts dirty 0
@@ -174,7 +176,7 @@ mod tests {
 
     #[test]
     fn write_hit_marks_dirty() {
-        let mut c = SetAssocCache::new(128, 2, 64);
+        let mut c = SetAssocCache::new(128, 2);
         c.access(0, false);
         c.access(0, true);
         c.access(64, false);

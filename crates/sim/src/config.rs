@@ -1,60 +1,99 @@
 //! Simulator configuration.
 //!
-//! Defaults follow the paper's evaluated configuration (§VII-A): 1.3 GHz
-//! PEs, 32 kB private cache, 8 kB c-map scratchpad, 4 MB shared cache, and
-//! 64 GB of DDR4-2666 DRAM over four channels. All latencies are expressed
-//! in PE clock cycles (1 cycle ≈ 0.77 ns at 1.3 GHz).
+//! The simulator models one machine, the paper's evaluated accelerator
+//! (§VII-A): 1.3 GHz PEs, 32 kB private cache, 8 kB c-map scratchpad, 4 MB
+//! shared cache, and 64 GB of DDR4-2666 DRAM over four channels. What the
+//! paper never varies is a constant below; [`SimConfig`] holds only what
+//! an experiment sweeps (PE count, c-map size and organization, cache
+//! capacities) or what a run observes (watchdog, timeline). All latencies
+//! are expressed in PE clock cycles (1 cycle ≈ 0.77 ns at 1.3 GHz).
 
 use crate::cache::SetAssocCache;
 
-/// DRAM timing model parameters (DRAMsim3 substitute).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct DramConfig {
-    /// Independent channels (paper: four channels of DDR4-2666).
-    pub channels: usize,
-    /// Banks per channel with private row buffers.
-    pub banks_per_channel: usize,
-    /// Row-buffer size in bytes (determines hit/miss behaviour of
-    /// streaming accesses).
-    pub row_bytes: u64,
-    /// Access latency on a row-buffer hit, in PE cycles (~20 ns).
-    pub row_hit_cycles: u64,
-    /// Access latency on a row-buffer miss (precharge + activate + CAS,
-    /// ~45 ns).
-    pub row_miss_cycles: u64,
-    /// Channel occupancy per 64 B burst, in PE cycles. DDR4-2666 moves
-    /// 64 B in ~3 ns ≈ 4 cycles at 1.3 GHz — this is the per-channel
-    /// bandwidth limit.
-    pub burst_cycles: u64,
-}
+// ---- The machine: PEs, c-map, caches, NoC, scheduler ----
 
-impl Default for DramConfig {
-    fn default() -> Self {
-        DramConfig {
-            channels: 4,
-            banks_per_channel: 16,
-            row_bytes: 4096,
-            row_hit_cycles: 26,
-            row_miss_cycles: 59,
-            burst_cycles: 4,
-        }
-    }
-}
+/// PE clock frequency in GHz, used only to convert cycles to seconds.
+pub const FREQ_GHZ: f64 = 1.3;
+/// Bytes per c-map entry: 4 B key + 1 B value (§VI-A).
+pub const CMAP_ENTRY_BYTES: usize = 5;
+/// Cache line size in bytes. Lines, sets and L2 banks are indexed with
+/// shifts and masks ([`LINE_SHIFT`]).
+pub const LINE_BYTES: usize = 64;
+/// `log2(LINE_BYTES)`.
+pub const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
+const _: () = assert!(LINE_BYTES.is_power_of_two(), "lines are indexed with a shift");
+/// Private (L1) cache associativity.
+pub const L1_ASSOC: usize = 4;
+/// Shared (L2) cache associativity.
+pub const L2_ASSOC: usize = 16;
+/// Shared cache access latency in cycles (tag + data, excluding NoC).
+pub const L2_LATENCY: u64 = 20;
+/// Shared cache bank occupancy per access (service rate limit).
+pub const L2_OCCUPANCY: u64 = 2;
+/// Fixed SIU/SDU invocation overhead in cycles: loading the two list
+/// descriptors (base address + length) and filling the merge pipeline of
+/// Fig. 9 before the first compare retires.
+pub const SIU_SETUP_CYCLES: u64 = 8;
+/// Per-hop NoC latency in cycles.
+pub const NOC_HOP_LATENCY: u64 = 1;
+/// NoC serialization cycles per 64 B response (flit count).
+pub const NOC_SERIALIZATION: u64 = 4;
+/// Cycles to dispatch a task — one start vertex, as in the paper — to an
+/// idle PE.
+pub const SCHED_LATENCY: u64 = 16;
 
-/// Full accelerator configuration.
+// ---- DRAM (DRAMsim3 substitute): four channels of DDR4-2666 ----
+
+/// Independent DRAM channels.
+pub const DRAM_CHANNELS: usize = 4;
+/// Banks per channel, each with a private row buffer.
+pub const DRAM_BANKS_PER_CHANNEL: usize = 16;
+/// Row-buffer size in bytes (determines hit/miss behaviour of streaming
+/// accesses).
+pub const DRAM_ROW_BYTES: u64 = 4096;
+/// Access latency on a row-buffer hit, in PE cycles (~20 ns).
+pub const DRAM_ROW_HIT_CYCLES: u64 = 26;
+/// Access latency on a row-buffer miss (precharge + activate + CAS,
+/// ~45 ns).
+pub const DRAM_ROW_MISS_CYCLES: u64 = 59;
+/// Channel occupancy per 64 B burst, in PE cycles. DDR4-2666 moves 64 B in
+/// ~3 ns ≈ 4 cycles at 1.3 GHz — this is the per-channel bandwidth limit.
+pub const DRAM_BURST_CYCLES: u64 = 4;
+
+// ---- Energy per event (`energy.rs`), representative 15 nm figures ----
+//
+// Small-SRAM accesses a few pJ, a 32 kB cache access ~10 pJ, a 4 MB cache
+// access ~50 pJ, DRAM ~10 nJ per 64 B access (DDR4 is commonly quoted
+// near 15–20 pJ/bit ⇒ ~8–10 nJ per line plus IO).
+
+/// One datapath/pruner cycle of a PE (ALU + registers + control), in pJ.
+pub const PE_CYCLE_PJ: f64 = 1.2;
+/// One SIU/SDU merge iteration (two comparators + muxes), in pJ.
+pub const SIU_ITERATION_PJ: f64 = 0.6;
+/// One c-map access (5 B-entry banked SRAM probe), in pJ.
+pub const CMAP_ACCESS_PJ: f64 = 2.0;
+/// One private (32 kB) cache access, in pJ.
+pub const L1_ACCESS_PJ: f64 = 10.0;
+/// One shared (4 MB) cache access, in pJ.
+pub const L2_ACCESS_PJ: f64 = 50.0;
+/// One NoC flit-hop, in pJ.
+pub const NOC_HOP_PJ: f64 = 4.0;
+/// One 64 B DRAM access, in pJ.
+pub const DRAM_ACCESS_PJ: f64 = 10_000.0;
+/// Static (leakage) power per PE, in milliwatts.
+pub const PE_LEAKAGE_MW: f64 = 0.5;
+
+/// What an experiment varies on the machine; every other parameter is a
+/// constant of this module.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SimConfig {
     /// Number of processing elements (the paper sweeps 1–64; default 20).
     pub num_pes: usize,
-    /// PE clock frequency in GHz, used only to convert cycles to seconds.
-    pub freq_ghz: f64,
     /// c-map scratchpad capacity in bytes (0 disables the c-map; the paper
     /// sweeps 1 kB–16 kB and picks 8 kB).
     pub cmap_bytes: usize,
     /// c-map banks probed in parallel (§VI-A prototypes m = 4).
     pub cmap_banks: usize,
-    /// Bytes per c-map entry: 4 B key + 1 B value (§VI-A).
-    pub cmap_entry_bytes: usize,
     /// Bits in the c-map value: connectivity is tracked for DFS levels
     /// `< cmap_value_bits`; deeper levels fall back to SIU/SDU (§VII-D).
     pub cmap_value_bits: usize,
@@ -63,35 +102,10 @@ pub struct SimConfig {
     pub cmap_occupancy_threshold: f64,
     /// Private (L1) cache capacity in bytes (paper: 32 kB).
     pub l1_bytes: usize,
-    /// Private cache associativity.
-    pub l1_assoc: usize,
-    /// Cache line size in bytes (a power of two, as the set counts and
-    /// `l2_banks` must be: see [`validate`](Self::validate)).
-    pub line_bytes: usize,
     /// Shared (L2) cache capacity in bytes (paper: 4 MB).
     pub l2_bytes: usize,
-    /// Shared cache associativity.
-    pub l2_assoc: usize,
     /// Shared cache banks (independent service queues).
     pub l2_banks: usize,
-    /// Shared cache access latency in cycles (tag + data, excluding NoC).
-    pub l2_latency: u64,
-    /// Shared cache bank occupancy per access (service rate limit).
-    pub l2_occupancy: u64,
-    /// Fixed SIU/SDU invocation overhead in cycles: loading the two list
-    /// descriptors (base address + length) and filling the merge pipeline
-    /// of Fig. 9 before the first compare retires.
-    pub siu_setup_cycles: u64,
-    /// Per-hop NoC latency in cycles.
-    pub noc_hop_latency: u64,
-    /// NoC serialization cycles per 64 B response (flit count).
-    pub noc_serialization: u64,
-    /// DRAM model.
-    pub dram: DramConfig,
-    /// Start vertices per scheduler task (paper: one vertex per task).
-    pub task_chunk: u32,
-    /// Cycles to dispatch a task to an idle PE.
-    pub sched_latency: u64,
     /// Epoch length for PE interleaving (bounds cross-PE contention skew).
     pub epoch: u64,
     /// Honor frontier-memoization hints (paper: always on; ablation knob).
@@ -116,26 +130,13 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             num_pes: 20,
-            freq_ghz: 1.3,
             cmap_bytes: 8 * 1024,
             cmap_banks: 4,
-            cmap_entry_bytes: 5,
             cmap_value_bits: 8,
             cmap_occupancy_threshold: 0.75,
             l1_bytes: 32 * 1024,
-            l1_assoc: 4,
-            line_bytes: 64,
             l2_bytes: 4 * 1024 * 1024,
-            l2_assoc: 16,
             l2_banks: 8,
-            l2_latency: 20,
-            l2_occupancy: 2,
-            siu_setup_cycles: 8,
-            noc_hop_latency: 1,
-            noc_serialization: 4,
-            dram: DramConfig::default(),
-            task_chunk: 1,
-            sched_latency: 16,
             epoch: 4096,
             frontier_memo: true,
             watchdog_cycles: 0,
@@ -166,28 +167,24 @@ impl SimConfig {
         if self.cmap_bytes == usize::MAX {
             usize::MAX
         } else {
-            self.cmap_bytes / self.cmap_entry_bytes
+            self.cmap_bytes / CMAP_ENTRY_BYTES
         }
     }
 
-    /// Checks the cache geometry: the simulator indexes lines, sets and L2
-    /// banks with shifts and masks, so the line size, the set count of
-    /// each cache and the L2 bank count must be powers of two. Every
-    /// geometry the paper evaluates is; [`simulate`](crate::simulate)
-    /// refuses the others here instead of deep inside construction.
+    /// Checks the cache geometry: the simulator indexes sets and L2 banks
+    /// with shifts and masks, so the set count of each cache and the L2
+    /// bank count must be powers of two. Every geometry the paper
+    /// evaluates is; [`simulate`](crate::simulate) refuses the others here
+    /// instead of deep inside construction.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.line_bytes.is_power_of_two() {
-            return Err(format!("line_bytes = {} is not a power of two", self.line_bytes));
-        }
         for (name, bytes, assoc) in
-            [("l1", self.l1_bytes, self.l1_assoc), ("l2", self.l2_bytes, self.l2_assoc)]
+            [("l1", self.l1_bytes, L1_ASSOC), ("l2", self.l2_bytes, L2_ASSOC)]
         {
-            let sets = SetAssocCache::sets_for(bytes, assoc, self.line_bytes);
+            let sets = SetAssocCache::sets_for(bytes, assoc);
             if !sets.is_power_of_two() {
                 return Err(format!(
-                    "{name}_bytes = {bytes} with {name}_assoc = {assoc} and {} B lines gives \
-                     {sets} sets, not a power of two",
-                    self.line_bytes
+                    "{name}_bytes = {bytes} with {name}_assoc = {assoc} and {LINE_BYTES} B lines \
+                     gives {sets} sets, not a power of two"
                 ));
             }
         }
@@ -195,11 +192,6 @@ impl SimConfig {
             return Err(format!("l2_banks = {} is not a power of two", self.l2_banks));
         }
         Ok(())
-    }
-
-    /// Converts a cycle count to seconds at the configured frequency.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.freq_ghz * 1e9)
     }
 
     /// Mesh dimension used for NoC hop counts (PEs placed on a square
@@ -213,7 +205,7 @@ impl SimConfig {
     pub fn noc_round_trip(&self, pe: usize) -> u64 {
         let dim = self.mesh_dim().max(1);
         let hops = (pe % dim + pe / dim + 1) as u64;
-        2 * hops * self.noc_hop_latency + self.noc_serialization
+        2 * hops * NOC_HOP_LATENCY + NOC_SERIALIZATION
     }
 }
 
@@ -225,12 +217,14 @@ mod tests {
     fn defaults_match_paper_configuration() {
         let c = SimConfig::default();
         assert_eq!(c.num_pes, 20);
-        assert!((c.freq_ghz - 1.3).abs() < 1e-9);
+        assert_eq!(FREQ_GHZ, 1.3);
         assert_eq!(c.cmap_bytes, 8 * 1024);
         assert_eq!(c.cmap_entries(), 8 * 1024 / 5);
         assert_eq!(c.l1_bytes, 32 * 1024);
         assert_eq!(c.l2_bytes, 4 * 1024 * 1024);
-        assert_eq!(c.dram.channels, 4);
+        assert_eq!((LINE_BYTES, 1 << LINE_SHIFT), (64, 64));
+        assert_eq!((L1_ASSOC, L2_ASSOC), (4, 16));
+        assert_eq!(DRAM_CHANNELS, 4);
         assert!(c.cmap_enabled());
         assert_eq!(c.watchdog_cycles, 0); // watchdog off by default
         assert_eq!(c.timeline_every, 0); // timeline sampling off by default
@@ -252,21 +246,8 @@ mod tests {
         }
         let refused = |cfg: SimConfig| cfg.validate().expect_err("odd geometry");
         assert_eq!(
-            refused(SimConfig { line_bytes: 48, ..Default::default() }),
-            "line_bytes = 48 is not a power of two"
-        );
-        assert_eq!(
-            refused(SimConfig { line_bytes: 0, ..Default::default() }),
-            "line_bytes = 0 is not a power of two"
-        );
-        assert_eq!(
             refused(SimConfig { l1_bytes: 48 << 10, ..Default::default() }),
             "l1_bytes = 49152 with l1_assoc = 4 and 64 B lines gives 192 sets, not a power of two"
-        );
-        assert_eq!(
-            refused(SimConfig { l2_assoc: 12, ..Default::default() }),
-            "l2_bytes = 4194304 with l2_assoc = 12 and 64 B lines gives 5461 sets, \
-             not a power of two"
         );
         assert_eq!(
             refused(SimConfig { l2_banks: 6, ..Default::default() }),
@@ -276,9 +257,8 @@ mod tests {
 
     #[test]
     fn cycle_conversion() {
-        let c = SimConfig::default();
-        let s = c.cycles_to_seconds(1_300_000_000);
-        assert!((s - 1.0).abs() < 1e-9);
+        let report = crate::SimReport { cycles: 1_300_000_000, ..Default::default() };
+        assert!((report.seconds() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! with queueing from the epoch-utilization model) and row-buffer locality
 //! (hit vs miss latency). Addresses interleave across channels at line
 //! granularity and across banks at row granularity, as in commodity
-//! controllers.
+//! controllers. The device is the one of [`crate::config`]: four channels
+//! of DDR4-2666.
 
-use crate::config::DramConfig;
+use crate::config::{
+    DRAM_BANKS_PER_CHANNEL, DRAM_BURST_CYCLES, DRAM_CHANNELS, DRAM_ROW_BYTES, DRAM_ROW_HIT_CYCLES,
+    DRAM_ROW_MISS_CYCLES,
+};
 use crate::queue::ContendedQueue;
 
 /// One access's timing outcome.
@@ -25,7 +29,6 @@ pub struct DramAccess {
 /// The DRAM device model.
 #[derive(Clone, Debug)]
 pub struct Dram {
-    cfg: DramConfig,
     channels: Vec<ContendedQueue>,
     /// Open row per (channel, bank); `u64::MAX` = closed.
     open_row: Vec<u64>,
@@ -35,43 +38,48 @@ pub struct Dram {
     pub row_hits: u64,
 }
 
+impl Default for Dram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Dram {
     /// Creates an idle DRAM system.
-    pub fn new(cfg: DramConfig) -> Dram {
+    pub fn new() -> Dram {
         Dram {
-            cfg,
-            channels: vec![ContendedQueue::new(cfg.burst_cycles); cfg.channels],
-            open_row: vec![u64::MAX; cfg.channels * cfg.banks_per_channel],
+            channels: vec![ContendedQueue::new(DRAM_BURST_CYCLES); DRAM_CHANNELS],
+            open_row: vec![u64::MAX; DRAM_CHANNELS * DRAM_BANKS_PER_CHANNEL],
             accesses: 0,
             row_hits: 0,
         }
     }
 
-    fn map(&self, line_addr: u64) -> (usize, usize, u64) {
+    fn map(line_addr: u64) -> (usize, usize, u64) {
         let line = line_addr / 64;
-        let channel = (line % self.cfg.channels as u64) as usize;
-        let row = line_addr / self.cfg.row_bytes;
-        let bank = (row % self.cfg.banks_per_channel as u64) as usize;
+        let channel = (line % DRAM_CHANNELS as u64) as usize;
+        let row = line_addr / DRAM_ROW_BYTES;
+        let bank = (row % DRAM_BANKS_PER_CHANNEL as u64) as usize;
         (channel, bank, row)
     }
 
     /// Services a 64 B read or write.
     pub fn access(&mut self, line_addr: u64) -> DramAccess {
         self.accesses += 1;
-        let (channel, bank, row) = self.map(line_addr);
+        let (channel, bank, row) = Self::map(line_addr);
         let queue_delay = self.channels[channel].book();
-        let slot = channel * self.cfg.banks_per_channel + bank;
+        let slot = channel * DRAM_BANKS_PER_CHANNEL + bank;
         let row_hit = self.open_row[slot] == row;
         let device = if row_hit {
             self.row_hits += 1;
-            self.cfg.row_hit_cycles
+            DRAM_ROW_HIT_CYCLES
         } else {
             self.open_row[slot] = row;
-            self.cfg.row_miss_cycles
+            DRAM_ROW_MISS_CYCLES
         };
         DramAccess {
             latency: queue_delay + device,
-            backpressure: queue_delay + self.cfg.burst_cycles,
+            backpressure: queue_delay + DRAM_BURST_CYCLES,
             row_hit,
         }
     }
@@ -96,12 +104,12 @@ mod tests {
 
     #[test]
     fn first_access_misses_row_then_hits() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new();
         let a = d.access(0);
         assert!(!a.row_hit);
-        assert_eq!(a.latency, DramConfig::default().row_miss_cycles);
+        assert_eq!(a.latency, DRAM_ROW_MISS_CYCLES);
         // Same row, next line on the same channel (stride = channels*64).
-        let b = d.access(4 * 64);
+        let b = d.access(DRAM_CHANNELS as u64 * 64);
         assert!(b.row_hit);
         assert_eq!(d.accesses, 2);
         assert_eq!(d.row_hits, 1);
@@ -110,14 +118,14 @@ mod tests {
     #[test]
     fn channel_saturation_raises_latency() {
         // (row-state-aware)
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new();
         // Saturate all channels for one epoch.
         for i in 0..10_000u64 {
             let _ = d.access(i * 64);
         }
         d.end_epoch(4096);
         // Same row state in both cases: access address 0 twice up front.
-        let mut idle = Dram::new(DramConfig::default());
+        let mut idle = Dram::new();
         let _ = idle.access(0);
         let fresh = idle.access(0); // row hit, no load
         let loaded = d.access(0); // row hit under load
@@ -128,7 +136,7 @@ mod tests {
 
     #[test]
     fn utilization_recovers_after_idle_epochs() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::new();
         for i in 0..10_000u64 {
             let _ = d.access(i * 64);
         }

@@ -12,49 +12,11 @@
 //! comparisons across configurations (e.g. how much dynamic energy the
 //! c-map saves by eliminating SIU iterations and cache traffic).
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, CMAP_ACCESS_PJ, DRAM_ACCESS_PJ, L1_ACCESS_PJ, L2_ACCESS_PJ, NOC_HOP_PJ, PE_CYCLE_PJ,
+    PE_LEAKAGE_MW, SIU_ITERATION_PJ,
+};
 use crate::stats::SimReport;
-
-/// Per-event dynamic energy constants, in picojoules.
-///
-/// Defaults are representative 15 nm-class figures: small-SRAM accesses a
-/// few pJ, 32 kB cache access ~10 pJ, 4 MB cache access ~50 pJ, DRAM
-/// ~15 nJ per 64 B access (≈230 pJ/bit × 64 B is DDR3-era; DDR4 is
-/// commonly quoted near 15–20 pJ/bit ⇒ ~8–10 nJ per line plus IO).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct EnergyModel {
-    /// One datapath/pruner cycle of a PE (ALU + registers + control).
-    pub pe_cycle_pj: f64,
-    /// One SIU/SDU merge iteration (two comparators + muxes).
-    pub siu_iteration_pj: f64,
-    /// One c-map access (5 B-entry banked SRAM probe).
-    pub cmap_access_pj: f64,
-    /// One private (32 kB) cache access.
-    pub l1_access_pj: f64,
-    /// One shared (4 MB) cache access.
-    pub l2_access_pj: f64,
-    /// One NoC flit-hop.
-    pub noc_hop_pj: f64,
-    /// One 64 B DRAM access.
-    pub dram_access_pj: f64,
-    /// Static (leakage) power per PE, in milliwatts.
-    pub pe_leakage_mw: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            pe_cycle_pj: 1.2,
-            siu_iteration_pj: 0.6,
-            cmap_access_pj: 2.0,
-            l1_access_pj: 10.0,
-            l2_access_pj: 50.0,
-            noc_hop_pj: 4.0,
-            dram_access_pj: 10_000.0,
-            pe_leakage_mw: 0.5,
-        }
-    }
-}
 
 /// An energy breakdown in millijoules.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -91,24 +53,22 @@ impl EnergyBreakdown {
     }
 }
 
-impl EnergyModel {
-    /// Estimates the energy of a finished simulation.
-    pub fn estimate(&self, report: &SimReport, cfg: &SimConfig) -> EnergyBreakdown {
-        let pj = |count: u64, per: f64| count as f64 * per * 1e-9; // pJ → mJ
-        let cmap_accesses =
-            report.totals.cmap_reads + report.totals.cmap_writes + report.totals.cmap_invalidations;
-        let avg_hops = (cfg.mesh_dim() as f64).max(1.0);
-        let seconds = cfg.cycles_to_seconds(report.cycles);
-        EnergyBreakdown {
-            pe_mj: pj(report.totals.busy_cycles, self.pe_cycle_pj),
-            siu_mj: pj(report.totals.siu_cycles, self.siu_iteration_pj),
-            cmap_mj: pj(cmap_accesses, self.cmap_access_pj),
-            l1_mj: pj(report.totals.l1_accesses, self.l1_access_pj),
-            l2_mj: pj(report.l2_accesses, self.l2_access_pj),
-            noc_mj: pj(report.noc_traffic(), self.noc_hop_pj * avg_hops * 2.0),
-            dram_mj: pj(report.dram_accesses, self.dram_access_pj),
-            static_mj: self.pe_leakage_mw * cfg.num_pes as f64 * seconds,
-        }
+/// Estimates the energy of a finished simulation from its event counts
+/// and the per-event constants of [`crate::config`].
+pub fn estimate(report: &SimReport, cfg: &SimConfig) -> EnergyBreakdown {
+    let pj = |count: u64, per: f64| count as f64 * per * 1e-9; // pJ → mJ
+    let cmap_accesses =
+        report.totals.cmap_reads + report.totals.cmap_writes + report.totals.cmap_invalidations;
+    let avg_hops = (cfg.mesh_dim() as f64).max(1.0);
+    EnergyBreakdown {
+        pe_mj: pj(report.totals.busy_cycles, PE_CYCLE_PJ),
+        siu_mj: pj(report.totals.siu_cycles, SIU_ITERATION_PJ),
+        cmap_mj: pj(cmap_accesses, CMAP_ACCESS_PJ),
+        l1_mj: pj(report.totals.l1_accesses, L1_ACCESS_PJ),
+        l2_mj: pj(report.l2_accesses, L2_ACCESS_PJ),
+        noc_mj: pj(report.noc_traffic(), NOC_HOP_PJ * avg_hops * 2.0),
+        dram_mj: pj(report.dram_accesses, DRAM_ACCESS_PJ),
+        static_mj: PE_LEAKAGE_MW * cfg.num_pes as f64 * report.seconds(),
     }
 }
 
@@ -125,7 +85,7 @@ mod tests {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         let cfg = SimConfig { num_pes: 4, cmap_bytes, ..Default::default() };
         let report = simulate(&g, &plan, &cfg);
-        (EnergyModel::default().estimate(&report, &cfg), cfg)
+        (estimate(&report, &cfg), cfg)
     }
 
     #[test]

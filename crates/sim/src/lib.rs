@@ -58,7 +58,7 @@ pub mod pe;
 pub mod queue;
 pub mod stats;
 
-pub use config::{DramConfig, SimConfig};
-pub use energy::{EnergyBreakdown, EnergyModel};
+pub use config::SimConfig;
+pub use energy::EnergyBreakdown;
 pub use machine::simulate;
 pub use stats::{PeFsmState, SimReport, TimelineSample, WatchdogDump, FSM_STATE_NAMES};

@@ -10,7 +10,7 @@ use fm_graph::CsrGraph;
 use fm_plan::lowering::{lower, LowerOptions};
 use fm_plan::ExecutionPlan;
 
-/// The dynamic task scheduler (Fig. 8): hands out chunks of start vertices
+/// The dynamic task scheduler (Fig. 8): hands one start vertex at a time
 /// to idle PEs. "The scheduler dynamically assigns tasks to available idle
 /// PEs."
 ///
@@ -19,27 +19,19 @@ use fm_plan::ExecutionPlan;
 /// lets the long tail of light tasks fill the remaining PEs (longest-
 /// processing-time-first list scheduling).
 pub(crate) struct Scheduler {
-    order: Vec<u32>,
-    next: usize,
-    chunk: usize,
+    order: std::vec::IntoIter<u32>,
 }
 
 impl Scheduler {
-    fn new(g: &CsrGraph, chunk: u32) -> Scheduler {
+    fn new(g: &CsrGraph) -> Scheduler {
         let mut order: Vec<u32> = (0..g.num_vertices() as u32).collect();
         order.sort_by_key(|&v| std::cmp::Reverse(g.degree(fm_graph::VertexId(v))));
-        Scheduler { order, next: 0, chunk: chunk.max(1) as usize }
+        Scheduler { order: order.into_iter() }
     }
 
-    /// Returns the next batch of start vertices (empty = drained).
-    pub(crate) fn next_task(&mut self) -> Option<&[u32]> {
-        if self.next >= self.order.len() {
-            return None;
-        }
-        let lo = self.next;
-        let hi = (lo + self.chunk).min(self.order.len());
-        self.next = hi;
-        Some(&self.order[lo..hi])
+    /// Returns the next start vertex (`None` = drained).
+    pub(crate) fn next_task(&mut self) -> Option<u32> {
+        self.order.next()
     }
 }
 
@@ -66,8 +58,8 @@ impl Scheduler {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`SimConfig::validate`] (a line size, cache set
-/// count or L2 bank count that is not a power of two).
+/// Panics if `cfg` fails [`SimConfig::validate`] (a cache set count or L2
+/// bank count that is not a power of two).
 pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimReport {
     if let Err(e) = cfg.validate() {
         panic!("unsupported SimConfig: {e}");
@@ -83,7 +75,7 @@ pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimR
     let prog =
         lower(plan, LowerOptions { frontier_memo: cfg.frontier_memo, bounded_pushdown: false });
     let mut shared = MemorySystem::new(cfg);
-    let mut sched = Scheduler::new(g, cfg.task_chunk);
+    let mut sched = Scheduler::new(g);
     let mut pes: Vec<Pe> =
         (0..cfg.num_pes.max(1)).map(|i| Pe::new(i, cfg, prog.depth, plan.patterns.len())).collect();
 
@@ -172,10 +164,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unsupported SimConfig: line_bytes = 48 is not a power of two")]
+    #[should_panic(expected = "unsupported SimConfig: l1_bytes = 49152 with l1_assoc = 4 and \
+                               64 B lines gives 192 sets, not a power of two")]
     fn odd_geometry_is_refused_at_entry() {
         let plan = compile(&Pattern::triangle(), CompileOptions::default());
-        let cfg = SimConfig { line_bytes: 48, ..Default::default() };
+        let cfg = SimConfig { l1_bytes: 48 << 10, ..Default::default() };
         simulate(&generators::complete(4), &plan, &cfg);
     }
 
@@ -294,7 +287,7 @@ mod tests {
         assert_eq!(r.noc_traffic(), r.totals.l1_misses + r.totals.writebacks);
         // The c-map sees heavy read reuse on 4-cycle (§VII-C quotes >85%).
         assert!(r.cmap_read_ratio() > 0.5, "read ratio {}", r.cmap_read_ratio());
-        assert!(r.seconds(&cfg) > 0.0);
+        assert!(r.seconds() > 0.0);
         assert!(r.imbalance() >= 1.0);
     }
 

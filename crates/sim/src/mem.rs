@@ -2,7 +2,7 @@
 
 use crate::addr::Interleave;
 use crate::cache::SetAssocCache;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, L2_ASSOC, L2_LATENCY, L2_OCCUPANCY};
 use crate::dram::Dram;
 use crate::queue::ContendedQueue;
 
@@ -22,7 +22,6 @@ pub struct MemorySystem {
     l2: SetAssocCache,
     banks: Vec<ContendedQueue>,
     bank_of: Interleave,
-    l2_latency: u64,
     /// The DRAM device (public for row-hit statistics).
     pub dram: Dram,
     /// Total L2 accesses (reads + writebacks).
@@ -38,11 +37,10 @@ impl MemorySystem {
     pub fn new(cfg: &SimConfig) -> MemorySystem {
         let l2_banks = cfg.l2_banks.max(1);
         MemorySystem {
-            l2: SetAssocCache::new(cfg.l2_bytes, cfg.l2_assoc, cfg.line_bytes),
-            banks: vec![ContendedQueue::new(cfg.l2_occupancy); l2_banks],
-            bank_of: Interleave::new(cfg.line_bytes, l2_banks),
-            l2_latency: cfg.l2_latency,
-            dram: Dram::new(cfg.dram),
+            l2: SetAssocCache::new(cfg.l2_bytes, L2_ASSOC),
+            banks: vec![ContendedQueue::new(L2_OCCUPANCY); l2_banks],
+            bank_of: Interleave::new(l2_banks),
+            dram: Dram::new(),
             l2_accesses: 0,
             l2_misses: 0,
             l2_writebacks: 0,
@@ -62,15 +60,12 @@ impl MemorySystem {
             let _ = self.dram.access(line_addr);
         }
         if result.hit {
-            MemService {
-                latency: queue_delay + self.l2_latency,
-                backpressure: queue_delay + occupancy,
-            }
+            MemService { latency: queue_delay + L2_LATENCY, backpressure: queue_delay + occupancy }
         } else {
             self.l2_misses += 1;
             let d = self.dram.access(line_addr);
             MemService {
-                latency: queue_delay + self.l2_latency + d.latency,
+                latency: queue_delay + L2_LATENCY + d.latency,
                 backpressure: queue_delay + occupancy + d.backpressure,
             }
         }
@@ -110,7 +105,7 @@ mod tests {
         let miss = m.read(0);
         let hit = m.read(0);
         assert!(miss.latency > hit.latency);
-        assert_eq!(hit.latency, cfg.l2_latency);
+        assert_eq!(hit.latency, L2_LATENCY);
         assert_eq!(m.l2_accesses, 2);
         assert_eq!(m.l2_misses, 1);
         assert_eq!(m.dram.accesses, 1);
@@ -138,7 +133,7 @@ mod tests {
         }
         m.end_epoch(cfg.epoch);
         let s = m.read(0);
-        assert!(s.latency > cfg.l2_latency, "saturated bank must queue: {}", s.latency);
+        assert!(s.latency > L2_LATENCY, "saturated bank must queue: {}", s.latency);
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
         assert_eq!(m.l2_accesses, 1);
         // Dirty data now lives in L2; reading it back is a hit.
         let s = m.read(0);
-        assert_eq!(s.latency, cfg.l2_latency);
+        assert_eq!(s.latency, L2_LATENCY);
         assert_eq!(m.l2_misses, 0);
     }
 }

@@ -16,10 +16,10 @@
 //!   bandwidth backpressure for subsequent lines (a streaming prefetch
 //!   model), with all queueing resolved by the shared L2/DRAM models.
 
-use crate::addr::{line_shift, lines, AddressMap};
+use crate::addr::{lines, AddressMap};
 use crate::cache::SetAssocCache;
 use crate::cmap::HwCmap;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, L1_ASSOC, LINE_BYTES, SCHED_LATENCY, SIU_SETUP_CYCLES};
 use crate::machine::Scheduler;
 use crate::mem::MemorySystem;
 use crate::stats::{PeFsmState, PeStats, FSM_EXTENDING, FSM_IDLE, FSM_ITERATING};
@@ -56,9 +56,8 @@ pub(crate) struct Pe {
     pub(crate) done: bool,
     /// Completion time (valid once `done`).
     pub(crate) finish: u64,
-    /// Start vertices of the current task, already claimed.
-    task: Vec<u32>,
-    task_at: usize,
+    /// The start vertex of the current task, claimed but not yet entered.
+    task: Option<u32>,
     stack: Vec<Frame>,
     emb: Vec<VertexId>,
     frontiers: Vec<Vec<VertexId>>,
@@ -78,7 +77,6 @@ pub(crate) struct Pe {
     overflowed: Vec<bool>,
     cmap: HwCmap,
     l1: SetAssocCache,
-    line_shift: u32,
     noc_rt: u64,
     /// Coarse FSM class currently charged by [`Pe::charge`] (an index
     /// into [`crate::stats::FSM_STATE_NAMES`]); updated at each FSM
@@ -95,8 +93,7 @@ impl Pe {
             now: 0,
             done: false,
             finish: 0,
-            task: Vec::new(),
-            task_at: 0,
+            task: None,
             stack: Vec::with_capacity(2 * depth + 2),
             emb: Vec::with_capacity(depth),
             frontiers: vec![Vec::new(); depth],
@@ -110,8 +107,7 @@ impl Pe {
                 if cfg.cmap_enabled() { cfg.cmap_entries() } else { 0 },
                 cfg.cmap_banks,
             ),
-            l1: SetAssocCache::new(cfg.l1_bytes, cfg.l1_assoc, cfg.line_bytes),
-            line_shift: line_shift(cfg.line_bytes),
+            l1: SetAssocCache::new(cfg.l1_bytes, L1_ASSOC),
             noc_rt: cfg.noc_round_trip(id),
             fsm_class: FSM_IDLE,
             counts: vec![0; patterns],
@@ -160,26 +156,22 @@ impl Pe {
     ) {
         while self.now < deadline && !self.done {
             if self.stack.is_empty() {
-                if self.task_at >= self.task.len() {
-                    self.fsm_class = FSM_IDLE;
-                    match sched.next_task() {
-                        Some(batch) => {
-                            self.task.clear();
-                            self.task.extend_from_slice(batch);
-                            self.task_at = 0;
-                            self.stats.tasks += 1;
-                            self.charge(cfg.sched_latency);
-                        }
-                        None => {
-                            self.done = true;
-                            self.finish = self.now;
-                        }
-                    }
+                if let Some(v) = self.task.take() {
+                    self.enter(prog, cfg, 0, VertexId(v));
                     continue;
                 }
-                let v = self.task[self.task_at];
-                self.task_at += 1;
-                self.enter(prog, cfg, 0, VertexId(v));
+                self.fsm_class = FSM_IDLE;
+                match sched.next_task() {
+                    Some(v) => {
+                        self.task = Some(v);
+                        self.stats.tasks += 1;
+                        self.charge(SCHED_LATENCY);
+                    }
+                    None => {
+                        self.done = true;
+                        self.finish = self.now;
+                    }
+                }
                 continue;
             }
             let top = self.stack.len() - 1;
@@ -339,7 +331,7 @@ impl Pe {
         };
         // The degree is read (offsets array) before fetching the list to
         // estimate the footprint.
-        self.read_range(map.offset_addr(w), 16, shared, cfg);
+        self.read_range(map.offset_addr(w), 16, shared);
         self.charge(1);
         let degree = g.degree(w);
         if d >= cfg.cmap_value_bits
@@ -350,7 +342,7 @@ impl Pe {
             return false;
         }
         let (base, bytes) = map.adjacency_range(g, w);
-        self.read_range(base, bytes, shared, cfg);
+        self.read_range(base, bytes, shared);
         // Sorted adjacency: the compiler's vid filter keeps a prefix.
         let kept = below(g.neighbors(w), bound);
         let cost: u64 = kept.iter().map(|nb| self.cmap.insert(nb.0, d)).sum();
@@ -401,9 +393,9 @@ impl Pe {
             _ if cmap_ok => {
                 let ext = node.extender.expect("constrained ops always have an extender");
                 let v = self.emb[ext];
-                self.read_range(map.offset_addr(v), 16, shared, cfg);
+                self.read_range(map.offset_addr(v), 16, shared);
                 let (abase, abytes) = map.adjacency_range(g, v);
-                self.read_range(abase, abytes, shared, cfg);
+                self.read_range(abase, abytes, shared);
                 let src = below(g.neighbors(v), bound.filter(|_| node.bounded_build));
                 // Probes never change occupancy, so one cost covers the
                 // stream; a candidate passes iff its bitset has every
@@ -429,15 +421,15 @@ impl Pe {
                 let src = self.core_at[d - 1];
                 let src_len = self.frontiers[src].len();
                 let (fbase, fbytes) = AddressMap::frontier_range(self.id, src, src_len);
-                self.read_range(fbase, fbytes, shared, cfg);
+                self.read_range(fbase, fbytes, shared);
                 let mut out = std::mem::take(&mut self.frontiers[d]);
                 out.clear();
                 // SIU/SDU: fetch the new vertex's edgelist and merge
                 // against the stored frontier.
                 let prev = self.emb[d - 1];
-                self.read_range(map.offset_addr(prev), 16, shared, cfg);
+                self.read_range(map.offset_addr(prev), 16, shared);
                 let (abase, abytes) = map.adjacency_range(g, prev);
-                self.read_range(abase, abytes, shared, cfg);
+                self.read_range(abase, abytes, shared);
                 // The SIU merge FSM (Fig. 9) has no bound port: lists are
                 // merged in full; the pruner applies vid bounds while
                 // iterating the sorted result.
@@ -450,7 +442,7 @@ impl Pe {
                 }
                 self.stats.siu_invocations += wc.setop_invocations;
                 self.stats.siu_cycles += wc.setop_iterations;
-                self.charge(wc.setop_iterations + cfg.siu_setup_cycles * wc.setop_invocations);
+                self.charge(wc.setop_iterations + SIU_SETUP_CYCLES * wc.setop_invocations);
                 self.frontiers[d] = out;
                 self.core_at[d] = d;
                 if persist {
@@ -462,9 +454,9 @@ impl Pe {
             FrontierHint::None => {
                 let ext = node.extender.expect("non-root ops always have an extender");
                 let v = self.emb[ext];
-                self.read_range(map.offset_addr(v), 16, shared, cfg);
+                self.read_range(map.offset_addr(v), 16, shared);
                 let (abase, abytes) = map.adjacency_range(g, v);
-                self.read_range(abase, abytes, shared, cfg);
+                self.read_range(abase, abytes, shared);
                 let src = g.neighbors(v);
                 let mut out = std::mem::take(&mut self.frontiers[d]);
                 out.clear();
@@ -486,9 +478,9 @@ impl Pe {
                         .chain(node.disconnected.iter().map(|&l| (l, false)));
                     for (i, (l, is_conn)) in stages.enumerate() {
                         let u = self.emb[l];
-                        self.read_range(map.offset_addr(u), 16, shared, cfg);
+                        self.read_range(map.offset_addr(u), 16, shared);
                         let (ubase, ubytes) = map.adjacency_range(g, u);
-                        self.read_range(ubase, ubytes, shared, cfg);
+                        self.read_range(ubase, ubytes, shared);
                         let adj = g.neighbors(u);
                         let last = i + 1 == total;
                         let (cur, dst): (&[VertexId], &mut Vec<VertexId>) = if i == 0 {
@@ -508,7 +500,7 @@ impl Pe {
                     self.siu_scratch = [a, b_buf];
                     self.stats.siu_invocations += wc.setop_invocations;
                     self.stats.siu_cycles += wc.setop_iterations;
-                    self.charge(wc.setop_iterations + cfg.siu_setup_cycles * wc.setop_invocations);
+                    self.charge(wc.setop_iterations + SIU_SETUP_CYCLES * wc.setop_invocations);
                 }
                 self.frontiers[d] = out;
                 self.core_at[d] = d;
@@ -525,13 +517,13 @@ impl Pe {
     /// Streams `bytes` starting at `base` through the private cache,
     /// charging the first miss's full latency and bandwidth backpressure
     /// for the rest.
-    fn read_range(&mut self, base: u64, bytes: usize, shared: &mut MemorySystem, cfg: &SimConfig) {
+    fn read_range(&mut self, base: u64, bytes: usize, shared: &mut MemorySystem) {
         if bytes == 0 {
             return;
         }
-        let consume = (cfg.line_bytes / 4) as u64;
+        let consume = (LINE_BYTES / 4) as u64;
         let mut first_miss = true;
-        for line in lines(base, bytes, self.line_shift) {
+        for line in lines(base, bytes) {
             self.stats.l1_accesses += 1;
             let res = self.l1.access(line, false);
             if let Some(wb) = res.writeback {
@@ -557,7 +549,7 @@ impl Pe {
 
     /// Writes `bytes` starting at `base` (frontier materialization).
     fn write_range(&mut self, base: u64, bytes: usize, shared: &mut MemorySystem) {
-        for line in lines(base, bytes, self.line_shift) {
+        for line in lines(base, bytes) {
             self.stats.l1_accesses += 1;
             let res = self.l1.access(line, true);
             if let Some(wb) = res.writeback {

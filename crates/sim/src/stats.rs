@@ -1,6 +1,6 @@
 //! Simulation statistics and reports.
 
-use crate::config::SimConfig;
+use crate::config::FREQ_GHZ;
 
 /// Names of the coarse PE FSM occupancy classes, indexed like
 /// [`PeStats::occupancy`]: `Idle` covers scheduler hand-off between
@@ -99,7 +99,7 @@ pub struct PeFsmState {
 }
 
 /// Diagnostic dump produced when the watchdog cycle cap trips
-/// ([`SimConfig::watchdog_cycles`]).
+/// ([`SimConfig::watchdog_cycles`](crate::SimConfig::watchdog_cycles)).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WatchdogDump {
     /// Cycle cap in effect when the watchdog fired.
@@ -116,10 +116,10 @@ impl WatchdogDump {
 }
 
 /// One point of the machine-wide timeline, sampled every
-/// [`SimConfig::timeline_every`] cycles (at epoch granularity). All
-/// counter fields are cumulative up to `cycle`, so hit-rate *series* come
-/// from deltas between consecutive samples and hit-rate *totals* from the
-/// last sample alone.
+/// [`timeline_every`](crate::SimConfig::timeline_every) cycles (at epoch
+/// granularity). All counter fields are cumulative up to `cycle`, so
+/// hit-rate *series* come from deltas between consecutive samples and
+/// hit-rate *totals* from the last sample alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TimelineSample {
     /// Simulated clock at the sample (an epoch boundary).
@@ -156,8 +156,8 @@ pub struct SimReport {
     /// comparable across telemetry settings.
     pub pe_occupancy: Vec<[u64; 3]>,
     /// Machine timeline, sampled every
-    /// [`SimConfig::timeline_every`] cycles; empty when sampling is off
-    /// (the default).
+    /// [`timeline_every`](crate::SimConfig::timeline_every) cycles; empty
+    /// when sampling is off (the default).
     pub timeline: Vec<TimelineSample>,
     /// Shared-cache accesses.
     pub l2_accesses: u64,
@@ -176,9 +176,9 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Execution time in seconds at the configured clock.
-    pub fn seconds(&self, cfg: &SimConfig) -> f64 {
-        cfg.cycles_to_seconds(self.cycles)
+    /// Execution time in seconds at the PE clock ([`FREQ_GHZ`]).
+    pub fn seconds(&self) -> f64 {
+        self.cycles as f64 / (FREQ_GHZ * 1e9)
     }
 
     /// NoC traffic: memory requests sent from the PEs to the NoC (the
@@ -249,8 +249,7 @@ mod tests {
         assert!((report.l2_miss_rate() - 0.25).abs() < 1e-12);
         assert!((report.cmap_read_ratio() - 0.9).abs() < 1e-12);
         assert!((report.imbalance() - 1.5).abs() < 1e-12);
-        let cfg = SimConfig::default();
-        assert!((report.seconds(&cfg) - 0.001).abs() < 1e-9);
+        assert!((report.seconds() - 0.001).abs() < 1e-9);
     }
 
     #[test]

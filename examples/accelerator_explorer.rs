@@ -36,7 +36,7 @@ fn main() {
             "  {pes:>2} PEs: {:>12} cycles  scaling {:>6.2}x  sim-time {:>8.3} ms  imbalance {:.2}",
             r.cycles,
             one_pe as f64 / r.cycles as f64,
-            1e3 * r.seconds(&cfg),
+            1e3 * r.seconds(),
             r.imbalance()
         );
     }

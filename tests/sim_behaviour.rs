@@ -114,8 +114,8 @@ fn failure_injection_never_changes_counts() {
         SimConfig { num_pes: 4, cmap_bytes: 5, ..Default::default() },
         // Zero-threshold c-map: every insertion refused.
         SimConfig { num_pes: 4, cmap_occupancy_threshold: 0.0, ..Default::default() },
-        // One-vertex tasks and a tiny epoch.
-        SimConfig { num_pes: 4, task_chunk: 1, epoch: 16, ..Default::default() },
+        // A tiny epoch.
+        SimConfig { num_pes: 4, epoch: 16, ..Default::default() },
         // Single bank everywhere.
         SimConfig { num_pes: 4, l2_banks: 1, cmap_banks: 1, ..Default::default() },
     ];
