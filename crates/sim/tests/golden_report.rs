@@ -4,7 +4,9 @@
 //! the model (c-map store, cache indexing, queue delay) may change freely;
 //! a single moved digit here means the *modelled* machine changed.
 //!
-//! The expected text lives in `golden/sim_report.txt`. On a mismatch the
+//! The expected text lives in `golden/sim_report.txt` and, for the
+//! configurations off the paper's operating point,
+//! `golden/sim_report_off_point.txt`. On a mismatch the
 //! actual rendering is written under `CARGO_TARGET_TMPDIR` so a deliberate
 //! modelling change can be reviewed as a diff and copied over.
 
@@ -105,10 +107,60 @@ fn sim_reports_match_golden() {
             render(&mut actual, &simulate(&g, &plan, cfg));
         }
     }
-    let expected = include_str!("golden/sim_report.txt");
+    check(&actual, include_str!("golden/sim_report.txt"), "sim_report");
+}
+
+/// Off the operating point, every pattern through the paths the host
+/// model's c-map store and cache ways serve and the default machine
+/// rarely takes: fig16's 2 kB L1 at 20 PEs, a 256 B L1 over a 1 KB L2
+/// (dirty writebacks and L2 evictions on every task), a 3-bit c-map value
+/// without frontier memoization (the 6-clique then probes levels 3 and 4,
+/// which fall back to SIU/SDU), a single-bank 8 kB c-map, and frontier
+/// memoization off on its own.
+#[test]
+fn sim_reports_off_the_operating_point_match_golden() {
+    let g = small_mi();
+    let patterns = [
+        ("triangle", Pattern::triangle()),
+        ("4-clique", Pattern::k_clique(4)),
+        ("5-clique", Pattern::k_clique(5)),
+        ("4-cycle", Pattern::cycle(4)),
+        ("diamond", Pattern::diamond()),
+        ("5-cycle", Pattern::cycle(5)),
+        ("house", Pattern::house()),
+        ("6-clique", Pattern::k_clique(6)),
+    ];
+    let configs = [
+        ("2kB-L1", SimConfig { l1_bytes: 2048, ..Default::default() }),
+        (
+            "tiny-caches",
+            SimConfig { num_pes: 8, l1_bytes: 256, l2_bytes: 1024, ..Default::default() },
+        ),
+        (
+            "value-bits-3-no-memo",
+            SimConfig { cmap_value_bits: 3, frontier_memo: false, ..Default::default() },
+        ),
+        ("single-bank", SimConfig { cmap_banks: 1, ..Default::default() }),
+        ("no-memo", SimConfig { frontier_memo: false, ..Default::default() }),
+    ];
+    let mut actual = String::new();
+    for (name, pattern) in &patterns {
+        let plan = compile(pattern, CompileOptions::default());
+        for (label, cfg) in &configs {
+            writeln!(actual, "{name} {label} num_pes={}", cfg.num_pes).unwrap();
+            render(&mut actual, &simulate(&g, &plan, cfg));
+        }
+    }
+    check(&actual, include_str!("golden/sim_report_off_point.txt"), "sim_report_off_point");
+}
+
+/// Fails unless `actual` is `expected` byte for byte, after writing
+/// `actual` to `<name>.actual.txt` under `CARGO_TARGET_TMPDIR`.
+fn check(actual: &str, expected: &str, name: &str) {
     if actual != expected {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sim_report.actual.txt");
-        std::fs::write(&path, &actual).expect("write actual rendering");
+        let path =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+        std::fs::write(&path, actual).expect("write actual rendering");
         let line = actual.lines().zip(expected.lines()).position(|(a, e)| a != e);
         panic!(
             "simulated statistics moved (first differing line: {:?}); actual rendering in {}",
