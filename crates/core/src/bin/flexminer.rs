@@ -513,7 +513,6 @@ fn cmd_count(args: &[String]) -> CliResult {
 
 fn cmd_sim(args: &[String]) -> CliResult {
     let pattern = parse_pattern(args)?;
-    let g = load_graph(args)?;
     let mut cfg = SimConfig::default();
     if let Some(v) = flag_value(args, "--pes") {
         cfg.num_pes = v.parse().map_err(|e| format!("bad --pes: {e}"))?;
@@ -535,6 +534,12 @@ fn cmd_sim(args: &[String]) -> CliResult {
         // granularity).
         cfg.timeline_every = cfg.epoch;
     }
+    // A machine the simulator refuses is a usage error, found before the
+    // graph is loaded.
+    if let Err(e) = cfg.validate() {
+        usage(&e);
+    }
+    let g = load_graph(args)?;
     let plan = Miner::new(&g)
         .pattern(pattern)
         .induced(has_flag(args, "--induced"))

@@ -252,6 +252,22 @@ fn unknown_flags_missing_values_and_zero_threads_exit_two() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --threads"));
 }
 
+/// `sim --pes` outside `1..=MAX_PES` is refused with exit 2 before the
+/// graph is read (the spec names no file): no PE is built for either.
+#[test]
+fn out_of_range_pe_counts_exit_two_before_the_graph_loads() {
+    for pes in ["0", "18446744073709551615"] {
+        let out = flexminer(&["sim", "triangle", "--graph", "no/such/graph.txt", "--pes", pes]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--pes {pes}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: num_pes = {pes} is outside 1..=256\n")),
+            "--pes {pes}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--pes {pes} printed a report");
+    }
+}
+
 /// A unique checkpoint path per call, so parallel test binaries and reruns
 /// never collide on stale files.
 fn temp_ckpt(tag: &str) -> std::path::PathBuf {

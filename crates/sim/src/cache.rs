@@ -18,12 +18,29 @@ pub struct AccessResult {
     pub writeback: Option<u64>,
 }
 
+/// One way of a set: 16 bytes. Line addresses are [`LINE_BYTES`]-aligned,
+/// so the tag word keeps the line address in its high bits and the
+/// [`VALID`] and [`DIRTY`] flags in the low ones.
 #[derive(Clone, Copy, Debug, Default)]
 struct Way {
+    /// Line address | [`VALID`] | [`DIRTY`].
     tag: u64,
-    valid: bool,
-    dirty: bool,
+    /// Tick of the last access (LRU stamp).
     lru: u64,
+}
+
+/// The way holds a line.
+const VALID: u64 = 1;
+/// The line was written since it was installed.
+const DIRTY: u64 = 2;
+const _: () = assert!((VALID | DIRTY) < LINE_BYTES as u64, "flags sit below the line offset");
+
+impl Way {
+    /// Whether the way holds the line at `line_addr`.
+    #[inline]
+    fn holds(&self, line_addr: u64) -> bool {
+        self.tag | DIRTY == line_addr | VALID | DIRTY
+    }
 }
 
 /// A set-associative, write-allocate, write-back cache.
@@ -73,14 +90,14 @@ impl SetAssocCache {
         self.tick += 1;
         let set = self.set_of(line_addr);
         let base = set * self.assoc;
+        debug_assert_eq!(line_addr % LINE_BYTES as u64, 0, "{line_addr:#x} is not a line address");
+        let dirty = if write { DIRTY } else { 0 };
         let ways = &mut self.ways[base..base + self.assoc];
         // Hit?
         for way in ways.iter_mut() {
-            if way.valid && way.tag == line_addr {
+            if way.holds(line_addr) {
                 way.lru = self.tick;
-                if write {
-                    way.dirty = true;
-                }
+                way.tag |= dirty;
                 return AccessResult { hit: true, writeback: None };
             }
         }
@@ -88,21 +105,20 @@ impl SetAssocCache {
         let victim = ways
             .iter()
             .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
+            .min_by_key(|(_, w)| if w.tag & VALID != 0 { w.lru } else { 0 })
             .map(|(i, _)| i)
             .expect("associativity >= 1");
-        let evicted = ways[victim];
-        let writeback = (evicted.valid && evicted.dirty).then_some(evicted.tag);
-        ways[victim] = Way { tag: line_addr, valid: true, dirty: write, lru: self.tick };
+        let evicted = ways[victim].tag;
+        let writeback =
+            (evicted & (VALID | DIRTY) == VALID | DIRTY).then_some(evicted & !(VALID | DIRTY));
+        ways[victim] = Way { tag: line_addr | VALID | dirty, lru: self.tick };
         AccessResult { hit: false, writeback }
     }
 
     /// Whether `line_addr` is currently cached (no state change).
     pub fn contains(&self, line_addr: u64) -> bool {
         let set = self.set_of(line_addr);
-        self.ways[set * self.assoc..(set + 1) * self.assoc]
-            .iter()
-            .any(|w| w.valid && w.tag == line_addr)
+        self.ways[set * self.assoc..(set + 1) * self.assoc].iter().any(|w| w.holds(line_addr))
     }
 
     /// Number of sets (for tests).
@@ -139,6 +155,14 @@ mod tests {
                 assert_eq!(c.set_of(line), ((line / 64) % sets as u64) as usize);
             }
         }
+    }
+
+    #[test]
+    fn a_way_is_sixteen_bytes() {
+        // The shared 4 MB L2 holds 65 536 ways: 1 MB of host table.
+        assert_eq!(std::mem::size_of::<Way>(), 16);
+        let c = SetAssocCache::new(4 << 20, 16);
+        assert_eq!(std::mem::size_of_val(&c.ways[..]), 1 << 20);
     }
 
     #[test]

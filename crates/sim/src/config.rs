@@ -38,6 +38,11 @@ pub const SIU_SETUP_CYCLES: u64 = 8;
 pub const NOC_HOP_LATENCY: u64 = 1;
 /// NoC serialization cycles per 64 B response (flit count).
 pub const NOC_SERIALIZATION: u64 = 4;
+/// Most PEs a [`SimConfig`] may ask for: four times the 64 of the paper's
+/// largest machine (Fig. 15). Each PE holds its own private cache and
+/// c-map state on the host, so the count is bounded before anything is
+/// built ([`SimConfig::validate`]).
+pub const MAX_PES: usize = 256;
 /// Cycles to dispatch a task — one start vertex, as in the paper — to an
 /// idle PE.
 pub const SCHED_LATENCY: u64 = 16;
@@ -87,7 +92,8 @@ pub const PE_LEAKAGE_MW: f64 = 0.5;
 /// constant of this module.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SimConfig {
-    /// Number of processing elements (the paper sweeps 1–64; default 20).
+    /// Number of processing elements, 1 to [`MAX_PES`] (the paper sweeps
+    /// 1–64; default 20).
     pub num_pes: usize,
     /// c-map scratchpad capacity in bytes (0 disables the c-map; the paper
     /// sweeps 1 kB–16 kB and picks 8 kB).
@@ -171,12 +177,16 @@ impl SimConfig {
         }
     }
 
-    /// Checks the cache geometry: the simulator indexes sets and L2 banks
-    /// with shifts and masks, so the set count of each cache and the L2
-    /// bank count must be powers of two. Every geometry the paper
-    /// evaluates is; [`simulate`](crate::simulate) refuses the others here
-    /// instead of deep inside construction.
+    /// Checks the machine before anything is built: the PE count must lie
+    /// in `1..=`[`MAX_PES`], and, since the simulator indexes sets and L2
+    /// banks with shifts and masks, the set count of each cache and the L2
+    /// bank count must be powers of two. Every machine the paper
+    /// evaluates passes; [`simulate`](crate::simulate) refuses the others
+    /// here instead of deep inside construction.
     pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_PES).contains(&self.num_pes) {
+            return Err(format!("num_pes = {} is outside 1..={MAX_PES}", self.num_pes));
+        }
         for (name, bytes, assoc) in
             [("l1", self.l1_bytes, L1_ASSOC), ("l2", self.l2_bytes, L2_ASSOC)]
         {
@@ -253,6 +263,19 @@ mod tests {
             refused(SimConfig { l2_banks: 6, ..Default::default() }),
             "l2_banks = 6 is not a power of two"
         );
+    }
+
+    #[test]
+    fn pe_count_is_bounded() {
+        for num_pes in [1, 20, 64, MAX_PES] {
+            assert_eq!(SimConfig::with_pes(num_pes).validate(), Ok(()));
+        }
+        for num_pes in [0, MAX_PES + 1, usize::MAX] {
+            assert_eq!(
+                SimConfig::with_pes(num_pes).validate(),
+                Err(format!("num_pes = {num_pes} is outside 1..=256"))
+            );
+        }
     }
 
     #[test]

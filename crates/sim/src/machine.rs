@@ -58,7 +58,8 @@ impl Scheduler {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`SimConfig::validate`] (a cache set count or L2
+/// Panics if `cfg` fails [`SimConfig::validate`] (a PE count outside
+/// `1..=`[`MAX_PES`](crate::config::MAX_PES), or a cache set count or L2
 /// bank count that is not a power of two).
 pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimReport {
     if let Err(e) = cfg.validate() {
@@ -76,8 +77,9 @@ pub fn simulate(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &SimConfig) -> SimR
         lower(plan, LowerOptions { frontier_memo: cfg.frontier_memo, bounded_pushdown: false });
     let mut shared = MemorySystem::new(cfg);
     let mut sched = Scheduler::new(g);
-    let mut pes: Vec<Pe> =
-        (0..cfg.num_pes.max(1)).map(|i| Pe::new(i, cfg, prog.depth, plan.patterns.len())).collect();
+    let mut pes: Vec<Pe> = (0..cfg.num_pes)
+        .map(|i| Pe::new(i, cfg, g.num_vertices(), prog.depth, plan.patterns.len()))
+        .collect();
 
     let mut watchdog: Option<WatchdogDump> = None;
     let mut timeline: Vec<TimelineSample> = Vec::new();

@@ -87,7 +87,15 @@ pub(crate) struct Pe {
 }
 
 impl Pe {
-    pub(crate) fn new(id: usize, cfg: &SimConfig, depth: usize, patterns: usize) -> Pe {
+    /// PE `id` of a machine mining a graph of `num_vertices` vertices
+    /// with a `depth`-level program counting `patterns` patterns.
+    pub(crate) fn new(
+        id: usize,
+        cfg: &SimConfig,
+        num_vertices: usize,
+        depth: usize,
+        patterns: usize,
+    ) -> Pe {
         Pe {
             id,
             now: 0,
@@ -106,6 +114,7 @@ impl Pe {
             cmap: HwCmap::new(
                 if cfg.cmap_enabled() { cfg.cmap_entries() } else { 0 },
                 cfg.cmap_banks,
+                num_vertices,
             ),
             l1: SetAssocCache::new(cfg.l1_bytes, L1_ASSOC),
             noc_rt: cfg.noc_round_trip(id),
